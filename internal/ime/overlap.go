@@ -151,42 +151,20 @@ func overlappedLevel(p *mpi.Proc, c *mpi.Comm, st *parallelState, l int, charge 
 	}
 	pr, piv := payload[:l], payload[l]
 
-	ms := st.msScratch()
-	updateRow := func(i int) {
-		row := st.row(i)
-		m := row[l-1]
-		ms[i-st.lo] = m
-		if m != 0 {
-			kernel.Axpy(-m, pr, row[:l])
-		}
-	}
-
 	// Lookahead: if this rank owns the next pivot row, update and ship it
 	// before anything else so the other ranks' level l−1 never waits.
-	nextPivot := l - 2 // 0-based row of level l−1
-	if l > 1 && st.owns(nextPivot) {
-		updateRow(nextPivot)
+	ms := st.msScratch()
+	done := -1
+	if nextPivot := l - 2; l > 1 && st.owns(nextPivot) { // 0-based row of level l−1
+		ii := nextPivot - st.lo
+		st.eliminateSpan(ii, ii+1, l, -1, pr)
 		if err := shipPivot(p, c, st, l-1); err != nil {
 			return err
 		}
+		done = nextPivot
 	}
-	// Bulk sweep over the remaining owned rows: independent per-row AXPYs
-	// fanned across the worker pool, bit-identical to the serial loop (ms
-	// is scratch, so the skipped pivot row must be cleared explicitly).
-	grain := 1 + (1<<15)/(2*l+1)
-	kernel.ParallelFor(st.hi-st.lo, grain, func(rlo, rhi int) {
-		for ii := rlo; ii < rhi; ii++ {
-			i := st.lo + ii
-			if i == l-1 {
-				ms[ii] = 0
-				continue
-			}
-			if l > 1 && i == nextPivot {
-				continue // already updated by the lookahead
-			}
-			updateRow(i)
-		}
-	})
+	// Bulk sweep over the remaining owned rows.
+	st.eliminateRows(l, done, pr)
 	if st.cs != nil {
 		st.cs.step(l, pr, piv)
 	}

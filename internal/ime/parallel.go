@@ -278,6 +278,43 @@ func (st *parallelState) owns(i int) bool { return i >= st.lo && i < st.hi }
 // row returns the owned global row i.
 func (st *parallelState) row(i int) []float64 { return st.rows[i-st.lo] }
 
+// eliminateRows applies level l's fundamental formula with pivot row pr to
+// the owned block and leaves the multipliers in st.ms (0 for the pivot row
+// itself). done is a global row the caller has already updated this level
+// (the overlapped variant's lookahead), or -1. Rows update independently,
+// so large blocks fan out across the worker pool; the closure that costs
+// is built only on that branch — at the paper's one or two rows per rank
+// the sweep never leaves the calling goroutine.
+func (st *parallelState) eliminateRows(l, done int, pr []float64) {
+	st.msScratch() // before the spans, which may run concurrently
+	rows := st.hi - st.lo
+	grain := 1 + (1<<15)/(2*l+1)
+	if kernel.RunsInline(rows, grain) {
+		st.eliminateSpan(0, rows, l, done, pr)
+		return
+	}
+	kernel.ParallelFor(rows, grain, func(rlo, rhi int) { st.eliminateSpan(rlo, rhi, l, done, pr) })
+}
+
+// eliminateSpan is eliminateRows over the block-local rows [rlo,rhi).
+func (st *parallelState) eliminateSpan(rlo, rhi, l, done int, pr []float64) {
+	ms := st.ms
+	for ii := rlo; ii < rhi; ii++ {
+		switch st.lo + ii {
+		case l - 1:
+			ms[ii] = 0 // ms is scratch: the skipped pivot row must be cleared
+		case done:
+		default:
+			row := st.rows[ii]
+			m := row[l-1]
+			ms[ii] = m
+			if m != 0 {
+				kernel.Axpy(-m, pr, row[:l])
+			}
+		}
+	}
+}
+
 // solveLevel runs one level of the distributed reduction.
 func solveLevel(p *mpi.Proc, c *mpi.Comm, st *parallelState, l int, charge bool) error {
 	n := st.n
@@ -324,23 +361,8 @@ func solveLevel(p *mpi.Proc, c *mpi.Comm, st *parallelState, l int, charge bool)
 	// results — bit-identical to the sequential sweep. Only real
 	// wall-clock changes; the virtual-time charge below stays the
 	// published LevelFlops closed form.
-	ms := st.msScratch()
-	grain := 1 + (1<<15)/(2*l+1)
-	kernel.ParallelFor(st.hi-st.lo, grain, func(rlo, rhi int) {
-		for ii := rlo; ii < rhi; ii++ {
-			i := st.lo + ii
-			if i == l-1 {
-				ms[ii] = 0
-				continue
-			}
-			row := st.rows[ii]
-			m := row[l-1]
-			ms[ii] = m
-			if m != 0 {
-				kernel.Axpy(-m, pr, row[:l])
-			}
-		}
-	})
+	st.eliminateRows(l, -1, pr)
+	ms := st.ms
 	if st.cs != nil {
 		st.cs.step(l, pr, piv)
 	}

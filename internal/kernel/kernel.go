@@ -28,6 +28,10 @@ func Gemm(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int
 	if n < nr { // narrow updates parallelise poorly
 		grain = 4 * gemmGrain
 	}
+	if RunsInline(m, grain) {
+		gemmSpan(0, m, n, k, alpha, a, lda, b, ldb, c, ldc)
+		return
+	}
 	ParallelFor(m, grain, func(lo, hi int) {
 		gemmSpan(lo, hi, n, k, alpha, a, lda, b, ldb, c, ldc)
 	})

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 func randSlice(rng *rand.Rand, n int) []float64 {
@@ -204,3 +206,48 @@ func TestGemmConcurrentCallers(t *testing.T) {
 type errIndex int
 
 func (e errIndex) Error() string { return "concurrent GEMM diverged" }
+
+// TestRunsInlineAgreesWithParallelFor pins the predicate hot call sites
+// use to skip building a closure: it must answer exactly what ParallelFor
+// would do, and a call site that takes the inline branch on its word must
+// leave the same trace in the pool's telemetry as ParallelFor itself.
+func TestRunsInlineAgreesWithParallelFor(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	EnableMetrics(reg)
+	defer EnableMetrics(nil)
+	calls := reg.Counter("kernel_parallel_for_total", "")
+	inline := reg.Counter("kernel_parallel_for_inline_total", "")
+
+	for _, tc := range []struct{ n, grain int }{
+		{0, 4}, {1, 1}, {2, 1}, {7, 4}, {8, 4}, {100, 16}, {100, 0}, {31, 16}, {32, 16},
+	} {
+		c0, i0 := calls.Value(), inline.Value()
+		predicted := RunsInline(tc.n, tc.grain)
+		counted := 0.0
+		if predicted && tc.n > 0 {
+			counted = 1
+		}
+		if calls.Value()-c0 != counted || inline.Value()-i0 != counted {
+			t.Errorf("RunsInline(%d,%d)=%v counted %v calls / %v inline, want %v of each",
+				tc.n, tc.grain, predicted, calls.Value()-c0, inline.Value()-i0, counted)
+		}
+		var spans int32
+		c0, i0 = calls.Value(), inline.Value()
+		ParallelFor(tc.n, tc.grain, func(lo, hi int) { atomic.AddInt32(&spans, 1) })
+		if tc.n > 0 && predicted != (spans == 1) {
+			t.Errorf("RunsInline(%d,%d)=%v but ParallelFor ran %d spans", tc.n, tc.grain, predicted, spans)
+		}
+		if tc.n > 0 && (calls.Value()-c0 != 1 || inline.Value()-i0 != counted) {
+			t.Errorf("ParallelFor(%d,%d) counted %v calls / %v inline, want 1 / %v",
+				tc.n, tc.grain, calls.Value()-c0, inline.Value()-i0, counted)
+		}
+	}
+
+	// Gemm's small-range shortcut is still a counted ParallelFor call.
+	c0, i0 := calls.Value(), inline.Value()
+	a, b, c := make([]float64, 4), make([]float64, 4), make([]float64, 4)
+	Gemm(2, 2, 2, 1, a, 2, b, 2, c, 2)
+	if calls.Value()-c0 != 1 || inline.Value()-i0 != 1 {
+		t.Errorf("2×2 Gemm counted %v calls / %v inline, want 1 / 1", calls.Value()-c0, inline.Value()-i0)
+	}
+}

@@ -54,19 +54,14 @@ func Workers() int {
 	return poolWorkers
 }
 
-// ParallelFor executes fn over the index range [0,n), split into at most
-// Workers() contiguous spans of at least grain indices each. The calling
-// goroutine runs the last span itself and waits for the rest, so the call
-// returns only when the whole range is done. Ranges smaller than two
-// grains run inline with no synchronisation at all.
-//
-// fn must be safe to run concurrently on disjoint spans; spans never
-// overlap and cover [0,n) exactly once.
-func ParallelFor(n, grain int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
+// spansFor returns how many contiguous spans ParallelFor splits [0,n)
+// into: at most Workers(), each at least grain indices long, and one when
+// the process has no pool.
+func spansFor(n, grain int) int {
 	poolOnce.Do(startPool)
+	if poolJobs == nil {
+		return 1
+	}
 	if grain < 1 {
 		grain = 1
 	}
@@ -74,17 +69,56 @@ func ParallelFor(n, grain int, fn func(lo, hi int)) {
 	if spans > poolWorkers {
 		spans = poolWorkers
 	}
-	m := metrics.Load()
-	if spans <= 1 || poolJobs == nil {
-		if m != nil {
-			m.calls.Inc()
-			m.inline.Inc()
-			m.tiles.Inc()
-			m.spanLen.Observe(float64(n))
-		}
+	return spans
+}
+
+// RunsInline reports whether ParallelFor(n, grain, fn) would run fn(0, n)
+// on the calling goroutine — the range is shorter than two grains, or the
+// process has no pool — and, when it would, counts the call in the pool's
+// telemetry exactly as ParallelFor does. A func literal handed to
+// ParallelFor escapes to the heap whether or not it ever leaves the
+// caller, so a hot call site with mostly small ranges asks first and calls
+// its loop body directly:
+//
+//	if kernel.RunsInline(n, grain) {
+//		body(0, n)
+//	} else {
+//		kernel.ParallelFor(n, grain, func(lo, hi int) { body(lo, hi) })
+//	}
+func RunsInline(n, grain int) bool {
+	if n <= 0 {
+		return true
+	}
+	if spansFor(n, grain) > 1 {
+		return false
+	}
+	if m := metrics.Load(); m != nil {
+		m.calls.Inc()
+		m.inline.Inc()
+		m.tiles.Inc()
+		m.spanLen.Observe(float64(n))
+	}
+	return true
+}
+
+// ParallelFor executes fn over the index range [0,n), split into at most
+// Workers() contiguous spans of at least grain indices each. The calling
+// goroutine runs the last span itself and waits for the rest, so the call
+// returns only when the whole range is done. Ranges smaller than two
+// grains run inline with no synchronisation at all (see RunsInline).
+//
+// fn must be safe to run concurrently on disjoint spans; spans never
+// overlap and cover [0,n) exactly once.
+func ParallelFor(n, grain int, fn func(lo, hi int)) {
+	if n <= 0 {
+		return
+	}
+	if RunsInline(n, grain) {
 		fn(0, n)
 		return
 	}
+	spans := spansFor(n, grain)
+	m := metrics.Load()
 	if m != nil {
 		m.calls.Inc()
 		m.tiles.Add(float64(spans))

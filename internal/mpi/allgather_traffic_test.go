@@ -88,3 +88,54 @@ func TestCommSplitTrafficComposed(t *testing.T) {
 		t.Errorf("comm_split traffic = %d msgs / %d elems, want %d/%d", msgs, vol, wantMsgs, wantVol)
 	}
 }
+
+// TestAllgatherBlocksSurviveMistakenRecycle pins the aliasing contract of
+// Allgather's result: the blocks share one allocation and must not be
+// recycled, but a caller that recycles one anyway (following the contract
+// of every other collective) may only lose that block. Each rank recycles
+// the block at the base of the shared buffer — which used to carry the
+// whole buffer's capacity into the pool — then draws and scribbles over
+// buffers of both the block's and the whole buffer's size class, and the
+// other blocks must still read back intact.
+func TestAllgatherBlocksSurviveMistakenRecycle(t *testing.T) {
+	const size, per = 4, 4
+	w := newTestWorld(t, size)
+	err := w.Run(func(p *Proc) error {
+		data := make([]float64, per)
+		for i := range data {
+			data[i] = float64(p.Rank()*per + i)
+		}
+		all, err := p.Allgather(p.World(), data)
+		if err != nil {
+			return err
+		}
+		for r, blk := range all {
+			if len(blk) != per || cap(blk) != per {
+				return fmt.Errorf("rank %d: block %d has len %d cap %d, want both %d", p.Rank(), r, len(blk), cap(blk), per)
+			}
+		}
+		p.Recycle(all[p.Rank()])
+		for _, n := range []int{per, size * per} {
+			for k := 0; k < 2*size; k++ { // more draws than buffers any rank recycled
+				buf := GetBuf(n)
+				for i := range buf {
+					buf[i] = -1
+				}
+			}
+		}
+		for r := 0; r < size; r++ {
+			if r == p.Rank() {
+				continue
+			}
+			for i := 0; i < per; i++ {
+				if all[r][i] != float64(r*per+i) {
+					return fmt.Errorf("rank %d: block %d overwritten after recycling block %d: %v", p.Rank(), r, p.Rank(), all[r])
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

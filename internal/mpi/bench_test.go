@@ -1,6 +1,9 @@
 package mpi
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // benchmarkSendRecv drives a 2-rank ping stream through the runtime; the
 // per-op cost is one Send plus one Recv. Comparing the three variants
@@ -19,6 +22,7 @@ func benchmarkSendRecv(b *testing.B, metrics, tracing bool) {
 		w.EnableTracing()
 	}
 	payload := make([]float64, 64)
+	b.ReportAllocs()
 	b.ResetTimer()
 	err = w.Run(func(p *Proc) error {
 		c := p.World()
@@ -48,3 +52,20 @@ func benchmarkSendRecv(b *testing.B, metrics, tracing bool) {
 func BenchmarkSendRecvTelemetryOff(b *testing.B) { benchmarkSendRecv(b, false, false) }
 func BenchmarkSendRecvMetricsOn(b *testing.B)    { benchmarkSendRecv(b, true, false) }
 func BenchmarkSendRecvTracingOn(b *testing.B)    { benchmarkSendRecv(b, false, true) }
+
+// BenchmarkBufPoolRoundTrip times one GetBuf → PutBuf pair at the smallest,
+// a typical and a large size class; allocs/op is the pool's own overhead
+// and should read 0.
+func BenchmarkBufPoolRoundTrip(b *testing.B) {
+	for _, class := range []int{0, 6, 12} {
+		b.Run(fmt.Sprintf("class=%d", class), func(b *testing.B) {
+			n := 1 << class
+			PutBuf(GetBuf(n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				PutBuf(GetBuf(n))
+			}
+		})
+	}
+}

@@ -142,6 +142,10 @@ func (p *Proc) gather(c *Comm, root, me, tag int, data []float64) ([][]float64, 
 // received n−1 messages back to back) and the total volume drops from
 // (n−1)(n+1)·len(data) to n(n−1)·len(data); every rank sends exactly
 // TreeDepth(n) messages.
+//
+// The returned blocks are sub-slices of one allocation: unlike the other
+// collectives' results they must not be handed to Recycle, and they are
+// reclaimed together, by the GC, once the last of them is dropped.
 func (p *Proc) Allgather(c *Comm, data []float64) ([][]float64, error) {
 	if _, err := c.Rank(p); err != nil {
 		return nil, err
@@ -186,14 +190,21 @@ func (p *Proc) allgatherBruck(c *Comm, seq int, data []float64) ([][]float64, er
 		copy(tmp[step*per:], got)
 		PutBuf(got)
 	}
+	// The blocks share tmp. Each is capped at its own length, so appending
+	// to one cannot run into the next, and a block handed to Recycle by
+	// mistake pools only its own elements instead of storage its siblings
+	// still alias.
 	out := make([][]float64, size)
 	for i := 0; i < size; i++ {
-		out[(me+i)%size] = tmp[i*per : (i+1)*per]
+		out[(me+i)%size] = tmp[i*per : (i+1)*per : (i+1)*per]
 	}
 	return out, nil
 }
 
-func (p *Proc) allgather(c *Comm, seq int, data []float64) ([][]float64, error) {
+// allgatherFlat is the gather-to-0 + broadcast all-gather CommSplit
+// exchanges its (color, key) pairs with. It returns the contributions
+// concatenated in comm-rank order in one pooled buffer the caller owns.
+func (p *Proc) allgatherFlat(c *Comm, seq int, data []float64) ([]float64, error) {
 	me, err := c.Rank(p)
 	if err != nil {
 		return nil, err
@@ -205,24 +216,22 @@ func (p *Proc) allgather(c *Comm, seq int, data []float64) ([][]float64, error) 
 	}
 	var flat []float64
 	if me == 0 {
-		flat = make([]float64, 0, per*c.Size())
+		flat = GetBuf(per * c.Size())
 		for r, part := range parts {
 			if len(part) != per {
 				return nil, fmt.Errorf("mpi: allgather length mismatch: rank %d sent %d, want %d", r, len(part), per)
 			}
-			flat = append(flat, part...)
+			copy(flat[r*per:], part)
+			PutBuf(part)
 		}
 	}
-	flat, err = p.bcast(c, 0, me, ctag(seq, opAllgather, 1), flat)
+	out, err := p.bcast(c, 0, me, ctag(seq, opAllgather, 1), flat)
+	PutBuf(flat)
 	if err != nil {
 		return nil, err
 	}
-	if len(flat) != per*c.Size() {
-		return nil, fmt.Errorf("mpi: allgather received %d elements, want %d", len(flat), per*c.Size())
-	}
-	out := make([][]float64, c.Size())
-	for r := range out {
-		out[r] = flat[r*per : (r+1)*per]
+	if len(out) != per*c.Size() {
+		return nil, fmt.Errorf("mpi: allgather received %d elements, want %d", len(out), per*c.Size())
 	}
 	return out, nil
 }
@@ -230,31 +239,54 @@ func (p *Proc) allgather(c *Comm, seq int, data []float64) ([][]float64, error) 
 // AllreduceSum element-wise sums equal-length vectors across the
 // communicator and returns the total to every member.
 func (p *Proc) AllreduceSum(c *Comm, data []float64) ([]float64, error) {
-	return p.allreduce(c, data, func(acc, in []float64) error {
-		if len(in) != len(acc) {
-			return fmt.Errorf("mpi: allreduce length mismatch: %d vs %d", len(in), len(acc))
+	return p.allreduce(c, data, combineSum)
+}
+
+// The allreduce combiners fold one received contribution into acc, which
+// allreduce has checked to be of the same length.
+
+func combineSum(acc, in []float64) {
+	for i, v := range in {
+		acc[i] += v
+	}
+}
+
+func combineMax(acc, in []float64) {
+	for i, v := range in {
+		if v > acc[i] {
+			acc[i] = v
 		}
-		for i, v := range in {
-			acc[i] += v
+	}
+}
+
+func combineMin(acc, in []float64) {
+	for i, v := range in {
+		if v < acc[i] {
+			acc[i] = v
 		}
-		return nil
-	})
+	}
+}
+
+// combineMaxLoc keeps the larger value of two (value, index) pairs and,
+// on a tie, the lower index.
+func combineMaxLoc(acc, in []float64) {
+	if in[0] > acc[0] || (in[0] == acc[0] && in[1] < acc[1]) {
+		acc[0], acc[1] = in[0], in[1]
+	}
 }
 
 // AllreduceMaxLoc implements MPI_MAXLOC over (value, index) pairs: every
 // member receives the maximum value and the lowest index attaining it —
 // the reduction ScaLAPACK's partial pivoting performs per column.
 func (p *Proc) AllreduceMaxLoc(c *Comm, value float64, index int) (float64, int, error) {
-	out, err := p.allreduce(c, []float64{value, float64(index)}, func(acc, in []float64) error {
-		if in[0] > acc[0] || (in[0] == acc[0] && in[1] < acc[1]) {
-			acc[0], acc[1] = in[0], in[1]
-		}
-		return nil
-	})
+	pair := [2]float64{value, float64(index)}
+	out, err := p.allreduce(c, pair[:], combineMaxLoc)
 	if err != nil {
 		return 0, 0, err
 	}
-	return out[0], int(out[1]), nil
+	value, index = out[0], int(out[1])
+	PutBuf(out)
+	return value, index, nil
 }
 
 // Scatter distributes chunks[i] from comm rank root to comm rank i
@@ -337,33 +369,13 @@ func (p *Proc) ReduceSum(c *Comm, root int, data []float64) ([]float64, error) {
 // AllreduceMax element-wise maximises equal-length vectors across the
 // communicator.
 func (p *Proc) AllreduceMax(c *Comm, data []float64) ([]float64, error) {
-	return p.allreduce(c, data, func(acc, in []float64) error {
-		if len(in) != len(acc) {
-			return fmt.Errorf("mpi: allreduce length mismatch: %d vs %d", len(in), len(acc))
-		}
-		for i, v := range in {
-			if v > acc[i] {
-				acc[i] = v
-			}
-		}
-		return nil
-	})
+	return p.allreduce(c, data, combineMax)
 }
 
 // AllreduceMin element-wise minimises equal-length vectors across the
 // communicator.
 func (p *Proc) AllreduceMin(c *Comm, data []float64) ([]float64, error) {
-	return p.allreduce(c, data, func(acc, in []float64) error {
-		if len(in) != len(acc) {
-			return fmt.Errorf("mpi: allreduce length mismatch: %d vs %d", len(in), len(acc))
-		}
-		for i, v := range in {
-			if v < acc[i] {
-				acc[i] = v
-			}
-		}
-		return nil
-	})
+	return p.allreduce(c, data, combineMin)
 }
 
 // Alltoall delivers chunks[d] of this rank to comm rank d and returns the
@@ -411,8 +423,10 @@ func (p *Proc) Alltoall(c *Comm, chunks [][]float64) ([][]float64, error) {
 }
 
 // allreduce runs a binomial reduction to comm rank 0 with the given
-// combiner, then broadcasts the result.
-func (p *Proc) allreduce(c *Comm, data []float64, combine func(acc, in []float64) error) ([]float64, error) {
+// combiner, then broadcasts the result. The accumulator is a pooled
+// buffer: a rank that sends its partial result hands the buffer itself to
+// the receiver, which returns it to the pool once combined.
+func (p *Proc) allreduce(c *Comm, data []float64, combine func(acc, in []float64)) ([]float64, error) {
 	me, err := c.Rank(p)
 	if err != nil {
 		return nil, err
@@ -422,13 +436,14 @@ func (p *Proc) allreduce(c *Comm, data []float64, combine func(acc, in []float64
 	start := p.clock
 	defer func() { p.recordCollective("allreduce", start, len(data)) }()
 	size := c.Size()
-	acc := make([]float64, len(data))
+	acc := GetBuf(len(data))
 	copy(acc, data)
 	for mask := 1; mask < size; mask <<= 1 {
 		if me&mask != 0 {
-			if err := p.send(c, me-mask, ctag(seq, opAllreduce, 0), acc); err != nil {
+			if err := p.sendOwned(c, me-mask, ctag(seq, opAllreduce, 0), acc); err != nil {
 				return nil, err
 			}
+			acc = nil
 			break
 		}
 		if me+mask < size {
@@ -436,10 +451,16 @@ func (p *Proc) allreduce(c *Comm, data []float64, combine func(acc, in []float64
 			if err != nil {
 				return nil, err
 			}
-			if err := combine(acc, in); err != nil {
-				return nil, err
+			if len(in) != len(acc) {
+				return nil, fmt.Errorf("mpi: allreduce length mismatch: %d vs %d", len(in), len(acc))
 			}
+			combine(acc, in)
+			PutBuf(in)
 		}
 	}
-	return p.bcast(c, 0, me, ctag(seq, opAllreduce, 1), acc)
+	// Only comm rank 0 still holds acc; the broadcast returns a private
+	// copy even there.
+	out, err := p.bcast(c, 0, me, ctag(seq, opAllreduce, 1), acc)
+	PutBuf(acc)
+	return out, err
 }

@@ -1,8 +1,9 @@
 package mpi
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -231,30 +232,35 @@ func (p *Proc) CommSplit(c *Comm, color, key int) (*Comm, error) {
 	start := p.clock
 	// Exchange (color, key) pairs; the payload rides the normal collective
 	// machinery so its cost is accounted like real MPI_Comm_split traffic.
-	all, err := p.allgather(c, seq, []float64{float64(color), float64(key)})
+	pair := [2]float64{float64(color), float64(key)}
+	all, err := p.allgatherFlat(c, seq, pair[:])
 	p.recordCollective("comm_split", start, 2*c.Size())
 	if err != nil {
 		return nil, err
 	}
+	defer PutBuf(all)
 	if color < 0 {
 		return nil, nil
 	}
-	type member struct{ key, commRank int }
-	var members []member
+	// Members of my color, as parent comm ranks; then ordered, then
+	// translated to world ranks in place.
+	n := 0
 	for r := 0; r < c.Size(); r++ {
-		if int(all[r][0]) == color {
-			members = append(members, member{key: int(all[r][1]), commRank: r})
+		if int(all[2*r]) == color {
+			n++
 		}
 	}
-	sort.Slice(members, func(i, j int) bool {
-		if members[i].key != members[j].key {
-			return members[i].key < members[j].key
+	ranks := make([]int, 0, n)
+	for r := 0; r < c.Size(); r++ {
+		if int(all[2*r]) == color {
+			ranks = append(ranks, r)
 		}
-		return members[i].commRank < members[j].commRank
+	}
+	slices.SortFunc(ranks, func(a, b int) int {
+		return cmp.Or(cmp.Compare(int(all[2*a+1]), int(all[2*b+1])), cmp.Compare(a, b))
 	})
-	ranks := make([]int, len(members))
-	for i, m := range members {
-		ranks[i] = c.ranks[m.commRank]
+	for i, r := range ranks {
+		ranks[i] = c.ranks[r]
 	}
 	return p.w.sharedComm(splitKey{parent: c.id, seq: seq, color: color}, ranks), nil
 }

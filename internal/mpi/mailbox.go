@@ -38,7 +38,12 @@ type msgNode struct {
 }
 
 // msgNodePool recycles list nodes across streams, stashes, ranks and
-// worlds, keeping the per-message path allocation-free.
+// worlds. With the payload pool (bufpool.go) it is what lets a warmed
+// send → match → receive → Recycle round trip allocate nothing on the
+// host: TestPingPongAllocsPerMessage and TestBcastRecycleAllocsPerMessage
+// hold the path to 0.05 allocations per message (measured: under 0.005).
+// A pair's first message still allocates its stream, and a GC cycle
+// empties both pools.
 var msgNodePool = sync.Pool{New: func() any { return new(msgNode) }}
 
 // stream carries the ordered messages of one (src → dst) pair. The dead

@@ -145,8 +145,12 @@ type pdState struct {
 	b       []float64 // rhs entries for myRows, replicated across my row's pcs (fused path)
 	charge  bool
 	// pivots records (j, pv) swaps in elimination order for later
-	// right-hand sides (Factorization.Solve).
+	// right-hand sides (Factorization.Solve); sized for all n up front.
 	pivots [][2]int
+	// panelPivots and panelRows are per-panel scratch (the panel's pivot
+	// rows and the local indices of its block rows), reused across panels.
+	panelPivots []int
+	panelRows   []int
 	// Registry instruments (nil when metrics are disabled; telemetry
 	// instruments no-op on nil, so they are used unconditionally).
 	mFlops  *telemetry.Counter
@@ -205,6 +209,8 @@ func layoutPdState(p *mpi.Proc, c *mpi.Comm, grid Grid, me, nb, n int, carryB bo
 		p: p, c: c, grid: grid, pr: pr, pc: pc,
 		rowComm: rowComm, colComm: colComm, n: n, nb: nb,
 		carryB: carryB,
+		myRows: make([]int, 0, Numroc(n, nb, pr, grid.Pr)),
+		myCols: make([]int, 0, Numroc(n, nb, pc, grid.Pc)),
 	}
 	for g := 0; g < n; g++ {
 		if o, _ := OwnerAndLocal(g, nb, grid.Pr); o == pr {
@@ -215,6 +221,9 @@ func layoutPdState(p *mpi.Proc, c *mpi.Comm, grid Grid, me, nb, n int, carryB bo
 		}
 	}
 	st.a = mat.New(len(st.myRows), len(st.myCols))
+	st.pivots = make([][2]int, 0, n)
+	st.panelPivots = make([]int, nb)
+	st.panelRows = make([]int, nb)
 	if carryB {
 		st.b = make([]float64, len(st.myRows))
 	}
@@ -346,7 +355,8 @@ func (st *pdState) panelStep(k0 int) error {
 
 	// --- Panel factorisation (process column pcK only) ---
 	phPanel := st.p.BeginPhase("panel", bi)
-	pivots := make([]int, kw)
+	pivots := st.panelPivots[:kw]
+	clear(pivots)
 	status := 0.0
 	if st.pc == pcK {
 		for j := k0; j < k1; j++ {
@@ -434,14 +444,12 @@ func (st *pdState) panelStep(k0 int) error {
 	st.trailingUpdate(k0, k1, lpanel, u12, bp)
 	st.p.EndPhase(phTrail)
 
-	// Both broadcast payloads are dead now. lpanel wraps its transport
-	// buffer directly; u12 wraps the prefix of the U-row buffer (bp is its
-	// suffix), and the prefix slice keeps the full capacity, so recycling
-	// it returns the whole buffer.
-	lraw, _ := lpanel.Raw()
-	mpi.PutBuf(lraw)
-	uraw, _ := u12.Raw()
-	mpi.PutBuf(uraw)
+	// Both broadcast payloads are dead now. lpanel is its transport buffer;
+	// u12 is the prefix of the U-row buffer (bp is its suffix), and the
+	// prefix slice keeps the full capacity, so recycling it returns the
+	// whole buffer.
+	mpi.PutBuf(lpanel)
+	mpi.PutBuf(u12)
 	return nil
 }
 
@@ -493,15 +501,11 @@ func (st *pdState) factorColumn(j, k0, k1 int) (int, error) {
 			seg[t-j] = st.a.At(li, lt)
 		}
 	}
-	built := seg
-	seg, err = st.p.Bcast(st.colComm, ownerPr, seg)
+	pivRow, err := st.p.Bcast(st.colComm, ownerPr, seg)
 	if err != nil {
 		return 0, err
 	}
-	if built != nil {
-		mpi.PutBuf(built)
-	}
-	pivVal := seg[0]
+	mpi.PutBuf(seg)
 	// Eliminate below: L multipliers and panel trailing update. Rows with
 	// gi > j form a suffix of the ascending myRows, and the panel columns
 	// j+1..k1 are consecutive local columns (one block-cyclic block), so
@@ -509,27 +513,43 @@ func (st *pdState) factorColumn(j, k0, k1 int) (int, error) {
 	// scalar loop — fanned across the worker pool. The flop charge is the
 	// per-row constant times the row count, exactly what the scalar loop
 	// summed.
-	s := len(st.myRows)
-	for s > 0 && st.myRows[s-1] > j {
-		s--
-	}
+	s := suffixFrom(st.myRows, j+1)
 	nrows := len(st.myRows) - s
-	if nrows > 0 {
-		w := k1 - j - 1
-		kernel.ParallelFor(nrows, 1+(1<<14)/(2*w+2), func(lo, hi int) {
-			for li := s + lo; li < s+hi; li++ {
-				row := st.a.Row(li)
-				l := row[lj] / pivVal
-				row[lj] = l
-				if l != 0 && w > 0 {
-					kernel.Axpy(-l, seg[1:], row[lj+1:lj+1+w])
-				}
-			}
-		})
+	if grain := 1 + (1<<14)/(2*(k1-j)); kernel.RunsInline(nrows, grain) {
+		st.eliminateBelow(s, s+nrows, lj, pivRow)
+	} else {
+		kernel.ParallelFor(nrows, grain, func(lo, hi int) { st.eliminateBelow(s+lo, s+hi, lj, pivRow) })
 	}
 	st.chargeFlops(float64(nrows) * float64(2*(k1-j-1)+1))
-	st.p.Recycle(seg)
+	st.p.Recycle(pivRow)
 	return piv, nil
+}
+
+// eliminateBelow turns local column lj of local rows [lo,hi) into L
+// multipliers of the pivot row segment pivRow (pivRow[0] is the pivot) and
+// applies them to the rest of the panel columns.
+func (st *pdState) eliminateBelow(lo, hi, lj int, pivRow []float64) {
+	w := len(pivRow) - 1
+	for li := lo; li < hi; li++ {
+		row := st.a.Row(li)
+		l := row[lj] / pivRow[0]
+		row[lj] = l
+		if l != 0 && w > 0 {
+			kernel.Axpy(-l, pivRow[1:], row[lj+1:lj+1+w])
+		}
+	}
+}
+
+// suffixFrom returns the index of the first entry ≥ g of an ascending
+// index list (len(idx) when there is none): myRows and myCols are
+// ascending, so the rows or columns from a global index on are a suffix
+// of the local layout.
+func suffixFrom(idx []int, g int) int {
+	i := len(idx)
+	for i > 0 && idx[i-1] >= g {
+		i--
+	}
+	return i
 }
 
 // swapRows exchanges global rows j and pv across the columns selected by
@@ -653,8 +673,9 @@ func (st *pdState) swapB(j, pv int) error {
 
 // broadcastPanel ships each process row's factored panel columns from pcK
 // to the whole row. The returned matrix holds, for every owned row, the
-// kw panel-column values (L11 rows for prK, multipliers L21 elsewhere).
-func (st *pdState) broadcastPanel(k0, k1, pcK int) (*mat.Dense, error) {
+// kw panel-column values (L11 rows for prK, multipliers L21 elsewhere),
+// row-major with stride kw, in a pooled buffer the caller recycles.
+func (st *pdState) broadcastPanel(k0, k1, pcK int) ([]float64, error) {
 	kw := k1 - k0
 	var build []float64
 	if st.pc == pcK {
@@ -677,20 +698,16 @@ func (st *pdState) broadcastPanel(k0, k1, pcK int) (*mat.Dense, error) {
 	if len(flat) != len(st.myRows)*kw {
 		return nil, fmt.Errorf("scalapack: panel payload %d, want %d", len(flat), len(st.myRows)*kw)
 	}
-	lp, err := mat.NewFromData(len(st.myRows), kw, flat)
-	if err != nil {
-		return nil, err
-	}
-	return lp, nil
+	return flat, nil
 }
 
 // computeURow turns rows k0..k1 of my trailing columns into U12 via
 // forward substitution with unit-lower L11, and transforms the panel
 // segment of b the same way. Only prK ranks call it.
-func (st *pdState) computeURow(k0, k1 int, lpanel *mat.Dense) {
+func (st *pdState) computeURow(k0, k1 int, lpanel []float64) {
 	kw := k1 - k0
 	// Local row indices of the panel block rows (all owned by prK).
-	lis := make([]int, kw)
+	lis := st.panelRows[:kw]
 	for t := 0; t < kw; t++ {
 		li, ok := st.localRow(k0 + t)
 		if !ok {
@@ -706,7 +723,7 @@ func (st *pdState) computeURow(k0, k1 int, lpanel *mat.Dense) {
 		lj, _ := st.localCol(gj)
 		for i := 1; i < kw; i++ {
 			var s float64
-			lrow := lpanel.Row(lis[i])
+			lrow := lpanel[lis[i]*kw : (lis[i]+1)*kw]
 			for t := 0; t < i; t++ {
 				s += lrow[t] * st.a.At(lis[t], lj)
 			}
@@ -718,7 +735,7 @@ func (st *pdState) computeURow(k0, k1 int, lpanel *mat.Dense) {
 	if st.carryB {
 		for i := 1; i < kw; i++ {
 			var s float64
-			lrow := lpanel.Row(lis[i])
+			lrow := lpanel[lis[i]*kw : (lis[i]+1)*kw]
 			for t := 0; t < i; t++ {
 				s += lrow[t] * st.b[lis[t]]
 			}
@@ -731,30 +748,25 @@ func (st *pdState) computeURow(k0, k1 int, lpanel *mat.Dense) {
 
 // broadcastURow ships the U block row (my trailing columns) and the
 // transformed b panel segment from process row prK down every process
-// column. Returns U12 for my columns (kw × nTrailingLocal) and bp (kw).
-func (st *pdState) broadcastURow(k0, k1, prK int) (*mat.Dense, []float64, error) {
+// column. Returns U12 for my columns (kw × nTrailingLocal, row-major) and
+// bp (kw): the prefix and suffix of one pooled buffer, which the caller
+// recycles through u12.
+func (st *pdState) broadcastURow(k0, k1, prK int) (u12, bp []float64, err error) {
 	kw := k1 - k0
-	var trail []int
-	for lj, gj := range st.myCols {
-		if gj >= k1 {
-			trail = append(trail, lj)
-		}
-	}
+	ci := suffixFrom(st.myCols, k1)
+	nt := len(st.myCols) - ci
 	bLen := 0
 	if st.carryB {
 		bLen = kw
 	}
 	var build []float64
 	if st.pr == prK {
-		build = mpi.GetBuf(kw*len(trail) + bLen)
+		build = mpi.GetBuf(kw*nt + bLen)
 		for t := 0; t < kw; t++ {
 			li, _ := st.localRow(k0 + t)
-			row := st.a.Row(li)
-			for u, lj := range trail {
-				build[t*len(trail)+u] = row[lj]
-			}
+			copy(build[t*nt:(t+1)*nt], st.a.Row(li)[ci:])
 			if st.carryB {
-				build[kw*len(trail)+t] = st.b[li]
+				build[kw*nt+t] = st.b[li]
 			}
 		}
 	}
@@ -765,14 +777,10 @@ func (st *pdState) broadcastURow(k0, k1, prK int) (*mat.Dense, []float64, error)
 	if build != nil {
 		mpi.PutBuf(build)
 	}
-	if len(flat) != kw*len(trail)+bLen {
-		return nil, nil, fmt.Errorf("scalapack: U row payload %d, want %d", len(flat), kw*len(trail)+bLen)
+	if len(flat) != kw*nt+bLen {
+		return nil, nil, fmt.Errorf("scalapack: U row payload %d, want %d", len(flat), kw*nt+bLen)
 	}
-	u12, err := mat.NewFromData(kw, len(trail), flat[:kw*len(trail)])
-	if err != nil {
-		return nil, nil, err
-	}
-	return u12, flat[kw*len(trail):], nil
+	return flat[:kw*nt], flat[kw*nt:], nil
 }
 
 // trailingUpdate applies A22 -= L21·U12 on the owned trailing block and
@@ -783,31 +791,23 @@ func (st *pdState) broadcastURow(k0, k1, prK int) (*mat.Dense, []float64, error)
 // ascending k order, like the scalar loops it replaces). The flop charge
 // below is the same closed form the scalar version accumulated, keeping
 // virtual time and energy bit-for-bit unchanged.
-func (st *pdState) trailingUpdate(k0, k1 int, lpanel, u12 *mat.Dense, bp []float64) {
+func (st *pdState) trailingUpdate(k0, k1 int, lpanel, u12, bp []float64) {
 	kw := k1 - k0
-	ri := len(st.myRows)
-	for ri > 0 && st.myRows[ri-1] >= k1 {
-		ri--
-	}
-	ci := len(st.myCols)
-	for ci > 0 && st.myCols[ci-1] >= k1 {
-		ci--
-	}
+	ri := suffixFrom(st.myRows, k1)
+	ci := suffixFrom(st.myCols, k1)
 	mrows := len(st.myRows) - ri
 	ncols := len(st.myCols) - ci
 	if mrows == 0 {
 		return
 	}
 	if ncols > 0 {
-		lp, ldl := lpanel.Raw()
-		ud, ldu := u12.Raw()
 		ad, lda := st.a.Raw()
-		kernel.Gemm(mrows, ncols, kw, -1, lp[ri*ldl:], ldl, ud, ldu, ad[ri*lda+ci:], lda)
+		kernel.Gemm(mrows, ncols, kw, -1, lpanel[ri*kw:], kw, u12, ncols, ad[ri*lda+ci:], lda)
 	}
 	flops := float64(mrows) * float64(2*kw*ncols)
 	if st.carryB {
 		for li := ri; li < len(st.myRows); li++ {
-			st.b[li] -= kernel.DotSerial(lpanel.Row(li)[:kw], bp)
+			st.b[li] -= kernel.DotSerial(lpanel[li*kw:(li+1)*kw], bp)
 		}
 		flops += float64(mrows) * float64(2*kw)
 	}
@@ -833,9 +833,11 @@ func (st *pdState) backSubstitute(rhsAt func(globalRow, localRow int) float64) (
 		pcI := bi % st.grid.Pc
 		solver := st.grid.Rank(prI, pcI)
 
+		var seg []float64 // the solver rank's payload: status + solution
 		if st.pr == prI {
 			// Partial sums over my trailing columns.
-			s := make([]float64, kw)
+			s := mpi.GetBuf(kw)
+			clear(s)
 			var flops float64
 			for t := 0; t < kw; t++ {
 				li, _ := st.localRow(r0 + t)
@@ -849,12 +851,14 @@ func (st *pdState) backSubstitute(rhsAt func(globalRow, localRow int) float64) (
 			flops = float64(2 * kw * len(st.myCols))
 			st.chargeFlops(flops)
 			total, err := st.p.AllreduceSum(st.rowComm, s)
+			mpi.PutBuf(s)
 			if err != nil {
 				return nil, err
 			}
 			if st.pc == pcI {
 				// Solve the diagonal block backwards.
-				seg := make([]float64, kw+1) // status + solution
+				seg = mpi.GetBuf(kw + 1)
+				clear(seg)
 				for t := kw - 1; t >= 0; t-- {
 					li, _ := st.localRow(r0 + t)
 					row := st.a.Row(li)
@@ -875,28 +879,23 @@ func (st *pdState) backSubstitute(rhsAt func(globalRow, localRow int) float64) (
 					seg[t+1] = v / d
 				}
 				st.chargeFlops(float64(kw * kw))
-				got, err := st.p.Bcast(st.c, solver, seg)
-				if err != nil {
-					return nil, err
-				}
-				if got[0] != 0 {
-					return nil, fmt.Errorf("%w: zero U diagonal in block %d", ErrSingular, bi)
-				}
-				copy(x[r0:r1], got[1:])
-				continue
 			}
+			st.p.Recycle(total)
 		}
-		got, err := st.p.Bcast(st.c, solver, nil)
+		got, err := st.p.Bcast(st.c, solver, seg)
+		mpi.PutBuf(seg)
 		if err != nil {
 			return nil, err
 		}
 		if len(got) != kw+1 {
 			return nil, fmt.Errorf("scalapack: solution payload %d, want %d", len(got), kw+1)
 		}
-		if got[0] != 0 {
+		singular := got[0] != 0
+		copy(x[r0:r1], got[1:])
+		st.p.Recycle(got)
+		if singular {
 			return nil, fmt.Errorf("%w: zero U diagonal in block %d", ErrSingular, bi)
 		}
-		copy(x[r0:r1], got[1:])
 	}
 	return x, nil
 }
