@@ -411,16 +411,24 @@ func BenchmarkPdgesvParallelExact(b *testing.B) {
 }
 
 // BenchmarkAnalyticCell measures the cost of one analytic model cell —
-// the unit of the figure sweeps.
+// the unit of the figure sweeps — at the largest paper cell, for both
+// schedule replays under both schedules.
 func BenchmarkAnalyticCell(b *testing.B) {
 	cfg, err := cluster.NewConfig(1296, cluster.FullLoad, cluster.MarconiA3())
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := perfmodel.Run(perfmodel.IMe, 34560, cfg, perfmodel.Params{Overlap: true}); err != nil {
-			b.Fatal(err)
+	for _, alg := range perfmodel.Algorithms() {
+		for _, sched := range []string{"overlap", "sync"} {
+			prm := perfmodel.Params{Overlap: sched == "overlap"}
+			b.Run(alg.String()+"/"+sched, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := perfmodel.Run(alg, 34560, cfg, prm); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

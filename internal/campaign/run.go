@@ -40,7 +40,8 @@ type StageSummary struct {
 }
 
 // Summary is a campaign run's machine-readable outcome — the artifact
-// CI asserts warm-run behaviour on (computed_total == 0, speedup).
+// CI asserts warm-run behaviour on (computed_total == 0, hits_total ==
+// cells_total, one store_digest cold and warm).
 type Summary struct {
 	Campaign      string         `json:"campaign"`
 	Stages        []StageSummary `json:"stages"`

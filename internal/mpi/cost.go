@@ -1,6 +1,9 @@
 package mpi
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // CostModel parametrises the virtual-time cost of communication with a
 // Hockney-style α–β model, distinguishing intra-node (shared-memory) from
@@ -72,11 +75,7 @@ func TreeDepth(p int) int {
 	if p <= 1 {
 		return 0
 	}
-	d := 0
-	for v := p - 1; v > 0; v >>= 1 {
-		d++
-	}
-	return d
+	return bits.Len(uint(p - 1))
 }
 
 // BcastTime estimates a binomial-tree broadcast of size bytes over p ranks

@@ -34,16 +34,14 @@ func (c pinCase) params() Params {
 // pair is then zero.
 func pinBits(t *testing.T, c pinCase) (ime, ge [2]uint64) {
 	t.Helper()
-	if c.ranks <= c.n {
-		tb, err := imeTime(c.n, c.ranks, c.params(), c.intra, c.stretch)
-		if err != nil {
-			t.Fatalf("imeTime %+v: %v", c, err)
-		}
-		ime = [2]uint64{math.Float64bits(tb.compute), math.Float64bits(tb.exposedComm)}
-	} else if _, err := imeTime(c.n, c.ranks, c.params(), c.intra, c.stretch); err == nil {
-		t.Fatalf("imeTime %+v: no error for ranks > n", c)
+	tb, err := imeTime(c.n, c.ranks, c.params(), c.intra, c.stretch)
+	if (err != nil) != (c.ranks > c.n) {
+		t.Fatalf("imeTime %+v: error %v, want one exactly when ranks > n", c, err)
 	}
-	tb, err := scalapackTime(c.n, c.ranks, c.params(), c.intra, c.stretch)
+	if err == nil {
+		ime = [2]uint64{math.Float64bits(tb.compute), math.Float64bits(tb.exposedComm)}
+	}
+	tb, err = scalapackTime(c.n, c.ranks, c.params(), c.intra, c.stretch)
 	if err != nil {
 		t.Fatalf("scalapackTime %+v: %v", c, err)
 	}

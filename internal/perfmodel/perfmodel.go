@@ -243,18 +243,7 @@ func Run(alg Algorithm, n int, cfg cluster.Config, prm Params) (Result, error) {
 		return Result{}, err
 	}
 
-	// Power capping stretches compute via RAPL frequency scaling; the
-	// worst-stretched socket of the placement governs the makespan.
-	capStretch := 1.0
-	if prm.PowerCapW > 0 {
-		for s := 0; s < 2; s++ {
-			if cores := cfg.ActiveCores(s); cores > 0 {
-				if sl := prm.Calibration.SlowdownUnderCap(prm.PowerCapW, cores, s); sl > capStretch {
-					capStretch = sl
-				}
-			}
-		}
-	}
+	capStretch := prm.capStretch(cfg)
 
 	// Single-node jobs ride shared memory; multi-node jobs the fabric.
 	intra := cfg.Nodes <= 1
@@ -282,17 +271,24 @@ func Run(alg Algorithm, n int, cfg cluster.Config, prm Params) (Result, error) {
 // inherit the model's calibration exactly and only carry the time error.
 func ResultFromTimes(alg Algorithm, n int, cfg cluster.Config, prm Params, computeS, exposedCommS float64) Result {
 	prm.normalize()
-	capStretch := 1.0
+	return resultFromTimes(alg, n, cfg, prm, timeBreakdown{compute: computeS, exposedComm: exposedCommS}, prm.capStretch(cfg))
+}
+
+// capStretch is the factor by which PowerCapW stretches compute via RAPL
+// frequency scaling (1 uncapped); the worst-stretched socket of the
+// placement governs the makespan. Expects normalized params.
+func (prm Params) capStretch(cfg cluster.Config) float64 {
+	stretch := 1.0
 	if prm.PowerCapW > 0 {
 		for s := 0; s < 2; s++ {
 			if cores := cfg.ActiveCores(s); cores > 0 {
-				if sl := prm.Calibration.SlowdownUnderCap(prm.PowerCapW, cores, s); sl > capStretch {
-					capStretch = sl
+				if sl := prm.Calibration.SlowdownUnderCap(prm.PowerCapW, cores, s); sl > stretch {
+					stretch = sl
 				}
 			}
 		}
 	}
-	return resultFromTimes(alg, n, cfg, prm, timeBreakdown{compute: computeS, exposedComm: exposedCommS}, capStretch)
+	return stretch
 }
 
 // resultFromTimes is the shared tail of Run and ResultFromTimes: machine

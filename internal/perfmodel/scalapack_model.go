@@ -26,48 +26,64 @@ func scalapackTime(n, ranks int, prm Params, intra bool, capStretch float64) (ti
 	if grid.Pr > 1 {
 		crossRow = (pr - 1) / pr
 	}
+	col := resolveCollective(cost, grid.Pr, intra, prm.Overlap) // down a process column
+	row := resolveCollective(cost, grid.Pc, intra, prm.Overlap) // along a process row
+	world := resolveCollective(cost, ranks, intra, prm.Overlap)
 	// swapOne is the critical-path cost of one paired row exchange: both
 	// directions fly concurrently, so a partner pays its send overhead,
 	// one wire time and one receive overhead (plus the peer's send).
 	swapOne := func(bytes float64) float64 {
-		return 2*cost.SendOverhead + cost.Wire(intra, bytes) + cost.RecvOverhead
+		return 2*cost.SendOverhead + (col.lat + bytes/col.bw) + cost.RecvOverhead
 	}
+	// pivotChain is the communication of one panel's pivoting chain. It
+	// restarts at zero every panel and its terms depend on the columns
+	// left in the panel only, so a cell has at most two values of it: the
+	// full panel's and the remainder panel's.
+	maxloc := col.allreduce(2 * mpi.Float64Bytes) // MAXLOC over the process column
+	pivotChain := func(kw int) float64 {
+		var comm float64
+		for w := kw; w >= 1; w-- {
+			comm += maxloc
+			// Row swap inside the panel (cross-row with probability
+			// (Pr−1)/Pr), then the pivot-row segment broadcast.
+			comm += crossRow * swapOne(float64(w)*mpi.Float64Bytes)
+			comm += col.storeForward(float64(w) * mpi.Float64Bytes)
+		}
+		return comm
+	}
+	fullChain := pivotChain(nb)
 
 	var t timeBreakdown
 	for k0 := 0; k0 < n; k0 += nb {
-		kw := nb
+		kw, chain := nb, fullChain
 		if k0+kw > n {
 			kw = n - k0
+			chain = pivotChain(kw)
 		}
 		k1 := k0 + kw
 		rowsBelowPanel := float64(n-k0)/pr + 1 // local rows ≥ k0 (worst rank)
 		colsTrail := float64(n-k1)/pc + 1      // local trailing columns
 
-		// --- panel factorisation: the unhideable pivoting chain ---
-		var panelComp, panelComm float64
+		// --- panel factorisation: the unhideable pivoting chain; its
+		// communication is chain, its compute depends on the column ---
+		var panelComp float64
 		for j := k0; j < k1; j++ {
 			rowsBelow := float64(n-j)/pr + 1
 			// pivot scan (1 flop per scanned row) + elimination.
 			panelComp += rowsBelow / rate
 			panelComp += float64(2*(k1-j-1)+1) * rowsBelow / rate
-			// MAXLOC allreduce over the process column.
-			panelComm += allreduceTime(cost, grid.Pr, 2*mpi.Float64Bytes, intra)
-			// Row swap inside the panel (cross-row with probability
-			// (Pr−1)/Pr), then the pivot-row segment broadcast.
-			panelComm += crossRow * swapOne(float64(k1-j)*mpi.Float64Bytes)
-			panelComm += bcastTime(cost, grid.Pr, float64(k1-j)*mpi.Float64Bytes, intra, false)
 		}
 		t.compute += panelComp * capStretch
-		t.exposedComm += panelComm
+		t.exposedComm += chain
 
 		// --- pivot list broadcast row-wise ---
-		t.exposedComm += bcastTime(cost, grid.Pc, float64(kw+1)*mpi.Float64Bytes, intra, prm.Overlap)
+		t.exposedComm += row.bcast(float64(kw+1) * mpi.Float64Bytes)
 
 		// --- hideable phase: swaps outside the panel, L/U broadcasts ---
 		swapBytes := (float64(n-kw)/pc + 1) * mpi.Float64Bytes
 		hideable := float64(kw) * crossRow * (swapOne(swapBytes) + swapOne(mpi.Float64Bytes))
-		hideable += bcastTime(cost, grid.Pc, rowsBelowPanel*float64(kw)*mpi.Float64Bytes, intra, prm.Overlap)
-		hideable += bcastTime(cost, grid.Pr, (float64(kw)*colsTrail+float64(kw))*mpi.Float64Bytes, intra, prm.Overlap)
+		hideable += row.bcast(rowsBelowPanel * float64(kw) * mpi.Float64Bytes)
+		hideable += col.bcast((float64(kw)*colsTrail + float64(kw)) * mpi.Float64Bytes)
 
 		// --- compute: U row triangular solve + trailing GEMM ---
 		uComp := (float64(kw*kw)*colsTrail + float64(kw*kw)) / rate
@@ -93,8 +109,8 @@ func scalapackTime(n, ranks int, prm Params, intra bool, capStretch float64) (ti
 		}
 		colsLocal := float64(n)/pc + 1
 		t.compute += (2*float64(kw)*colsLocal + float64(kw*kw)) / rate * capStretch
-		t.exposedComm += allreduceTime(cost, grid.Pc, float64(kw)*mpi.Float64Bytes, intra)
-		t.exposedComm += bcastTime(cost, ranks, float64(kw+1)*mpi.Float64Bytes, intra, prm.Overlap)
+		t.exposedComm += row.allreduce(float64(kw) * mpi.Float64Bytes)
+		t.exposedComm += world.bcast(float64(kw+1) * mpi.Float64Bytes)
 	}
 	return t, nil
 }

@@ -5,6 +5,7 @@ package perfmodel
 // constant changes and a finding no longer holds, a test here fails.
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
@@ -367,5 +368,45 @@ func TestResultAccessors(t *testing.T) {
 	}
 	if IMe.String() != "IMe" || ScaLAPACK.String() != "ScaLAPACK" || Algorithm(7).String() == "" {
 		t.Fatal("Algorithm.String misbehaves")
+	}
+}
+
+// TestResultFromTimesReproducesRun pins the seam the surrogate plugs
+// into: handed Run's own pre-jitter seconds, ResultFromTimes must return
+// Run's result exactly — the cap stretch is derived once, for both.
+func TestResultFromTimesReproducesRun(t *testing.T) {
+	prm := Params{Overlap: true, PowerCapW: 110}
+	for _, pl := range cluster.Placements() {
+		cfg, err := cluster.NewConfig(144, pl, cluster.MarconiA3())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prm.Normalized().capStretch(cfg) == 1 {
+			t.Fatalf("%v: a %g W cap does not bind; the test would prove nothing", pl, prm.PowerCapW)
+		}
+		for _, alg := range Algorithms() {
+			r := runOrDie(t, alg, 8640, cfg, prm)
+			if got := ResultFromTimes(alg, 8640, cfg, prm, r.ComputeS, r.ExposedCommS); !reflect.DeepEqual(got, r) {
+				t.Errorf("%v %v: ResultFromTimes = %+v, Run = %+v", alg, pl, got, r)
+			}
+		}
+	}
+}
+
+// TestRunAllocationBudget keeps a cell at its two allocations (the
+// EnergyJ map): what the replays resolve per cell must stay on the stack.
+func TestRunAllocationBudget(t *testing.T) {
+	cfg := fullLoad(t, 144)
+	for _, alg := range Algorithms() {
+		for _, overlap := range []bool{true, false} {
+			prm := Params{Overlap: overlap}
+			if got := testing.AllocsPerRun(10, func() {
+				if _, err := Run(alg, 1000, cfg, prm); err != nil {
+					t.Fatal(err)
+				}
+			}); got > 2 {
+				t.Errorf("%v overlap=%v: %v allocations per Run, want 2", alg, overlap, got)
+			}
+		}
 	}
 }
