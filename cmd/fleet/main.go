@@ -143,7 +143,7 @@ func run(workloadPath string, synthetic int, seed int64, nodes int, budgetW, mtb
 		len(rep.Jobs), rep.Nodes, wall.Round(time.Millisecond),
 		float64(len(rep.Jobs))/wall.Seconds(), rep.MakespanS, rep.TotalEnergyJ/1e3,
 		rep.PeakPowerW, rep.UtilizationPct, rep.ScheduleDigest[:16])
-	if o.StoreHits+o.StoreComputed > 0 {
+	if storeDir != "" && o.StoreHits+o.StoreComputed > 0 {
 		fmt.Fprintf(os.Stderr, "fleet: store: %d predictions resumed, %d computed\n", o.StoreHits, o.StoreComputed)
 	}
 	return nil

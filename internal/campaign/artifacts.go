@@ -26,14 +26,12 @@ import (
 func SweepFromStore(st *store.Store, prm perfmodel.Params) (*core.Sweep, error) {
 	s := &core.Sweep{Params: prm, Measurements: make(map[core.SweepKey]core.Measurement)}
 	for _, k := range core.SweepKeys() {
-		e := core.Experiment{Algorithm: k.Algorithm, N: k.N, Ranks: k.Ranks, Placement: k.Placement}
-		m, ok, err := core.LookupAnalyticCell(st, e, prm)
+		m, ok, err := core.LookupAnalyticCell(st, k.Experiment(), prm)
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
-			return nil, fmt.Errorf("campaign: store is missing cell %v/%d/%d/%v (run the campaign first)",
-				k.Algorithm, k.N, k.Ranks, k.Placement)
+			return nil, fmt.Errorf("campaign: store is missing cell %v (run the campaign first)", k)
 		}
 		s.Measurements[k] = m
 	}
@@ -54,7 +52,7 @@ func monitoredTable(st *store.Store) (*report.Table, error) {
 			"duration s", "total J", "residual"},
 	}
 	for _, e := range monitoredReferences() {
-		m, ok, err := core.LookupMonitoredCell(st, e)
+		m, ok, err := core.Lookup(st, core.MonitoredCell(e))
 		if err != nil {
 			return nil, err
 		}

@@ -104,10 +104,7 @@ func gridStage(name string, prm perfmodel.Params) Stage {
 		Cells: len(keys),
 		run: func(rc *Context) error {
 			_, err := grid.Map(rc.runner, len(keys), func(i int) (struct{}, error) {
-				k := keys[i]
-				e := core.Experiment{Algorithm: k.Algorithm, N: k.N, Ranks: k.Ranks, Placement: k.Placement}
-				_, err := rc.Analytic(e, prm)
-				return struct{}{}, err
+				return struct{}{}, evalCell(rc, core.AnalyticCell{E: keys[i].Experiment(), Params: prm})
 			})
 			return err
 		},
@@ -138,8 +135,7 @@ func scalingStage(name string, dims []int) Stage {
 			_, err := grid.Map(rc.runner, len(cells), func(i int) (struct{}, error) {
 				c := cells[i]
 				e := core.Experiment{Algorithm: c.alg, N: c.n, Ranks: c.ranks, Placement: cluster.FullLoad}
-				_, err := rc.Analytic(e, prm)
-				return struct{}{}, err
+				return struct{}{}, evalCell(rc, core.AnalyticCell{E: e, Params: prm})
 			})
 			return err
 		},
@@ -168,13 +164,10 @@ func repetitionsStage() Stage {
 		Cells: len(reps),
 		run: func(rc *Context) error {
 			_, err := grid.Map(rc.runner, len(reps), func(i int) (struct{}, error) {
-				k := reps[i].key
-				e := core.Experiment{Algorithm: k.Algorithm, N: k.N, Ranks: k.Ranks, Placement: k.Placement}
 				p := base
 				p.NodeVariability = RepetitionVariability
 				p.NoiseSeed = int64(reps[i].r + 1)
-				_, err := rc.Analytic(e, p)
-				return struct{}{}, err
+				return struct{}{}, evalCell(rc, core.AnalyticCell{E: reps[i].key.Experiment(), Params: p})
 			})
 			return err
 		},
@@ -192,7 +185,7 @@ func monitoredStage() Stage {
 		Cells: len(refs),
 		run: func(rc *Context) error {
 			for _, e := range refs {
-				if _, err := rc.Monitored(e); err != nil {
+				if err := evalCell(rc, core.MonitoredCell(e)); err != nil {
 					return err
 				}
 			}
@@ -232,14 +225,7 @@ func sparseStage() Stage {
 		Cells: len(keys),
 		run: func(rc *Context) error {
 			_, err := grid.Map(rc.runner, len(keys), func(i int) (struct{}, error) {
-				k := keys[i]
-				e := core.SparseExperiment{
-					Algorithm: k.Algorithm, Kind: k.Spec.Kind, N: k.Spec.N,
-					Ranks: core.SparseSweepRanks, Placement: cluster.FullLoad, Device: k.Device,
-					Band: k.Spec.Band, Density: k.Spec.Density, Cond: k.Spec.Cond, Seed: k.Spec.Seed,
-				}
-				_, err := rc.SparseAnalytic(e, prm)
-				return struct{}{}, err
+				return struct{}{}, evalCell(rc, core.SparseAnalyticCell{E: keys[i].Experiment(), Params: prm})
 			})
 			return err
 		},

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/grid"
-	"repro/internal/perfmodel"
 	"repro/internal/store"
 )
 
@@ -95,51 +94,18 @@ func (rc *Context) counts() (computed, hits int) {
 	return rc.computed, rc.hits
 }
 
-// Analytic evaluates one analytic cell through the store: hit → free,
+// admit takes one cell from the compute budget — what the runner asks
+// between a store miss and the compute.
+func (rc *Context) admit() error { return rc.spend(1) }
+
+// evalCell evaluates one cell of any kind through the store: hit → free,
 // miss → budget-gated compute + append.
-func (rc *Context) Analytic(e core.Experiment, prm perfmodel.Params) (core.Measurement, error) {
-	if m, ok, err := core.LookupAnalyticCell(rc.st, e, prm); err != nil {
-		return core.Measurement{}, err
-	} else if ok {
+func evalCell[M, R any, C core.Cell[M, R]](rc *Context, c C) error {
+	_, computed, err := core.Run(rc.st, c, rc.admit)
+	if err == nil && !computed {
 		rc.addHits(1)
-		return m, nil
 	}
-	if err := rc.spend(1); err != nil {
-		return core.Measurement{}, err
-	}
-	m, _, err := core.RunAnalyticStored(e, prm, rc.st)
-	return m, err
-}
-
-// SparseAnalytic evaluates one sparse analytic cell through the store:
-// hit → free, miss → budget-gated compute + append.
-func (rc *Context) SparseAnalytic(e core.SparseExperiment, prm perfmodel.Params) (core.SparseMeasurement, error) {
-	if m, ok, err := core.LookupSparseAnalyticCell(rc.st, e, prm); err != nil {
-		return core.SparseMeasurement{}, err
-	} else if ok {
-		rc.addHits(1)
-		return m, nil
-	}
-	if err := rc.spend(1); err != nil {
-		return core.SparseMeasurement{}, err
-	}
-	m, _, err := core.RunSparseAnalyticStored(e, prm, rc.st)
-	return m, err
-}
-
-// Monitored evaluates one exact-engine cell through the store.
-func (rc *Context) Monitored(e core.Experiment) (core.Measurement, error) {
-	if m, ok, err := core.LookupMonitoredCell(rc.st, e); err != nil {
-		return core.Measurement{}, err
-	} else if ok {
-		rc.addHits(1)
-		return m, nil
-	}
-	if err := rc.spend(1); err != nil {
-		return core.Measurement{}, err
-	}
-	m, _, err := core.RunMonitoredStored(e, rc.st)
-	return m, err
+	return err
 }
 
 // ResilienceSweep evaluates the resilience artifact's MTBF sweep through

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/perfmodel"
+	"repro/internal/store"
 )
 
 // The advisor is the paper's motivating use case made executable: "Being
@@ -68,19 +69,25 @@ type Recommendation struct {
 
 // Recommend models both solvers for the job shape and picks a winner.
 func Recommend(n, ranks int, placement cluster.Placement, objective Objective, prm perfmodel.Params) (Recommendation, error) {
-	imeM, err := RunAnalytic(Experiment{
-		Algorithm: perfmodel.IMe, N: n, Ranks: ranks, Placement: placement,
-	}, prm)
+	rec, _, err := RecommendStored(n, ranks, placement, objective, prm, nil)
+	return rec, err
+}
+
+// RecommendStored is Recommend with store-backed memoization of the two
+// solver cells; computed counts the evaluations that ran (0, 1 or 2).
+// The verdict goes through Rank, the same single ranking function the
+// surrogate path uses, so a store-served recommendation can never differ
+// from a freshly computed one.
+func RecommendStored(n, ranks int, placement cluster.Placement, objective Objective, prm perfmodel.Params, st *store.Store) (Recommendation, int, error) {
+	e := Experiment{Algorithm: perfmodel.IMe, N: n, Ranks: ranks, Placement: placement}
+	g := e
+	g.Algorithm = perfmodel.ScaLAPACK
+	imeM, geM, computed, err := runBoth(st, AnalyticCell{e, prm}, AnalyticCell{g, prm})
 	if err != nil {
-		return Recommendation{Objective: objective}, err
+		return Recommendation{Objective: objective}, computed, err
 	}
-	geM, err := RunAnalytic(Experiment{
-		Algorithm: perfmodel.ScaLAPACK, N: n, Ranks: ranks, Placement: placement,
-	}, prm)
-	if err != nil {
-		return Recommendation{Objective: objective}, err
-	}
-	return Rank(imeM, geM, objective)
+	rec, err := Rank(imeM, geM, objective)
+	return rec, computed, err
 }
 
 // Rank picks the winner between two measurements of the same job shape —

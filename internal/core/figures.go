@@ -23,6 +23,16 @@ type SweepKey struct {
 	Placement cluster.Placement
 }
 
+// Experiment returns the analytic experiment of the cell.
+func (k SweepKey) Experiment() Experiment {
+	return Experiment{Algorithm: k.Algorithm, N: k.N, Ranks: k.Ranks, Placement: k.Placement}
+}
+
+// String renders the cell's coordinates for error messages.
+func (k SweepKey) String() string {
+	return fmt.Sprintf("%v/%d/%d/%v", k.Algorithm, k.N, k.Ranks, k.Placement)
+}
+
 // Sweep holds the full evaluation grid: every matrix dimension × rank
 // count × placement × algorithm of §5.1, modelled analytically.
 type Sweep struct {
@@ -60,40 +70,17 @@ func NewSweepParallel(prm perfmodel.Params, r *grid.Runner) (*Sweep, error) {
 
 // NewSweepStored is NewSweepParallel with store-backed memoization:
 // each cell consults the experiment store before dispatching the model
-// and appends what it computes. The returned measurements are identical
-// for every (store, worker budget) combination — a store hit
-// reconstructs the exact measurement the compute path would produce —
-// which is what lets lsbench's figure artifacts stay byte-identical
-// across serial, parallel, cold-store and warm-store runs. computed
-// counts the cells that actually ran the model (0 on a fully warm
-// store). A nil store always computes.
+// and appends what it computes (see runGrid for why the measurements are
+// the same under every store state and worker budget). computed counts
+// the cells that actually ran the model. A nil store always computes.
 func NewSweepStored(prm perfmodel.Params, r *grid.Runner, st *store.Store) (*Sweep, int, error) {
-	keys := SweepKeys()
-	type cell struct {
-		m        Measurement
-		computed bool
-	}
-	cells, err := grid.Map(r, len(keys), func(i int) (cell, error) {
-		k := keys[i]
-		e := Experiment{Algorithm: k.Algorithm, N: k.N, Ranks: k.Ranks, Placement: k.Placement}
-		m, computed, err := RunAnalyticStored(e, prm, st)
-		if err != nil {
-			return cell{}, fmt.Errorf("core: sweep cell %v/%d/%d/%v: %w", k.Algorithm, k.N, k.Ranks, k.Placement, err)
-		}
-		return cell{m: m, computed: computed}, nil
+	ms, computed, err := runGrid(r, st, SweepKeys(), func(k SweepKey) AnalyticCell {
+		return AnalyticCell{k.Experiment(), prm}
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	s := &Sweep{Params: prm, Measurements: make(map[SweepKey]Measurement, len(keys))}
-	computed := 0
-	for i, k := range keys {
-		s.Measurements[k] = cells[i].m
-		if cells[i].computed {
-			computed++
-		}
-	}
-	return s, computed, nil
+	return &Sweep{Params: prm, Measurements: ms}, computed, nil
 }
 
 // Get returns one cell, failing loudly on a missing key.

@@ -32,8 +32,17 @@ func (r RepStats) SpreadJ() float64 {
 // given machine variability, each with a distinct deterministic noise
 // seed, and folds them into statistics.
 func RunRepeatedAnalytic(e Experiment, prm perfmodel.Params, reps int, variability float64) (RepStats, error) {
+	stats, _, err := RunRepeatedAnalyticStored(e, prm, reps, variability, nil)
+	return stats, err
+}
+
+// RunRepeatedAnalyticStored is RunRepeatedAnalytic with each repetition
+// memoized as its own cell (repetitions differ only in their noise seed,
+// which is part of the analytic identity); computed counts the
+// repetitions that ran the model.
+func RunRepeatedAnalyticStored(e Experiment, prm perfmodel.Params, reps int, variability float64, est *store.Store) (RepStats, int, error) {
 	if reps <= 0 {
-		return RepStats{}, fmt.Errorf("core: repetition count %d must be positive", reps)
+		return RepStats{}, 0, fmt.Errorf("core: repetition count %d must be positive", reps)
 	}
 	st := RepStats{
 		Experiment:   e,
@@ -41,13 +50,17 @@ func RunRepeatedAnalytic(e Experiment, prm perfmodel.Params, reps int, variabili
 		MinDurationS: math.Inf(1),
 		MinJ:         math.Inf(1),
 	}
+	computed := 0
 	for r := 0; r < reps; r++ {
 		p := prm
 		p.NodeVariability = variability
 		p.NoiseSeed = int64(r + 1)
-		m, err := RunAnalytic(e, p)
+		m, ran, err := RunAnalyticStored(e, p, est)
 		if err != nil {
-			return RepStats{}, err
+			return RepStats{}, computed, err
+		}
+		if ran {
+			computed++
 		}
 		st.MeanDurationS += m.DurationS / float64(reps)
 		st.MeanJ += m.TotalJ / float64(reps)
@@ -64,7 +77,7 @@ func RunRepeatedAnalytic(e Experiment, prm perfmodel.Params, reps int, variabili
 			st.MaxJ = m.TotalJ
 		}
 	}
-	return st, nil
+	return st, computed, nil
 }
 
 // RepetitionStudy renders repetition statistics for both algorithms at a

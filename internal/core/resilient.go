@@ -57,35 +57,37 @@ type ResilienceOptions struct {
 	Storage ckpt.CostModel
 }
 
-// ResilientMeasurement is the outcome of one resilient execution.
+// ResilientMeasurement is the outcome of one resilient execution. Its
+// JSON form is the payload of a stored resilience record: everything
+// except the two fields the record's identity already carries.
 type ResilientMeasurement struct {
-	Experiment Experiment
-	MTBF       float64
+	Experiment Experiment `json:"-"`
+	MTBF       float64    `json:"-"`
 
 	// Fault-free reference run with the resilience machinery armed
 	// (checksum rows for IMe, periodic checkpoints for ScaLAPACK) but no
 	// faults injected.
-	BaselineDurationS float64
-	BaselineJ         float64
+	BaselineDurationS float64 `json:"baseline_duration_s"`
+	BaselineJ         float64 `json:"baseline_j"`
 
 	// Faulted run, summed across restart attempts for checkpoint/restart.
-	DurationS float64
-	TotalJ    float64
+	DurationS float64 `json:"duration_s"`
+	TotalJ    float64 `json:"total_j"`
 
 	// Crashes scheduled within the horizon; Recoveries are IMe in-place
 	// checksum recoveries, Restarts are ScaLAPACK world restarts.
-	Crashes    int
-	Recoveries int
-	Restarts   int
+	Crashes    int `json:"crashes"`
+	Recoveries int `json:"recoveries"`
+	Restarts   int `json:"restarts"`
 	// CheckpointWrites counts per-rank snapshot writes (ScaLAPACK only).
-	CheckpointWrites int
+	CheckpointWrites int `json:"checkpoint_writes"`
 
 	// RecoveryJ is the energy the faults cost: TotalJ − BaselineJ.
-	RecoveryJ float64
+	RecoveryJ float64 `json:"recovery_j"`
 	// MaxRelDiff is the largest relative deviation of the recovered
 	// solution from the fault-free one; Residual its relative residual.
-	MaxRelDiff float64
-	Residual   float64
+	MaxRelDiff float64 `json:"max_rel_diff"`
+	Residual   float64 `json:"residual"`
 }
 
 // solutionTolerance bounds the acceptable deviation of a recovered
@@ -398,25 +400,38 @@ func (p ResiliencePoint) Winner() perfmodel.Algorithm {
 // crash schedules (same seed, same protected set). The experiment's
 // Algorithm field is ignored.
 func ResilienceStudy(e Experiment, mtbfs []float64, ro ResilienceOptions) ([]ResiliencePoint, error) {
+	pts, _, err := ResilienceStudyStored(e, mtbfs, ro, nil)
+	return pts, err
+}
+
+// ResilienceStudyStored is ResilienceStudy with store-backed memoization;
+// computed counts the runs that actually executed.
+func ResilienceStudyStored(e Experiment, mtbfs []float64, ro ResilienceOptions, st *store.Store) ([]ResiliencePoint, int, error) {
+	computed := 0
 	pts := make([]ResiliencePoint, 0, len(mtbfs))
 	for _, mtbf := range mtbfs {
 		o := ro
 		o.MTBF = mtbf
 		pt := ResiliencePoint{MTBF: mtbf}
 		var err error
+		var ran bool
 		ei := e
 		ei.Algorithm = perfmodel.IMe
-		if pt.IMe, err = RunResilient(ei, o); err != nil {
-			return nil, fmt.Errorf("core: resilience study, ime at mtbf %g: %w", mtbf, err)
+		if pt.IMe, ran, err = RunResilientStored(ei, o, st); err != nil {
+			return nil, computed, fmt.Errorf("core: resilience study, ime at mtbf %g: %w", mtbf, err)
+		} else if ran {
+			computed++
 		}
 		es := e
 		es.Algorithm = perfmodel.ScaLAPACK
-		if pt.ScaLAPACK, err = RunResilient(es, o); err != nil {
-			return nil, fmt.Errorf("core: resilience study, scalapack at mtbf %g: %w", mtbf, err)
+		if pt.ScaLAPACK, ran, err = RunResilientStored(es, o, st); err != nil {
+			return nil, computed, fmt.Errorf("core: resilience study, scalapack at mtbf %g: %w", mtbf, err)
+		} else if ran {
+			computed++
 		}
 		pts = append(pts, pt)
 	}
-	return pts, nil
+	return pts, computed, nil
 }
 
 // CrossoverMTBF locates the boundary where the total-energy winner flips

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -18,8 +17,8 @@ import (
 // Sparse workloads through the same experiment machinery as the dense
 // grid: a SparseExperiment resolves to a cluster Config (heterogeneous
 // when the device is an accelerator), runs through an analytic or a
-// monitored engine, and persists under a typed store identity so the
-// store-threaded runners (campaign, lsbench, advisord) work unchanged.
+// monitored engine, and its analytic cells persist under a typed store
+// identity through the same runner as the dense ones (cell.go).
 
 // SparseExperiment is one job specification of the sparse evaluation
 // grid. Band applies to banded matrices, Density to random ones; the
@@ -204,34 +203,27 @@ func RunSparseMonitored(e SparseExperiment) (SparseMeasurement, error) {
 // SparseCellKind records one sparse-grid SparseMeasurement.
 const SparseCellKind = "sparse-cell"
 
-// SparseMonitoredEngineVersion stamps the executable sparse engine: the
-// solver numerics, the halo plan, the kernel charging constants and the
-// monitoring framework's accounting.
-const SparseMonitoredEngineVersion = "sparse-simulated-mpi/v1"
-
 // SparseCellIdentity is the canonical store identity of one sparse cell:
 // the sparse coordinates (matrix kind, structure axis, condition target,
-// device) plus per-engine version stamps. The analytic engine ignores
+// device) plus the model's version stamps. The analytic engine ignores
 // the input seed (its iteration model depends only on the condition
-// target), so Seed keys monitored cells only.
+// target), so the seed is not part of the identity.
 type SparseCellIdentity struct {
-	Schema    int    `json:"schema"`
-	Kind      string `json:"kind"`
-	Engine    string `json:"engine"`
-	Algorithm string `json:"algorithm"`
-	Matrix    string `json:"matrix"`
-	N         int    `json:"n"`
-	Ranks     int    `json:"ranks"`
-	Placement string `json:"placement"`
-	Device    string `json:"device"`
-	Band      int    `json:"band,omitempty"`
+	Schema    int     `json:"schema"`
+	Kind      string  `json:"kind"`
+	Engine    string  `json:"engine"`
+	Algorithm string  `json:"algorithm"`
+	Matrix    string  `json:"matrix"`
+	N         int     `json:"n"`
+	Ranks     int     `json:"ranks"`
+	Placement string  `json:"placement"`
+	Device    string  `json:"device"`
+	Band      int     `json:"band,omitempty"`
 	Density   float64 `json:"density,omitempty"`
 	Cond      float64 `json:"cond"`
-	Seed      int64   `json:"seed,omitempty"`
-	// EngineVersion stamps the engine semantics (sparse.ModelVersion for
-	// analytic cells, SparseMonitoredEngineVersion for monitored ones).
+	// EngineVersion stamps the engine semantics (sparse.ModelVersion).
 	EngineVersion string `json:"engine_version"`
-	// Model is the versioned cost/calibration identity (analytic only).
+	// Model is the versioned cost/calibration identity.
 	Model *perfmodel.CanonicalIdentity `json:"model,omitempty"`
 	// Accel pins the accelerator profile the cell was modelled against
 	// (accelerated cells only) — a different device profile is a
@@ -265,198 +257,47 @@ func SparseAnalyticCellIdentity(e SparseExperiment, prm perfmodel.Params) Sparse
 	return id
 }
 
-// SparseMonitoredCellIdentity returns the store identity of
-// RunSparseMonitored(e).
-func SparseMonitoredCellIdentity(e SparseExperiment) SparseCellIdentity {
-	return SparseCellIdentity{
-		Schema:        store.SchemaVersion,
-		Kind:          SparseCellKind,
-		Engine:        "sparse-monitored",
-		Algorithm:     e.Algorithm.String(),
-		Matrix:        e.Kind.String(),
-		N:             e.N,
-		Ranks:         e.Ranks,
-		Placement:     e.Placement.String(),
-		Device:        e.Device.String(),
-		Band:          e.Band,
-		Density:       e.Density,
-		Cond:          e.Cond,
-		Seed:          e.Seed,
-		EngineVersion: SparseMonitoredEngineVersion,
-	}
+// SparseAnalyticCell is RunSparseAnalytic(E, Params) as a store cell —
+// the dense pipeline's cell with a device axis, through the same runner
+// (cell.go). The monitored sparse engine is not stored: it is the
+// reference the analytic model is cross-checked against, not a campaign
+// tier.
+type SparseAnalyticCell struct {
+	E      SparseExperiment
+	Params perfmodel.Params
 }
 
-// SparseCellResult is the persisted payload of one SparseMeasurement.
-type SparseCellResult struct {
-	DurationS float64            `json:"duration_s"`
-	EnergyJ   map[string]float64 `json:"energy_j"`
-	TotalJ    float64            `json:"total_j"`
-	Iters     int                `json:"iters"`
-	Residual  float64            `json:"residual,omitempty"`
-	Engine    string             `json:"engine"`
+func (c SparseAnalyticCell) kind() string  { return SparseCellKind }
+func (c SparseAnalyticCell) identity() any { return SparseAnalyticCellIdentity(c.E, c.Params) }
+
+func (c SparseAnalyticCell) compute() (SparseMeasurement, error) {
+	return RunSparseAnalytic(c.E, c.Params)
 }
 
-func sparseCellResultOf(m SparseMeasurement) SparseCellResult {
-	res := SparseCellResult{
+func (c SparseAnalyticCell) payload(m SparseMeasurement) CellResult {
+	return CellResult{
 		DurationS: m.DurationS,
-		EnergyJ:   make(map[string]float64, len(m.EnergyJ)),
+		EnergyJ:   energyByName(m.EnergyJ),
 		TotalJ:    m.TotalJ,
 		Iters:     m.Iters,
 		Residual:  m.Residual,
 		Engine:    m.Engine,
 	}
-	for d, j := range m.EnergyJ {
-		res.EnergyJ[d.String()] = j
-	}
-	return res
 }
 
-// SparseCellMeasurement reconstructs the SparseMeasurement a stored cell
-// recorded. Exact for the same reason CellMeasurement is: every
-// persisted number JSON round-trips bit-for-bit, and the Config is
-// re-derived from the experiment.
-func SparseCellMeasurement(e SparseExperiment, res SparseCellResult) (SparseMeasurement, error) {
-	cfg, err := e.resolveSparseConfig()
+func (c SparseAnalyticCell) restore(res CellResult) (SparseMeasurement, error) {
+	cfg, err := c.E.resolveSparseConfig()
 	if err != nil {
 		return SparseMeasurement{}, err
 	}
-	m := SparseMeasurement{
-		Experiment: e,
+	return SparseMeasurement{
+		Experiment: c.E,
 		Config:     cfg,
 		DurationS:  res.DurationS,
 		TotalJ:     res.TotalJ,
-		EnergyJ:    make(map[rapl.Domain]float64, len(res.EnergyJ)),
+		EnergyJ:    energyByDomain(res.EnergyJ),
 		Iters:      res.Iters,
 		Residual:   res.Residual,
 		Engine:     res.Engine,
-	}
-	for _, d := range append(rapl.Domains(), rapl.Accel) {
-		if j, ok := res.EnergyJ[d.String()]; ok {
-			m.EnergyJ[d] = j
-		}
-	}
-	return m, nil
-}
-
-// DecodeSparseCell unpacks a SparseCellKind record for consumers that
-// enumerate store records (campaign artifacts).
-func DecodeSparseCell(rec store.Record) (SparseCellIdentity, SparseCellResult, error) {
-	if rec.Kind != SparseCellKind {
-		return SparseCellIdentity{}, SparseCellResult{}, fmt.Errorf("core: record %.12s… has kind %q, want %q", rec.Key, rec.Kind, SparseCellKind)
-	}
-	var id SparseCellIdentity
-	if err := json.Unmarshal(rec.Identity, &id); err != nil {
-		return SparseCellIdentity{}, SparseCellResult{}, fmt.Errorf("core: decode sparse cell identity: %w", err)
-	}
-	var res SparseCellResult
-	if err := json.Unmarshal(rec.Result, &res); err != nil {
-		return SparseCellIdentity{}, SparseCellResult{}, fmt.Errorf("core: decode sparse cell result: %w", err)
-	}
-	return id, res, nil
-}
-
-// Experiment converts a decoded sparse identity back into the experiment
-// it keys.
-func (id SparseCellIdentity) Experiment() (SparseExperiment, error) {
-	alg, err := sparse.ParseAlgorithm(id.Algorithm)
-	if err != nil {
-		return SparseExperiment{}, err
-	}
-	kind, err := sparse.ParseKind(id.Matrix)
-	if err != nil {
-		return SparseExperiment{}, err
-	}
-	pl, err := cluster.ParsePlacement(id.Placement)
-	if err != nil {
-		return SparseExperiment{}, err
-	}
-	dev, err := cluster.ParseDevice(id.Device)
-	if err != nil {
-		return SparseExperiment{}, err
-	}
-	return SparseExperiment{
-		Algorithm: alg, Kind: kind, N: id.N, Ranks: id.Ranks, Placement: pl,
-		Device: dev, Band: id.Band, Density: id.Density, Cond: id.Cond, Seed: id.Seed,
 	}, nil
-}
-
-// lookupSparseCell serves a sparse cell from the store; ok is false on a
-// miss.
-func lookupSparseCell(st *store.Store, id SparseCellIdentity, e SparseExperiment) (SparseMeasurement, bool, error) {
-	key, _, err := store.KeyFor(id)
-	if err != nil {
-		return SparseMeasurement{}, false, err
-	}
-	rec, ok, err := st.Get(key)
-	if err != nil || !ok {
-		return SparseMeasurement{}, false, err
-	}
-	if rec.Kind != SparseCellKind {
-		return SparseMeasurement{}, false, fmt.Errorf("core: record %.12s… has kind %q, want %q", rec.Key, rec.Kind, SparseCellKind)
-	}
-	var res SparseCellResult
-	if err := json.Unmarshal(rec.Result, &res); err != nil {
-		return SparseMeasurement{}, false, fmt.Errorf("core: decode sparse cell result: %w", err)
-	}
-	m, err := SparseCellMeasurement(e, res)
-	if err != nil {
-		return SparseMeasurement{}, false, err
-	}
-	return m, true, nil
-}
-
-func appendSparseCell(st *store.Store, id SparseCellIdentity, m SparseMeasurement) error {
-	rec, err := store.NewRecord(SparseCellKind, id, sparseCellResultOf(m))
-	if err != nil {
-		return err
-	}
-	_, err = st.Append(rec)
-	return err
-}
-
-// LookupSparseAnalyticCell serves RunSparseAnalytic(e, prm) from the
-// store without computing; ok is false on a miss (or a nil store).
-// Campaign strict from-store artifact emission builds on it.
-func LookupSparseAnalyticCell(st *store.Store, e SparseExperiment, prm perfmodel.Params) (SparseMeasurement, bool, error) {
-	if st == nil {
-		return SparseMeasurement{}, false, nil
-	}
-	return lookupSparseCell(st, SparseAnalyticCellIdentity(e, prm), e)
-}
-
-// RunSparseAnalyticStored is RunSparseAnalytic with store-backed
-// memoization; computed reports whether the model actually ran. A nil
-// store degrades to plain RunSparseAnalytic.
-func RunSparseAnalyticStored(e SparseExperiment, prm perfmodel.Params, st *store.Store) (m SparseMeasurement, computed bool, err error) {
-	if st == nil {
-		m, err = RunSparseAnalytic(e, prm)
-		return m, true, err
-	}
-	id := SparseAnalyticCellIdentity(e, prm)
-	if m, ok, err := lookupSparseCell(st, id, e); err != nil || ok {
-		return m, false, err
-	}
-	m, err = RunSparseAnalytic(e, prm)
-	if err != nil {
-		return SparseMeasurement{}, true, err
-	}
-	return m, true, appendSparseCell(st, id, m)
-}
-
-// RunSparseMonitoredStored is RunSparseMonitored with store-backed
-// memoization.
-func RunSparseMonitoredStored(e SparseExperiment, st *store.Store) (m SparseMeasurement, computed bool, err error) {
-	if st == nil {
-		m, err = RunSparseMonitored(e)
-		return m, true, err
-	}
-	id := SparseMonitoredCellIdentity(e)
-	if m, ok, err := lookupSparseCell(st, id, e); err != nil || ok {
-		return m, false, err
-	}
-	m, err = RunSparseMonitored(e)
-	if err != nil {
-		return SparseMeasurement{}, true, err
-	}
-	return m, true, appendSparseCell(st, id, m)
 }

@@ -58,38 +58,19 @@ func RankSparse(cpuM, accelM SparseMeasurement, objective Objective) (SparseReco
 	return rec, nil
 }
 
-// RecommendSparse models the sparse shape on both devices and picks a
-// winner under the objective.
-func RecommendSparse(alg sparse.Algorithm, mspec sparse.Spec, ranks int, placement cluster.Placement, objective Objective, prm perfmodel.Params) (SparseRecommendation, error) {
-	rec, _, err := RecommendSparseStored(alg, mspec, ranks, placement, objective, prm, nil)
-	return rec, err
-}
-
-// RecommendSparseStored is RecommendSparse with store-backed memoization
-// of the two device cells; computed counts the evaluations that ran.
+// RecommendSparseStored models the sparse shape on both devices, each a
+// store cell, and picks a winner under the objective; computed counts
+// the evaluations that ran (always 2 on a nil store).
 func RecommendSparseStored(alg sparse.Algorithm, mspec sparse.Spec, ranks int, placement cluster.Placement, objective Objective, prm perfmodel.Params, st *store.Store) (SparseRecommendation, int, error) {
-	base := SparseExperiment{
-		Algorithm: alg, Kind: mspec.Kind, N: mspec.N, Ranks: ranks, Placement: placement,
+	cpu := SparseExperiment{
+		Algorithm: alg, Kind: mspec.Kind, N: mspec.N, Ranks: ranks, Placement: placement, Device: cluster.DeviceCPU,
 		Band: mspec.Band, Density: mspec.Density, Cond: mspec.Cond, Seed: mspec.Seed,
 	}
-	computed := 0
-	eCPU := base
-	eCPU.Device = cluster.DeviceCPU
-	cpuM, ran, err := RunSparseAnalyticStored(eCPU, prm, st)
+	acc := cpu
+	acc.Device = cluster.DeviceAccel
+	cpuM, accM, computed, err := runBoth(st, SparseAnalyticCell{cpu, prm}, SparseAnalyticCell{acc, prm})
 	if err != nil {
 		return SparseRecommendation{Objective: objective}, computed, err
-	}
-	if ran {
-		computed++
-	}
-	eAcc := base
-	eAcc.Device = cluster.DeviceAccel
-	accM, ran, err := RunSparseAnalyticStored(eAcc, prm, st)
-	if err != nil {
-		return SparseRecommendation{Objective: objective}, computed, err
-	}
-	if ran {
-		computed++
 	}
 	rec, err := RankSparse(cpuM, accM, objective)
 	return rec, computed, err
@@ -107,6 +88,21 @@ type SparseSweepKey struct {
 	Algorithm sparse.Algorithm
 	Device    cluster.Device
 	Spec      sparse.Spec
+}
+
+// Experiment returns the sparse experiment of the cell: the grid's rank
+// count at full load.
+func (k SparseSweepKey) Experiment() SparseExperiment {
+	return SparseExperiment{
+		Algorithm: k.Algorithm, Kind: k.Spec.Kind, N: k.Spec.N,
+		Ranks: SparseSweepRanks, Placement: cluster.FullLoad, Device: k.Device,
+		Band: k.Spec.Band, Density: k.Spec.Density, Cond: k.Spec.Cond, Seed: k.Spec.Seed,
+	}
+}
+
+// String renders the cell's coordinates for error messages.
+func (k SparseSweepKey) String() string {
+	return fmt.Sprintf("%v/%s/%s", k.Algorithm, k.Device, k.Spec.Label())
 }
 
 // SparseSweepSpecs enumerates the matrix recipes of the grid: banded
@@ -152,40 +148,16 @@ type SparseSweep struct {
 }
 
 // NewSparseSweepStored runs the sparse grid with store-backed
-// memoization under the runner's worker budget. Like NewSweepStored, the
-// returned measurements are identical for every (store, worker budget)
-// combination; computed counts the cells that ran the model.
+// memoization under the runner's worker budget — NewSweepStored for the
+// sparse cells; computed counts the cells that ran the model.
 func NewSparseSweepStored(prm perfmodel.Params, r *grid.Runner, st *store.Store) (*SparseSweep, int, error) {
-	keys := SparseSweepKeys()
-	type cell struct {
-		m        SparseMeasurement
-		computed bool
-	}
-	cells, err := grid.Map(r, len(keys), func(i int) (cell, error) {
-		k := keys[i]
-		e := SparseExperiment{
-			Algorithm: k.Algorithm, Kind: k.Spec.Kind, N: k.Spec.N,
-			Ranks: SparseSweepRanks, Placement: cluster.FullLoad, Device: k.Device,
-			Band: k.Spec.Band, Density: k.Spec.Density, Cond: k.Spec.Cond, Seed: k.Spec.Seed,
-		}
-		m, computed, err := RunSparseAnalyticStored(e, prm, st)
-		if err != nil {
-			return cell{}, fmt.Errorf("core: sparse sweep cell %v/%s/%s: %w", k.Algorithm, k.Device, k.Spec.Label(), err)
-		}
-		return cell{m: m, computed: computed}, nil
+	ms, computed, err := runGrid(r, st, SparseSweepKeys(), func(k SparseSweepKey) SparseAnalyticCell {
+		return SparseAnalyticCell{k.Experiment(), prm}
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	s := &SparseSweep{Params: prm, Measurements: make(map[SparseSweepKey]SparseMeasurement, len(keys))}
-	computed := 0
-	for i, k := range keys {
-		s.Measurements[k] = cells[i].m
-		if cells[i].computed {
-			computed++
-		}
-	}
-	return s, computed, nil
+	return &SparseSweep{Params: prm, Measurements: ms}, computed, nil
 }
 
 // Get returns one cell, failing loudly on a missing key.

@@ -46,7 +46,7 @@ func computeSparseAdvisorGolden(t *testing.T) []sparseAdvisorGoldenRow {
 	for _, spec := range core.SparseSweepSpecs() {
 		for _, a := range sparse.Algorithms() {
 			for _, obj := range core.Objectives() {
-				rec, err := core.RecommendSparse(a, spec, core.SparseSweepRanks, cluster.FullLoad, obj, prm)
+				rec, _, err := core.RecommendSparseStored(a, spec, core.SparseSweepRanks, cluster.FullLoad, obj, prm, nil)
 				if err != nil {
 					t.Fatalf("RecommendSparse(%v, %s, %v): %v", a, spec.Label(), obj, err)
 				}

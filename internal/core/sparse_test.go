@@ -27,7 +27,7 @@ func TestSparseAnalyticStoredExactRoundTrip(t *testing.T) {
 		e := sparseTestExperiment(dev)
 		prm := perfmodel.Params{}
 
-		cold, computed, err := RunSparseAnalyticStored(e, prm, st)
+		cold, computed, err := Run(st, SparseAnalyticCell{e, prm}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +41,7 @@ func TestSparseAnalyticStoredExactRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(cold, direct) {
 			t.Fatalf("%s: stored cold run diverged from plain RunSparseAnalytic:\n got %+v\nwant %+v", dev, cold, direct)
 		}
-		warm, computed, err := RunSparseAnalyticStored(e, prm, st)
+		warm, computed, err := Run(st, SparseAnalyticCell{e, prm}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,30 +54,13 @@ func TestSparseAnalyticStoredExactRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSparseIdentityRoundTrip pins that a decoded identity reconstructs
-// the experiment that keyed it — what campaign artifact emission walks.
-func TestSparseIdentityRoundTrip(t *testing.T) {
-	e := sparseTestExperiment(cluster.DeviceAccel)
-	id := SparseAnalyticCellIdentity(e, perfmodel.Params{})
-	back, err := id.Experiment()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The analytic identity deliberately drops the seed (the model never
-	// reads it); everything else must survive.
-	e.Seed = 0
-	if back != e {
-		t.Fatalf("identity round-trip: got %+v, want %+v", back, e)
-	}
-}
-
 // TestSparseDeviceSplitsIdentity pins that the device axis keys separate
 // cells — the advisor depends on both coexisting in one store.
 func TestSparseDeviceSplitsIdentity(t *testing.T) {
 	st := openStore(t)
 	prm := perfmodel.Params{}
 	for _, dev := range cluster.Devices() {
-		if _, _, err := RunSparseAnalyticStored(sparseTestExperiment(dev), prm, st); err != nil {
+		if _, _, err := Run(st, SparseAnalyticCell{sparseTestExperiment(dev), prm}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -143,19 +126,6 @@ func TestSparseMonitoredCrossChecksAnalytic(t *testing.T) {
 	if m.Iters < est/4 || m.Iters > est*4 {
 		t.Fatalf("executed %d iterations, model estimates %d — model and solver disagree wildly", m.Iters, est)
 	}
-	// Memoization: monitored sparse cells round-trip too.
-	st := openStore(t)
-	cold, computed, err := RunSparseMonitoredStored(e, st)
-	if err != nil || !computed {
-		t.Fatalf("cold monitored stored run: computed=%v err=%v", computed, err)
-	}
-	warm, computed, err := RunSparseMonitoredStored(e, st)
-	if err != nil || computed {
-		t.Fatalf("warm monitored stored run: computed=%v err=%v", computed, err)
-	}
-	if !reflect.DeepEqual(warm, cold) {
-		t.Fatal("monitored warm reconstruction diverged")
-	}
 }
 
 // TestSparseMonitoredRejectsAccel pins that the executable engine never
@@ -173,14 +143,14 @@ func TestRankSparseObjectives(t *testing.T) {
 	prm := perfmodel.Params{}
 	big := sparse.Spec{Kind: sparse.Banded, N: 1048576, Band: 256, Cond: 1e4, Seed: SparseSweepSeed}
 	small := sparse.Spec{Kind: sparse.Banded, N: 16384, Band: 256, Cond: 1e2, Seed: SparseSweepSeed}
-	recBig, err := RecommendSparse(sparse.CG, big, SparseSweepRanks, cluster.FullLoad, MinEnergy, prm)
+	recBig, _, err := RecommendSparseStored(sparse.CG, big, SparseSweepRanks, cluster.FullLoad, MinEnergy, prm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if recBig.Best != cluster.DeviceAccel {
 		t.Fatalf("big solve: best %s, want accel", recBig.Best)
 	}
-	recSmall, err := RecommendSparse(sparse.CG, small, SparseSweepRanks, cluster.FullLoad, MinEnergy, prm)
+	recSmall, _, err := RecommendSparseStored(sparse.CG, small, SparseSweepRanks, cluster.FullLoad, MinEnergy, prm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +158,7 @@ func TestRankSparseObjectives(t *testing.T) {
 		t.Fatalf("small solve: best %s, want cpu", recSmall.Best)
 	}
 	for _, obj := range Objectives() {
-		rec, err := RecommendSparse(sparse.BiCGSTAB, big, SparseSweepRanks, cluster.FullLoad, obj, prm)
+		rec, _, err := RecommendSparseStored(sparse.BiCGSTAB, big, SparseSweepRanks, cluster.FullLoad, obj, prm, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +191,7 @@ func TestRecommendSparseStoredAgreesWithCompute(t *testing.T) {
 	if !reflect.DeepEqual(warm, cold) {
 		t.Fatal("warm recommendation diverged from cold")
 	}
-	direct, err := RecommendSparse(sparse.CG, spec, SparseSweepRanks, cluster.FullLoad, MinTime, prm)
+	direct, _, err := RecommendSparseStored(sparse.CG, spec, SparseSweepRanks, cluster.FullLoad, MinTime, prm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,23 +1,16 @@
 package core
 
 import (
-	"encoding/json"
-	"fmt"
-
 	"repro/internal/ckpt"
 	"repro/internal/cluster"
 	"repro/internal/perfmodel"
-	"repro/internal/rapl"
 	"repro/internal/store"
 )
 
-// Store-backed execution: every engine gains a *Stored variant that
-// consults the content-addressed experiment store before computing — a
-// hit reconstructs the result from the persisted record (byte-identical
-// downstream: float64 JSON round-trips exactly and the Config is
-// re-derived from the experiment), a miss computes and appends. The
-// typed identities live here, next to the engines that define what makes
-// two runs "the same experiment"; internal/store stays generic.
+// The dense and resilience cells: the typed identities, and the
+// descriptors the runner (cell.go) memoizes them through. They live here,
+// next to the engines that define what makes two runs "the same
+// experiment"; internal/store stays generic.
 
 // Record kinds written by this package.
 const (
@@ -65,16 +58,6 @@ type CellIdentity struct {
 	Model *perfmodel.CanonicalIdentity `json:"model,omitempty"`
 }
 
-// CellResult is the persisted payload of one Measurement. EnergyJ is
-// keyed by RAPL domain name (JSON object keys sort deterministically).
-type CellResult struct {
-	DurationS float64            `json:"duration_s"`
-	EnergyJ   map[string]float64 `json:"energy_j"`
-	TotalJ    float64            `json:"total_j"`
-	Residual  float64            `json:"residual,omitempty"`
-	Engine    string             `json:"engine"`
-}
-
 // AnalyticCellIdentity returns the store identity of RunAnalytic(e, prm).
 // It mirrors RunAnalytic's parameter resolution exactly: the experiment's
 // BlockSize override is folded into the params before normalization, so
@@ -113,138 +96,68 @@ func MonitoredCellIdentity(e Experiment) CellIdentity {
 	}
 }
 
-// cellResultOf converts a Measurement into its persisted payload.
-func cellResultOf(m Measurement) CellResult {
-	res := CellResult{
+// measurementPayload is the persisted form of a dense Measurement.
+func measurementPayload(m Measurement) CellResult {
+	return CellResult{
 		DurationS: m.DurationS,
-		EnergyJ:   make(map[string]float64, len(m.EnergyJ)),
+		EnergyJ:   energyByName(m.EnergyJ),
 		TotalJ:    m.TotalJ,
 		Residual:  m.Residual,
 		Engine:    m.Engine,
 	}
-	for d, j := range m.EnergyJ {
-		res.EnergyJ[d.String()] = j
-	}
-	return res
 }
 
-// CellMeasurement reconstructs the Measurement a stored cell recorded,
-// re-deriving the cluster Config from the experiment. The reconstruction
-// is exact: every persisted number is a float64 that JSON round-trips
-// bit-for-bit, so downstream tables and response bodies are
-// byte-identical to the originally computed ones.
-func CellMeasurement(e Experiment, res CellResult) (Measurement, error) {
+// restoreMeasurement rebuilds the Measurement a stored cell recorded,
+// re-deriving the cluster Config from the experiment.
+func restoreMeasurement(e Experiment, res CellResult) (Measurement, error) {
 	cfg, err := e.resolveConfig(cluster.MarconiA3())
 	if err != nil {
 		return Measurement{}, err
 	}
-	m := Measurement{
+	return Measurement{
 		Experiment: e,
 		Config:     cfg,
 		DurationS:  res.DurationS,
 		TotalJ:     res.TotalJ,
-		EnergyJ:    make(map[rapl.Domain]float64, len(res.EnergyJ)),
+		EnergyJ:    energyByDomain(res.EnergyJ),
 		Residual:   res.Residual,
 		Engine:     res.Engine,
-	}
-	for _, d := range rapl.Domains() {
-		if j, ok := res.EnergyJ[d.String()]; ok {
-			m.EnergyJ[d] = j
-		}
-	}
-	return m, nil
+	}, nil
 }
 
-// DecodeCell unpacks a CellKind record. The server's warm-from-store
-// path uses it to rebuild response bodies without recomputing.
-func DecodeCell(rec store.Record) (CellIdentity, CellResult, error) {
-	if rec.Kind != CellKind {
-		return CellIdentity{}, CellResult{}, fmt.Errorf("core: record %.12s… has kind %q, want %q", rec.Key, rec.Kind, CellKind)
-	}
-	var id CellIdentity
-	if err := json.Unmarshal(rec.Identity, &id); err != nil {
-		return CellIdentity{}, CellResult{}, fmt.Errorf("core: decode cell identity: %w", err)
-	}
-	var res CellResult
-	if err := json.Unmarshal(rec.Result, &res); err != nil {
-		return CellIdentity{}, CellResult{}, fmt.Errorf("core: decode cell result: %w", err)
-	}
-	return id, res, nil
+// AnalyticCell is RunAnalytic(E, Params) as a store cell.
+type AnalyticCell struct {
+	E      Experiment
+	Params perfmodel.Params
 }
 
-// Experiment converts a decoded identity back into the experiment it
-// keys, for consumers that enumerate store records rather than arriving
-// with an Experiment in hand.
-func (id CellIdentity) Experiment() (Experiment, error) {
-	alg, err := perfmodel.ParseAlgorithm(id.Algorithm)
-	if err != nil {
-		return Experiment{}, err
-	}
-	pl, err := cluster.ParsePlacement(id.Placement)
-	if err != nil {
-		return Experiment{}, err
-	}
-	e := Experiment{Algorithm: alg, N: id.N, Ranks: id.Ranks, Placement: pl,
-		Seed: id.Seed, BlockSize: id.BlockSize}
-	if id.Phase == PhaseCompute.String() {
-		e.Phase = PhaseCompute
-	}
-	return e, nil
+func (c AnalyticCell) kind() string                  { return CellKind }
+func (c AnalyticCell) identity() any                 { return AnalyticCellIdentity(c.E, c.Params) }
+func (c AnalyticCell) compute() (Measurement, error) { return RunAnalytic(c.E, c.Params) }
+
+func (c AnalyticCell) payload(m Measurement) CellResult { return measurementPayload(m) }
+
+func (c AnalyticCell) restore(res CellResult) (Measurement, error) {
+	return restoreMeasurement(c.E, res)
+}
+
+// MonitoredCell is RunMonitored(e) as a store cell.
+type MonitoredCell Experiment
+
+func (c MonitoredCell) kind() string                  { return CellKind }
+func (c MonitoredCell) identity() any                 { return MonitoredCellIdentity(Experiment(c)) }
+func (c MonitoredCell) compute() (Measurement, error) { return RunMonitored(Experiment(c)) }
+
+func (c MonitoredCell) payload(m Measurement) CellResult { return measurementPayload(m) }
+
+func (c MonitoredCell) restore(res CellResult) (Measurement, error) {
+	return restoreMeasurement(Experiment(c), res)
 }
 
 // LookupAnalyticCell serves RunAnalytic(e, prm) from the store without
-// ever computing; ok is false on a miss (or a nil store). Campaign
-// budget gates and strict from-store artifact emission build on it.
+// ever computing; ok is false on a miss (or a nil store).
 func LookupAnalyticCell(st *store.Store, e Experiment, prm perfmodel.Params) (Measurement, bool, error) {
-	if st == nil {
-		return Measurement{}, false, nil
-	}
-	return lookupCell(st, AnalyticCellIdentity(e, prm), e)
-}
-
-// LookupMonitoredCell serves RunMonitored(e) from the store without
-// executing; ok is false on a miss (or a nil store).
-func LookupMonitoredCell(st *store.Store, e Experiment) (Measurement, bool, error) {
-	if st == nil {
-		return Measurement{}, false, nil
-	}
-	return lookupCell(st, MonitoredCellIdentity(e), e)
-}
-
-// lookupCell serves a cell from the store; ok is false on a miss. The
-// caller arrives with the identity in hand, so only the result payload
-// is decoded — this is the hot path of every warm run.
-func lookupCell(st *store.Store, id CellIdentity, e Experiment) (Measurement, bool, error) {
-	key, _, err := store.KeyFor(id)
-	if err != nil {
-		return Measurement{}, false, err
-	}
-	rec, ok, err := st.Get(key)
-	if err != nil || !ok {
-		return Measurement{}, false, err
-	}
-	if rec.Kind != CellKind {
-		return Measurement{}, false, fmt.Errorf("core: record %.12s… has kind %q, want %q", rec.Key, rec.Kind, CellKind)
-	}
-	var res CellResult
-	if err := json.Unmarshal(rec.Result, &res); err != nil {
-		return Measurement{}, false, fmt.Errorf("core: decode cell result: %w", err)
-	}
-	m, err := CellMeasurement(e, res)
-	if err != nil {
-		return Measurement{}, false, err
-	}
-	return m, true, nil
-}
-
-// appendCell persists a computed measurement under its identity.
-func appendCell(st *store.Store, id CellIdentity, m Measurement) error {
-	rec, err := store.NewRecord(CellKind, id, cellResultOf(m))
-	if err != nil {
-		return err
-	}
-	_, err = st.Append(rec)
-	return err
+	return Lookup(st, AnalyticCell{e, prm})
 }
 
 // RunAnalyticStored is RunAnalytic with store-backed memoization: a hit
@@ -252,36 +165,7 @@ func appendCell(st *store.Store, id CellIdentity, m Measurement) error {
 // reports whether the model actually ran. A nil store degrades to plain
 // RunAnalytic.
 func RunAnalyticStored(e Experiment, prm perfmodel.Params, st *store.Store) (m Measurement, computed bool, err error) {
-	if st == nil {
-		m, err = RunAnalytic(e, prm)
-		return m, true, err
-	}
-	id := AnalyticCellIdentity(e, prm)
-	if m, ok, err := lookupCell(st, id, e); err != nil || ok {
-		return m, false, err
-	}
-	m, err = RunAnalytic(e, prm)
-	if err != nil {
-		return Measurement{}, true, err
-	}
-	return m, true, appendCell(st, id, m)
-}
-
-// RunMonitoredStored is RunMonitored with store-backed memoization.
-func RunMonitoredStored(e Experiment, st *store.Store) (m Measurement, computed bool, err error) {
-	if st == nil {
-		m, err = RunMonitored(e)
-		return m, true, err
-	}
-	id := MonitoredCellIdentity(e)
-	if m, ok, err := lookupCell(st, id, e); err != nil || ok {
-		return m, false, err
-	}
-	m, err = RunMonitored(e)
-	if err != nil {
-		return Measurement{}, true, err
-	}
-	return m, true, appendCell(st, id, m)
+	return Run(st, AnalyticCell{e, prm}, nil)
 }
 
 // ResilienceIdentity is the canonical store identity of one RunResilient
@@ -290,27 +174,39 @@ func RunMonitoredStored(e Experiment, st *store.Store) (m Measurement, computed 
 // versions whose semantics the outcome depends on. Defaults are resolved
 // before keying so spelling variants collapse.
 type ResilienceIdentity struct {
-	Schema        int     `json:"schema"`
-	Kind          string  `json:"kind"`
-	EngineVersion string  `json:"engine_version"`
-	Monitored     string  `json:"monitored_version"`
-	Algorithm     string  `json:"algorithm"`
-	N             int     `json:"n"`
-	Ranks         int     `json:"ranks"`
-	Placement     string  `json:"placement"`
-	InputSeed     int64   `json:"input_seed"`
-	BlockSize     int     `json:"block_size,omitempty"`
-	MTBF          float64 `json:"mtbf_s"`
-	FaultSeed     int64   `json:"fault_seed"`
-	MaxCrashes    int     `json:"max_crashes,omitempty"`
-	CheckpointEvery int   `json:"checkpoint_every"`
-	DetectS       float64 `json:"detect_s,omitempty"`
-	StorageBps    float64 `json:"storage_bandwidth_bps"`
-	StorageLatS   float64 `json:"storage_latency_s"`
+	Schema          int     `json:"schema"`
+	Kind            string  `json:"kind"`
+	EngineVersion   string  `json:"engine_version"`
+	Monitored       string  `json:"monitored_version"`
+	Algorithm       string  `json:"algorithm"`
+	N               int     `json:"n"`
+	Ranks           int     `json:"ranks"`
+	Placement       string  `json:"placement"`
+	InputSeed       int64   `json:"input_seed"`
+	BlockSize       int     `json:"block_size,omitempty"`
+	MTBF            float64 `json:"mtbf_s"`
+	FaultSeed       int64   `json:"fault_seed"`
+	MaxCrashes      int     `json:"max_crashes,omitempty"`
+	CheckpointEvery int     `json:"checkpoint_every"`
+	DetectS         float64 `json:"detect_s,omitempty"`
+	StorageBps      float64 `json:"storage_bandwidth_bps"`
+	StorageLatS     float64 `json:"storage_latency_s"`
 }
 
-// resilienceIdentityOf mirrors RunResilient's default resolution.
-func resilienceIdentityOf(e Experiment, ro ResilienceOptions) ResilienceIdentity {
+// resilienceCell is RunResilient(e, ro) as a store cell — the expensive
+// tier of the paper campaign (each run executes several solver worlds),
+// and therefore the tier where memoization pays most. The measurement is
+// its own payload: its JSON form leaves out what the identity carries.
+type resilienceCell struct {
+	e  Experiment
+	ro ResilienceOptions
+}
+
+func (c resilienceCell) kind() string { return ResilienceKind }
+
+// identity mirrors RunResilient's default resolution.
+func (c resilienceCell) identity() any {
+	e, ro := c.e, c.ro
 	if ro.CheckpointEvery <= 0 {
 		ro.CheckpointEvery = 2
 	}
@@ -338,181 +234,16 @@ func resilienceIdentityOf(e Experiment, ro ResilienceOptions) ResilienceIdentity
 	}
 }
 
-// resilienceResult is the persisted payload of one ResilientMeasurement
-// (the Experiment is carried by the identity, not the payload).
-type resilienceResult struct {
-	BaselineDurationS float64 `json:"baseline_duration_s"`
-	BaselineJ         float64 `json:"baseline_j"`
-	DurationS         float64 `json:"duration_s"`
-	TotalJ            float64 `json:"total_j"`
-	Crashes           int     `json:"crashes"`
-	Recoveries        int     `json:"recoveries"`
-	Restarts          int     `json:"restarts"`
-	CheckpointWrites  int     `json:"checkpoint_writes"`
-	RecoveryJ         float64 `json:"recovery_j"`
-	MaxRelDiff        float64 `json:"max_rel_diff"`
-	Residual          float64 `json:"residual"`
+func (c resilienceCell) compute() (ResilientMeasurement, error) { return RunResilient(c.e, c.ro) }
+
+func (c resilienceCell) payload(rm ResilientMeasurement) ResilientMeasurement { return rm }
+
+func (c resilienceCell) restore(rm ResilientMeasurement) (ResilientMeasurement, error) {
+	rm.Experiment, rm.MTBF = c.e, c.ro.MTBF
+	return rm, nil
 }
 
-// RunResilientStored is RunResilient with store-backed memoization —
-// the expensive tier of the paper campaign (each run executes multiple
-// solver worlds), and therefore the tier where memoization pays most.
+// RunResilientStored is RunResilient with store-backed memoization.
 func RunResilientStored(e Experiment, ro ResilienceOptions, st *store.Store) (rm ResilientMeasurement, computed bool, err error) {
-	if st == nil {
-		rm, err = RunResilient(e, ro)
-		return rm, true, err
-	}
-	id := resilienceIdentityOf(e, ro)
-	key, _, err := store.KeyFor(id)
-	if err != nil {
-		return ResilientMeasurement{}, false, err
-	}
-	if rec, ok, err := st.Get(key); err != nil {
-		return ResilientMeasurement{}, false, err
-	} else if ok {
-		var res resilienceResult
-		if err := json.Unmarshal(rec.Result, &res); err != nil {
-			return ResilientMeasurement{}, false, fmt.Errorf("core: decode resilience result: %w", err)
-		}
-		return ResilientMeasurement{
-			Experiment:        e,
-			MTBF:              ro.MTBF,
-			BaselineDurationS: res.BaselineDurationS,
-			BaselineJ:         res.BaselineJ,
-			DurationS:         res.DurationS,
-			TotalJ:            res.TotalJ,
-			Crashes:           res.Crashes,
-			Recoveries:        res.Recoveries,
-			Restarts:          res.Restarts,
-			CheckpointWrites:  res.CheckpointWrites,
-			RecoveryJ:         res.RecoveryJ,
-			MaxRelDiff:        res.MaxRelDiff,
-			Residual:          res.Residual,
-		}, false, nil
-	}
-	rm, err = RunResilient(e, ro)
-	if err != nil {
-		return ResilientMeasurement{}, true, err
-	}
-	rec, err := store.NewRecord(ResilienceKind, id, resilienceResult{
-		BaselineDurationS: rm.BaselineDurationS,
-		BaselineJ:         rm.BaselineJ,
-		DurationS:         rm.DurationS,
-		TotalJ:            rm.TotalJ,
-		Crashes:           rm.Crashes,
-		Recoveries:        rm.Recoveries,
-		Restarts:          rm.Restarts,
-		CheckpointWrites:  rm.CheckpointWrites,
-		RecoveryJ:         rm.RecoveryJ,
-		MaxRelDiff:        rm.MaxRelDiff,
-		Residual:          rm.Residual,
-	})
-	if err != nil {
-		return rm, true, err
-	}
-	_, err = st.Append(rec)
-	return rm, true, err
-}
-
-// ResilienceStudyStored is ResilienceStudy with store-backed memoization;
-// computed counts the runs that actually executed.
-func ResilienceStudyStored(e Experiment, mtbfs []float64, ro ResilienceOptions, st *store.Store) ([]ResiliencePoint, int, error) {
-	computed := 0
-	pts := make([]ResiliencePoint, 0, len(mtbfs))
-	for _, mtbf := range mtbfs {
-		o := ro
-		o.MTBF = mtbf
-		pt := ResiliencePoint{MTBF: mtbf}
-		var err error
-		var ran bool
-		ei := e
-		ei.Algorithm = perfmodel.IMe
-		if pt.IMe, ran, err = RunResilientStored(ei, o, st); err != nil {
-			return nil, computed, fmt.Errorf("core: resilience study, ime at mtbf %g: %w", mtbf, err)
-		} else if ran {
-			computed++
-		}
-		es := e
-		es.Algorithm = perfmodel.ScaLAPACK
-		if pt.ScaLAPACK, ran, err = RunResilientStored(es, o, st); err != nil {
-			return nil, computed, fmt.Errorf("core: resilience study, scalapack at mtbf %g: %w", mtbf, err)
-		} else if ran {
-			computed++
-		}
-		pts = append(pts, pt)
-	}
-	return pts, computed, nil
-}
-
-// RunRepeatedAnalyticStored is RunRepeatedAnalytic with each repetition
-// memoized as its own cell (repetitions differ only in their noise seed,
-// which is part of the analytic identity).
-func RunRepeatedAnalyticStored(e Experiment, prm perfmodel.Params, reps int, variability float64, st *store.Store) (RepStats, int, error) {
-	if st == nil {
-		stats, err := RunRepeatedAnalytic(e, prm, reps, variability)
-		return stats, reps, err
-	}
-	computed := 0
-	stats := RepStats{Experiment: e, Reps: reps}
-	if reps <= 0 {
-		return RepStats{}, 0, fmt.Errorf("core: repetition count %d must be positive", reps)
-	}
-	first := true
-	for r := 0; r < reps; r++ {
-		p := prm
-		p.NodeVariability = variability
-		p.NoiseSeed = int64(r + 1)
-		m, ran, err := RunAnalyticStored(e, p, st)
-		if err != nil {
-			return RepStats{}, computed, err
-		}
-		if ran {
-			computed++
-		}
-		stats.MeanDurationS += m.DurationS / float64(reps)
-		stats.MeanJ += m.TotalJ / float64(reps)
-		if first || m.DurationS < stats.MinDurationS {
-			stats.MinDurationS = m.DurationS
-		}
-		if m.DurationS > stats.MaxDurationS {
-			stats.MaxDurationS = m.DurationS
-		}
-		if first || m.TotalJ < stats.MinJ {
-			stats.MinJ = m.TotalJ
-		}
-		if m.TotalJ > stats.MaxJ {
-			stats.MaxJ = m.TotalJ
-		}
-		first = false
-	}
-	return stats, computed, nil
-}
-
-// RecommendStored is Recommend with store-backed memoization of the two
-// solver cells; computed counts the evaluations that ran (0, 1 or 2).
-// The verdict goes through Rank, the same single ranking function the
-// compute path uses, so a store-served recommendation can never differ
-// from a freshly computed one.
-func RecommendStored(n, ranks int, placement cluster.Placement, objective Objective, prm perfmodel.Params, est *store.Store) (Recommendation, int, error) {
-	computed := 0
-	imeM, ran, err := RunAnalyticStored(Experiment{
-		Algorithm: perfmodel.IMe, N: n, Ranks: ranks, Placement: placement,
-	}, prm, est)
-	if err != nil {
-		return Recommendation{Objective: objective}, computed, err
-	}
-	if ran {
-		computed++
-	}
-	geM, ran, err := RunAnalyticStored(Experiment{
-		Algorithm: perfmodel.ScaLAPACK, N: n, Ranks: ranks, Placement: placement,
-	}, prm, est)
-	if err != nil {
-		return Recommendation{Objective: objective}, computed, err
-	}
-	if ran {
-		computed++
-	}
-	rec, err := Rank(imeM, geM, objective)
-	return rec, computed, err
+	return Run(st, resilienceCell{e, ro}, nil)
 }

@@ -5,12 +5,12 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 
 	"repro/internal/ckpt"
 	"repro/internal/cluster"
 	"repro/internal/perfmodel"
+	"repro/internal/rapl"
 	"repro/internal/sparse"
 	"repro/internal/store"
 )
@@ -27,17 +27,33 @@ import (
 //	go test ./internal/core -run TestStoreRecordBytesPinned -update
 //
 // and only together with a deliberate, version-stamped identity change.
+//
+// The analytic cells run their model. The executed engines do not run
+// here: they charge energy in goroutine arrival order, which moves the
+// last quantised energy unit from run to run (ROADMAP item 1), so their
+// cells go through the runner with the engine replaced by the measurement
+// the golden was generated from — identity, key and payload encoding are
+// what is pinned, not the simulator.
 
 var updateStoreRecords = flag.Bool("update", false, "rewrite testdata/store_records.golden from the current code")
 
 const storeRecordsGolden = "testdata/store_records.golden"
 
-func TestStoreRecordBytesPinned(t *testing.T) {
-	// The executed engines charge energy in goroutine arrival order, which
-	// moves the last quantised energy unit from run to run on several
-	// cores; on one they are byte-stable.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+type recordedMonitored struct {
+	MonitoredCell
+	m Measurement
+}
 
+func (c recordedMonitored) compute() (Measurement, error) { return c.m, nil }
+
+type recordedResilience struct {
+	resilienceCell
+	rm ResilientMeasurement
+}
+
+func (c recordedResilience) compute() (ResilientMeasurement, error) { return c.rm, nil }
+
+func TestStoreRecordBytesPinned(t *testing.T) {
 	dense := Experiment{Algorithm: perfmodel.ScaLAPACK, N: 8640, Ranks: 144, Placement: cluster.FullLoad}
 	blocked := dense
 	blocked.BlockSize = 32
@@ -73,26 +89,37 @@ func TestStoreRecordBytesPinned(t *testing.T) {
 			return err
 		}},
 		{"monitored, general phase", func(st *store.Store) error {
-			_, _, err := RunMonitoredStored(monitored, st)
+			_, _, err := Run(st, recordedMonitored{MonitoredCell(monitored), Measurement{
+				DurationS: 0.0012207360000000653, TotalJ: 0.288512, Residual: 3.8675859465793887e-16, Engine: "monitored",
+				EnergyJ: map[rapl.Domain]float64{rapl.PKG0: 0.135864, rapl.PKG1: 0.130432, rapl.DRAM0: 0.011108, rapl.DRAM1: 0.011108},
+			}}, nil)
 			return err
 		}},
 		{"monitored, compute phase", func(st *store.Store) error {
-			_, _, err := RunMonitoredStored(compute, st)
+			_, _, err := Run(st, recordedMonitored{MonitoredCell(compute), Measurement{
+				DurationS: 0.0012192000000000652, TotalJ: 0.288024, Residual: 3.8675859465793887e-16, Engine: "monitored",
+				EnergyJ: map[rapl.Domain]float64{rapl.PKG0: 0.135681, rapl.PKG1: 0.130249, rapl.DRAM0: 0.011047, rapl.DRAM1: 0.011047},
+			}}, nil)
 			return err
 		}},
 		{"resilience", func(st *store.Store) error {
-			_, _, err := RunResilientStored(resilient, ResilienceOptions{
+			_, _, err := Run(st, recordedResilience{resilienceCell{resilient, ResilienceOptions{
 				MTBF: 2e-4, Seed: 5, Detect: 1e-5,
 				Storage: ckpt.CostModel{BandwidthBps: 2e9, LatencyS: 1e-6},
-			}, st)
+			}}, ResilientMeasurement{
+				BaselineDurationS: 0.0005641595294117614, BaselineJ: 0.13335797775811906,
+				DurationS: 0.0008770237679988496, TotalJ: 0.20162687785865402,
+				Crashes: 3, Restarts: 3, CheckpointWrites: 134,
+				RecoveryJ: 0.06826890010053496, Residual: 2.1531529348767081e-16,
+			}}, nil)
 			return err
 		}},
 		{"sparse analytic, cpu", func(st *store.Store) error {
-			_, _, err := RunSparseAnalyticStored(banded, perfmodel.Params{}, st)
+			_, _, err := Run(st, SparseAnalyticCell{banded, perfmodel.Params{}}, nil)
 			return err
 		}},
 		{"sparse analytic, accel", func(st *store.Store) error {
-			_, _, err := RunSparseAnalyticStored(random, perfmodel.Params{}, st)
+			_, _, err := Run(st, SparseAnalyticCell{random, perfmodel.Params{}}, nil)
 			return err
 		}},
 	}

@@ -133,7 +133,7 @@ func TestMonitoredStoredRoundTrip(t *testing.T) {
 	e := Experiment{Algorithm: perfmodel.IMe, N: 96, Ranks: 24,
 		Placement: cluster.HalfLoadOneSocket, Seed: 3, BlockSize: 8}
 
-	cold, computed, err := RunMonitoredStored(e, st)
+	cold, computed, err := Run(st, MonitoredCell(e), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestMonitoredStoredRoundTrip(t *testing.T) {
 	if cold.Residual <= 0 {
 		t.Fatalf("monitored run has residual %g, want positive", cold.Residual)
 	}
-	warm, computed, err := RunMonitoredStored(e, st)
+	warm, computed, err := Run(st, MonitoredCell(e), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestMonitoredStoredRoundTrip(t *testing.T) {
 	// Seed and phase are part of the monitored identity.
 	e2 := e
 	e2.Seed = 4
-	if _, computed, err = RunMonitoredStored(e2, st); err != nil {
+	if _, computed, err = Run(st, MonitoredCell(e2), nil); err != nil {
 		t.Fatal(err)
 	} else if !computed {
 		t.Fatal("different input seed must be a different monitored experiment")
@@ -195,46 +195,6 @@ func TestSweepStoredMatchesParallel(t *testing.T) {
 	}
 	if !reflect.DeepEqual(warm.Measurements, base.Measurements) {
 		t.Fatal("warm stored sweep diverged from the storeless sweep")
-	}
-}
-
-// TestDecodeCellInvertsIdentity: enumerating store records must recover
-// the experiments that produced them (the server's warm path).
-func TestDecodeCellInvertsIdentity(t *testing.T) {
-	st := openStore(t)
-	e := Experiment{Algorithm: perfmodel.ScaLAPACK, N: 17280, Ranks: 576, Placement: cluster.HalfLoadTwoSockets}
-	m, _, err := RunAnalyticStored(e, perfmodel.Params{Overlap: true}, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := st.Keys()
-	if len(keys) != 1 {
-		t.Fatalf("store holds %d keys, want 1", len(keys))
-	}
-	rec, ok, err := st.Get(keys[0])
-	if err != nil || !ok {
-		t.Fatalf("get: ok=%v err=%v", ok, err)
-	}
-	id, res, err := DecodeCell(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := id.Experiment()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back != e {
-		t.Fatalf("identity round trip: got %+v, want %+v", back, e)
-	}
-	if id.Model == nil || id.Model.Model == "" {
-		t.Fatal("analytic cell identity is missing its model version stamp")
-	}
-	m2, err := CellMeasurement(back, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(m2, m) {
-		t.Fatalf("decoded measurement diverged:\n got %+v\nwant %+v", m2, m)
 	}
 }
 

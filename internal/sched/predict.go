@@ -29,9 +29,9 @@ type candidate struct {
 }
 
 // predictor resolves candidate predictions: surrogate when in-envelope,
-// else the exact analytic model, optionally memoized through the
-// experiment store (restarted fleets resume prediction-for-free and
-// byte-identically).
+// else the exact analytic model, memoized through the experiment store
+// when there is one (restarted fleets resume prediction-for-free and
+// byte-identically; a nil store is plain compute).
 type predictor struct {
 	sur       *surrogate.Predictor
 	st        *store.Store
@@ -61,22 +61,14 @@ func (p *predictor) predict(alg perfmodel.Algorithm, n, ranks int, pl cluster.Pl
 		}
 	}
 	e := core.Experiment{Algorithm: alg, N: n, Ranks: ranks, Placement: pl}
-	var m core.Measurement
-	if p.st != nil {
-		var computed bool
-		m, computed, err = core.RunAnalyticStored(e, p.prm, p.st)
-		if err == nil {
-			if computed {
-				p.storeComp.Add(1)
-			} else {
-				p.storeHits.Add(1)
-			}
-		}
-	} else {
-		m, err = core.RunAnalytic(e, p.prm)
-	}
+	m, computed, err := core.RunAnalyticStored(e, p.prm, p.st)
 	if err != nil {
 		return candidate{}, false
+	}
+	if computed {
+		p.storeComp.Add(1)
+	} else {
+		p.storeHits.Add(1)
 	}
 	return candidate{
 		alg: alg, pl: pl, n: n, nodes: cfg.Nodes,

@@ -118,9 +118,10 @@ type Outcome struct {
 	Report *Report
 	// Trace is the per-node fleet timeline (nil unless Config.Trace).
 	Trace *telemetry.Trace
-	// StoreHits/StoreComputed count candidate predictions resolved from
-	// vs appended to the experiment store. They live outside the Report
-	// so a store-resuming rerun stays byte-identical.
+	// StoreHits/StoreComputed count the exact-model candidate predictions
+	// served from the experiment store vs computed (and, with a store,
+	// appended to it). They live outside the Report so a store-resuming
+	// rerun stays byte-identical.
 	StoreHits     int
 	StoreComputed int
 }

@@ -161,18 +161,28 @@ func cellResult(m core.Measurement) CellResult {
 }
 
 // --- real evaluators (tests substitute counting/delaying doubles) ---
+//
+// Each resolves its grid cells through Config.Store: a stored cell skips
+// the model, a computed one is appended for every future process
+// (advisord restarts, campaign runs, replicas sharing the directory).
+// Without a store the same call is plain compute. Stored measurements
+// round-trip bit for bit (internal/core/cell.go), so the body is the same
+// bytes either way — invariant 1 of the serving pipeline extends across
+// process restarts. /v1/predict stays outside: its body carries the
+// phase-split timings that are not part of the stored cell schema.
 
-func evalRecommend(req RecommendRequest) (RecommendResponse, error) {
-	rec, err := core.Recommend(req.N, req.Ranks, req.Placement, req.Objective, req.params())
+func (s *Server) recommend(req RecommendRequest) (RecommendResponse, error) {
+	rec, computed, err := core.RecommendStored(req.N, req.Ranks, req.Placement, req.Objective, req.params(), s.cfg.Store)
 	if err != nil {
 		return RecommendResponse{}, err
 	}
+	s.countStoreCells(computed, 2-computed)
 	return recommendResponse(req, rec), nil
 }
 
-// recommendResponse renders a recommendation as the response body. Both
-// the compute path and the store-backed path (serving and warming) build
-// bodies through here, keeping them byte-identical.
+// recommendResponse renders a recommendation as the response body. The
+// evaluator and cache warming both build bodies through here, keeping
+// them byte-identical.
 func recommendResponse(req RecommendRequest, rec core.Recommendation) RecommendResponse {
 	return RecommendResponse{
 		N:         req.N,
@@ -209,18 +219,23 @@ func evalPredict(req PredictRequest) (PredictResponse, error) {
 	}, nil
 }
 
-func evalSweep(ctx context.Context, req SweepRequest, r *grid.Runner) (SweepResponse, error) {
+func (s *Server) sweep(ctx context.Context, req SweepRequest, r *grid.Runner) (SweepResponse, error) {
 	prm := req.params()
 	cells, err := grid.Map(r, len(req.Cells), func(i int) (CellResult, error) {
 		if err := ctx.Err(); err != nil {
 			return CellResult{}, err
 		}
 		c := req.Cells[i]
-		m, err := core.RunAnalytic(core.Experiment{
+		m, computed, err := core.RunAnalyticStored(core.Experiment{
 			Algorithm: c.Algorithm, N: c.N, Ranks: c.Ranks, Placement: c.Placement,
-		}, prm)
+		}, prm, s.cfg.Store)
 		if err != nil {
 			return CellResult{}, fmt.Errorf("cell %s/%d/%d/%s: %w", c.Algorithm, c.N, c.Ranks, c.Placement, err)
+		}
+		if computed {
+			s.countStoreCells(1, 0)
+		} else {
+			s.countStoreCells(0, 1)
 		}
 		return cellResult(m), nil
 	})
@@ -231,7 +246,7 @@ func evalSweep(ctx context.Context, req SweepRequest, r *grid.Runner) (SweepResp
 }
 
 // sweepResponse renders evaluated cells as the response body — shared by
-// the compute path, the store-backed path and cache warming.
+// the evaluator and cache warming.
 func sweepResponse(req SweepRequest, cells []CellResult) SweepResponse {
 	return SweepResponse{
 		Count:     len(cells),

@@ -120,12 +120,7 @@ func (s *Server) evalScheduleReal(ctx context.Context, req ScheduleRequest) (*sc
 	if err != nil {
 		return nil, err
 	}
-	if s.storeHits != nil && o.StoreHits > 0 {
-		s.storeHits.Add(float64(o.StoreHits))
-	}
-	if s.storeComputed != nil && o.StoreComputed > 0 {
-		s.storeComputed.Add(float64(o.StoreComputed))
-	}
+	s.countStoreCells(o.StoreComputed, o.StoreHits)
 	return o.Report, nil
 }
 

@@ -207,18 +207,15 @@ func New(cfg Config) *Server {
 	s.cache.evictedExpired = cfg.Registry.Counter("server_cache_evictions_total", "Result-cache bodies evicted, by reason.", "reason", "expired")
 	cfg.Registry.Gauge("server_build_info", "Serving-layer build identity (value is always 1).",
 		"version", Version, "go_version", runtime.Version(), "surrogate", surrogateVersion(cfg.Surrogate)).Set(1)
-	s.evalRecommend = evalRecommend
-	s.evalRecommendSparse = evalRecommendSparse
+	s.evalRecommend = s.recommend
+	s.evalRecommendSparse = s.recommendSparse
 	s.evalPredict = evalPredict
-	s.evalSweep = evalSweep
+	s.evalSweep = s.sweep
 	s.evalSchedule = s.evalScheduleReal
 	if cfg.Store != nil {
 		const help = "Grid cells resolved through the experiment store, by outcome."
 		s.storeHits = cfg.Registry.Counter("server_store_cells_total", help, "result", "hit")
 		s.storeComputed = cfg.Registry.Counter("server_store_cells_total", help, "result", "computed")
-		s.evalRecommend = s.storeRecommend
-		s.evalRecommendSparse = s.storeRecommendSparse
-		s.evalSweep = s.storeSweep
 	}
 	return s
 }

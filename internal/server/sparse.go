@@ -124,17 +124,10 @@ func sparseRecommendResponse(req SparseRecommendRequest, rec core.SparseRecommen
 	}
 }
 
-func evalRecommendSparse(req SparseRecommendRequest) (SparseRecommendResponse, error) {
-	rec, err := core.RecommendSparse(req.Algorithm, req.spec(), req.Ranks, req.Placement, req.Objective, perfmodel.Params{})
-	if err != nil {
-		return SparseRecommendResponse{}, err
-	}
-	return sparseRecommendResponse(req, rec), nil
-}
-
-// storeRecommendSparse is evalRecommendSparse through the store: both
-// device cells memoized, shared with lsbench and campaign runs.
-func (s *Server) storeRecommendSparse(req SparseRecommendRequest) (SparseRecommendResponse, error) {
+// recommendSparse is the real sparse evaluator: both device cells
+// through Config.Store (nil or not), shared with lsbench and campaign
+// runs.
+func (s *Server) recommendSparse(req SparseRecommendRequest) (SparseRecommendResponse, error) {
 	rec, computed, err := core.RecommendSparseStored(req.Algorithm, req.spec(), req.Ranks, req.Placement, req.Objective, perfmodel.Params{}, s.cfg.Store)
 	if err != nil {
 		return SparseRecommendResponse{}, err

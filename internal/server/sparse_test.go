@@ -80,7 +80,7 @@ func TestSparseRecommendMatchesCore(t *testing.T) {
 		t.Fatalf("decode body: %v", err)
 	}
 	spec := sparse.Spec{Kind: sparse.Banded, N: 131072, Band: 256, Cond: 1e4, Seed: core.SparseSweepSeed}
-	rec, err := core.RecommendSparse(sparse.CG, spec, 144, cluster.FullLoad, core.MinEnergy, perfmodel.Params{})
+	rec, _, err := core.RecommendSparseStored(sparse.CG, spec, 144, cluster.FullLoad, core.MinEnergy, perfmodel.Params{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

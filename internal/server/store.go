@@ -1,31 +1,14 @@
 package server
 
 import (
-	"context"
-	"fmt"
-
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/grid"
 	"repro/internal/perfmodel"
 )
 
-// Store-backed serving: with Config.Store set, /v1/recommend and
-// /v1/sweep resolve every grid cell through the content-addressed
-// experiment store — a stored cell skips the model entirely, a computed
-// cell is appended for every future process (advisord restarts, campaign
-// runs, other replicas sharing the directory). /v1/predict keeps the
-// exact path: its body carries the phase-split timings (compute_s,
-// exposed_comm_s) that are not part of the stored cell schema.
-//
-// Because stored measurements round-trip bit-exactly (see
-// internal/core/store.go) and bodies are rendered by the same response
-// builders as the compute path, a store-served body is byte-identical to
-// a computed one — invariant 1 of the serving pipeline extends across
-// process restarts.
-
 // countStoreCells records cell resolutions on the
-// server_store_cells_total counter pair.
+// server_store_cells_total counter pair (absent without a store, where
+// every cell is computed and nothing is worth counting).
 func (s *Server) countStoreCells(computed, hits int) {
 	if s.storeComputed == nil {
 		return
@@ -36,45 +19,6 @@ func (s *Server) countStoreCells(computed, hits int) {
 	if hits > 0 {
 		s.storeHits.Add(float64(hits))
 	}
-}
-
-// storeRecommend is evalRecommend through the store: both solver cells
-// memoized, verdict via core.Rank.
-func (s *Server) storeRecommend(req RecommendRequest) (RecommendResponse, error) {
-	rec, computed, err := core.RecommendStored(req.N, req.Ranks, req.Placement, req.Objective, req.params(), s.cfg.Store)
-	if err != nil {
-		return RecommendResponse{}, err
-	}
-	s.countStoreCells(computed, 2-computed)
-	return recommendResponse(req, rec), nil
-}
-
-// storeSweep is evalSweep through the store: every cell memoized, so a
-// sweep both benefits from and feeds prior campaign/serving work.
-func (s *Server) storeSweep(ctx context.Context, req SweepRequest, r *grid.Runner) (SweepResponse, error) {
-	prm := req.params()
-	cells, err := grid.Map(r, len(req.Cells), func(i int) (CellResult, error) {
-		if err := ctx.Err(); err != nil {
-			return CellResult{}, err
-		}
-		c := req.Cells[i]
-		m, computed, err := core.RunAnalyticStored(core.Experiment{
-			Algorithm: c.Algorithm, N: c.N, Ranks: c.Ranks, Placement: c.Placement,
-		}, prm, s.cfg.Store)
-		if err != nil {
-			return CellResult{}, fmt.Errorf("cell %s/%d/%d/%s: %w", c.Algorithm, c.N, c.Ranks, c.Placement, err)
-		}
-		if computed {
-			s.countStoreCells(1, 0)
-		} else {
-			s.countStoreCells(0, 1)
-		}
-		return cellResult(m), nil
-	})
-	if err != nil {
-		return SweepResponse{}, err
-	}
-	return sweepResponse(req, cells), nil
 }
 
 // paperSweepRequest is the canonicalized {"grid":"paper"} sweep —
@@ -116,7 +60,14 @@ func (s *Server) WarmFromStore() int {
 	for _, c := range req.Cells {
 		e := core.Experiment{Algorithm: c.Algorithm, N: c.N, Ranks: c.Ranks, Placement: c.Placement}
 		m, ok, err := core.LookupAnalyticCell(st, e, prm)
-		if err != nil || !ok {
+		if err != nil {
+			// Stored but unreadable is not the same as missing: say so,
+			// then skip it like a missing one.
+			s.log.Warn("warm from store: stored cell is unreadable",
+				"alg", c.Algorithm.String(), "n", c.N, "ranks", c.Ranks, "placement", c.Placement.String(), "err", err.Error())
+			ok = false
+		}
+		if !ok {
 			complete = false
 			continue
 		}

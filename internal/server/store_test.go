@@ -2,11 +2,17 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/perfmodel"
 	"repro/internal/store"
+	"repro/internal/telemetry"
 )
 
 func openStore(t *testing.T, dir string) *store.Store {
@@ -207,6 +213,42 @@ func TestWarmFromStorePartial(t *testing.T) {
 	}
 	if hits := s2.m.endpoint("sweep").hits.Value(); hits != 0 {
 		t.Fatalf("paper sweep on partial store was a cache hit (%g), want miss", hits)
+	}
+}
+
+// TestWarmFromStoreReportsUnreadableCell: a record that is stored under
+// the right key but whose result does not decode is not a missing cell.
+// Warming still skips its shape, and says why, once.
+func TestWarmFromStoreReportsUnreadableCell(t *testing.T) {
+	st := openStore(t, t.TempDir())
+	prm := paperSweepRequest().params()
+	e := core.Experiment{Algorithm: perfmodel.IMe, N: 8640, Ranks: 144, Placement: cluster.FullLoad}
+	key, identity, err := store.KeyFor(core.AnalyticCellIdentity(e, prm))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Append(store.Record{Key: key, Kind: core.CellKind, Identity: identity,
+		Result: json.RawMessage(`{"duration_s":"not a number"}`)}); err != nil {
+		t.Fatal(err)
+	}
+	e.Algorithm = perfmodel.ScaLAPACK
+	if _, _, err := core.RunAnalyticStored(e, prm, st); err != nil {
+		t.Fatal(err)
+	}
+
+	var logged bytes.Buffer
+	s := New(Config{Store: st, Logger: telemetry.NewLogger(&logged, telemetry.LoggerOptions{})})
+	if warmed := s.WarmFromStore(); warmed != 0 {
+		t.Fatalf("WarmFromStore warmed %d bodies from a shape with an unreadable cell, want 0", warmed)
+	}
+	lines := strings.Split(strings.TrimSpace(logged.String()), "\n")
+	if len(lines) != 1 {
+		t.Fatalf("want exactly one log line, got %d:\n%s", len(lines), logged.String())
+	}
+	for _, want := range []string{"level=warn", "unreadable", "alg=IMe", "n=8640", "ranks=144", "placement=full-load", "decode cell result"} {
+		if !strings.Contains(lines[0], want) {
+			t.Errorf("log line lacks %q: %s", want, lines[0])
+		}
 	}
 }
 

@@ -182,7 +182,7 @@ func TestSurrogateRefreshConvergesToExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exactResp, err := evalRecommend(req)
+	exactResp, err := s.recommend(req)
 	if err != nil {
 		t.Fatal(err)
 	}
