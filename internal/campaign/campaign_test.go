@@ -2,10 +2,13 @@ package campaign
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -305,5 +308,49 @@ func TestLookup(t *testing.T) {
 	}
 	if _, err := Lookup("nope"); err == nil {
 		t.Fatal("Lookup(nope) succeeded")
+	}
+}
+
+// analyticRecordsSHA256 is the SHA-256 of the bytewise-sorted lines of
+// records.ndjson after the paper campaign's analytic stages (what
+// bench/'s campaign-paper workload runs): 440 records. The store digest
+// pins the keys; this pins every identity and result byte, so a codec
+// change that moves one float digit fails here and not in a reader.
+const analyticRecordsSHA256 = "dfb0b291b466771f92806594c7906b6e49be97c1222c89bdc473be26cb9a935b"
+
+// TestAnalyticCampaignRecordBytesPinned holds the stored bytes of the 440
+// analytic cells in place, at any worker count.
+func TestAnalyticCampaignRecordBytesPinned(t *testing.T) {
+	plan := Paper()
+	var stages []Stage
+	for _, s := range plan.Stages {
+		if s.Name != "monitored-reference" && s.Name != "resilience" {
+			stages = append(stages, s)
+		}
+	}
+	plan.Stages = stages
+	for _, workers := range []int{1, 4} {
+		dir := t.TempDir()
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, err := Run(plan, st, RunOptions{Workers: workers})
+		st.Close()
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if sum.ComputedTotal != 440 || sum.StoreRecords != 440 {
+			t.Fatalf("workers=%d: computed %d cells into %d records, want 440/440", workers, sum.ComputedTotal, sum.StoreRecords)
+		}
+		log, err := os.ReadFile(filepath.Join(dir, "records.ndjson"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := bytes.SplitAfter(log, []byte("\n"))
+		sort.Slice(lines, func(i, j int) bool { return bytes.Compare(lines[i], lines[j]) < 0 })
+		if got := fmt.Sprintf("%x", sha256.Sum256(bytes.Join(lines, nil))); got != analyticRecordsSHA256 {
+			t.Errorf("workers=%d: sorted record bytes hash to %s, pinned %s", workers, got, analyticRecordsSHA256)
+		}
 	}
 }
