@@ -100,7 +100,7 @@ func (rc *Context) admit() error { return rc.spend(1) }
 
 // evalCell evaluates one cell of any kind through the store: hit → free,
 // miss → budget-gated compute + append.
-func evalCell[M, R any, C core.Cell[M, R]](rc *Context, c C) error {
+func evalCell[M any, C core.Cell[M]](rc *Context, c C) error {
 	_, computed, err := core.Run(rc.st, c, rc.admit)
 	if err == nil && !computed {
 		rc.addHits(1)

@@ -8,7 +8,11 @@
 // byte-identical to before.
 package cluster
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/canon"
+)
 
 // Device selects the compute device a (sparse) workload runs on.
 type Device int
@@ -71,6 +75,22 @@ type AcceleratorSpec struct {
 	// offloaded transfer costs TransferLatS + bytes/TransferBps.
 	TransferBps  float64
 	TransferLatS float64
+}
+
+// AppendCanonical appends the profile's canonical JSON as part of a sparse
+// cell's store identity (see internal/canon): exactly what encoding/json
+// emits for it, which internal/core/canon_test.go holds it to field by
+// field.
+func (a AcceleratorSpec) AppendCanonical(dst []byte) ([]byte, bool) {
+	o := canon.Begin(dst)
+	o.Int("PerNode", int64(a.PerNode))
+	o.Float("MemBandwidthBps", a.MemBandwidthBps)
+	o.Float("PeakGFlops", a.PeakGFlops)
+	o.Float("ActivePowerW", a.ActivePowerW)
+	o.Float("IdlePowerW", a.IdlePowerW)
+	o.Float("TransferBps", a.TransferBps)
+	o.Float("TransferLatS", a.TransferLatS)
+	return o.End()
 }
 
 // DefaultAccelerator returns the accelerator profile used by the sparse

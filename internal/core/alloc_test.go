@@ -29,11 +29,14 @@ func raceEnabled() bool {
 // TestCellAllocationBudget bounds what one evaluation through the runner
 // asks of the allocator. The campaign benchmark's allocation bound works
 // out to a third of an allocation per evaluation, so these are exact
-// budgets, not ceilings with slack: the warm numbers are what the
-// per-workload lookups cost before the runner replaced them, and the cold
-// one holds "the identity is marshalled once per evaluation" in place — it
-// was 34 when a campaign cell looked up, looked up again inside the run,
-// and marshalled a third time to build the record.
+// budgets, not ceilings with slack. A warm lookup is eight: the key string,
+// the scanned name → joules map and the restored domain → joules map (two
+// each), the engine name, the machine spec the Config points at, and the
+// model half of the identity (AnalyticCellIdentity hands out a pointer).
+// The identity bytes themselves live in a recycled buffer and cost nothing
+// until a miss copies them, with the payload, into the record: a cold
+// cell is eleven, the model's three included. Through encoding/json a
+// lookup is 26.
 func TestCellAllocationBudget(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("sync.Pool drops entries under -race: allocation budgets do not apply")
@@ -58,7 +61,7 @@ func TestCellAllocationBudget(t *testing.T) {
 	if _, _, err := RunAnalyticStored(dense, prm, st); err != nil {
 		t.Fatal(err)
 	}
-	budget("warm LookupAnalyticCell", 26, func() {
+	budget("warm LookupAnalyticCell", 8, func() {
 		if _, ok, err := LookupAnalyticCell(st, dense, prm); !ok || err != nil {
 			t.Fatalf("ok=%v err=%v", ok, err)
 		}
@@ -67,7 +70,7 @@ func TestCellAllocationBudget(t *testing.T) {
 	// A fresh noise seed per run makes every evaluation a miss.
 	cold := prm
 	cold.NodeVariability = 0.05
-	budget("cold analytic cell", 26, func() {
+	budget("cold analytic cell", 11, func() {
 		cold.NoiseSeed++
 		if _, computed, err := Run(st, AnalyticCell{dense, cold}, admit); !computed || err != nil {
 			t.Fatalf("computed=%v err=%v", computed, err)
@@ -87,12 +90,14 @@ func TestCellAllocationBudget(t *testing.T) {
 		}
 	})
 
-	// An accelerated cell carries the accelerator profile in its identity
-	// and a fifth energy domain in its result.
+	// An accelerated cell builds the accelerated machine twice, spec and
+	// accelerator profile each time — for the profile its identity pins and
+	// for the Config it restores — where a CPU cell builds the plain spec
+	// once.
 	for _, c := range []struct {
 		dev  cluster.Device
 		warm float64
-	}{{cluster.DeviceCPU, 27}, {cluster.DeviceAccel, 32}} {
+	}{{cluster.DeviceCPU, 8}, {cluster.DeviceAccel, 11}} {
 		cell := SparseAnalyticCell{E: SparseExperiment{
 			Algorithm: sparse.CG, Kind: sparse.Banded, N: 16384, Ranks: SparseSweepRanks,
 			Placement: cluster.FullLoad, Device: c.dev, Band: 256, Cond: 1e2, Seed: SparseSweepSeed,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/canon"
 	"repro/internal/cluster"
 	"repro/internal/mat"
 	"repro/internal/monitor"
@@ -231,6 +232,36 @@ type SparseCellIdentity struct {
 	Accel *cluster.AcceleratorSpec `json:"accel,omitempty"`
 }
 
+// AppendCanonical appends the identity's canonical JSON: what
+// encoding/json emits for it, which canon_test.go holds it to.
+func (id SparseCellIdentity) AppendCanonical(dst []byte) ([]byte, bool) {
+	o := canon.Begin(dst)
+	o.Int("schema", int64(id.Schema))
+	o.String("kind", id.Kind)
+	o.String("engine", id.Engine)
+	o.String("algorithm", id.Algorithm)
+	o.String("matrix", id.Matrix)
+	o.Int("n", int64(id.N))
+	o.Int("ranks", int64(id.Ranks))
+	o.String("placement", id.Placement)
+	o.String("device", id.Device)
+	if id.Band != 0 {
+		o.Int("band", int64(id.Band))
+	}
+	if id.Density != 0 {
+		o.Float("density", id.Density)
+	}
+	o.Float("cond", id.Cond)
+	o.String("engine_version", id.EngineVersion)
+	if id.Model != nil {
+		o.Value("model", id.Model.AppendCanonical)
+	}
+	if id.Accel != nil {
+		o.Value("accel", id.Accel.AppendCanonical)
+	}
+	return o.End()
+}
+
 // SparseAnalyticCellIdentity returns the store identity of
 // RunSparseAnalytic(e, prm).
 func SparseAnalyticCellIdentity(e SparseExperiment, prm perfmodel.Params) SparseCellIdentity {
@@ -267,25 +298,32 @@ type SparseAnalyticCell struct {
 	Params perfmodel.Params
 }
 
-func (c SparseAnalyticCell) kind() string  { return SparseCellKind }
-func (c SparseAnalyticCell) identity() any { return SparseAnalyticCellIdentity(c.E, c.Params) }
+func (c SparseAnalyticCell) kind() string { return SparseCellKind }
+
+func (c SparseAnalyticCell) identity(dst []byte) ([]byte, error) {
+	return appendIdentity(dst, SparseAnalyticCellIdentity(c.E, c.Params))
+}
 
 func (c SparseAnalyticCell) compute() (SparseMeasurement, error) {
 	return RunSparseAnalytic(c.E, c.Params)
 }
 
-func (c SparseAnalyticCell) payload(m SparseMeasurement) CellResult {
-	return CellResult{
+func (c SparseAnalyticCell) encode(dst []byte, m SparseMeasurement) ([]byte, error) {
+	return appendCellResult(dst, CellResult{
 		DurationS: m.DurationS,
 		EnergyJ:   energyByName(m.EnergyJ),
 		TotalJ:    m.TotalJ,
 		Iters:     m.Iters,
 		Residual:  m.Residual,
 		Engine:    m.Engine,
-	}
+	})
 }
 
-func (c SparseAnalyticCell) restore(res CellResult) (SparseMeasurement, error) {
+func (c SparseAnalyticCell) decode(payload []byte) (SparseMeasurement, error) {
+	res, energy, err := decodeCellResult(payload)
+	if err != nil {
+		return SparseMeasurement{}, err
+	}
 	cfg, err := c.E.resolveSparseConfig()
 	if err != nil {
 		return SparseMeasurement{}, err
@@ -295,7 +333,7 @@ func (c SparseAnalyticCell) restore(res CellResult) (SparseMeasurement, error) {
 		Config:     cfg,
 		DurationS:  res.DurationS,
 		TotalJ:     res.TotalJ,
-		EnergyJ:    energyByDomain(res.EnergyJ),
+		EnergyJ:    energy,
 		Iters:      res.Iters,
 		Residual:   res.Residual,
 		Engine:     res.Engine,

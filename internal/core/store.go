@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/json"
+
+	"repro/internal/canon"
 	"repro/internal/ckpt"
 	"repro/internal/cluster"
 	"repro/internal/perfmodel"
@@ -58,6 +61,35 @@ type CellIdentity struct {
 	Model *perfmodel.CanonicalIdentity `json:"model,omitempty"`
 }
 
+// AppendCanonical appends the identity's canonical JSON: what
+// encoding/json emits for it, which canon_test.go holds it to.
+func (id CellIdentity) AppendCanonical(dst []byte) ([]byte, bool) {
+	o := canon.Begin(dst)
+	o.Int("schema", int64(id.Schema))
+	o.String("kind", id.Kind)
+	o.String("engine", id.Engine)
+	o.String("algorithm", id.Algorithm)
+	o.Int("n", int64(id.N))
+	o.Int("ranks", int64(id.Ranks))
+	o.String("placement", id.Placement)
+	if id.Seed != 0 {
+		o.Int("seed", id.Seed)
+	}
+	if id.Phase != "" {
+		o.String("phase", id.Phase)
+	}
+	if id.BlockSize != 0 {
+		o.Int("block_size", int64(id.BlockSize))
+	}
+	if id.EngineVersion != "" {
+		o.String("engine_version", id.EngineVersion)
+	}
+	if id.Model != nil {
+		o.Value("model", id.Model.AppendCanonical)
+	}
+	return o.End()
+}
+
 // AnalyticCellIdentity returns the store identity of RunAnalytic(e, prm).
 // It mirrors RunAnalytic's parameter resolution exactly: the experiment's
 // BlockSize override is folded into the params before normalization, so
@@ -96,20 +128,24 @@ func MonitoredCellIdentity(e Experiment) CellIdentity {
 	}
 }
 
-// measurementPayload is the persisted form of a dense Measurement.
-func measurementPayload(m Measurement) CellResult {
-	return CellResult{
+// encodeMeasurement appends the persisted form of a dense Measurement.
+func encodeMeasurement(dst []byte, m Measurement) ([]byte, error) {
+	return appendCellResult(dst, CellResult{
 		DurationS: m.DurationS,
 		EnergyJ:   energyByName(m.EnergyJ),
 		TotalJ:    m.TotalJ,
 		Residual:  m.Residual,
 		Engine:    m.Engine,
-	}
+	})
 }
 
-// restoreMeasurement rebuilds the Measurement a stored cell recorded,
+// decodeMeasurement rebuilds the Measurement a stored cell recorded,
 // re-deriving the cluster Config from the experiment.
-func restoreMeasurement(e Experiment, res CellResult) (Measurement, error) {
+func decodeMeasurement(e Experiment, payload []byte) (Measurement, error) {
+	res, energy, err := decodeCellResult(payload)
+	if err != nil {
+		return Measurement{}, err
+	}
 	cfg, err := e.resolveConfig(cluster.MarconiA3())
 	if err != nil {
 		return Measurement{}, err
@@ -119,7 +155,7 @@ func restoreMeasurement(e Experiment, res CellResult) (Measurement, error) {
 		Config:     cfg,
 		DurationS:  res.DurationS,
 		TotalJ:     res.TotalJ,
-		EnergyJ:    energyByDomain(res.EnergyJ),
+		EnergyJ:    energy,
 		Residual:   res.Residual,
 		Engine:     res.Engine,
 	}, nil
@@ -132,26 +168,36 @@ type AnalyticCell struct {
 }
 
 func (c AnalyticCell) kind() string                  { return CellKind }
-func (c AnalyticCell) identity() any                 { return AnalyticCellIdentity(c.E, c.Params) }
 func (c AnalyticCell) compute() (Measurement, error) { return RunAnalytic(c.E, c.Params) }
 
-func (c AnalyticCell) payload(m Measurement) CellResult { return measurementPayload(m) }
+func (c AnalyticCell) identity(dst []byte) ([]byte, error) {
+	return appendIdentity(dst, AnalyticCellIdentity(c.E, c.Params))
+}
 
-func (c AnalyticCell) restore(res CellResult) (Measurement, error) {
-	return restoreMeasurement(c.E, res)
+func (c AnalyticCell) encode(dst []byte, m Measurement) ([]byte, error) {
+	return encodeMeasurement(dst, m)
+}
+
+func (c AnalyticCell) decode(payload []byte) (Measurement, error) {
+	return decodeMeasurement(c.E, payload)
 }
 
 // MonitoredCell is RunMonitored(e) as a store cell.
 type MonitoredCell Experiment
 
 func (c MonitoredCell) kind() string                  { return CellKind }
-func (c MonitoredCell) identity() any                 { return MonitoredCellIdentity(Experiment(c)) }
 func (c MonitoredCell) compute() (Measurement, error) { return RunMonitored(Experiment(c)) }
 
-func (c MonitoredCell) payload(m Measurement) CellResult { return measurementPayload(m) }
+func (c MonitoredCell) identity(dst []byte) ([]byte, error) {
+	return appendIdentity(dst, MonitoredCellIdentity(Experiment(c)))
+}
 
-func (c MonitoredCell) restore(res CellResult) (Measurement, error) {
-	return restoreMeasurement(Experiment(c), res)
+func (c MonitoredCell) encode(dst []byte, m Measurement) ([]byte, error) {
+	return encodeMeasurement(dst, m)
+}
+
+func (c MonitoredCell) decode(payload []byte) (Measurement, error) {
+	return decodeMeasurement(Experiment(c), payload)
 }
 
 // LookupAnalyticCell serves RunAnalytic(e, prm) from the store without
@@ -195,8 +241,10 @@ type ResilienceIdentity struct {
 
 // resilienceCell is RunResilient(e, ro) as a store cell — the expensive
 // tier of the paper campaign (each run executes several solver worlds),
-// and therefore the tier where memoization pays most. The measurement is
-// its own payload: its JSON form leaves out what the identity carries.
+// and therefore the tier where memoization pays most. Its lookups are a
+// dozen per campaign, so identity and payload stay on encoding/json. The
+// measurement is its own payload: its JSON form leaves out what the
+// identity carries.
 type resilienceCell struct {
 	e  Experiment
 	ro ResilienceOptions
@@ -205,7 +253,7 @@ type resilienceCell struct {
 func (c resilienceCell) kind() string { return ResilienceKind }
 
 // identity mirrors RunResilient's default resolution.
-func (c resilienceCell) identity() any {
+func (c resilienceCell) identity(dst []byte) ([]byte, error) {
 	e, ro := c.e, c.ro
 	if ro.CheckpointEvery <= 0 {
 		ro.CheckpointEvery = 2
@@ -213,7 +261,7 @@ func (c resilienceCell) identity() any {
 	if ro.Storage == (ckpt.CostModel{}) {
 		ro.Storage = ckpt.DefaultCostModel()
 	}
-	return ResilienceIdentity{
+	return store.AppendIdentity(dst, ResilienceIdentity{
 		Schema:          store.SchemaVersion,
 		Kind:            ResilienceKind,
 		EngineVersion:   ResilienceEngineVersion,
@@ -231,14 +279,21 @@ func (c resilienceCell) identity() any {
 		DetectS:         ro.Detect,
 		StorageBps:      ro.Storage.BandwidthBps,
 		StorageLatS:     ro.Storage.LatencyS,
-	}
+	})
 }
 
 func (c resilienceCell) compute() (ResilientMeasurement, error) { return RunResilient(c.e, c.ro) }
 
-func (c resilienceCell) payload(rm ResilientMeasurement) ResilientMeasurement { return rm }
+func (c resilienceCell) encode(dst []byte, rm ResilientMeasurement) ([]byte, error) {
+	b, err := json.Marshal(rm)
+	return append(dst, b...), err
+}
 
-func (c resilienceCell) restore(rm ResilientMeasurement) (ResilientMeasurement, error) {
+func (c resilienceCell) decode(payload []byte) (ResilientMeasurement, error) {
+	var rm ResilientMeasurement
+	if err := json.Unmarshal(payload, &rm); err != nil {
+		return ResilientMeasurement{}, err
+	}
 	rm.Experiment, rm.MTBF = c.e, c.ro.MTBF
 	return rm, nil
 }

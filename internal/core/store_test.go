@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -271,5 +272,43 @@ func TestRepeatedAnalyticStoredMatches(t *testing.T) {
 	}
 	if !reflect.DeepEqual(warm, base) {
 		t.Fatalf("warm stored stats diverged:\n got %+v\nwant %+v", warm, base)
+	}
+}
+
+// TestStoredUnknownEnergyDomainIsAnError: a record whose energy_j names a
+// domain this module does not charge — a PP0 counter, a misspelling — does
+// not restore with those joules quietly missing while total_j still counts
+// them. The lookup fails and names the stray, on the dense and the sparse
+// path, and a run over the same key fails too instead of recomputing
+// around a record it cannot replace.
+func TestStoredUnknownEnergyDomainIsAnError(t *testing.T) {
+	st := openStore(t)
+	dense := AnalyticCell{E: Experiment{Algorithm: perfmodel.IMe, N: 8640, Ranks: 144, Placement: cluster.FullLoad}}
+	sparseCell := SparseAnalyticCell{E: sparseTestExperiment(cluster.DeviceCPU)}
+	plant := func(kind string, identity any, payload string) {
+		t.Helper()
+		key, canonical, err := store.KeyFor(identity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if added, err := st.Append(store.Record{Key: key, Kind: kind, Identity: canonical, Result: []byte(payload)}); err != nil || !added {
+			t.Fatalf("append: added=%v err=%v", added, err)
+		}
+	}
+	plant(CellKind, AnalyticCellIdentity(dense.E, dense.Params),
+		`{"duration_s":1,"energy_j":{"PACKAGE_ENERGY:PACKAGE0":2,"PP0_ENERGY:PACKAGE0":1},"total_j":3,"engine":"analytic"}`)
+	plant(SparseCellKind, SparseAnalyticCellIdentity(sparseCell.E, sparseCell.Params),
+		`{"duration_s":1,"energy_j":{"PACKAGE_ENERGY:PACKAGE0":2,"DRAM_ENERGY:PACKGE1":1,"ACCEL_ENERGY":1},"total_j":4,"iters":7,"engine":"sparse-analytic"}`)
+
+	_, ok, err := Lookup(st, dense)
+	if ok || err == nil || !strings.Contains(err.Error(), `"PP0_ENERGY:PACKAGE0"`) {
+		t.Errorf("dense lookup: ok=%v err=%v, want an error naming PP0_ENERGY:PACKAGE0", ok, err)
+	}
+	if _, computed, err := Run(st, dense, nil); computed || err == nil {
+		t.Errorf("dense run over the same key: computed=%v err=%v, want the lookup's error", computed, err)
+	}
+	_, ok, err = Lookup(st, sparseCell)
+	if ok || err == nil || !strings.Contains(err.Error(), `["ACCEL_ENERGY" "DRAM_ENERGY:PACKGE1"]`) {
+		t.Errorf("sparse lookup: ok=%v err=%v, want an error naming both strays in order", ok, err)
 	}
 }

@@ -15,6 +15,7 @@ package grid
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Runner is a shared worker budget. The zero value is not usable; call
@@ -36,42 +37,53 @@ func New(workers int) *Runner {
 // Workers returns the runner's concurrency budget.
 func (r *Runner) Workers() int { return cap(r.sem) }
 
-// Map evaluates fn(0..n-1) concurrently under the runner's budget and
-// returns the results in index order. The first error (lowest index among
-// failures is not guaranteed — first observed wins) aborts scheduling of
-// cells that have not started; cells already running finish and their
-// results are discarded.
+// Map evaluates fn(0..n-1) under the runner's budget and returns the
+// results in index order. It is a worker loop: the calling goroutine and
+// up to min(workers, n)-1 more pull the next index from a shared counter
+// until none is left, so a Map starts at most workers-1 goroutines however
+// many cells it has, and with one worker it is a plain loop on the caller's
+// stack. A goroutine per cell would bound concurrency just as well, but
+// each would start on a fresh 8 KB stack and grow it again through
+// whatever fn calls — a tenth of a warm campaign's CPU when measured
+// (DESIGN.md §11); a worker grows its stack once. Each task takes a runner
+// slot while it runs, not each worker while it lives, so concurrent Maps
+// sharing one Runner interleave under the combined cap. After the first
+// error (first observed, not lowest index) no further index is pulled;
+// tasks already running finish and their results are discarded.
 func Map[T any](r *Runner, n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	var (
+		next     atomic.Int64 // the next index to hand out
+		failed   atomic.Bool
+		firstErr error // written once, by the worker that sets failed
 		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
 	)
-	for i := 0; i < n; i++ {
-		mu.Lock()
-		stop := firstErr != nil
-		mu.Unlock()
-		if stop {
-			break
-		}
-		r.sem <- struct{}{} // acquire before spawning: bounds goroutines, not just work
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-r.sem }()
+	work := func() {
+		for !failed.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			r.sem <- struct{}{}
 			v, err := fn(i)
+			<-r.sem
 			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
+				if failed.CompareAndSwap(false, true) {
 					firstErr = err
 				}
-				mu.Unlock()
 				return
 			}
 			out[i] = v
-		}(i)
+		}
 	}
+	for w := min(r.Workers(), n) - 1; w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
 	wg.Wait()
 	if firstErr != nil {
 		return nil, firstErr

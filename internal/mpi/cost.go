@@ -3,6 +3,8 @@ package mpi
 import (
 	"fmt"
 	"math/bits"
+
+	"repro/internal/canon"
 )
 
 // CostModel parametrises the virtual-time cost of communication with a
@@ -25,6 +27,20 @@ type CostModel struct {
 	// endpoints per message, independent of size.
 	SendOverhead float64
 	RecvOverhead float64
+}
+
+// AppendCanonical appends the model's canonical JSON as part of a store
+// identity (see internal/canon): exactly what encoding/json emits for it,
+// which internal/core/canon_test.go holds it to field by field.
+func (c CostModel) AppendCanonical(dst []byte) ([]byte, bool) {
+	o := canon.Begin(dst)
+	o.Float("LatencyIntra", c.LatencyIntra)
+	o.Float("LatencyInter", c.LatencyInter)
+	o.Float("BandwidthIntra", c.BandwidthIntra)
+	o.Float("BandwidthInter", c.BandwidthInter)
+	o.Float("SendOverhead", c.SendOverhead)
+	o.Float("RecvOverhead", c.RecvOverhead)
+	return o.End()
 }
 
 // CostModelVersion stamps the *semantics* of the communication cost

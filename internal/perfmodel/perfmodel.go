@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/canon"
 	"repro/internal/cluster"
 	"repro/internal/mpi"
 	"repro/internal/power"
@@ -173,6 +174,36 @@ func (prm Params) CanonicalIdentity() CanonicalIdentity {
 		Cost:        mpi.CostModelVersion,
 		Calibration: power.CalibrationVersion,
 	}
+}
+
+// AppendCanonical appends the identity's canonical JSON as the model half
+// of a cell's store identity (see internal/canon): exactly what
+// encoding/json emits for it, which internal/core/canon_test.go holds it
+// to field by field.
+func (id CanonicalIdentity) AppendCanonical(dst []byte) ([]byte, bool) {
+	o := canon.Begin(dst)
+	o.Value("params", id.Params.AppendCanonical)
+	o.String("model", id.Model)
+	o.String("cost", id.Cost)
+	o.String("calibration", id.Calibration)
+	if id.Coefficients != "" {
+		o.String("coefficients", id.Coefficients)
+	}
+	return o.End()
+}
+
+// AppendCanonical appends the params' canonical JSON, untagged Go field
+// names and all: they have been part of every stored key since the first.
+func (prm Params) AppendCanonical(dst []byte) ([]byte, bool) {
+	o := canon.Begin(dst)
+	o.Value("Cost", prm.Cost.AppendCanonical)
+	o.Value("Calibration", prm.Calibration.AppendCanonical)
+	o.Bool("Overlap", prm.Overlap)
+	o.Int("BlockSize", int64(prm.BlockSize))
+	o.Float("PowerCapW", prm.PowerCapW)
+	o.Float("NodeVariability", prm.NodeVariability)
+	o.Int("NoiseSeed", prm.NoiseSeed)
+	return o.End()
 }
 
 func (prm *Params) normalize() {

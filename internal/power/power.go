@@ -19,7 +19,11 @@
 // are reproduced because they depend only on ratios of these terms.
 package power
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/canon"
+)
 
 // CalibrationVersion stamps the semantics of the additive power model —
 // the integration formulas above, not the constants (those travel inside
@@ -65,6 +69,21 @@ type Calibration struct {
 	// two — the "slight differences" the paper saw between its half-load
 	// placements (Fig. 3).
 	UncoreLoad float64
+}
+
+// AppendCanonical appends the calibration's canonical JSON as part of a
+// store identity (see internal/canon): exactly what encoding/json emits
+// for it, which internal/core/canon_test.go holds it to field by field.
+func (c Calibration) AppendCanonical(dst []byte) ([]byte, bool) {
+	o := canon.Begin(dst)
+	o.Float("PkgIdle", c.PkgIdle)
+	o.Float("CoreActive", c.CoreActive)
+	o.Float("OSNoise", c.OSNoise)
+	o.Float("TDP", c.TDP)
+	o.Float("DramIdle", c.DramIdle)
+	o.Float("DramPerByte", c.DramPerByte)
+	o.Float("UncoreLoad", c.UncoreLoad)
+	return o.End()
 }
 
 // Skylake8160 returns the calibration used throughout the reproduction.

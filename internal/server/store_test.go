@@ -217,38 +217,46 @@ func TestWarmFromStorePartial(t *testing.T) {
 }
 
 // TestWarmFromStoreReportsUnreadableCell: a record that is stored under
-// the right key but whose result does not decode is not a missing cell.
-// Warming still skips its shape, and says why, once.
+// the right key but whose result does not decode — or decodes to an energy
+// domain this module does not charge — is not a missing cell. Warming
+// still skips its shape, and says why, once.
 func TestWarmFromStoreReportsUnreadableCell(t *testing.T) {
-	st := openStore(t, t.TempDir())
-	prm := paperSweepRequest().params()
-	e := core.Experiment{Algorithm: perfmodel.IMe, N: 8640, Ranks: 144, Placement: cluster.FullLoad}
-	key, identity, err := store.KeyFor(core.AnalyticCellIdentity(e, prm))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Append(store.Record{Key: key, Kind: core.CellKind, Identity: identity,
-		Result: json.RawMessage(`{"duration_s":"not a number"}`)}); err != nil {
-		t.Fatal(err)
-	}
-	e.Algorithm = perfmodel.ScaLAPACK
-	if _, _, err := core.RunAnalyticStored(e, prm, st); err != nil {
-		t.Fatal(err)
-	}
+	for _, c := range []struct{ name, payload, reason string }{
+		{"not a number", `{"duration_s":"not a number"}`, "cannot unmarshal string"},
+		{"unknown energy domain", `{"duration_s":1,"energy_j":{"PP0_ENERGY:PACKAGE0":1},"total_j":1,"engine":"analytic"}`, "PP0_ENERGY:PACKAGE0"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			st := openStore(t, t.TempDir())
+			prm := paperSweepRequest().params()
+			e := core.Experiment{Algorithm: perfmodel.IMe, N: 8640, Ranks: 144, Placement: cluster.FullLoad}
+			key, identity, err := store.KeyFor(core.AnalyticCellIdentity(e, prm))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.Append(store.Record{Key: key, Kind: core.CellKind, Identity: identity,
+				Result: json.RawMessage(c.payload)}); err != nil {
+				t.Fatal(err)
+			}
+			e.Algorithm = perfmodel.ScaLAPACK
+			if _, _, err := core.RunAnalyticStored(e, prm, st); err != nil {
+				t.Fatal(err)
+			}
 
-	var logged bytes.Buffer
-	s := New(Config{Store: st, Logger: telemetry.NewLogger(&logged, telemetry.LoggerOptions{})})
-	if warmed := s.WarmFromStore(); warmed != 0 {
-		t.Fatalf("WarmFromStore warmed %d bodies from a shape with an unreadable cell, want 0", warmed)
-	}
-	lines := strings.Split(strings.TrimSpace(logged.String()), "\n")
-	if len(lines) != 1 {
-		t.Fatalf("want exactly one log line, got %d:\n%s", len(lines), logged.String())
-	}
-	for _, want := range []string{"level=warn", "unreadable", "alg=IMe", "n=8640", "ranks=144", "placement=full-load", "decode cell result"} {
-		if !strings.Contains(lines[0], want) {
-			t.Errorf("log line lacks %q: %s", want, lines[0])
-		}
+			var logged bytes.Buffer
+			s := New(Config{Store: st, Logger: telemetry.NewLogger(&logged, telemetry.LoggerOptions{})})
+			if warmed := s.WarmFromStore(); warmed != 0 {
+				t.Fatalf("WarmFromStore warmed %d bodies from a shape with an unreadable cell, want 0", warmed)
+			}
+			lines := strings.Split(strings.TrimSpace(logged.String()), "\n")
+			if len(lines) != 1 {
+				t.Fatalf("want exactly one log line, got %d:\n%s", len(lines), logged.String())
+			}
+			for _, want := range []string{"level=warn", "unreadable", "alg=IMe", "n=8640", "ranks=144", "placement=full-load", "decode cell result", c.reason} {
+				if !strings.Contains(lines[0], want) {
+					t.Errorf("log line lacks %q: %s", want, lines[0])
+				}
+			}
+		})
 	}
 }
 

@@ -60,18 +60,56 @@ type Record struct {
 	Result   json.RawMessage `json:"result"`
 }
 
-// KeyFor returns the content address of an identity value: the SHA-256
-// hex digest of its canonical JSON encoding (encoding/json is
-// deterministic: struct fields in declaration order, map keys sorted).
-// The returned bytes are the exact encoding that was digested; records
-// must embed them unmodified.
-func KeyFor(identity any) (key string, canonical []byte, err error) {
-	canonical, err = json.Marshal(identity)
-	if err != nil {
-		return "", nil, fmt.Errorf("store: marshal identity: %w", err)
+// Canonical is implemented by identity and payload types that append
+// their own canonical JSON instead of going through reflection (see
+// internal/canon). The bytes must be exactly what json.Marshal emits for
+// the value; ok false means the type declines this value — a string that
+// needs escaping, a float JSON cannot carry — and encoding/json decides.
+type Canonical interface {
+	AppendCanonical(dst []byte) (_ []byte, ok bool)
+}
+
+// AppendIdentity appends the canonical JSON encoding of an identity value
+// to dst: the value's own AppendCanonical where it has one and does not
+// decline, json.Marshal otherwise (encoding/json is deterministic: struct
+// fields in declaration order, map keys sorted). A nil dst is sized for a
+// cell identity.
+func AppendIdentity(dst []byte, identity any) ([]byte, error) {
+	if c, ok := identity.(Canonical); ok {
+		if dst == nil {
+			dst = make([]byte, 0, 1024)
+		}
+		if b, ok := c.AppendCanonical(dst); ok {
+			return b, nil
+		}
 	}
+	b, err := json.Marshal(identity)
+	if err != nil {
+		return dst, fmt.Errorf("store: marshal identity: %w", err)
+	}
+	if dst == nil {
+		return b, nil
+	}
+	return append(dst, b...), nil
+}
+
+// Key returns the content address of canonical identity bytes: their
+// SHA-256 as lower-case hex.
+func Key(canonical []byte) string {
 	sum := sha256.Sum256(canonical)
-	return hex.EncodeToString(sum[:]), canonical, nil
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return string(key[:])
+}
+
+// KeyFor returns the content address of an identity value: the Key of its
+// canonical JSON encoding (AppendIdentity). The returned bytes are the
+// exact encoding that was digested; records must embed them unmodified.
+func KeyFor(identity any) (key string, canonical []byte, err error) {
+	if canonical, err = AppendIdentity(nil, identity); err != nil {
+		return "", nil, err
+	}
+	return Key(canonical), canonical, nil
 }
 
 // NewRecord assembles a record: it canonicalizes the identity, digests
@@ -222,8 +260,7 @@ func (s *Store) Get(key string) (Record, bool, error) {
 // — the existing record wins and the new one is discarded, which is the
 // append-only analogue of "never overwrite a prior run".
 func (s *Store) Append(rec Record) (added bool, err error) {
-	sum := sha256.Sum256(rec.Identity)
-	if want := hex.EncodeToString(sum[:]); rec.Key != want {
+	if want := Key(rec.Identity); rec.Key != want {
 		return false, fmt.Errorf("store: record key %.12s… is not the digest of its identity (%.12s…)", rec.Key, want)
 	}
 	line, err := json.Marshal(rec)

@@ -52,6 +52,46 @@ func TestKeyForDeterministic(t *testing.T) {
 	}
 }
 
+// handIdentity appends its own canonical bytes, and declines a negative N.
+type handIdentity testIdentity
+
+func (id handIdentity) AppendCanonical(dst []byte) ([]byte, bool) {
+	if id.N < 0 {
+		return append(dst, "half-written"...), false
+	}
+	return append(dst, fmt.Sprintf(`{"kind":%q,"n":%d}`, id.Kind, id.N)...), true
+}
+
+// TestKeyForHonoursCanonical: an identity that appends its own bytes is
+// keyed on them — the same key and bytes as the reflection path when the
+// appender keeps its promise — and one that declines falls through to
+// encoding/json with nothing of the declined attempt left in the bytes.
+func TestKeyForHonoursCanonical(t *testing.T) {
+	for _, n := range []int{7, -7} {
+		wantKey, wantBytes, err := KeyFor(testIdentity{Kind: "cell", N: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotKey, gotBytes, err := KeyFor(handIdentity{Kind: "cell", N: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotKey != wantKey || string(gotBytes) != string(wantBytes) {
+			t.Errorf("n=%d: KeyFor = %s over %s, reflection path %s over %s", n, gotKey, gotBytes, wantKey, wantBytes)
+		}
+		if gotKey != Key(gotBytes) {
+			t.Errorf("n=%d: key %s is not Key of the returned bytes", n, gotKey)
+		}
+		appended, err := AppendIdentity([]byte("head"), handIdentity{Kind: "cell", N: n})
+		if err != nil || string(appended) != "head"+string(wantBytes) {
+			t.Errorf("n=%d: AppendIdentity = %s, %v", n, appended, err)
+		}
+	}
+	if _, _, err := KeyFor(func() {}); err == nil {
+		t.Error("KeyFor of a value with no JSON form did not fail")
+	}
+}
+
 func TestAppendGetRoundTrip(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
