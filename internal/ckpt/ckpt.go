@@ -45,9 +45,10 @@ func (m CostModel) Seconds(bytes float64) float64 {
 	return s
 }
 
-// Store holds the checkpoint generations of one job. A generation is
-// keyed by its resume column K0; it becomes restartable only once all
-// ranks have saved into it. Safe for concurrent use by world ranks.
+// Store holds the checkpoint generations of one job across its restart
+// attempts. A generation is keyed by its resume column K0; it becomes
+// restartable only once all ranks of one attempt have saved into it. Safe
+// for concurrent use by world ranks.
 type Store struct {
 	mu   sync.Mutex
 	size int
@@ -97,20 +98,6 @@ func (s *Store) Latest() (k0 int, ok bool) {
 	return s.latestCompleteLocked()
 }
 
-// Resume yields a rank's snapshot from the newest complete generation —
-// the Plan hook a restarted solver calls. Incomplete generations (a crash
-// landed mid-checkpoint) are never offered.
-func (s *Store) Resume(rank int) (scalapack.PanelSnapshot, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	k0, ok := s.latestCompleteLocked()
-	if !ok {
-		return scalapack.PanelSnapshot{}, false
-	}
-	snap, ok := s.gens[k0][rank]
-	return snap, ok
-}
-
 // Generations lists the stored resume columns in ascending order, marking
 // nothing about completeness — diagnostics only.
 func (s *Store) Generations() []int {
@@ -132,13 +119,35 @@ func (s *Store) Stats() (writes int, bytes float64) {
 	return s.writes, s.bytes
 }
 
-// Plan wires the store and a cost model into a solver checkpoint plan
-// with the given period (in panel steps).
+// Plan begins one attempt of the job: it wires the store and a cost model
+// into a solver checkpoint plan with the given period (in panel steps).
+// What the attempt resumes from is settled here, once, for the whole
+// world: generations the previous attempt left incomplete (a crash landed
+// mid-checkpoint) are dropped, so the new attempt's saves can never
+// complete one with another attempt's snapshots, and the newest complete
+// generation is what Resume hands every rank, however late it asks and
+// whatever has been saved since.
 func (s *Store) Plan(every int, cost CostModel) *scalapack.CheckpointPlan {
+	s.mu.Lock()
+	for k0, g := range s.gens {
+		if len(g) != s.size {
+			delete(s.gens, k0)
+		}
+	}
+	var resume map[int]scalapack.PanelSnapshot
+	if k0, ok := s.latestCompleteLocked(); ok {
+		resume = s.gens[k0]
+	}
+	s.mu.Unlock()
 	return &scalapack.CheckpointPlan{
-		Every:  every,
-		Cost:   func(bytes float64, _ bool) float64 { return cost.Seconds(bytes) },
-		Save:   s.Save,
-		Resume: s.Resume,
+		Every: every,
+		Cost:  func(bytes float64, _ bool) float64 { return cost.Seconds(bytes) },
+		Save:  s.Save,
+		Resume: func(rank int) (scalapack.PanelSnapshot, bool) {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			snap, ok := resume[rank]
+			return snap, ok
+		},
 	}
 }

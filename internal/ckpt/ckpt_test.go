@@ -32,10 +32,6 @@ func TestStoreCompleteGenerationsOnly(t *testing.T) {
 	if !ok || k0 != 8 {
 		t.Fatalf("Latest() = (%d, %v), want the complete generation (8, true)", k0, ok)
 	}
-	got, ok := s.Resume(1)
-	if !ok || got.K0 != 8 {
-		t.Fatalf("Resume(1) = (K0=%d, %v), want snapshot of generation 8", got.K0, ok)
-	}
 	if gens := s.Generations(); len(gens) != 2 || gens[0] != 8 || gens[1] != 16 {
 		t.Fatalf("Generations() = %v, want [8 16]", gens)
 	}
@@ -46,6 +42,49 @@ func TestStoreCompleteGenerationsOnly(t *testing.T) {
 	s.Save(2, snap(16))
 	if k0, _ := s.Latest(); k0 != 16 {
 		t.Fatalf("Latest() = %d after completing generation 16", k0)
+	}
+	got, ok := s.Plan(0, CostModel{}).Resume(1)
+	if !ok || got.K0 != 16 {
+		t.Fatalf("Resume(1) = (K0=%d, %v), want snapshot of generation 16", got.K0, ok)
+	}
+}
+
+// TestPlanFixesTheResumeGenerationPerAttempt is the restart deadlock in
+// miniature. A crashed attempt leaves generation 16 without rank 2's
+// snapshot. In the next attempt rank 2 runs ahead and saves generation 16
+// before rank 0's goroutine has started: rank 0 must still resume from
+// generation 8, as rank 2 did, or the two wait for each other in
+// different panels for ever. Nor may rank 2's save complete generation 16
+// with the dead attempt's snapshots.
+func TestPlanFixesTheResumeGenerationPerAttempt(t *testing.T) {
+	s, err := NewStore(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 3; r++ {
+		s.Save(r, snap(8))
+	}
+	s.Save(0, snap(16))
+	s.Save(1, snap(16))
+
+	plan := s.Plan(2, DefaultCostModel())
+	early, ok := plan.Resume(2)
+	if !ok || early.K0 != 8 {
+		t.Fatalf("rank 2 resumes from (K0=%d, %v), want generation 8", early.K0, ok)
+	}
+	plan.Save(2, snap(16))
+	late, ok := plan.Resume(0)
+	if !ok || late.K0 != early.K0 {
+		t.Fatalf("rank 0 resumes from generation %d, rank 2 of the same world from %d", late.K0, early.K0)
+	}
+	if k0, _ := s.Latest(); k0 != 8 {
+		t.Fatalf("generation %d counts as complete with snapshots of two attempts", k0)
+	}
+	// The attempt's own three saves do complete it, for the next attempt.
+	plan.Save(0, snap(16))
+	plan.Save(1, snap(16))
+	if next, ok := s.Plan(2, DefaultCostModel()).Resume(0); !ok || next.K0 != 16 {
+		t.Fatalf("the next attempt resumes from (K0=%d, %v), want generation 16", next.K0, ok)
 	}
 }
 
@@ -121,7 +160,7 @@ func TestCheckpointRestartReplaysRun(t *testing.T) {
 	}
 
 	// Restart: resumes mid-factorisation and still lands on the same x.
-	restarted, _ := solve(plan)
+	restarted, _ := solve(store.Plan(2, DefaultCostModel()))
 	for i := range ref {
 		if ref[i] != restarted[i] {
 			t.Fatalf("restarted run diverged at %d: %g vs %g", i, restarted[i], ref[i])
@@ -137,7 +176,7 @@ func TestPlanRejectsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Save(0, snap(4))
-	if _, ok := s.Resume(7); ok {
+	if _, ok := s.Plan(0, CostModel{}).Resume(7); ok {
 		t.Fatal("Resume invented a snapshot for an unknown rank")
 	}
 	if _, err := NewStore(-1); err == nil {

@@ -351,7 +351,6 @@ func runResilientScalapack(e Experiment, cfg cluster.Config, sys *mat.System,
 	if err != nil {
 		return nil, err
 	}
-	plan := store.Plan(ro.CheckpointEvery, ro.Storage)
 	inj, err := fault.New(fault.Config{Seed: sched.Seed, Events: sched.Events,
 		DetectTimeout: ro.Detect}, e.Ranks)
 	if err != nil {
@@ -360,8 +359,10 @@ func runResilientScalapack(e Experiment, cfg cluster.Config, sys *mat.System,
 	maxAttempts := len(sched.Events) + 1
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		before := rm.DurationS
+		// One plan per attempt: the generation every rank of this world
+		// resumes from is fixed before any of them runs.
 		x, _, err := resilientSolve(e, cfg, sys, &rm.DurationS, &rm.TotalJ,
-			inj, nil, 1, plan, false)
+			inj, nil, 1, store.Plan(ro.CheckpointEvery, ro.Storage), false)
 		if err == nil {
 			writes, _ := store.Stats()
 			rm.CheckpointWrites = writes

@@ -77,7 +77,7 @@ func (s *Session) StartMonitoring() error {
 		return fmt.Errorf("monitor: already started")
 	}
 	// Node barrier: measurement start aligns with every local rank.
-	if err := s.p.Barrier(s.NodeComm); err != nil {
+	if err := s.alignNode(); err != nil {
 		return err
 	}
 	if s.IsMonitor {
@@ -102,6 +102,9 @@ func (s *Session) StartMonitoring() error {
 		}
 		s.lib = lib
 		s.events = es
+	}
+	if err := s.p.Fence(s.NodeComm); err != nil {
+		return err
 	}
 	s.startAt = s.p.Clock()
 	s.started = true
@@ -145,7 +148,7 @@ func (s *Session) StopMonitoring() (*NodeReport, error) {
 	}
 	// "Before stopping the whole monitoring, ranks that run on the same
 	// node are synchronized to the MPI_Barrier()."
-	if err := s.p.Barrier(s.NodeComm); err != nil {
+	if err := s.alignNode(); err != nil {
 		return nil, err
 	}
 	s.started = false
@@ -172,6 +175,9 @@ func (s *Session) StopMonitoring() (*NodeReport, error) {
 		}
 		s.events = nil
 		s.lib = nil
+	}
+	if err := s.p.Fence(s.NodeComm); err != nil {
+		return nil, err
 	}
 	// Final world synchronization (Fig. 2) before MPI_Finalize.
 	if err := s.p.Barrier(s.World); err != nil {
@@ -200,7 +206,7 @@ func (s *Session) Mark(name string) error {
 	if !s.started {
 		return fmt.Errorf("monitor: not started")
 	}
-	if err := s.p.Barrier(s.NodeComm); err != nil {
+	if err := s.alignNode(); err != nil {
 		return err
 	}
 	s.p.MarkInstant("mark: " + name)
@@ -215,7 +221,23 @@ func (s *Session) Mark(name string) error {
 			Microjoule: values,
 		})
 	}
+	if err := s.p.Fence(s.NodeComm); err != nil {
+		return err
+	}
 	return s.p.Barrier(s.NodeComm)
+}
+
+// alignNode is the node barrier the paper puts before every counter
+// access, followed by a fence: the barrier releases a rank before its
+// neighbours have charged their wait for it, and the counters must hold
+// every joule spent up to the release time — and, with the fence each
+// caller places after its access, none spent later — so that a reading is
+// a function of virtual time and not of which goroutine ran first.
+func (s *Session) alignNode() error {
+	if err := s.p.Barrier(s.NodeComm); err != nil {
+		return err
+	}
+	return s.p.Fence(s.NodeComm)
 }
 
 // Marks returns the recorded phase marks (monitoring rank only).

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/mpi"
@@ -346,3 +347,67 @@ func TestCollectReportsNonRootGetsNil(t *testing.T) {
 type errStr string
 
 func (e errStr) Error() string { return string(e) }
+
+// startSkewJoules measures a half-second compute phase on one two-rank
+// node whose monitoring rank (rank 1) reaches StartMonitoring a virtual
+// second after rank 0, so rank 0 owes a second of busy-wait at the node
+// barrier's release time — energy spent before the monitored phase. The
+// rank named lastOnHost enters the barrier last in host time, once the
+// other is parked inside it.
+func startSkewJoules(t *testing.T, lastOnHost int) float64 {
+	t.Helper()
+	spec := *cluster.MarconiA3()
+	spec.CoresPerSocket = 1 // two ranks fill a node
+	cfg, err := cluster.NewConfig(2, cluster.FullLoad, &spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := mpi.NewWorld(2, mpi.Options{Config: &cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entering := make(chan struct{})
+	var joules float64
+	err = w.Run(func(p *mpi.Proc) error {
+		s, err := Setup(p, p.World())
+		if err != nil {
+			return err
+		}
+		if p.Rank() == 1 {
+			p.Compute(1, 0)
+		}
+		if p.Rank() == lastOnHost {
+			<-entering
+			time.Sleep(20 * time.Millisecond) // let the other rank park in the barrier
+		} else {
+			close(entering)
+		}
+		if err := s.StartMonitoring(); err != nil {
+			return err
+		}
+		p.Compute(0.5, 1e6)
+		rep, err := s.StopMonitoring()
+		if rep != nil {
+			joules = rep.TotalJoules()
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return joules
+}
+
+// TestReadingIsAFunctionOfVirtualTime pins the counter-read semantics: a
+// reading at virtual time t holds exactly the energy charged up to t,
+// whichever rank's goroutine the host ran first. Without the fence in
+// alignNode the monitoring rank, when it arrives last and releases the
+// barrier, reads its baseline before rank 0 has charged the wait it owes,
+// and that second of busy-wait is billed to the monitored phase.
+func TestReadingIsAFunctionOfVirtualTime(t *testing.T) {
+	peerLast, monitorLast := startSkewJoules(t, 0), startSkewJoules(t, 1)
+	if peerLast != monitorLast {
+		t.Fatalf("the same virtual run measured %g J with rank 0 entering the start barrier last on the host and %g J with the monitoring rank last",
+			peerLast, monitorLast)
+	}
+}

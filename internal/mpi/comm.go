@@ -106,6 +106,37 @@ func (p *Proc) Barrier(c *Comm) error {
 		m.barriers.Inc()
 	}
 	start := p.clock
+	maxClock, err := p.rendezvous(c, me)
+	if err != nil {
+		return err
+	}
+	p.waitUntil(maxClock + p.w.cost.BarrierTime(len(c.ranks)))
+	p.recordCollective("barrier", start, 0)
+	return nil
+}
+
+// Fence is a host-side rendezvous of c's members that costs no virtual
+// time and charges nothing: no member returns before every member has
+// called it. It is not an MPI operation but the simulator's means of
+// ordering what virtual time alone does not order. A rank is released
+// from a Barrier before its peers have charged their wait up to the
+// release time, so whoever reads the node's energy counters right after
+// one fences the node first (every charge up to the release time has then
+// landed) and again after the read (no member has charged past it).
+// Like Barrier it reports a dead member instead of waiting for it.
+func (p *Proc) Fence(c *Comm) error {
+	me, err := c.Rank(p)
+	if err != nil {
+		return err
+	}
+	_, err = p.rendezvous(c, me)
+	return err
+}
+
+// rendezvous runs the dissemination rounds of one barrier generation on
+// c, of which p is member me, and returns the latest clock among its
+// members.
+func (p *Proc) rendezvous(c *Comm, me int) (float64, error) {
 	size := len(c.ranks)
 	maxClock := p.clock
 	if size > 1 {
@@ -114,20 +145,18 @@ func (p *Proc) Barrier(c *Comm) error {
 		slots := b.slots[p.nextBarGen(c)&1]
 		for k, step := 0, 1; k < b.rounds; k, step = k+1, step<<1 {
 			if err := p.slotSend(c, slots[k*size+(me+step)%size], maxClock); err != nil {
-				return err
+				return 0, err
 			}
 			v, err := p.slotRecv(c, slots[k*size+me])
 			if err != nil {
-				return err
+				return 0, err
 			}
 			if v > maxClock {
 				maxClock = v
 			}
 		}
 	}
-	p.waitUntil(maxClock + p.w.cost.BarrierTime(size))
-	p.recordCollective("barrier", start, 0)
-	return nil
+	return maxClock, nil
 }
 
 // slotSend delivers one dissemination-round value, giving up when a

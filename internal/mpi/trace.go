@@ -119,7 +119,10 @@ func (w *World) Spans() []Span {
 	out := make([]Span, len(w.trace.spans))
 	copy(out, w.trace.spans)
 	w.trace.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
+	// Stable: a rank's spans were recorded in its program order, which
+	// settles spans that coincide (a barrier and the wait inside it) the
+	// same way on every run, however the ranks' recordings interleaved.
+	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Rank != out[j].Rank {
 			return out[i].Rank < out[j].Rank
 		}

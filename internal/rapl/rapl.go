@@ -246,6 +246,12 @@ func (n *Node) ReadMSR(socket int, addr uint32) (uint64, error) {
 	if socket < 0 || socket > 1 {
 		return 0, fmt.Errorf("rapl: socket %d out of range", socket)
 	}
+	if n.dirty[socket] {
+		// Energy charged at the very time of the last refresh: without
+		// this, whether a read sees it would depend on which charge of
+		// that instant happened to arrive first.
+		n.refresh(socket)
+	}
 	switch addr {
 	case MSRRaplPowerUnit:
 		// Bits 12:8 hold the energy-status-unit exponent (SDM layout);

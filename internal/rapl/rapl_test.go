@@ -136,6 +136,36 @@ func TestCounterGranularity(t *testing.T) {
 	}
 }
 
+// TestReadSeesEveryChargeOfItsInstant: ranks leaving a barrier all charge
+// their wait at the same virtual time. The first charge refreshes the
+// counter; the ones after it, at that very time, must still be in what a
+// read at that time returns, in whatever order they arrived.
+func TestReadSeesEveryChargeOfItsInstant(t *testing.T) {
+	read := func(order []float64) uint64 {
+		n := newTestNode(t)
+		for _, busy := range order {
+			if err := n.AccountBusy(0, busy); err != nil {
+				t.Fatal(err)
+			}
+			if err := n.SetTime(1.0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v, err := n.ReadMSR(0, MSRPkgEnergyStatus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	a, b := read([]float64{0.25, 0.5, 1}), read([]float64{1, 0.5, 0.25})
+	if a != b {
+		t.Fatalf("the same charges at one instant read %d in one arrival order and %d in the other", a, b)
+	}
+	if only := read([]float64{0.25}); a <= only {
+		t.Fatalf("a read after three charges (%d) does not exceed a read after the first (%d)", a, only)
+	}
+}
+
 func TestCounterMatchesExactEnergyWithinResolution(t *testing.T) {
 	n := newTestNode(t)
 	if err := n.AccountBusy(0, 48); err != nil {

@@ -62,6 +62,8 @@ type CheckpointPlan struct {
 	// Save stores one rank's snapshot (called once per rank per period).
 	Save func(rank int, snap PanelSnapshot)
 	// Resume returns the snapshot a restarted rank continues from, if any.
+	// It must answer every rank of one world from the same generation, no
+	// matter when each asks: ranks resuming at different panels never meet.
 	Resume func(rank int) (PanelSnapshot, bool)
 }
 

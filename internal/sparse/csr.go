@@ -86,3 +86,81 @@ func (a *CSR) Dense() *mat.Dense {
 	}
 	return d
 }
+
+// run is a maximal stretch of consecutive columns within one row.
+type run struct{ start, n int32 }
+
+// runMatrix is the run-length form of a CSR: row i is the runs
+// runs[rowRun[i]:rowRun[i+1]] in ascending column order, and its values
+// follow each other in val in the same order, so no entry carries a
+// column index. A banded row is one run; a row with scattered entries
+// degenerates to runs of one. It is what the generator emits and what the
+// distributed solver multiplies with.
+type runMatrix struct {
+	rows, cols int
+	rowRun     []int32
+	runs       []run
+	val        []float64
+}
+
+// csr expands the runs into per-entry column indices, sharing val.
+func (m *runMatrix) csr() *CSR {
+	a := &CSR{Rows: m.rows, Cols: m.cols, RowPtr: make([]int, m.rows+1), Col: make([]int, 0, len(m.val)), Val: m.val}
+	for i := 0; i < m.rows; i++ {
+		for _, r := range m.runs[m.rowRun[i]:m.rowRun[i+1]] {
+			for j := r.start; j < r.start+r.n; j++ {
+				a.Col = append(a.Col, int(j))
+			}
+		}
+		a.RowPtr[i+1] = len(a.Col)
+	}
+	return a
+}
+
+// mulVecInto computes dst = A·x like CSR.MulVecInto, bit for bit: every
+// row is summed from zero in ascending column order into one accumulator.
+// Two neighbouring rows that are each a single run of the same length are
+// summed side by side, which leaves each row's order alone and keeps two
+// floating-point add chains in flight instead of one.
+func (m *runMatrix) mulVecInto(dst, x []float64) {
+	if len(dst) != m.rows || len(x) != m.cols {
+		panic(fmt.Sprintf("sparse: mulVecInto shapes dst=%d x=%d for %dx%d matrix", len(dst), len(x), m.rows, m.cols))
+	}
+	runs, val := m.runs, m.val
+	k := 0 // val[k] is the first value of row i
+	for i := 0; i < m.rows; {
+		r0, r1 := m.rowRun[i], m.rowRun[i+1]
+		if r1-r0 == 1 && i+1 < m.rows && m.rowRun[i+2]-r1 == 1 && runs[r0].n == runs[r1].n {
+			a, b := runs[r0], runs[r1]
+			n := int(a.n)
+			va, vb := val[k:][:n], val[k+n:][:n]
+			xa, xb := x[a.start:][:n], x[b.start:][:n]
+			var s0, s1 float64
+			for j := range va {
+				s0 += va[j] * xa[j]
+				s1 += vb[j] * xb[j]
+			}
+			dst[i], dst[i+1] = s0, s1
+			k += 2 * n
+			i += 2
+			continue
+		}
+		var s float64
+		for ; r0 < r1; r0++ {
+			r := runs[r0]
+			if r.n == 1 {
+				s += val[k] * x[r.start]
+				k++
+				continue
+			}
+			v := val[k:][:r.n]
+			xs := x[r.start:][:r.n]
+			for j := range v {
+				s += v[j] * xs[j]
+			}
+			k += len(v)
+		}
+		dst[i] = s
+		i++
+	}
+}

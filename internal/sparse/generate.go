@@ -90,27 +90,6 @@ func (s Spec) pairHash(salt uint64, i, j int) uint64 {
 // unit maps a hash to [0,1).
 func unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
 
-// offdiag returns the symmetric off-diagonal entry A[i][j] = A[j][i] for
-// i ≠ j, or 0 when the pattern has no entry there. Values are in
-// [-1,-0.1): a (negative, Laplacian-like) stencil weight; the sign is
-// immaterial for the SPD construction, which only uses |A[i][j]|.
-func (s Spec) offdiag(i, j int) float64 {
-	if i > j {
-		i, j = j, i
-	}
-	switch s.Kind {
-	case Banded:
-		if j-i > s.Band {
-			return 0
-		}
-	case Random:
-		if unit(s.pairHash(saltPresence, i, j)) >= s.Density {
-			return 0
-		}
-	}
-	return -(0.1 + 0.9*unit(s.pairHash(saltValue, i, j)))
-}
-
 // SBound is a deterministic bound on the off-diagonal absolute row sum
 // used to place the diagonal shift. For Banded it is exact (each |entry|
 // < 1); for Random it covers the expectation with slack for fluctuation,
@@ -128,48 +107,132 @@ func (s Spec) SBound() float64 {
 // gives eigenvalues in [δ, 2·SBound+δ], hence κ ≤ 1 + 2·SBound/δ = Cond.
 func (s Spec) Shift() float64 { return 2 * s.SBound() / (s.Cond - 1) }
 
-// RowBlock generates rows [lo,hi) of the matrix as a CSR with global
-// column indices — the distributed solver's per-rank share. RowBlock(0,N)
-// is the full matrix.
-func (s Spec) RowBlock(lo, hi int) (*CSR, error) {
+// rowGen generates the rows of one block. The symmetric off-diagonal
+// entry A[i][j] = A[j][i] is present inside the band (Banded) or where the
+// presence draw falls below Density (Random), with a value in [-1,-0.1):
+// a negative, Laplacian-like stencil weight whose sign is immaterial to
+// the SPD construction, which only uses |A[i][j]|. Both draws are
+// pairHash(salt, min, max), whose first two rounds depend on the seed, the
+// salt and min alone; those are tabulated once per block for every index
+// that can be the smaller of a pair, leaving one round per draw.
+type rowGen struct {
+	s     Spec
+	shift float64
+	// val[k-base] and pres[k-base] are pairHash's state after mixing in
+	// min = k, for the value and (Random kind) presence streams.
+	base      int
+	val, pres []uint64
+}
+
+// newRowGen prepares the generator for rows [lo,hi).
+func (s Spec) newRowGen(lo, hi int) *rowGen {
+	g := &rowGen{s: s, shift: s.Shift()}
+	if s.Kind == Banded {
+		g.base = max(lo-s.Band, 0)
+	}
+	table := func(salt uint64) []uint64 {
+		t := make([]uint64, hi-g.base)
+		seed := splitmix64(uint64(s.Seed) ^ salt)
+		for k := range t {
+			t[k] = splitmix64(seed ^ uint64(g.base+k))
+		}
+		return t
+	}
+	g.val = table(saltValue)
+	if s.Kind == Random {
+		g.pres = table(saltPresence)
+	}
+	return g
+}
+
+// nnzBound sizes the value slice of rows [lo,hi): the exact count for
+// Banded, the expectation plus six standard deviations for Random (append
+// covers the remainder of the distribution).
+func (s Spec) nnzBound(lo, hi int) int {
+	if s.Kind == Random {
+		pairs := float64(hi-lo) * float64(s.N-1)
+		return hi - lo + int(pairs*s.Density+6*math.Sqrt(pairs*s.Density*(1-s.Density))) + 1
+	}
+	nnz := 0
+	for i := lo; i < hi; i++ {
+		nnz += min(i+s.Band, s.N-1) - max(i-s.Band, 0) + 1
+	}
+	return nnz
+}
+
+// appendRow appends row i, in ascending column order, as runs of global
+// columns and their values.
+func (g *rowGen) appendRow(i int, runs []run, vals []float64) ([]run, []float64) {
+	s := g.s
+	jlo, jhi := 0, s.N
+	if s.Kind == Banded {
+		jlo, jhi = max(i-s.Band, 0), min(i+s.Band+1, s.N)
+	}
+	var rowSum float64
+	diagAt := -1
+	open := false // the last run ends at column j-1
+	for j := jlo; j < jhi; j++ {
+		var v float64
+		if j == i {
+			diagAt = len(vals) // patched below
+		} else {
+			a, b := j, uint64(i)<<1
+			if i < j {
+				a, b = i, uint64(j)<<1
+			}
+			if s.Kind == Random && unit(splitmix64(g.pres[a-g.base]^b)) >= s.Density {
+				open = false
+				continue
+			}
+			v = -(0.1 + 0.9*unit(splitmix64(g.val[a-g.base]^b)))
+			rowSum += math.Abs(v)
+		}
+		if open {
+			runs[len(runs)-1].n++
+		} else {
+			runs = append(runs, run{start: int32(j), n: 1})
+			open = true
+		}
+		vals = append(vals, v)
+	}
+	vals[diagAt] = rowSum + g.shift
+	return runs, vals
+}
+
+// rowRuns generates rows [lo,hi) in run form with global column indices.
+func (s Spec) rowRuns(lo, hi int) (*runMatrix, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	if lo < 0 || hi < lo || hi > s.N {
 		return nil, fmt.Errorf("sparse: row block [%d,%d) outside [0,%d]", lo, hi, s.N)
 	}
-	shift := s.Shift()
-	a := &CSR{Rows: hi - lo, Cols: s.N, RowPtr: make([]int, hi-lo+1)}
-	for i := lo; i < hi; i++ {
-		jlo, jhi := 0, s.N
-		if s.Kind == Banded {
-			jlo, jhi = i-s.Band, i+s.Band+1
-			if jlo < 0 {
-				jlo = 0
-			}
-			if jhi > s.N {
-				jhi = s.N
-			}
-		}
-		var rowSum float64
-		diagAt := -1
-		for j := jlo; j < jhi; j++ {
-			if j == i {
-				diagAt = len(a.Val)
-				a.Col = append(a.Col, j)
-				a.Val = append(a.Val, 0) // patched below
-				continue
-			}
-			if v := s.offdiag(i, j); v != 0 {
-				a.Col = append(a.Col, j)
-				a.Val = append(a.Val, v)
-				rowSum += math.Abs(v)
-			}
-		}
-		a.Val[diagAt] = rowSum + shift
-		a.RowPtr[i-lo+1] = len(a.Val)
+	if s.N > math.MaxInt32 {
+		return nil, fmt.Errorf("sparse: order %d exceeds the generator's 32-bit column range", s.N)
 	}
-	return a, nil
+	g := s.newRowGen(lo, hi)
+	bound := s.nnzBound(lo, hi)
+	m := &runMatrix{rows: hi - lo, cols: s.N, rowRun: make([]int32, hi-lo+1), val: make([]float64, 0, bound)}
+	if s.Kind == Banded {
+		m.runs = make([]run, 0, hi-lo)
+	} else {
+		m.runs = make([]run, 0, bound)
+	}
+	for i := lo; i < hi; i++ {
+		m.runs, m.val = g.appendRow(i, m.runs, m.val)
+		m.rowRun[i-lo+1] = int32(len(m.runs))
+	}
+	return m, nil
+}
+
+// RowBlock generates rows [lo,hi) of the matrix as a CSR with global
+// column indices. RowBlock(0,N) is the full matrix.
+func (s Spec) RowBlock(lo, hi int) (*CSR, error) {
+	m, err := s.rowRuns(lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	return m.csr(), nil
 }
 
 // Matrix generates the full matrix.

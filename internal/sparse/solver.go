@@ -3,7 +3,6 @@ package sparse
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/mat"
 	"repro/internal/mpi"
@@ -124,11 +123,10 @@ func Solve(p *mpi.Proc, alg Algorithm, spec Spec, opt Options) (Solution, error)
 type haloPeer struct {
 	rank int
 	// sendOff are local row offsets whose values the peer needs.
-	sendOff []int
-	// recvPos are positions in the extended vector (≥ rows) filled by
-	// the peer's message, in the peer's send order.
-	recvPos []int
-	sendBuf []float64
+	sendOff []int32
+	// The peer's message fills xext[recvLo:recvHi], in its send order.
+	recvLo, recvHi int
+	sendBuf        []float64
 }
 
 // dist is the per-rank state of a distributed solve.
@@ -139,12 +137,18 @@ type dist struct {
 	lo, hi int
 	rows   int
 	// a holds this rank's rows with columns remapped to the extended
-	// local vector: [0,rows) are owned entries, rows+k is external k.
-	a     *CSR
+	// local vector.
+	a     *runMatrix
 	peers []haloPeer
-	// xext is the extended SpMV input: owned block followed by halo.
+	// xext is the extended SpMV input: every column the rows touch, in
+	// ascending global order, so a run of global columns stays a run. The
+	// owned block sits at [own, own+rows) between the external entries
+	// below it and those above it.
 	xext   []float64
+	own    int
 	charge bool
+	// dotBuf is this rank's side of a fused dot-product allreduce.
+	dotBuf [3]float64
 }
 
 // newDist generates the rank's row block, remaps it to extended-vector
@@ -152,87 +156,82 @@ type dist struct {
 func newDist(p *mpi.Proc, spec Spec, charge bool) (*dist, error) {
 	size, rank := p.Size(), p.Rank()
 	lo, hi := BlockRange(spec.N, size, rank)
-	a, err := spec.RowBlock(lo, hi)
+	a, err := spec.rowRuns(lo, hi)
 	if err != nil {
 		return nil, err
 	}
 	d := &dist{p: p, c: p.World(), spec: spec, lo: lo, hi: hi, rows: hi - lo, a: a, charge: charge}
 
-	// External columns, sorted and deduplicated; sorted order groups
-	// them by owning rank, since ownership is contiguous.
-	extSet := make(map[int]struct{})
-	for _, j := range a.Col {
-		if j < lo || j >= hi {
-			extSet[j] = struct{}{}
+	// pos[j-cmin] is the number of touched columns below global column
+	// j, which for a touched column is its extended-vector position:
+	// mark what the runs touch, then take the running count.
+	cmin, cmax := lo, hi
+	for _, r := range a.runs {
+		cmin, cmax = min(cmin, int(r.start)), max(cmax, int(r.start+r.n))
+	}
+	pos := make([]int32, cmax-cmin+1)
+	for _, r := range a.runs {
+		for j := r.start; j < r.start+r.n; j++ {
+			pos[int(j)-cmin] = 1
 		}
 	}
-	ext := make([]int, 0, len(extSet))
-	for j := range extSet {
-		ext = append(ext, j)
+	count := int32(0)
+	for k, touched := range pos {
+		pos[k] = count
+		count += touched
 	}
-	sort.Ints(ext)
-	extPos := make(map[int]int, len(ext))
-	for k, j := range ext {
-		extPos[j] = d.rows + k
+	for k := range a.runs {
+		a.runs[k].start = pos[int(a.runs[k].start)-cmin]
 	}
-	for i, j := range a.Col {
-		if j >= lo && j < hi {
-			a.Col[i] = j - lo
-		} else {
-			a.Col[i] = extPos[j]
-		}
-	}
-	a.Cols = d.rows + len(ext) // now indexed against the extended vector
-	d.xext = make([]float64, a.Cols)
-
-	// Group the needed entries by owner. The symmetric pattern makes
-	// peer sets symmetric, so the same loop fixes who we send to.
-	byOwner := make(map[int][]int)
-	var peerRanks []int
-	for _, j := range ext {
-		o := OwnerOf(spec.N, size, j)
-		if _, seen := byOwner[o]; !seen {
-			peerRanks = append(peerRanks, o)
-		}
-		byOwner[o] = append(byOwner[o], j)
-	}
-	sort.Ints(peerRanks)
+	a.cols = int(count)
+	d.xext = make([]float64, a.cols)
+	d.own = int(pos[lo-cmin])
 
 	// One-time plan exchange: tell each peer which of its rows we need
 	// (as float64-encoded indices), receive the symmetric request.
-	for _, o := range peerRanks {
-		need := byOwner[o]
-		msg := make([]float64, len(need))
-		for i, j := range need {
-			msg[i] = float64(j)
+	// Ownership is contiguous, so walking the external columns in order
+	// meets the peers in rank order and each one's entries as one stretch
+	// of xext. The symmetric pattern makes peer sets symmetric, so the
+	// same walk fixes who we send to.
+	for j := cmin; j < cmax; {
+		if j == lo {
+			j = hi
+			continue
 		}
-		if err := p.SendNoCopy(d.c, o, tagHaloIdx, msg); err != nil {
-			return nil, err
+		o := OwnerOf(spec.N, size, j)
+		_, end := BlockRange(spec.N, size, o)
+		end = min(end, cmax)
+		from, to := pos[j-cmin], pos[end-cmin]
+		if to > from {
+			need := make([]float64, 0, to-from)
+			for ; j < end; j++ {
+				if pos[j+1-cmin] > pos[j-cmin] {
+					need = append(need, float64(j))
+				}
+			}
+			if err := p.SendNoCopy(d.c, o, tagHaloIdx, need); err != nil {
+				return nil, err
+			}
+			d.peers = append(d.peers, haloPeer{rank: o, recvLo: int(from), recvHi: int(to)})
 		}
+		j = end
 	}
-	for _, o := range peerRanks {
-		req, err := p.Recv(d.c, o, tagHaloIdx)
+	for i := range d.peers {
+		hp := &d.peers[i]
+		req, err := p.Recv(d.c, hp.rank, tagHaloIdx)
 		if err != nil {
 			return nil, err
 		}
-		need := byOwner[o]
-		hp := haloPeer{
-			rank:    o,
-			sendOff: make([]int, len(req)),
-			recvPos: make([]int, len(need)),
-			sendBuf: make([]float64, len(req)),
-		}
-		for i, f := range req {
+		hp.sendOff = make([]int32, len(req))
+		hp.sendBuf = make([]float64, len(req))
+		for k, f := range req {
 			j := int(f)
 			if j < lo || j >= hi {
-				return nil, fmt.Errorf("sparse: rank %d asked rank %d for row %d outside [%d,%d)", o, rank, j, lo, hi)
+				return nil, fmt.Errorf("sparse: rank %d asked rank %d for row %d outside [%d,%d)", hp.rank, rank, j, lo, hi)
 			}
-			hp.sendOff[i] = j - lo
+			hp.sendOff[k] = int32(j - lo)
 		}
-		for i, j := range need {
-			hp.recvPos[i] = extPos[j]
-		}
-		d.peers = append(d.peers, hp)
+		p.Recycle(req)
 	}
 	return d, nil
 }
@@ -242,7 +241,7 @@ func newDist(p *mpi.Proc, spec Spec, charge bool) (*dist, error) {
 // one message per pair, so the streams never fill and a crash in either
 // direction surfaces as a typed error instead of a deadlock.
 func (d *dist) exchange(iter int, v []float64) error {
-	copy(d.xext[:d.rows], v)
+	copy(d.xext[d.own:d.own+d.rows], v)
 	if len(d.peers) == 0 {
 		return nil
 	}
@@ -263,12 +262,11 @@ func (d *dist) exchange(iter int, v []float64) error {
 		if err != nil {
 			return err
 		}
-		if len(in) != len(hp.recvPos) {
-			return fmt.Errorf("sparse: halo from rank %d carried %d values, want %d", hp.rank, len(in), len(hp.recvPos))
+		if len(in) != hp.recvHi-hp.recvLo {
+			return fmt.Errorf("sparse: halo from rank %d carried %d values, want %d", hp.rank, len(in), hp.recvHi-hp.recvLo)
 		}
-		for k, pos := range hp.recvPos {
-			d.xext[pos] = in[k]
-		}
+		copy(d.xext[hp.recvLo:hp.recvHi], in)
+		d.p.Recycle(in)
 	}
 	return nil
 }
@@ -277,29 +275,37 @@ func (d *dist) exchange(iter int, v []float64) error {
 // memory-bound kernel.
 func (d *dist) spmv(iter int, dst []float64) {
 	ph := d.p.BeginPhase("spmv", iter)
-	d.a.MulVecInto(dst, d.xext)
-	d.chargeBytes(float64(d.a.NNZ()) * DramBytesPerNNZ)
+	d.a.mulVecInto(dst, d.xext)
+	d.chargeBytes(float64(len(d.a.val)) * DramBytesPerNNZ)
 	d.p.EndPhase(ph)
 }
 
-// dots computes global dot products over the block-distributed vector
-// pairs in one fused allreduce.
-func (d *dist) dots(iter int, pairs ...[2][]float64) ([]float64, error) {
+// dotPairs holds the operands of up to three dot products; the unused
+// trailing pairs stay nil.
+type dotPairs [3][2][]float64
+
+// dots computes the global dot products of the block-distributed vector
+// pairs in one fused allreduce of as many values as there are pairs.
+func (d *dist) dots(iter int, pairs dotPairs) (out [3]float64, err error) {
 	ph := d.p.BeginPhase("dot", iter)
 	defer d.p.EndPhase(ph)
-	local := make([]float64, len(pairs))
-	for k, pr := range pairs {
-		local[k] = mat.Dot(pr[0], pr[1])
+	n := 0
+	for ; n < len(pairs) && pairs[n][0] != nil; n++ {
+		d.dotBuf[n] = mat.Dot(pairs[n][0], pairs[n][1])
 	}
-	d.chargeBytes(16 * float64(d.rows) * float64(len(pairs)))
-	return d.p.AllreduceSum(d.c, local)
+	d.chargeBytes(16 * float64(d.rows) * float64(n))
+	sum, err := d.p.AllreduceSum(d.c, d.dotBuf[:n])
+	if err != nil {
+		return out, err
+	}
+	copy(out[:], sum)
+	d.p.Recycle(sum)
+	return out, nil
 }
 
-// axpyPhase wraps a batch of local vector updates in an "axpy" span and
-// charges their streamed traffic (bytes per row).
-func (d *dist) axpyPhase(iter int, bytesPerRow float64, body func()) {
-	ph := d.p.BeginPhase("axpy", iter)
-	body()
+// endAxpy closes an "axpy" span around a batch of local vector updates
+// and charges their streamed traffic (bytes per row).
+func (d *dist) endAxpy(ph mpi.Phase, bytesPerRow float64) {
 	d.chargeBytes(bytesPerRow * float64(d.rows))
 	d.p.EndPhase(ph)
 }
@@ -342,7 +348,7 @@ func (d *dist) cg(opt Options) (Solution, error) {
 	pv := mat.VecClone(r)
 	q := make([]float64, d.rows)
 
-	rr0, err := d.dots(0, [2][]float64{r, r})
+	rr0, err := d.dots(0, dotPairs{{r, r}})
 	if err != nil {
 		return Solution{}, err
 	}
@@ -354,7 +360,7 @@ func (d *dist) cg(opt Options) (Solution, error) {
 			return Solution{}, err
 		}
 		d.spmv(it, q)
-		pq, err := d.dots(it, [2][]float64{pv, q})
+		pq, err := d.dots(it, dotPairs{{pv, q}})
 		if err != nil {
 			return Solution{}, err
 		}
@@ -362,21 +368,21 @@ func (d *dist) cg(opt Options) (Solution, error) {
 			return Solution{}, fmt.Errorf("sparse: CG breakdown at iteration %d (p·Ap = %g)", it, pq[0])
 		}
 		alpha := rr / pq[0]
-		d.axpyPhase(it, 48, func() {
-			mat.Axpy(alpha, pv, x)
-			mat.Axpy(-alpha, q, r)
-		})
-		rrNew, err := d.dots(it, [2][]float64{r, r})
+		ph := d.p.BeginPhase("axpy", it)
+		mat.Axpy(alpha, pv, x)
+		mat.Axpy(-alpha, q, r)
+		d.endAxpy(ph, 48)
+		rrNew, err := d.dots(it, dotPairs{{r, r}})
 		if err != nil {
 			return Solution{}, err
 		}
 		beta := rrNew[0] / rr
 		rr = rrNew[0]
-		d.axpyPhase(it, 24, func() {
-			for i := range pv {
-				pv[i] = r[i] + beta*pv[i]
-			}
-		})
+		ph = d.p.BeginPhase("axpy", it)
+		for i := range pv {
+			pv[i] = r[i] + beta*pv[i]
+		}
+		d.endAxpy(ph, 24)
 		iters = it
 	}
 	if rr > tol2 {
@@ -397,7 +403,7 @@ func (d *dist) bicgstab(opt Options) (Solution, error) {
 	s := make([]float64, d.rows)
 	t := make([]float64, d.rows)
 
-	rr0, err := d.dots(0, [2][]float64{r, r})
+	rr0, err := d.dots(0, dotPairs{{r, r}})
 	if err != nil {
 		return Solution{}, err
 	}
@@ -406,7 +412,7 @@ func (d *dist) bicgstab(opt Options) (Solution, error) {
 	rho, alpha, omega := 1.0, 1.0, 1.0
 	iters := 0
 	for it := 1; it <= opt.MaxIter && rr > tol2; it++ {
-		rhoNew, err := d.dots(it, [2][]float64{rhat, r})
+		rhoNew, err := d.dots(it, dotPairs{{rhat, r}})
 		if err != nil {
 			return Solution{}, err
 		}
@@ -417,18 +423,18 @@ func (d *dist) bicgstab(opt Options) (Solution, error) {
 			copy(pv, r)
 		} else {
 			beta := (rhoNew[0] / rho) * (alpha / omega)
-			d.axpyPhase(it, 32, func() {
-				for i := range pv {
-					pv[i] = r[i] + beta*(pv[i]-omega*v[i])
-				}
-			})
+			ph := d.p.BeginPhase("axpy", it)
+			for i := range pv {
+				pv[i] = r[i] + beta*(pv[i]-omega*v[i])
+			}
+			d.endAxpy(ph, 32)
 		}
 		rho = rhoNew[0]
 		if err := d.exchange(it, pv); err != nil {
 			return Solution{}, err
 		}
 		d.spmv(it, v)
-		rv, err := d.dots(it, [2][]float64{rhat, v})
+		rv, err := d.dots(it, dotPairs{{rhat, v}})
 		if err != nil {
 			return Solution{}, err
 		}
@@ -436,36 +442,38 @@ func (d *dist) bicgstab(opt Options) (Solution, error) {
 			return Solution{}, fmt.Errorf("sparse: BiCGSTAB breakdown at iteration %d (r̂·v = 0)", it)
 		}
 		alpha = rho / rv[0]
-		d.axpyPhase(it, 24, func() {
-			for i := range s {
-				s[i] = r[i] - alpha*v[i]
-			}
-		})
+		ph := d.p.BeginPhase("axpy", it)
+		for i := range s {
+			s[i] = r[i] - alpha*v[i]
+		}
+		d.endAxpy(ph, 24)
 		if err := d.exchange(it, s); err != nil {
 			return Solution{}, err
 		}
 		d.spmv(it, t)
-		fused, err := d.dots(it, [2][]float64{t, s}, [2][]float64{t, t}, [2][]float64{s, s})
+		fused, err := d.dots(it, dotPairs{{t, s}, {t, t}, {s, s}})
 		if err != nil {
 			return Solution{}, err
 		}
 		ts, tt, ss := fused[0], fused[1], fused[2]
 		if tt == 0 {
 			// s is already (numerically) zero: accept the half step.
-			d.axpyPhase(it, 24, func() { mat.Axpy(alpha, pv, x) })
+			ph := d.p.BeginPhase("axpy", it)
+			mat.Axpy(alpha, pv, x)
+			d.endAxpy(ph, 24)
 			rr = ss
 			iters = it
 			break
 		}
 		omega = ts / tt
-		d.axpyPhase(it, 56, func() {
-			for i := range x {
-				x[i] += alpha*pv[i] + omega*s[i]
-			}
-			for i := range r {
-				r[i] = s[i] - omega*t[i]
-			}
-		})
+		ph = d.p.BeginPhase("axpy", it)
+		for i := range x {
+			x[i] += alpha*pv[i] + omega*s[i]
+		}
+		for i := range r {
+			r[i] = s[i] - omega*t[i]
+		}
+		d.endAxpy(ph, 56)
 		rr = ss - 2*omega*ts + omega*omega*tt
 		if rr < 0 {
 			rr = 0 // cancellation guard: the true norm is non-negative
