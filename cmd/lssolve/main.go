@@ -31,29 +31,18 @@ func main() {
 	alg := flag.String("alg", "both", "solver: ime, scalapack or both")
 	nb := flag.Int("nb", 32, "ScaLAPACK block size")
 	out := flag.String("out", "", "write the solution vector to this path")
-	kl := flag.Int("kl", -1, "solve a banded system with kl subdiagonals (with -ku)")
-	ku := flag.Int("ku", -1, "banded superdiagonals")
 	mtx := flag.String("mtx", "", "load the matrix from a MatrixMarket file (b = A·1)")
 	trace := flag.String("trace", "", "write a Chrome trace (chrome://tracing) of the rank timelines to this file")
 	flag.Parse()
 	tracePath = *trace
 
+	var err error
 	if *mtx != "" {
-		if err := runMatrixMarket(*mtx, *ranks, *nb); err != nil {
-			fmt.Fprintf(os.Stderr, "lssolve: %v\n", err)
-			os.Exit(1)
-		}
-		return
+		err = runMatrixMarket(*mtx, *ranks, *nb)
+	} else {
+		err = run(*in, *gen, *n, *seed, *ranks, *alg, *nb, *out)
 	}
-
-	if *kl >= 0 || *ku >= 0 {
-		if err := runBanded(*n, *kl, *ku, *ranks, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "lssolve: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := run(*in, *gen, *n, *seed, *ranks, *alg, *nb, *out); err != nil {
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "lssolve: %v\n", err)
 		os.Exit(1)
 	}
@@ -86,73 +75,6 @@ func runMatrixMarket(path string, ranks, nb int) error {
 	}
 	fmt.Printf("scalapack  ranks=%-3d virtual-time=%.6fs relative-residual=%.3g\n",
 		ranks, dur, mat.RelativeResidual(sys.A, x, sys.B))
-	return nil
-}
-
-// runBanded demonstrates the banded path: generate, solve with the
-// sequential band solver and (for ranks > 1) the distributed SPIKE solver,
-// verify against the dense solution.
-func runBanded(n, kl, ku, ranks int, seed int64) error {
-	if kl < 0 {
-		kl = 0
-	}
-	if ku < 0 {
-		ku = 0
-	}
-	band, err := mat.NewBandedDiagonallyDominant(n, kl, ku, seed)
-	if err != nil {
-		return err
-	}
-	rhs := make([]float64, n)
-	for i := range rhs {
-		rhs[i] = float64(i%7) - 3
-	}
-	x, err := scalapack.Dgbsv(band, rhs)
-	if err != nil {
-		return err
-	}
-	dense := band.Dense()
-	fmt.Printf("banded n=%d kl=%d ku=%d: relative residual %.3g\n",
-		n, kl, ku, mat.RelativeResidual(dense, x, rhs))
-	ref, err := scalapack.Dgesv(&mat.System{A: dense, B: rhs})
-	if err != nil {
-		return err
-	}
-	var maxDiff float64
-	for i := range x {
-		d := x[i] - ref[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > maxDiff {
-			maxDiff = d
-		}
-	}
-	fmt.Printf("max deviation from dense solver: %.3g\n", maxDiff)
-	if ranks > 1 {
-		w, err := mpi.NewWorld(ranks, mpi.Options{})
-		if err != nil {
-			return err
-		}
-		var mu sync.Mutex
-		var px []float64
-		if err := w.Run(func(p *mpi.Proc) error {
-			sol, err := scalapack.Pdgbsv(p, p.World(), band, rhs)
-			if err != nil {
-				return err
-			}
-			if p.Rank() == 0 {
-				mu.Lock()
-				px = sol
-				mu.Unlock()
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-		fmt.Printf("parallel SPIKE ranks=%d: relative residual %.3g, virtual-time %.6fs\n",
-			ranks, mat.RelativeResidual(dense, px, rhs), w.MaxClock())
-	}
 	return nil
 }
 

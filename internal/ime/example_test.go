@@ -18,27 +18,3 @@ func ExampleSolveSequential() {
 	fmt.Printf("x = [%.0f %.0f]\n", x[0], x[1])
 	// Output: x = [1 3]
 }
-
-// ExampleInvertSequential inverts a diagonal matrix through the full
-// inhibition table.
-func ExampleInvertSequential() {
-	a, _ := mat.NewFromData(2, 2, []float64{2, 0, 0, 4})
-	inv, err := ime.InvertSequential(a)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("A⁻¹ diagonal = [%.2f %.2f]\n", inv.At(0, 0), inv.At(1, 1))
-	// Output: A⁻¹ diagonal = [0.50 0.25]
-}
-
-// ExampleSolveSequentialMany amortises one reduction over several
-// right-hand sides.
-func ExampleSolveSequentialMany() {
-	a, _ := mat.NewFromData(2, 2, []float64{4, 0, 0, 2})
-	xs, err := ime.SolveSequentialMany(a, [][]float64{{4, 2}, {8, 6}})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("x1 = [%.0f %.0f], x2 = [%.0f %.0f]\n", xs[0][0], xs[0][1], xs[1][0], xs[1][1])
-	// Output: x1 = [1 1], x2 = [2 3]
-}

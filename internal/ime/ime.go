@@ -150,16 +150,6 @@ func (t *Table) Step() error {
 	return nil
 }
 
-// StepFlops returns the published arithmetic cost of the next Step (zero
-// when the reduction is complete) — what instrumentation charges before
-// stepping.
-func (t *Table) StepFlops() float64 {
-	if t.level == 0 {
-		return 0
-	}
-	return LevelFlops(t.n, t.level)
-}
-
 // Reduce runs all remaining levels.
 func (t *Table) Reduce() error {
 	for t.level > 0 {

@@ -184,7 +184,7 @@ func GemmScalar(m, n, k int, alpha float64, a []float64, lda int, b []float64, l
 // MatVec computes y = A·x for row-major A (m×n, leading dimension lda),
 // fanning rows across the pool. Each row's dot is accumulated in strictly
 // ascending order, so every y[i] is bit-identical to the scalar loop —
-// callers (and the banded matrices) rely on that reproducibility.
+// callers rely on that reproducibility.
 func MatVec(m, n int, a []float64, lda int, x, y []float64) {
 	ParallelFor(m, 64, func(lo, hi int) {
 		for i := lo; i < hi; i++ {

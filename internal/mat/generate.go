@@ -74,21 +74,3 @@ func NewRandomSystem(n int, seed int64) *System {
 	}
 	return &System{A: a, B: a.MulVec(x), X: x}
 }
-
-// NewSPD returns a deterministic symmetric positive-definite matrix,
-// built as Mᵀ·M + n·I from a random M.
-func NewSPD(n int, seed int64) *Dense {
-	rng := rand.New(rand.NewSource(seed))
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		row := m.Row(i)
-		for j := range row {
-			row[j] = rng.Float64()*2 - 1
-		}
-	}
-	spd := m.Transpose().Mul(m)
-	for i := 0; i < n; i++ {
-		spd.Set(i, i, spd.At(i, i)+float64(n))
-	}
-	return spd
-}

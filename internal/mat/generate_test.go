@@ -52,21 +52,6 @@ func TestRandomSystemConsistent(t *testing.T) {
 	}
 }
 
-func TestSPDSymmetric(t *testing.T) {
-	m := NewSPD(8, 9)
-	if !m.EqualApprox(m.Transpose(), 1e-12) {
-		t.Fatal("SPD matrix not symmetric")
-	}
-	// Positive definite ⇒ positive diagonal and xᵀAx > 0 for a probe x.
-	x := make([]float64, 8)
-	for i := range x {
-		x[i] = float64(i) - 3.5
-	}
-	if q := Dot(x, m.MulVec(x)); q <= 0 {
-		t.Fatalf("xᵀAx = %g, want > 0", q)
-	}
-}
-
 func TestSystemValidateErrors(t *testing.T) {
 	cases := []struct {
 		name string

@@ -31,6 +31,22 @@ const (
 	binaryVersion = 1
 )
 
+// maxFileElements bounds the matrix entries a system or MatrixMarket file
+// may declare: 2^24 float64 values (128 MiB, order 4096). The declared
+// size is checked before anything is allocated, because the header of a
+// hostile file is all a reader has seen at that point.
+const maxFileElements = 1 << 24
+
+// checkFileShape rejects a declared rows×cols shape that is empty or holds
+// more than maxFileElements entries, without forming the product that
+// could overflow.
+func checkFileShape(rows, cols uint64) error {
+	if rows == 0 || cols == 0 || rows > maxFileElements/cols {
+		return fmt.Errorf("mat: %d×%d matrix exceeds the %d-entry file limit", rows, cols, maxFileElements)
+	}
+	return nil
+}
+
 // WriteSystemText writes s in the text format.
 func WriteSystemText(w io.Writer, s *System) error {
 	if err := s.Validate(); err != nil {
@@ -60,6 +76,9 @@ func ReadSystemText(r io.Reader) (*System, error) {
 	n, err := strconv.Atoi(strings.TrimSpace(line))
 	if err != nil || n <= 0 {
 		return nil, fmt.Errorf("mat: bad order line %q", line)
+	}
+	if err := checkFileShape(uint64(n), uint64(n)); err != nil {
+		return nil, err
 	}
 	a := New(n, n)
 	b := make([]float64, n)
@@ -161,8 +180,8 @@ func ReadSystemBinary(r io.Reader) (*System, error) {
 	if err := binary.Read(br, binary.LittleEndian, &n64); err != nil {
 		return nil, err
 	}
-	if n64 == 0 || n64 > 1<<20 {
-		return nil, fmt.Errorf("mat: implausible order %d", n64)
+	if err := checkFileShape(n64, n64); err != nil {
+		return nil, err
 	}
 	n := int(n64)
 	a := New(n, n)

@@ -2,6 +2,7 @@ package mat
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"path/filepath"
 	"strings"
@@ -80,6 +81,47 @@ func TestTextRejectsMalformed(t *testing.T) {
 	for name, in := range cases {
 		if _, err := ReadSystemText(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: expected parse error", name)
+		}
+	}
+}
+
+// TestReadersRejectOversizedShapes feeds each reader a header declaring
+// more entries than a matrix file may hold, before anything is allocated.
+// 3037000500² overflows int64, so the check must not form the product;
+// an order of 2^20 in the binary header would ask for 8 TiB.
+func TestReadersRejectOversizedShapes(t *testing.T) {
+	for name, in := range map[string]string{
+		"coordinate": "%%MatrixMarket matrix coordinate real general\n3037000500 3037000500 0\n",
+		"array":      "%%MatrixMarket matrix array real general\n3037000500 3037000500\n",
+		"one row":    "%%MatrixMarket matrix coordinate real general\n1 16777217 0\n",
+	} {
+		if _, err := ReadMatrixMarket(strings.NewReader(in)); err == nil {
+			t.Errorf("MatrixMarket %s: accepted", name)
+		}
+	}
+	if _, err := ReadSystemText(strings.NewReader("3037000500")); err == nil {
+		t.Error("text order 3037000500 accepted")
+	}
+	var bin bytes.Buffer
+	bin.WriteString(binaryMagic)
+	binary.Write(&bin, binary.LittleEndian, uint32(binaryVersion))
+	binary.Write(&bin, binary.LittleEndian, uint64(1<<20))
+	if _, err := ReadSystemBinary(&bin); err == nil {
+		t.Error("binary order 2^20 accepted")
+	}
+	for _, tc := range []struct {
+		rows, cols uint64
+		ok         bool
+	}{
+		{4096, 4096, true},
+		{1, 1 << 24, true},
+		{4097, 4096, false},
+		{2, 1<<23 + 1, false},
+		{1 << 32, 1 << 32, false}, // the product wraps to 0
+		{0, 5, false},
+	} {
+		if err := checkFileShape(tc.rows, tc.cols); (err == nil) != tc.ok {
+			t.Errorf("checkFileShape(%d, %d) = %v, want ok=%v", tc.rows, tc.cols, err, tc.ok)
 		}
 	}
 }

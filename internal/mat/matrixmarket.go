@@ -99,6 +99,9 @@ func ReadMatrixMarket(r io.Reader) (*Dense, error) {
 		if err1 != nil || err2 != nil || err3 != nil || rows <= 0 || cols <= 0 || nnz < 0 {
 			return nil, fmt.Errorf("mat: bad coordinate sizes %q", sizeLine)
 		}
+		if err := checkFileShape(uint64(rows), uint64(cols)); err != nil {
+			return nil, err
+		}
 		m := New(rows, cols)
 		for k := 0; k < nnz; k++ {
 			line, err := nextMMLine(sc)
@@ -129,6 +132,9 @@ func ReadMatrixMarket(r io.Reader) (*Dense, error) {
 		cols, err2 := strconv.Atoi(sizes[1])
 		if err1 != nil || err2 != nil || rows <= 0 || cols <= 0 {
 			return nil, fmt.Errorf("mat: bad array sizes %q", sizeLine)
+		}
+		if err := checkFileShape(uint64(rows), uint64(cols)); err != nil {
+			return nil, err
 		}
 		m := New(rows, cols)
 		// Column-major values.

@@ -55,7 +55,6 @@ type Library struct {
 	events      []EventInfo
 	byName      map[string]EventCode
 	threadsInit bool
-	hl          *hlState
 }
 
 // Init initialises the library against a node's RAPL, checking the caller

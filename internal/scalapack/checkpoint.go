@@ -27,11 +27,11 @@ type PanelSnapshot struct {
 	// A is a deep copy of the rank's local block-cyclic tile of the
 	// partially factorised matrix.
 	A *mat.Dense
-	// B is the rank's replicated right-hand-side segment (nil when the
-	// run does not carry b).
+	// B is the rank's replicated right-hand-side segment.
 	B []float64
-	// Pivots is the swap log up to K0 (needed by Factorization.Solve and
-	// by the panels still to come).
+	// Pivots is the swap log up to K0: the ipiv a ScaLAPACK checkpoint
+	// carries. Bytes charges 16 B per entry, so it is part of the cost of
+	// every checkpoint write and restore.
 	Pivots [][2]int
 }
 
@@ -69,12 +69,12 @@ type CheckpointPlan struct {
 
 // snapshot deep-copies the mutable solver state, resuming at nextK0.
 func (st *pdState) snapshot(nextK0 int) PanelSnapshot {
-	snap := PanelSnapshot{K0: nextK0, A: st.a.Clone()}
-	if st.b != nil {
-		snap.B = append([]float64(nil), st.b...)
+	return PanelSnapshot{
+		K0:     nextK0,
+		A:      st.a.Clone(),
+		B:      append([]float64(nil), st.b...),
+		Pivots: append([][2]int(nil), st.pivots...),
 	}
-	snap.Pivots = append([][2]int(nil), st.pivots...)
-	return snap
 }
 
 // restore overwrites the solver state from a snapshot taken by a run with

@@ -17,38 +17,3 @@ func ExampleDgesv() {
 	fmt.Printf("x = [%.0f %.0f]\n", x[0], x[1])
 	// Output: x = [7 3]
 }
-
-// ExampleDgbsv solves a tridiagonal system in band storage.
-func ExampleDgbsv() {
-	b, _ := mat.NewBanded(3, 1, 1)
-	for i := 0; i < 3; i++ {
-		b.Set(i, i, 2)
-	}
-	b.Set(0, 1, -1)
-	b.Set(1, 0, -1)
-	b.Set(1, 2, -1)
-	b.Set(2, 1, -1)
-	x, err := scalapack.Dgbsv(b, []float64{1, 0, 1})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("x = [%.0f %.0f %.0f]\n", x[0], x[1], x[2])
-	// Output: x = [1 1 1]
-}
-
-// ExampleDgels fits a line through consistent points.
-func ExampleDgels() {
-	a := mat.New(3, 2)
-	b := make([]float64, 3)
-	for i, tv := range []float64{0, 1, 2} {
-		a.Set(i, 0, tv)
-		a.Set(i, 1, 1)
-		b[i] = 3*tv + 2
-	}
-	x, err := scalapack.Dgels(a, b)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("slope %.0f intercept %.0f\n", x[0], x[1])
-	// Output: slope 3 intercept 2
-}

@@ -72,7 +72,7 @@ func Pdgesv(p *mpi.Proc, c *mpi.Comm, sys *mat.System, opts ParallelOptions) ([]
 			return nil, fmt.Errorf("scalapack: grid %d×%d too large for %d blocks of %d",
 				grid.Pr, grid.Pc, (n+nb-1)/nb, nb)
 		}
-		st, err = newPdState(p, c, sys.A, sys.B, grid, me, nb)
+		st, err = newPdState(p, c, sys, grid, me, nb)
 	}
 	if err != nil {
 		return nil, err
@@ -121,7 +121,7 @@ func Pdgesv(p *mpi.Proc, c *mpi.Comm, sys *mat.System, opts ParallelOptions) ([]
 		}
 	}
 	ph := p.BeginPhase("back-substitution", -1)
-	x, err := st.backSubstitute(func(_, li int) float64 { return st.b[li] })
+	x, err := st.backSubstitute()
 	p.EndPhase(ph)
 	if err != nil {
 		return nil, err
@@ -141,11 +141,10 @@ type pdState struct {
 	myRows  []int // global rows owned, ascending
 	myCols  []int // global cols owned, ascending
 	a       *mat.Dense
-	carryB  bool
-	b       []float64 // rhs entries for myRows, replicated across my row's pcs (fused path)
+	b       []float64 // rhs entries for myRows, replicated across my row's pcs
 	charge  bool
-	// pivots records (j, pv) swaps in elimination order for later
-	// right-hand sides (Factorization.Solve); sized for all n up front.
+	// pivots records (j, pv) swaps in elimination order, the ipiv a
+	// checkpoint carries (PanelSnapshot.Pivots); sized for all n up front.
 	pivots [][2]int
 	// panelPivots and panelRows are per-panel scratch (the panel's pivot
 	// rows and the local indices of its block rows), reused across panels.
@@ -170,29 +169,25 @@ func (st *pdState) attachMetrics() {
 	st.mPanels = reg.Counter("solver_levels_total", "panel steps completed, grid rank (0,0)", "alg", "scalapack")
 }
 
-func newPdState(p *mpi.Proc, c *mpi.Comm, a *mat.Dense, b []float64, grid Grid, me, nb int) (*pdState, error) {
-	st, err := layoutPdState(p, c, grid, me, nb, a.Rows(), b != nil)
+func newPdState(p *mpi.Proc, c *mpi.Comm, sys *mat.System, grid Grid, me, nb int) (*pdState, error) {
+	st, err := layoutPdState(p, c, grid, me, nb, sys.N())
 	if err != nil {
 		return nil, err
 	}
 	for li, gi := range st.myRows {
-		src := a.Row(gi)
+		src := sys.A.Row(gi)
 		dst := st.a.Row(li)
 		for lj, gj := range st.myCols {
 			dst[lj] = src[gj]
 		}
-	}
-	if st.carryB {
-		for li, gi := range st.myRows {
-			st.b[li] = b[gi]
-		}
+		st.b[li] = sys.B[gi]
 	}
 	return st, nil
 }
 
 // layoutPdState builds the communicator topology and empty local storage
 // of one rank — everything that does not depend on the matrix contents.
-func layoutPdState(p *mpi.Proc, c *mpi.Comm, grid Grid, me, nb, n int, carryB bool) (*pdState, error) {
+func layoutPdState(p *mpi.Proc, c *mpi.Comm, grid Grid, me, nb, n int) (*pdState, error) {
 	pr, pc, err := grid.Coords(me)
 	if err != nil {
 		return nil, err
@@ -208,7 +203,6 @@ func layoutPdState(p *mpi.Proc, c *mpi.Comm, grid Grid, me, nb, n int, carryB bo
 	st := &pdState{
 		p: p, c: c, grid: grid, pr: pr, pc: pc,
 		rowComm: rowComm, colComm: colComm, n: n, nb: nb,
-		carryB: carryB,
 		myRows: make([]int, 0, Numroc(n, nb, pr, grid.Pr)),
 		myCols: make([]int, 0, Numroc(n, nb, pc, grid.Pc)),
 	}
@@ -221,12 +215,10 @@ func layoutPdState(p *mpi.Proc, c *mpi.Comm, grid Grid, me, nb, n int, carryB bo
 		}
 	}
 	st.a = mat.New(len(st.myRows), len(st.myCols))
+	st.b = make([]float64, len(st.myRows))
 	st.pivots = make([][2]int, 0, n)
 	st.panelPivots = make([]int, nb)
 	st.panelRows = make([]int, nb)
-	if carryB {
-		st.b = make([]float64, len(st.myRows))
-	}
 	return st, nil
 }
 
@@ -268,7 +260,7 @@ func newPdStateScattered(p *mpi.Proc, c *mpi.Comm, sys *mat.System, grid Grid, m
 		return nil, fmt.Errorf("scalapack: grid %d×%d too large for %d blocks of %d",
 			grid.Pr, grid.Pc, (n+nb-1)/nb, nb)
 	}
-	st, err := layoutPdState(p, c, grid, me, nb, n, true)
+	st, err := layoutPdState(p, c, grid, me, nb, n)
 	if err != nil {
 		return nil, err
 	}
@@ -413,10 +405,8 @@ func (st *pdState) panelStep(k0 int) error {
 		if err := st.swapRows(j, pv, func(g int) bool { return g < k0 || g >= k1 }); err != nil {
 			return err
 		}
-		if st.carryB {
-			if err := st.swapB(j, pv); err != nil {
-				return err
-			}
+		if err := st.swapB(j, pv); err != nil {
+			return err
 		}
 	}
 	st.p.EndPhase(phPanel)
@@ -732,17 +722,15 @@ func (st *pdState) computeURow(k0, k1 int, lpanel []float64) {
 		flops += float64(kw * kw)
 	}
 	// b panel: same forward substitution on the replicated segment.
-	if st.carryB {
-		for i := 1; i < kw; i++ {
-			var s float64
-			lrow := lpanel[lis[i]*kw : (lis[i]+1)*kw]
-			for t := 0; t < i; t++ {
-				s += lrow[t] * st.b[lis[t]]
-			}
-			st.b[lis[i]] -= s
+	for i := 1; i < kw; i++ {
+		var s float64
+		lrow := lpanel[lis[i]*kw : (lis[i]+1)*kw]
+		for t := 0; t < i; t++ {
+			s += lrow[t] * st.b[lis[t]]
 		}
-		flops += float64(kw * kw)
+		st.b[lis[i]] -= s
 	}
+	flops += float64(kw * kw)
 	st.chargeFlops(flops)
 }
 
@@ -755,19 +743,13 @@ func (st *pdState) broadcastURow(k0, k1, prK int) (u12, bp []float64, err error)
 	kw := k1 - k0
 	ci := suffixFrom(st.myCols, k1)
 	nt := len(st.myCols) - ci
-	bLen := 0
-	if st.carryB {
-		bLen = kw
-	}
 	var build []float64
 	if st.pr == prK {
-		build = mpi.GetBuf(kw*nt + bLen)
+		build = mpi.GetBuf(kw*nt + kw)
 		for t := 0; t < kw; t++ {
 			li, _ := st.localRow(k0 + t)
 			copy(build[t*nt:(t+1)*nt], st.a.Row(li)[ci:])
-			if st.carryB {
-				build[kw*nt+t] = st.b[li]
-			}
+			build[kw*nt+t] = st.b[li]
 		}
 	}
 	flat, err := st.p.Bcast(st.colComm, prK, build)
@@ -777,8 +759,8 @@ func (st *pdState) broadcastURow(k0, k1, prK int) (u12, bp []float64, err error)
 	if build != nil {
 		mpi.PutBuf(build)
 	}
-	if len(flat) != kw*nt+bLen {
-		return nil, nil, fmt.Errorf("scalapack: U row payload %d, want %d", len(flat), kw*nt+bLen)
+	if len(flat) != kw*nt+kw {
+		return nil, nil, fmt.Errorf("scalapack: U row payload %d, want %d", len(flat), kw*nt+kw)
 	}
 	return flat[:kw*nt], flat[kw*nt:], nil
 }
@@ -805,20 +787,17 @@ func (st *pdState) trailingUpdate(k0, k1 int, lpanel, u12, bp []float64) {
 		kernel.Gemm(mrows, ncols, kw, -1, lpanel[ri*kw:], kw, u12, ncols, ad[ri*lda+ci:], lda)
 	}
 	flops := float64(mrows) * float64(2*kw*ncols)
-	if st.carryB {
-		for li := ri; li < len(st.myRows); li++ {
-			st.b[li] -= kernel.DotSerial(lpanel[li*kw:(li+1)*kw], bp)
-		}
-		flops += float64(mrows) * float64(2*kw)
+	for li := ri; li < len(st.myRows); li++ {
+		st.b[li] -= kernel.DotSerial(lpanel[li*kw:(li+1)*kw], bp)
 	}
+	flops += float64(mrows) * float64(2*kw)
 	st.chargeFlops(flops)
 }
 
 // backSubstitute solves U·x = y block row by block row from the bottom,
-// broadcasting each solved segment to the whole grid. rhsAt returns the
-// transformed right-hand-side entry of a global row (only consulted on
-// the process row owning it).
-func (st *pdState) backSubstitute(rhsAt func(globalRow, localRow int) float64) ([]float64, error) {
+// broadcasting each solved segment to the whole grid. y is the
+// transformed right-hand side the panel steps left in b.
+func (st *pdState) backSubstitute() ([]float64, error) {
 	n, nb := st.n, st.nb
 	x := make([]float64, n)
 	nBlocks := (n + nb - 1) / nb
@@ -862,7 +841,7 @@ func (st *pdState) backSubstitute(rhsAt func(globalRow, localRow int) float64) (
 				for t := kw - 1; t >= 0; t-- {
 					li, _ := st.localRow(r0 + t)
 					row := st.a.Row(li)
-					v := rhsAt(r0+t, li) - total[t]
+					v := st.b[li] - total[t]
 					for u := kw - 1; u > t; u-- {
 						lu, _ := st.localCol(r0 + u)
 						v -= row[lu] * seg[u+1]

@@ -1,6 +1,7 @@
 package scalapack
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -8,11 +9,11 @@ import (
 	"repro/internal/mpi"
 )
 
-// TestConcurrentWorldsPdgetrf factorises and solves in several worlds at
-// once. The blocked trailing-update GEMM fans out on the process-wide
-// worker pool and the transport buffers cycle through the shared mpi pool,
-// so under -race this pins both against cross-world interference.
-func TestConcurrentWorldsPdgetrf(t *testing.T) {
+// TestConcurrentWorldsPdgesv solves in several worlds at once. The
+// blocked trailing-update GEMM fans out on the process-wide worker pool
+// and the transport buffers cycle through the shared mpi pool, so under
+// -race this pins both against cross-world interference.
+func TestConcurrentWorldsPdgesv(t *testing.T) {
 	const worlds = 4
 	var wg sync.WaitGroup
 	errs := make([]error, worlds)
@@ -27,16 +28,12 @@ func TestConcurrentWorldsPdgetrf(t *testing.T) {
 				return
 			}
 			errs[wi] = w.Run(func(p *mpi.Proc) error {
-				f, err := Pdgetrf(p, p.World(), sys.A.Clone(), ParallelOptions{BlockSize: 8})
-				if err != nil {
-					return err
-				}
-				x, err := f.Solve(p, sys.B)
+				x, err := Pdgesv(p, p.World(), sys, ParallelOptions{BlockSize: 8})
 				if err != nil {
 					return err
 				}
 				if rr := mat.RelativeResidual(sys.A, x, sys.B); rr > 1e-12 {
-					return &residualError{rr}
+					return fmt.Errorf("relative residual %g", rr)
 				}
 				return nil
 			})
@@ -48,10 +45,4 @@ func TestConcurrentWorldsPdgetrf(t *testing.T) {
 			t.Fatalf("world %d: %v", wi, err)
 		}
 	}
-}
-
-type residualError struct{ rr float64 }
-
-func (e *residualError) Error() string {
-	return "relative residual too large"
 }
