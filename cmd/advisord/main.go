@@ -52,7 +52,6 @@ func main() {
 		workers      = flag.Int("j", 0, "sweep worker budget (0 = GOMAXPROCS)")
 		drainWait    = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
 		useSurrogate = flag.Bool("surrogate", true, "serve in-envelope cache misses from the learned surrogate")
-		surRefresh   = flag.Bool("surrogate-refresh", false, "refresh surrogate-served cache bodies with a background exact compute")
 		storeDir     = flag.String("store", "", "experiment store directory: serve recommend/sweep cells through it and persist computed ones")
 		warmFrom     = flag.Bool("warm-from-store", false, "pre-render cached response bodies from the store at startup (requires -store)")
 		withPprof    = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
@@ -74,15 +73,14 @@ func main() {
 		With("app", "advisord")
 
 	cfg := server.Config{
-		CacheEntries:     *cacheEntries,
-		CacheTTL:         *cacheTTL,
-		MaxInflight:      *maxInflight,
-		MaxQueue:         *maxQueue,
-		RequestTimeout:   *timeout,
-		SweepWorkers:     *workers,
-		SurrogateRefresh: *surRefresh,
-		TraceRing:        *traceRing,
-		Logger:           logger,
+		CacheEntries:   *cacheEntries,
+		CacheTTL:       *cacheTTL,
+		MaxInflight:    *maxInflight,
+		MaxQueue:       *maxQueue,
+		RequestTimeout: *timeout,
+		SweepWorkers:   *workers,
+		TraceRing:      *traceRing,
+		Logger:         logger,
 	}
 	if *useSurrogate {
 		p, err := server.DefaultSurrogate()
@@ -91,7 +89,7 @@ func main() {
 			os.Exit(1)
 		}
 		cfg.Surrogate = p
-		logger.Info("surrogate fast path on", "table", p.Version(), "models", p.Models(), "refresh", *surRefresh)
+		logger.Info("surrogate fast path on", "table", p.Version(), "models", p.Models())
 	}
 	if *warmFrom && *storeDir == "" {
 		fatalUsage(errors.New("-warm-from-store requires -store"))

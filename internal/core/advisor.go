@@ -96,25 +96,35 @@ func RecommendStored(n, ranks int, placement cluster.Placement, objective Object
 // single function, so a fast path can never apply different verdict
 // logic, only different measurements.
 func Rank(imeM, geM Measurement, objective Objective) (Recommendation, error) {
-	rec := Recommendation{Objective: objective, IMe: imeM, ScaLAPACK: geM}
-	var ime, ge float64
+	best, margin, err := verdict(objective,
+		score{imeM.TotalJ, imeM.DurationS, imeM.GFlopsPerWatt()}, perfmodel.IMe,
+		score{geM.TotalJ, geM.DurationS, geM.GFlopsPerWatt()}, perfmodel.ScaLAPACK)
+	return Recommendation{Objective: objective, Best: best, IMe: imeM, ScaLAPACK: geM, Margin: margin}, err
+}
+
+// score is what the verdict rule reads of one candidate.
+type score struct {
+	totalJ, durationS, gflopsPerWatt float64
+}
+
+// verdict is the one ranking rule both advisors share: it reads the
+// objective's metric off each candidate (smaller wins; efficiency is
+// inverted) and names the winner and its relative margin. A tie goes to
+// the second candidate.
+func verdict[C any](objective Objective, a score, first C, b score, second C) (best C, margin float64, err error) {
+	var x, y float64
 	switch objective {
 	case MinEnergy:
-		ime, ge = rec.IMe.TotalJ, rec.ScaLAPACK.TotalJ
+		x, y = a.totalJ, b.totalJ
 	case MinTime:
-		ime, ge = rec.IMe.DurationS, rec.ScaLAPACK.DurationS
+		x, y = a.durationS, b.durationS
 	case MaxEfficiency:
-		// Invert so "smaller wins" below.
-		ime, ge = 1/rec.IMe.GFlopsPerWatt(), 1/rec.ScaLAPACK.GFlopsPerWatt()
+		x, y = 1/a.gflopsPerWatt, 1/b.gflopsPerWatt
 	default:
-		return rec, fmt.Errorf("core: unknown objective %v", objective)
+		return best, 0, fmt.Errorf("core: unknown objective %v", objective)
 	}
-	if ime < ge {
-		rec.Best = perfmodel.IMe
-		rec.Margin = 1 - ime/ge
-	} else {
-		rec.Best = perfmodel.ScaLAPACK
-		rec.Margin = 1 - ge/ime
+	if x < y {
+		return first, 1 - x/y, nil
 	}
-	return rec, nil
+	return second, 1 - y/x, nil
 }

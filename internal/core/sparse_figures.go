@@ -32,30 +32,13 @@ type SparseRecommendation struct {
 
 // RankSparse picks the winner between the CPU and accelerated
 // measurements of one sparse shape under the objective. Every serving
-// path ranks through this single function, mirroring Rank for the dense
-// advisor.
+// path ranks through this single function, which applies Rank's rule to
+// the device axis; a tie goes to the accelerator.
 func RankSparse(cpuM, accelM SparseMeasurement, objective Objective) (SparseRecommendation, error) {
-	rec := SparseRecommendation{Objective: objective, CPU: cpuM, Accel: accelM}
-	var cpu, acc float64
-	switch objective {
-	case MinEnergy:
-		cpu, acc = cpuM.TotalJ, accelM.TotalJ
-	case MinTime:
-		cpu, acc = cpuM.DurationS, accelM.DurationS
-	case MaxEfficiency:
-		// Invert so "smaller wins" below.
-		cpu, acc = 1/cpuM.GFlopsPerWatt(), 1/accelM.GFlopsPerWatt()
-	default:
-		return rec, fmt.Errorf("core: unknown objective %v", objective)
-	}
-	if cpu < acc {
-		rec.Best = cluster.DeviceCPU
-		rec.Margin = 1 - cpu/acc
-	} else {
-		rec.Best = cluster.DeviceAccel
-		rec.Margin = 1 - acc/cpu
-	}
-	return rec, nil
+	best, margin, err := verdict(objective,
+		score{cpuM.TotalJ, cpuM.DurationS, cpuM.GFlopsPerWatt()}, cluster.DeviceCPU,
+		score{accelM.TotalJ, accelM.DurationS, accelM.GFlopsPerWatt()}, cluster.DeviceAccel)
+	return SparseRecommendation{Objective: objective, Best: best, CPU: cpuM, Accel: accelM, Margin: margin}, err
 }
 
 // RecommendSparseStored models the sparse shape on both devices, each a

@@ -6,9 +6,16 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/mat"
 	"repro/internal/mpi"
 )
+
+// faultAt is a solver-level fault schedule wiping ranks right before
+// elimination level.
+func faultAt(level int, ranks ...int) *fault.Schedule {
+	return &fault.Schedule{Events: []fault.Event{{Level: level, Ranks: ranks}}}
+}
 
 func TestWeightPowers(t *testing.T) {
 	if weight(0, 0) != 1 || weight(4, 0) != 1 {
@@ -89,10 +96,9 @@ func TestMultiFaultRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := runParallelFT(t, sys, tc.ranks, ParallelOptions{
-			Checksum:         true,
-			ChecksumSets:     tc.sets,
-			InjectFaultLevel: tc.level,
-			InjectFaultRanks: tc.faults,
+			Checksum:       true,
+			ChecksumSets:   tc.sets,
+			InjectSchedule: faultAt(tc.level, tc.faults...),
 		})
 		for i := range want {
 			if math.Abs(got[i]-want[i]) > 1e-5*(1+math.Abs(want[i])) {
@@ -113,22 +119,22 @@ func TestMultiFaultValidation(t *testing.T) {
 	}{
 		{"too many faults for sets", ParallelOptions{
 			Checksum: true, ChecksumSets: 1,
-			InjectFaultLevel: 10, InjectFaultRanks: []int{1, 2},
+			InjectSchedule: faultAt(10, 1, 2),
 		}},
 		{"duplicate fault rank", ParallelOptions{
 			Checksum: true, ChecksumSets: 2,
-			InjectFaultLevel: 10, InjectFaultRanks: []int{2, 2},
+			InjectSchedule: faultAt(10, 2, 2),
 		}},
 		{"master fault", ParallelOptions{
 			Checksum: true, ChecksumSets: 2,
-			InjectFaultLevel: 10, InjectFaultRanks: []int{0, 1},
+			InjectSchedule: faultAt(10, 0, 1),
 		}},
 		{"rank out of range", ParallelOptions{
 			Checksum: true, ChecksumSets: 2,
-			InjectFaultLevel: 10, InjectFaultRanks: []int{1, 9},
+			InjectSchedule: faultAt(10, 1, 9),
 		}},
 		{"fault without checksums", ParallelOptions{
-			InjectFaultLevel: 10, InjectFaultRanks: []int{1},
+			InjectSchedule: faultAt(10, 1),
 		}},
 	}
 	for _, tc := range cases {
@@ -138,10 +144,6 @@ func TestMultiFaultValidation(t *testing.T) {
 		}
 		err = w.Run(func(p *mpi.Proc) error {
 			_, err := SolveParallel(p, p.World(), sys, tc.opts)
-			if tc.name == "fault without checksums" {
-				// Without Checksum the fault options are ignored entirely.
-				return err
-			}
 			if err == nil {
 				return errFmt(tc.name + ": accepted")
 			}

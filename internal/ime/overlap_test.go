@@ -77,10 +77,9 @@ func TestOverlappedRejectsFaultInjection(t *testing.T) {
 	}
 	err = w.Run(func(p *mpi.Proc) error {
 		_, err := SolveParallel(p, p.World(), sys, ParallelOptions{
-			Overlap:          true,
-			Checksum:         true,
-			InjectFaultLevel: 6,
-			InjectFaultRanks: []int{1},
+			Overlap:        true,
+			Checksum:       true,
+			InjectSchedule: faultAt(6, 1),
 		})
 		if err == nil || !strings.Contains(err.Error(), "synchronous") {
 			return errFmt("overlap+fault combination accepted")

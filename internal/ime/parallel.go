@@ -19,7 +19,7 @@ type ParallelOptions struct {
 	// Overlap selects the communication/computation-overlap variant (see
 	// overlap.go): identical arithmetic, pivot rows shipped one level
 	// early with non-blocking sends, no per-level h broadcast. Not
-	// combinable with fault injection.
+	// combinable with solver-level fault injection.
 	Overlap bool
 	// Checksum enables the fault-tolerance checksum rows (the extension
 	// the paper cites as IMe's advantage [7]); see ft.go.
@@ -27,42 +27,18 @@ type ParallelOptions struct {
 	// ChecksumSets is the number of independent checksum sets, bounding
 	// how many simultaneous rank faults are recoverable (default 1).
 	ChecksumSets int
-	// InjectFaultLevel, when >0 with Checksum, wipes the table blocks of
-	// the fault ranks right before processing that level, forcing
-	// recovery. InjectFaultRanks lists the simultaneously failing ranks;
-	// when empty, InjectFaultRank selects a single one.
-	InjectFaultLevel int
-	InjectFaultRank  int
-	InjectFaultRanks []int
-	// InjectSchedule drives multi-event injection from a fault.Schedule:
-	// every event with Level > 0 wipes its Ranks right before that
-	// elimination level is processed (engine-level Time events are the
-	// mpi injector's business and are ignored here). Merged with the
-	// single-level legacy fields above. Requires Checksum.
+	// InjectSchedule drives solver-level fault injection from a
+	// fault.Schedule: every event with Level > 0 wipes the table blocks of
+	// its Ranks right before that elimination level is processed, forcing
+	// recovery (engine-level Time events are the mpi injector's business
+	// and are ignored here). Requires Checksum.
 	InjectSchedule *fault.Schedule
-	// DistributeInput switches from the paper's shared-file input model
-	// (every rank passes the same system) to master-reads-and-scatters:
-	// only comm rank 0 needs sys; the table blocks travel over an
-	// MPI_Scatter. Not combinable with Checksum (whose rows are built from
-	// the globally known system).
-	DistributeInput bool
 }
 
-// faultRanks resolves the configured fault set.
-func (o ParallelOptions) faultRanks() []int {
-	if len(o.InjectFaultRanks) > 0 {
-		return o.InjectFaultRanks
-	}
-	return []int{o.InjectFaultRank}
-}
-
-// faultLevels merges the legacy single-level fields and the schedule's
-// Level events into one level → fault-rank-set map.
+// faultLevels gathers the schedule's Level events into one level →
+// fault-rank-set map.
 func (o ParallelOptions) faultLevels() map[int][]int {
 	levels := map[int][]int{}
-	if o.Checksum && o.InjectFaultLevel > 0 {
-		levels[o.InjectFaultLevel] = append(levels[o.InjectFaultLevel], o.faultRanks()...)
-	}
 	if o.InjectSchedule != nil {
 		for _, ev := range o.InjectSchedule.Events {
 			if ev.Level <= 0 {
@@ -104,30 +80,25 @@ func SolveParallel(p *mpi.Proc, c *mpi.Comm, sys *mat.System, opts ParallelOptio
 		defer p.SetActivity(1)
 	}
 
-	var st *parallelState
-	if opts.DistributeInput {
-		st, err = newScatteredState(p, c, sys, me, ranks, opts)
-	} else {
-		if err := sys.Validate(); err != nil {
-			return nil, err
-		}
-		if ranks > sys.N() {
-			return nil, fmt.Errorf("ime: %d ranks exceed system order %d", ranks, sys.N())
-		}
-		st, err = newParallelState(sys, me, ranks, opts)
+	if err := sys.Validate(); err != nil {
+		return nil, err
 	}
+	if ranks > sys.N() {
+		return nil, fmt.Errorf("ime: %d ranks exceed system order %d", ranks, sys.N())
+	}
+	st, err := newParallelState(sys, me, ranks, opts)
 	if err != nil {
 		return nil, err
 	}
 	st.attachMetrics(p)
 
 	faultLevels := opts.faultLevels()
-	if opts.InjectSchedule != nil && len(faultLevels) > 0 && !opts.Checksum {
+	if len(faultLevels) > 0 && !opts.Checksum {
 		return nil, fmt.Errorf("ime: a solver-level fault schedule requires checksum rows")
 	}
 
 	if opts.Overlap {
-		if opts.InjectFaultLevel > 0 || len(faultLevels) > 0 {
+		if len(faultLevels) > 0 {
 			return nil, fmt.Errorf("ime: fault injection requires the synchronous variant")
 		}
 		return solveOverlapped(p, c, sys, st, opts, me)

@@ -197,9 +197,8 @@ func TestFaultRecoveryMidSolve(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, _ := runParallel(t, sys, tc.ranks, ParallelOptions{
-			Checksum:         true,
-			InjectFaultLevel: tc.level,
-			InjectFaultRank:  tc.fault,
+			Checksum:       true,
+			InjectSchedule: faultAt(tc.level, tc.fault),
 		})
 		for i := range want {
 			if math.Abs(got[i]-want[i]) > 1e-6*(1+math.Abs(want[i])) {
@@ -220,9 +219,8 @@ func TestFaultRecoveryRejectsMaster(t *testing.T) {
 	}
 	err = w.Run(func(p *mpi.Proc) error {
 		_, err := SolveParallel(p, p.World(), sys, ParallelOptions{
-			Checksum:         true,
-			InjectFaultLevel: 6,
-			InjectFaultRank:  0,
+			Checksum:       true,
+			InjectSchedule: faultAt(6, 0),
 		})
 		if err == nil {
 			return errFmt("master fault accepted")

@@ -10,7 +10,7 @@ const (
 	opAllgather
 	opAllreduce
 	opSplit
-	opScatter
+	opScatter // no longer issued; kept so later opcodes keep their tags
 	opReduce
 	opAlltoall
 )
@@ -287,41 +287,6 @@ func (p *Proc) AllreduceMaxLoc(c *Comm, value float64, index int) (float64, int,
 	value, index = out[0], int(out[1])
 	PutBuf(out)
 	return value, index, nil
-}
-
-// Scatter distributes chunks[i] from comm rank root to comm rank i
-// (MPI_Scatterv flavour: chunks may differ in length). Non-root ranks pass
-// nil chunks; every rank receives its own chunk (root's by local copy).
-func (p *Proc) Scatter(c *Comm, root int, chunks [][]float64) ([]float64, error) {
-	me, err := c.Rank(p)
-	if err != nil {
-		return nil, err
-	}
-	if root < 0 || root >= c.Size() {
-		return nil, fmt.Errorf("mpi: scatter root %d out of range [0,%d)", root, c.Size())
-	}
-	seq := p.nextSeq(c)
-	p.countCollective(opScatter)
-	start := p.clock
-	defer func() { p.recordCollective("scatter", start, 0) }()
-	tag := ctag(seq, opScatter, 0)
-	if me == root {
-		if len(chunks) != c.Size() {
-			return nil, fmt.Errorf("mpi: scatter got %d chunks for %d ranks", len(chunks), c.Size())
-		}
-		for dst := 0; dst < c.Size(); dst++ {
-			if dst == root {
-				continue
-			}
-			if err := p.send(c, dst, tag, chunks[dst]); err != nil {
-				return nil, err
-			}
-		}
-		own := GetBuf(len(chunks[root]))
-		copy(own, chunks[root])
-		return own, nil
-	}
-	return p.recv(c, root, tag)
 }
 
 // ReduceSum element-wise sums equal-length vectors at comm rank root via a

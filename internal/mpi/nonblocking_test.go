@@ -159,54 +159,6 @@ func TestSendrecvExchange(t *testing.T) {
 	}
 }
 
-func TestScatter(t *testing.T) {
-	const size = 5
-	w := newTestWorld(t, size)
-	err := w.Run(func(p *Proc) error {
-		var chunks [][]float64
-		if p.Rank() == 2 {
-			chunks = make([][]float64, size)
-			for i := range chunks {
-				chunks[i] = []float64{float64(i * 100)}
-			}
-		}
-		got, err := p.Scatter(p.World(), 2, chunks)
-		if err != nil {
-			return err
-		}
-		if len(got) != 1 || got[0] != float64(p.Rank()*100) {
-			return fmt.Errorf("rank %d got %v", p.Rank(), got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	msgs, _ := w.Traffic()
-	if msgs != size-1 {
-		t.Fatalf("scatter used %d messages, want %d", msgs, size-1)
-	}
-}
-
-func TestScatterValidation(t *testing.T) {
-	w := newTestWorld(t, 2)
-	err := w.Run(func(p *Proc) error {
-		if p.Rank() != 0 {
-			return nil
-		}
-		if _, err := p.Scatter(p.World(), 9, nil); err == nil {
-			return errors.New("bad root accepted")
-		}
-		if _, err := p.Scatter(p.World(), 0, [][]float64{{1}}); err == nil {
-			return errors.New("short chunk list accepted")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestReduceSum(t *testing.T) {
 	for _, size := range []int{1, 2, 3, 5, 8} {
 		for root := 0; root < size; root += 2 {

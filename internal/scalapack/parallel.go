@@ -17,11 +17,6 @@ type ParallelOptions struct {
 	BlockSize int
 	// ChargeCosts enables virtual-time/energy accounting of the compute.
 	ChargeCosts bool
-	// DistributeInput switches from the shared-file input model (every
-	// rank passes the same system) to master-reads-and-scatters: only comm
-	// rank 0 needs sys; each rank's block-cyclic pieces travel over
-	// point-to-point sends.
-	DistributeInput bool
 	// Checkpoint enables periodic in-memory checkpoint/restart of the
 	// panel loop (see checkpoint.go); nil disables it.
 	Checkpoint *CheckpointPlan
@@ -57,23 +52,15 @@ func Pdgesv(p *mpi.Proc, c *mpi.Comm, sys *mat.System, opts ParallelOptions) ([]
 		defer p.SetActivity(1)
 	}
 
-	var st *pdState
-	if opts.DistributeInput {
-		st, err = newPdStateScattered(p, c, sys, grid, me, nb)
-	} else {
-		if verr := sys.Validate(); verr != nil {
-			return nil, verr
-		}
-		n := sys.N()
-		if nb > n {
-			nb = n
-		}
-		if grid.Pr > (n+nb-1)/nb || grid.Pc > (n+nb-1)/nb {
-			return nil, fmt.Errorf("scalapack: grid %d×%d too large for %d blocks of %d",
-				grid.Pr, grid.Pc, (n+nb-1)/nb, nb)
-		}
-		st, err = newPdState(p, c, sys, grid, me, nb)
+	if err := sys.Validate(); err != nil {
+		return nil, err
 	}
+	nb = min(nb, sys.N())
+	if blocks := (sys.N() + nb - 1) / nb; grid.Pr > blocks || grid.Pc > blocks {
+		return nil, fmt.Errorf("scalapack: grid %d×%d too large for %d blocks of %d",
+			grid.Pr, grid.Pc, blocks, nb)
+	}
+	st, err := newPdState(p, c, sys, grid, me, nb)
 	if err != nil {
 		return nil, err
 	}
@@ -169,25 +156,10 @@ func (st *pdState) attachMetrics() {
 	st.mPanels = reg.Counter("solver_levels_total", "panel steps completed, grid rank (0,0)", "alg", "scalapack")
 }
 
+// newPdState builds one rank's communicator topology and copies its
+// block-cyclic pieces of the system into local storage.
 func newPdState(p *mpi.Proc, c *mpi.Comm, sys *mat.System, grid Grid, me, nb int) (*pdState, error) {
-	st, err := layoutPdState(p, c, grid, me, nb, sys.N())
-	if err != nil {
-		return nil, err
-	}
-	for li, gi := range st.myRows {
-		src := sys.A.Row(gi)
-		dst := st.a.Row(li)
-		for lj, gj := range st.myCols {
-			dst[lj] = src[gj]
-		}
-		st.b[li] = sys.B[gi]
-	}
-	return st, nil
-}
-
-// layoutPdState builds the communicator topology and empty local storage
-// of one rank — everything that does not depend on the matrix contents.
-func layoutPdState(p *mpi.Proc, c *mpi.Comm, grid Grid, me, nb, n int) (*pdState, error) {
+	n := sys.N()
 	pr, pc, err := grid.Coords(me)
 	if err != nil {
 		return nil, err
@@ -219,93 +191,14 @@ func layoutPdState(p *mpi.Proc, c *mpi.Comm, grid Grid, me, nb, n int) (*pdState
 	st.pivots = make([][2]int, 0, n)
 	st.panelPivots = make([]int, nb)
 	st.panelRows = make([]int, nb)
-	return st, nil
-}
-
-// newPdStateScattered builds a rank's state in master-reads-and-scatters
-// mode: a metadata broadcast shares the order (and propagates validation
-// failures coherently), then one MPI_Scatter ships every rank its
-// block-cyclic pieces plus its share of b.
-func newPdStateScattered(p *mpi.Proc, c *mpi.Comm, sys *mat.System, grid Grid, me, nb int) (*pdState, error) {
-	var meta []float64
-	var masterErr error
-	if me == 0 {
-		switch {
-		case sys == nil:
-			masterErr = fmt.Errorf("scalapack: master needs the input system")
-		case sys.Validate() != nil:
-			masterErr = sys.Validate()
+	for li, gi := range st.myRows {
+		src := sys.A.Row(gi)
+		dst := st.a.Row(li)
+		for lj, gj := range st.myCols {
+			dst[lj] = src[gj]
 		}
-		if masterErr != nil {
-			meta = []float64{1, 0}
-		} else {
-			meta = []float64{0, float64(sys.N())}
-		}
+		st.b[li] = sys.B[gi]
 	}
-	meta, err := p.Bcast(c, 0, meta)
-	if err != nil {
-		return nil, err
-	}
-	if meta[0] != 0 {
-		if masterErr != nil {
-			return nil, masterErr
-		}
-		return nil, fmt.Errorf("scalapack: master rejected the input system")
-	}
-	n := int(meta[1])
-	if nb > n {
-		nb = n
-	}
-	if grid.Pr > (n+nb-1)/nb || grid.Pc > (n+nb-1)/nb {
-		return nil, fmt.Errorf("scalapack: grid %d×%d too large for %d blocks of %d",
-			grid.Pr, grid.Pc, (n+nb-1)/nb, nb)
-	}
-	st, err := layoutPdState(p, c, grid, me, nb, n)
-	if err != nil {
-		return nil, err
-	}
-	var chunks [][]float64
-	if me == 0 {
-		chunks = make([][]float64, grid.Size())
-		for r := 0; r < grid.Size(); r++ {
-			rpr, rpc, err := grid.Coords(r)
-			if err != nil {
-				return nil, err
-			}
-			var rows, cols []int
-			for g := 0; g < n; g++ {
-				if o, _ := OwnerAndLocal(g, nb, grid.Pr); o == rpr {
-					rows = append(rows, g)
-				}
-				if o, _ := OwnerAndLocal(g, nb, grid.Pc); o == rpc {
-					cols = append(cols, g)
-				}
-			}
-			flat := make([]float64, 0, len(rows)*len(cols)+len(rows))
-			for _, gi := range rows {
-				src := sys.A.Row(gi)
-				for _, gj := range cols {
-					flat = append(flat, src[gj])
-				}
-			}
-			for _, gi := range rows {
-				flat = append(flat, sys.B[gi])
-			}
-			chunks[r] = flat
-		}
-	}
-	chunk, err := p.Scatter(c, 0, chunks)
-	if err != nil {
-		return nil, err
-	}
-	nr, nc := len(st.myRows), len(st.myCols)
-	if len(chunk) != nr*nc+nr {
-		return nil, fmt.Errorf("scalapack: scattered block has %d entries, want %d", len(chunk), nr*nc+nr)
-	}
-	for li := 0; li < nr; li++ {
-		copy(st.a.Row(li), chunk[li*nc:(li+1)*nc])
-	}
-	copy(st.b, chunk[nr*nc:])
 	return st, nil
 }
 

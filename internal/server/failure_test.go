@@ -17,16 +17,16 @@ import (
 	"time"
 )
 
-// blockingServer returns a server whose predict evaluator parks until
-// release is closed, signalling each entry on entered.
+// blockingServer returns a server whose computations park, holding their
+// admission slot, until release delivers (or is closed), signalling each
+// entry on entered.
 func blockingServer(cfg Config) (s *Server, entered chan struct{}, release chan struct{}) {
 	s = New(cfg)
 	entered = make(chan struct{}, 16)
 	release = make(chan struct{})
-	s.evalPredict = func(req PredictRequest) (PredictResponse, error) {
+	s.beforeCompute = func() {
 		entered <- struct{}{}
 		<-release
-		return PredictResponse{CellResult: CellResult{Algorithm: req.Algorithm.String(), N: req.N}}, nil
 	}
 	return s, entered, release
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/url"
 	"runtime"
@@ -29,21 +30,45 @@ const maxSweepCells = 512
 // maxSweepBody bounds the POST body size.
 const maxSweepBody = 1 << 20
 
-// RecommendRequest is the canonicalized form of GET /v1/recommend:
-// every field is resolved (defaults applied, block size normalized), so
-// equal requests — however spelled — key the same cache entry.
-type RecommendRequest struct {
+// job is the shape every query-driven route resolves the same way
+// (parseJob): a matrix order, a rank count and the placement they run at.
+type job struct {
 	N         int
 	Ranks     int
 	Placement cluster.Placement
-	Objective core.Objective
+}
+
+// measurement shapes one perfmodel result of the job — exact or from the
+// surrogate — as the Measurement the response renderers read.
+func (j job) measurement(alg perfmodel.Algorithm, cfg cluster.Config, res perfmodel.Result) core.Measurement {
+	return core.Measurement{
+		Experiment: core.Experiment{Algorithm: alg, N: j.N, Ranks: j.Ranks, Placement: j.Placement},
+		Config:     cfg,
+		DurationS:  res.DurationS,
+		TotalJ:     res.TotalJ,
+		EnergyJ:    res.EnergyJ,
+	}
+}
+
+// knobs are the dense model's parameters, canonicalized: the block size
+// is resolved, so equivalent spellings share cache keys.
+type knobs struct {
 	Overlap   bool
 	BlockSize int
 	PowerCapW float64
 }
 
-func (r RecommendRequest) params() perfmodel.Params {
-	return perfmodel.Params{Overlap: r.Overlap, BlockSize: r.BlockSize, PowerCapW: r.PowerCapW}
+func (k knobs) params() perfmodel.Params {
+	return perfmodel.Params{Overlap: k.Overlap, BlockSize: k.BlockSize, PowerCapW: k.PowerCapW}
+}
+
+// RecommendRequest is the canonicalized form of GET /v1/recommend:
+// every field is resolved (defaults applied, block size normalized), so
+// equal requests — however spelled — key the same cache entry.
+type RecommendRequest struct {
+	job
+	knobs
+	Objective core.Objective
 }
 
 func (r RecommendRequest) cacheKey() string {
@@ -54,16 +79,8 @@ func (r RecommendRequest) cacheKey() string {
 // PredictRequest is the canonicalized form of GET /v1/predict.
 type PredictRequest struct {
 	Algorithm perfmodel.Algorithm
-	N         int
-	Ranks     int
-	Placement cluster.Placement
-	Overlap   bool
-	BlockSize int
-	PowerCapW float64
-}
-
-func (r PredictRequest) params() perfmodel.Params {
-	return perfmodel.Params{Overlap: r.Overlap, BlockSize: r.BlockSize, PowerCapW: r.PowerCapW}
+	job
+	knobs
 }
 
 func (r PredictRequest) cacheKey() string {
@@ -75,22 +92,8 @@ func (r PredictRequest) cacheKey() string {
 // grid cells evaluated on the server's worker pool. Cell order is part
 // of the request identity (responses preserve it).
 type SweepRequest struct {
-	Cells     []SweepCell
-	Overlap   bool
-	BlockSize int
-	PowerCapW float64
-}
-
-// SweepCell is one resolved (algorithm, n, ranks, placement) grid cell.
-type SweepCell struct {
-	Algorithm perfmodel.Algorithm
-	N         int
-	Ranks     int
-	Placement cluster.Placement
-}
-
-func (r SweepRequest) params() perfmodel.Params {
-	return perfmodel.Params{Overlap: r.Overlap, BlockSize: r.BlockSize, PowerCapW: r.PowerCapW}
+	Cells []core.SweepKey // resolved (algorithm, n, ranks, placement) cells
+	knobs
 }
 
 func (r SweepRequest) cacheKey() string {
@@ -160,29 +163,34 @@ func cellResult(m core.Measurement) CellResult {
 	}
 }
 
-// --- real evaluators (tests substitute counting/delaying doubles) ---
+// --- compute and render ---
 //
-// Each resolves its grid cells through Config.Store: a stored cell skips
-// the model, a computed one is appended for every future process
-// (advisord restarts, campaign runs, replicas sharing the directory).
-// Without a store the same call is plain compute. Stored measurements
-// round-trip bit for bit (internal/core/cell.go), so the body is the same
-// bytes either way — invariant 1 of the serving pipeline extends across
-// process restarts. /v1/predict stays outside: its body carries the
-// phase-split timings that are not part of the stored cell schema.
+// Each route's compute resolves its grid cells through Config.Store: a
+// stored cell skips the model, a computed one is appended for every
+// future process (advisord restarts, campaign runs, replicas sharing the
+// directory). Without a store the same call is plain compute. Stored
+// measurements round-trip bit for bit (internal/core/cell.go), so the body
+// is the same bytes either way — invariant 1 of the serving pipeline
+// extends across process restarts. /v1/predict stays outside: its body
+// carries the phase-split timings that are not part of the stored cell
+// schema.
 
-func (s *Server) recommend(req RecommendRequest) (RecommendResponse, error) {
+func (s *Server) computeRecommend(ctx context.Context, req RecommendRequest) ([]byte, error) {
 	rec, computed, err := core.RecommendStored(req.N, req.Ranks, req.Placement, req.Objective, req.params(), s.cfg.Store)
 	if err != nil {
-		return RecommendResponse{}, err
+		return nil, err
 	}
 	s.countStoreCells(computed, 2-computed)
-	return recommendResponse(req, rec), nil
+	resp := recommendResponse(req, rec)
+	rt := requestTraceFrom(ctx)
+	rt.attachSolver(0, resp.IMe, 0, 0)
+	rt.attachSolver(0, resp.ScaLAPACK, 0, 0)
+	return marshalStage(ctx, resp)
 }
 
 // recommendResponse renders a recommendation as the response body. The
-// evaluator and cache warming both build bodies through here, keeping
-// them byte-identical.
+// exact compute, the surrogate and cache warming all build bodies through
+// here, keeping them byte-identical in shape.
 func recommendResponse(req RecommendRequest, rec core.Recommendation) RecommendResponse {
 	return RecommendResponse{
 		N:         req.N,
@@ -196,39 +204,38 @@ func recommendResponse(req RecommendRequest, rec core.Recommendation) RecommendR
 	}
 }
 
-func evalPredict(req PredictRequest) (PredictResponse, error) {
+func (s *Server) computePredict(ctx context.Context, req PredictRequest) ([]byte, error) {
 	cfg, err := cluster.NewConfig(req.Ranks, req.Placement, cluster.MarconiA3())
 	if err != nil {
-		return PredictResponse{}, err
+		return nil, err
 	}
 	res, err := perfmodel.Run(req.Algorithm, req.N, cfg, req.params())
 	if err != nil {
-		return PredictResponse{}, err
+		return nil, err
 	}
-	m := core.Measurement{
-		Experiment: core.Experiment{Algorithm: req.Algorithm, N: req.N, Ranks: req.Ranks, Placement: req.Placement},
-		Config:     cfg,
-		DurationS:  res.DurationS,
-		TotalJ:     res.TotalJ,
-		EnergyJ:    res.EnergyJ,
-	}
-	return PredictResponse{
-		CellResult:   cellResult(m),
-		ComputeS:     res.ComputeS,
-		ExposedCommS: res.ExposedCommS,
-	}, nil
+	resp := predictResponse(req, cfg, res)
+	requestTraceFrom(ctx).attachSolver(0, resp.CellResult, resp.ComputeS, resp.ExposedCommS)
+	return marshalStage(ctx, resp)
 }
 
-func (s *Server) sweep(ctx context.Context, req SweepRequest, r *grid.Runner) (SweepResponse, error) {
+// predictResponse renders one modelled cell — exact or from the
+// surrogate — as the predict body.
+func predictResponse(req PredictRequest, cfg cluster.Config, res perfmodel.Result) PredictResponse {
+	return PredictResponse{
+		CellResult:   cellResult(req.measurement(req.Algorithm, cfg, res)),
+		ComputeS:     res.ComputeS,
+		ExposedCommS: res.ExposedCommS,
+	}
+}
+
+func (s *Server) computeSweep(ctx context.Context, req SweepRequest) ([]byte, error) {
 	prm := req.params()
-	cells, err := grid.Map(r, len(req.Cells), func(i int) (CellResult, error) {
+	cells, err := grid.Map(s.runner, len(req.Cells), func(i int) (CellResult, error) {
 		if err := ctx.Err(); err != nil {
 			return CellResult{}, err
 		}
 		c := req.Cells[i]
-		m, computed, err := core.RunAnalyticStored(core.Experiment{
-			Algorithm: c.Algorithm, N: c.N, Ranks: c.Ranks, Placement: c.Placement,
-		}, prm, s.cfg.Store)
+		m, computed, err := core.RunAnalyticStored(c.Experiment(), prm, s.cfg.Store)
 		if err != nil {
 			return CellResult{}, fmt.Errorf("cell %s/%d/%d/%s: %w", c.Algorithm, c.N, c.Ranks, c.Placement, err)
 		}
@@ -240,13 +247,22 @@ func (s *Server) sweep(ctx context.Context, req SweepRequest, r *grid.Runner) (S
 		return cellResult(m), nil
 	})
 	if err != nil {
-		return SweepResponse{}, err
+		return nil, err
 	}
-	return sweepResponse(req, cells), nil
+	resp := sweepResponse(req, cells)
+	if rt := requestTraceFrom(ctx); rt != nil {
+		// Tile the cells sequentially per algorithm track: each track
+		// reads as that solver's total modelled time for the sweep.
+		ends := make(map[string]float64)
+		for _, c := range resp.Cells {
+			ends[c.Algorithm] = rt.attachSolver(ends[c.Algorithm], c, 0, 0)
+		}
+	}
+	return marshalStage(ctx, resp)
 }
 
 // sweepResponse renders evaluated cells as the response body — shared by
-// the evaluator and cache warming.
+// the compute and cache warming.
 func sweepResponse(req SweepRequest, cells []CellResult) SweepResponse {
 	return SweepResponse{
 		Count:     len(cells),
@@ -257,118 +273,152 @@ func sweepResponse(req SweepRequest, cells []CellResult) SweepResponse {
 	}
 }
 
+// marshalStage wraps a compute's body rendering in a trace span.
+func marshalStage(ctx context.Context, v any) ([]byte, error) {
+	sp := requestTraceFrom(ctx).stage("marshal")
+	b, err := marshalBody(v)
+	sp.End()
+	return b, err
+}
+
 // --- parsing ---
 
-func queryInt(q url.Values, name string, def int) (int, error) {
+// queryValue parses one optional query parameter, def when absent; what
+// says what the value failed to be.
+func queryValue[T any](q url.Values, name string, def T, what string, parse func(string) (T, error)) (T, error) {
 	v := q.Get(name)
 	if v == "" {
 		return def, nil
 	}
-	n, err := strconv.Atoi(v)
+	x, err := parse(v)
 	if err != nil {
-		return 0, fmt.Errorf("parameter %s: not an integer: %q", name, v)
+		return x, fmt.Errorf("parameter %s: %s: %q", name, what, v)
 	}
-	return n, nil
+	return x, nil
+}
+
+func queryInt(q url.Values, name string, def int) (int, error) {
+	return queryValue(q, name, def, "not an integer", strconv.Atoi)
 }
 
 func queryBool(q url.Values, name string, def bool) (bool, error) {
-	v := q.Get(name)
-	if v == "" {
-		return def, nil
-	}
-	b, err := strconv.ParseBool(v)
-	if err != nil {
-		return false, fmt.Errorf("parameter %s: not a boolean: %q", name, v)
-	}
-	return b, nil
+	return queryValue(q, name, def, "not a boolean", strconv.ParseBool)
 }
 
+// queryFloat parses a float parameter. NaN and ±Inf are refused: no
+// model input is meaningful there, and a non-finite value would key a
+// cache entry of its own.
 func queryFloat(q url.Values, name string, def float64) (float64, error) {
-	v := q.Get(name)
-	if v == "" {
-		return def, nil
+	f, err := queryValue(q, name, def, "not a number", func(v string) (float64, error) { return strconv.ParseFloat(v, 64) })
+	if err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
+		err = fmt.Errorf("parameter %s: not a finite number: %q", name, q.Get(name))
 	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, fmt.Errorf("parameter %s: not a number: %q", name, v)
-	}
-	return f, nil
+	return f, err
 }
 
-// parseShape resolves the parameters shared by recommend and predict:
-// the job shape plus model knobs, with the block size canonicalized via
-// perfmodel.Params.Normalized so equivalent spellings share cache keys.
-func parseShape(q url.Values) (n, ranks int, pl cluster.Placement, overlap bool, nb int, capW float64, err error) {
-	if n, err = queryInt(q, "n", 0); err != nil {
-		return
-	}
+// checkOrder bounds a matrix order to 1..maxOrder; what names the field.
+func checkOrder(what string, n int) error {
 	if n <= 0 || n > maxOrder {
-		err = fmt.Errorf("parameter n: want 1..%d, got %d", maxOrder, n)
-		return
+		return fmt.Errorf("%s: want 1..%d, got %d", what, maxOrder, n)
 	}
-	if ranks, err = queryInt(q, "ranks", 0); err != nil {
-		return
-	}
-	pl = cluster.FullLoad
-	if v := q.Get("placement"); v != "" {
-		if pl, err = cluster.ParsePlacement(v); err != nil {
-			return
+	return nil
+}
+
+// resolvePlacement parses a placement (full load when empty) and checks
+// that ranks fit it on the modelled machine.
+func resolvePlacement(ranks int, name string) (cluster.Placement, error) {
+	pl := cluster.FullLoad
+	if name != "" {
+		var err error
+		if pl, err = cluster.ParsePlacement(name); err != nil {
+			return pl, err
 		}
 	}
-	if _, err = cluster.NewConfig(ranks, pl, cluster.MarconiA3()); err != nil {
-		return
+	_, err := cluster.NewConfig(ranks, pl, cluster.MarconiA3())
+	return pl, err
+}
+
+// parseJob resolves the job shape of a dense recommend, predict or sparse
+// recommend query.
+func parseJob(q url.Values) (job, error) {
+	var j job
+	var err error
+	if j.N, err = queryInt(q, "n", 0); err != nil {
+		return j, err
 	}
-	if overlap, err = queryBool(q, "overlap", true); err != nil {
-		return
+	if err = checkOrder("parameter n", j.N); err != nil {
+		return j, err
 	}
-	if nb, err = queryInt(q, "nb", 0); err != nil {
-		return
+	if j.Ranks, err = queryInt(q, "ranks", 0); err != nil {
+		return j, err
 	}
-	if nb < 0 {
-		err = fmt.Errorf("parameter nb: must be non-negative, got %d", nb)
-		return
+	j.Placement, err = resolvePlacement(j.Ranks, q.Get("placement"))
+	return j, err
+}
+
+// parseKnobs resolves the dense model knobs of a recommend or predict
+// query.
+func parseKnobs(q url.Values) (knobs, error) {
+	var k knobs
+	var err error
+	if k.Overlap, err = queryBool(q, "overlap", true); err != nil {
+		return k, err
 	}
-	nb = perfmodel.Params{BlockSize: nb}.Normalized().BlockSize
-	if capW, err = queryFloat(q, "cap_w", 0); err != nil {
-		return
+	if k.BlockSize, err = queryInt(q, "nb", 0); err != nil {
+		return k, err
 	}
-	if capW < 0 {
-		err = fmt.Errorf("parameter cap_w: must be non-negative, got %g", capW)
+	if k.BlockSize < 0 {
+		return k, fmt.Errorf("parameter nb: must be non-negative, got %d", k.BlockSize)
 	}
-	return
+	k.BlockSize = perfmodel.Params{BlockSize: k.BlockSize}.Normalized().BlockSize
+	if k.PowerCapW, err = queryFloat(q, "cap_w", 0); err != nil {
+		return k, err
+	}
+	if k.PowerCapW < 0 {
+		return k, fmt.Errorf("parameter cap_w: must be non-negative, got %g", k.PowerCapW)
+	}
+	return k, nil
+}
+
+// queryObjective resolves a recommend query's objective (min-energy when
+// absent).
+func queryObjective(q url.Values) (core.Objective, error) {
+	if v := q.Get("objective"); v != "" {
+		return core.ParseObjective(v)
+	}
+	return core.MinEnergy, nil
 }
 
 // ParseRecommendRequest canonicalizes the query of GET /v1/recommend.
 func ParseRecommendRequest(q url.Values) (RecommendRequest, error) {
 	var req RecommendRequest
 	var err error
-	if req.N, req.Ranks, req.Placement, req.Overlap, req.BlockSize, req.PowerCapW, err = parseShape(q); err != nil {
+	if req.job, err = parseJob(q); err != nil {
 		return req, err
 	}
-	req.Objective = core.MinEnergy
-	if v := q.Get("objective"); v != "" {
-		if req.Objective, err = core.ParseObjective(v); err != nil {
-			return req, err
-		}
+	if req.knobs, err = parseKnobs(q); err != nil {
+		return req, err
 	}
-	return req, nil
+	req.Objective, err = queryObjective(q)
+	return req, err
 }
 
 // ParsePredictRequest canonicalizes the query of GET /v1/predict.
 func ParsePredictRequest(q url.Values) (PredictRequest, error) {
 	var req PredictRequest
 	var err error
-	if req.N, req.Ranks, req.Placement, req.Overlap, req.BlockSize, req.PowerCapW, err = parseShape(q); err != nil {
+	if req.job, err = parseJob(q); err != nil {
+		return req, err
+	}
+	if req.knobs, err = parseKnobs(q); err != nil {
 		return req, err
 	}
 	v := q.Get("alg")
 	if v == "" {
 		return req, errors.New("parameter alg: required (IMe or ScaLAPACK)")
 	}
-	if req.Algorithm, err = perfmodel.ParseAlgorithm(v); err != nil {
-		return req, err
-	}
-	return req, nil
+	req.Algorithm, err = perfmodel.ParseAlgorithm(v)
+	return req, err
 }
 
 // sweepWire is the JSON wire form of POST /v1/sweep.
@@ -398,10 +448,7 @@ func ParseSweepRequest(r *http.Request) (SweepRequest, error) {
 	if err := dec.Decode(&wire); err != nil {
 		return req, fmt.Errorf("request body: %w", err)
 	}
-	req.Overlap = true
-	if wire.Overlap != nil {
-		req.Overlap = *wire.Overlap
-	}
+	req.Overlap = wire.Overlap == nil || *wire.Overlap
 	if wire.BlockSize < 0 {
 		return req, fmt.Errorf("block_size: must be non-negative, got %d", wire.BlockSize)
 	}
@@ -416,9 +463,7 @@ func ParseSweepRequest(r *http.Request) (SweepRequest, error) {
 		if len(wire.Cells) > 0 {
 			return req, errors.New(`grid "paper" and explicit cells are mutually exclusive`)
 		}
-		for _, k := range core.SweepKeys() {
-			req.Cells = append(req.Cells, SweepCell{Algorithm: k.Algorithm, N: k.N, Ranks: k.Ranks, Placement: k.Placement})
-		}
+		req.Cells = core.SweepKeys()
 	case wire.Grid != "":
 		return req, fmt.Errorf("grid: unknown grid %q (want \"paper\")", wire.Grid)
 	case len(wire.Cells) == 0:
@@ -427,23 +472,8 @@ func ParseSweepRequest(r *http.Request) (SweepRequest, error) {
 		return req, fmt.Errorf("cells: %d exceeds the per-request limit %d", len(wire.Cells), maxSweepCells)
 	default:
 		for i, cw := range wire.Cells {
-			var c SweepCell
-			var err error
-			if c.Algorithm, err = perfmodel.ParseAlgorithm(cw.Algorithm); err != nil {
-				return req, fmt.Errorf("cells[%d]: %w", i, err)
-			}
-			if cw.N <= 0 || cw.N > maxOrder {
-				return req, fmt.Errorf("cells[%d]: n: want 1..%d, got %d", i, maxOrder, cw.N)
-			}
-			c.N = cw.N
-			c.Placement = cluster.FullLoad
-			if cw.Placement != "" {
-				if c.Placement, err = cluster.ParsePlacement(cw.Placement); err != nil {
-					return req, fmt.Errorf("cells[%d]: %w", i, err)
-				}
-			}
-			c.Ranks = cw.Ranks
-			if _, err = cluster.NewConfig(c.Ranks, c.Placement, cluster.MarconiA3()); err != nil {
+			c, err := parseSweepCell(cw)
+			if err != nil {
 				return req, fmt.Errorf("cells[%d]: %w", i, err)
 			}
 			req.Cells = append(req.Cells, c)
@@ -452,98 +482,22 @@ func ParseSweepRequest(r *http.Request) (SweepRequest, error) {
 	return req, nil
 }
 
-// --- handlers ---
-
-// parseStage wraps one handler's parse step in a trace span.
-func parseStage[T any](r *http.Request, parse func() (T, error)) (T, error) {
-	sp := requestTraceFrom(r.Context()).stage("parse")
-	req, err := parse()
-	sp.SetAttr("ok", err == nil)
-	sp.End()
-	return req, err
-}
-
-// marshalStage wraps a compute closure's body rendering in a trace span.
-func marshalStage(ctx context.Context, v any) ([]byte, error) {
-	sp := requestTraceFrom(ctx).stage("marshal")
-	b, err := marshalBody(v)
-	sp.End()
-	return b, err
-}
-
-func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
-	// The matrix parameter routes between the dense and the sparse
-	// pipeline before canonicalization: the two request families have
-	// disjoint parameter sets, cache-key shapes and response bodies.
-	// Absent or "dense" keeps the original path (and its exact cache
-	// keys) byte-for-byte.
-	switch m := r.URL.Query().Get("matrix"); m {
-	case "", "dense":
-	case "sparse":
-		s.handleRecommendSparse(w, r)
-		return
-	default:
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("parameter matrix: unknown matrix class %q (want dense or sparse)", m))
-		return
+// parseSweepCell resolves one explicit sweep cell through the same job
+// checks as the query routes.
+func parseSweepCell(cw sweepCellWire) (core.SweepKey, error) {
+	c := core.SweepKey{N: cw.N, Ranks: cw.Ranks}
+	var err error
+	if c.Algorithm, err = perfmodel.ParseAlgorithm(cw.Algorithm); err != nil {
+		return c, err
 	}
-	req, err := parseStage(r, func() (RecommendRequest, error) { return ParseRecommendRequest(r.URL.Query()) })
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
+	if err = checkOrder("n", c.N); err != nil {
+		return c, err
 	}
-	s.serveCached(w, r, "recommend", req.cacheKey(), s.fastRecommend(req), func(ctx context.Context) ([]byte, error) {
-		resp, err := s.evalRecommend(req)
-		if err != nil {
-			return nil, err
-		}
-		// ctx, not the handler's request: a background surrogate refresh
-		// reuses this closure with an untraced context.
-		rt := requestTraceFrom(ctx)
-		rt.attachSolver(0, resp.IMe, 0, 0)
-		rt.attachSolver(0, resp.ScaLAPACK, 0, 0)
-		return marshalStage(ctx, resp)
-	})
+	c.Placement, err = resolvePlacement(c.Ranks, cw.Placement)
+	return c, err
 }
 
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	req, err := parseStage(r, func() (PredictRequest, error) { return ParsePredictRequest(r.URL.Query()) })
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.serveCached(w, r, "predict", req.cacheKey(), s.fastPredict(req), func(ctx context.Context) ([]byte, error) {
-		resp, err := s.evalPredict(req)
-		if err != nil {
-			return nil, err
-		}
-		requestTraceFrom(ctx).attachSolver(0, resp.CellResult, resp.ComputeS, resp.ExposedCommS)
-		return marshalStage(ctx, resp)
-	})
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	req, err := parseStage(r, func() (SweepRequest, error) { return ParseSweepRequest(r) })
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.serveCached(w, r, "sweep", req.cacheKey(), nil, func(ctx context.Context) ([]byte, error) {
-		resp, err := s.evalSweep(ctx, req, s.runner)
-		if err != nil {
-			return nil, err
-		}
-		if rt := requestTraceFrom(ctx); rt != nil {
-			// Tile the cells sequentially per algorithm track: each track
-			// reads as that solver's total modelled time for the sweep.
-			ends := make(map[string]float64)
-			for _, c := range resp.Cells {
-				ends[c.Algorithm] = rt.attachSolver(ends[c.Algorithm], c, 0, 0)
-			}
-		}
-		return marshalStage(ctx, resp)
-	})
-}
+// --- handlers outside the pipeline ---
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.updateSLOGauges()

@@ -45,7 +45,6 @@ type endpointMetrics struct {
 	compute   *telemetry.Counter // underlying model evaluations actually run
 	surrogate *telemetry.Counter // misses answered by the learned fast path
 	fallback  *telemetry.Counter // misses the surrogate refused (exact path took over)
-	refreshed *telemetry.Counter // surrogate bodies replaced by a background exact compute
 }
 
 func newMetrics(reg *telemetry.Registry) *metrics {
@@ -70,7 +69,6 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 		e := m.endpoints[ep]
 		e.surrogate = reg.Counter("server_surrogate_total", "Cache misses answered by the learned surrogate fast path.", "endpoint", ep)
 		e.fallback = reg.Counter("server_surrogate_fallback_total", "Cache misses the surrogate refused (out of envelope); exact path took over.", "endpoint", ep)
-		e.refreshed = reg.Counter("server_surrogate_refreshed_total", "Cached surrogate bodies replaced by a background exact computation.", "endpoint", ep)
 	}
 	return m
 }

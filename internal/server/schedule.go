@@ -100,13 +100,14 @@ func ParseScheduleRequest(r *http.Request) (ScheduleRequest, error) {
 	return req, nil
 }
 
-// evalSchedule runs one fleet simulation on the server's worker pool.
+// computeSchedule runs one fleet simulation on the server's worker pool.
 // The simulated fleet reuses the server's surrogate and experiment store
 // — the scheduler's placement policy IS the advisor, served batch-side.
-func (s *Server) evalScheduleReal(ctx context.Context, req ScheduleRequest) (*sched.Report, error) {
+func (s *Server) computeSchedule(ctx context.Context, req ScheduleRequest) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	sp := requestTraceFrom(ctx).stage("simulate")
 	o, err := sched.Simulate(sched.Config{
 		Nodes:        req.Nodes,
 		PowerBudgetW: req.BudgetW,
@@ -118,29 +119,14 @@ func (s *Server) evalScheduleReal(ctx context.Context, req ScheduleRequest) (*sc
 		Store:        s.cfg.Store,
 	}, req.Workload)
 	if err != nil {
+		sp.End()
 		return nil, err
 	}
 	s.countStoreCells(o.StoreComputed, o.StoreHits)
-	return o.Report, nil
-}
-
-func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
-	req, err := parseStage(r, func() (ScheduleRequest, error) { return ParseScheduleRequest(r) })
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.serveCached(w, r, "schedule", req.cacheKey(), nil, func(ctx context.Context) ([]byte, error) {
-		sp := requestTraceFrom(ctx).stage("simulate")
-		rep, err := s.evalSchedule(ctx, req)
-		if err != nil {
-			sp.End()
-			return nil, err
-		}
-		sp.SetAttr("jobs", len(rep.Jobs))
-		sp.SetAttr("makespan_s", rep.MakespanS)
-		sp.SetAttr("digest", rep.ScheduleDigest)
-		sp.End()
-		return marshalStage(ctx, rep)
-	})
+	rep := o.Report
+	sp.SetAttr("jobs", len(rep.Jobs))
+	sp.SetAttr("makespan_s", rep.MakespanS)
+	sp.SetAttr("digest", rep.ScheduleDigest)
+	sp.End()
+	return marshalStage(ctx, rep)
 }

@@ -6,17 +6,23 @@
 // infrastructure, the form related work (EfiMon's analyser service, the
 // CEEC experience report) argues energy tooling needs to be adopted.
 //
-// Every compute endpoint runs the same pipeline:
+// Every compute route — dense recommend, sparse recommend
+// (/v1/recommend?matrix=sparse), predict, sweep and schedule — is one
+// route descriptor (parse, cache key, optional surrogate attempt,
+// compute-and-render) run by one function, serve, through the same
+// pipeline:
 //
 //	parse+canonicalize → cache → surrogate → coalesce → admit → compute
 //
-// where the surrogate stage (optional, Config.Surrogate) answers
-// in-envelope recommend/predict misses from the learned predictor
-// (internal/surrogate) in O(µs) without consuming an admission slot, and
-// refuses anything outside its trained envelope so the exact pipeline
-// below it remains the arbiter of every hard query.
+// where the surrogate stage (optional, Config.Surrogate; dense recommend
+// and predict only) answers in-envelope misses from the learned
+// predictor (internal/surrogate) in O(µs) without consuming an admission
+// slot, and refuses anything outside its trained envelope so the exact
+// pipeline below it remains the arbiter of every hard query. The three
+// query routes share one parse of the job shape (n, ranks, placement)
+// and the two recommend routes one parse of the objective.
 //
-// with these invariants:
+// The pipeline keeps these invariants:
 //
 //  1. Responses are byte-identical whether served cold or from cache:
 //     the cache stores the marshalled body produced by the one compute,
@@ -40,14 +46,14 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
+	"net/url"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/grid"
-	"repro/internal/sched"
 	"repro/internal/store"
 	"repro/internal/surrogate"
 	"repro/internal/telemetry"
@@ -77,16 +83,11 @@ type Config struct {
 	// Registry receives the server's instruments (default: a fresh
 	// registry, exposed at /metrics either way).
 	Registry *telemetry.Registry
-	// Surrogate, when non-nil, serves in-envelope /v1/recommend and
+	// Surrogate, when non-nil, serves in-envelope dense /v1/recommend and
 	// /v1/predict cache misses from the learned predictor in O(µs),
 	// bypassing admission entirely; out-of-envelope queries fall back to
 	// the exact pipeline. Nil (the default) keeps every answer exact.
 	Surrogate *surrogate.Predictor
-	// SurrogateRefresh additionally schedules a background exact
-	// computation after each surrogate-served miss, replacing the cached
-	// body so steady-state hits converge to exact values. Off by default:
-	// it trades the byte-stable cache for envelope-tight values.
-	SurrogateRefresh bool
 	// Store, when non-nil, is the content-addressed experiment store the
 	// compute endpoints resolve grid cells through: /v1/recommend and
 	// /v1/sweep serve stored cells without touching the model and append
@@ -157,30 +158,26 @@ func (c Config) withDefaults() Config {
 // Server is the advisor service. Construct with New; all methods are
 // safe for concurrent use.
 type Server struct {
-	cfg       Config
-	cache     *Cache
-	coal      *Coalescer
-	lim       *Limiter
-	runner    *grid.Runner
-	m         *metrics
-	ring      *requestRing
-	slo       *telemetry.SLOTracker
-	log       *telemetry.Logger // request-level records (Warn/Error always; ok-path via okLog)
-	okLog     *telemetry.Logger // sampled child for high-QPS 2xx access records
-	draining  atomic.Bool
-	refreshWG sync.WaitGroup
+	cfg      Config
+	cache    *Cache
+	coal     *Coalescer
+	lim      *Limiter
+	runner   *grid.Runner
+	m        *metrics
+	ring     *requestRing
+	slo      *telemetry.SLOTracker
+	log      *telemetry.Logger // request-level records (Warn/Error always; ok-path via okLog)
+	okLog    *telemetry.Logger // sampled child for high-QPS 2xx access records
+	draining atomic.Bool
 
 	// Store-cell resolution counters (nil without Config.Store).
 	storeHits     *telemetry.Counter
 	storeComputed *telemetry.Counter
 
-	// Evaluators, injectable by tests to count/delay computations; New
-	// wires the real model. Handlers only reach the model through these.
-	evalRecommend       func(RecommendRequest) (RecommendResponse, error)
-	evalRecommendSparse func(SparseRecommendRequest) (SparseRecommendResponse, error)
-	evalPredict         func(PredictRequest) (PredictResponse, error)
-	evalSweep           func(ctx context.Context, req SweepRequest, r *grid.Runner) (SweepResponse, error)
-	evalSchedule        func(ctx context.Context, req ScheduleRequest) (*sched.Report, error)
+	// beforeCompute, when set, runs on the coalescer leader right before
+	// each computation, holding its admission slot: the one seam tests
+	// use to keep computations in flight. Nil outside tests.
+	beforeCompute func()
 }
 
 // New returns a Server computing with the real calibrated model.
@@ -207,11 +204,6 @@ func New(cfg Config) *Server {
 	s.cache.evictedExpired = cfg.Registry.Counter("server_cache_evictions_total", "Result-cache bodies evicted, by reason.", "reason", "expired")
 	cfg.Registry.Gauge("server_build_info", "Serving-layer build identity (value is always 1).",
 		"version", Version, "go_version", runtime.Version(), "surrogate", surrogateVersion(cfg.Surrogate)).Set(1)
-	s.evalRecommend = s.recommend
-	s.evalRecommendSparse = s.recommendSparse
-	s.evalPredict = evalPredict
-	s.evalSweep = s.sweep
-	s.evalSchedule = s.evalScheduleReal
 	if cfg.Store != nil {
 		const help = "Grid cells resolved through the experiment store, by outcome."
 		s.storeHits = cfg.Registry.Counter("server_store_cells_total", help, "result", "hit")
@@ -253,9 +245,9 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("GET /v1/recommend", s.instrument("recommend", s.handleRecommend))
-	mux.Handle("GET /v1/predict", s.instrument("predict", s.handlePredict))
-	mux.Handle("POST /v1/sweep", s.instrument("sweep", s.handleSweep))
-	mux.Handle("POST /v1/schedule", s.instrument("schedule", s.handleSchedule))
+	mux.Handle("GET /v1/predict", s.instrument("predict", handle(s, predictRoute)))
+	mux.Handle("POST /v1/sweep", s.instrument("sweep", handle(s, sweepRoute)))
+	mux.Handle("POST /v1/schedule", s.instrument("schedule", handle(s, scheduleRoute)))
 	mux.Handle("GET /metrics", s.instrument("metrics", s.handleMetrics))
 	mux.Handle("GET /healthz", s.instrument("healthz", s.handleHealthz))
 	// The inspection plane is served outside instrument(): debugging
@@ -268,54 +260,143 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// serveCached runs the cache → surrogate → coalesce → admit → compute
-// pipeline for one request and writes the response. fast, when non-nil,
-// is the surrogate attempt: it answers in-envelope misses in O(µs) with
-// no admission slot (concurrent identical requests may each run it — the
-// bytes are deterministic, so the duplicated nanoseconds are cheaper than
-// a singleflight rendezvous). compute must return the final marshalled
-// body; it runs at most once across all concurrent identical requests.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, key string, fast func() ([]byte, bool), compute func(ctx context.Context) ([]byte, error)) {
-	em := s.m.endpoint(endpoint)
-	ctx := r.Context()
-	rt := requestTraceFrom(ctx)
+// route describes one compute route to the pipeline: how its request is
+// parsed (from the URL query or from the body: exactly one parser is
+// set) and keyed, its surrogate attempt (nil for routes the surrogate
+// does not cover), and the exact compute, which renders the final body.
+type route[Req any] struct {
+	endpoint   string // metrics, SLO and trace label
+	parseQuery func(url.Values) (Req, error)
+	parseBody  func(*http.Request) (Req, error)
+	key        func(Req) string
+	fast       func(*Server, Req) ([]byte, bool)
+	compute    func(*Server, context.Context, Req) ([]byte, error)
+}
 
-	sp := rt.stage("cache-lookup")
+// The five compute routes.
+var (
+	denseRoute = &route[RecommendRequest]{
+		endpoint:   "recommend",
+		parseQuery: ParseRecommendRequest,
+		key:        RecommendRequest.cacheKey,
+		fast:       (*Server).fastRecommend,
+		compute:    (*Server).computeRecommend,
+	}
+	sparseRoute = &route[SparseRecommendRequest]{
+		endpoint:   "recommend",
+		parseQuery: ParseSparseRecommendRequest,
+		key:        SparseRecommendRequest.cacheKey,
+		compute:    (*Server).computeSparse,
+	}
+	predictRoute = &route[PredictRequest]{
+		endpoint:   "predict",
+		parseQuery: ParsePredictRequest,
+		key:        PredictRequest.cacheKey,
+		fast:       (*Server).fastPredict,
+		compute:    (*Server).computePredict,
+	}
+	sweepRoute = &route[SweepRequest]{
+		endpoint:  "sweep",
+		parseBody: ParseSweepRequest,
+		key:       SweepRequest.cacheKey,
+		compute:   (*Server).computeSweep,
+	}
+	scheduleRoute = &route[ScheduleRequest]{
+		endpoint:  "schedule",
+		parseBody: ParseScheduleRequest,
+		key:       ScheduleRequest.cacheKey,
+		compute:   (*Server).computeSchedule,
+	}
+)
+
+// handle returns the handler serving one route.
+func handle[Req any](s *Server, rt *route[Req]) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) { serve(s, rt, w, r, nil) }
+}
+
+// handleRecommend picks the recommend route by the matrix parameter: the
+// dense and sparse request families have disjoint parameter sets,
+// cache-key shapes and response bodies. Absent or "dense" is the dense
+// route.
+func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
+	switch m := q.Get("matrix"); m {
+	case "", "dense":
+		serve(s, denseRoute, w, r, q)
+	case "sparse":
+		serve(s, sparseRoute, w, r, q)
+	default:
+		writeError(w, http.StatusBadRequest,
+			fmt.Sprintf("parameter matrix: unknown matrix class %q (want dense or sparse)", m))
+	}
+}
+
+// serve runs one request through the pipeline and writes the response;
+// every compute route goes through here. q is the request's parsed URL
+// query, or nil to parse it here when the route reads one. A parse
+// failure is a 400; otherwise cache → surrogate → coalesce → admit →
+// compute. The surrogate attempt answers in-envelope misses in O(µs)
+// with no admission slot (concurrent identical requests may each run it
+// — the bytes are deterministic, so the duplicated nanoseconds are
+// cheaper than a singleflight rendezvous). The compute runs at most once
+// across all concurrent identical requests.
+func serve[Req any](s *Server, rt *route[Req], w http.ResponseWriter, r *http.Request, q url.Values) {
+	ctx := r.Context()
+	tr := requestTraceFrom(ctx)
+
+	sp := tr.stage("parse")
+	var req Req
+	var err error
+	if rt.parseQuery != nil {
+		if q == nil {
+			q = r.URL.Query()
+		}
+		req, err = rt.parseQuery(q)
+	} else {
+		req, err = rt.parseBody(r)
+	}
+	sp.SetAttr("ok", err == nil)
+	sp.End()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	key := rt.key(req)
+	em := s.m.endpoint(rt.endpoint)
+
+	sp = tr.stage("cache-lookup")
 	body, ok := s.cache.Get(key)
 	sp.SetAttr("hit", ok)
 	sp.End()
 	if ok {
 		em.hits.Inc()
-		rt.setSource("cache")
+		tr.setSource("cache")
 		writeBody(w, http.StatusOK, body)
 		return
 	}
 	em.misses.Inc()
-	if fast != nil {
-		sp := rt.stage("surrogate")
-		body, ok := fast()
+	if rt.fast != nil && s.cfg.Surrogate != nil {
+		sp := tr.stage("surrogate")
+		body, ok := rt.fast(s, req)
 		sp.SetAttr("in_envelope", ok)
 		sp.End()
 		if ok {
 			em.surrogate.Inc()
-			rt.setSource("surrogate")
+			tr.setSource("surrogate")
 			s.cache.Put(key, body)
-			if s.cfg.SurrogateRefresh {
-				s.refreshExact(endpoint, key, compute)
-			}
 			writeBody(w, http.StatusOK, body)
 			return
 		}
 		em.fallback.Inc()
 	}
-	coalesce := rt.stage("coalesce")
+	coalesce := tr.stage("coalesce")
 	body, shared, err := s.coal.Do(ctx, key, func() ([]byte, error) {
 		// This closure runs on the coalescer leader's goroutine only, so
-		// rt here is the leader's own trace.
+		// tr here is the leader's own trace.
 		if s.draining.Load() {
 			return nil, ErrDraining
 		}
-		admit := rt.stage("admission-queue")
+		admit := tr.stage("admission-queue")
 		err := s.lim.Acquire(ctx)
 		admit.End()
 		if err != nil {
@@ -323,12 +404,15 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, k
 		}
 		defer s.lim.Release()
 		em.compute.Inc()
-		rt.setSource("compute")
-		cs := rt.stage("compute")
-		if rt != nil {
-			rt.compute = cs
+		tr.setSource("compute")
+		cs := tr.stage("compute")
+		if tr != nil {
+			tr.compute = cs
 		}
-		b, err := compute(ctx)
+		if s.beforeCompute != nil {
+			s.beforeCompute()
+		}
+		b, err := rt.compute(s, ctx, req)
 		cs.End()
 		if err != nil {
 			return nil, err
@@ -340,48 +424,14 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, k
 	coalesce.End()
 	if shared {
 		em.coalesced.Inc()
-		rt.setSource("coalesced")
+		tr.setSource("coalesced")
 	}
 	if err != nil {
-		rt.setSource("error")
-		s.writeComputeError(w, endpoint, err)
+		tr.setSource("error")
+		s.writeComputeError(w, rt.endpoint, err)
 		return
 	}
 	writeBody(w, http.StatusOK, body)
-}
-
-// refreshExact schedules a background exact computation for a key just
-// answered by the surrogate, replacing the cached surrogate body with the
-// exact one. It runs through the same coalescer key as foreground exact
-// requests (so at most one computation is ever in flight per key) and
-// through the limiter (so refreshes never starve interactive exact work
-// of admission slots — they queue like everyone else).
-func (s *Server) refreshExact(endpoint, key string, compute func(ctx context.Context) ([]byte, error)) {
-	s.refreshWG.Add(1)
-	go func() {
-		defer s.refreshWG.Done()
-		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.RequestTimeout)
-		defer cancel()
-		body, _, err := s.coal.Do(ctx, key, func() ([]byte, error) {
-			if s.draining.Load() {
-				return nil, ErrDraining
-			}
-			if err := s.lim.Acquire(ctx); err != nil {
-				return nil, err
-			}
-			defer s.lim.Release()
-			b, err := compute(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return b, nil
-		})
-		if err != nil {
-			return // shed refreshes are best-effort; the surrogate body stays
-		}
-		s.cache.Put(key, body)
-		s.m.endpoint(endpoint).refreshed.Inc()
-	}()
 }
 
 // writeComputeError maps pipeline failures onto shedding semantics:

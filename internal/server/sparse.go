@@ -4,25 +4,22 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"net/url"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/perfmodel"
 	"repro/internal/rapl"
 	"repro/internal/sparse"
 )
 
-// Sparse serving: GET /v1/recommend?matrix=sparse routes the request
-// through the same parse → cache → coalesce → admit → compute pipeline
-// as dense recommendations, but against the sparse iterative-solver
-// model and the CPU-vs-accelerator device axis. Two deliberate
-// asymmetries with the dense path:
+// Sparse serving: GET /v1/recommend?matrix=sparse is its own route
+// through the one pipeline, against the sparse iterative-solver model and
+// the CPU-vs-accelerator device axis. Two deliberate asymmetries with the
+// dense route:
 //
 //   - The surrogate never answers: it is trained on the dense LU/IMe
-//     envelope only, so the fast-path stage is skipped entirely
-//     (fast=nil) and every cache miss is computed exactly.
+//     envelope only, so the route has no surrogate attempt and every
+//     cache miss is computed exactly.
 //   - There are no model knobs. The sparse model has no overlap, block
 //     size or power-cap semantics; every consumer models with default
 //     perfmodel.Params so cells share one store identity with lsbench
@@ -33,9 +30,7 @@ import (
 type SparseRecommendRequest struct {
 	Algorithm sparse.Algorithm
 	Kind      sparse.Kind
-	N         int
-	Ranks     int
-	Placement cluster.Placement
+	job
 	Objective core.Objective
 	Band      int
 	Density   float64
@@ -124,16 +119,15 @@ func sparseRecommendResponse(req SparseRecommendRequest, rec core.SparseRecommen
 	}
 }
 
-// recommendSparse is the real sparse evaluator: both device cells
-// through Config.Store (nil or not), shared with lsbench and campaign
-// runs.
-func (s *Server) recommendSparse(req SparseRecommendRequest) (SparseRecommendResponse, error) {
+// computeSparse models both device cells through Config.Store (nil or
+// not), shared with lsbench and campaign runs.
+func (s *Server) computeSparse(ctx context.Context, req SparseRecommendRequest) ([]byte, error) {
 	rec, computed, err := core.RecommendSparseStored(req.Algorithm, req.spec(), req.Ranks, req.Placement, req.Objective, perfmodel.Params{}, s.cfg.Store)
 	if err != nil {
-		return SparseRecommendResponse{}, err
+		return nil, err
 	}
 	s.countStoreCells(computed, 2-computed)
-	return sparseRecommendResponse(req, rec), nil
+	return marshalStage(ctx, sparseRecommendResponse(req, rec))
 }
 
 // ParseSparseRecommendRequest canonicalizes the query of
@@ -157,24 +151,9 @@ func ParseSparseRecommendRequest(q url.Values) (SparseRecommendRequest, error) {
 	if req.Kind, err = sparse.ParseKind(v); err != nil {
 		return req, fmt.Errorf("parameter kind: %w", err)
 	}
-	if req.N, err = queryInt(q, "n", 0); err != nil {
-		return req, err
-	}
-	if req.N <= 0 || req.N > maxOrder {
-		return req, fmt.Errorf("parameter n: want 1..%d, got %d", maxOrder, req.N)
-	}
-	if req.Ranks, err = queryInt(q, "ranks", 0); err != nil {
-		return req, err
-	}
-	req.Placement = cluster.FullLoad
-	if v := q.Get("placement"); v != "" {
-		if req.Placement, err = cluster.ParsePlacement(v); err != nil {
-			return req, err
-		}
-	}
 	// Both device configurations share node geometry; validating against
 	// the baseline spec covers the accelerated one too.
-	if _, err = cluster.NewConfig(req.Ranks, req.Placement, cluster.MarconiA3()); err != nil {
+	if req.job, err = parseJob(q); err != nil {
 		return req, err
 	}
 	if req.Ranks > req.N {
@@ -197,29 +176,6 @@ func ParseSparseRecommendRequest(q url.Values) (SparseRecommendRequest, error) {
 	} else if capW != 0 {
 		return req, errors.New("parameter cap_w: not supported with matrix=sparse (sparse kernels are not cap-modelled)")
 	}
-	req.Objective = core.MinEnergy
-	if v := q.Get("objective"); v != "" {
-		if req.Objective, err = core.ParseObjective(v); err != nil {
-			return req, err
-		}
-	}
-	return req, nil
-}
-
-func (s *Server) handleRecommendSparse(w http.ResponseWriter, r *http.Request) {
-	req, err := parseStage(r, func() (SparseRecommendRequest, error) { return ParseSparseRecommendRequest(r.URL.Query()) })
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	// fast is nil by design: the surrogate's envelope is the dense
-	// LU/IMe grid, so it strictly refuses sparse queries — every cache
-	// miss runs the exact sparse model.
-	s.serveCached(w, r, "recommend", req.cacheKey(), nil, func(ctx context.Context) ([]byte, error) {
-		resp, err := s.evalRecommendSparse(req)
-		if err != nil {
-			return nil, err
-		}
-		return marshalStage(ctx, resp)
-	})
+	req.Objective, err = queryObjective(q)
+	return req, err
 }

@@ -29,12 +29,6 @@ func TestSparseRecommendColdWarm(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(Config{Surrogate: sur})
-	evals := 0
-	realEval := s.evalRecommendSparse
-	s.evalRecommendSparse = func(req SparseRecommendRequest) (SparseRecommendResponse, error) {
-		evals++
-		return realEval(req)
-	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -49,10 +43,10 @@ func TestSparseRecommendColdWarm(t *testing.T) {
 	if !bytes.Equal(cold, warm) {
 		t.Fatalf("warm body differs from cold:\ncold: %s\nwarm: %s", cold, warm)
 	}
-	if evals != 1 {
-		t.Fatalf("underlying sparse evaluations = %d, want exactly 1", evals)
-	}
 	em := s.m.endpoint("recommend")
+	if got := em.compute.Value(); got != 1 {
+		t.Fatalf("underlying sparse evaluations = %g, want exactly 1", got)
+	}
 	if got := em.surrogate.Value(); got != 0 {
 		t.Fatalf("surrogate served %g sparse requests, want 0 (strict refusal)", got)
 	}
@@ -218,15 +212,14 @@ func TestSparseStoreBackedRecommend(t *testing.T) {
 // requests can never collide in the cache, and that the dense key shape
 // is untouched by the sparse extension.
 func TestSparseCacheKeyDisjointFromDense(t *testing.T) {
-	dense := RecommendRequest{N: 8640, Ranks: 144, Placement: cluster.FullLoad,
-		Objective: core.MinEnergy, Overlap: true, BlockSize: 64}
+	shape := job{N: 8640, Ranks: 144, Placement: cluster.FullLoad}
+	dense := RecommendRequest{job: shape, knobs: knobs{Overlap: true, BlockSize: 64}, Objective: core.MinEnergy}
 	if got, want := dense.cacheKey(),
 		"v1/recommend|n=8640|ranks=144|pl=full-load|obj=min-energy|ov=true|nb=64|cap=0"; got != want {
 		t.Fatalf("dense cache key changed:\n got %s\nwant %s", got, want)
 	}
 	sp := SparseRecommendRequest{Algorithm: sparse.CG, Kind: sparse.Banded,
-		N: 8640, Ranks: 144, Placement: cluster.FullLoad, Objective: core.MinEnergy,
-		Band: 256, Cond: 1e4}
+		job: shape, Objective: core.MinEnergy, Band: 256, Cond: 1e4}
 	if !strings.HasPrefix(sp.cacheKey(), "v1/recommend|matrix=sparse|") {
 		t.Fatalf("sparse cache key %q does not carry the matrix discriminator", sp.cacheKey())
 	}

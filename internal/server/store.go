@@ -1,7 +1,6 @@
 package server
 
 import (
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/perfmodel"
 )
@@ -25,14 +24,10 @@ func (s *Server) countStoreCells(computed, hits int) {
 // exactly what ParseSweepRequest produces for the default paper-grid
 // POST, so the warmed body keys the same cache entry.
 func paperSweepRequest() SweepRequest {
-	req := SweepRequest{
-		Overlap:   true,
-		BlockSize: perfmodel.Params{}.Normalized().BlockSize,
+	return SweepRequest{
+		Cells: core.SweepKeys(),
+		knobs: knobs{Overlap: true, BlockSize: perfmodel.Params{}.Normalized().BlockSize},
 	}
-	for _, k := range core.SweepKeys() {
-		req.Cells = append(req.Cells, SweepCell{Algorithm: k.Algorithm, N: k.N, Ranks: k.Ranks, Placement: k.Placement})
-	}
-	return req
 }
 
 // WarmFromStore pre-renders response bodies for every default-parameter
@@ -50,16 +45,12 @@ func (s *Server) WarmFromStore() int {
 	}
 	req := paperSweepRequest()
 	prm := req.params()
-	type shape struct {
-		n, ranks  int
-		placement cluster.Placement
-	}
-	byShape := make(map[shape]map[perfmodel.Algorithm]core.Measurement)
+	// The stored cells of each shape, by solver.
+	imeCells := make(map[job]core.Measurement)
+	geCells := make(map[job]core.Measurement)
 	cells := make([]CellResult, 0, len(req.Cells))
-	complete := true
 	for _, c := range req.Cells {
-		e := core.Experiment{Algorithm: c.Algorithm, N: c.N, Ranks: c.Ranks, Placement: c.Placement}
-		m, ok, err := core.LookupAnalyticCell(st, e, prm)
+		m, ok, err := core.LookupAnalyticCell(st, c.Experiment(), prm)
 		if err != nil {
 			// Stored but unreadable is not the same as missing: say so,
 			// then skip it like a missing one.
@@ -68,43 +59,35 @@ func (s *Server) WarmFromStore() int {
 			ok = false
 		}
 		if !ok {
-			complete = false
 			continue
 		}
-		sh := shape{c.N, c.Ranks, c.Placement}
-		if byShape[sh] == nil {
-			byShape[sh] = make(map[perfmodel.Algorithm]core.Measurement, 2)
+		sh := job{c.N, c.Ranks, c.Placement}
+		if c.Algorithm == perfmodel.IMe {
+			imeCells[sh] = m
+		} else {
+			geCells[sh] = m
 		}
-		byShape[sh][c.Algorithm] = m
 		cells = append(cells, cellResult(m))
 	}
 	warmed := 0
-	if complete {
-		if body, err := marshalBody(sweepResponse(req, cells)); err == nil {
-			s.cache.Put(req.cacheKey(), body)
+	warm := func(key string, v any) {
+		if body, err := marshalBody(v); err == nil {
+			s.cache.Put(key, body)
 			warmed++
 		}
 	}
-	for sh, ms := range byShape {
-		imeM, okI := ms[perfmodel.IMe]
-		geM, okG := ms[perfmodel.ScaLAPACK]
-		if !okI || !okG {
+	if len(cells) == len(req.Cells) {
+		warm(req.cacheKey(), sweepResponse(req, cells))
+	}
+	for sh, imeM := range imeCells {
+		geM, ok := geCells[sh]
+		if !ok {
 			continue
 		}
-		rec, err := core.Rank(imeM, geM, core.MinEnergy)
-		if err != nil {
-			continue
+		if rec, err := core.Rank(imeM, geM, core.MinEnergy); err == nil {
+			rreq := RecommendRequest{job: sh, knobs: req.knobs, Objective: core.MinEnergy}
+			warm(rreq.cacheKey(), recommendResponse(rreq, rec))
 		}
-		rreq := RecommendRequest{
-			N: sh.n, Ranks: sh.ranks, Placement: sh.placement,
-			Objective: core.MinEnergy, Overlap: req.Overlap, BlockSize: req.BlockSize,
-		}
-		body, err := marshalBody(recommendResponse(rreq, rec))
-		if err != nil {
-			continue
-		}
-		s.cache.Put(rreq.cacheKey(), body)
-		warmed++
 	}
 	return warmed
 }

@@ -7,95 +7,56 @@ import (
 	"repro/internal/surrogate"
 )
 
-// The learned fast path. Each function returns the marshalled response
+// The learned fast path. Each attempt returns the marshalled response
 // body for an in-envelope request, or ok=false to send the request down
-// the exact pipeline. The bodies are built with the same marshalling and
-// the same verdict logic (core.Rank) as the exact evaluators, so the fast
-// path can only change measurement values — inside the surrogate's pinned
-// error envelope — never response shape or ranking rules.
+// the exact pipeline. The bodies are rendered by the exact routes'
+// renderers with the same verdict rule (core.Rank), so the fast path can
+// only change measurement values — inside the surrogate's pinned error
+// envelope — never response shape or ranking rules. The pipeline only
+// calls these when Config.Surrogate is set.
 
-// surrogateMeasurement shapes one surrogate prediction like the exact
-// path's Measurement, with the engine labelled honestly.
-func surrogateMeasurement(alg perfmodel.Algorithm, n, ranks int, pl cluster.Placement, cfg cluster.Config, res perfmodel.Result) core.Measurement {
-	return core.Measurement{
-		Experiment: core.Experiment{Algorithm: alg, N: n, Ranks: ranks, Placement: pl},
-		Config:     cfg,
-		DurationS:  res.DurationS,
-		TotalJ:     res.TotalJ,
-		EnergyJ:    res.EnergyJ,
-		Engine:     "surrogate",
+// fastRecommend answers a dense recommendation from the surrogate. A
+// recommendation needs both solvers in envelope; if either prediction is
+// refused the whole request falls back, keeping the two cells of one
+// verdict from mixing engines.
+func (s *Server) fastRecommend(req RecommendRequest) ([]byte, bool) {
+	cfg, err := cluster.NewConfig(req.Ranks, req.Placement, cluster.MarconiA3())
+	if err != nil {
+		return nil, false
 	}
+	p, prm := s.cfg.Surrogate, req.params()
+	imeRes, ok := p.Predict(perfmodel.IMe, req.N, cfg, prm)
+	if !ok {
+		return nil, false
+	}
+	geRes, ok := p.Predict(perfmodel.ScaLAPACK, req.N, cfg, prm)
+	if !ok {
+		return nil, false
+	}
+	rec, err := core.Rank(
+		req.measurement(perfmodel.IMe, cfg, imeRes),
+		req.measurement(perfmodel.ScaLAPACK, cfg, geRes),
+		req.Objective,
+	)
+	if err != nil {
+		return nil, false
+	}
+	body, err := marshalBody(recommendResponse(req, rec))
+	return body, err == nil
 }
 
-// fastRecommend returns the surrogate attempt for a recommend request,
-// or nil when no surrogate is configured. A recommendation needs both
-// solvers in envelope; if either prediction is refused the whole request
-// falls back, keeping the two cells of one verdict from mixing engines.
-func (s *Server) fastRecommend(req RecommendRequest) func() ([]byte, bool) {
-	p := s.cfg.Surrogate
-	if p == nil {
-		return nil
+// fastPredict answers a predict request from the surrogate.
+func (s *Server) fastPredict(req PredictRequest) ([]byte, bool) {
+	cfg, err := cluster.NewConfig(req.Ranks, req.Placement, cluster.MarconiA3())
+	if err != nil {
+		return nil, false
 	}
-	return func() ([]byte, bool) {
-		cfg, err := cluster.NewConfig(req.Ranks, req.Placement, cluster.MarconiA3())
-		if err != nil {
-			return nil, false
-		}
-		prm := req.params()
-		imeRes, ok := p.Predict(perfmodel.IMe, req.N, cfg, prm)
-		if !ok {
-			return nil, false
-		}
-		geRes, ok := p.Predict(perfmodel.ScaLAPACK, req.N, cfg, prm)
-		if !ok {
-			return nil, false
-		}
-		rec, err := core.Rank(
-			surrogateMeasurement(perfmodel.IMe, req.N, req.Ranks, req.Placement, cfg, imeRes),
-			surrogateMeasurement(perfmodel.ScaLAPACK, req.N, req.Ranks, req.Placement, cfg, geRes),
-			req.Objective,
-		)
-		if err != nil {
-			return nil, false
-		}
-		body, err := marshalBody(RecommendResponse{
-			N:         req.N,
-			Ranks:     req.Ranks,
-			Placement: req.Placement.String(),
-			Objective: rec.Objective.String(),
-			Best:      rec.Best.String(),
-			MarginPct: 100 * rec.Margin,
-			IMe:       cellResult(rec.IMe),
-			ScaLAPACK: cellResult(rec.ScaLAPACK),
-		})
-		return body, err == nil
+	res, ok := s.cfg.Surrogate.Predict(req.Algorithm, req.N, cfg, req.params())
+	if !ok {
+		return nil, false
 	}
-}
-
-// fastPredict returns the surrogate attempt for a predict request, or
-// nil when no surrogate is configured.
-func (s *Server) fastPredict(req PredictRequest) func() ([]byte, bool) {
-	p := s.cfg.Surrogate
-	if p == nil {
-		return nil
-	}
-	return func() ([]byte, bool) {
-		cfg, err := cluster.NewConfig(req.Ranks, req.Placement, cluster.MarconiA3())
-		if err != nil {
-			return nil, false
-		}
-		res, ok := p.Predict(req.Algorithm, req.N, cfg, req.params())
-		if !ok {
-			return nil, false
-		}
-		m := surrogateMeasurement(req.Algorithm, req.N, req.Ranks, req.Placement, cfg, res)
-		body, err := marshalBody(PredictResponse{
-			CellResult:   cellResult(m),
-			ComputeS:     res.ComputeS,
-			ExposedCommS: res.ExposedCommS,
-		})
-		return body, err == nil
-	}
+	body, err := marshalBody(predictResponse(req, cfg, res))
+	return body, err == nil
 }
 
 // DefaultSurrogate loads the committed embedded coefficient table, for

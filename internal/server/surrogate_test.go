@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/cluster"
@@ -15,25 +14,13 @@ import (
 	"repro/internal/surrogate"
 )
 
-func newSurrogateServer(t *testing.T, cfg Config) (*Server, *atomic.Int64, *atomic.Int64) {
+func newSurrogateServer(t *testing.T) *Server {
 	t.Helper()
 	p, err := surrogate.Default()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Surrogate = p
-	s := New(cfg)
-	var recEvals, predEvals atomic.Int64
-	realRec, realPred := s.evalRecommend, s.evalPredict
-	s.evalRecommend = func(req RecommendRequest) (RecommendResponse, error) {
-		recEvals.Add(1)
-		return realRec(req)
-	}
-	s.evalPredict = func(req PredictRequest) (PredictResponse, error) {
-		predEvals.Add(1)
-		return realPred(req)
-	}
-	return s, &recEvals, &predEvals
+	return New(Config{Surrogate: p})
 }
 
 // TestSurrogateServesRecommendColdMiss is the tentpole acceptance
@@ -42,7 +29,7 @@ func newSurrogateServer(t *testing.T, cfg Config) (*Server, *atomic.Int64, *atom
 // request path, the verdict matches the exact advisor, and the warm
 // repeat serves the identical bytes from cache.
 func TestSurrogateServesRecommendColdMiss(t *testing.T) {
-	s, recEvals, _ := newSurrogateServer(t, Config{})
+	s := newSurrogateServer(t)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -50,9 +37,6 @@ func TestSurrogateServesRecommendColdMiss(t *testing.T) {
 	code, cold, _ := get(t, url)
 	if code != http.StatusOK {
 		t.Fatalf("cold recommend: %d: %s", code, cold)
-	}
-	if n := recEvals.Load(); n != 0 {
-		t.Fatalf("exact evaluations on surrogate path = %d, want 0", n)
 	}
 	em := s.m.endpoint("recommend")
 	if got := em.surrogate.Value(); got != 1 {
@@ -87,7 +71,7 @@ func TestSurrogateServesRecommendColdMiss(t *testing.T) {
 // to the predictor itself: the served cell is exactly what
 // surrogate.Predict returns, marshalled once.
 func TestSurrogatePredictMatchesPredictor(t *testing.T) {
-	s, _, predEvals := newSurrogateServer(t, Config{})
+	s := newSurrogateServer(t)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -95,8 +79,8 @@ func TestSurrogatePredictMatchesPredictor(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("predict: %d: %s", code, body)
 	}
-	if n := predEvals.Load(); n != 0 {
-		t.Fatalf("exact evaluations = %d, want 0", n)
+	if n := s.m.endpoint("predict").compute.Value(); n != 0 {
+		t.Fatalf("exact evaluations = %g, want 0", n)
 	}
 	p, err := surrogate.Default()
 	if err != nil {
@@ -124,7 +108,7 @@ func TestSurrogatePredictMatchesPredictor(t *testing.T) {
 // out-of-envelope requests run the exact pipeline (and count as
 // fallbacks), in-envelope ones never reach it.
 func TestSurrogateFallsBackToExact(t *testing.T) {
-	s, recEvals, predEvals := newSurrogateServer(t, Config{})
+	s := newSurrogateServer(t)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -140,61 +124,15 @@ func TestSurrogateFallsBackToExact(t *testing.T) {
 			t.Fatalf("%s: %d: %s", path, code, body)
 		}
 	}
-	if got := recEvals.Load() + predEvals.Load(); got != int64(len(outOfEnvelope)) {
-		t.Fatalf("exact evaluations = %d, want %d (every request out of envelope)", got, len(outOfEnvelope))
-	}
 	em := s.m.endpoint("recommend")
+	if got := em.compute.Value() + s.m.endpoint("predict").compute.Value(); got != float64(len(outOfEnvelope)) {
+		t.Fatalf("exact evaluations = %g, want %d (every request out of envelope)", got, len(outOfEnvelope))
+	}
 	if got := em.fallback.Value(); got != 2 {
 		t.Fatalf("server_surrogate_fallback_total{recommend} = %g, want 2", got)
 	}
 	if got := s.m.endpoint("predict").fallback.Value(); got != 3 {
 		t.Fatalf("server_surrogate_fallback_total{predict} = %g, want 3", got)
-	}
-}
-
-// TestSurrogateRefreshConvergesToExact: with SurrogateRefresh on, a
-// surrogate-served miss schedules one background exact computation and
-// the cache converges to the exact body, byte-identical to what the
-// exact-only server would have produced.
-func TestSurrogateRefreshConvergesToExact(t *testing.T) {
-	s, recEvals, _ := newSurrogateServer(t, Config{SurrogateRefresh: true})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	code, cold, _ := get(t, ts.URL+"/v1/recommend?n=8640&ranks=144")
-	if code != http.StatusOK {
-		t.Fatalf("cold recommend: %d: %s", code, cold)
-	}
-	s.refreshWG.Wait()
-	if n := recEvals.Load(); n != 1 {
-		t.Fatalf("background exact evaluations = %d, want 1", n)
-	}
-	em := s.m.endpoint("recommend")
-	if got := em.refreshed.Value(); got != 1 {
-		t.Fatalf("server_surrogate_refreshed_total{recommend} = %g, want 1", got)
-	}
-
-	code, warm, _ := get(t, ts.URL+"/v1/recommend?n=8640&ranks=144")
-	if code != http.StatusOK {
-		t.Fatalf("warm recommend: %d", code)
-	}
-	req, err := ParseRecommendRequest(mustQuery(t, "n=8640&ranks=144"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	exactResp, err := s.recommend(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := marshalBody(exactResp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(warm, exact) {
-		t.Fatalf("refreshed body is not the exact body:\nwarm:  %s\nexact: %s", warm, exact)
-	}
-	if bytes.Equal(cold, warm) {
-		t.Fatal("surrogate and exact bodies are byte-identical — refresh test is vacuous")
 	}
 }
 
@@ -205,12 +143,6 @@ func TestSurrogateRefreshConvergesToExact(t *testing.T) {
 // identical bytes from cache.
 func TestNormalizedRequestIdentity(t *testing.T) {
 	s := New(Config{}) // exact-only: the property is about keys, not engines
-	var evals atomic.Int64
-	realPred := s.evalPredict
-	s.evalPredict = func(req PredictRequest) (PredictResponse, error) {
-		evals.Add(1)
-		return realPred(req)
-	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -238,26 +170,13 @@ func TestNormalizedRequestIdentity(t *testing.T) {
 			t.Fatalf("spelling %d (%s) body differs from spelling 0:\n%s\n%s", i, q, body, first)
 		}
 	}
-	if n := evals.Load(); n != 1 {
-		t.Fatalf("computations = %d, want exactly 1 across %d spellings", n, len(spellings))
-	}
 	em := s.m.endpoint("predict")
+	if n := em.compute.Value(); n != 1 {
+		t.Fatalf("computations = %g, want exactly 1 across %d spellings", n, len(spellings))
+	}
 	if got := em.hits.Value(); got != float64(len(spellings)-1) {
 		t.Fatalf("cache hits = %g, want %d", got, len(spellings)-1)
 	}
-}
-
-func mustQuery(t *testing.T, raw string) map[string][]string {
-	t.Helper()
-	q := map[string][]string{}
-	for _, kv := range bytes.Split([]byte(raw), []byte("&")) {
-		parts := bytes.SplitN(kv, []byte("="), 2)
-		if len(parts) != 2 {
-			t.Fatalf("bad query fragment %q", kv)
-		}
-		q[string(parts[0])] = append(q[string(parts[0])], string(parts[1]))
-	}
-	return q
 }
 
 // TestCacheInstrumentation pins the eviction counters and residency

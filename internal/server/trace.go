@@ -11,8 +11,8 @@ import (
 // stage (parse, cache, surrogate, coalesce, admission, compute, marshal)
 // and — when a compute actually runs — the modelled solver's virtual-time
 // spans with their energy totals. A nil *requestTrace is inert, so the
-// untraced path (tracing disabled, background refresh, debug endpoints)
-// costs one branch per stage.
+// untraced path (tracing disabled, cache warming, debug endpoints) costs
+// one branch per stage.
 
 // requestTrace is one traced request's state. It is written by the
 // request's own goroutine only (the coalescer runs the compute closure on
