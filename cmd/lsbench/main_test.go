@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -63,6 +66,40 @@ func TestStoreAndParallelismPreserveOutput(t *testing.T) {
 	}
 	if st2.Appended() != 0 {
 		t.Errorf("reopened store appended %d records, want 0 (everything was stored)", st2.Appended())
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
+
+// TestCellSetOutputPinned pins the stdout of `-figure repetitions` and
+// `-figure resilience -faults` byte for byte: the two artifacts whose
+// cells a campaign stage also runs.
+func TestCellSetOutputPinned(t *testing.T) {
+	for _, tc := range []struct {
+		figure string
+		faults faultsConfig
+	}{
+		{"repetitions", faultsConfig{}},
+		{"resilience", faultsConfig{enabled: true, seed: 5}},
+	} {
+		var buf bytes.Buffer
+		if err := run(&buf, tc.figure, "table", true, 0, 0, "", 1, tc.faults, nil); err != nil {
+			t.Fatalf("run(%s): %v", tc.figure, err)
+		}
+		path := filepath.Join("testdata", tc.figure+".golden")
+		if *update {
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("-figure %s output differs from %s:\n got:\n%s\nwant:\n%s", tc.figure, path, buf.Bytes(), want)
+		}
 	}
 }
 
