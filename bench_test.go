@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/grid"
 	"repro/internal/ime"
 	"repro/internal/kernel"
 	"repro/internal/mat"
@@ -30,7 +31,7 @@ import (
 
 func newSweep(b *testing.B) *core.Sweep {
 	b.Helper()
-	s, err := core.NewSweep(perfmodel.Params{Overlap: true})
+	s, err := core.SweepCells(core.SweepKeys(), perfmodel.Params{Overlap: true}).Collect(&core.Evaluator{Runner: grid.New(0)})
 	if err != nil {
 		b.Fatal(err)
 	}

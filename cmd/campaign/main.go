@@ -16,8 +16,8 @@
 //	campaign -store .store -bench BENCH_store.json
 //
 // Artifacts are emitted strictly from the store (a missing cell is an
-// error, not a recompute) with provenance headers naming the store
-// digest and record count.
+// error, not a recompute, and emission never writes to the store) with
+// provenance headers naming the store digest and record count.
 package main
 
 import (

@@ -147,7 +147,7 @@ type faultsConfig struct {
 }
 
 // run builds and emits the requested artifacts. st, when non-nil, is the
-// content-addressed experiment store the cell-grid artifacts (sweep,
+// content-addressed experiment store the cell-set artifacts (sweeps,
 // repetitions, resilience) read through and persist to; the emitted
 // bytes are identical with or without it — the store only removes
 // recomputation.
@@ -199,28 +199,46 @@ func run(w io.Writer, figure, format string, overlap bool, capW float64, nb int,
 		return err
 	}
 
+	// Every cell set is collected here, before the artifact-level grid.Map
+	// below: an artifact closure runs on one of that Map's slots, and a
+	// nested Map on the same runner deadlocks at -j 1 (the outer cell holds
+	// the only slot the inner acquire waits for).
+	ev := &core.Evaluator{Store: st, Runner: runner}
+	wants := func(name string) bool { return figure == name || figure == "all" }
 	needSweep := figure != "table1" && figure != "messages" &&
 		figure != "ablation" && figure != "blocksize" && figure != "slurm" &&
 		figure != "repetitions" && figure != "breakdown" && figure != "sparse"
 	var sweep *core.Sweep
 	if needSweep {
 		var err error
-		sweep, _, err = core.NewSweepStored(perfmodel.Params{Overlap: overlap, PowerCapW: capW, BlockSize: nb}, runner, st)
+		sweep, err = core.SweepCells(core.SweepKeys(), perfmodel.Params{Overlap: overlap, PowerCapW: capW, BlockSize: nb}).Collect(ev)
 		if err != nil {
 			return err
 		}
 	}
-	// The sparse sweep is built here, next to the dense one, rather than
-	// inside its artifact closure: closures run under the artifact-level
-	// grid.Map, and a nested Map on the same runner deadlocks at -j 1
-	// (the outer cell holds the only slot the inner acquire waits for).
 	var sparseSweep *core.SparseSweep
-	if (figure == "sparse" || figure == "all") && capW == 0 {
+	if wants("sparse") && capW == 0 {
 		var err error
-		sparseSweep, _, err = core.NewSparseSweepStored(perfmodel.Params{}, runner, st)
+		sparseSweep, err = core.SparseSweepCells(perfmodel.Params{}).Collect(ev)
 		if err != nil {
 			return err
 		}
+	}
+	var repetitions *report.Table
+	if wants("repetitions") {
+		var err error
+		repetitions, err = core.RepetitionStudy(perfmodel.Params{Overlap: overlap, PowerCapW: capW}).Collect(ev)
+		if err != nil {
+			return err
+		}
+	}
+	var resilience *report.Table
+	if faults.enabled && wants("resilience") {
+		pts, err := core.ResilienceSweep(faults.mtbf, faults.seed).Collect(ev)
+		if err != nil {
+			return err
+		}
+		resilience = core.ResilienceTable(pts)
 	}
 
 	artifacts := map[string]func() (*report.Table, error){
@@ -261,26 +279,11 @@ func run(w io.Writer, figure, format string, overlap bool, capW float64, nb int,
 			}
 			return sparseSweep.SparseFigure()
 		},
-		"repetitions": func() (*report.Table, error) {
-			var cells []core.SweepKey
-			for _, alg := range perfmodel.Algorithms() {
-				for _, n := range cluster.PaperMatrixDims() {
-					cells = append(cells, core.SweepKey{
-						Algorithm: alg, N: n, Ranks: 144, Placement: cluster.FullLoad,
-					})
-				}
-			}
-			t, _, err := core.RepetitionStudyStored(cells,
-				perfmodel.Params{Overlap: overlap, PowerCapW: capW}, 10, 0.05, st)
-			return t, err
-		},
+		"repetitions": func() (*report.Table, error) { return repetitions, nil },
 	}
 
 	if faults.enabled {
-		artifacts["resilience"] = func() (*report.Table, error) {
-			t, _, err := core.ResilienceArtifactStored(faults.mtbf, faults.seed, st)
-			return t, err
-		}
+		artifacts["resilience"] = func() (*report.Table, error) { return resilience, nil }
 	} else if figure == "resilience" {
 		return fmt.Errorf("the resilience artifact requires -faults")
 	}

@@ -9,11 +9,12 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/grid"
 	"repro/internal/perfmodel"
 )
 
 func main() {
-	sweep, err := core.NewSweep(perfmodel.Params{Overlap: true})
+	sweep, err := core.SweepCells(core.SweepKeys(), perfmodel.Params{Overlap: true}).Collect(&core.Evaluator{Runner: grid.New(0)})
 	if err != nil {
 		log.Fatal(err)
 	}

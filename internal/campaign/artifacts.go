@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -14,28 +15,20 @@ import (
 	"repro/internal/store"
 )
 
-// Artifact emission is strict: every number comes from the store, and a
-// missing cell is an error, never a recompute. Run the campaign first;
-// emit after. Each artifact starts with a provenance header naming the
-// store digest and record count it was read from, so an artifact can
-// always be traced back to the exact result set that produced it.
+// Artifact emission reads the store and never writes it: every artifact
+// collects one of the campaign's own cell sets through an evaluator whose
+// admit refuses every compute, so a cell the campaign has not stored is an
+// error naming the cell. Run the campaign first; emit after. Each artifact
+// starts with a provenance header naming the store digest and record count
+// it was read from, so an artifact can always be traced back to the exact
+// result set that produced it.
 
-// SweepFromStore reconstructs the full evaluation grid under the given
-// params from stored cells only. A missing cell fails with its
-// coordinates — the signal to (re)run the campaign, not to compute here.
-func SweepFromStore(st *store.Store, prm perfmodel.Params) (*core.Sweep, error) {
-	s := &core.Sweep{Params: prm, Measurements: make(map[core.SweepKey]core.Measurement)}
-	for _, k := range core.SweepKeys() {
-		m, ok, err := core.LookupAnalyticCell(st, k.Experiment(), prm)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, fmt.Errorf("campaign: store is missing cell %v (run the campaign first)", k)
-		}
-		s.Measurements[k] = m
-	}
-	return s, nil
+// errMissing is emission's answer to every compute.
+var errMissing = errors.New("campaign: missing cell, run the campaign first")
+
+// fromStore is the evaluator emission collects through.
+func fromStore(st *store.Store) *core.Evaluator {
+	return &core.Evaluator{Store: st, Runner: grid.New(1), Admit: func() error { return errMissing }}
 }
 
 // Provenance renders the header line pinned to the top of every emitted
@@ -44,51 +37,18 @@ func Provenance(st *store.Store) string {
 	return fmt.Sprintf("# provenance: experiment store digest %s (%d records)", st.Digest(), st.Len())
 }
 
-// monitoredTable renders the exact-engine reference runs from the store.
-func monitoredTable(st *store.Store) (*report.Table, error) {
-	t := &report.Table{
-		Title: "Monitored references: exact engine under the monitoring framework",
-		Headers: []string{"alg", "n", "ranks", "placement", "phase",
-			"duration s", "total J", "residual"},
-	}
-	for _, e := range monitoredReferences() {
-		m, ok, err := core.Lookup(st, core.MonitoredCell(e))
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, fmt.Errorf("campaign: store is missing monitored cell %v/%d/%d (run the campaign first)",
-				e.Algorithm, e.N, e.Ranks)
-		}
-		t.Add(e.Algorithm.String(), e.N, e.Ranks, e.Placement.String(), e.Phase.String(),
-			m.DurationS, m.TotalJ, m.Residual)
-	}
-	return t, nil
-}
-
-// strictTable guards table builders that fall back to computing on a
-// store miss: emission must never compute.
-func strictTable(name string, t *report.Table, computed int, err error) (*report.Table, error) {
-	if err != nil {
-		return nil, err
-	}
-	if computed > 0 {
-		return nil, fmt.Errorf("campaign: emitting %s required computing %d cells — the store is incomplete, run the campaign first", name, computed)
-	}
-	return t, nil
-}
-
 // Artifacts builds every paper-campaign artifact from the store, in a
 // fixed emission order.
 func Artifacts(st *store.Store) ([]struct {
 	Name  string
 	Table *report.Table
 }, error) {
-	paper, err := SweepFromStore(st, paperGridParams())
+	ev := fromStore(st)
+	paper, err := paperGrid(paperGridParams()).Collect(ev)
 	if err != nil {
 		return nil, err
 	}
-	ablation, err := SweepFromStore(st, perfmodel.Params{})
+	ablation, err := paperGrid(perfmodel.Params{}).Collect(ev)
 	if err != nil {
 		return nil, err
 	}
@@ -110,31 +70,28 @@ func Artifacts(st *store.Store) ([]struct {
 		{"ablation-figure5", ablation.Figure5()},
 	}
 	for _, capW := range PowerCaps() {
-		capped, err := SweepFromStore(st, perfmodel.Params{Overlap: true, PowerCapW: capW})
+		capped, err := paperGrid(perfmodel.Params{Overlap: true, PowerCapW: capW}).Collect(ev)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, artifact{fmt.Sprintf("powercap-%.0f", capW), capped.Figure6()})
 	}
-	reps, computed, err := core.RepetitionStudyStored(repetitionCells(), paperGridParams(),
-		RepetitionReps, RepetitionVariability, st)
-	if t, err := strictTable("repetitions", reps, computed, err); err != nil {
+	reps, err := core.RepetitionStudy(paperGridParams()).Collect(ev)
+	if err != nil {
 		return nil, err
-	} else {
-		out = append(out, artifact{"repetitions", t})
 	}
-	mon, err := monitoredTable(st)
+	out = append(out, artifact{"repetitions", reps})
+	mon, err := core.MonitoredReferences().Collect(ev)
 	if err != nil {
 		return nil, err
 	}
 	out = append(out, artifact{"monitored", mon})
-	res, computed, err := core.ResilienceArtifactStored(0, ResilienceSeed, st)
-	if t, err := strictTable("resilience", res, computed, err); err != nil {
+	pts, err := core.ResilienceSweep(0, ResilienceSeed).Collect(ev)
+	if err != nil {
 		return nil, err
-	} else {
-		out = append(out, artifact{"resilience", t})
 	}
-	sp, err := sparseTable(st)
+	out = append(out, artifact{"resilience", core.ResilienceTable(pts)})
+	sp, err := sparseTable(ev)
 	if err != nil {
 		return nil, err
 	}
@@ -142,15 +99,13 @@ func Artifacts(st *store.Store) ([]struct {
 	return out, nil
 }
 
-// sparseTable renders the sparse CPU-vs-accelerator grid from the store,
-// strictly: a cell the campaign has not computed yet is an error.
-func sparseTable(st *store.Store) (*report.Table, error) {
-	sw, computed, err := core.NewSparseSweepStored(sparseParams(), grid.New(1), st)
+// sparseTable renders the sparse CPU-vs-accelerator grid.
+func sparseTable(ev *core.Evaluator) (*report.Table, error) {
+	sw, err := core.SparseSweepCells(sparseParams()).Collect(ev)
 	if err != nil {
 		return nil, err
 	}
-	t, err := sw.SparseFigure()
-	return strictTable("sparse", t, computed, err)
+	return sw.SparseFigure()
 }
 
 // EmitArtifacts writes every artifact as a provenance-headed text file
@@ -201,18 +156,16 @@ type experimentsData struct {
 // renderExperiments produces the regenerated EXPERIMENTS.md bytes from
 // the store (strictly — an incomplete store is an error).
 func renderExperiments(st *store.Store) ([]byte, error) {
-	pts, computed, err := core.ResilienceSweepStored(0, ResilienceSeed, st)
+	ev := fromStore(st)
+	pts, err := core.ResilienceSweep(0, ResilienceSeed).Collect(ev)
 	if err != nil {
 		return nil, err
-	}
-	if computed > 0 {
-		return nil, fmt.Errorf("campaign: regenerating EXPERIMENTS.md required computing %d resilience runs — run the campaign first", computed)
 	}
 	var resTable bytes.Buffer
 	if err := core.WriteResilienceTable(&resTable, pts); err != nil {
 		return nil, err
 	}
-	paper, err := SweepFromStore(st, paperGridParams())
+	paper, err := paperGrid(paperGridParams()).Collect(ev)
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +173,7 @@ func renderExperiments(st *store.Store) ([]byte, error) {
 	if err := paper.Figure5().Markdown(&fig5); err != nil {
 		return nil, err
 	}
-	sp, err := sparseTable(st)
+	sp, err := sparseTable(ev)
 	if err != nil {
 		return nil, err
 	}

@@ -1,17 +1,19 @@
 // Package campaign is the orchestrator over the content-addressed
 // experiment store: a campaign declares *what cells must exist* — staged
-// sets of experiment cells (the paper grid, its ablations, scaling
-// sweeps, monitored references, resilience studies) — and Run makes them
-// exist with store-backed memoization across the internal/grid worker
-// pool. A cell already in the store is a hit and skips compute entirely;
-// a miss computes and appends. Because progress lives in the append-only
-// store rather than in process state, an interrupted campaign resumes
-// with zero lost work: the next run re-hits every completed cell and
-// computes only the remainder.
+// cell sets (the paper grid, its ablations, scaling sweeps, monitored
+// references, resilience studies), each defined once in internal/core —
+// and Run makes them exist with store-backed memoization across the
+// internal/grid worker pool. A cell already in the store is a hit and
+// skips compute entirely; a miss computes and appends. Because progress
+// lives in the append-only store rather than in process state, an
+// interrupted campaign resumes with zero lost work: the next run re-hits
+// every completed cell and computes only the remainder.
 //
 // Artifacts (the paper's figure tables, EXPERIMENTS.md) are then emitted
-// *from* the store — strictly, never computing — with provenance headers
-// naming the store digest and record count they were read from.
+// *from* the store: they collect the same cell sets through an evaluator
+// that refuses every compute, so a missing cell is an error naming it and
+// emission never writes to the store. Each carries a provenance header
+// naming the store digest and record count it was read from.
 package campaign
 
 import (
@@ -19,17 +21,20 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/grid"
 	"repro/internal/perfmodel"
 )
 
 // Stage is one named cell set of a campaign.
 type Stage struct {
 	Name string
-	// Cells is the stage's cell count, advertised for listings; the
-	// authoritative counts come from running it.
+	// Cells is the number of cell evaluations the stage makes.
 	Cells int
-	run   func(rc *Context) error
+	run   func(ev *core.Evaluator) error
+}
+
+// stage declares a campaign stage that runs one of core's cell sets.
+func stage[R any](name string, cells core.CellSet[R]) Stage {
+	return Stage{Name: name, Cells: cells.Len(), run: cells.Run}
 }
 
 // Campaign is a staged experiment plan.
@@ -39,7 +44,7 @@ type Campaign struct {
 	Stages      []Stage
 }
 
-// Cells sums the advertised cell counts across stages.
+// Cells sums the stages' cell counts.
 func (c Campaign) Cells() int {
 	total := 0
 	for _, s := range c.Stages {
@@ -61,151 +66,9 @@ func paperGridParams() perfmodel.Params { return perfmodel.Params{Overlap: true}
 // PowerCaps are the §6 future-work cap points the paper campaign sweeps.
 func PowerCaps() []float64 { return []float64{110, 130} }
 
-// repetitionCells returns the repeatability study's grid cells — both
-// algorithms across the paper dimensions at 144 ranks full load, the
-// cells lsbench's -figure repetitions folds statistics over.
-func repetitionCells() []core.SweepKey {
-	var cells []core.SweepKey
-	for _, alg := range perfmodel.Algorithms() {
-		for _, n := range cluster.PaperMatrixDims() {
-			cells = append(cells, core.SweepKey{
-				Algorithm: alg, N: n, Ranks: 144, Placement: cluster.FullLoad,
-			})
-		}
-	}
-	return cells
-}
-
-const (
-	// RepetitionReps and RepetitionVariability mirror the paper's "ten
-	// repetitions for each job" under ±5% machine variability.
-	RepetitionReps        = 10
-	RepetitionVariability = 0.05
-)
-
-// monitoredReferences are the paper campaign's exact-engine runs: the
-// observability reference cell (both monitored phases) and one
-// full-load node per solver at the largest order the monitored engine
-// covers in reasonable time.
-func monitoredReferences() []core.Experiment {
-	return []core.Experiment{
-		{Algorithm: perfmodel.IMe, N: 96, Ranks: 24, Placement: cluster.HalfLoadTwoSockets, Seed: 1, Phase: core.PhaseGeneral},
-		{Algorithm: perfmodel.IMe, N: 96, Ranks: 24, Placement: cluster.HalfLoadTwoSockets, Seed: 1, Phase: core.PhaseCompute},
-		{Algorithm: perfmodel.IMe, N: 384, Ranks: 48, Placement: cluster.FullLoad, Seed: 7, BlockSize: 16},
-		{Algorithm: perfmodel.ScaLAPACK, N: 384, Ranks: 48, Placement: cluster.FullLoad, Seed: 7, BlockSize: 16},
-	}
-}
-
-// gridStage declares one full 72-cell paper grid under the given params.
-func gridStage(name string, prm perfmodel.Params) Stage {
-	keys := core.SweepKeys()
-	return Stage{
-		Name:  name,
-		Cells: len(keys),
-		run: func(rc *Context) error {
-			_, err := grid.Map(rc.runner, len(keys), func(i int) (struct{}, error) {
-				return struct{}{}, evalCell(rc, core.AnalyticCell{E: keys[i].Experiment(), Params: prm})
-			})
-			return err
-		},
-	}
-}
-
-// scalingStage declares a strong-scaling sweep over extra matrix
-// dimensions off the paper grid (full-load placements).
-func scalingStage(name string, dims []int) Stage {
-	type cell struct {
-		alg   perfmodel.Algorithm
-		n     int
-		ranks int
-	}
-	var cells []cell
-	for _, n := range dims {
-		for _, ranks := range cluster.PaperRankCounts() {
-			for _, alg := range perfmodel.Algorithms() {
-				cells = append(cells, cell{alg, n, ranks})
-			}
-		}
-	}
-	prm := paperGridParams()
-	return Stage{
-		Name:  name,
-		Cells: len(cells),
-		run: func(rc *Context) error {
-			_, err := grid.Map(rc.runner, len(cells), func(i int) (struct{}, error) {
-				c := cells[i]
-				e := core.Experiment{Algorithm: c.alg, N: c.n, Ranks: c.ranks, Placement: cluster.FullLoad}
-				return struct{}{}, evalCell(rc, core.AnalyticCell{E: e, Params: prm})
-			})
-			return err
-		},
-	}
-}
-
-// repetitionsStage declares every repetition of the repeatability study
-// as its own cell (the per-repetition noise seed is part of the analytic
-// identity), mirroring core.RunRepeatedAnalytic's enumeration exactly so
-// the study's table builder hits every cell.
-func repetitionsStage() Stage {
-	cells := repetitionCells()
-	base := paperGridParams()
-	type rep struct {
-		key core.SweepKey
-		r   int
-	}
-	var reps []rep
-	for _, cell := range cells {
-		for r := 0; r < RepetitionReps; r++ {
-			reps = append(reps, rep{cell, r})
-		}
-	}
-	return Stage{
-		Name:  "repetitions",
-		Cells: len(reps),
-		run: func(rc *Context) error {
-			_, err := grid.Map(rc.runner, len(reps), func(i int) (struct{}, error) {
-				p := base
-				p.NodeVariability = RepetitionVariability
-				p.NoiseSeed = int64(reps[i].r + 1)
-				return struct{}{}, evalCell(rc, core.AnalyticCell{E: reps[i].key.Experiment(), Params: p})
-			})
-			return err
-		},
-	}
-}
-
-// monitoredStage declares the exact-engine reference runs. They execute
-// serially: the monitored engine spins up a full simulated world per
-// run, and the process-global kernel pool is not meant to be shared by
-// concurrent worlds.
-func monitoredStage() Stage {
-	refs := monitoredReferences()
-	return Stage{
-		Name:  "monitored-reference",
-		Cells: len(refs),
-		run: func(rc *Context) error {
-			for _, e := range refs {
-				if err := evalCell(rc, core.MonitoredCell(e)); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-	}
-}
-
-// resilienceStage declares the MTBF sweep of both solvers under the
-// seed-driven crash schedule — the campaign's most expensive tier (each
-// point executes several solver worlds).
-func resilienceStage(seed int64) Stage {
-	return Stage{
-		Name: "resilience",
-		// probe + 5 MTBF points × 2 solvers.
-		Cells: 11,
-		run: func(rc *Context) error {
-			return rc.ResilienceSweep(0, seed)
-		},
-	}
+// paperGrid is the 72-cell §5.1 evaluation grid under prm.
+func paperGrid(prm perfmodel.Params) core.CellSet[*core.Sweep] {
+	return core.SweepCells(core.SweepKeys(), prm)
 }
 
 // sparseParams are the sparse grid's model parameters: strictly the
@@ -214,23 +77,6 @@ func resilienceStage(seed int64) Stage {
 // advisord's matrix=sparse path — models at defaults so the cells share
 // one store identity.
 func sparseParams() perfmodel.Params { return perfmodel.Params{} }
-
-// sparseStage declares the 72-cell sparse CPU-vs-accelerator grid
-// (2 algorithms × 2 devices × 18 matrix recipes at 144 ranks full load).
-func sparseStage() Stage {
-	keys := core.SparseSweepKeys()
-	prm := sparseParams()
-	return Stage{
-		Name:  "sparse-grid",
-		Cells: len(keys),
-		run: func(rc *Context) error {
-			_, err := grid.Map(rc.runner, len(keys), func(i int) (struct{}, error) {
-				return struct{}{}, evalCell(rc, core.SparseAnalyticCell{E: keys[i].Experiment(), Params: prm})
-			})
-			return err
-		},
-	}
-}
 
 // Paper returns the full paper campaign: the evaluation grid and its
 // ablations, the §6 power-cap sweep, the §5.1 repetition study, the
@@ -242,14 +88,14 @@ func Paper() Campaign {
 		Name:        "paper",
 		Description: "full paper evaluation: grid, overlap ablation, power caps, repetitions, monitored references, resilience, sparse device grid",
 		Stages: []Stage{
-			gridStage("paper-grid", paperGridParams()),
-			gridStage("overlap-ablation", perfmodel.Params{}),
-			gridStage("power-cap-110", perfmodel.Params{Overlap: true, PowerCapW: PowerCaps()[0]}),
-			gridStage("power-cap-130", perfmodel.Params{Overlap: true, PowerCapW: PowerCaps()[1]}),
-			repetitionsStage(),
-			monitoredStage(),
-			resilienceStage(ResilienceSeed),
-			sparseStage(),
+			stage("paper-grid", paperGrid(paperGridParams())),
+			stage("overlap-ablation", paperGrid(perfmodel.Params{})),
+			stage("power-cap-110", paperGrid(perfmodel.Params{Overlap: true, PowerCapW: PowerCaps()[0]})),
+			stage("power-cap-130", paperGrid(perfmodel.Params{Overlap: true, PowerCapW: PowerCaps()[1]})),
+			stage("repetitions", core.RepetitionStudy(paperGridParams())),
+			stage("monitored-reference", core.MonitoredReferences()),
+			stage("resilience", core.ResilienceSweep(0, ResilienceSeed)),
+			stage("sparse-grid", core.SparseSweepCells(sparseParams())),
 		},
 	}
 }
@@ -257,13 +103,27 @@ func Paper() Campaign {
 // ScalingDims are the off-grid matrix dimensions of the scaling campaign.
 func ScalingDims() []int { return []int{4320, 12960, 21600, 30240} }
 
+// scalingKeys are the full-load cells of every paper rank count at the
+// given matrix dimensions.
+func scalingKeys(dims []int) []core.SweepKey {
+	var keys []core.SweepKey
+	for _, n := range dims {
+		for _, ranks := range cluster.PaperRankCounts() {
+			for _, alg := range perfmodel.Algorithms() {
+				keys = append(keys, core.SweepKey{Algorithm: alg, N: n, Ranks: ranks, Placement: cluster.FullLoad})
+			}
+		}
+	}
+	return keys
+}
+
 // Scaling returns the scaling campaign: strong-scaling cells between and
 // beyond the paper's dimensions, full-load placements only.
 func Scaling() Campaign {
 	return Campaign{
 		Name:        "scaling",
 		Description: "strong-scaling sweep at off-grid matrix dimensions (full load)",
-		Stages:      []Stage{scalingStage("scaling-grid", ScalingDims())},
+		Stages:      []Stage{stage("scaling-grid", core.SweepCells(scalingKeys(ScalingDims()), paperGridParams()))},
 	}
 }
 

@@ -305,10 +305,15 @@ func TestPaperCampaignColdWarmAndArtifacts(t *testing.T) {
 	}
 }
 
-// TestEmissionIsStrict pins that artifact emission never computes: an
-// incomplete store is an error naming the missing work.
+// TestEmissionIsStrict pins that artifact emission never computes and
+// never writes: an incomplete store is an error naming the missing cell,
+// and the store is byte-identical afterwards — on an empty store, and on
+// one holding exactly the four analytic grid stages, where the first
+// missing cells are a repetition (artifacts) and the resilience probe
+// (EXPERIMENTS.md).
 func TestEmissionIsStrict(t *testing.T) {
-	st := openStore(t, t.TempDir())
+	dir := t.TempDir()
+	st := openStore(t, dir)
 	if _, err := EmitArtifacts(st, t.TempDir()); err == nil {
 		t.Fatal("EmitArtifacts succeeded on an empty store, want missing-cell error")
 	} else if !strings.Contains(err.Error(), "missing cell") {
@@ -317,8 +322,55 @@ func TestEmissionIsStrict(t *testing.T) {
 	if err := EmitExperiments(st, filepath.Join(t.TempDir(), "EXPERIMENTS.md")); err == nil {
 		t.Fatal("EmitExperiments succeeded on an empty store, want error")
 	}
-	if _, err := SweepFromStore(st, paperGridParams()); err == nil {
-		t.Fatal("SweepFromStore succeeded on an empty store, want error")
+	if st.Len() != 0 {
+		t.Fatalf("emission from an empty store appended %d records", st.Len())
+	}
+
+	// -max-cells 288 lands exactly after the four 72-cell grid stages.
+	sum, err := Run(Paper(), st, RunOptions{Workers: 2, MaxCells: 288})
+	if !errors.Is(err, ErrInterrupted) || sum.ComputedTotal != 288 || st.Len() != 288 {
+		t.Fatalf("budgeted run: err=%v computed=%d records=%d, want ErrInterrupted/288/288", err, sum.ComputedTotal, st.Len())
+	}
+	log := filepath.Join(dir, "records.ndjson")
+	before, err := os.ReadFile(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := st.Digest()
+	unchanged := func(what string) {
+		t.Helper()
+		after, err := os.ReadFile(log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Len() != 288 || st.Digest() != digest || !bytes.Equal(after, before) {
+			t.Fatalf("%s wrote to the store: %d records (digest %.12s…), log %d → %d bytes",
+				what, st.Len(), st.Digest(), len(before), len(after))
+		}
+	}
+
+	artifacts := filepath.Join(t.TempDir(), "artifacts")
+	_, err = EmitArtifacts(st, artifacts)
+	for _, want := range []string{"missing cell", "run the campaign first", "IMe/8640/144/full-load repetition 1"} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("EmitArtifacts error = %v, want it to contain %q", err, want)
+		}
+	}
+	unchanged("EmitArtifacts")
+	if _, err := os.Stat(artifacts); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("failed EmitArtifacts left %s behind (stat: %v)", artifacts, err)
+	}
+
+	experiments := filepath.Join(t.TempDir(), "EXPERIMENTS.md")
+	err = EmitExperiments(st, experiments)
+	for _, want := range []string{"missing cell", "run the campaign first", "resilience ScaLAPACK at mtbf 1e+09"} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("EmitExperiments error = %v, want it to contain %q", err, want)
+		}
+	}
+	unchanged("EmitExperiments")
+	if _, err := os.Stat(experiments); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("failed EmitExperiments wrote %s (stat: %v)", experiments, err)
 	}
 }
 

@@ -3,7 +3,7 @@ package campaign
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -22,11 +22,10 @@ type RunOptions struct {
 	// Workers bounds concurrent cell evaluations (0 = GOMAXPROCS).
 	Workers int
 	// MaxCells, when positive, budgets how many cells this run may
-	// *compute* (store hits are free). When the budget is spent the run
-	// stops with ErrInterrupted — computed work is already persisted.
-	// Engine stages that evaluate several cells in one step (the
-	// resilience sweep) check the budget between cells and may finish the
-	// cell in flight, so a run can land slightly over budget.
+	// *compute* (store hits are free). Every compute asks the budget
+	// first, an engine run of the resilience sweep like an analytic cell,
+	// so a run computes at most MaxCells cells; once they are spent it
+	// stops with ErrInterrupted, and what it computed is already persisted.
 	MaxCells int
 }
 
@@ -56,84 +55,18 @@ type Summary struct {
 	Interrupted  bool    `json:"interrupted,omitempty"`
 }
 
-// Context is the per-run execution context stages evaluate cells
-// through: it serves store hits, gates computes on the cell budget, and
-// counts both. Methods are safe for concurrent use by one stage's
-// workers.
-type Context struct {
-	st     *store.Store
-	runner *grid.Runner
-
-	mu       sync.Mutex
-	maxCells int
-	computed int
-	hits     int
+// budget admits max computes and refuses every one after them: the
+// campaign's Admit.
+type budget struct {
+	max   int64
+	spent atomic.Int64
 }
 
-// spend takes n cells from the compute budget; it fails with
-// ErrInterrupted once the budget is exhausted.
-func (rc *Context) spend(n int) error {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if rc.maxCells > 0 && rc.computed >= rc.maxCells {
+func (b *budget) admit() error {
+	if b.spent.Add(1) > b.max {
 		return ErrInterrupted
 	}
-	rc.computed += n
 	return nil
-}
-
-func (rc *Context) addHits(n int) {
-	rc.mu.Lock()
-	rc.hits += n
-	rc.mu.Unlock()
-}
-
-func (rc *Context) counts() (computed, hits int) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.computed, rc.hits
-}
-
-// admit takes one cell from the compute budget — what the runner asks
-// between a store miss and the compute.
-func (rc *Context) admit() error { return rc.spend(1) }
-
-// evalCell evaluates one cell of any kind through the store: hit → free,
-// miss → budget-gated compute + append.
-func evalCell[M any, C core.Cell[M]](rc *Context, c C) error {
-	_, computed, err := core.Run(rc.st, c, rc.admit)
-	if err == nil && !computed {
-		rc.addHits(1)
-	}
-	return err
-}
-
-// ResilienceSweep evaluates the resilience artifact's MTBF sweep through
-// the store. The sweep's cells are interdependent (the probe's baseline
-// anchors the MTBF points), so budget gating is per entry: once the
-// budget is spent the next call fails, and cells computed by a partial
-// sweep are already persisted for the resumed run.
-func (rc *Context) ResilienceSweep(mtbf float64, seed int64) error {
-	if err := rc.spend(0); err != nil {
-		return err
-	}
-	_, computed, err := core.ResilienceSweepStored(mtbf, seed, rc.st)
-	if computed > 0 {
-		if serr := rc.spend(computed); serr != nil && err == nil {
-			err = serr
-		}
-	}
-	// Sweep points served entirely from the store are hits: the probe
-	// plus five MTBF points × two solvers for the full sweep, or two
-	// runs for a single pinned MTBF.
-	runs := 11
-	if mtbf > 0 {
-		runs = 2
-	}
-	if hits := runs - computed; hits > 0 && err == nil {
-		rc.addHits(hits)
-	}
-	return err
 }
 
 // Run executes the campaign against the store: every stage in order,
@@ -144,16 +77,19 @@ func Run(c Campaign, st *store.Store, opt RunOptions) (Summary, error) {
 		return Summary{}, fmt.Errorf("campaign: a run requires an open store")
 	}
 	sum := Summary{Campaign: c.Name}
-	rc := &Context{st: st, runner: grid.New(opt.Workers), maxCells: opt.MaxCells}
+	ev := &core.Evaluator{Store: st, Runner: grid.New(opt.Workers)}
+	if opt.MaxCells > 0 {
+		ev.Admit = (&budget{max: int64(opt.MaxCells)}).admit
+	}
 	start := time.Now()
 	var runErr error
-	for _, stage := range c.Stages {
-		beforeComputed, beforeHits := rc.counts()
-		err := stage.run(rc)
-		computed, hits := rc.counts()
+	for _, s := range c.Stages {
+		beforeComputed, beforeHits := ev.Counts()
+		err := s.run(ev)
+		computed, hits := ev.Counts()
 		sum.Stages = append(sum.Stages, StageSummary{
-			Name:     stage.Name,
-			Cells:    stage.Cells,
+			Name:     s.Name,
+			Cells:    s.Cells,
 			Computed: computed - beforeComputed,
 			Hits:     hits - beforeHits,
 		})
@@ -162,14 +98,14 @@ func Run(c Campaign, st *store.Store, opt RunOptions) (Summary, error) {
 				sum.Interrupted = true
 				runErr = ErrInterrupted
 			} else {
-				runErr = fmt.Errorf("campaign: stage %s: %w", stage.Name, err)
+				runErr = fmt.Errorf("campaign: stage %s: %w", s.Name, err)
 			}
 			break
 		}
 	}
 	sum.RunWallS = time.Since(start).Seconds()
 	sum.CellsTotal = c.Cells()
-	sum.ComputedTotal, sum.HitsTotal = rc.counts()
+	sum.ComputedTotal, sum.HitsTotal = ev.Counts()
 	sum.StoreRecords = st.Len()
 	sum.StoreDigest = st.Digest()
 	return sum, runErr

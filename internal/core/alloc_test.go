@@ -106,7 +106,7 @@ func TestCellAllocationBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		budget("warm sparse lookup, "+c.dev.String(), c.warm, func() {
-			if _, ok, err := Lookup(st, cell); !ok || err != nil {
+			if _, ok, err := lookup(st, cell); !ok || err != nil {
 				t.Fatalf("ok=%v err=%v", ok, err)
 			}
 		})

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/canon"
 	"repro/internal/grid"
@@ -15,8 +16,10 @@ import (
 
 // The runner: the one place that says how an evaluation is memoized in
 // the content-addressed experiment store. Every engine reaches the store
-// through Lookup and Run below; what differs per engine is a small Cell
-// descriptor.
+// through Run and lookup below; what differs per engine is a small Cell
+// descriptor. Every set of cells an artifact or a campaign stage needs is
+// a CellSet defined once in this package and evaluated through an
+// Evaluator.
 
 // Cell describes one memoizable evaluation: the record kind it is stored
 // under, the canonical identity that addresses it, how to compute it, and
@@ -90,10 +93,9 @@ func fetch[M any, C Cell[M]](st *store.Store, c C, key string) (m M, ok bool, er
 	return m, true, nil
 }
 
-// Lookup serves the cell from the store without ever computing; ok is
-// false on a miss or a nil store. Strict from-store artifact emission and
-// cache warming build on it.
-func Lookup[M any, C Cell[M]](st *store.Store, c C) (m M, ok bool, err error) {
+// lookup serves the cell from the store without ever computing; ok is
+// false on a miss or a nil store. Cache warming builds on it.
+func lookup[M any, C Cell[M]](st *store.Store, c C) (m M, ok bool, err error) {
 	if st == nil {
 		return m, false, nil
 	}
@@ -110,8 +112,9 @@ func Lookup[M any, C Cell[M]](st *store.Store, c C) (m M, ok bool, err error) {
 // and returned with computed false; a miss computes and appends under the
 // key and the exact identity bytes the lookup derived, so the identity is
 // encoded once per evaluation. admit, when non-nil, is asked after the
-// miss and before the compute (the campaign's cell budget); its error
-// ends the evaluation with nothing computed. A nil store is plain compute
+// miss and before the compute (the campaign's cell budget, or the strict
+// emitter's refusal); its error ends the evaluation with nothing computed
+// or appended. A nil store is plain compute
 // — the identity is never built — and that is the only no-store path
 // there is.
 func Run[M any, C Cell[M]](st *store.Store, c C, admit func() error) (m M, computed bool, err error) {
@@ -164,36 +167,92 @@ func runBoth[M any, C Cell[M]](st *store.Store, a, b C) (ma, mb M, computed int,
 	return ma, mb, computed, err
 }
 
-// runGrid evaluates one cell per key on the runner's workers and returns
-// the results by key; computed counts the cells that ran their engine (0
-// on a fully warm store). Cells are independent, and a store hit restores
-// exactly what the compute path produces, so the map is identical for
-// every (store, worker budget) combination — which is what keeps figure
-// artifacts byte-identical across serial, parallel, cold and warm runs.
-func runGrid[K comparable, M any, C Cell[M]](r *grid.Runner, st *store.Store, keys []K, cell func(K) C) (map[K]M, int, error) {
-	type outcome struct {
-		m        M
-		computed bool
-	}
-	outcomes, err := grid.Map(r, len(keys), func(i int) (outcome, error) {
-		m, computed, err := Run(st, cell(keys[i]), nil)
-		if err != nil {
-			return outcome{}, fmt.Errorf("core: sweep cell %v: %w", keys[i], err)
-		}
-		return outcome{m, computed}, nil
-	})
+// Evaluator is what every cell set is evaluated through: the store its
+// cells are memoized in (nil: always compute), the workers an analytic
+// grid fans out over, and Admit, Run's hook between a store miss and the
+// compute (nil admits every compute). A campaign's Admit spends its cell
+// budget; a strict emitter's refuses, so a miss is an error and nothing
+// is computed or appended. The evaluator counts the cells it computed and
+// the ones the store served; it is safe for concurrent use.
+type Evaluator struct {
+	Store  *store.Store
+	Runner *grid.Runner
+	Admit  func() error
+
+	computed, hits atomic.Int64
+}
+
+// Counts returns how many cells the evaluator has computed and how many
+// the store served.
+func (ev *Evaluator) Counts() (computed, hits int) {
+	return int(ev.computed.Load()), int(ev.hits.Load())
+}
+
+// evaluate runs one cell through the evaluator and counts it; a failure
+// names the cell by its key.
+func evaluate[K any, M any, C Cell[M]](ev *Evaluator, key K, c C) (M, error) {
+	m, computed, err := Run(ev.Store, c, ev.Admit)
 	if err != nil {
-		return nil, 0, err
+		return m, fmt.Errorf("core: cell %v: %w", key, err)
 	}
-	ms := make(map[K]M, len(keys))
-	computed := 0
-	for i, k := range keys {
-		ms[k] = outcomes[i].m
-		if outcomes[i].computed {
-			computed++
+	if computed {
+		ev.computed.Add(1)
+	} else {
+		ev.hits.Add(1)
+	}
+	return m, nil
+}
+
+// CellSet is one set of cells, defined once in this package. A campaign
+// stage runs it and keeps nothing; an artifact collects it into R. Both
+// verbs evaluate the same cells the same way, which is what lets a store
+// a stage filled serve an artifact with every cell a hit.
+type CellSet[R any] struct {
+	n    int
+	eval func(ev *Evaluator, keep bool) (R, error)
+}
+
+// Len is the number of cell evaluations the set makes.
+func (s CellSet[R]) Len() int { return s.n }
+
+// Run evaluates every cell and keeps no result.
+func (s CellSet[R]) Run(ev *Evaluator) error {
+	_, err := s.eval(ev, false)
+	return err
+}
+
+// Collect evaluates every cell and builds the set's result from them.
+func (s CellSet[R]) Collect(ev *Evaluator) (R, error) { return s.eval(ev, true) }
+
+// gridCells is the set of one independent cell per key, evaluated on the
+// evaluator's workers; build turns the collected results, by key, into
+// the set's result. A store hit restores exactly what the compute path
+// produces, so the map is identical for every (store, worker budget)
+// combination — which is what keeps figure artifacts byte-identical
+// across serial, parallel, cold and warm runs. Running the set collects
+// nothing: a stage only needs its cells to exist, and the map costs ~90
+// allocations per 72-cell grid on every warm campaign replay.
+func gridCells[K comparable, M any, C Cell[M], R any](keys []K, cell func(K) C, build func(map[K]M) R) CellSet[R] {
+	return CellSet[R]{n: len(keys), eval: func(ev *Evaluator, keep bool) (r R, err error) {
+		if !keep {
+			_, err := grid.Map(ev.Runner, len(keys), func(i int) (struct{}, error) {
+				_, err := evaluate(ev, keys[i], cell(keys[i]))
+				return struct{}{}, err
+			})
+			return r, err
 		}
-	}
-	return ms, computed, nil
+		ms, err := grid.Map(ev.Runner, len(keys), func(i int) (M, error) {
+			return evaluate(ev, keys[i], cell(keys[i]))
+		})
+		if err != nil {
+			return r, err
+		}
+		byKey := make(map[K]M, len(keys))
+		for i, k := range keys {
+			byKey[k] = ms[i]
+		}
+		return build(byKey), nil
+	}}
 }
 
 // CellResult is the persisted payload of one dense or sparse measurement.

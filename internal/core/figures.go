@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/grid"
 	"repro/internal/ime"
 	"repro/internal/mat"
 	"repro/internal/mpi"
@@ -12,7 +11,6 @@ import (
 	"repro/internal/rapl"
 	"repro/internal/report"
 	"repro/internal/slurm"
-	"repro/internal/store"
 )
 
 // SweepKey identifies one cell of the evaluation grid.
@@ -55,32 +53,45 @@ func SweepKeys() []SweepKey {
 	return keys
 }
 
-// NewSweep runs the whole grid (72 cells) under the default worker budget.
-func NewSweep(prm perfmodel.Params) (*Sweep, error) {
-	return NewSweepParallel(prm, grid.New(0))
+// SweepCells is the analytic cell set of the keys under prm: over
+// SweepKeys() the full evaluation grid (72 cells) a figure reads, over
+// any other key list a grid off it. Collect builds the Sweep.
+func SweepCells(keys []SweepKey, prm perfmodel.Params) CellSet[*Sweep] {
+	return gridCells(keys,
+		func(k SweepKey) AnalyticCell { return AnalyticCell{k.Experiment(), prm} },
+		func(ms map[SweepKey]Measurement) *Sweep { return &Sweep{Params: prm, Measurements: ms} })
 }
 
-// NewSweepParallel runs the grid cells concurrently under the runner's
-// worker budget. Cells are independent analytic evaluations, so the sweep
-// is identical to a serial loop for every budget.
-func NewSweepParallel(prm perfmodel.Params, r *grid.Runner) (*Sweep, error) {
-	s, _, err := NewSweepStored(prm, r, nil)
-	return s, err
-}
-
-// NewSweepStored is NewSweepParallel with store-backed memoization:
-// each cell consults the experiment store before dispatching the model
-// and appends what it computes (see runGrid for why the measurements are
-// the same under every store state and worker budget). computed counts
-// the cells that actually ran the model. A nil store always computes.
-func NewSweepStored(prm perfmodel.Params, r *grid.Runner, st *store.Store) (*Sweep, int, error) {
-	ms, computed, err := runGrid(r, st, SweepKeys(), func(k SweepKey) AnalyticCell {
-		return AnalyticCell{k.Experiment(), prm}
-	})
-	if err != nil {
-		return nil, 0, err
+// MonitoredReferences is the exact-engine reference set: the
+// observability reference cell under both monitored phases, and one
+// full-load node per solver at the largest order the monitored engine
+// covers in reasonable time. Its cells run one at a time: each spins up a
+// full simulated world, and the process-global kernel pool is not meant
+// to be shared by concurrent worlds. Collect renders them as a table.
+func MonitoredReferences() CellSet[*report.Table] {
+	refs := []Experiment{
+		{Algorithm: perfmodel.IMe, N: 96, Ranks: 24, Placement: cluster.HalfLoadTwoSockets, Seed: 1, Phase: PhaseGeneral},
+		{Algorithm: perfmodel.IMe, N: 96, Ranks: 24, Placement: cluster.HalfLoadTwoSockets, Seed: 1, Phase: PhaseCompute},
+		{Algorithm: perfmodel.IMe, N: 384, Ranks: 48, Placement: cluster.FullLoad, Seed: 7, BlockSize: 16},
+		{Algorithm: perfmodel.ScaLAPACK, N: 384, Ranks: 48, Placement: cluster.FullLoad, Seed: 7, BlockSize: 16},
 	}
-	return &Sweep{Params: prm, Measurements: ms}, computed, nil
+	return CellSet[*report.Table]{n: len(refs), eval: func(ev *Evaluator, _ bool) (*report.Table, error) {
+		t := &report.Table{
+			Title: "Monitored references: exact engine under the monitoring framework",
+			Headers: []string{"alg", "n", "ranks", "placement", "phase",
+				"duration s", "total J", "residual"},
+		}
+		for _, e := range refs {
+			key := fmt.Sprintf("monitored %v/%d/%d/%v/%v", e.Algorithm, e.N, e.Ranks, e.Placement, e.Phase)
+			m, err := evaluate(ev, key, MonitoredCell(e))
+			if err != nil {
+				return nil, err
+			}
+			t.Add(e.Algorithm.String(), e.N, e.Ranks, e.Placement.String(), e.Phase.String(),
+				m.DurationS, m.TotalJ, m.Residual)
+		}
+		return t, nil
+	}}
 }
 
 // Get returns one cell, failing loudly on a missing key.

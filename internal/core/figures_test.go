@@ -7,12 +7,13 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/grid"
 	"repro/internal/perfmodel"
 )
 
 func newSweep(t *testing.T) *Sweep {
 	t.Helper()
-	s, err := NewSweep(perfmodel.Params{Overlap: true})
+	s, err := SweepCells(SweepKeys(), perfmodel.Params{Overlap: true}).Collect(&Evaluator{Runner: grid.New(0)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,6 @@ import (
 	"repro/internal/perfmodel"
 	"repro/internal/report"
 	"repro/internal/scalapack"
-	"repro/internal/store"
 )
 
 // Resilience experiments: what does surviving faults cost each solver?
@@ -397,42 +396,39 @@ func (p ResiliencePoint) Winner() perfmodel.Algorithm {
 	return perfmodel.ScaLAPACK
 }
 
-// ResilienceStudy runs both solvers across an MTBF sweep under identical
-// crash schedules (same seed, same protected set). The experiment's
-// Algorithm field is ignored.
-func ResilienceStudy(e Experiment, mtbfs []float64, ro ResilienceOptions) ([]ResiliencePoint, error) {
-	pts, _, err := ResilienceStudyStored(e, mtbfs, ro, nil)
-	return pts, err
+// resilienceKey names one resilient run in an error.
+type resilienceKey struct {
+	alg  perfmodel.Algorithm
+	mtbf float64
 }
 
-// ResilienceStudyStored is ResilienceStudy with store-backed memoization;
-// computed counts the runs that actually executed.
-func ResilienceStudyStored(e Experiment, mtbfs []float64, ro ResilienceOptions, st *store.Store) ([]ResiliencePoint, int, error) {
-	computed := 0
-	pts := make([]ResiliencePoint, 0, len(mtbfs))
-	for _, mtbf := range mtbfs {
+func (k resilienceKey) String() string {
+	return fmt.Sprintf("resilience %v at mtbf %g", k.alg, k.mtbf)
+}
+
+// resilienceStudy runs both solvers at each MTBF, one run at a time,
+// under identical crash schedules (same seed, same protected set). The
+// experiment's Algorithm field is ignored.
+func resilienceStudy(ev *Evaluator, e Experiment, mtbfs []float64, ro ResilienceOptions) ([]ResiliencePoint, error) {
+	pts := make([]ResiliencePoint, len(mtbfs))
+	for i, mtbf := range mtbfs {
 		o := ro
 		o.MTBF = mtbf
-		pt := ResiliencePoint{MTBF: mtbf}
+		run := func(alg perfmodel.Algorithm) (ResilientMeasurement, error) {
+			ea := e
+			ea.Algorithm = alg
+			return evaluate(ev, resilienceKey{alg, mtbf}, resilienceCell{ea, o})
+		}
+		pts[i].MTBF = mtbf
 		var err error
-		var ran bool
-		ei := e
-		ei.Algorithm = perfmodel.IMe
-		if pt.IMe, ran, err = RunResilientStored(ei, o, st); err != nil {
-			return nil, computed, fmt.Errorf("core: resilience study, ime at mtbf %g: %w", mtbf, err)
-		} else if ran {
-			computed++
+		if pts[i].IMe, err = run(perfmodel.IMe); err != nil {
+			return nil, err
 		}
-		es := e
-		es.Algorithm = perfmodel.ScaLAPACK
-		if pt.ScaLAPACK, ran, err = RunResilientStored(es, o, st); err != nil {
-			return nil, computed, fmt.Errorf("core: resilience study, scalapack at mtbf %g: %w", mtbf, err)
-		} else if ran {
-			computed++
+		if pts[i].ScaLAPACK, err = run(perfmodel.ScaLAPACK); err != nil {
+			return nil, err
 		}
-		pts = append(pts, pt)
 	}
-	return pts, computed, nil
+	return pts, nil
 }
 
 // CrossoverMTBF locates the boundary where the total-energy winner flips
@@ -447,56 +443,47 @@ func CrossoverMTBF(pts []ResiliencePoint) (lo, hi float64, ok bool) {
 	return 0, 0, false
 }
 
-// ResilienceArtifact runs the MTBF sweep at the monitored reference scale
-// (n=96, 24 ranks, half-load one socket) and renders it as a report table
-// — lsbench's -faults artifact. A positive mtbf narrows the sweep to that
-// single point; otherwise the sweep brackets the fault-free makespan from
-// crash-every-eighth to effectively-never. The checkpoint storage latency
-// is scaled to the reference runs' millisecond makespans (the production
-// default's 1 ms per snapshot would dwarf a 5 ms job).
-func ResilienceArtifact(mtbf float64, seed int64) (*report.Table, error) {
-	t, _, err := ResilienceArtifactStored(mtbf, seed, nil)
-	return t, err
-}
-
-// ResilienceSweepStored derives the artifact's MTBF sweep points with
-// store-backed memoization. The MTBF probe (the never-crash ScaLAPACK
-// baseline that anchors the sweep) is itself a stored resilience run, so
-// a warm store re-derives the exact same sweep points without executing
-// any world. computed counts the resilient executions that actually ran.
-func ResilienceSweepStored(mtbf float64, seed int64, est *store.Store) ([]ResiliencePoint, int, error) {
+// ResilienceSweep is the MTBF sweep of both solvers at the monitored
+// reference scale (n=96, 24 ranks, half-load one socket) as a cell set.
+// Its cells run one at a time: each executes several solver worlds. A
+// positive mtbf narrows the sweep to that single point. Otherwise the
+// first cell is the probe, the never-crash ScaLAPACK run whose fault-free
+// makespan anchors the sweep, and the points bracket that makespan from
+// crash-every-eighth to effectively-never; the probe and the last
+// ScaLAPACK point are one cell, so a store serves the second from the
+// first. The checkpoint storage latency is scaled to the reference runs'
+// millisecond makespans (the production default's 1 ms per snapshot would
+// dwarf a 5 ms job).
+func ResilienceSweep(mtbf float64, seed int64) CellSet[[]ResiliencePoint] {
 	e := Experiment{N: 96, Ranks: 24, Placement: cluster.HalfLoadOneSocket, Seed: 7, BlockSize: 8}
-	ro := ResilienceOptions{Seed: seed,
-		Storage: ckpt.CostModel{BandwidthBps: 2e9, LatencyS: 1e-6}}
-	computed := 0
-	var mtbfs []float64
+	ro := ResilienceOptions{Seed: seed, Storage: ckpt.CostModel{BandwidthBps: 2e9, LatencyS: 1e-6}}
+	probes := 1
+	mtbfs := func(base float64) []float64 { return []float64{base / 8, base / 4, base, 4 * base, neverMTBF} }
 	if mtbf > 0 {
-		mtbfs = []float64{mtbf}
-	} else {
-		es := e
-		es.Algorithm = perfmodel.ScaLAPACK
-		probe, ran, err := RunResilientStored(es, ResilienceOptions{MTBF: neverMTBF, Seed: seed, Storage: ro.Storage}, est)
-		if err != nil {
-			return nil, 0, err
-		}
-		if ran {
-			computed++
-		}
-		base := probe.BaselineDurationS
-		mtbfs = []float64{base / 8, base / 4, base, 4 * base, neverMTBF}
+		probes = 0
+		mtbfs = func(float64) []float64 { return []float64{mtbf} }
 	}
-	pts, ran, err := ResilienceStudyStored(e, mtbfs, ro, est)
-	computed += ran
-	return pts, computed, err
+	return CellSet[[]ResiliencePoint]{
+		n: probes + 2*len(mtbfs(0)), // both solvers at every point
+		eval: func(ev *Evaluator, _ bool) ([]ResiliencePoint, error) {
+			var base float64
+			if probes > 0 {
+				es, o := e, ro
+				es.Algorithm, o.MTBF = perfmodel.ScaLAPACK, neverMTBF
+				probe, err := evaluate(ev, resilienceKey{es.Algorithm, o.MTBF}, resilienceCell{es, o})
+				if err != nil {
+					return nil, err
+				}
+				base = probe.BaselineDurationS
+			}
+			return resilienceStudy(ev, e, mtbfs(base), ro)
+		},
+	}
 }
 
-// ResilienceArtifactStored is ResilienceArtifact with store-backed
-// memoization; computed counts the resilient executions that ran.
-func ResilienceArtifactStored(mtbf float64, seed int64, est *store.Store) (*report.Table, int, error) {
-	pts, computed, err := ResilienceSweepStored(mtbf, seed, est)
-	if err != nil {
-		return nil, computed, err
-	}
+// ResilienceTable renders a ResilienceSweep as a report table — lsbench's
+// -faults artifact.
+func ResilienceTable(pts []ResiliencePoint) *report.Table {
 	title := "Recovery energy vs MTBF (n=96, 24 ranks, seed-driven crash schedule)"
 	if lo, hi, ok := CrossoverMTBF(pts); ok {
 		title += fmt.Sprintf(" — winner flips between MTBF %.3g s and %.3g s", lo, hi)
@@ -511,7 +498,7 @@ func ResilienceArtifactStored(mtbf float64, seed int64, est *store.Store) (*repo
 			p.ScaLAPACK.TotalJ, p.ScaLAPACK.RecoveryJ, p.ScaLAPACK.Restarts,
 			p.ScaLAPACK.CheckpointWrites, p.Winner().String())
 	}
-	return t, computed, nil
+	return t
 }
 
 // neverMTBF stands in for "no crashes" in sweeps and artifacts: far

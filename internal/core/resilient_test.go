@@ -141,7 +141,7 @@ func TestResilienceStudyCrossoverShape(t *testing.T) {
 	}
 	base := probe.BaselineDurationS
 	mtbfs := []float64{base / 8, base / 4, base, 4 * base, faultFreeMTBF}
-	pts, err := ResilienceStudy(resilientExperiment(0), mtbfs, ResilienceOptions{Seed: 5, Storage: testStorage()})
+	pts, err := resilienceStudy(&Evaluator{}, resilientExperiment(0), mtbfs, ResilienceOptions{Seed: 5, Storage: testStorage()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestResilienceStudyCrossoverShape(t *testing.T) {
 	}
 
 	// Study determinism: re-rendering from a fresh sweep is byte-identical.
-	pts2, err := ResilienceStudy(resilientExperiment(0), mtbfs, ResilienceOptions{Seed: 5, Storage: testStorage()})
+	pts2, err := resilienceStudy(&Evaluator{}, resilientExperiment(0), mtbfs, ResilienceOptions{Seed: 5, Storage: testStorage()})
 	if err != nil {
 		t.Fatal(err)
 	}

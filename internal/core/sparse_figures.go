@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/grid"
 	"repro/internal/perfmodel"
 	"repro/internal/report"
 	"repro/internal/sparse"
@@ -130,17 +129,14 @@ type SparseSweep struct {
 	Measurements map[SparseSweepKey]SparseMeasurement
 }
 
-// NewSparseSweepStored runs the sparse grid with store-backed
-// memoization under the runner's worker budget — NewSweepStored for the
-// sparse cells; computed counts the cells that ran the model.
-func NewSparseSweepStored(prm perfmodel.Params, r *grid.Runner, st *store.Store) (*SparseSweep, int, error) {
-	ms, computed, err := runGrid(r, st, SparseSweepKeys(), func(k SparseSweepKey) SparseAnalyticCell {
-		return SparseAnalyticCell{k.Experiment(), prm}
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return &SparseSweep{Params: prm, Measurements: ms}, computed, nil
+// SparseSweepCells is the sparse evaluation grid under prm as a cell set
+// — SweepCells for the sparse cells. Collect builds the SparseSweep.
+func SparseSweepCells(prm perfmodel.Params) CellSet[*SparseSweep] {
+	return gridCells(SparseSweepKeys(),
+		func(k SparseSweepKey) SparseAnalyticCell { return SparseAnalyticCell{k.Experiment(), prm} },
+		func(ms map[SparseSweepKey]SparseMeasurement) *SparseSweep {
+			return &SparseSweep{Params: prm, Measurements: ms}
+		})
 }
 
 // Get returns one cell, failing loudly on a missing key.

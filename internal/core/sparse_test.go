@@ -73,27 +73,29 @@ func TestSparseDeviceSplitsIdentity(t *testing.T) {
 // contract at the measurement level: serial cold, parallel cold, and
 // parallel warm sweeps must agree exactly.
 func TestSparseSweepDeterministicAcrossWorkers(t *testing.T) {
-	prm := perfmodel.Params{}
-	serial, computed, err := NewSparseSweepStored(prm, grid.New(1), nil)
+	sweep := SparseSweepCells(perfmodel.Params{})
+	storeless := &Evaluator{Runner: grid.New(1)}
+	serial, err := sweep.Collect(storeless)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if computed != len(SparseSweepKeys()) {
+	if computed, _ := storeless.Counts(); computed != len(SparseSweepKeys()) {
 		t.Fatalf("storeless sweep computed %d cells, want %d", computed, len(SparseSweepKeys()))
 	}
 	st := openStore(t)
-	parallel, _, err := NewSparseSweepStored(prm, grid.New(8), st)
+	parallel, err := sweep.Collect(&Evaluator{Store: st, Runner: grid.New(8)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial.Measurements, parallel.Measurements) {
 		t.Fatal("parallel sweep diverged from serial sweep")
 	}
-	warm, computed, err := NewSparseSweepStored(prm, grid.New(8), st)
+	warmEv := &Evaluator{Store: st, Runner: grid.New(8)}
+	warm, err := sweep.Collect(warmEv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if computed != 0 {
+	if computed, _ := warmEv.Counts(); computed != 0 {
 		t.Fatalf("warm sweep recomputed %d cells", computed)
 	}
 	if !reflect.DeepEqual(serial.Measurements, warm.Measurements) {

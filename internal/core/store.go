@@ -203,7 +203,7 @@ func (c MonitoredCell) decode(payload []byte) (Measurement, error) {
 // LookupAnalyticCell serves RunAnalytic(e, prm) from the store without
 // ever computing; ok is false on a miss (or a nil store).
 func LookupAnalyticCell(st *store.Store, e Experiment, prm perfmodel.Params) (Measurement, bool, error) {
-	return Lookup(st, AnalyticCell{e, prm})
+	return lookup(st, AnalyticCell{e, prm})
 }
 
 // RunAnalyticStored is RunAnalytic with store-backed memoization: a hit
@@ -296,9 +296,4 @@ func (c resilienceCell) decode(payload []byte) (ResilientMeasurement, error) {
 	}
 	rm.Experiment, rm.MTBF = c.e, c.ro.MTBF
 	return rm, nil
-}
-
-// RunResilientStored is RunResilient with store-backed memoization.
-func RunResilientStored(e Experiment, ro ResilienceOptions, st *store.Store) (rm ResilientMeasurement, computed bool, err error) {
-	return Run(st, resilienceCell{e, ro}, nil)
 }

@@ -166,35 +166,37 @@ func TestMonitoredStoredRoundTrip(t *testing.T) {
 }
 
 // TestSweepStoredMatchesParallel: the stored sweep — cold then warm —
-// must reproduce NewSweepParallel's measurements exactly, and the warm
+// must reproduce the storeless sweep's measurements exactly, and the warm
 // pass must compute nothing.
 func TestSweepStoredMatchesParallel(t *testing.T) {
 	st := openStore(t)
-	prm := perfmodel.Params{Overlap: true}
+	sweep := SweepCells(SweepKeys(), perfmodel.Params{Overlap: true})
 	r := grid.New(4)
 
-	base, err := NewSweepParallel(prm, r)
+	base, err := sweep.Collect(&Evaluator{Runner: r})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, computed, err := NewSweepStored(prm, r, st)
+	cold := &Evaluator{Store: st, Runner: r}
+	coldSweep, err := sweep.Collect(cold)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(SweepKeys()); computed != want {
-		t.Fatalf("cold sweep computed %d cells, want %d", computed, want)
+	if computed, hits := cold.Counts(); computed != sweep.Len() || hits != 0 {
+		t.Fatalf("cold sweep computed %d hit %d, want %d/0", computed, hits, sweep.Len())
 	}
-	if !reflect.DeepEqual(cold.Measurements, base.Measurements) {
+	if !reflect.DeepEqual(coldSweep.Measurements, base.Measurements) {
 		t.Fatal("cold stored sweep diverged from the storeless sweep")
 	}
-	warm, computed, err := NewSweepStored(prm, r, st)
+	warm := &Evaluator{Store: st, Runner: r}
+	warmSweep, err := sweep.Collect(warm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if computed != 0 {
-		t.Fatalf("warm sweep computed %d cells, want 0", computed)
+	if computed, hits := warm.Counts(); computed != 0 || hits != sweep.Len() {
+		t.Fatalf("warm sweep computed %d hit %d, want 0/%d", computed, hits, sweep.Len())
 	}
-	if !reflect.DeepEqual(warm.Measurements, base.Measurements) {
+	if !reflect.DeepEqual(warmSweep.Measurements, base.Measurements) {
 		t.Fatal("warm stored sweep diverged from the storeless sweep")
 	}
 }
@@ -210,7 +212,7 @@ func TestResilientStoredRoundTrip(t *testing.T) {
 	}
 	ro := ResilienceOptions{MTBF: probe.BaselineDurationS / 4, Seed: 5, Storage: testStorage()}
 
-	cold, computed, err := RunResilientStored(e, ro, st)
+	cold, computed, err := Run(st, resilienceCell{e, ro}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +222,7 @@ func TestResilientStoredRoundTrip(t *testing.T) {
 	if cold.Crashes == 0 {
 		t.Fatalf("MTBF %g drew no crashes; the round trip would not cover the faulted fields", ro.MTBF)
 	}
-	warm, computed, err := RunResilientStored(e, ro, st)
+	warm, computed, err := Run(st, resilienceCell{e, ro}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +236,7 @@ func TestResilientStoredRoundTrip(t *testing.T) {
 	// A different fault seed is a different experiment.
 	ro2 := ro
 	ro2.Seed = 6
-	if _, computed, err = RunResilientStored(e, ro2, st); err != nil {
+	if _, computed, err = Run(st, resilienceCell{e, ro2}, nil); err != nil {
 		t.Fatal(err)
 	} else if !computed {
 		t.Fatal("different fault seed must be a different resilience experiment")
@@ -246,32 +248,24 @@ func TestResilientStoredRoundTrip(t *testing.T) {
 // per-cell round trips).
 func TestRepeatedAnalyticStoredMatches(t *testing.T) {
 	st := openStore(t)
-	e := Experiment{Algorithm: perfmodel.IMe, N: 8640, Ranks: 144, Placement: cluster.FullLoad}
+	cell := SweepKey{Algorithm: perfmodel.IMe, N: 8640, Ranks: 144, Placement: cluster.FullLoad}
 	prm := perfmodel.Params{Overlap: true}
+	r := grid.New(2)
 
-	base, err := RunRepeatedAnalytic(e, prm, 5, 0.05)
-	if err != nil {
-		t.Fatal(err)
+	base := repeated(t, &Evaluator{Runner: r}, cell, prm, 5, 0.05)
+	cold := &Evaluator{Store: st, Runner: r}
+	if got := repeated(t, cold, cell, prm, 5, 0.05); got != base {
+		t.Fatalf("cold stored stats diverged:\n got %+v\nwant %+v", got, base)
 	}
-	cold, computed, err := RunRepeatedAnalyticStored(e, prm, 5, 0.05, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if computed != 5 {
+	if computed, _ := cold.Counts(); computed != 5 {
 		t.Fatalf("cold repetitions computed %d cells, want 5", computed)
 	}
-	if !reflect.DeepEqual(cold, base) {
-		t.Fatalf("cold stored stats diverged:\n got %+v\nwant %+v", cold, base)
+	warm := &Evaluator{Store: st, Runner: r}
+	if got := repeated(t, warm, cell, prm, 5, 0.05); got != base {
+		t.Fatalf("warm stored stats diverged:\n got %+v\nwant %+v", got, base)
 	}
-	warm, computed, err := RunRepeatedAnalyticStored(e, prm, 5, 0.05, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if computed != 0 {
-		t.Fatalf("warm repetitions computed %d cells, want 0", computed)
-	}
-	if !reflect.DeepEqual(warm, base) {
-		t.Fatalf("warm stored stats diverged:\n got %+v\nwant %+v", warm, base)
+	if computed, hits := warm.Counts(); computed != 0 || hits != 5 {
+		t.Fatalf("warm repetitions computed %d hit %d, want 0/5", computed, hits)
 	}
 }
 
@@ -300,14 +294,14 @@ func TestStoredUnknownEnergyDomainIsAnError(t *testing.T) {
 	plant(SparseCellKind, SparseAnalyticCellIdentity(sparseCell.E, sparseCell.Params),
 		`{"duration_s":1,"energy_j":{"PACKAGE_ENERGY:PACKAGE0":2,"DRAM_ENERGY:PACKGE1":1,"ACCEL_ENERGY":1},"total_j":4,"iters":7,"engine":"sparse-analytic"}`)
 
-	_, ok, err := Lookup(st, dense)
+	_, ok, err := lookup(st, dense)
 	if ok || err == nil || !strings.Contains(err.Error(), `"PP0_ENERGY:PACKAGE0"`) {
 		t.Errorf("dense lookup: ok=%v err=%v, want an error naming PP0_ENERGY:PACKAGE0", ok, err)
 	}
 	if _, computed, err := Run(st, dense, nil); computed || err == nil {
 		t.Errorf("dense run over the same key: computed=%v err=%v, want the lookup's error", computed, err)
 	}
-	_, ok, err = Lookup(st, sparseCell)
+	_, ok, err = lookup(st, sparseCell)
 	if ok || err == nil || !strings.Contains(err.Error(), `["ACCEL_ENERGY" "DRAM_ENERGY:PACKGE1"]`) {
 		t.Errorf("sparse lookup: ok=%v err=%v, want an error naming both strays in order", ok, err)
 	}

@@ -14,10 +14,10 @@ import (
 // analytic engine's Overlap mode models. Because IMe has no pivoting, the
 // next level's pivot row is known as soon as the current update touches
 // it. The owner therefore updates that row *first*, normalises it and
-// ships it to every rank with non-blocking sends before updating the rest
+// ships it to every rank with buffered sends before updating the rest
 // of its block — so by the time the other ranks finish their own updates,
 // the payload has long arrived and no rank idles on the broadcast. The
-// last-row chunks ride non-blocking sends to the master the same way, and
+// last-row chunks ride buffered sends to the master the same way, and
 // the per-level h broadcast (pure bookkeeping — no rank's compute consumes
 // it) is dropped.
 //
@@ -100,7 +100,7 @@ func solveOverlapped(p *mpi.Proc, c *mpi.Comm, sys *mat.System, st *parallelStat
 
 // shipPivot normalises the owner's local pivot row of level l and sends
 // the payload (row segment + pre-normalisation pivot) to every other rank
-// with non-blocking sends, stashing it locally for the owner's own use.
+// with buffered sends, stashing it locally for the owner's own use.
 func shipPivot(p *mpi.Proc, c *mpi.Comm, st *parallelState, l int) error {
 	row := st.row(l - 1)
 	piv := row[l-1]
@@ -110,7 +110,7 @@ func shipPivot(p *mpi.Proc, c *mpi.Comm, st *parallelState, l int) error {
 	kernel.Scale(1/piv, row[:l])
 	// The payload must survive until level l is processed while level l+1's
 	// payload may still be live, so it gets its own pooled buffer (not a
-	// shared scratch); overlappedLevel recycles it. Isend copies, so the
+	// shared scratch); overlappedLevel recycles it. Send copies, so the
 	// buffer stays exclusively owned.
 	payload := mpi.GetBuf(l + 1)
 	copy(payload, row[:l])
@@ -119,7 +119,7 @@ func shipPivot(p *mpi.Proc, c *mpi.Comm, st *parallelState, l int) error {
 		if r == st.me {
 			continue
 		}
-		if _, err := p.Isend(c, r, pivotTag(l), payload); err != nil {
+		if err := p.Send(c, r, pivotTag(l), payload); err != nil {
 			return err
 		}
 	}
@@ -177,13 +177,11 @@ func overlappedLevel(p *mpi.Proc, c *mpi.Comm, st *parallelState, l int, charge 
 	// the received transport copy are exclusively owned here.
 	p.Recycle(payload)
 
-	// Multiplier chunks to the master, non-blocking on the slave side
-	// (Isend copies, so the ms scratch is free to be reused next level).
+	// Multiplier chunks to the master; sends are buffered, so the slave
+	// does not wait (Send copies, so the ms scratch is free to be reused
+	// next level).
 	if st.me != masterRank {
-		if _, err := p.Isend(c, masterRank, chunkTag(l), ms); err != nil {
-			return err
-		}
-		return nil
+		return p.Send(c, masterRank, chunkTag(l), ms)
 	}
 	st.h[l-1] /= piv
 	hl := st.h[l-1]

@@ -18,7 +18,7 @@ type ParallelOptions struct {
 	ChargeCosts bool
 	// Overlap selects the communication/computation-overlap variant (see
 	// overlap.go): identical arithmetic, pivot rows shipped one level
-	// early with non-blocking sends, no per-level h broadcast. Not
+	// early with buffered sends, no per-level h broadcast. Not
 	// combinable with solver-level fault injection.
 	Overlap bool
 	// Checksum enables the fault-tolerance checksum rows (the extension

@@ -460,45 +460,6 @@ func TestComputeChargesEnergy(t *testing.T) {
 	}
 }
 
-func TestPowerCapStretchesCompute(t *testing.T) {
-	cfg, err := cluster.NewConfig(48, cluster.FullLoad, cluster.MarconiA3())
-	if err != nil {
-		t.Fatal(err)
-	}
-	runWith := func(capW float64) float64 {
-		w, err := NewWorld(48, Options{Config: &cfg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if capW > 0 {
-			for s := 0; s < 2; s++ {
-				if err := w.Nodes()[0].SetPowerLimit(s, capW); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if err := w.Run(func(p *Proc) error {
-			p.Compute(1, 0)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return w.MaxClock()
-	}
-	base := runWith(0)
-	capped := runWith(110)
-	tighter := runWith(90)
-	if capped <= base {
-		t.Fatalf("110 W cap did not stretch compute: %g vs %g", capped, base)
-	}
-	if tighter <= capped {
-		t.Fatalf("90 W cap not slower than 110 W: %g vs %g", tighter, capped)
-	}
-	if slack := runWith(400); slack != base {
-		t.Fatalf("slack cap changed makespan: %g vs %g", slack, base)
-	}
-}
-
 func TestCommSplitGroups(t *testing.T) {
 	const size = 6
 	w := newTestWorld(t, size)

@@ -111,9 +111,7 @@ func (p *Proc) SetActivity(f float64) {
 // Compute advances the rank's clock by seconds of computation that moved
 // bytes of data through the memory hierarchy (charged to the socket's
 // DRAM domain). The busy core-seconds charged are scaled by the activity
-// factor set via SetActivity. A RAPL package power cap on the hosting
-// socket (rapl.Node.SetPowerLimit) stretches the compute time by the
-// frequency-scaling slowdown, exactly as PL1 throttling does.
+// factor set via SetActivity.
 func (p *Proc) Compute(seconds, bytes float64) {
 	if seconds < 0 || bytes < 0 {
 		panic(fmt.Sprintf("mpi: rank %d: negative compute cost (%g s, %g B)", p.rank, seconds, bytes))
@@ -121,10 +119,6 @@ func (p *Proc) Compute(seconds, bytes float64) {
 	act := p.activity
 	if act == 0 {
 		act = 1
-	}
-	node, socket := p.w.location(p.rank)
-	if slow := p.w.capSlowdown(node, socket); slow > 1 {
-		seconds *= slow
 	}
 	if p.dilation > 1 {
 		// Straggler injection: the rank computes slower, so the same work

@@ -223,18 +223,6 @@ func (w *World) ResetTraffic() {
 	}
 }
 
-// capSlowdown returns the compute-time stretch a socket's power cap
-// imposes, given the placement's active-core count on that socket.
-func (w *World) capSlowdown(node, socket int) float64 {
-	cores := 1
-	if w.cfg != nil {
-		cores = w.cfg.ActiveCores(socket)
-	}
-	w.nodeMu[node].Lock()
-	defer w.nodeMu[node].Unlock()
-	return w.nodes[node].SlowdownUnderCap(socket, cores)
-}
-
 // chargeNode accounts busy core-seconds and memory traffic for a rank and
 // advances its node's RAPL clock to the rank's virtual time.
 func (w *World) chargeNode(rank int, busySeconds, bytes, clock float64) {

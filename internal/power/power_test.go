@@ -148,3 +148,27 @@ func TestFullVsHalfLoadEnergy(t *testing.T) {
 		t.Fatalf("full-load energy %.0f J should beat half-load %.0f J", full, half)
 	}
 }
+
+// TestSlowdownUnderCap pins the PL1 model capped cells are priced with:
+// no stretch uncapped or under a slack cap, a stretch that grows as the
+// cap tightens, and the MaxCapSlowdown clamp for a cap at or below idle.
+func TestSlowdownUnderCap(t *testing.T) {
+	c := Skylake8160()
+	if s := c.SlowdownUnderCap(0, 24, 0); s != 1 {
+		t.Fatalf("uncapped slowdown = %g", s)
+	}
+	full := c.PkgPower(24, 0)
+	if s := c.SlowdownUnderCap(full+10, 24, 0); s != 1 {
+		t.Fatalf("slack cap slowdown = %g", s)
+	}
+	s75 := c.SlowdownUnderCap(0.75*full, 24, 0)
+	if s75 <= 1 {
+		t.Fatalf("tight cap slowdown = %g, want > 1", s75)
+	}
+	if s60 := c.SlowdownUnderCap(0.6*full, 24, 0); s60 <= s75 {
+		t.Fatalf("tighter cap must slow more: %g <= %g", s60, s75)
+	}
+	if s := c.SlowdownUnderCap(1, 24, 0); s != MaxCapSlowdown {
+		t.Fatalf("sub-idle cap slowdown = %g, want clamp %g", s, MaxCapSlowdown)
+	}
+}

@@ -1,7 +1,7 @@
 // Package rapl simulates Intel's Running Average Power Limit interface for
 // one node: the non-architectural Model Specific Registers that expose
-// per-package and per-DRAM energy counters, the unit register that scales
-// them, and the package power-limit registers.
+// per-package and per-DRAM energy counters and the unit register that
+// scales them.
 //
 // The simulation reproduces the properties the paper's monitoring stack
 // depends on (§2.3):
@@ -29,7 +29,6 @@ import (
 // MSR addresses (Intel SDM, server RAPL).
 const (
 	MSRRaplPowerUnit    = 0x606
-	MSRPkgPowerLimit    = 0x610
 	MSRPkgEnergyStatus  = 0x611
 	MSRDramEnergyStatus = 0x619
 	MSRPP0EnergyStatus  = 0x639
@@ -107,7 +106,6 @@ func (d Domain) Socket() int {
 type socketState struct {
 	busyCoreSeconds float64 // Σ over ranks of virtual busy time
 	bytes           float64 // memory traffic attributed to this socket
-	powerLimit      float64 // watts; 0 means uncapped
 }
 
 // Node simulates the RAPL MSRs of one two-socket node.
@@ -263,71 +261,9 @@ func (n *Node) ReadMSR(socket int, addr uint32) (uint64, error) {
 		return uint64(n.snapshot[DRAM0+Domain(socket)]), nil
 	case MSRPP0EnergyStatus:
 		return uint64(n.snapshot[PP00+Domain(socket)]), nil
-	case MSRPkgPowerLimit:
-		lim := n.sockets[socket].powerLimit
-		if lim == 0 {
-			return 0, nil
-		}
-		// PL1 in 1/8 W units, enable bit 15.
-		return uint64(lim*8)&0x7FFF | 1<<15, nil
 	default:
 		return 0, fmt.Errorf("rapl: unsupported MSR %#x", addr)
 	}
-}
-
-// WriteMSR writes a simulated MSR. Only the package power-limit register is
-// writable, as on real hardware from userspace tooling.
-func (n *Node) WriteMSR(socket int, addr uint32, value uint64) error {
-	if !n.driverEnabled {
-		return fmt.Errorf("rapl: msr driver disabled (node %d): permission denied", n.nodeID)
-	}
-	if socket < 0 || socket > 1 {
-		return fmt.Errorf("rapl: socket %d out of range", socket)
-	}
-	if addr != MSRPkgPowerLimit {
-		return fmt.Errorf("rapl: MSR %#x is read-only", addr)
-	}
-	if value&(1<<15) == 0 {
-		n.sockets[socket].powerLimit = 0
-		return nil
-	}
-	n.sockets[socket].powerLimit = float64(value&0x7FFF) / 8
-	return nil
-}
-
-// SetPowerLimit sets PL1 for a package in watts (0 disables the cap).
-// It is the high-level form of writing MSRPkgPowerLimit.
-func (n *Node) SetPowerLimit(socket int, watts float64) error {
-	if socket < 0 || socket > 1 {
-		return fmt.Errorf("rapl: socket %d out of range", socket)
-	}
-	if watts < 0 {
-		return fmt.Errorf("rapl: negative power limit %g", watts)
-	}
-	n.sockets[socket].powerLimit = watts
-	return nil
-}
-
-// PowerLimit returns the PL1 cap of a package (0 = uncapped).
-func (n *Node) PowerLimit(socket int) float64 {
-	if socket < 0 || socket > 1 {
-		return 0
-	}
-	return n.sockets[socket].powerLimit
-}
-
-// SlowdownUnderCap returns the compute-time stretch factor a package
-// suffers when running activeCores busy cores under its PL1 cap. The model
-// assumes dynamic power scales linearly with frequency near the base clock
-// (voltage held), so meeting the cap scales frequency — and therefore
-// compute time — by the ratio of dynamic budgets. Idle power cannot be
-// capped away; a cap at or below idle yields the maximum slowdown the
-// model supports (clamped, with the cap effectively raised to idle+ε).
-func (n *Node) SlowdownUnderCap(socket, activeCores int) float64 {
-	if socket < 0 || socket > 1 {
-		return 1
-	}
-	return n.cal.SlowdownUnderCap(n.sockets[socket].powerLimit, activeCores, socket)
 }
 
 // CounterDelta computes the energy in joules between two raw 32-bit
