@@ -12,7 +12,6 @@ package ckpt
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/scalapack"
@@ -89,26 +88,6 @@ func (s *Store) latestCompleteLocked() (int, bool) {
 		}
 	}
 	return best, found
-}
-
-// Latest returns the resume column of the newest complete generation.
-func (s *Store) Latest() (k0 int, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.latestCompleteLocked()
-}
-
-// Generations lists the stored resume columns in ascending order, marking
-// nothing about completeness — diagnostics only.
-func (s *Store) Generations() []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]int, 0, len(s.gens))
-	for k0 := range s.gens {
-		out = append(out, k0)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // Stats reports how many snapshot writes the store has absorbed and their

@@ -13,12 +13,20 @@ func snap(k0 int) scalapack.PanelSnapshot {
 	return scalapack.PanelSnapshot{K0: k0, A: mat.New(2, 2), B: []float64{1, 2}}
 }
 
+// latest returns the resume column of the store's newest complete
+// generation.
+func latest(s *Store) (k0 int, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.latestCompleteLocked()
+}
+
 func TestStoreCompleteGenerationsOnly(t *testing.T) {
 	s, err := NewStore(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Latest(); ok {
+	if _, ok := latest(s); ok {
 		t.Fatal("empty store reports a complete generation")
 	}
 	// Generation 8: all three ranks → complete.
@@ -28,19 +36,19 @@ func TestStoreCompleteGenerationsOnly(t *testing.T) {
 	// Generation 16: torn (rank 2 crashed mid-checkpoint).
 	s.Save(0, snap(16))
 	s.Save(1, snap(16))
-	k0, ok := s.Latest()
+	k0, ok := latest(s)
 	if !ok || k0 != 8 {
 		t.Fatalf("Latest() = (%d, %v), want the complete generation (8, true)", k0, ok)
 	}
-	if gens := s.Generations(); len(gens) != 2 || gens[0] != 8 || gens[1] != 16 {
-		t.Fatalf("Generations() = %v, want [8 16]", gens)
+	if len(s.gens) != 2 || s.gens[8] == nil || s.gens[16] == nil {
+		t.Fatalf("stored generations %v, want 8 and 16", s.gens)
 	}
 	if w, b := s.Stats(); w != 5 || b <= 0 {
 		t.Fatalf("Stats() = (%d, %g), want 5 writes of positive volume", w, b)
 	}
 	// Completing generation 16 moves the restart point forward.
 	s.Save(2, snap(16))
-	if k0, _ := s.Latest(); k0 != 16 {
+	if k0, _ := latest(s); k0 != 16 {
 		t.Fatalf("Latest() = %d after completing generation 16", k0)
 	}
 	got, ok := s.Plan(0, CostModel{}).Resume(1)
@@ -77,7 +85,7 @@ func TestPlanFixesTheResumeGenerationPerAttempt(t *testing.T) {
 	if !ok || late.K0 != early.K0 {
 		t.Fatalf("rank 0 resumes from generation %d, rank 2 of the same world from %d", late.K0, early.K0)
 	}
-	if k0, _ := s.Latest(); k0 != 8 {
+	if k0, _ := latest(s); k0 != 8 {
 		t.Fatalf("generation %d counts as complete with snapshots of two attempts", k0)
 	}
 	// The attempt's own three saves do complete it, for the next attempt.
@@ -154,7 +162,7 @@ func TestCheckpointRestartReplaysRun(t *testing.T) {
 	if ckptClock <= refClock {
 		t.Fatalf("checkpoint traffic must cost virtual time: %g vs baseline %g", ckptClock, refClock)
 	}
-	k0, ok := store.Latest()
+	k0, ok := latest(store)
 	if !ok || k0 <= 0 {
 		t.Fatalf("no complete generation after a checkpointed run (k0=%d ok=%v)", k0, ok)
 	}

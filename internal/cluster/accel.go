@@ -41,17 +41,6 @@ func (d Device) String() string {
 	}
 }
 
-// ParseDevice is the inverse of Device.String, for request-driven callers
-// (the advisor service) that receive devices as text.
-func ParseDevice(s string) (Device, error) {
-	for _, d := range Devices() {
-		if s == d.String() {
-			return d, nil
-		}
-	}
-	return 0, fmt.Errorf("cluster: unknown device %q (want cpu or accel)", s)
-}
-
 // AcceleratorSpec describes the accelerators of one node. The numbers
 // parameterise a memory-bound roofline: kernels that stream bytes run at
 // MemBandwidthBps instead of the host's DRAM bandwidth, every offloaded

@@ -50,22 +50,6 @@ func MarconiA3() *MachineSpec {
 	}
 }
 
-// BroadwellEP returns an alternative machine — 2 × 16-core Xeon E5-2697A v4
-// nodes — used to demonstrate the monitoring stack's portability (§4 asks
-// for "high portability, enabling seamless adaptation"): everything from
-// placement to RAPL readout works unchanged on a different node shape.
-func BroadwellEP() *MachineSpec {
-	return &MachineSpec{
-		Name:           "Broadwell-EP (Intel Xeon E5-2697A v4)",
-		TotalNodes:     512,
-		SocketsPerNode: 2,
-		CoresPerSocket: 16,
-		MemPerNodeGB:   128,
-		ClockGHz:       2.60,
-		PeakNodeGFlops: 1331,
-	}
-}
-
 // Placement selects how ranks are packed onto nodes and sockets.
 type Placement int
 
@@ -199,21 +183,6 @@ func (c *Config) ActiveCores(socket int) int {
 	default:
 		return 0
 	}
-}
-
-// NodeOfRank returns just the node index for a rank.
-func (c *Config) NodeOfRank(rank int) int { return rank / c.RanksPerNode }
-
-// RanksOnNode returns the world ranks hosted by the given node.
-func (c *Config) RanksOnNode(node int) []int {
-	if node < 0 || node >= c.Nodes {
-		return nil
-	}
-	out := make([]int, c.RanksPerNode)
-	for i := range out {
-		out[i] = node*c.RanksPerNode + i
-	}
-	return out
 }
 
 // Label renders a short human-readable identifier such as

@@ -157,7 +157,7 @@ func TestRankLocationBijection(t *testing.T) {
 				return false
 			}
 			seen[loc] = true
-			if loc.Node != cfg.NodeOfRank(r) {
+			if loc.Node != r/cfg.RanksPerNode {
 				return false
 			}
 			if loc.Core < 0 || loc.Core >= spec.CoresPerSocket {
@@ -179,21 +179,6 @@ func TestActiveCores(t *testing.T) {
 	}
 	if cfg.ActiveCores(7) != 0 {
 		t.Fatal("nonexistent socket should have zero cores")
-	}
-}
-
-func TestRanksOnNode(t *testing.T) {
-	spec := MarconiA3()
-	cfg, _ := NewConfig(144, FullLoad, spec)
-	ranks := cfg.RanksOnNode(1)
-	if len(ranks) != 48 || ranks[0] != 48 || ranks[47] != 95 {
-		t.Fatalf("RanksOnNode(1) = %v...", ranks[:2])
-	}
-	if cfg.RanksOnNode(99) != nil {
-		t.Fatal("invalid node should return nil")
-	}
-	if cfg.RanksOnNode(-1) != nil {
-		t.Fatal("negative node should return nil")
 	}
 }
 

@@ -9,7 +9,7 @@
 //   - RunMonitored executes the real distributed solver on the simulated
 //     cluster under the monitoring framework (exact numerics, counters
 //     read through PAPI/RAPL). Feasible for small orders; used by tests,
-//     examples and the overhead study.
+//     the monitored-references table and the overhead study.
 //   - RunAnalytic replays the solver's schedule through internal/perfmodel
 //     at paper scale; used by the figure benchmarks.
 package core
@@ -85,14 +85,6 @@ func (m Measurement) AvgPowerW() float64 {
 		return 0
 	}
 	return m.TotalJ / m.DurationS
-}
-
-// DramPowerW is the measurement's average DRAM power.
-func (m Measurement) DramPowerW() float64 {
-	if m.DurationS <= 0 {
-		return 0
-	}
-	return (m.EnergyJ[rapl.DRAM0] + m.EnergyJ[rapl.DRAM1]) / m.DurationS
 }
 
 // AlgorithmFlops returns the arithmetic work of the experiment's solver.

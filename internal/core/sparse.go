@@ -2,13 +2,9 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/canon"
 	"repro/internal/cluster"
-	"repro/internal/mat"
-	"repro/internal/monitor"
-	"repro/internal/mpi"
 	"repro/internal/perfmodel"
 	"repro/internal/rapl"
 	"repro/internal/sparse"
@@ -17,9 +13,10 @@ import (
 
 // Sparse workloads through the same experiment machinery as the dense
 // grid: a SparseExperiment resolves to a cluster Config (heterogeneous
-// when the device is an accelerator), runs through an analytic or a
-// monitored engine, and its analytic cells persist under a typed store
-// identity through the same runner as the dense ones (cell.go).
+// when the device is an accelerator), runs through the analytic engine,
+// and its cells persist under a typed store identity through the same
+// runner as the dense ones (cell.go). The tests cross-check that engine
+// against the executed solver under the monitoring framework.
 
 // SparseExperiment is one job specification of the sparse evaluation
 // grid. Band applies to banded matrices, Density to random ones; the
@@ -113,92 +110,6 @@ func RunSparseAnalytic(e SparseExperiment, prm perfmodel.Params) (SparseMeasurem
 		Iters:      res.Iters,
 		Engine:     "sparse-analytic",
 	}, nil
-}
-
-// RunSparseMonitored executes the distributed iterative solver on the
-// simulated cluster under the §4 monitoring framework — real numerics,
-// counters read through PAPI/RAPL. CPU-only: accelerated kernels exist
-// only in the analytic engine, so a Device of accel is rejected rather
-// than silently modelled.
-func RunSparseMonitored(e SparseExperiment) (SparseMeasurement, error) {
-	if e.Device != cluster.DeviceCPU {
-		return SparseMeasurement{}, fmt.Errorf("core: monitored sparse runs are CPU-only (device %s is analytic-only)", e.Device)
-	}
-	cfg, err := e.resolveSparseConfig()
-	if err != nil {
-		return SparseMeasurement{}, err
-	}
-	if e.Ranks > e.N {
-		return SparseMeasurement{}, fmt.Errorf("core: %d ranks exceed order %d", e.Ranks, e.N)
-	}
-	spec := e.Spec()
-	if err := spec.Validate(); err != nil {
-		return SparseMeasurement{}, err
-	}
-	w, err := mpi.NewWorld(e.Ranks, mpi.Options{Config: &cfg})
-	if err != nil {
-		return SparseMeasurement{}, err
-	}
-	var mu sync.Mutex
-	var reports []monitor.NodeReport
-	var iters int
-	var residual float64
-	err = w.Run(func(p *mpi.Proc) error {
-		s, err := monitor.Setup(p, p.World())
-		if err != nil {
-			return err
-		}
-		if err := s.StartMonitoring(); err != nil {
-			return err
-		}
-		sol, err := sparse.Solve(p, e.Algorithm, spec, sparse.Options{ChargeCosts: true})
-		if err != nil {
-			return err
-		}
-		rep, err := s.StopMonitoring()
-		if err != nil {
-			return err
-		}
-		all, err := monitor.CollectReports(p, p.World(), rep)
-		if err != nil {
-			return err
-		}
-		if p.Rank() == 0 {
-			a, err := spec.Matrix()
-			if err != nil {
-				return err
-			}
-			b := spec.RHS()
-			r := a.MulVec(sol.X)
-			for i := range r {
-				r[i] -= b[i]
-			}
-			mu.Lock()
-			reports = all
-			iters = sol.Iters
-			residual = mat.TwoNorm(r) / mat.TwoNorm(b)
-			mu.Unlock()
-		}
-		return nil
-	})
-	if err != nil {
-		return SparseMeasurement{}, err
-	}
-	sum := monitor.Summarize(reports)
-	m := SparseMeasurement{
-		Experiment: e,
-		Config:     cfg,
-		DurationS:  sum.DurationS,
-		TotalJ:     sum.TotalJ,
-		EnergyJ:    make(map[rapl.Domain]float64, 4),
-		Iters:      iters,
-		Residual:   residual,
-		Engine:     "sparse-monitored",
-	}
-	for _, d := range rapl.Domains() {
-		m.EnergyJ[d] = sum.ByEvent["powercap:::"+d.String()]
-	}
-	return m, nil
 }
 
 // SparseCellKind records one sparse-grid SparseMeasurement.

@@ -276,11 +276,6 @@ func (in *Injector) RetransmitWait(k int) float64 {
 	return wait
 }
 
-// Active reports whether the injector can perturb anything at all.
-func (in *Injector) Active() bool {
-	return in != nil && (len(in.events) > 0 || in.hasDelay || in.hasDrop || in.dilation != nil)
-}
-
 // Shifted returns an injector whose crash events are moved dt seconds
 // earlier, dropping events that have already fired — how checkpoint/
 // restart maps one absolute schedule onto successive restart segments,

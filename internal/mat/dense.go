@@ -9,9 +9,7 @@
 package mat
 
 import (
-	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/kernel"
 )
@@ -60,9 +58,6 @@ func (m *Dense) Rows() int { return m.rows }
 
 // Cols returns the number of columns.
 func (m *Dense) Cols() int { return m.cols }
-
-// Stride returns the row stride of the backing storage.
-func (m *Dense) Stride() int { return m.stride }
 
 // At returns the element at row i, column j.
 func (m *Dense) At(i, j int) float64 {
@@ -113,30 +108,6 @@ func (m *Dense) CopyColInto(dst []float64, j int) []float64 {
 	return dst
 }
 
-// SetCol overwrites column j with v (len must equal Rows).
-func (m *Dense) SetCol(j int, v []float64) {
-	if j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("mat: col %d out of bounds %d×%d", j, m.rows, m.cols))
-	}
-	if len(v) != m.rows {
-		panic(fmt.Sprintf("mat: SetCol length %d != rows %d", len(v), m.rows))
-	}
-	idx := j
-	for _, x := range v {
-		m.data[idx] = x
-		idx += m.stride
-	}
-}
-
-// Data returns the backing slice when the matrix is contiguous
-// (stride == cols); it errors for strided views.
-func (m *Dense) Data() ([]float64, error) {
-	if m.stride != m.cols {
-		return nil, errors.New("mat: matrix is a strided view, not contiguous")
-	}
-	return m.data, nil
-}
-
 // Raw returns the backing slice starting at element (0,0) together with
 // the row stride, for strided-kernel consumers (internal/kernel). The
 // slice aliases the matrix; it works for views as well as owned storage.
@@ -185,46 +156,6 @@ func (m *Dense) MulVec(x []float64) []float64 {
 	y := make([]float64, m.rows)
 	kernel.MatVec(m.rows, m.cols, m.data, m.stride, x, y)
 	return y
-}
-
-// Mul returns the matrix product A·B, computed by the cache-blocked
-// multicore GEMM in internal/kernel.
-func (m *Dense) Mul(b *Dense) *Dense {
-	if m.cols != b.rows {
-		panic(fmt.Sprintf("mat: Mul dimension mismatch %d×%d · %d×%d", m.rows, m.cols, b.rows, b.cols))
-	}
-	out := New(m.rows, b.cols)
-	kernel.Gemm(m.rows, b.cols, m.cols, 1, m.data, m.stride, b.data, b.stride, out.data, out.stride)
-	return out
-}
-
-// Transpose returns a new matrix that is the transpose of m.
-func (m *Dense) Transpose() *Dense {
-	out := New(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out.data[j*out.stride+i] = v
-		}
-	}
-	return out
-}
-
-// EqualApprox reports whether m and b have the same shape and all elements
-// within tol of each other.
-func (m *Dense) EqualApprox(b *Dense, tol float64) bool {
-	if m.rows != b.rows || m.cols != b.cols {
-		return false
-	}
-	for i := 0; i < m.rows; i++ {
-		ra, rb := m.Row(i), b.Row(i)
-		for j := range ra {
-			if math.Abs(ra[j]-rb[j]) > tol {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // String renders small matrices for debugging; large matrices are elided.

@@ -6,6 +6,23 @@ import (
 	"testing/quick"
 )
 
+// equalApprox reports whether m and b have the same shape and all elements
+// within tol of each other.
+func (m *Dense) equalApprox(b *Dense, tol float64) bool {
+	if m.rows != b.rows || m.cols != b.cols {
+		return false
+	}
+	for i := 0; i < m.rows; i++ {
+		ra, rb := m.Row(i), b.Row(i)
+		for j := range ra {
+			if math.Abs(ra[j]-rb[j]) > tol {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func TestNewZeroed(t *testing.T) {
 	m := New(3, 4)
 	if m.Rows() != 3 || m.Cols() != 4 {
@@ -70,9 +87,11 @@ func TestRowAliases(t *testing.T) {
 	}
 }
 
-func TestColAndSetCol(t *testing.T) {
+func TestCol(t *testing.T) {
 	m := New(3, 2)
-	m.SetCol(1, []float64{1, 2, 3})
+	for i, v := range []float64{1, 2, 3} {
+		m.Set(i, 1, v)
+	}
 	got := m.Col(1)
 	for i, want := range []float64{1, 2, 3} {
 		if got[i] != want {
@@ -88,7 +107,7 @@ func TestCloneIndependent(t *testing.T) {
 	if m.At(0, 0) == -999 {
 		t.Fatal("Clone shares storage with original")
 	}
-	if !m.EqualApprox(m.Clone(), 0) {
+	if !m.equalApprox(m.Clone(), 0) {
 		t.Fatal("Clone not equal to original")
 	}
 }
@@ -111,14 +130,12 @@ func TestSliceView(t *testing.T) {
 	if m.At(1, 1) != -1 {
 		t.Fatal("Slice must share storage")
 	}
-	if _, err := v.Data(); err == nil && v.Stride() != v.Cols() {
-		t.Fatal("Data must refuse strided views")
-	}
 }
 
 func TestSwapRows(t *testing.T) {
 	m := New(2, 3)
-	m.SetCol(0, []float64{1, 2})
+	m.Set(0, 0, 1)
+	m.Set(1, 0, 2)
 	m.SwapRows(0, 1)
 	if m.At(0, 0) != 2 || m.At(1, 0) != 1 {
 		t.Fatal("SwapRows failed")
@@ -131,46 +148,6 @@ func TestMulVec(t *testing.T) {
 	y := m.MulVec([]float64{5, 6})
 	if y[0] != 17 || y[1] != 39 {
 		t.Fatalf("MulVec = %v, want [17 39]", y)
-	}
-}
-
-func TestMulIdentity(t *testing.T) {
-	m := NewDiagonallyDominant(6, 3)
-	p := m.Mul(Identity(6))
-	if !p.EqualApprox(m, 1e-14) {
-		t.Fatal("A·I != A")
-	}
-	p = Identity(6).Mul(m)
-	if !p.EqualApprox(m, 1e-14) {
-		t.Fatal("I·A != A")
-	}
-}
-
-func TestTranspose(t *testing.T) {
-	m, _ := NewFromData(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	tr := m.Transpose()
-	if tr.Rows() != 3 || tr.Cols() != 2 {
-		t.Fatal("transpose shape wrong")
-	}
-	if tr.At(2, 1) != 6 || tr.At(0, 1) != 4 {
-		t.Fatal("transpose content wrong")
-	}
-	if !m.Transpose().Transpose().EqualApprox(m, 0) {
-		t.Fatal("double transpose != original")
-	}
-}
-
-func TestTransposeInvolutionQuick(t *testing.T) {
-	f := func(seed int64) bool {
-		n := int(seed%7) + 2
-		if n < 0 {
-			n = -n
-		}
-		m := NewDiagonallyDominant(n, seed)
-		return m.Transpose().Transpose().EqualApprox(m, 0)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -211,7 +188,7 @@ func abs64(v int64) int64 {
 }
 
 func TestEqualApproxShapes(t *testing.T) {
-	if New(2, 3).EqualApprox(New(3, 2), 1) {
+	if New(2, 3).equalApprox(New(3, 2), 1) {
 		t.Fatal("different shapes must not be equal")
 	}
 }
@@ -244,59 +221,5 @@ func TestCopyColIntoStridedView(t *testing.T) {
 		if got[i] != want {
 			t.Fatalf("col[%d] = %v, want %v", i, got[i], want)
 		}
-	}
-	v.SetCol(0, []float64{-1, -2, -3})
-	if m.At(1, 2) != -1 || m.At(3, 2) != -3 {
-		t.Fatal("SetCol on a view must write through the stride")
-	}
-	if m.At(1, 1) != 11 || m.At(1, 3) != 13 {
-		t.Fatal("SetCol on a view must not touch neighbouring columns")
-	}
-}
-
-// TestMulMatchesNaive pins the blocked-kernel wiring of Mul: odd shapes
-// (tail rows/cols, k spanning kernel panels) against the scalar triple
-// loop, including strided views of both operands.
-func TestMulMatchesNaive(t *testing.T) {
-	const m, k, n = 37, 61, 29
-	a := New(m, k)
-	b := New(k, n)
-	s := uint64(42)
-	fill := func(d *Dense) {
-		for i := 0; i < d.Rows(); i++ {
-			row := d.Row(i)
-			for j := range row {
-				s = s*6364136223846793005 + 1442695040888963407
-				row[j] = float64(int64(s>>33)%1000-500) / 256
-			}
-		}
-	}
-	fill(a)
-	fill(b)
-	want := New(m, n)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			var sum float64
-			for t := 0; t < k; t++ {
-				sum += a.At(i, t) * b.At(t, j)
-			}
-			want.Set(i, j, sum)
-		}
-	}
-	if got := a.Mul(b); !got.EqualApprox(want, 1e-12) {
-		t.Fatal("Mul deviates from the naive product")
-	}
-	// Strided views: interior blocks of padded parents.
-	ap := New(m+4, k+4)
-	bp := New(k+4, n+4)
-	for i := 0; i < m; i++ {
-		copy(ap.Slice(2, m+2, 2, k+2).Row(i), a.Row(i))
-	}
-	for i := 0; i < k; i++ {
-		copy(bp.Slice(1, k+1, 3, n+3).Row(i), b.Row(i))
-	}
-	got := ap.Slice(2, m+2, 2, k+2).Mul(bp.Slice(1, k+1, 3, n+3))
-	if !got.EqualApprox(want, 1e-12) {
-		t.Fatal("Mul on strided views deviates from the naive product")
 	}
 }

@@ -60,7 +60,7 @@ func FuzzReadMatrixMarket(f *testing.F) {
 			return
 		}
 		var buf bytes.Buffer
-		if err := WriteMatrixMarket(&buf, m); err != nil {
+		if err := writeMatrixMarket(&buf, m); err != nil {
 			t.Fatalf("reserialise: %v", err)
 		}
 		again, err := ReadMatrixMarket(&buf)

@@ -32,11 +32,11 @@ func TestDiagonallyDominantProperty(t *testing.T) {
 func TestGeneratorsDeterministic(t *testing.T) {
 	a := NewDiagonallyDominant(10, 42)
 	b := NewDiagonallyDominant(10, 42)
-	if !a.EqualApprox(b, 0) {
+	if !a.equalApprox(b, 0) {
 		t.Fatal("same seed must give identical matrices")
 	}
 	c := NewDiagonallyDominant(10, 43)
-	if a.EqualApprox(c, 0) {
+	if a.equalApprox(c, 0) {
 		t.Fatal("different seeds should give different matrices")
 	}
 }

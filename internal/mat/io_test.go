@@ -20,7 +20,7 @@ func TestTextRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.A.EqualApprox(s.A, 0) {
+	if !got.A.equalApprox(s.A, 0) {
 		t.Fatal("matrix changed through text round trip")
 	}
 	for i := range s.B {
@@ -44,7 +44,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.A.EqualApprox(s.A, 0) {
+	if !got.A.equalApprox(s.A, 0) {
 		t.Fatal("matrix changed through binary round trip")
 	}
 	if got.B[0] != s.B[0] {
@@ -149,7 +149,7 @@ func TestSaveLoadSystemFiles(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !got.A.EqualApprox(s.A, 0) {
+		if !got.A.equalApprox(s.A, 0) {
 			t.Fatalf("%s: matrix not preserved", name)
 		}
 	}
@@ -170,7 +170,7 @@ func TestBinaryRoundTripQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if !got.A.EqualApprox(s.A, 0) {
+		if !got.A.equalApprox(s.A, 0) {
 			return false
 		}
 		for i := range s.B {

@@ -20,32 +20,6 @@ import (
 // Coordinate entries are 1-based (i j value); the array format stores
 // column-major values.
 
-// WriteMatrixMarket writes m in coordinate format, skipping zeros.
-func WriteMatrixMarket(w io.Writer, m *Dense) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "%%%%MatrixMarket matrix coordinate real general\n"); err != nil {
-		return err
-	}
-	nnz := 0
-	for i := 0; i < m.Rows(); i++ {
-		for _, v := range m.Row(i) {
-			if v != 0 {
-				nnz++
-			}
-		}
-	}
-	fmt.Fprintf(bw, "%d %d %d\n", m.Rows(), m.Cols(), nnz)
-	for i := 0; i < m.Rows(); i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			if v != 0 {
-				fmt.Fprintf(bw, "%d %d %.17g\n", i+1, j+1, v)
-			}
-		}
-	}
-	return bw.Flush()
-}
-
 // nextMMLine returns the next non-empty, non-comment line (MatrixMarket
 // comments start with %).
 func nextMMLine(sc *bufio.Scanner) (string, error) {

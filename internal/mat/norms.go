@@ -2,19 +2,6 @@ package mat
 
 import "math"
 
-// MaxNorm returns the element-wise max-abs norm of m.
-func MaxNorm(m *Dense) float64 {
-	var mx float64
-	for i := 0; i < m.Rows(); i++ {
-		for _, v := range m.Row(i) {
-			if a := math.Abs(v); a > mx {
-				mx = a
-			}
-		}
-	}
-	return mx
-}
-
 // InfOpNorm returns the operator infinity norm (max absolute row sum).
 func InfOpNorm(m *Dense) float64 {
 	var mx float64

@@ -23,9 +23,6 @@ func TestVectorOps(t *testing.T) {
 	if got := InfNorm(y); got != 6 {
 		t.Fatalf("InfNorm = %v", got)
 	}
-	if got := TwoNorm([]float64{3, 4}); got != 5 {
-		t.Fatalf("TwoNorm = %v", got)
-	}
 	d := Sub(x, y)
 	if d[0] != -3 || d[1] != 7 || d[2] != -3 {
 		t.Fatalf("Sub = %v", d)
@@ -51,9 +48,6 @@ func TestVectorOpsMismatchedLengthsPanic(t *testing.T) {
 
 func TestNorms(t *testing.T) {
 	m, _ := NewFromData(2, 2, []float64{1, -7, 3, 2})
-	if got := MaxNorm(m); got != 7 {
-		t.Fatalf("MaxNorm = %v", got)
-	}
 	if got := InfOpNorm(m); got != 8 {
 		t.Fatalf("InfOpNorm = %v", got)
 	}

@@ -52,15 +52,6 @@ func InfNorm(x []float64) float64 {
 	return m
 }
 
-// TwoNorm returns the Euclidean norm of x.
-func TwoNorm(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // Sub returns x - y as a new vector.
 func Sub(x, y []float64) []float64 {
 	if len(x) != len(y) {

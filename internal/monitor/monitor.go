@@ -43,8 +43,6 @@ type Session struct {
 	events  *papi.EventSet
 	names   []string
 	started bool
-	startAt float64
-	marks   []PhaseMark
 }
 
 // Setup performs the communicator split and monitoring-rank designation.
@@ -106,7 +104,6 @@ func (s *Session) StartMonitoring() error {
 	if err := s.p.Fence(s.NodeComm); err != nil {
 		return err
 	}
-	s.startAt = s.p.Clock()
 	s.started = true
 	s.p.MarkInstant("monitor-start")
 	// General execution synchronization before the solver phase (Fig. 2).
@@ -186,47 +183,6 @@ func (s *Session) StopMonitoring() (*NodeReport, error) {
 	return report, nil
 }
 
-// Elapsed returns the virtual seconds since StartMonitoring on this rank.
-func (s *Session) Elapsed() float64 { return s.p.Clock() - s.startAt }
-
-// PhaseMark is one named intermediate reading of a monitored run.
-type PhaseMark struct {
-	Name       string
-	AtS        float64 // virtual time relative to StartMonitoring
-	Microjoule []int64 // accumulated per event since StartMonitoring
-}
-
-// Mark records a named intermediate counter reading — the single-run
-// alternative to the paper's separate general/compute monitored
-// executions. Like StartMonitoring/StopMonitoring it is collective over
-// the node: every rank of the node calls it, and the reading happens
-// between two node barriers so no local rank can charge ahead into the
-// next phase while the monitoring rank reads.
-func (s *Session) Mark(name string) error {
-	if !s.started {
-		return fmt.Errorf("monitor: not started")
-	}
-	if err := s.alignNode(); err != nil {
-		return err
-	}
-	s.p.MarkInstant("mark: " + name)
-	if s.IsMonitor {
-		values, err := s.events.Read()
-		if err != nil {
-			return err
-		}
-		s.marks = append(s.marks, PhaseMark{
-			Name:       name,
-			AtS:        s.Elapsed(),
-			Microjoule: values,
-		})
-	}
-	if err := s.p.Fence(s.NodeComm); err != nil {
-		return err
-	}
-	return s.p.Barrier(s.NodeComm)
-}
-
 // alignNode is the node barrier the paper puts before every counter
 // access, followed by a fence: the barrier releases a rank before its
 // neighbours have charged their wait for it, and the counters must hold
@@ -238,32 +194,4 @@ func (s *Session) alignNode() error {
 		return err
 	}
 	return s.p.Fence(s.NodeComm)
-}
-
-// Marks returns the recorded phase marks (monitoring rank only).
-func (s *Session) Marks() []PhaseMark {
-	out := make([]PhaseMark, len(s.marks))
-	copy(out, s.marks)
-	return out
-}
-
-// PhaseDeltas converts the marks plus the final report into per-phase
-// energy intervals: phase i spans mark i−1 (or the start) to mark i, and a
-// final phase spans the last mark to StopMonitoring.
-func PhaseDeltas(marks []PhaseMark, final *NodeReport) []PhaseMark {
-	var out []PhaseMark
-	prev := PhaseMark{Microjoule: make([]int64, len(final.Microjoule))}
-	for _, m := range marks {
-		d := PhaseMark{Name: m.Name, AtS: m.AtS - prev.AtS, Microjoule: make([]int64, len(m.Microjoule))}
-		for i := range m.Microjoule {
-			d.Microjoule[i] = m.Microjoule[i] - prev.Microjoule[i]
-		}
-		out = append(out, d)
-		prev = m
-	}
-	d := PhaseMark{Name: "final", AtS: final.ElapsedS - prev.AtS, Microjoule: make([]int64, len(final.Microjoule))}
-	for i := range final.Microjoule {
-		d.Microjoule[i] = final.Microjoule[i] - prev.Microjoule[i]
-	}
-	return append(out, d)
 }

@@ -131,9 +131,6 @@ func TestMonitoringSessionStateMachine(t *testing.T) {
 			return errStr("double start accepted")
 		}
 		p.Compute(0.01, 0)
-		if s.Elapsed() <= 0 {
-			return errStr("Elapsed not advancing")
-		}
 		if _, err := s.StopMonitoring(); err != nil {
 			return err
 		}
@@ -141,65 +138,6 @@ func TestMonitoringSessionStateMachine(t *testing.T) {
 	})
 	// Note: the double-start check happens after the first Start's world
 	// barrier, so all ranks take the same path and no deadlock occurs.
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPhaseMarks(t *testing.T) {
-	w := newClusterWorld(t)
-	err := w.Run(func(p *mpi.Proc) error {
-		s, err := Setup(p, p.World())
-		if err != nil {
-			return err
-		}
-		if err := s.Mark("too-early"); err == nil {
-			return errStr("mark before start accepted")
-		}
-		if err := s.StartMonitoring(); err != nil {
-			return err
-		}
-		p.Compute(0.1, 1e5) // allocation phase
-		if err := s.Mark("allocation"); err != nil {
-			return err
-		}
-		p.Compute(0.4, 4e5) // solve phase
-		if err := s.Mark("solve"); err != nil {
-			return err
-		}
-		p.Compute(0.05, 0) // teardown → "final" phase
-		rep, err := s.StopMonitoring()
-		if err != nil {
-			return err
-		}
-		marks := s.Marks()
-		if !s.IsMonitor {
-			if len(marks) != 0 {
-				return errStr("non-monitor recorded marks")
-			}
-			return nil
-		}
-		if len(marks) != 2 || marks[0].Name != "allocation" || marks[1].Name != "solve" {
-			return errStr("marks missing")
-		}
-		phases := PhaseDeltas(marks, rep)
-		if len(phases) != 3 {
-			return errStr("want 3 phase deltas")
-		}
-		// The solve phase (0.4 s) dominates allocation (0.1 s) ≈ 4×.
-		if phases[1].AtS <= 3*phases[0].AtS {
-			return errStr("phase durations wrong")
-		}
-		var allocJ, solveJ int64
-		for i := range phases[0].Microjoule {
-			allocJ += phases[0].Microjoule[i]
-			solveJ += phases[1].Microjoule[i]
-		}
-		if solveJ <= allocJ {
-			return errStr("solve phase should consume more than allocation")
-		}
-		return nil
-	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,11 +16,26 @@ import (
 // calibration) — the §4 portability requirement: the framework adapts
 // through configuration alone.
 func TestPortabilityAlternateMachine(t *testing.T) {
-	spec := cluster.BroadwellEP()
-	if spec.CoresPerNode() != 32 {
-		t.Fatalf("Broadwell node has %d cores, want 32", spec.CoresPerNode())
+	// 2 × 16-core Xeon E5-2697A v4 nodes (TDP 145 W); full load draws
+	// 52 + 16·5.7 ≈ 143 W per package.
+	spec := &cluster.MachineSpec{
+		Name:           "Broadwell-EP (Intel Xeon E5-2697A v4)",
+		TotalNodes:     512,
+		SocketsPerNode: 2,
+		CoresPerSocket: 16,
+		MemPerNodeGB:   128,
+		ClockGHz:       2.60,
+		PeakNodeGFlops: 1331,
 	}
-	cal := power.BroadwellEP()
+	cal := power.Calibration{
+		PkgIdle:     52.0,
+		CoreActive:  5.7,
+		OSNoise:     4.0,
+		TDP:         145.0,
+		DramIdle:    8.0,
+		DramPerByte: 0.60e-9,
+		UncoreLoad:  2.5,
+	}
 	if err := cal.Validate(); err != nil {
 		t.Fatal(err)
 	}

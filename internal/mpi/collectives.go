@@ -10,9 +10,6 @@ const (
 	opAllgather
 	opAllreduce
 	opSplit
-	opScatter // no longer issued; kept so later opcodes keep their tags
-	opReduce
-	opAlltoall
 )
 
 // ctag builds the reserved tag of one stage of one collective call.
@@ -251,22 +248,6 @@ func combineSum(acc, in []float64) {
 	}
 }
 
-func combineMax(acc, in []float64) {
-	for i, v := range in {
-		if v > acc[i] {
-			acc[i] = v
-		}
-	}
-}
-
-func combineMin(acc, in []float64) {
-	for i, v := range in {
-		if v < acc[i] {
-			acc[i] = v
-		}
-	}
-}
-
 // combineMaxLoc keeps the larger value of two (value, index) pairs and,
 // on a tie, the lower index.
 func combineMaxLoc(acc, in []float64) {
@@ -287,104 +268,6 @@ func (p *Proc) AllreduceMaxLoc(c *Comm, value float64, index int) (float64, int,
 	value, index = out[0], int(out[1])
 	PutBuf(out)
 	return value, index, nil
-}
-
-// ReduceSum element-wise sums equal-length vectors at comm rank root via a
-// binomial reduction tree (MPI_Reduce with MPI_SUM). Root receives the
-// total; everyone else gets nil.
-func (p *Proc) ReduceSum(c *Comm, root int, data []float64) ([]float64, error) {
-	me, err := c.Rank(p)
-	if err != nil {
-		return nil, err
-	}
-	if root < 0 || root >= c.Size() {
-		return nil, fmt.Errorf("mpi: reduce root %d out of range [0,%d)", root, c.Size())
-	}
-	seq := p.nextSeq(c)
-	p.countCollective(opReduce)
-	start := p.clock
-	defer func() { p.recordCollective("reduce", start, len(data)) }()
-	tag := ctag(seq, opReduce, 0)
-	size := c.Size()
-	rel := (me - root + size) % size
-	acc := make([]float64, len(data))
-	copy(acc, data)
-	for mask := 1; mask < size; mask <<= 1 {
-		if rel&mask != 0 {
-			dst := (rel - mask + root) % size
-			return nil, p.send(c, dst, tag, acc)
-		}
-		if rel+mask < size {
-			src := (rel + mask + root) % size
-			in, err := p.recv(c, src, tag)
-			if err != nil {
-				return nil, err
-			}
-			if len(in) != len(acc) {
-				return nil, fmt.Errorf("mpi: reduce length mismatch: %d vs %d", len(in), len(acc))
-			}
-			for i, v := range in {
-				acc[i] += v
-			}
-		}
-	}
-	return acc, nil
-}
-
-// AllreduceMax element-wise maximises equal-length vectors across the
-// communicator.
-func (p *Proc) AllreduceMax(c *Comm, data []float64) ([]float64, error) {
-	return p.allreduce(c, data, combineMax)
-}
-
-// AllreduceMin element-wise minimises equal-length vectors across the
-// communicator.
-func (p *Proc) AllreduceMin(c *Comm, data []float64) ([]float64, error) {
-	return p.allreduce(c, data, combineMin)
-}
-
-// Alltoall delivers chunks[d] of this rank to comm rank d and returns the
-// chunks addressed to this rank, indexed by sender (MPI_Alltoallv flavour:
-// chunk lengths may vary). Implemented pairwise with buffered sends.
-func (p *Proc) Alltoall(c *Comm, chunks [][]float64) ([][]float64, error) {
-	me, err := c.Rank(p)
-	if err != nil {
-		return nil, err
-	}
-	if len(chunks) != c.Size() {
-		return nil, fmt.Errorf("mpi: alltoall got %d chunks for %d ranks", len(chunks), c.Size())
-	}
-	seq := p.nextSeq(c)
-	p.countCollective(opAlltoall)
-	start := p.clock
-	defer func() { p.recordCollective("alltoall", start, 0) }()
-	tag := ctag(seq, opAlltoall, 0)
-	size := c.Size()
-	out := make([][]float64, size)
-	own := make([]float64, len(chunks[me]))
-	copy(own, chunks[me])
-	out[me] = own
-	// Send everything eagerly, then drain: buffered channels prevent
-	// deadlock and the pairwise order keeps streams matched.
-	for d := 0; d < size; d++ {
-		if d == me {
-			continue
-		}
-		if err := p.send(c, d, tag, chunks[d]); err != nil {
-			return nil, err
-		}
-	}
-	for s := 0; s < size; s++ {
-		if s == me {
-			continue
-		}
-		got, err := p.recv(c, s, tag)
-		if err != nil {
-			return nil, err
-		}
-		out[s] = got
-	}
-	return out, nil
 }
 
 // allreduce runs a binomial reduction to comm rank 0 with the given

@@ -46,13 +46,6 @@ func (c *Comm) Rank(p *Proc) (int, error) {
 	return r, nil
 }
 
-// WorldRanks returns the members in comm-rank order.
-func (c *Comm) WorldRanks() []int {
-	out := make([]int, len(c.ranks))
-	copy(out, c.ranks)
-	return out
-}
-
 // worldRank translates a comm rank to a world rank.
 func (c *Comm) worldRank(commRank int) (int, error) {
 	if commRank < 0 || commRank >= len(c.ranks) {

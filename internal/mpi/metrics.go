@@ -19,7 +19,7 @@ type worldMetrics struct {
 	bytes    *telemetry.Counter // payload bytes of those sends
 	recvs    *telemetry.Counter
 
-	collectives [opAlltoall + 1]*telemetry.Counter // indexed by opcode
+	collectives [opSplit + 1]*telemetry.Counter // indexed by opcode
 	barriers    *telemetry.Counter
 
 	// Per-rank activity accounting (index = world rank).
@@ -50,12 +50,6 @@ func collectiveName(op int) string {
 		return "allreduce"
 	case opSplit:
 		return "comm_split"
-	case opScatter:
-		return "scatter"
-	case opReduce:
-		return "reduce"
-	case opAlltoall:
-		return "alltoall"
 	default:
 		return "unknown"
 	}
@@ -74,7 +68,7 @@ func (w *World) EnableMetrics() *telemetry.Registry {
 	m.messages = reg.Counter("mpi_messages_total", "point-to-point messages sent (collective tree stages included)")
 	m.bytes = reg.Counter("mpi_message_bytes_total", "payload bytes of point-to-point messages")
 	m.recvs = reg.Counter("mpi_recvs_total", "messages received")
-	for op := opBcast; op <= opAlltoall; op++ {
+	for op := opBcast; op <= opSplit; op++ {
 		m.collectives[op] = reg.Counter("mpi_collectives_total", "collective operations by type", "op", collectiveName(op))
 	}
 	m.barriers = reg.Counter("mpi_barriers_total", "barrier synchronisations entered")

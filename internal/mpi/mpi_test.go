@@ -477,7 +477,7 @@ func TestCommSplitGroups(t *testing.T) {
 			return err
 		}
 		// Descending keys: highest world rank gets comm rank 0.
-		wr := sub.WorldRanks()
+		wr := sub.ranks
 		for i := 1; i < len(wr); i++ {
 			if wr[i] >= wr[i-1] {
 				return fmt.Errorf("split ordering wrong: %v", wr)
@@ -544,14 +544,14 @@ func TestCommSplitTypeShared(t *testing.T) {
 			return fmt.Errorf("node comm size %d, want 48", nodeComm.Size())
 		}
 		myNode, _ := p.Location()
-		for _, wr := range nodeComm.WorldRanks() {
+		for _, wr := range nodeComm.ranks {
 			if wr/48 != myNode {
 				return fmt.Errorf("rank %d grouped with foreign node rank %d", p.Rank(), wr)
 			}
 		}
 		// The paper designates the highest rank of each node as monitoring
 		// rank; verify it is identifiable.
-		wrs := nodeComm.WorldRanks()
+		wrs := nodeComm.ranks
 		if wrs[len(wrs)-1] != (myNode+1)*48-1 {
 			return fmt.Errorf("highest rank of node %d is %d", myNode, wrs[len(wrs)-1])
 		}

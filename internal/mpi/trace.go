@@ -106,9 +106,6 @@ func (w *World) EnableTracing() {
 	w.trace = tr
 }
 
-// TracingEnabled reports whether EnableTracing was called.
-func (w *World) TracingEnabled() bool { return w.trace != nil }
-
 // Spans returns the recorded spans sorted by (rank, start). Empty without
 // EnableTracing.
 func (w *World) Spans() []Span {
@@ -375,9 +372,12 @@ func ReadChromeTrace(r io.Reader) ([]Span, error) {
 		return nil, fmt.Errorf("mpi: chrome trace has no traceEvents array")
 	}
 	var spans []Span
-	for _, e := range doc.TraceEvents {
+	for i, e := range doc.TraceEvents {
 		if e.Ph != "X" {
 			continue
+		}
+		if e.Tid < 0 {
+			return nil, fmt.Errorf("mpi: trace event %d has negative rank (tid %d)", i, e.Tid)
 		}
 		s := Span{
 			Rank:  e.Tid,

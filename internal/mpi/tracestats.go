@@ -51,6 +51,11 @@ type msgKey struct {
 // AnalyzeSpans computes per-rank breakdowns and the critical path of a
 // recorded trace (World.Spans or ReadChromeTrace output). Only primitive
 // spans participate; collective and phase wrapper spans are ignored.
+//
+// The per-rank tables are indexed by rank and sized by the primitive
+// spans' ranks, which must be dense: a span whose rank is negative or not
+// below the number of spans is refused, so the tables stay bounded by the
+// input.
 func AnalyzeSpans(spans []Span) (*TraceStats, error) {
 	// Primitive spans in global time order (stable keeps per-rank program
 	// order for identical starts, e.g. zero-overhead cost models).
@@ -58,15 +63,18 @@ func AnalyzeSpans(spans []Span) (*TraceStats, error) {
 	maxRank := -1
 	makespan := 0.0
 	for _, s := range spans {
+		if s.Rank < 0 || s.Rank >= len(spans) {
+			return nil, fmt.Errorf("mpi: %s span has rank %d, outside [0,%d): ranks must be dense", s.Kind, s.Rank, len(spans))
+		}
 		if s.End > makespan {
 			makespan = s.End
-		}
-		if s.Rank > maxRank {
-			maxRank = s.Rank
 		}
 		switch s.Kind {
 		case "compute", "send", "recv", "wait":
 			prim = append(prim, s)
+			if s.Rank > maxRank {
+				maxRank = s.Rank
+			}
 		}
 	}
 	if len(prim) == 0 {

@@ -1,7 +1,11 @@
 package mpi
 
 import (
+	"bytes"
 	"math"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -99,4 +103,34 @@ func TestAnalyzeSpansEmpty(t *testing.T) {
 	if _, err := AnalyzeSpans([]Span{{Kind: "phase", Start: 0, End: 1}}); err == nil {
 		t.Fatal("wrapper-only span list accepted")
 	}
+}
+
+// FuzzReadChromeTrace feeds arbitrary files through the tracestats path,
+// ReadChromeTrace then AnalyzeSpans: neither may panic, and what they
+// allocate must stay bounded by the input, however large the rank ids it
+// claims. The seeds include a negative tid and a four-billion tid.
+func FuzzReadChromeTrace(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "perfetto_golden.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add([]byte(`{"traceEvents":[{"ph":"X","cat":"compute","ts":0,"dur":5,"tid":-1}]}`))
+	f.Add([]byte(`{"traceEvents":[{"ph":"X","cat":"compute","ts":0,"dur":5,"tid":0},{"ph":"X","cat":"phase","name":"p","ts":0,"dur":5,"tid":4000000000}]}`))
+	f.Fuzz(func(t *testing.T, input []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		spans, err := ReadChromeTrace(bytes.NewReader(input))
+		var st *TraceStats
+		if err == nil {
+			st, err = AnalyzeSpans(spans)
+		}
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1024*uint64(len(input))+1<<20 {
+			t.Fatalf("a %d-byte trace allocated %d bytes", len(input), alloc)
+		}
+		if err == nil && len(st.Ranks) > len(spans) {
+			t.Fatalf("%d rank rows for %d spans", len(st.Ranks), len(spans))
+		}
+	})
 }

@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -214,15 +213,6 @@ func (w *World) Traffic() (messages, volume int64) {
 	return messages, volume
 }
 
-// ResetTraffic zeroes the traffic counters (used to separate phases; call
-// it at a quiescent point, not concurrently with in-flight sends).
-func (w *World) ResetTraffic() {
-	for i := range w.traffic {
-		w.traffic[i].messages.Store(0)
-		w.traffic[i].volume.Store(0)
-	}
-}
-
 // chargeNode accounts busy core-seconds and memory traffic for a rank and
 // advances its node's RAPL clock to the rank's virtual time.
 func (w *World) chargeNode(rank int, busySeconds, bytes, clock float64) {
@@ -305,18 +295,6 @@ func (w *World) Run(body func(p *Proc) error) error {
 func (w *World) Failed(rank int) (t float64, dead bool) {
 	info, ok := w.fail.get(rank)
 	return info.t, ok
-}
-
-// FailedRanks returns the dead ranks in ascending order.
-func (w *World) FailedRanks() []int {
-	w.fail.mu.Lock()
-	out := make([]int, 0, len(w.fail.failed))
-	for r := range w.fail.failed {
-		out = append(out, r)
-	}
-	w.fail.mu.Unlock()
-	sort.Ints(out)
-	return out
 }
 
 // TotalEnergyJ sums the exact model energy of every monitored RAPL domain

@@ -103,21 +103,6 @@ func (l *Library) ThreadInit() error {
 	return nil
 }
 
-// Components lists the available component names.
-func (l *Library) Components() []string { return []string{"powercap", "rapl"} }
-
-// ComponentEvents lists the events of one component, the analog of
-// enumerating with PAPI_enum_cmp_event. An empty name lists everything.
-func (l *Library) ComponentEvents(component string) []EventInfo {
-	var out []EventInfo
-	for _, e := range l.events {
-		if component == "" || e.Component == component {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // EventNameToCode translates an event name to its code
 // (papi_event_name_to_code in the paper's papi_monitoring.h).
 func (l *Library) EventNameToCode(name string) (EventCode, error) {
@@ -179,15 +164,6 @@ func (es *EventSet) AddNamedEvents(names []string) error {
 	return nil
 }
 
-// Names returns the names of the added events in order.
-func (es *EventSet) Names() []string {
-	out := make([]string, len(es.events))
-	for i, e := range es.events {
-		out[i] = e.Name
-	}
-	return out
-}
-
 // Start begins counting and records the virtual start time
 // (the paper's PAPI_start_AND_time).
 func (es *EventSet) Start() error {
@@ -238,27 +214,6 @@ func (es *EventSet) Read() ([]int64, error) {
 	return out, nil
 }
 
-// Reset zeroes the running counters without stopping (PAPI_reset):
-// subsequent reads accumulate from this instant.
-func (es *EventSet) Reset() error {
-	if err := es.usable(); err != nil {
-		return err
-	}
-	if !es.running {
-		return ErrNotRunning
-	}
-	for i, e := range es.events {
-		raw, err := es.readRaw(e)
-		if err != nil {
-			return err
-		}
-		es.startRaw[i] = raw
-		es.accumulated[i] = 0
-	}
-	es.startTime = es.lib.node.Now()
-	return nil
-}
-
 // Stop ends counting and returns the final per-event microjoule totals
 // together with the elapsed virtual time (the paper's PAPI_stop_AND_time).
 func (es *EventSet) Stop() (values []int64, elapsed float64, err error) {
@@ -307,8 +262,8 @@ func (es *EventSet) usable() error {
 }
 
 // readRaw reads the raw counter behind an event through the MSR path, so
-// driver gating and update granularity apply exactly as they would to a
-// real powercap component read.
+// the counter's update granularity applies exactly as it would to a real
+// powercap component read.
 func (es *EventSet) readRaw(e EventInfo) (uint32, error) {
 	var addr uint32
 	switch e.Domain {

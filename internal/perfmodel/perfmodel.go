@@ -250,14 +250,6 @@ func (r Result) PkgJ() float64 { return r.EnergyJ[rapl.PKG0] + r.EnergyJ[rapl.PK
 // DramJ returns the DRAM-domain energy.
 func (r Result) DramJ() float64 { return r.EnergyJ[rapl.DRAM0] + r.EnergyJ[rapl.DRAM1] }
 
-// DramPowerW is the average DRAM power over the run.
-func (r Result) DramPowerW() float64 {
-	if r.DurationS <= 0 {
-		return 0
-	}
-	return r.DramJ() / r.DurationS
-}
-
 // Run models one (algorithm, order, configuration) execution.
 func Run(alg Algorithm, n int, cfg cluster.Config, prm Params) (Result, error) {
 	prm.normalize()

@@ -230,13 +230,13 @@ func TestFigure7PowerProportionalToRanks(t *testing.T) {
 func TestDramPowerGap(t *testing.T) {
 	grid := paperGrid(t)
 	pair := grid[[2]int{34560, 144}]
-	gap := pair[0].DramPowerW()/pair[1].DramPowerW() - 1
+	gap := (pair[0].DramJ()/pair[0].DurationS)/(pair[1].DramJ()/pair[1].DurationS) - 1
 	if gap < 0.35 || gap > 0.55 {
 		t.Fatalf("DRAM power gap at (34560,144) = %.0f%%, want ≈42%%", gap*100)
 	}
 	for key, p := range grid {
 		pkgGap := p[0].AvgPowerW()/p[1].AvgPowerW() - 1
-		dramGap := p[0].DramPowerW()/p[1].DramPowerW() - 1
+		dramGap := (p[0].DramJ()/p[0].DurationS)/(p[1].DramJ()/p[1].DurationS) - 1
 		if dramGap <= pkgGap {
 			t.Errorf("n=%d ranks=%d: DRAM gap %.0f%% not above total gap %.0f%%",
 				key[0], key[1], dramGap*100, pkgGap*100)
@@ -360,10 +360,10 @@ func TestResultAccessors(t *testing.T) {
 	if diff := sum/r.TotalJ - 1; diff < -1e-9 || diff > 1e-9 {
 		t.Fatalf("domain sum %.1f != total %.1f", sum, r.TotalJ)
 	}
-	if r.AvgPowerW() <= 0 || r.DramPowerW() <= 0 {
-		t.Fatal("powers must be positive")
+	if r.AvgPowerW() <= 0 {
+		t.Fatal("power must be positive")
 	}
-	if (Result{}).AvgPowerW() != 0 || (Result{}).DramPowerW() != 0 {
+	if (Result{}).AvgPowerW() != 0 {
 		t.Fatal("zero-duration result should have zero power")
 	}
 	if IMe.String() != "IMe" || ScaLAPACK.String() != "ScaLAPACK" || Algorithm(7).String() == "" {

@@ -101,21 +101,6 @@ func Skylake8160() Calibration {
 	}
 }
 
-// BroadwellEP returns a calibration for the alternative 16-core Xeon
-// E5-2697A v4 socket (TDP 145 W) — the portability demonstration's node
-// type. Full load: 52 + 16·5.7 ≈ 143 W.
-func BroadwellEP() Calibration {
-	return Calibration{
-		PkgIdle:     52.0,
-		CoreActive:  5.7,
-		OSNoise:     4.0,
-		TDP:         145.0,
-		DramIdle:    8.0,
-		DramPerByte: 0.60e-9,
-		UncoreLoad:  2.5,
-	}
-}
-
 // Validate reports an error when the calibration is physically implausible.
 func (c Calibration) Validate() error {
 	switch {
@@ -150,22 +135,10 @@ func (c Calibration) PkgEnergy(elapsed, busyCoreSeconds float64, socket int) flo
 	return e
 }
 
-// DramPower returns the instantaneous DRAM-domain power at the given
-// sustained traffic (bytes/second).
-func (c Calibration) DramPower(bytesPerSecond float64) float64 {
-	return c.DramIdle + c.DramPerByte*bytesPerSecond
-}
-
 // DramEnergy integrates DRAM-domain energy over elapsed seconds during
 // which bytes of traffic hit the domain.
 func (c Calibration) DramEnergy(elapsed float64, bytes float64) float64 {
 	return c.DramIdle*elapsed + c.DramPerByte*bytes
-}
-
-// FullLoadPkgPower returns the package power with every core of a
-// coresPerSocket-core socket active — a sanity anchor against TDP.
-func (c Calibration) FullLoadPkgPower(coresPerSocket, socket int) float64 {
-	return c.PkgPower(coresPerSocket, socket)
 }
 
 // UncorePower returns the occupancy-dependent mesh/LLC power of a socket

@@ -30,7 +30,7 @@ func TestValidateRejectsImplausible(t *testing.T) {
 // within a few percent of the Xeon 8160's 150 W TDP.
 func TestFullLoadNearTDP(t *testing.T) {
 	c := Skylake8160()
-	p := c.FullLoadPkgPower(24, 1)
+	p := c.PkgPower(24, 1)
 	if math.Abs(p-c.TDP)/c.TDP > 0.05 {
 		t.Fatalf("full-load package power %.1f W not within 5%% of TDP %.1f W", p, c.TDP)
 	}
@@ -108,9 +108,9 @@ func TestDramEnergyMonotoneInTraffic(t *testing.T) {
 
 func TestDramPowerAtStreamBandwidth(t *testing.T) {
 	// At ~100 GB/s sustained (six DDR4-2666 channels), the DRAM domain
-	// should draw a plausible 40–80 W.
+	// should draw a plausible 40–80 W: one second's energy at that rate.
 	c := Skylake8160()
-	p := c.DramPower(100e9)
+	p := c.DramEnergy(1, 100e9)
 	if p < 30 || p > 90 {
 		t.Fatalf("DRAM power at 100 GB/s = %.1f W, implausible", p)
 	}

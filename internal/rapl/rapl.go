@@ -11,9 +11,7 @@
 //     MSR_RAPL_POWER_UNIT (1/2^ESU joules, ESU = 14 ⇒ ~61 µJ);
 //   - counters update approximately once a millisecond, with per-package
 //     jitter, so two reads less than a millisecond apart may see the same
-//     value;
-//   - MSR access requires the (simulated) msr driver to be enabled and
-//     readable, otherwise reads fail the way /dev/cpu/*/msr does.
+//     value.
 //
 // Energy itself comes from the additive power model in internal/power,
 // driven by per-rank activity accounting over virtual time.
@@ -125,24 +123,19 @@ type Node struct {
 	snapshotTime [2]float64
 	snapshot     [numDomains]uint32
 	dirty        [2]bool
-	// driverEnabled gates MSR access like the Linux msr module.
-	driverEnabled bool
-	nodeID        int
+	nodeID       int
 }
 
-// NewNode returns a node with zeroed counters and the msr driver enabled.
+// NewNode returns a node with zeroed counters.
 func NewNode(id int, cal power.Calibration) (*Node, error) {
 	if err := cal.Validate(); err != nil {
 		return nil, err
 	}
-	n := &Node{cal: cal, driverEnabled: true, nodeID: id}
+	n := &Node{cal: cal, nodeID: id}
 	n.refresh(0)
 	n.refresh(1)
 	return n, nil
 }
-
-// SetDriverEnabled simulates loading/unloading the msr kernel module.
-func (n *Node) SetDriverEnabled(on bool) { n.driverEnabled = on }
 
 // AccountBusy adds coreSeconds of rank activity to a socket. Negative
 // accounting is rejected.
@@ -235,12 +228,8 @@ func (n *Node) ExactEnergy(d Domain) float64 { return n.energyJoules(d) }
 // Now returns the node's current virtual time.
 func (n *Node) Now() float64 { return n.now }
 
-// ReadMSR reads a simulated MSR for the given socket. It fails when the
-// msr driver is disabled, mirroring EPERM on real systems.
+// ReadMSR reads a simulated MSR for the given socket.
 func (n *Node) ReadMSR(socket int, addr uint32) (uint64, error) {
-	if !n.driverEnabled {
-		return 0, fmt.Errorf("rapl: msr driver disabled (node %d): permission denied", n.nodeID)
-	}
 	if socket < 0 || socket > 1 {
 		return 0, fmt.Errorf("rapl: socket %d out of range", socket)
 	}
@@ -271,14 +260,4 @@ func (n *Node) ReadMSR(socket int, addr uint32) (uint64, error) {
 // layer reads far more often than the ~100 s wrap horizon at TDP).
 func CounterDelta(before, after uint32) float64 {
 	return float64(after-before) * EnergyUnit // uint32 arithmetic wraps naturally
-}
-
-// WrapHorizon returns the time in seconds after which a domain counter
-// wraps at the given sustained power — a documentation aid used by tests
-// to show reads are frequent enough.
-func WrapHorizon(watts float64) float64 {
-	if watts <= 0 {
-		return math.Inf(1)
-	}
-	return float64(math.MaxUint32) * EnergyUnit / watts
 }

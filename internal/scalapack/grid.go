@@ -79,10 +79,3 @@ func OwnerAndLocal(g, nb, np int) (owner, local int) {
 	local = (block/np)*nb + g%nb
 	return owner, local
 }
-
-// GlobalIndex is the inverse of OwnerAndLocal: the global index of local
-// element l on process p.
-func GlobalIndex(l, nb, p, np int) int {
-	block := l / nb
-	return (block*np+p)*nb + l%nb
-}

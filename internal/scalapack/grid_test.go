@@ -5,6 +5,13 @@ import (
 	"testing/quick"
 )
 
+// globalIndex is the inverse of OwnerAndLocal: the global index of local
+// element l on process p.
+func globalIndex(l, nb, p, np int) int {
+	block := l / nb
+	return (block*np+p)*nb + l%nb
+}
+
 func TestNewGridShapes(t *testing.T) {
 	cases := []struct{ p, pr, pc int }{
 		{1, 1, 1}, {2, 1, 2}, {4, 2, 2}, {6, 2, 3}, {12, 3, 4},
@@ -53,7 +60,7 @@ func TestNumrocPartition(t *testing.T) {
 			if owner < 0 || owner >= np {
 				return false
 			}
-			if GlobalIndex(local, nb, owner, np) != g {
+			if globalIndex(local, nb, owner, np) != g {
 				return false
 			}
 			counts[owner]++

@@ -60,10 +60,3 @@ func (c *Coalescer) Do(ctx context.Context, key string, fn func() ([]byte, error
 	close(call.done)
 	return call.body, false, call.err
 }
-
-// Inflight returns the number of distinct keys currently being computed.
-func (c *Coalescer) Inflight() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.calls)
-}

@@ -42,7 +42,12 @@ func TestCoalescerSharesOneComputation(t *testing.T) {
 	// poll until the key is the only in-flight entry and goroutines had a
 	// chance to block (the select is the only place they can be).
 	deadline := time.After(2 * time.Second)
-	for c.Inflight() != 1 {
+	inflight := func() int {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return len(c.calls)
+	}
+	for inflight() != 1 {
 		select {
 		case <-deadline:
 			t.Fatal("coalescer never reached one in-flight call")

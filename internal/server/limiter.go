@@ -76,8 +76,5 @@ func (l *Limiter) Release() {
 	l.inflightGauge.Add(-1)
 }
 
-// Inflight returns the number of held slots.
-func (l *Limiter) Inflight() int { return len(l.slots) }
-
 // Queued returns the number of waiters.
 func (l *Limiter) Queued() int { return int(l.queued.Load()) }

@@ -16,7 +16,7 @@ func TestLimiterAdmitsUpToCapacity(t *testing.T) {
 	if err := l.Acquire(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.Inflight(); got != 2 {
+	if got := len(l.slots); got != 2 {
 		t.Fatalf("inflight = %d, want 2", got)
 	}
 	l.Release()

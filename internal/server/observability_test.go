@@ -360,9 +360,9 @@ func TestEarlyReturnMetricDeltas(t *testing.T) {
 			}
 			// Give released background requests a beat to finish counting.
 			deadline := time.Now().Add(2 * time.Second)
-			for s.lim.Inflight() != 0 || s.lim.Queued() != 0 {
+			for len(s.lim.slots) != 0 || s.lim.Queued() != 0 {
 				if time.Now().After(deadline) {
-					t.Fatalf("limiter did not settle: inflight=%d queued=%d", s.lim.Inflight(), s.lim.Queued())
+					t.Fatalf("limiter did not settle: inflight=%d queued=%d", len(s.lim.slots), s.lim.Queued())
 				}
 				time.Sleep(time.Millisecond)
 			}

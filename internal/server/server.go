@@ -238,9 +238,6 @@ func (s *Server) SLOReport() telemetry.SLOReport { return s.slo.Report() }
 // handlers to return.
 func (s *Server) Drain() { s.draining.Store(true) }
 
-// Draining reports whether Drain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Handler returns the service's routed handler.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()

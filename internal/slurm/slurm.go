@@ -21,7 +21,6 @@ package slurm
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"sync"
 
 	"repro/internal/cluster"
@@ -211,16 +210,4 @@ func (s *Scheduler) Release(jobID int) error {
 	}
 	delete(s.running, jobID)
 	return nil
-}
-
-// Running lists the active job IDs in submission order.
-func (s *Scheduler) Running() []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]int, 0, len(s.running))
-	for id := range s.running {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -34,8 +34,8 @@ func TestSubmitGrantsContiguousNodes(t *testing.T) {
 	if s.FreeNodes() != 3188-3 {
 		t.Fatalf("free nodes = %d", s.FreeNodes())
 	}
-	if got := s.Running(); len(got) != 1 || got[0] != alloc.JobID {
-		t.Fatalf("running = %v", got)
+	if _, ok := s.running[alloc.JobID]; !ok || len(s.running) != 1 {
+		t.Fatalf("running = %v, want only job %d", s.running, alloc.JobID)
 	}
 }
 
@@ -235,8 +235,8 @@ func TestConcurrentSubmitRelease(t *testing.T) {
 	if s.FreeNodes() != 3188 {
 		t.Fatalf("free nodes after churn = %d, want 3188", s.FreeNodes())
 	}
-	if len(s.Running()) != 0 {
-		t.Fatalf("running after churn = %v", s.Running())
+	if len(s.running) != 0 {
+		t.Fatalf("running after churn = %v", s.running)
 	}
 }
 

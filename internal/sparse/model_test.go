@@ -135,15 +135,3 @@ func TestEstItersBounds(t *testing.T) {
 		t.Fatal("BiCGSTAB sweep count should sit below CG's for equal κ")
 	}
 }
-
-func TestDeviceParse(t *testing.T) {
-	for _, d := range cluster.Devices() {
-		got, err := cluster.ParseDevice(d.String())
-		if err != nil || got != d {
-			t.Fatalf("ParseDevice(%q) = %v, %v", d.String(), got, err)
-		}
-	}
-	if _, err := cluster.ParseDevice("gpu"); err == nil {
-		t.Fatal("ParseDevice accepted \"gpu\"")
-	}
-}

@@ -143,7 +143,6 @@ type Store struct {
 	order      []string // keys in append order (stable Keys/provenance)
 	duplicates int
 	corrupt    int
-	appended   int
 }
 
 // Open opens (creating if needed) the store rooted at dir and indexes
@@ -236,14 +235,6 @@ func (s *Store) load(path string) error {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Has reports whether a record for key is present.
-func (s *Store) Has(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.index[key]
-	return ok
-}
-
 // Get returns the record for key, if present. The record's raw
 // Identity/Result bytes are shared with the index — read-only.
 func (s *Store) Get(key string) (Record, bool, error) {
@@ -278,7 +269,6 @@ func (s *Store) Append(rec Record) (added bool, err error) {
 	}
 	s.index[rec.Key] = rec
 	s.order = append(s.order, rec.Key)
-	s.appended++
 	return true, nil
 }
 
@@ -287,13 +277,6 @@ func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.index)
-}
-
-// Appended returns how many records this handle has written.
-func (s *Store) Appended() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.appended
 }
 
 // Duplicates returns how many on-disk lines repeated an already-indexed

@@ -111,8 +111,8 @@ func TestAppendGetRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, rec) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, rec)
 	}
-	if s.Len() != 1 || s.Appended() != 1 {
-		t.Fatalf("Len=%d Appended=%d, want 1/1", s.Len(), s.Appended())
+	if s.Len() != 1 {
+		t.Fatalf("Len=%d, want 1", s.Len())
 	}
 }
 
@@ -280,7 +280,7 @@ func TestTornTailSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s3.Close()
-	if !s3.Has(rec.Key) {
+	if _, ok, _ := s3.Get(rec.Key); !ok {
 		t.Fatal("record appended after a torn tail was lost on reopen")
 	}
 }

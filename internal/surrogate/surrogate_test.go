@@ -205,7 +205,7 @@ func TestFallbackOutOfEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	broadwell, err := cluster.NewConfig(96, cluster.FullLoad, cluster.BroadwellEP())
+	otherMachine, err := cluster.NewConfig(96, cluster.FullLoad, cluster.MarconiA3Accel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestFallbackOutOfEnvelope(t *testing.T) {
 		{"n above range", perfmodel.IMe, nHiGlobal + 1, base, perfmodel.Params{Overlap: true}},
 		{"single node", perfmodel.IMe, 8640, singleNode, perfmodel.Params{Overlap: true}},
 		{"untrained rank count", perfmodel.IMe, 8640, offRanks, perfmodel.Params{Overlap: true}},
-		{"different machine", perfmodel.IMe, 8640, broadwell, perfmodel.Params{Overlap: true}},
+		{"different machine", perfmodel.IMe, 8640, otherMachine, perfmodel.Params{Overlap: true}},
 	}
 	for _, tc := range cases {
 		if _, ok := p.Predict(tc.alg, tc.n, tc.cfg, tc.prm); ok {

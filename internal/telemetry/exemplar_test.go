@@ -54,14 +54,6 @@ func TestExemplarExposition(t *testing.T) {
 	if !strings.Contains(buf.String(), `req_s_bucket{le="+Inf"} 1`+"\n") {
 		t.Fatalf("+Inf bucket malformed:\n%s", buf.String())
 	}
-
-	buf.Reset()
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"trace_id": "0123456789abcdef0123456789abcdef"`) {
-		t.Fatalf("JSON exposition missing exemplar:\n%s", buf.String())
-	}
 }
 
 // TestExemplarConcurrentRecording hammers one histogram from many

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -80,118 +79,4 @@ func (r *Registry) WritePrometheus(out io.Writer) error {
 		}
 	}
 	return w.Flush()
-}
-
-// jsonBucket is one histogram bucket in the JSON exposition.
-type jsonBucket struct {
-	LE       string        `json:"le"`
-	Count    uint64        `json:"count"` // cumulative, like the text format
-	Exemplar *jsonExemplar `json:"exemplar,omitempty"`
-}
-
-// jsonExemplar is a bucket's latest tagged observation.
-type jsonExemplar struct {
-	TraceID string  `json:"trace_id"`
-	Value   float64 `json:"value"`
-}
-
-// jsonMetric is one series in the JSON exposition.
-type jsonMetric struct {
-	Name    string            `json:"name"`
-	Type    string            `json:"type"`
-	Help    string            `json:"help,omitempty"`
-	Labels  map[string]string `json:"labels,omitempty"`
-	Value   *float64          `json:"value,omitempty"`
-	Buckets []jsonBucket      `json:"buckets,omitempty"`
-	Sum     *float64          `json:"sum,omitempty"`
-	Count   *uint64           `json:"count,omitempty"`
-}
-
-// WriteJSON emits the registry as a JSON document: a sorted array of
-// series under "metrics". Deterministic, machine-readable counterpart of
-// WritePrometheus.
-func (r *Registry) WriteJSON(out io.Writer) error {
-	metrics := make([]jsonMetric, 0)
-	for _, e := range r.snapshot() {
-		m := jsonMetric{Name: e.base, Type: e.kind.String(), Help: e.help, Labels: parseLabels(e.labels)}
-		switch e.kind {
-		case kindCounter:
-			v := e.c.Value()
-			m.Value = &v
-		case kindGauge:
-			v := e.g.Value()
-			m.Value = &v
-		case kindHistogram:
-			bounds := e.h.Bounds()
-			exemplars := e.h.Exemplars()
-			var cum uint64
-			for i, c := range e.h.BucketCounts() {
-				cum += c
-				le := "+Inf"
-				if i < len(bounds) {
-					le = formatValue(bounds[i])
-				}
-				b := jsonBucket{LE: le, Count: cum}
-				if ex := exemplars[i]; ex != nil {
-					b.Exemplar = &jsonExemplar{TraceID: ex.TraceID, Value: ex.Value}
-				}
-				m.Buckets = append(m.Buckets, b)
-			}
-			s := e.h.Sum()
-			n := e.h.Count()
-			m.Sum = &s
-			m.Count = &n
-		}
-		metrics = append(metrics, m)
-	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Metrics []jsonMetric `json:"metrics"`
-	}{metrics})
-}
-
-// parseLabels splits a rendered `k="v",…` fragment back into a map for
-// the JSON exposition.
-func parseLabels(labels string) map[string]string {
-	if labels == "" {
-		return nil
-	}
-	out := make(map[string]string)
-	rest := labels
-	for rest != "" {
-		eq := -1
-		for i := 0; i < len(rest); i++ {
-			if rest[i] == '=' {
-				eq = i
-				break
-			}
-		}
-		if eq < 0 || eq+1 >= len(rest) || rest[eq+1] != '"' {
-			break
-		}
-		k := rest[:eq]
-		v, tail, err := unquotePrefix(rest[eq+1:])
-		if err != nil {
-			break
-		}
-		out[k] = v
-		rest = tail
-		if rest != "" && rest[0] == ',' {
-			rest = rest[1:]
-		}
-	}
-	return out
-}
-
-// unquotePrefix unquotes the leading Go-quoted string of s and returns the
-// remainder.
-func unquotePrefix(s string) (string, string, error) {
-	for i := 1; i < len(s); i++ {
-		if s[i] == '"' && s[i-1] != '\\' {
-			v, err := strconv.Unquote(s[:i+1])
-			return v, s[i+1:], err
-		}
-	}
-	return "", "", fmt.Errorf("telemetry: unterminated label value %q", s)
 }

@@ -150,9 +150,6 @@ func (l *Logger) Enabled(level Level) bool {
 	return l != nil && level >= l.level
 }
 
-// Debug logs at debug level.
-func (l *Logger) Debug(msg string, kv ...any) { l.log(LevelDebug, msg, kv) }
-
 // Info logs at info level.
 func (l *Logger) Info(msg string, kv ...any) { l.log(LevelInfo, msg, kv) }
 

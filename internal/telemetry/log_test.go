@@ -43,7 +43,6 @@ func TestLoggerJSONGolden(t *testing.T) {
 func TestLoggerLevelGate(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewLogger(&buf, LoggerOptions{Level: LevelWarn, Now: pinnedClock()})
-	l.Debug("hidden")
 	l.Info("hidden")
 	l.Warn("shown")
 	if n := strings.Count(buf.String(), "\n"); n != 1 {

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"math"
 	"os"
@@ -158,22 +157,4 @@ func TestWritePrometheusGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "registry.prom", buf.Bytes())
-}
-
-func TestWriteJSONGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := goldenRegistry().WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// The export must be valid JSON before it is compared byte-for-byte.
-	var doc struct {
-		Metrics []map[string]any `json:"metrics"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if len(doc.Metrics) != 6 {
-		t.Fatalf("exported %d series, want 6", len(doc.Metrics))
-	}
-	checkGolden(t, "registry.json", buf.Bytes())
 }
