@@ -14,21 +14,25 @@
 //	GET  /debug/trace/{id} one retained request trace (Perfetto JSON)
 //	GET  /debug/slo        SLO compliance and burn rates
 //
-// The serving layer caches results (LRU+TTL over canonicalized
-// requests), answers in-envelope recommend/predict misses from the
-// learned surrogate in O(µs) (-surrogate, on by default), coalesces
+// The serving layer caches results (an LRU over canonicalized requests,
+// bounded by entry count), answers in-envelope recommend/predict misses
+// from the learned surrogate in O(µs) (-surrogate, on by default), coalesces
 // concurrent identical requests into one computation, and bounds
 // admission (semaphore + bounded queue with 429/503 shedding). Every
 // compute request is traced per stage under a W3C-style trace ID
 // (inbound traceparent honoured) and retained in a bounded ring for
 // live inspection. SIGINT/SIGTERM drains gracefully: new computations
-// are refused while in-flight requests complete.
+// are refused while in-flight requests complete. With -store, a
+// restarted advisord answers from the experiment store the cells an
+// earlier run computed, byte-identically and without running the model.
 package main
 
 import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -38,14 +42,12 @@ import (
 
 	"repro/internal/server"
 	"repro/internal/store"
-	"repro/internal/telemetry"
 )
 
 func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
 		cacheEntries = flag.Int("cache-entries", 4096, "result cache capacity (bodies)")
-		cacheTTL     = flag.Duration("cache-ttl", time.Hour, "result cache TTL (<0 disables expiry)")
 		maxInflight  = flag.Int("max-inflight", 0, "concurrent model computations (0 = GOMAXPROCS)")
 		maxQueue     = flag.Int("max-queue", 0, "admission queue bound (0 = 4x max-inflight)")
 		timeout      = flag.Duration("timeout", 15*time.Second, "per-request deadline")
@@ -53,7 +55,6 @@ func main() {
 		drainWait    = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
 		useSurrogate = flag.Bool("surrogate", true, "serve in-envelope cache misses from the learned surrogate")
 		storeDir     = flag.String("store", "", "experiment store directory: serve recommend/sweep cells through it and persist computed ones")
-		warmFrom     = flag.Bool("warm-from-store", false, "pre-render cached response bodies from the store at startup (requires -store)")
 		withPprof    = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 		traceRing    = flag.Int("trace-ring", 256, "retained request traces for /debug/requests (<0 disables tracing)")
 		logLevel     = flag.String("log-level", "info", "log level: debug, info, warn or error")
@@ -61,20 +62,24 @@ func main() {
 	)
 	flag.Parse()
 
-	level, err := telemetry.ParseLevel(*logLevel)
-	if err != nil {
+	var level slog.Level
+	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
 		fatalUsage(err)
 	}
-	format, err := telemetry.ParseLogFormat(*logFormat)
-	if err != nil {
-		fatalUsage(err)
+	opts := &slog.HandlerOptions{Level: level}
+	var records slog.Handler
+	switch *logFormat {
+	case "logfmt":
+		records = slog.NewTextHandler(os.Stderr, opts)
+	case "json":
+		records = slog.NewJSONHandler(os.Stderr, opts)
+	default:
+		fatalUsage(fmt.Errorf("unknown log format %q (want logfmt or json)", *logFormat))
 	}
-	logger := telemetry.NewLogger(os.Stderr, telemetry.LoggerOptions{Level: level, Format: format}).
-		With("app", "advisord")
+	logger := slog.New(records).With("app", "advisord")
 
 	cfg := server.Config{
 		CacheEntries:   *cacheEntries,
-		CacheTTL:       *cacheTTL,
 		MaxInflight:    *maxInflight,
 		MaxQueue:       *maxQueue,
 		RequestTimeout: *timeout,
@@ -91,9 +96,6 @@ func main() {
 		cfg.Surrogate = p
 		logger.Info("surrogate fast path on", "table", p.Version(), "models", p.Models())
 	}
-	if *warmFrom && *storeDir == "" {
-		fatalUsage(errors.New("-warm-from-store requires -store"))
-	}
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir)
 		if err != nil {
@@ -106,9 +108,6 @@ func main() {
 			"records", st.Len(), "digest", st.Digest())
 	}
 	svc := server.New(cfg)
-	if *warmFrom {
-		logger.Info("cache warmed from store", "bodies", svc.WarmFromStore())
-	}
 	handler := svc.Handler()
 	if *withPprof {
 		// The service mux owns the API routes; mount the profiler beside

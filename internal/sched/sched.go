@@ -78,11 +78,17 @@ func ParsePolicy(s string) (Policy, error) {
 	return 0, fmt.Errorf("sched: unknown policy %q (want energy-aware or fcfs)", s)
 }
 
+// MaxNodes bounds the simulated fleet size: 20× the full Marconi A3
+// (3188 nodes). The node allocator takes a word per 64 nodes, so an
+// unbounded size is an unbounded allocation.
+const MaxNodes = 65536
+
 // Config sizes the simulated fleet and selects the policy. The zero
 // value schedules the full Marconi A3 fleet, energy-aware, unbudgeted,
 // fault-free.
 type Config struct {
-	// Nodes is the fleet size (default: the full Marconi A3, 3188).
+	// Nodes is the fleet size (default: the full Marconi A3, 3188; at
+	// most MaxNodes).
 	Nodes int
 	// PowerBudgetW caps the instantaneous fleet power (sum of running
 	// jobs' predicted average draw). <= 0 means unlimited.
@@ -214,6 +220,9 @@ type sim struct {
 // (and timeline). It is a pure function of (cfg minus Workers/Registry/
 // Trace, workload): same inputs, byte-identical outputs.
 func Simulate(cfg Config, w Workload) (*Outcome, error) {
+	if cfg.Nodes > MaxNodes {
+		return nil, fmt.Errorf("sched: fleet of %d nodes exceeds the limit %d", cfg.Nodes, MaxNodes)
+	}
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = cluster.MarconiA3().TotalNodes
 	}

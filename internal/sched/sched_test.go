@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -40,6 +41,20 @@ func TestEmptyAndInvalidWorkloads(t *testing.T) {
 		if _, err := Simulate(fleet64(), Workload{Jobs: []JobSpec{spec}}); err == nil {
 			t.Errorf("case %d: invalid job %+v accepted", i, spec)
 		}
+	}
+}
+
+// TestFleetSizeBound: a fleet past MaxNodes is refused before the node
+// allocator sizes itself for it; MaxNodes itself schedules.
+func TestFleetSizeBound(t *testing.T) {
+	w := Synthetic(1, 1)
+	for _, nodes := range []int{MaxNodes + 1, 400_000_000_000, math.MaxInt} {
+		if _, err := Simulate(Config{Nodes: nodes}, w); err == nil || !strings.Contains(err.Error(), "65536") {
+			t.Errorf("nodes=%d: err = %v, want a refusal naming the limit", nodes, err)
+		}
+	}
+	if rep := simulate(t, Config{Nodes: MaxNodes}, w); rep.Nodes != MaxNodes {
+		t.Fatalf("report nodes = %d, want %d", rep.Nodes, MaxNodes)
 	}
 }
 

@@ -3,60 +3,52 @@ package server
 import (
 	"container/list"
 	"sync"
-	"time"
 
 	"repro/internal/telemetry"
 )
 
-// Cache is an LRU+TTL byte cache for marshalled response bodies.
+// Cache is an LRU byte cache for marshalled response bodies.
 //
 // The advisor's workloads are deterministic pure functions of the
 // canonicalized request (the analytic engine has no hidden state), so a
 // cached body is not an approximation of a fresh compute — it IS the
-// fresh compute, byte for byte. Capacity is bounded by entry count (the
-// grid of plausible requests is small and bodies are a few KB), and the
-// TTL exists to bound memory residency, not staleness.
+// fresh compute, byte for byte, and never goes stale. Memory is bounded
+// by entry count alone (the grid of plausible requests is small and
+// bodies are a few KB).
 type Cache struct {
 	mu    sync.Mutex
 	max   int
-	ttl   time.Duration // <= 0: entries never expire
-	now   func() time.Time
 	ll    *list.List // front = most recently used
 	items map[string]*list.Element
 
 	// Instrumentation, optionally attached by the server after
 	// construction (telemetry instruments are nil-safe no-ops until
-	// then). entriesGauge tracks residency; the eviction counters split
-	// by cause so capacity pressure (working set exceeds CacheEntries —
-	// a sizing signal) is distinguishable from TTL housekeeping.
+	// then). entriesGauge tracks residency; evictedCapacity counts
+	// bodies pushed out because the working set exceeds CacheEntries — a
+	// sizing signal.
 	entriesGauge    *telemetry.Gauge
 	evictedCapacity *telemetry.Counter
-	evictedExpired  *telemetry.Counter
 }
 
 type cacheEntry struct {
-	key     string
-	body    []byte
-	expires time.Time // zero: never
+	key  string
+	body []byte
 }
 
-// NewCache returns a cache holding at most maxEntries bodies, each for
-// at most ttl (ttl <= 0 disables expiry). maxEntries must be positive.
-func NewCache(maxEntries int, ttl time.Duration) *Cache {
+// NewCache returns a cache holding at most maxEntries bodies.
+// maxEntries must be positive.
+func NewCache(maxEntries int) *Cache {
 	if maxEntries <= 0 {
 		panic("server: cache capacity must be positive")
 	}
 	return &Cache{
 		max:   maxEntries,
-		ttl:   ttl,
-		now:   time.Now,
 		ll:    list.New(),
 		items: make(map[string]*list.Element, maxEntries),
 	}
 }
 
-// Get returns the cached body for key, refreshing its recency. Expired
-// entries are evicted on access and report a miss.
+// Get returns the cached body for key, refreshing its recency.
 func (c *Cache) Get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -64,14 +56,8 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	e := el.Value.(*cacheEntry)
-	if !e.expires.IsZero() && c.now().After(e.expires) {
-		c.removeLocked(el)
-		c.evictedExpired.Inc()
-		return nil, false
-	}
 	c.ll.MoveToFront(el)
-	return e.body, true
+	return el.Value.(*cacheEntry).body, true
 }
 
 // Put stores body under key as the most recent entry, evicting the least
@@ -80,34 +66,24 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 func (c *Cache) Put(key string, body []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var expires time.Time
-	if c.ttl > 0 {
-		expires = c.now().Add(c.ttl)
-	}
 	if el, ok := c.items[key]; ok {
-		e := el.Value.(*cacheEntry)
-		e.body, e.expires = body, expires
+		el.Value.(*cacheEntry).body = body
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, body: body, expires: expires})
+	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, body: body})
 	for c.ll.Len() > c.max {
-		c.removeLocked(c.ll.Back())
+		el := c.ll.Back()
+		delete(c.items, el.Value.(*cacheEntry).key)
+		c.ll.Remove(el)
 		c.evictedCapacity.Inc()
 	}
 	c.entriesGauge.Set(float64(c.ll.Len()))
 }
 
-// Len returns the number of resident entries (expired ones included
-// until touched).
+// Len returns the number of resident entries.
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
-}
-
-func (c *Cache) removeLocked(el *list.Element) {
-	delete(c.items, el.Value.(*cacheEntry).key)
-	c.ll.Remove(el)
-	c.entriesGauge.Set(float64(c.ll.Len()))
 }

@@ -3,13 +3,12 @@ package server
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/telemetry"
 )
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := NewCache(2, 0)
+	c := NewCache(2)
 	c.Put("a", []byte("A"))
 	c.Put("b", []byte("B"))
 	if _, ok := c.Get("a"); !ok { // refresh a: b becomes the LRU victim
@@ -30,32 +29,8 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-func TestCacheTTLExpiry(t *testing.T) {
-	now := time.Unix(1000, 0)
-	c := NewCache(8, time.Minute)
-	c.now = func() time.Time { return now }
-	c.Put("k", []byte("V"))
-	now = now.Add(59 * time.Second)
-	if _, ok := c.Get("k"); !ok {
-		t.Fatal("entry expired early")
-	}
-	now = now.Add(2 * time.Second) // 61s after Put, but Get refreshed nothing: TTL is from Put
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("entry should have expired")
-	}
-	if c.Len() != 0 {
-		t.Fatalf("expired entry still resident, len = %d", c.Len())
-	}
-	// Re-Put restarts the clock.
-	c.Put("k", []byte("V2"))
-	now = now.Add(30 * time.Second)
-	if b, ok := c.Get("k"); !ok || string(b) != "V2" {
-		t.Fatalf("re-put entry = %q, %v", b, ok)
-	}
-}
-
 func TestCachePutOverwrites(t *testing.T) {
-	c := NewCache(4, 0)
+	c := NewCache(4)
 	c.Put("k", []byte("old"))
 	c.Put("k", []byte("new"))
 	if b, _ := c.Get("k"); string(b) != "new" {
@@ -67,7 +42,7 @@ func TestCachePutOverwrites(t *testing.T) {
 }
 
 func TestCacheConcurrentAccess(t *testing.T) {
-	c := NewCache(64, time.Minute)
+	c := NewCache(64)
 	done := make(chan struct{})
 	for g := 0; g < 8; g++ {
 		go func(g int) {
@@ -89,12 +64,9 @@ func TestCacheConcurrentAccess(t *testing.T) {
 
 func TestCacheEvictionInstruments(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	now := time.Unix(1000, 0)
-	c := NewCache(2, time.Minute)
-	c.now = func() time.Time { return now }
+	c := NewCache(2)
 	c.entriesGauge = reg.Gauge("g", "")
 	c.evictedCapacity = reg.Counter("cap", "")
-	c.evictedExpired = reg.Counter("exp", "")
 
 	c.Put("a", []byte("A"))
 	c.Put("b", []byte("B"))
@@ -104,15 +76,5 @@ func TestCacheEvictionInstruments(t *testing.T) {
 	}
 	if got := c.entriesGauge.Value(); got != 2 {
 		t.Fatalf("entries gauge = %g, want 2", got)
-	}
-	now = now.Add(2 * time.Minute)
-	if _, ok := c.Get("b"); ok {
-		t.Fatal("b should have expired")
-	}
-	if got := c.evictedExpired.Value(); got != 1 {
-		t.Fatalf("expired evictions = %g, want 1", got)
-	}
-	if got := c.entriesGauge.Value(); got != 1 {
-		t.Fatalf("entries gauge = %g, want 1 after expiry", got)
 	}
 }

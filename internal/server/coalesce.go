@@ -2,8 +2,13 @@ package server
 
 import (
 	"context"
+	"errors"
 	"sync"
 )
+
+// errComputePanicked is what followers receive when their leader's
+// computation panicked (see Coalescer.Do).
+var errComputePanicked = errors.New("computation panicked")
 
 // Coalescer deduplicates concurrent identical computations (singleflight):
 // the first caller for a key becomes the leader and runs the function;
@@ -36,7 +41,9 @@ func NewCoalescer() *Coalescer {
 // would double-book it with the deadline shed accounting. The leader
 // keeps computing regardless (its result still lands in the cache for
 // future requests), so a storm of short-deadline followers cannot starve
-// the computation they are all waiting on.
+// the computation they are all waiting on. If fn panics, the key is
+// still released, followers get errComputePanicked, and the panic goes
+// on up the leader's stack.
 func (c *Coalescer) Do(ctx context.Context, key string, fn func() ([]byte, error)) (body []byte, shared bool, err error) {
 	c.mu.Lock()
 	if call, ok := c.calls[key]; ok {
@@ -48,15 +55,16 @@ func (c *Coalescer) Do(ctx context.Context, key string, fn func() ([]byte, error
 			return nil, false, ctx.Err()
 		}
 	}
-	call := &coalescedCall{done: make(chan struct{})}
+	call := &coalescedCall{done: make(chan struct{}), err: errComputePanicked}
 	c.calls[key] = call
 	c.mu.Unlock()
+	defer func() {
+		c.mu.Lock()
+		delete(c.calls, key)
+		c.mu.Unlock()
+		close(call.done)
+	}()
 
 	call.body, call.err = fn()
-
-	c.mu.Lock()
-	delete(c.calls, key)
-	c.mu.Unlock()
-	close(call.done)
 	return call.body, false, call.err
 }

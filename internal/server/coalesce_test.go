@@ -108,3 +108,47 @@ func TestCoalescerErrorPropagates(t *testing.T) {
 		t.Fatalf("retry: body=%q shared=%v err=%v", body, shared, err)
 	}
 }
+
+// TestCoalescerPanicReleasesKey: a leader whose computation panics still
+// answers its parked followers (with an error, not a wait until their
+// deadline), still panics itself, and leaves the key free for the next call.
+func TestCoalescerPanicReleasesKey(t *testing.T) {
+	c := NewCoalescer()
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	leaderPanic := make(chan any, 1)
+	go func() {
+		defer func() { leaderPanic <- recover() }()
+		c.Do(context.Background(), "k", func() ([]byte, error) {
+			close(entered)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-entered
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	followed := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do(ctx, "k", func() ([]byte, error) {
+			t.Error("the follower arrived after the leader finished and computed itself")
+			return nil, nil
+		})
+		followed <- err
+	}()
+	// Let the follower park on the leader's call before it panics.
+	time.Sleep(50 * time.Millisecond)
+	close(release)
+
+	if p := <-leaderPanic; p != "boom" {
+		t.Fatalf("leader recovered %v, want its own panic", p)
+	}
+	if err := <-followed; err == nil || ctx.Err() != nil {
+		t.Fatalf("follower: err=%v ctx=%v, want an error before its deadline", err, ctx.Err())
+	}
+	body, shared, err := c.Do(context.Background(), "k", func() ([]byte, error) { return []byte("ok"), nil })
+	if shared || err != nil || string(body) != "ok" {
+		t.Fatalf("after the panic: body=%q shared=%v err=%v, want a fresh computation", body, shared, err)
+	}
+}

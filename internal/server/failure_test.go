@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -187,5 +188,36 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	if hits := s.m.endpoint("predict").hits.Value(); hits != 1 {
 		t.Fatalf("cache hits = %g, want 1", hits)
+	}
+}
+
+// TestPanickedComputeDoesNotWedgeItsKey: a request whose compute panics
+// takes down only itself. The identical request after it computes afresh
+// instead of waiting out its deadline on the dead leader.
+func TestPanickedComputeDoesNotWedgeItsKey(t *testing.T) {
+	s := New(Config{RequestTimeout: 2 * time.Second})
+	var panicked atomic.Bool
+	s.beforeCompute = func() {
+		if panicked.CompareAndSwap(false, true) {
+			panic("compute bug")
+		}
+	}
+	h := s.Handler()
+	serveOnce := func() (rec *httptest.ResponseRecorder, p any) {
+		defer func() { p = recover() }()
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/predict?alg=IMe&n=8640&ranks=144", nil))
+		return rec, nil
+	}
+	if _, p := serveOnce(); p == nil {
+		t.Fatal("first request did not panic")
+	}
+	start := time.Now()
+	rec, p := serveOnce()
+	if p != nil {
+		t.Fatalf("repeat after the panic panicked too: %v", p)
+	}
+	if rec.Code != http.StatusOK {
+		t.Fatalf("repeat after the panic: %d after %v: %s; want 200", rec.Code, time.Since(start), rec.Body)
 	}
 }

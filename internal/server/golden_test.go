@@ -137,7 +137,8 @@ func metricSeries(t *testing.T, s *Server) []string {
 // TestServeGolden pins the serving layer's observable bytes: status,
 // cache key and body of every golden request with the surrogate off and
 // on, and through an experiment store — cold, then from a restarted
-// server warmed with WarmFromStore — plus the set of /metrics series. A
+// server over the store the cold pass filled, which must answer every
+// request without computing a cell — plus the set of /metrics series. A
 // change to how requests are parsed, keyed, computed or rendered that is
 // meant to be invisible must leave testdata/serve_golden.txt untouched.
 // Regenerate with: go test -run TestServeGolden -update ./internal/server
@@ -160,11 +161,14 @@ func TestServeGolden(t *testing.T) {
 	for _, m := range modes {
 		m.resp = serveGolden(t, m.s)
 	}
-	// A restarted server over the store the cold pass filled.
+	// A restarted server over the store the cold pass filled: every cell
+	// it needs is a store hit.
 	warm := &mode{name: "store-warm", s: New(Config{Store: openStore(t, dir)})}
-	warmed := warm.s.WarmFromStore()
 	warm.resp = serveGolden(t, warm.s)
 	modes = append(modes, warm)
+	if got := warm.s.storeComputed.Value(); got != 0 {
+		t.Errorf("restarted server over a filled store computed %g cells, want 0", got)
+	}
 
 	var b strings.Builder
 	b.WriteString("# Serving golden: see TestServeGolden. A body already written above is\n")
@@ -198,7 +202,6 @@ func TestServeGolden(t *testing.T) {
 			}
 		}
 	}
-	fmt.Fprintf(&b, "\n=== WarmFromStore after store-cold: %d bodies\n", warmed)
 	for _, m := range []*mode{modes[1], warm} {
 		fmt.Fprintf(&b, "\n=== /metrics series (%s)\n", m.name)
 		for _, series := range metricSeries(t, m.s) {

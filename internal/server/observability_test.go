@@ -4,12 +4,14 @@ package server
 // spans + nested modelled-solver spans, exported in the Perfetto format
 // the engine's own reader parses), the exemplar-bearing exposition, the
 // /debug inspection endpoints, the SLO tracker wiring, and the audit
-// tests pinning metric deltas on every early-return path.
+// tests pinning metric deltas on every early-return path, and the access
+// log's sampling.
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -399,5 +401,37 @@ func TestEarlyReturnMetricDeltas(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAccessLogSampling: the access log keeps the first 2xx record, then
+// 1 in okLogSampleEvery; client errors (Warn) and server errors (Error)
+// are never sampled away.
+func TestAccessLogSampling(t *testing.T) {
+	var logged bytes.Buffer
+	s := New(Config{Logger: slog.New(slog.NewJSONHandler(&logged, nil))})
+	h := s.Handler()
+	serve := func(target string, n int) {
+		for i := 0; i < n; i++ {
+			h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, target, nil))
+		}
+	}
+	serve("/healthz", 250)                  // 200s: the 1st, 101st and 201st kept
+	serve("/v1/recommend?n=0&ranks=144", 5) // 400s
+	s.Drain()
+	serve("/healthz", 5) // 503s
+
+	levels := map[string]int{}
+	dec := json.NewDecoder(&logged)
+	for dec.More() {
+		var rec struct{ Level, Msg string }
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatal(err)
+		}
+		levels[rec.Level+" "+rec.Msg]++
+	}
+	want := map[string]int{"INFO request served": 3, "WARN request rejected": 5, "ERROR request failed": 5}
+	if fmt.Sprint(levels) != fmt.Sprint(want) {
+		t.Fatalf("access records by level = %v, want %v", levels, want)
 	}
 }

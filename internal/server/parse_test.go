@@ -10,6 +10,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/sched"
 )
 
 // TestNonFiniteFloatsRejected: NaN and ±Inf in any float query parameter
@@ -49,45 +51,71 @@ func TestNonFiniteFloatsRejected(t *testing.T) {
 	}
 }
 
-// checkParsed asserts the fuzz properties of one query route: parsing
-// never panics; an accepted query has only finite floats and every
+// checkParsed asserts the fuzz properties every route shares: parsing
+// never panics; an accepted input has only finite floats and every
 // matrix order in 1..maxOrder; and parsing it again gives the same cache
-// key.
-func checkParsed[Req any](t *testing.T, rt *route[Req], q url.Values) {
+// key. It returns the request and whether it was accepted.
+func checkParsed[Req any](t *testing.T, rt *route[Req], in string, parse func() (Req, error)) (Req, bool) {
 	t.Helper()
-	req, err := rt.parseQuery(q)
+	req, err := parse()
 	if err != nil {
-		return
+		return req, false
 	}
-	again, err := rt.parseQuery(q)
+	again, err := parse()
 	if err != nil {
-		t.Fatalf("query %v accepted once, then refused: %v", q, err)
+		t.Fatalf("%q accepted once, then refused: %v", in, err)
 	}
 	if k1, k2 := rt.key(req), rt.key(again); k1 != k2 {
-		t.Fatalf("query %v keyed twice differently:\n%s\n%s", q, k1, k2)
+		t.Fatalf("%q keyed twice differently:\n%s\n%s", in, k1, k2)
 	}
-	checkFields(t, reflect.ValueOf(req), q)
+	checkFields(t, reflect.ValueOf(req), in)
+	return req, true
+}
+
+// checkQuery is checkParsed for a query route.
+func checkQuery[Req any](t *testing.T, rt *route[Req], q url.Values) {
+	t.Helper()
+	checkParsed(t, rt, q.Encode(), func() (Req, error) { return rt.parseQuery(q) })
+}
+
+// checkBody is checkParsed for a body route.
+func checkBody[Req any](t *testing.T, rt *route[Req], body string) (Req, bool) {
+	t.Helper()
+	return checkParsed(t, rt, body, func() (Req, error) {
+		return rt.parseBody(httptest.NewRequest(http.MethodPost, "/", strings.NewReader(body)))
+	})
 }
 
 // checkFields walks a parsed request: every float must be finite and
 // every field N a matrix order in 1..maxOrder.
-func checkFields(t *testing.T, v reflect.Value, q url.Values) {
+func checkFields(t *testing.T, v reflect.Value, in string) {
 	t.Helper()
 	for i := 0; i < v.NumField(); i++ {
 		f, name := v.Field(i), v.Type().Field(i).Name
 		switch f.Kind() {
 		case reflect.Struct:
-			checkFields(t, f, q)
+			checkFields(t, f, in)
 		case reflect.Float64:
 			if x := f.Float(); math.IsNaN(x) || math.IsInf(x, 0) {
-				t.Fatalf("query %v accepted with %s = %g", q, name, x)
+				t.Fatalf("%q accepted with %s = %g", in, name, x)
 			}
 		case reflect.Int:
 			if n := f.Int(); name == "N" && (n < 1 || n > maxOrder) {
-				t.Fatalf("query %v accepted with n = %d", q, n)
+				t.Fatalf("%q accepted with n = %d", in, n)
 			}
 		}
 	}
+}
+
+// goldenBodies returns the serving golden's request bodies for one path.
+func goldenBodies(path string) []string {
+	var out []string
+	for _, gr := range goldenRequests {
+		if gr.method == http.MethodPost && gr.target == path {
+			out = append(out, gr.body)
+		}
+	}
+	return out
 }
 
 // FuzzParseRecommendRequest feeds raw query strings to the three query
@@ -111,8 +139,56 @@ func FuzzParseRecommendRequest(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, raw string) {
 		q, _ := url.ParseQuery(raw) // as http.Request.URL.Query does
-		checkParsed(t, denseRoute, q)
-		checkParsed(t, sparseRoute, q)
-		checkParsed(t, predictRoute, q)
+		checkQuery(t, denseRoute, q)
+		checkQuery(t, sparseRoute, q)
+		checkQuery(t, predictRoute, q)
+	})
+}
+
+// FuzzParseSweepRequest feeds raw bodies to ParseSweepRequest, seeded with
+// the serving golden's sweeps: an accepted sweep names at most
+// maxSweepCells cells, each a matrix order in 1..maxOrder.
+func FuzzParseSweepRequest(f *testing.F) {
+	for _, body := range goldenBodies("/v1/sweep") {
+		f.Add(body)
+	}
+	f.Add(`{"cells":[{"algorithm":"IMe","n":0,"ranks":144}]}`)
+	f.Fuzz(func(t *testing.T, body string) {
+		req, ok := checkBody(t, sweepRoute, body)
+		if !ok {
+			return
+		}
+		if len(req.Cells) == 0 || len(req.Cells) > maxSweepCells {
+			t.Fatalf("%q accepted with %d cells", body, len(req.Cells))
+		}
+		for _, c := range req.Cells {
+			if c.N < 1 || c.N > maxOrder {
+				t.Fatalf("%q accepted with a cell of order %d", body, c.N)
+			}
+		}
+	})
+}
+
+// FuzzParseScheduleRequest feeds raw bodies to ParseScheduleRequest, seeded
+// with the serving golden's schedules and two fleet sizes that once took
+// the server down: an accepted schedule has 1..maxScheduleJobs jobs and a
+// fleet of at most sched.MaxNodes.
+func FuzzParseScheduleRequest(f *testing.F) {
+	for _, body := range goldenBodies("/v1/schedule") {
+		f.Add(body)
+	}
+	f.Add(`{"synthetic_jobs":1,"nodes":400000000000}`)
+	f.Add(`{"synthetic_jobs":1,"nodes":9223372036854775807}`)
+	f.Fuzz(func(t *testing.T, body string) {
+		req, ok := checkBody(t, scheduleRoute, body)
+		if !ok {
+			return
+		}
+		if n := len(req.Workload.Jobs); n == 0 || n > maxScheduleJobs {
+			t.Fatalf("%q accepted with %d jobs", body, n)
+		}
+		if req.Nodes < 0 || req.Nodes > sched.MaxNodes {
+			t.Fatalf("%q accepted with a fleet of %d nodes", body, req.Nodes)
+		}
 	})
 }

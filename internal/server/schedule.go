@@ -11,9 +11,10 @@ import (
 	"repro/internal/sched"
 )
 
-// maxScheduleJobs bounds one fleet-scheduling request: enough for the
-// BENCH_fleet campaign shape (hundreds of jobs) while keeping one
-// simulation comfortably inside the sweep SLO's latency bound.
+// maxScheduleJobs bounds the jobs of one fleet-scheduling request: twice
+// the 240-job workload BENCH_fleet.json records, while keeping one
+// simulation comfortably inside the sweep SLO's latency bound. The fleet
+// size has its own bound, sched.MaxNodes.
 const maxScheduleJobs = 512
 
 // ScheduleRequest is the canonicalized form of POST /v1/schedule: one
@@ -78,8 +79,8 @@ func ParseScheduleRequest(r *http.Request) (ScheduleRequest, error) {
 	default:
 		req.Workload = sched.Workload{Seed: wire.Seed, Jobs: wire.Jobs}
 	}
-	if wire.Nodes < 0 {
-		return req, fmt.Errorf("nodes: must be non-negative, got %d", wire.Nodes)
+	if wire.Nodes < 0 || wire.Nodes > sched.MaxNodes {
+		return req, fmt.Errorf("nodes: must be in 0..%d, got %d", sched.MaxNodes, wire.Nodes)
 	}
 	req.Nodes = wire.Nodes
 	if wire.PowerBudgetW < 0 {

@@ -123,6 +123,30 @@ func TestScheduleTracingOffInvariant(t *testing.T) {
 	}
 }
 
+// TestScheduleFleetSizeBounded: a fleet size past sched.MaxNodes is a 400
+// naming the bound, refused before anything sizes an allocation by it —
+// not an out-of-memory kill of the whole process, nor a makeslice panic.
+func TestScheduleFleetSizeBounded(t *testing.T) {
+	h := New(Config{}).Handler()
+	for _, c := range []struct{ name, body string }{
+		{"50 GB node set", `{"synthetic_jobs":1,"nodes":400000000000}`},
+		{"node set length overflows", `{"synthetic_jobs":1,"nodes":9223372036854775807}`},
+		{"one past the bound", `{"synthetic_jobs":1,"nodes":65537}`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/schedule", strings.NewReader(c.body)))
+			var er ErrorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || rec.Code != http.StatusBadRequest {
+				t.Fatalf("code %d: %s, want 400", rec.Code, rec.Body.Bytes())
+			}
+			if !strings.Contains(er.Error, "nodes") || !strings.Contains(er.Error, "65536") {
+				t.Fatalf("error %q does not name the nodes bound 65536", er.Error)
+			}
+		})
+	}
+}
+
 func metricsText(t *testing.T, url string) string {
 	t.Helper()
 	resp, err := http.Get(url + "/metrics")

@@ -47,6 +47,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/url"
 	"runtime"
@@ -64,10 +65,6 @@ import (
 type Config struct {
 	// CacheEntries bounds the result cache (default 4096 bodies).
 	CacheEntries int
-	// CacheTTL bounds how long a body stays cached (default 1h;
-	// negative disables expiry — results are deterministic, the TTL
-	// only bounds memory residency).
-	CacheTTL time.Duration
 	// MaxInflight bounds concurrent model computations (default
 	// GOMAXPROCS — evaluations are CPU-bound).
 	MaxInflight int
@@ -94,8 +91,8 @@ type Config struct {
 	// every cell they do compute, sharing results with campaign runs and
 	// future server processes. /v1/predict keeps the exact path (its body
 	// carries phase-split timings outside the stored cell schema). Stored
-	// and computed bodies are byte-identical. See WarmFromStore for
-	// pre-rendering cached bodies at startup.
+	// and computed bodies are byte-identical, so a restarted server over
+	// a filled store answers its first requests without a model run.
 	Store *store.Store
 	// TraceRing sizes the live-inspection ring of traced requests served
 	// at /debug/requests (default 256 recent digests; negative disables
@@ -103,20 +100,18 @@ type Config struct {
 	TraceRing int
 	// Logger receives structured access and lifecycle records (nil — the
 	// default — logs nothing; instruments and traces are unaffected).
-	Logger *telemetry.Logger
-	// SLOs are the per-endpoint service-level objectives tracked at
-	// /debug/slo and in the slo_* metrics (default: DefaultSLOs()).
-	SLOs []telemetry.SLO
+	Logger *slog.Logger
 }
 
 // Version identifies this serving-layer build in server_build_info and
 // GET /version.
 const Version = "0.7.0"
 
-// DefaultSLOs are the serving objectives advisord ships with: point
-// lookups answer from cache/surrogate/one analytic evaluation and promise
-// p99 ≤ 5ms; sweeps fan a grid out over the worker pool and promise
-// p99 ≤ 1s. All endpoints promise 99.9% non-5xx responses.
+// DefaultSLOs are the serving objectives tracked at /debug/slo and in the
+// slo_* metrics: point lookups answer from cache/surrogate/one analytic
+// evaluation and promise p99 ≤ 5ms; sweeps fan a grid out over the worker
+// pool and promise p99 ≤ 1s. All endpoints promise 99.9% non-5xx
+// responses.
 func DefaultSLOs() []telemetry.SLO {
 	return []telemetry.SLO{
 		{Name: "recommend", LatencyBoundS: 0.005, LatencyTarget: 0.99, AvailabilityTarget: 0.999},
@@ -130,9 +125,6 @@ func DefaultSLOs() []telemetry.SLO {
 func (c Config) withDefaults() Config {
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 4096
-	}
-	if c.CacheTTL == 0 {
-		c.CacheTTL = time.Hour
 	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = runtime.GOMAXPROCS(0)
@@ -149,9 +141,6 @@ func (c Config) withDefaults() Config {
 	if c.TraceRing == 0 {
 		c.TraceRing = 256
 	}
-	if c.SLOs == nil {
-		c.SLOs = DefaultSLOs()
-	}
 	return c
 }
 
@@ -166,8 +155,8 @@ type Server struct {
 	m        *metrics
 	ring     *requestRing
 	slo      *telemetry.SLOTracker
-	log      *telemetry.Logger // request-level records (Warn/Error always; ok-path via okLog)
-	okLog    *telemetry.Logger // sampled child for high-QPS 2xx access records
+	log      *slog.Logger // request-level records (Warn/Error always; ok-path via okLog)
+	okLog    *slog.Logger // sampled view of log for high-QPS 2xx access records
 	draining atomic.Bool
 
 	// Store-cell resolution counters (nil without Config.Store).
@@ -185,14 +174,16 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:    cfg,
-		cache:  NewCache(cfg.CacheEntries, cfg.CacheTTL),
+		cache:  NewCache(cfg.CacheEntries),
 		coal:   NewCoalescer(),
 		lim:    NewLimiter(cfg.MaxInflight, cfg.MaxQueue),
 		runner: grid.New(cfg.SweepWorkers),
 		m:      newMetrics(cfg.Registry),
-		slo:    telemetry.NewSLOTracker(cfg.SLOs, telemetry.SLOTrackerOptions{}),
+		slo:    telemetry.NewSLOTracker(DefaultSLOs(), telemetry.SLOTrackerOptions{}),
 		log:    cfg.Logger,
-		okLog:  cfg.Logger.Sampled(okLogSampleEvery),
+	}
+	if cfg.Logger != nil {
+		s.okLog = slog.New(sampledHandler{Handler: cfg.Logger.Handler(), every: okLogSampleEvery, seq: new(atomic.Uint64)})
 	}
 	if cfg.TraceRing > 0 {
 		s.ring = newRequestRing(cfg.TraceRing)
@@ -201,7 +192,6 @@ func New(cfg Config) *Server {
 	s.lim.queueGauge = cfg.Registry.Gauge("server_queue_depth", "Computations waiting for an admission slot.")
 	s.cache.entriesGauge = cfg.Registry.Gauge("server_cache_entries", "Result-cache bodies currently resident.")
 	s.cache.evictedCapacity = cfg.Registry.Counter("server_cache_evictions_total", "Result-cache bodies evicted, by reason.", "reason", "capacity")
-	s.cache.evictedExpired = cfg.Registry.Counter("server_cache_evictions_total", "Result-cache bodies evicted, by reason.", "reason", "expired")
 	cfg.Registry.Gauge("server_build_info", "Serving-layer build identity (value is always 1).",
 		"version", Version, "go_version", runtime.Version(), "surrogate", surrogateVersion(cfg.Surrogate)).Set(1)
 	if cfg.Store != nil {
@@ -214,8 +204,36 @@ func New(cfg Config) *Server {
 
 // okLogSampleEvery is the 1-in-N keep rate for successful-response access
 // records: a load run at thousands of QPS keeps the log useful instead of
-// molten, while Warn/Error records always land (Logger.Sampled semantics).
+// molten, while Warn/Error records always land (see sampledHandler).
 const okLogSampleEvery = 100
+
+// sampledHandler passes the first record below Warn, then 1 in every;
+// Warn and Error records always pass. The counter is shared by every
+// handler derived through WithAttrs/WithGroup, so the rate holds across
+// them and across goroutines.
+type sampledHandler struct {
+	slog.Handler
+	every uint64
+	seq   *atomic.Uint64
+}
+
+func (h sampledHandler) Handle(ctx context.Context, r slog.Record) error {
+	// seq starts at 0, so the first record always passes.
+	if r.Level < slog.LevelWarn && h.seq.Add(1)%h.every != 1 {
+		return nil
+	}
+	return h.Handler.Handle(ctx, r)
+}
+
+func (h sampledHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
+	h.Handler = h.Handler.WithAttrs(attrs)
+	return h
+}
+
+func (h sampledHandler) WithGroup(name string) slog.Handler {
+	h.Handler = h.Handler.WithGroup(name)
+	return h
+}
 
 // surrogateVersion labels the build-info gauge's surrogate dimension.
 func surrogateVersion(p *surrogate.Predictor) string {
@@ -434,9 +452,10 @@ func serve[Req any](s *Server, rt *route[Req], w http.ResponseWriter, r *http.Re
 // writeComputeError maps pipeline failures onto shedding semantics:
 // bounded-queue overflow is 429 (come back soon — the queue drains at
 // compute speed), draining is 503 (come back after the deploy), an
-// expired deadline is 504, and a model-evaluation error is 422 (the
-// request parsed but names an infeasible job shape, e.g. an IMe rank
-// count that is not a perfect square).
+// expired deadline is 504, a coalesced leader's panic is 500, and a
+// model-evaluation error is 422 (the request parsed but names an
+// infeasible job shape, e.g. an IMe rank count that is not a perfect
+// square).
 func (s *Server) writeComputeError(w http.ResponseWriter, endpoint string, err error) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
@@ -450,6 +469,8 @@ func (s *Server) writeComputeError(w http.ResponseWriter, endpoint string, err e
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		s.m.shed(endpoint, "deadline").Inc()
 		writeError(w, http.StatusGatewayTimeout, "request deadline exceeded")
+	case errors.Is(err, errComputePanicked):
+		writeError(w, http.StatusInternalServerError, err.Error())
 	default:
 		writeError(w, http.StatusUnprocessableEntity, "model evaluation failed: "+err.Error())
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -12,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/perfmodel"
 	"repro/internal/store"
-	"repro/internal/telemetry"
 )
 
 func openStore(t *testing.T, dir string) *store.Store {
@@ -131,105 +131,26 @@ func TestStoreBackedRecommend(t *testing.T) {
 	}
 }
 
-// TestWarmFromStore is the restart story: populate the store with the
-// paper grid, boot a fresh server, warm it, and the very first
-// {"grid":"paper"} sweep and default recommend requests are cache hits
-// with bodies byte-identical to computed ones.
-func TestWarmFromStore(t *testing.T) {
-	dir := t.TempDir()
-	st := openStore(t, dir)
-
-	s1 := New(Config{Store: st})
-	ts1 := httptest.NewServer(s1.Handler())
-	defer ts1.Close()
-	code, cold, _ := post(t, ts1.URL+"/v1/sweep", `{"grid":"paper"}`)
-	if code != http.StatusOK {
-		t.Fatalf("cold paper sweep: %d: %s", code, cold)
-	}
-	code, coldRec, _ := get(t, ts1.URL+"/v1/recommend?n=8640&ranks=144")
-	if code != http.StatusOK {
-		t.Fatalf("cold recommend: %d: %s", code, coldRec)
-	}
-
-	st2 := openStore(t, dir)
-	s2 := New(Config{Store: st2})
-	// 1 paper-sweep body + 36 default-objective recommend shapes.
-	if warmed := s2.WarmFromStore(); warmed != 37 {
-		t.Fatalf("WarmFromStore warmed %d bodies, want 37", warmed)
-	}
-	ts2 := httptest.NewServer(s2.Handler())
-	defer ts2.Close()
-
-	code, warm, _ := post(t, ts2.URL+"/v1/sweep", `{"grid":"paper"}`)
-	if code != http.StatusOK {
-		t.Fatalf("warm paper sweep: %d: %s", code, warm)
-	}
-	if !bytes.Equal(warm, cold) {
-		t.Fatal("warmed paper sweep body differs from computed body")
-	}
-	if hits := s2.m.endpoint("sweep").hits.Value(); hits != 1 {
-		t.Fatalf("first paper sweep after warm: cache hits = %g, want 1", hits)
-	}
-	if computes := s2.m.endpoint("sweep").compute.Value(); computes != 0 {
-		t.Fatalf("warm server ran %g sweep computations, want 0", computes)
-	}
-
-	code, warmRec, _ := get(t, ts2.URL+"/v1/recommend?n=8640&ranks=144")
-	if code != http.StatusOK {
-		t.Fatalf("warm recommend: %d: %s", code, warmRec)
-	}
-	if !bytes.Equal(warmRec, coldRec) {
-		t.Fatal("warmed recommend body differs from computed body")
-	}
-	if hits := s2.m.endpoint("recommend").hits.Value(); hits != 1 {
-		t.Fatalf("first recommend after warm: cache hits = %g, want 1", hits)
-	}
-}
-
-// TestWarmFromStorePartial pins that an incomplete store warms only what
-// it fully holds: per-shape recommend bodies, never a partial paper
-// sweep.
-func TestWarmFromStorePartial(t *testing.T) {
-	dir := t.TempDir()
-	st := openStore(t, dir)
-	s1 := New(Config{Store: st})
-	ts1 := httptest.NewServer(s1.Handler())
-	defer ts1.Close()
-	if code, b, _ := post(t, ts1.URL+"/v1/sweep", smallSweepBody); code != http.StatusOK {
-		t.Fatalf("seed sweep: %d: %s", code, b)
-	}
-
-	st2 := openStore(t, dir)
-	s2 := New(Config{Store: st2})
-	// Two complete (n, ranks, placement) shapes → two recommend bodies;
-	// the paper sweep stays unwarmed with 68 cells missing.
-	if warmed := s2.WarmFromStore(); warmed != 2 {
-		t.Fatalf("WarmFromStore warmed %d bodies on a partial store, want 2", warmed)
-	}
-	ts2 := httptest.NewServer(s2.Handler())
-	defer ts2.Close()
-	if code, b, _ := post(t, ts2.URL+"/v1/sweep", `{"grid":"paper"}`); code != http.StatusOK {
-		t.Fatalf("paper sweep on partial store: %d: %s", code, b)
-	}
-	if hits := s2.m.endpoint("sweep").hits.Value(); hits != 0 {
-		t.Fatalf("paper sweep on partial store was a cache hit (%g), want miss", hits)
-	}
-}
-
-// TestWarmFromStoreReportsUnreadableCell: a record that is stored under
-// the right key but whose result does not decode — or decodes to an energy
-// domain this module does not charge — is not a missing cell. Warming
-// still skips its shape, and says why, once.
-func TestWarmFromStoreReportsUnreadableCell(t *testing.T) {
+// TestStoredUnreadableCellIsReported: a record stored under the right key
+// whose result does not decode — or decodes to an energy domain this
+// module does not charge — is not a missing cell. A server over that
+// store says so in a 422 naming the decode failure, and neither
+// recomputes the cell nor appends a second record for it.
+func TestStoredUnreadableCellIsReported(t *testing.T) {
 	for _, c := range []struct{ name, payload, reason string }{
 		{"not a number", `{"duration_s":"not a number"}`, "cannot unmarshal string"},
 		{"unknown energy domain", `{"duration_s":1,"energy_j":{"PP0_ENERGY:PACKAGE0":1},"total_j":1,"engine":"analytic"}`, "PP0_ENERGY:PACKAGE0"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
+			const query = "n=8640&ranks=144"
+			q, _ := url.ParseQuery(query)
+			req, err := ParseRecommendRequest(q)
+			if err != nil {
+				t.Fatal(err)
+			}
 			st := openStore(t, t.TempDir())
-			prm := paperSweepRequest().params()
 			e := core.Experiment{Algorithm: perfmodel.IMe, N: 8640, Ranks: 144, Placement: cluster.FullLoad}
-			key, identity, err := store.KeyFor(core.AnalyticCellIdentity(e, prm))
+			key, identity, err := store.KeyFor(core.AnalyticCellIdentity(e, req.params()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -237,32 +158,22 @@ func TestWarmFromStoreReportsUnreadableCell(t *testing.T) {
 				Result: json.RawMessage(c.payload)}); err != nil {
 				t.Fatal(err)
 			}
-			e.Algorithm = perfmodel.ScaLAPACK
-			if _, _, err := core.RunAnalyticStored(e, prm, st); err != nil {
-				t.Fatal(err)
-			}
 
-			var logged bytes.Buffer
-			s := New(Config{Store: st, Logger: telemetry.NewLogger(&logged, telemetry.LoggerOptions{})})
-			if warmed := s.WarmFromStore(); warmed != 0 {
-				t.Fatalf("WarmFromStore warmed %d bodies from a shape with an unreadable cell, want 0", warmed)
+			s := New(Config{Store: st})
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/recommend?"+query, nil))
+			var er ErrorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || rec.Code != http.StatusUnprocessableEntity {
+				t.Fatalf("code %d: %s, want 422", rec.Code, rec.Body.Bytes())
 			}
-			lines := strings.Split(strings.TrimSpace(logged.String()), "\n")
-			if len(lines) != 1 {
-				t.Fatalf("want exactly one log line, got %d:\n%s", len(lines), logged.String())
-			}
-			for _, want := range []string{"level=warn", "unreadable", "alg=IMe", "n=8640", "ranks=144", "placement=full-load", "decode cell result", c.reason} {
-				if !strings.Contains(lines[0], want) {
-					t.Errorf("log line lacks %q: %s", want, lines[0])
+			for _, want := range []string{"decode cell result", c.reason} {
+				if !strings.Contains(er.Error, want) {
+					t.Errorf("error %q lacks %q", er.Error, want)
 				}
 			}
+			if n := st.Len(); n > 2 {
+				t.Fatalf("store holds %d records, want the unreadable one kept, not recomputed beside it", n)
+			}
 		})
-	}
-}
-
-// TestWarmFromStoreWithoutStore is a no-op, not a panic.
-func TestWarmFromStoreWithoutStore(t *testing.T) {
-	if warmed := New(Config{}).WarmFromStore(); warmed != 0 {
-		t.Fatalf("WarmFromStore without a store warmed %d bodies, want 0", warmed)
 	}
 }

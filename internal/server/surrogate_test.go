@@ -199,7 +199,4 @@ func TestCacheInstrumentation(t *testing.T) {
 	if got := s.cache.entriesGauge.Value(); got != 2 {
 		t.Fatalf("server_cache_entries = %g, want 2 (at capacity)", got)
 	}
-	if got := s.cache.evictedExpired.Value(); got != 0 {
-		t.Fatalf("server_cache_evictions_total{expired} = %g, want 0", got)
-	}
 }

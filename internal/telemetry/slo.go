@@ -86,19 +86,15 @@ type SLOTracker struct {
 	mu         sync.Mutex // guards the rings
 }
 
-// SLOTrackerOptions tunes NewSLOTracker; the zero value selects the
-// default windows, a 5s snapshot cadence and the wall clock.
+// SLOTrackerOptions tunes NewSLOTracker; the zero value selects a 5s
+// snapshot cadence and the wall clock.
 type SLOTrackerOptions struct {
-	Windows   []SLOWindow
 	SnapEvery time.Duration
 	Now       func() time.Time
 }
 
 // NewSLOTracker returns a tracker for the given objectives.
 func NewSLOTracker(objectives []SLO, opts SLOTrackerOptions) *SLOTracker {
-	if opts.Windows == nil {
-		opts.Windows = DefaultSLOWindows()
-	}
 	if opts.SnapEvery <= 0 {
 		opts.SnapEvery = 5 * time.Second
 	}
@@ -107,7 +103,7 @@ func NewSLOTracker(objectives []SLO, opts SLOTrackerOptions) *SLOTracker {
 	}
 	t := &SLOTracker{
 		byName:    make(map[string]*sloState, len(objectives)),
-		windows:   opts.Windows,
+		windows:   DefaultSLOWindows(),
 		snapEvery: opts.SnapEvery,
 		now:       opts.Now,
 		start:     opts.Now(),
