@@ -131,6 +131,99 @@ func TestStoreBackedRecommend(t *testing.T) {
 	}
 }
 
+// TestWarmFromStore is the restart story: populate the store with the
+// paper grid, boot a fresh server over it, and the very first
+// {"grid":"paper"} sweep and default recommend requests are answered from
+// the store with zero computes and bodies byte-identical to computed ones.
+func TestWarmFromStore(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
+
+	s1 := New(Config{Store: st})
+	ts1 := httptest.NewServer(s1.Handler())
+	defer ts1.Close()
+	code, cold, _ := post(t, ts1.URL+"/v1/sweep", `{"grid":"paper"}`)
+	if code != http.StatusOK {
+		t.Fatalf("cold paper sweep: %d: %s", code, cold)
+	}
+	code, coldRec, _ := get(t, ts1.URL+"/v1/recommend?n=8640&ranks=144")
+	if code != http.StatusOK {
+		t.Fatalf("cold recommend: %d: %s", code, coldRec)
+	}
+	cells := float64(st.Len())
+
+	st2 := openStore(t, dir)
+	s2 := New(Config{Store: st2})
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+
+	code, warm, _ := post(t, ts2.URL+"/v1/sweep", `{"grid":"paper"}`)
+	if code != http.StatusOK {
+		t.Fatalf("restarted paper sweep: %d: %s", code, warm)
+	}
+	if !bytes.Equal(warm, cold) {
+		t.Fatal("restarted paper sweep body differs from computed body")
+	}
+	if got := s2.storeHits.Value(); got != cells {
+		t.Fatalf("restarted paper sweep: store hits = %g, want %g", got, cells)
+	}
+
+	code, warmRec, _ := get(t, ts2.URL+"/v1/recommend?n=8640&ranks=144")
+	if code != http.StatusOK {
+		t.Fatalf("restarted recommend: %d: %s", code, warmRec)
+	}
+	if !bytes.Equal(warmRec, coldRec) {
+		t.Fatal("restarted recommend body differs from computed body")
+	}
+	if got := s2.storeComputed.Value(); got != 0 {
+		t.Fatalf("restarted server computed %g cells over a full store, want 0", got)
+	}
+	if n := float64(st2.Len()); n != cells {
+		t.Fatalf("store holds %g records after the restart, want %g (nothing appended)", n, cells)
+	}
+}
+
+// TestWarmFromStorePartial pins that a restart over an incomplete store
+// serves what it holds as store hits and computes only the missing cells
+// of a paper sweep.
+func TestWarmFromStorePartial(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	s1 := New(Config{Store: st})
+	ts1 := httptest.NewServer(s1.Handler())
+	defer ts1.Close()
+	if code, b, _ := post(t, ts1.URL+"/v1/sweep", smallSweepBody); code != http.StatusOK {
+		t.Fatalf("seed sweep: %d: %s", code, b)
+	}
+
+	st2 := openStore(t, dir)
+	s2 := New(Config{Store: st2})
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	code, partial, _ := post(t, ts2.URL+"/v1/sweep", `{"grid":"paper"}`)
+	if code != http.StatusOK {
+		t.Fatalf("paper sweep on partial store: %d: %s", code, partial)
+	}
+	if got := s2.storeHits.Value(); got != 4 {
+		t.Fatalf("paper sweep on partial store: store hits = %g, want the 4 stored cells", got)
+	}
+	total := float64(st2.Len())
+	if got := s2.storeComputed.Value(); got != total-4 {
+		t.Fatalf("paper sweep on partial store computed %g cells, want the %g missing", got, total-4)
+	}
+
+	s0 := New(Config{})
+	ts0 := httptest.NewServer(s0.Handler())
+	defer ts0.Close()
+	code, exact, _ := post(t, ts0.URL+"/v1/sweep", `{"grid":"paper"}`)
+	if code != http.StatusOK {
+		t.Fatalf("storeless paper sweep: %d: %s", code, exact)
+	}
+	if !bytes.Equal(partial, exact) {
+		t.Fatal("paper sweep on partial store differs from storeless body")
+	}
+}
+
 // TestStoredUnreadableCellIsReported: a record stored under the right key
 // whose result does not decode — or decodes to an energy domain this
 // module does not charge — is not a missing cell. A server over that
