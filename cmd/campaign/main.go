@@ -71,7 +71,7 @@ func mainErr(w io.Writer, storeDir, run string, workers, maxCells int,
 	}
 	defer st.Close()
 	if n := st.Corrupt(); n > 0 {
-		fmt.Fprintf(w, "store: skipped %d torn line(s) from an interrupted writer; the affected cells will be recomputed\n", n)
+		fmt.Fprintf(w, "store: skipped %d torn or mis-keyed line(s); the affected cells will be recomputed\n", n)
 	}
 
 	if benchPath != "" {

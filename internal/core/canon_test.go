@@ -148,11 +148,6 @@ func TestCanonicalCorners(t *testing.T) {
 	add("monitored, no optional set", CellIdentity{Schema: 1, Kind: CellKind, Engine: "monitored"})
 	add("monitored, negative seed", MonitoredCellIdentity(Experiment{N: 96, Ranks: 24, Seed: -3, BlockSize: 8}))
 	add("analytic, negative noise seed", analytic(func(p *perfmodel.Params) { p.NoiseSeed = math.MinInt64 }))
-	add("analytic, coefficients stamped", func() CellIdentity {
-		id := analytic(func(*perfmodel.Params) {})
-		id.Model.Coefficients = "table/v3"
-		return id
-	}())
 	add("sparse, accelerator profile", sparseID)
 	for _, f := range floats {
 		f := f

@@ -42,11 +42,6 @@ type ResilienceOptions struct {
 	MTBF float64
 	// Seed drives the crash schedule (independent of the input seed).
 	Seed int64
-	// MaxCrashes bounds the schedule (fault.DefaultMaxCrashes when 0).
-	MaxCrashes int
-	// CheckpointEvery is ScaLAPACK's checkpoint period in panel steps
-	// (default 2).
-	CheckpointEvery int
 	// Detect is the failure-detection timeout survivors charge before a
 	// crashed world aborts (fault.DefaultDetectTimeout when 0). Scale it
 	// down with the makespan for small reference runs.
@@ -89,6 +84,9 @@ type ResilientMeasurement struct {
 	Residual   float64 `json:"residual"`
 }
 
+// checkpointEvery is ScaLAPACK's checkpoint period in panel steps.
+const checkpointEvery = 2
+
 // solutionTolerance bounds the acceptable deviation of a recovered
 // solution from the fault-free one. ScaLAPACK restarts replay identical
 // arithmetic (exact match); IMe's Vandermonde reconstruction re-derives
@@ -109,9 +107,6 @@ func RunResilient(e Experiment, ro ResilienceOptions) (ResilientMeasurement, err
 	if ro.MTBF < 0 {
 		return ResilientMeasurement{}, fmt.Errorf("core: negative MTBF %g", ro.MTBF)
 	}
-	if ro.CheckpointEvery <= 0 {
-		ro.CheckpointEvery = 2
-	}
 	if ro.Storage == (ckpt.CostModel{}) {
 		ro.Storage = ckpt.DefaultCostModel()
 	}
@@ -127,16 +122,17 @@ func RunResilient(e Experiment, ro ResilienceOptions) (ResilientMeasurement, err
 		return rm, err
 	}
 	xref, spans, err := resilientSolve(e, cfg, sys, &rm.BaselineDurationS, &rm.BaselineJ,
-		nil, nil, 1, baseStore.Plan(ro.CheckpointEvery, ro.Storage), e.Algorithm == perfmodel.IMe)
+		nil, nil, 1, baseStore.Plan(checkpointEvery, ro.Storage), e.Algorithm == perfmodel.IMe)
 	if err != nil {
 		return rm, fmt.Errorf("core: fault-free baseline: %w", err)
 	}
 
 	// The crash schedule: exponential inter-arrivals over the fault-free
-	// makespan. Rank 0 is protected for both solvers (IMe's master owns
-	// the irreplaceable auxiliary vector h; keeping the victim sets
-	// identical keeps the comparison honest).
-	sched := fault.MTBFSchedule(ro.Seed, ro.MTBF, rm.BaselineDurationS, e.Ranks, ro.MaxCrashes, 0)
+	// makespan, at most fault.DefaultMaxCrashes events. Rank 0 is
+	// protected for both solvers (IMe's master owns the irreplaceable
+	// auxiliary vector h; keeping the victim sets identical keeps the
+	// comparison honest).
+	sched := fault.MTBFSchedule(ro.Seed, ro.MTBF, rm.BaselineDurationS, e.Ranks, 0, 0)
 	rm.Crashes = len(sched.Events)
 
 	var x []float64
@@ -262,7 +258,7 @@ func runResilientIMe(e Experiment, cfg cluster.Config, sys *mat.System,
 	}
 	var imeSched *fault.Schedule
 	if len(events) > 0 {
-		imeSched = &fault.Schedule{Seed: sched.Seed, Events: events}
+		imeSched = &fault.Schedule{Events: events}
 	}
 	x, _, err := resilientSolve(e, cfg, sys, &rm.DurationS, &rm.TotalJ,
 		nil, imeSched, sets, nil, false)
@@ -350,8 +346,7 @@ func runResilientScalapack(e Experiment, cfg cluster.Config, sys *mat.System,
 	if err != nil {
 		return nil, err
 	}
-	inj, err := fault.New(fault.Config{Seed: sched.Seed, Events: sched.Events,
-		DetectTimeout: ro.Detect}, e.Ranks)
+	inj, err := fault.New(fault.Config{Events: sched.Events, DetectTimeout: ro.Detect}, e.Ranks)
 	if err != nil {
 		return nil, err
 	}
@@ -361,7 +356,7 @@ func runResilientScalapack(e Experiment, cfg cluster.Config, sys *mat.System,
 		// One plan per attempt: the generation every rank of this world
 		// resumes from is fixed before any of them runs.
 		x, _, err := resilientSolve(e, cfg, sys, &rm.DurationS, &rm.TotalJ,
-			inj, nil, 1, store.Plan(ro.CheckpointEvery, ro.Storage), false)
+			inj, nil, 1, store.Plan(checkpointEvery, ro.Storage), false)
 		if err == nil {
 			writes, _ := store.Stats()
 			rm.CheckpointWrites = writes

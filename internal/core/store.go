@@ -216,7 +216,7 @@ func RunAnalyticStored(e Experiment, prm perfmodel.Params, st *store.Store) (m M
 
 // ResilienceIdentity is the canonical store identity of one RunResilient
 // execution: the experiment, the full fault schedule parameterisation
-// (MTBF, crash seed, bounds), the checkpoint plan, and the engine
+// (MTBF, crash seed), the checkpoint plan, and the engine
 // versions whose semantics the outcome depends on. Defaults are resolved
 // before keying so spelling variants collapse.
 type ResilienceIdentity struct {
@@ -232,7 +232,6 @@ type ResilienceIdentity struct {
 	BlockSize       int     `json:"block_size,omitempty"`
 	MTBF            float64 `json:"mtbf_s"`
 	FaultSeed       int64   `json:"fault_seed"`
-	MaxCrashes      int     `json:"max_crashes,omitempty"`
 	CheckpointEvery int     `json:"checkpoint_every"`
 	DetectS         float64 `json:"detect_s,omitempty"`
 	StorageBps      float64 `json:"storage_bandwidth_bps"`
@@ -255,9 +254,6 @@ func (c resilienceCell) kind() string { return ResilienceKind }
 // identity mirrors RunResilient's default resolution.
 func (c resilienceCell) identity(dst []byte) ([]byte, error) {
 	e, ro := c.e, c.ro
-	if ro.CheckpointEvery <= 0 {
-		ro.CheckpointEvery = 2
-	}
 	if ro.Storage == (ckpt.CostModel{}) {
 		ro.Storage = ckpt.DefaultCostModel()
 	}
@@ -274,8 +270,7 @@ func (c resilienceCell) identity(dst []byte) ([]byte, error) {
 		BlockSize:       e.BlockSize,
 		MTBF:            ro.MTBF,
 		FaultSeed:       ro.Seed,
-		MaxCrashes:      ro.MaxCrashes,
-		CheckpointEvery: ro.CheckpointEvery,
+		CheckpointEvery: checkpointEvery,
 		DetectS:         ro.Detect,
 		StorageBps:      ro.Storage.BandwidthBps,
 		StorageLatS:     ro.Storage.LatencyS,

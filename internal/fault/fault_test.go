@@ -53,59 +53,25 @@ func TestMTBFScheduleBounds(t *testing.T) {
 	}
 }
 
-func TestInjectorDeterministicDecisions(t *testing.T) {
-	cfg := Config{
-		Seed:            42,
-		MTBF:            0.1,
-		Horizon:         2,
-		Protected:       []int{0},
-		DelayProb:       0.3,
-		DelayMax:        1e-4,
-		DropProb:        0.2,
-		StragglerFrac:   0.25,
-		StragglerFactor: 1.5,
-	}
-	a, err := New(cfg, 32)
+func TestInjectorFromMTBFSchedule(t *testing.T) {
+	sched := MTBFSchedule(42, 0.1, 2, 32, 0, 0)
+	a, err := New(Config{Events: sched.Events}, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(cfg, 32)
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(a.Events(), sched.Events) {
+		t.Fatalf("injector reordered a drawn schedule:\n%+v\n%+v", a.Events(), sched.Events)
 	}
-	if !reflect.DeepEqual(a.Events(), b.Events()) {
-		t.Fatalf("same config produced different crash events")
+	if len(sched.Events) != DefaultMaxCrashes {
+		t.Fatalf("maxCrashes 0 drew %d events, want the default %d", len(sched.Events), DefaultMaxCrashes)
 	}
-	var delays, drops, stragglers int
-	for src := 0; src < 32; src++ {
-		if a.Dilation(src) != b.Dilation(src) {
-			t.Fatalf("dilation of rank %d differs across injectors", src)
-		}
-		if a.Dilation(src) > 1 {
-			stragglers++
-		}
-		for seq := 0; seq < 64; seq++ {
-			dst := (src + 1 + seq) % 32
-			if d1, d2 := a.Delay(src, dst, seq), b.Delay(src, dst, seq); d1 != d2 {
-				t.Fatalf("delay(%d,%d,%d) nondeterministic: %g vs %g", src, dst, seq, d1, d2)
-			} else if d1 > 0 {
-				delays++
-				if d1 > cfg.DelayMax {
-					t.Fatalf("delay %g exceeds max %g", d1, cfg.DelayMax)
-				}
-			}
-			if k1, k2 := a.Drops(src, dst, seq), b.Drops(src, dst, seq); k1 != k2 {
-				t.Fatalf("drops(%d,%d,%d) nondeterministic: %d vs %d", src, dst, seq, k1, k2)
-			} else if k1 > 0 {
-				drops++
-				if k1 > DefaultMaxRetransmits {
-					t.Fatalf("drop count %d exceeds retransmission bound", k1)
-				}
-			}
+	for _, ev := range sched.Events {
+		if got := a.CrashTime(ev.Ranks[0]); got > ev.Time {
+			t.Fatalf("rank %d crash time %g after its event at %g", ev.Ranks[0], got, ev.Time)
 		}
 	}
-	if delays == 0 || drops == 0 || stragglers == 0 {
-		t.Fatalf("injection classes inactive: delays=%d drops=%d stragglers=%d", delays, drops, stragglers)
+	if got := a.CrashTime(0); !math.IsInf(got, 1) {
+		t.Fatalf("protected rank 0 crashes at %g", got)
 	}
 }
 
@@ -155,29 +121,10 @@ func TestInjectorShifted(t *testing.T) {
 	}
 }
 
-func TestRetransmitWaitBackoff(t *testing.T) {
-	in, err := New(Config{DropProb: 0.1, RetransmitTimeout: 1e-4, RetransmitBackoff: 2}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := in.RetransmitWait(3), 1e-4+2e-4+4e-4; math.Abs(got-want) > 1e-18 {
-		t.Fatalf("backoff wait %g, want %g", got, want)
-	}
-	if in.RetransmitWait(0) != 0 {
-		t.Fatalf("zero drops should wait nothing")
-	}
-}
-
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
-		{MTBF: 0.1},                   // missing horizon
-		{DelayProb: 0.5},              // missing delay max
-		{DropProb: 2},                 // probability out of range
-		{StragglerFrac: 0.5},          // factor below 1
 		{Events: []Event{{Time: -1}}}, // negative event time
-		{MTBF: -1, Horizon: 1},        // negative mtbf
 		{DetectTimeout: -1},           // negative timeout
-		{RetransmitTimeout: -1, DropProb: 0.1},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

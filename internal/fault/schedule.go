@@ -21,7 +21,6 @@ type Event struct {
 // currency between the MTBF generator, the engine injector, the
 // solver-level recovery paths and the resilience experiments.
 type Schedule struct {
-	Seed   int64   `json:"seed"`
 	Events []Event `json:"events"`
 }
 
@@ -60,7 +59,7 @@ func sortEvents(events []Event) {
 // (whichever first). The same (seed, mtbf, horizon, size) always yields
 // the same schedule, bit for bit.
 func MTBFSchedule(seed int64, mtbf, horizon float64, size, maxCrashes int, protected ...int) Schedule {
-	s := Schedule{Seed: seed}
+	var s Schedule
 	if mtbf <= 0 || horizon <= 0 || size <= 0 {
 		return s
 	}

@@ -31,10 +31,7 @@ func failWatchdog(t *testing.T, d time.Duration, f func() error) error {
 // crashWorld builds a world whose victim rank crashes at crashT.
 func crashWorld(t *testing.T, size, victim int, crashT float64) *World {
 	t.Helper()
-	inj, err := fault.New(fault.Config{
-		Seed:   1,
-		Events: []fault.Event{{Time: crashT, Ranks: []int{victim}}},
-	}, size)
+	inj, err := fault.New(fault.Config{Events: []fault.Event{{Time: crashT, Ranks: []int{victim}}}}, size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +261,7 @@ func TestInactiveInjectorIsFreeOfSideEffects(t *testing.T) {
 	run := func(withInjector bool) (clock, energy float64, msgs, vol int64) {
 		opts := Options{}
 		if withInjector {
-			inj, err := fault.New(fault.Config{Seed: 99}, 4)
+			inj, err := fault.New(fault.Config{}, 4)
 			if err != nil {
 				t.Fatal(err)
 			}

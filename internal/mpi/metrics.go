@@ -26,11 +26,9 @@ type worldMetrics struct {
 	computeS []*telemetry.Counter
 	waitS    []*telemetry.Counter
 
-	// Fault-plane accounting (failure.go, p2p.go).
-	faultCrashes     *telemetry.Counter // ranks killed by the injector
-	faultDetections  *telemetry.Counter // ErrRankFailed returns on live ranks
-	faultRetransmits *telemetry.Counter // dropped transmissions retried
-	faultDelayS      *telemetry.Counter // injected link-jitter seconds
+	// Fault-plane accounting (failure.go).
+	faultCrashes    *telemetry.Counter // ranks killed by the injector
+	faultDetections *telemetry.Counter // ErrRankFailed returns on live ranks
 
 	// lastEnergy[node][domain] is the energy already snapshotted into the
 	// rapl counters, so SnapshotEnergyMetrics adds exact deltas.
@@ -74,8 +72,6 @@ func (w *World) EnableMetrics() *telemetry.Registry {
 	m.barriers = reg.Counter("mpi_barriers_total", "barrier synchronisations entered")
 	m.faultCrashes = reg.Counter("mpi_fault_crashes_total", "ranks killed by the fault injector")
 	m.faultDetections = reg.Counter("mpi_fault_detections_total", "operations that returned ErrRankFailed on live ranks")
-	m.faultRetransmits = reg.Counter("mpi_fault_retransmits_total", "dropped transmissions retried by senders")
-	m.faultDelayS = reg.Counter("mpi_fault_delay_seconds_total", "injected link-jitter seconds added to message flight time")
 	m.computeS = make([]*telemetry.Counter, w.size)
 	m.waitS = make([]*telemetry.Counter, w.size)
 	for r := 0; r < w.size; r++ {

@@ -33,11 +33,6 @@ func TestNewWorldValidation(t *testing.T) {
 	if _, err := NewWorld(47, Options{Config: &cfg}); err == nil {
 		t.Error("config/world size mismatch accepted")
 	}
-	bad := DefaultCostModel()
-	bad.BandwidthInter = 0
-	if _, err := NewWorld(2, Options{Cost: bad}); err == nil {
-		t.Error("invalid cost model accepted")
-	}
 }
 
 func TestCostModelValidate(t *testing.T) {

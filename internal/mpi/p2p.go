@@ -45,30 +45,9 @@ func (p *Proc) sendOwned(c *Comm, dst, tag int, data []float64) error {
 	// time determined by locality.
 	sendStart := p.clock
 	p.advanceBusy(p.w.cost.SendOverhead, 0)
-	// Fault injection perturbs the send deterministically: k dropped
-	// transmissions cost the sender k extra overheads plus the backed-off
-	// retransmission timeouts (the payload leaves late but is never lost),
-	// and link jitter stretches the flight time.
-	var lateBy float64
-	if f := p.w.flt; f != nil {
-		seq := p.nextTxSeq(wdst)
-		if k := f.Drops(p.rank, wdst, seq); k > 0 {
-			p.advanceBusy(float64(k)*p.w.cost.SendOverhead, 0)
-			lateBy += f.RetransmitWait(k)
-			if m := p.w.metrics; m != nil {
-				m.faultRetransmits.Add(float64(k))
-			}
-		}
-		if d := f.Delay(p.rank, wdst, seq); d > 0 {
-			lateBy += d
-			if m := p.w.metrics; m != nil {
-				m.faultDelayS.Add(d)
-			}
-		}
-	}
 	p.recordMsg("send", sendStart, p.clock, wdst, tag, len(data))
 	bytes := float64(len(data)) * Float64Bytes
-	arrive := p.clock + lateBy + p.w.cost.Wire(p.w.sameNode(p.rank, wdst), bytes)
+	arrive := p.clock + p.w.cost.Wire(p.w.sameNode(p.rank, wdst), bytes)
 	p.w.countTraffic(p.rank, len(data))
 	if m := p.w.metrics; m != nil {
 		m.messages.Inc()

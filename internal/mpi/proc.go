@@ -36,12 +36,6 @@ type Proc struct {
 	// crashAt is the virtual time the fault plane kills this rank (+Inf
 	// when never); the first clock advance crossing it dies (failure.go).
 	crashAt float64
-	// dilation stretches this rank's compute time when the injector marks
-	// it a straggler (1.0 = healthy).
-	dilation float64
-	// txSeq numbers sends per destination so the injector's per-message
-	// delay/drop draws are pure functions of (seed, src, dst, seq).
-	txSeq map[int]int
 }
 
 // Rank returns the world rank.
@@ -120,11 +114,6 @@ func (p *Proc) Compute(seconds, bytes float64) {
 	if act == 0 {
 		act = 1
 	}
-	if p.dilation > 1 {
-		// Straggler injection: the rank computes slower, so the same work
-		// takes longer and burns more busy-core energy.
-		seconds *= p.dilation
-	}
 	if p.clock+seconds > p.crashAt {
 		p.advanceToCrash(seconds, bytes)
 	}
@@ -144,18 +133,6 @@ func (p *Proc) ComputeFlops(flops, rate, bytes float64) {
 		panic(fmt.Sprintf("mpi: rank %d: non-positive flop rate %g", p.rank, rate))
 	}
 	p.Compute(flops/rate, bytes)
-}
-
-// nextTxSeq returns the per-destination sequence number of the next send.
-// Per-rank program order makes it deterministic, which makes the fault
-// injector's per-message draws deterministic too.
-func (p *Proc) nextTxSeq(dst int) int {
-	if p.txSeq == nil {
-		p.txSeq = make(map[int]int, 8)
-	}
-	s := p.txSeq[dst]
-	p.txSeq[dst] = s + 1
-	return s
 }
 
 // nextSeq returns the sequence number of the next collective on c.

@@ -24,7 +24,6 @@ package mpi
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -39,14 +38,11 @@ type Options struct {
 	// Config places ranks on nodes/sockets. When nil, all ranks share one
 	// synthetic node on socket 0 (convenient for algorithm-only tests).
 	Config *cluster.Config
-	// Cost is the communication cost model; zero value means defaults.
-	Cost CostModel
 	// Calibration is the node power model; zero value means Skylake8160.
 	Calibration power.Calibration
-	// Fault is the fault-injection plane: a deterministic, seed-driven
-	// schedule of message delay/jitter, drops with bounded retransmission,
-	// straggler ranks and hard rank crashes (internal/fault). Nil injects
-	// nothing and leaves every output byte-identical.
+	// Fault is the crash plane: a deterministic schedule of hard rank
+	// crashes (internal/fault). Nil injects nothing and leaves every
+	// output byte-identical.
 	Fault *fault.Injector
 }
 
@@ -122,13 +118,6 @@ func NewWorld(size int, opts Options) (*World, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("mpi: world size %d must be positive", size)
 	}
-	cost := opts.Cost
-	if cost == (CostModel{}) {
-		cost = DefaultCostModel()
-	}
-	if err := cost.Validate(); err != nil {
-		return nil, err
-	}
 	cal := opts.Calibration
 	if cal == (power.Calibration{}) {
 		cal = power.Skylake8160()
@@ -136,7 +125,7 @@ func NewWorld(size int, opts Options) (*World, error) {
 	if opts.Config != nil && opts.Config.Ranks != size {
 		return nil, fmt.Errorf("mpi: config has %d ranks, world has %d", opts.Config.Ranks, size)
 	}
-	w := &World{size: size, cost: cost, cfg: opts.Config}
+	w := &World{size: size, cost: DefaultCostModel(), cfg: opts.Config}
 	w.fail = newFailureBoard()
 	w.detect = fault.DefaultDetectTimeout
 	if opts.Fault != nil {
@@ -258,11 +247,7 @@ func (w *World) Run(body func(p *Proc) error) error {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			p := &Proc{w: w, rank: rank, world: world, crashAt: math.Inf(1), dilation: 1}
-			if f := w.flt; f != nil {
-				p.crashAt = f.CrashTime(rank)
-				p.dilation = f.Dilation(rank)
-			}
+			p := &Proc{w: w, rank: rank, world: world, crashAt: w.flt.CrashTime(rank)}
 			defer func() {
 				if rec := recover(); rec != nil {
 					if cp, ok := rec.(crashPanic); ok {

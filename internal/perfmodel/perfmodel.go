@@ -156,17 +156,10 @@ type CanonicalIdentity struct {
 	Cost string `json:"cost"`
 	// Calibration is power.CalibrationVersion: the power-model semantics.
 	Calibration string `json:"calibration"`
-	// Coefficients names the learned coefficient table a result was
-	// derived from (surrogate.Predictor.Version()); empty for exact
-	// analytic results. Exact and surrogate-derived results must never
-	// share an identity, and retrained tables must never serve results
-	// fitted by their predecessors.
-	Coefficients string `json:"coefficients,omitempty"`
 }
 
 // CanonicalIdentity returns the versioned identity of an exact analytic
-// evaluation under these params. Callers persisting surrogate-derived
-// results set Coefficients to the predictor's table version themselves.
+// evaluation under these params.
 func (prm Params) CanonicalIdentity() CanonicalIdentity {
 	return CanonicalIdentity{
 		Params:      prm.Normalized(),
@@ -186,9 +179,6 @@ func (id CanonicalIdentity) AppendCanonical(dst []byte) ([]byte, bool) {
 	o.String("model", id.Model)
 	o.String("cost", id.Cost)
 	o.String("calibration", id.Calibration)
-	if id.Coefficients != "" {
-		o.String("coefficients", id.Coefficients)
-	}
 	return o.End()
 }
 

@@ -93,7 +93,7 @@ func (r *Report) Marshal() ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// outcome assembles the report, digest, timeline and telemetry.
+// outcome assembles the report, digest and timeline.
 func (s *sim) outcome(w Workload) (*Outcome, error) {
 	rep := &Report{
 		SchemaVersion: SchemaVersion,
@@ -192,7 +192,6 @@ func (s *sim) outcome(w Workload) (*Outcome, error) {
 	if s.cfg.Trace {
 		o.Trace = s.buildTrace(digest)
 	}
-	s.publish(rep)
 	return o, nil
 }
 
@@ -228,28 +227,4 @@ func (s *sim) buildTrace(digest string) *telemetry.Trace {
 		}
 	}
 	return tr
-}
-
-// publish mirrors the fleet roll-up into the registry (nil-safe).
-func (s *sim) publish(rep *Report) {
-	reg := s.cfg.Registry
-	if reg == nil {
-		return
-	}
-	reg.Gauge("fleet_nodes", "Simulated fleet size.").Set(float64(rep.Nodes))
-	reg.Gauge("fleet_power_budget_w", "Configured fleet power budget (0 = unlimited).").Set(rep.PowerBudgetW)
-	reg.Gauge("fleet_peak_power_w", "Peak instantaneous fleet power over the run.").Set(rep.PeakPowerW)
-	reg.Gauge("fleet_makespan_s", "Virtual makespan of the workload.").Set(rep.MakespanS)
-	reg.Gauge("fleet_utilization_pct", "Node-seconds busy over fleet capacity.").Set(rep.UtilizationPct)
-	reg.Gauge("fleet_stranded_power_wh", "Unused budget headroom integrated while jobs queued.").Set(rep.StrandedWh)
-	reg.Counter("fleet_backfills_total", "Jobs started ahead of the queue head by EASY backfill.").Add(float64(rep.Backfills))
-	reg.Counter("fleet_crashes_total", "Job attempts killed by the fault plane.").Add(float64(rep.Crashes))
-	waits := reg.Histogram("fleet_queue_wait_seconds", "Per-job wait from submission to first start.",
-		[]float64{1, 10, 60, 300, 1800, 7200})
-	for _, j := range rep.Jobs {
-		waits.Observe(j.WaitS)
-		status := j.Status
-		reg.Counter("fleet_jobs_total", "Jobs by terminal status.", "status", status).Inc()
-		reg.Counter("fleet_tenant_energy_joules_total", "Charged energy by tenant.", "tenant", j.Tenant).Add(j.EnergyJ)
-	}
 }

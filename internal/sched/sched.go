@@ -78,6 +78,9 @@ func ParsePolicy(s string) (Policy, error) {
 	return 0, fmt.Errorf("sched: unknown policy %q (want energy-aware or fcfs)", s)
 }
 
+// maxRequeues bounds crash-driven requeues per job.
+const maxRequeues = 32
+
 // MaxNodes bounds the simulated fleet size: 20× the full Marconi A3
 // (3188 nodes). The node allocator takes a word per 64 nodes, so an
 // unbounded size is an unbounded allocation.
@@ -102,8 +105,6 @@ type Config struct {
 	// FaultSeed drives the per-job crash schedules (with Workload.Seed
 	// fixed, varying FaultSeed varies only the faults).
 	FaultSeed int64
-	// MaxRequeues bounds crash-driven requeues per job (default 32).
-	MaxRequeues int
 	// Workers is the candidate-prediction worker budget (default
 	// GOMAXPROCS). It affects wall time only, never the schedule.
 	Workers int
@@ -113,8 +114,6 @@ type Config struct {
 	// experiment store: a restarted fleet resumes them for free and
 	// byte-identically.
 	Store *store.Store
-	// Registry, when non-nil, receives fleet gauges and counters.
-	Registry *telemetry.Registry
 	// Trace builds the Perfetto fleet timeline (one track per node).
 	Trace bool
 }
@@ -217,17 +216,14 @@ type sim struct {
 }
 
 // Simulate runs the workload to completion and returns the fleet report
-// (and timeline). It is a pure function of (cfg minus Workers/Registry/
-// Trace, workload): same inputs, byte-identical outputs.
+// (and timeline). It is a pure function of (cfg minus Workers/Trace,
+// workload): same inputs, byte-identical outputs.
 func Simulate(cfg Config, w Workload) (*Outcome, error) {
 	if cfg.Nodes > MaxNodes {
 		return nil, fmt.Errorf("sched: fleet of %d nodes exceeds the limit %d", cfg.Nodes, MaxNodes)
 	}
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = cluster.MarconiA3().TotalNodes
-	}
-	if cfg.MaxRequeues <= 0 {
-		cfg.MaxRequeues = 32
 	}
 	if len(w.Jobs) == 0 {
 		return nil, fmt.Errorf("sched: empty workload")
@@ -465,11 +461,8 @@ func (s *sim) attemptSpan(j *jobState) float64 {
 // workload's fault seed and the job index, over the job's world size,
 // bounded by its predicted duration.
 func (s *sim) newInjector(j *jobState) (*fault.Injector, error) {
-	return fault.New(fault.Config{
-		Seed:    jobFaultSeed(s.cfg.FaultSeed, j.idx),
-		MTBF:    s.cfg.MTBF,
-		Horizon: j.cand.durationS,
-	}, j.spec.Ranks)
+	crashes := fault.MTBFSchedule(jobFaultSeed(s.cfg.FaultSeed, j.idx), s.cfg.MTBF, j.cand.durationS, j.spec.Ranks, 0)
+	return fault.New(fault.Config{Events: crashes.Events}, j.spec.Ranks)
 }
 
 // firstCrash is the earliest crash instant in the schedule (0 = none).
@@ -566,7 +559,7 @@ func (s *sim) crash(j *jobState, t float64) error {
 	if j.inj, err = j.inj.Shifted(elapsed); err != nil {
 		return fmt.Errorf("sched: job %s: shift fault schedule: %w", j.spec.Name, err)
 	}
-	if j.attempts > s.cfg.MaxRequeues {
+	if j.attempts > maxRequeues {
 		j.endS = t
 		j.failed = true
 		return nil

@@ -143,7 +143,6 @@ func TestSolve96Ranks(t *testing.T) {
 func TestCrashSurfacesRankFailed(t *testing.T) {
 	const ranks, victim = 6, 2
 	inj, err := fault.New(fault.Config{
-		Seed: 1,
 		// The virtual clock advances in ~µs steps per iteration; crash
 		// almost immediately so the halo/allreduce path hits the corpse.
 		Events: []fault.Event{{Time: 1e-6, Ranks: []int{victim}}},

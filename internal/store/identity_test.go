@@ -86,7 +86,6 @@ func TestVersionBumpsYieldFreshKeys(t *testing.T) {
 		"model version":       bump(func(id *perfmodel.CanonicalIdentity) { id.Model = "analytic/v2" }),
 		"cost model version":  bump(func(id *perfmodel.CanonicalIdentity) { id.Cost = "hockney-logp/v2" }),
 		"calibration version": bump(func(id *perfmodel.CanonicalIdentity) { id.Calibration = "additive/v2" }),
-		"coefficient table":   bump(func(id *perfmodel.CanonicalIdentity) { id.Coefficients = "surrogate/v1" }),
 	}
 	seen := map[string]string{"(current)": baseKey}
 	for name, id := range bumps {
@@ -113,8 +112,5 @@ func TestCurrentVersionStampsPinned(t *testing.T) {
 	}
 	if id.Calibration != "additive/v1" {
 		t.Errorf("CalibrationVersion = %q; bumping it invalidates all stored results — intended?", id.Calibration)
-	}
-	if id.Coefficients != "" {
-		t.Errorf("exact analytic identity has Coefficients = %q, want empty", id.Coefficients)
 	}
 }

@@ -24,6 +24,8 @@
 //   - Torn tails are tolerated: a process killed mid-append leaves at
 //     most one unparseable trailing line, which Open skips (and counts
 //     in Corrupt()); the cell is simply recomputed and re-appended.
+//   - Open serves only what Append would accept: a line whose key is
+//     not the digest of its identity is skipped and counted in Corrupt().
 //
 // The convention follows the asterisk repo's investigation pipeline:
 // results are append-only JSON — never overwrite a prior run.
@@ -100,6 +102,15 @@ func Key(canonical []byte) string {
 	var key [2 * sha256.Size]byte
 	hex.Encode(key[:], sum[:])
 	return string(key[:])
+}
+
+// keyMatches reports whether key is Key(canonical), digesting into a
+// stack buffer so that a reopen checking every record allocates nothing.
+func keyMatches(key string, canonical []byte) bool {
+	sum := sha256.Sum256(canonical)
+	var want [2 * sha256.Size]byte
+	hex.Encode(want[:], sum[:])
+	return key == string(want[:])
 }
 
 // KeyFor returns the content address of an identity value: the Key of its
@@ -199,8 +210,9 @@ func (s *Store) sealTornTail(path string) error {
 }
 
 // load indexes the existing log. Unparseable lines (a torn tail from a
-// killed writer) are counted and skipped: the records they would have
-// held are recomputed by the next campaign run.
+// killed writer) and records whose key is not the digest of their
+// identity (which Append refuses) are counted and skipped: the records
+// they would have held are recomputed by the next campaign run.
 func (s *Store) load(path string) error {
 	r, err := os.Open(path)
 	if err != nil {
@@ -215,7 +227,7 @@ func (s *Store) load(path string) error {
 			continue
 		}
 		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil || rec.Key == "" {
+		if err := json.Unmarshal(line, &rec); err != nil || !keyMatches(rec.Key, rec.Identity) {
 			s.corrupt++
 			continue
 		}
@@ -251,8 +263,8 @@ func (s *Store) Get(key string) (Record, bool, error) {
 // — the existing record wins and the new one is discarded, which is the
 // append-only analogue of "never overwrite a prior run".
 func (s *Store) Append(rec Record) (added bool, err error) {
-	if want := Key(rec.Identity); rec.Key != want {
-		return false, fmt.Errorf("store: record key %.12s… is not the digest of its identity (%.12s…)", rec.Key, want)
+	if !keyMatches(rec.Key, rec.Identity) {
+		return false, fmt.Errorf("store: record key %.12s… is not the digest of its identity (%.12s…)", rec.Key, Key(rec.Identity))
 	}
 	line, err := json.Marshal(rec)
 	if err != nil {
@@ -287,8 +299,8 @@ func (s *Store) Duplicates() int {
 	return s.duplicates
 }
 
-// Corrupt returns how many unparseable lines Open skipped (torn tails
-// from killed writers).
+// Corrupt returns how many lines Open skipped: unparseable ones (torn
+// tails from killed writers) and records keyed for another identity.
 func (s *Store) Corrupt() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -285,6 +285,96 @@ func TestTornTailSkipped(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsMismatchedKey: Open serves only what Append would accept.
+// A line keyed for one identity but holding another is skipped and counted,
+// and checking a key allocates nothing.
+func TestLoadRejectsMismatchedKey(t *testing.T) {
+	dir := t.TempDir()
+	line := fmt.Sprintf(`{"key":%q,"kind":"test","identity":{"n":2},"result":{}}`+"\n", Key([]byte(`{"n":1}`)))
+	if err := os.WriteFile(filepath.Join(dir, logName), []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, ok, _ := s.Get(Key([]byte(`{"n":1}`))); ok || s.Len() != 0 || s.Corrupt() != 1 {
+		t.Fatalf("served a record keyed for another identity: ok=%v Len=%d Corrupt=%d, want false/0/1", ok, s.Len(), s.Corrupt())
+	}
+	rec := mustRecord(t, 1, 1)
+	if n := testing.AllocsPerRun(100, func() { keyMatches(rec.Key, rec.Identity) }); n != 0 {
+		t.Errorf("checking a key allocated %v times", n)
+	}
+}
+
+// TestTruncatedAtEveryOffset cuts a store at every byte: Open must keep
+// exactly the complete lines before the cut, count a cut mid-line as one
+// corrupt line, and a record appended afterwards must survive the next open.
+func TestTruncatedAtEveryOffset(t *testing.T) {
+	full := t.TempDir()
+	s, err := Open(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digests := []string{s.Digest()} // digests[i]: the store of the first i records
+	for n := 1; n <= 3; n++ {
+		if _, err := s.Append(mustRecord(t, n, float64(n))); err != nil {
+			t.Fatal(err)
+		}
+		digests = append(digests, s.Digest())
+	}
+	s.Close()
+	data, err := os.ReadFile(filepath.Join(full, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := mustRecord(t, 100, 100)
+	for k := 0; k <= len(data); k++ {
+		complete, midLine, start := 0, false, 0
+		for i, b := range data {
+			if b != '\n' {
+				continue
+			}
+			if i <= k { // the line's content, without its newline, is all before the cut
+				complete++
+			} else if start < k {
+				midLine = true
+			}
+			start = i + 1
+		}
+		wantCorrupt := 0
+		if midLine {
+			wantCorrupt = 1
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, logName), data[:k], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		if s.Len() != complete || s.Digest() != digests[complete] || s.Corrupt() != wantCorrupt {
+			t.Fatalf("k=%d: Len=%d Corrupt=%d digest %.12s…, want %d/%d %.12s…",
+				k, s.Len(), s.Corrupt(), s.Digest(), complete, wantCorrupt, digests[complete])
+		}
+		if added, err := s.Append(fresh); err != nil || !added {
+			t.Fatalf("k=%d: append after reopen: added=%v err=%v", k, added, err)
+		}
+		s.Close()
+		s, err = Open(dir)
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		if _, ok, _ := s.Get(fresh.Key); !ok || s.Len() != complete+1 || s.Corrupt() != wantCorrupt {
+			t.Fatalf("k=%d: after append and reopen: ok=%v Len=%d Corrupt=%d, want true/%d/%d",
+				k, ok, s.Len(), s.Corrupt(), complete+1, wantCorrupt)
+		}
+		s.Close()
+	}
+}
+
 func TestDigestOrderIndependent(t *testing.T) {
 	recs := []Record{mustRecord(t, 1, 1), mustRecord(t, 2, 2), mustRecord(t, 3, 3)}
 
