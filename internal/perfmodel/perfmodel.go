@@ -206,6 +206,9 @@ func (prm *Params) normalize() {
 	if prm.BlockSize <= 0 {
 		prm.BlockSize = scalapack.DefaultBlockSize
 	}
+	if prm.PowerCapW == 0 {
+		prm.PowerCapW = 0 // −0 is no cap too: one identity for both
+	}
 }
 
 // Result is one modelled execution.

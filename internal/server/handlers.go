@@ -11,7 +11,6 @@ import (
 	"net/url"
 	"runtime"
 	"strconv"
-	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -62,6 +61,33 @@ func (k knobs) params() perfmodel.Params {
 	return perfmodel.Params{Overlap: k.Overlap, BlockSize: k.BlockSize, PowerCapW: k.PowerCapW}
 }
 
+// Cache keys are appended into a stack buffer, one field after another:
+// "|name=value", integers in decimal, floats as fmt's %g spells them
+// (strconv's shortest 'g'), enums by their String.
+
+// keyBuf is a stack buffer every query route's key fits in.
+type keyBuf [128]byte
+
+// appendKey appends the job's key fields.
+func (j job) appendKey(b []byte) []byte {
+	b = append(b, "|n="...)
+	b = strconv.AppendInt(b, int64(j.N), 10)
+	b = append(b, "|ranks="...)
+	b = strconv.AppendInt(b, int64(j.Ranks), 10)
+	b = append(b, "|pl="...)
+	return append(b, j.Placement.String()...)
+}
+
+// appendKey appends the knobs' key fields.
+func (k knobs) appendKey(b []byte) []byte {
+	b = append(b, "|ov="...)
+	b = strconv.AppendBool(b, k.Overlap)
+	b = append(b, "|nb="...)
+	b = strconv.AppendInt(b, int64(k.BlockSize), 10)
+	b = append(b, "|cap="...)
+	return strconv.AppendFloat(b, k.PowerCapW, 'g', -1, 64)
+}
+
 // RecommendRequest is the canonicalized form of GET /v1/recommend:
 // every field is resolved (defaults applied, block size normalized), so
 // equal requests — however spelled — key the same cache entry.
@@ -72,8 +98,12 @@ type RecommendRequest struct {
 }
 
 func (r RecommendRequest) cacheKey() string {
-	return fmt.Sprintf("v1/recommend|n=%d|ranks=%d|pl=%s|obj=%s|ov=%t|nb=%d|cap=%g",
-		r.N, r.Ranks, r.Placement, r.Objective, r.Overlap, r.BlockSize, r.PowerCapW)
+	var buf keyBuf
+	b := append(buf[:0], "v1/recommend"...)
+	b = r.job.appendKey(b)
+	b = append(b, "|obj="...)
+	b = append(b, r.Objective.String()...)
+	return string(r.knobs.appendKey(b))
 }
 
 // PredictRequest is the canonicalized form of GET /v1/predict.
@@ -84,8 +114,11 @@ type PredictRequest struct {
 }
 
 func (r PredictRequest) cacheKey() string {
-	return fmt.Sprintf("v1/predict|alg=%s|n=%d|ranks=%d|pl=%s|ov=%t|nb=%d|cap=%g",
-		r.Algorithm, r.N, r.Ranks, r.Placement, r.Overlap, r.BlockSize, r.PowerCapW)
+	var buf keyBuf
+	b := append(buf[:0], "v1/predict|alg="...)
+	b = append(b, r.Algorithm.String()...)
+	b = r.job.appendKey(b)
+	return string(r.knobs.appendKey(b))
 }
 
 // SweepRequest is the canonicalized form of POST /v1/sweep: a batch of
@@ -97,12 +130,19 @@ type SweepRequest struct {
 }
 
 func (r SweepRequest) cacheKey() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "v1/sweep|ov=%t|nb=%d|cap=%g", r.Overlap, r.BlockSize, r.PowerCapW)
+	b := append(make([]byte, 0, 64+32*len(r.Cells)), "v1/sweep"...)
+	b = r.knobs.appendKey(b)
 	for _, c := range r.Cells {
-		fmt.Fprintf(&b, "|%s,%d,%d,%s", c.Algorithm, c.N, c.Ranks, c.Placement)
+		b = append(b, '|')
+		b = append(b, c.Algorithm.String()...)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(c.N), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(c.Ranks), 10)
+		b = append(b, ',')
+		b = append(b, c.Placement.String()...)
 	}
-	return b.String()
+	return string(b)
 }
 
 // CellResult is one modelled cell in a response body.
@@ -119,6 +159,27 @@ type CellResult struct {
 	GFlopsPerWatt float64 `json:"gflops_per_watt"`
 }
 
+// appendMembers appends the cell's members into an open object (a
+// PredictResponse embeds them).
+func (c CellResult) appendMembers(w *bodyWriter) {
+	w.String("algorithm", c.Algorithm)
+	w.Int("n", c.N)
+	w.Int("ranks", c.Ranks)
+	w.String("placement", c.Placement)
+	w.Float("duration_s", c.DurationS)
+	w.Float("energy_j", c.TotalJ)
+	w.Float("pkg_j", c.PkgJ)
+	w.Float("dram_j", c.DramJ)
+	w.Float("avg_power_w", c.AvgPowerW)
+	w.Float("gflops_per_watt", c.GFlopsPerWatt)
+}
+
+func (c CellResult) appendBody(w *bodyWriter) {
+	w.open('{')
+	c.appendMembers(w)
+	w.close('}')
+}
+
 // RecommendResponse is the body of GET /v1/recommend.
 type RecommendResponse struct {
 	N         int        `json:"n"`
@@ -131,11 +192,34 @@ type RecommendResponse struct {
 	ScaLAPACK CellResult `json:"scalapack"`
 }
 
+func (r RecommendResponse) appendBody(w *bodyWriter) {
+	w.open('{')
+	w.Int("n", r.N)
+	w.Int("ranks", r.Ranks)
+	w.String("placement", r.Placement)
+	w.String("objective", r.Objective)
+	w.String("best", r.Best)
+	w.Float("margin_pct", r.MarginPct)
+	w.key("ime")
+	r.IMe.appendBody(w)
+	w.key("scalapack")
+	r.ScaLAPACK.appendBody(w)
+	w.close('}')
+}
+
 // PredictResponse is the body of GET /v1/predict.
 type PredictResponse struct {
 	CellResult
 	ComputeS     float64 `json:"compute_s"`
 	ExposedCommS float64 `json:"exposed_comm_s"`
+}
+
+func (r PredictResponse) appendBody(w *bodyWriter) {
+	w.open('{')
+	r.CellResult.appendMembers(w)
+	w.Float("compute_s", r.ComputeS)
+	w.Float("exposed_comm_s", r.ExposedCommS)
+	w.close('}')
 }
 
 // SweepResponse is the body of POST /v1/sweep.
@@ -145,6 +229,26 @@ type SweepResponse struct {
 	BlockSize int          `json:"block_size"`
 	PowerCapW float64      `json:"power_cap_w"`
 	Cells     []CellResult `json:"cells"`
+}
+
+func (r SweepResponse) appendBody(w *bodyWriter) {
+	w.open('{')
+	w.Int("count", r.Count)
+	w.Bool("overlap", r.Overlap)
+	w.Int("block_size", r.BlockSize)
+	w.Float("power_cap_w", r.PowerCapW)
+	w.key("cells")
+	if r.Cells == nil {
+		w.b = append(w.b, "null"...)
+	} else {
+		w.open('[')
+		for _, c := range r.Cells {
+			w.elem()
+			c.appendBody(w)
+		}
+		w.close(']')
+	}
+	w.close('}')
 }
 
 // cellResult summarises a measurement for a response body.
@@ -185,7 +289,7 @@ func (s *Server) computeRecommend(ctx context.Context, req RecommendRequest) ([]
 	rt := requestTraceFrom(ctx)
 	rt.attachSolver(0, resp.IMe, 0, 0)
 	rt.attachSolver(0, resp.ScaLAPACK, 0, 0)
-	return marshalStage(ctx, resp)
+	return renderStage(ctx, resp)
 }
 
 // recommendResponse renders a recommendation as the response body. The
@@ -215,7 +319,7 @@ func (s *Server) computePredict(ctx context.Context, req PredictRequest) ([]byte
 	}
 	resp := predictResponse(req, cfg, res)
 	requestTraceFrom(ctx).attachSolver(0, resp.CellResult, resp.ComputeS, resp.ExposedCommS)
-	return marshalStage(ctx, resp)
+	return renderStage(ctx, resp)
 }
 
 // predictResponse renders one modelled cell — exact or from the
@@ -258,7 +362,7 @@ func (s *Server) computeSweep(ctx context.Context, req SweepRequest) ([]byte, er
 			ends[c.Algorithm] = rt.attachSolver(ends[c.Algorithm], c, 0, 0)
 		}
 	}
-	return marshalStage(ctx, resp)
+	return renderStage(ctx, resp)
 }
 
 // sweepResponse renders evaluated cells as the response body — shared by
@@ -273,7 +377,8 @@ func sweepResponse(req SweepRequest, cells []CellResult) SweepResponse {
 	}
 }
 
-// marshalStage wraps a compute's body rendering in a trace span.
+// marshalStage wraps a compute's body rendering through marshalBody in a
+// trace span, for the bodies no appender writes.
 func marshalStage(ctx context.Context, v any) ([]byte, error) {
 	sp := requestTraceFrom(ctx).stage("marshal")
 	b, err := marshalBody(v)
@@ -307,13 +412,21 @@ func queryBool(q url.Values, name string, def bool) (bool, error) {
 
 // queryFloat parses a float parameter. NaN and ±Inf are refused: no
 // model input is meaningful there, and a non-finite value would key a
-// cache entry of its own.
+// cache entry of its own. −0 is +0, for the same reason.
 func queryFloat(q url.Values, name string, def float64) (float64, error) {
 	f, err := queryValue(q, name, def, "not a number", func(v string) (float64, error) { return strconv.ParseFloat(v, 64) })
 	if err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
 		err = fmt.Errorf("parameter %s: not a finite number: %q", name, q.Get(name))
 	}
-	return f, err
+	return foldZero(f), err
+}
+
+// foldZero returns +0 for −0 and f otherwise.
+func foldZero(f float64) float64 {
+	if f == 0 {
+		return 0
+	}
+	return f
 }
 
 // checkOrder bounds a matrix order to 1..maxOrder; what names the field.
@@ -456,7 +569,7 @@ func ParseSweepRequest(r *http.Request) (SweepRequest, error) {
 	if wire.PowerCapW < 0 {
 		return req, fmt.Errorf("power_cap_w: must be non-negative, got %g", wire.PowerCapW)
 	}
-	req.PowerCapW = wire.PowerCapW
+	req.PowerCapW = foldZero(wire.PowerCapW)
 
 	switch {
 	case wire.Grid == "paper":

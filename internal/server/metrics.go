@@ -2,6 +2,7 @@ package server
 
 import (
 	"strconv"
+	"sync/atomic"
 
 	"repro/internal/telemetry"
 )
@@ -20,8 +21,9 @@ var allEndpoints = []string{"recommend", "predict", "sweep", "schedule", "metric
 
 // metrics holds the server's pre-registered instruments. Per-(endpoint,
 // code) request counters are registered lazily because the code label is
-// only known at response time; the registry get-or-creates under its own
-// lock, which is cheap at request granularity.
+// only known at response time, so /metrics shows exactly the codes that
+// were served; each is resolved through the registry once and read from
+// its endpoint's instruments after that.
 type metrics struct {
 	reg          *telemetry.Registry
 	httpInflight *telemetry.Gauge
@@ -45,7 +47,17 @@ type endpointMetrics struct {
 	compute   *telemetry.Counter // underlying model evaluations actually run
 	surrogate *telemetry.Counter // misses answered by the learned fast path
 	fallback  *telemetry.Counter // misses the surrogate refused (exact path took over)
+	// requests holds the server_requests_total counter of each status
+	// code served so far, indexed by code − minCode.
+	requests [maxCode - minCode + 1]atomic.Pointer[telemetry.Counter]
 }
+
+// The status codes endpointMetrics.requests resolves once; a code outside
+// them (none is served) is looked up in the registry every time.
+const (
+	minCode = 100
+	maxCode = 599
+)
 
 func newMetrics(reg *telemetry.Registry) *metrics {
 	m := &metrics{
@@ -82,8 +94,24 @@ func (m *metrics) endpoint(name string) *endpointMetrics {
 	return &endpointMetrics{}
 }
 
-// requests returns the counter for one (endpoint, status code) pair.
+// requests returns the counter for one (endpoint, status code) pair,
+// registering it on first use.
 func (m *metrics) requests(endpoint string, code int) *telemetry.Counter {
+	e, ok := m.endpoints[endpoint]
+	if !ok || code < minCode || code > maxCode {
+		return m.registerRequests(endpoint, code)
+	}
+	slot := &e.requests[code-minCode]
+	if c := slot.Load(); c != nil {
+		return c
+	}
+	// Racing first uses both get the registry's one instrument.
+	c := m.registerRequests(endpoint, code)
+	slot.Store(c)
+	return c
+}
+
+func (m *metrics) registerRequests(endpoint string, code int) *telemetry.Counter {
 	return m.reg.Counter("server_requests_total", "HTTP requests by endpoint and status code.",
 		"endpoint", endpoint, "code", strconv.Itoa(code))
 }

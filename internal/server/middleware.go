@@ -18,6 +18,7 @@ import (
 // ring, and the structured access log.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 	traced := s.ring != nil && isComputeEndpoint(endpoint)
+	em := s.m.endpoint(endpoint)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		s.m.httpInflight.Add(1)
@@ -31,7 +32,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 			// Honour an inbound traceparent (so load generators and
 			// upstream callers can name the trace they want to fetch),
 			// fall back to a fresh ID, and advertise the result.
-			id, _ := telemetry.ParseTraceparent(r.Header.Get("traceparent"))
+			id, _ := telemetry.ParseTraceparent(r.Header.Get("Traceparent"))
 			tr := telemetry.NewTrace(id)
 			rt = &requestTrace{trace: tr, root: tr.StartSpan(endpoint, nil)}
 			rt.root.SetAttr("method", r.Method)
@@ -44,15 +45,23 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 		h(sw, r.WithContext(ctx))
 
 		durS := time.Since(start).Seconds()
-		s.m.endpoint(endpoint).latency.ObserveWithExemplar(durS, rt.traceID())
+		em.latency.ObserveWithExemplar(durS, rt.traceID())
 		s.m.requests(endpoint, sw.code).Inc()
 		s.slo.Record(endpoint, durS, sw.code)
 
 		if rt != nil {
 			rt.root.SetAttr("status", sw.code)
 			rt.root.SetAttr("source", rt.source)
-			rt.root.End()
-			s.ring.Add(digestFrom(endpoint, sw, rt), rt.trace)
+			durUS := rt.root.End()
+			s.ring.Add(RequestDigest{
+				ID:         rt.traceID(),
+				Endpoint:   endpoint,
+				Status:     sw.code,
+				Source:     rt.source,
+				DurationUS: durUS,
+				EnergyJ:    rt.energyJ,
+				Error:      sw.errorMessage(),
+			}, rt.trace, rt.root.ID())
 		}
 		s.logAccess(endpoint, sw, rt, durS)
 	})
@@ -88,35 +97,6 @@ func (s *Server) logAccess(endpoint string, sw *statusWriter, rt *requestTrace, 
 	default:
 		s.okLog.Info("request served", kv...)
 	}
-}
-
-// digestFrom summarises one traced request for the inspection ring: the
-// wall-clock stages under the root span, the outcome, and the modelled
-// energy when a model ran.
-func digestFrom(endpoint string, sw *statusWriter, rt *requestTrace) RequestDigest {
-	d := RequestDigest{
-		ID:       rt.traceID(),
-		Endpoint: endpoint,
-		Status:   sw.code,
-		Source:   rt.source,
-		EnergyJ:  rt.energyJ,
-		Error:    sw.errorMessage(),
-	}
-	rootID := rt.root.ID()
-	for _, span := range rt.trace.Spans() {
-		if span.Track != "" {
-			continue
-		}
-		switch span.ID {
-		case rootID:
-			d.DurationUS = span.DurUS
-		default:
-			if span.Parent == rootID {
-				d.Stages = append(d.Stages, StageTiming{Name: span.Name, DurUS: span.DurUS})
-			}
-		}
-	}
-	return d
 }
 
 // statusWriter captures the response code — and, for error responses,

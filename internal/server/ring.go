@@ -40,12 +40,37 @@ type RequestDigest struct {
 	Stages     []StageTiming `json:"stages,omitempty"`
 }
 
-// ringEntry is one retained request: the digest plus its full trace,
-// reference-counted across the views that hold it.
+// ringEntry is one retained request: its digest's scalar fields, its full
+// trace and the ID of the trace's root span, reference-counted across the
+// views that hold it. The digest's stages are derived from the trace when
+// a snapshot reads them, so serving a request never builds them.
 type ringEntry struct {
-	digest RequestDigest
+	digest RequestDigest // Stages unset: see stages
 	trace  *telemetry.Trace
+	root   uint64
 	refs   int
+}
+
+// stages lists the wall-clock spans directly under the root, in the
+// trace's order (see telemetry.Trace.Spans).
+func (e *ringEntry) stages() []StageTiming {
+	if e.root == 0 {
+		return nil
+	}
+	var out []StageTiming
+	for _, span := range e.trace.Spans() {
+		if span.Track == "" && span.Parent == e.root {
+			out = append(out, StageTiming{Name: span.Name, DurUS: span.DurUS})
+		}
+	}
+	return out
+}
+
+// view returns the entry's full digest.
+func (e *ringEntry) view() RequestDigest {
+	d := e.digest
+	d.Stages = e.stages()
+	return d
 }
 
 // requestRing holds the three bounded views. Construct with
@@ -54,25 +79,59 @@ type ringEntry struct {
 type requestRing struct {
 	mu      sync.Mutex
 	byID    map[string]*ringEntry
-	recent  []*ringEntry // newest last, bounded by size
+	recent  fifo         // bounded by size
 	slowest []*ringEntry // descending by duration, bounded by ringSlowest
-	errored []*ringEntry // newest last, bounded by ringErrored
-	size    int
+	errored fifo         // bounded by ringErrored
 }
 
 func newRequestRing(size int) *requestRing {
 	if size <= 0 {
 		return nil
 	}
-	return &requestRing{byID: make(map[string]*ringEntry), size: size}
+	return &requestRing{
+		byID:    make(map[string]*ringEntry),
+		recent:  fifo{bound: size},
+		errored: fifo{bound: ringErrored},
+	}
 }
 
-// Add retains one finished request.
-func (r *requestRing) Add(digest RequestDigest, trace *telemetry.Trace) {
+// fifo is a recency view: a circular buffer of at most bound entries, so
+// retaining one is O(1) however large the view.
+type fifo struct {
+	buf   []*ringEntry
+	next  int // once full, the slot of the oldest entry: the next to go
+	bound int
+}
+
+// push retains e and returns the entry it evicted, if any.
+func (f *fifo) push(e *ringEntry) (evicted *ringEntry) {
+	if len(f.buf) < f.bound {
+		f.buf = append(f.buf, e)
+		return nil
+	}
+	evicted, f.buf[f.next] = f.buf[f.next], e
+	f.next = (f.next + 1) % f.bound
+	return evicted
+}
+
+// newestFirst appends the views of the entries, newest first.
+func (f *fifo) newestFirst(dst []RequestDigest) []RequestDigest {
+	for k := len(f.buf) - 1; k >= 0; k-- {
+		dst = append(dst, f.buf[(f.next+k)%len(f.buf)].view())
+	}
+	return dst
+}
+
+// Add retains one finished request: the digest's scalar fields (its
+// Stages are ignored), its trace and the ID of the trace's root span,
+// under which the stages are found on read (0: the digest has none). The
+// slowest view orders by digest.DurationUS.
+func (r *requestRing) Add(digest RequestDigest, trace *telemetry.Trace, root uint64) {
 	if r == nil || digest.ID == "" {
 		return
 	}
-	e := &ringEntry{digest: digest, trace: trace}
+	digest.Stages = nil
+	e := &ringEntry{digest: digest, trace: trace, root: root}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	// A replayed trace ID (client reused a traceparent) would alias the
@@ -82,9 +141,9 @@ func (r *requestRing) Add(digest RequestDigest, trace *telemetry.Trace) {
 	}
 	r.byID[digest.ID] = e
 
-	r.retain(e, &r.recent, r.size)
+	r.retain(e, &r.recent)
 	if digest.Error != "" || digest.Status >= 500 {
-		r.retain(e, &r.errored, ringErrored)
+		r.retain(e, &r.errored)
 	}
 	// Slowest view: insert in descending duration order, evict the tail.
 	i := len(r.slowest)
@@ -103,14 +162,11 @@ func (r *requestRing) Add(digest RequestDigest, trace *telemetry.Trace) {
 	}
 }
 
-// retain appends e to a FIFO view, evicting the oldest past bound.
-func (r *requestRing) retain(e *ringEntry, view *[]*ringEntry, bound int) {
+// retain adds e to a recency view, evicting the oldest past its bound.
+func (r *requestRing) retain(e *ringEntry, view *fifo) {
 	e.refs++
-	*view = append(*view, e)
-	if len(*view) > bound {
-		r.release((*view)[0])
-		copy(*view, (*view)[1:])
-		*view = (*view)[:len(*view)-1]
+	if old := view.push(e); old != nil {
+		r.release(old)
 	}
 }
 
@@ -130,7 +186,7 @@ type RingSnapshot struct {
 	Errored []RequestDigest `json:"errored"` // newest first
 }
 
-// Snapshot copies the three views.
+// Snapshot copies the three views, deriving each digest's stages.
 func (r *requestRing) Snapshot() RingSnapshot {
 	snap := RingSnapshot{Recent: []RequestDigest{}, Slowest: []RequestDigest{}, Errored: []RequestDigest{}}
 	if r == nil {
@@ -138,15 +194,11 @@ func (r *requestRing) Snapshot() RingSnapshot {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i := len(r.recent) - 1; i >= 0; i-- {
-		snap.Recent = append(snap.Recent, r.recent[i].digest)
-	}
+	snap.Recent = r.recent.newestFirst(snap.Recent)
 	for _, e := range r.slowest {
-		snap.Slowest = append(snap.Slowest, e.digest)
+		snap.Slowest = append(snap.Slowest, e.view())
 	}
-	for i := len(r.errored) - 1; i >= 0; i-- {
-		snap.Errored = append(snap.Errored, r.errored[i].digest)
-	}
+	snap.Errored = r.errored.newestFirst(snap.Errored)
 	return snap
 }
 

@@ -23,7 +23,7 @@ func digestN(i int, durUS float64) RequestDigest {
 func TestRingRecencyEviction(t *testing.T) {
 	r := newRequestRing(4)
 	for i := 1; i <= 10; i++ {
-		r.Add(digestN(i, 1), telemetry.NewTrace(fmt.Sprintf("%032x", i)))
+		r.Add(digestN(i, 1), telemetry.NewTrace(fmt.Sprintf("%032x", i)), 0)
 	}
 	snap := r.Snapshot()
 	if len(snap.Recent) != 4 {
@@ -46,10 +46,10 @@ func TestRingSlowRequestOutlivesRecency(t *testing.T) {
 	r := newRequestRing(2)
 	slowID := fmt.Sprintf("%032x", 999)
 	r.Add(RequestDigest{ID: slowID, Endpoint: "sweep", Status: 200, DurationUS: 1e6},
-		telemetry.NewTrace(slowID))
+		telemetry.NewTrace(slowID), 0)
 	// Flood with fast requests far past the recency bound.
 	for i := 1; i <= 50; i++ {
-		r.Add(digestN(i, float64(i)), telemetry.NewTrace(fmt.Sprintf("%032x", i)))
+		r.Add(digestN(i, float64(i)), telemetry.NewTrace(fmt.Sprintf("%032x", i)), 0)
 	}
 	snap := r.Snapshot()
 	for _, d := range snap.Recent {
@@ -69,9 +69,9 @@ func TestRingErroredView(t *testing.T) {
 	r := newRequestRing(2)
 	errID := fmt.Sprintf("%032x", 7777)
 	r.Add(RequestDigest{ID: errID, Endpoint: "predict", Status: 504, Error: "deadline", DurationUS: 3},
-		telemetry.NewTrace(errID))
+		telemetry.NewTrace(errID), 0)
 	for i := 1; i <= 50; i++ {
-		r.Add(digestN(i, 100), telemetry.NewTrace(fmt.Sprintf("%032x", i)))
+		r.Add(digestN(i, 100), telemetry.NewTrace(fmt.Sprintf("%032x", i)), 0)
 	}
 	snap := r.Snapshot()
 	if len(snap.Errored) != 1 || snap.Errored[0].ID != errID {
@@ -87,11 +87,11 @@ func TestRingFullyEvictedTraceGone(t *testing.T) {
 	// Saturate the slowest view so later equal-duration entries are only
 	// held by recency.
 	for i := 1; i <= ringSlowest; i++ {
-		r.Add(digestN(i, 1000), telemetry.NewTrace(fmt.Sprintf("%032x", i)))
+		r.Add(digestN(i, 1000), telemetry.NewTrace(fmt.Sprintf("%032x", i)), 0)
 	}
 	victim := fmt.Sprintf("%032x", 100)
-	r.Add(RequestDigest{ID: victim, Endpoint: "predict", Status: 200, DurationUS: 1}, telemetry.NewTrace(victim))
-	r.Add(digestN(101, 1), telemetry.NewTrace(fmt.Sprintf("%032x", 101)))
+	r.Add(RequestDigest{ID: victim, Endpoint: "predict", Status: 200, DurationUS: 1}, telemetry.NewTrace(victim), 0)
+	r.Add(digestN(101, 1), telemetry.NewTrace(fmt.Sprintf("%032x", 101)), 0)
 	if _, ok := r.Trace(victim); ok {
 		t.Fatal("victim trace still fetchable after eviction from every view")
 	}
@@ -100,9 +100,42 @@ func TestRingFullyEvictedTraceGone(t *testing.T) {
 	}
 }
 
+// TestRingStagesDerivedOnRead: a digest's stages are the wall-clock spans
+// directly under the root, in start order, read from the trace when the
+// ring is snapshotted; grandchildren and model-time spans are not stages,
+// and stages the caller passes to Add are ignored.
+func TestRingStagesDerivedOnRead(t *testing.T) {
+	id := fmt.Sprintf("%032x", 1)
+	tr := telemetry.NewTrace(id)
+	root := tr.StartSpan("recommend", nil)
+	parse := tr.StartSpan("parse", root)
+	parse.End()
+	compute := tr.StartSpan("compute", root)
+	tr.StartSpan("inner", compute).End()
+	tr.AddVirtualSpan("IMe", "solve", compute.ID(), 0, 1)
+	compute.End()
+	durUS := root.End()
+
+	r := newRequestRing(4)
+	d := RequestDigest{ID: id, Endpoint: "recommend", Status: 200, DurationUS: durUS,
+		Stages: []StageTiming{{Name: "stale"}}}
+	r.Add(d, tr, root.ID())
+	got := r.Snapshot().Recent[0]
+	var names []string
+	for _, st := range got.Stages {
+		names = append(names, st.Name)
+	}
+	if fmt.Sprint(names) != "[parse compute]" {
+		t.Fatalf("stages = %v, want [parse compute]", names)
+	}
+	if got.DurationUS != durUS {
+		t.Fatalf("duration = %g, want the root's %g", got.DurationUS, durUS)
+	}
+}
+
 func TestNilRingInert(t *testing.T) {
 	var r *requestRing
-	r.Add(digestN(1, 1), nil)
+	r.Add(digestN(1, 1), nil, 0)
 	if r.Len() != 0 {
 		t.Fatal("nil ring not inert")
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/url"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/perfmodel"
@@ -48,8 +49,20 @@ func (r SparseRecommendRequest) spec() sparse.Spec {
 }
 
 func (r SparseRecommendRequest) cacheKey() string {
-	return fmt.Sprintf("v1/recommend|matrix=sparse|alg=%s|kind=%s|n=%d|ranks=%d|pl=%s|obj=%s|band=%d|dens=%g|cond=%g",
-		r.Algorithm, r.Kind, r.N, r.Ranks, r.Placement, r.Objective, r.Band, r.Density, r.Cond)
+	var buf keyBuf
+	b := append(buf[:0], "v1/recommend|matrix=sparse|alg="...)
+	b = append(b, r.Algorithm.String()...)
+	b = append(b, "|kind="...)
+	b = append(b, r.Kind.String()...)
+	b = r.job.appendKey(b)
+	b = append(b, "|obj="...)
+	b = append(b, r.Objective.String()...)
+	b = append(b, "|band="...)
+	b = strconv.AppendInt(b, int64(r.Band), 10)
+	b = append(b, "|dens="...)
+	b = strconv.AppendFloat(b, r.Density, 'g', -1, 64)
+	b = append(b, "|cond="...)
+	return string(strconv.AppendFloat(b, r.Cond, 'g', -1, 64))
 }
 
 // SparseCellResult is one modelled device cell in a sparse response.
@@ -81,6 +94,47 @@ type SparseRecommendResponse struct {
 	MarginPct float64          `json:"margin_pct"`
 	CPU       SparseCellResult `json:"cpu"`
 	Accel     SparseCellResult `json:"accel"`
+}
+
+func (c SparseCellResult) appendBody(w *bodyWriter) {
+	w.open('{')
+	w.String("device", c.Device)
+	w.Float("duration_s", c.DurationS)
+	w.Float("energy_j", c.TotalJ)
+	w.Float("pkg_j", c.PkgJ)
+	w.Float("dram_j", c.DramJ)
+	w.Float("accel_j", c.AccelJ)
+	w.Int("iters", c.Iters)
+	w.Float("avg_power_w", c.AvgPowerW)
+	w.Float("gflops_per_watt", c.GFlopsPerWatt)
+	w.close('}')
+}
+
+// appendBody writes band and density only when non-zero (−0 included),
+// as their omitempty tags do.
+func (r SparseRecommendResponse) appendBody(w *bodyWriter) {
+	w.open('{')
+	w.String("matrix", r.Matrix)
+	w.String("algorithm", r.Algorithm)
+	w.String("kind", r.Kind)
+	w.Int("n", r.N)
+	w.Int("ranks", r.Ranks)
+	w.String("placement", r.Placement)
+	if r.Band != 0 {
+		w.Int("band", r.Band)
+	}
+	if r.Density != 0 {
+		w.Float("density", r.Density)
+	}
+	w.Float("cond", r.Cond)
+	w.String("objective", r.Objective)
+	w.String("best", r.Best)
+	w.Float("margin_pct", r.MarginPct)
+	w.key("cpu")
+	r.CPU.appendBody(w)
+	w.key("accel")
+	r.Accel.appendBody(w)
+	w.close('}')
 }
 
 func sparseCellResult(m core.SparseMeasurement) SparseCellResult {
@@ -127,7 +181,7 @@ func (s *Server) computeSparse(ctx context.Context, req SparseRecommendRequest) 
 		return nil, err
 	}
 	s.countStoreCells(computed, 2-computed)
-	return marshalStage(ctx, sparseRecommendResponse(req, rec))
+	return renderStage(ctx, sparseRecommendResponse(req, rec))
 }
 
 // ParseSparseRecommendRequest canonicalizes the query of

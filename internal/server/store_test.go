@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -268,5 +269,79 @@ func TestStoredUnreadableCellIsReported(t *testing.T) {
 				t.Fatalf("store holds %d records, want the unreadable one kept, not recomputed beside it", n)
 			}
 		})
+	}
+}
+
+// TestNegativeZeroIsOneRequest: −0 spells the same request as 0. Dense
+// recommends with cap_w=0 and cap_w=-0 share one cache entry, one compute,
+// one body and one pair of store records; a sweep's power_cap_w and a
+// sparse density of −0 key as 0; and a −0 cap is the uncapped cell's store
+// identity for every caller of the model, not only the server.
+func TestNegativeZeroIsOneRequest(t *testing.T) {
+	st := openStore(t, t.TempDir())
+	s := New(Config{Store: st})
+	h := s.Handler()
+	serve := func(target string) []byte {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d: %s", target, rec.Code, rec.Body.Bytes())
+		}
+		return rec.Body.Bytes()
+	}
+	plus := serve("/v1/recommend?n=8640&ranks=144&cap_w=0")
+	minus := serve("/v1/recommend?n=8640&ranks=144&cap_w=-0")
+	if !bytes.Equal(plus, minus) {
+		t.Errorf("cap_w=-0 body differs from cap_w=0:\n%s\n%s", minus, plus)
+	}
+	if n := s.cache.Len(); n != 1 {
+		t.Errorf("%d cache entries, want 1", n)
+	}
+	if got := s.m.endpoint("recommend").compute.Value(); got != 1 {
+		t.Errorf("%g computes, want 1", got)
+	}
+	if n := st.Len(); n != 2 {
+		t.Errorf("store holds %d records, want the 2 cells of one recommendation", n)
+	}
+
+	sweep := func(body string) string {
+		t.Helper()
+		req, err := ParseSweepRequest(httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return req.cacheKey()
+	}
+	const cell = `"cells":[{"algorithm":"IMe","n":8640,"ranks":144}]`
+	if a, b := sweep(`{`+cell+`,"power_cap_w":-0}`), sweep(`{`+cell+`}`); a != b {
+		t.Errorf("sweep power_cap_w -0 keys %q, 0 keys %q", a, b)
+	}
+
+	sparse := func(query string) string {
+		t.Helper()
+		q, _ := url.ParseQuery(query)
+		req, err := ParseSparseRecommendRequest(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return req.cacheKey()
+	}
+	const banded = "matrix=sparse&alg=CG&kind=banded&n=4096&ranks=48&band=8&cond=100"
+	if a, b := sparse(banded+"&density=-0"), sparse(banded); a != b {
+		t.Errorf("sparse density=-0 keys %q, absent keys %q", a, b)
+	}
+
+	e := core.Experiment{Algorithm: perfmodel.IMe, N: 8640, Ranks: 144, Placement: cluster.FullLoad}
+	keyOf := func(capW float64) string {
+		t.Helper()
+		key, _, err := store.KeyFor(core.AnalyticCellIdentity(e, perfmodel.Params{PowerCapW: capW}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return key
+	}
+	if keyOf(math.Copysign(0, -1)) != keyOf(0) {
+		t.Error("a -0 power cap has a store identity of its own")
 	}
 }

@@ -41,7 +41,7 @@ func (s *Server) fastRecommend(req RecommendRequest) ([]byte, bool) {
 	if err != nil {
 		return nil, false
 	}
-	body, err := marshalBody(recommendResponse(req, rec))
+	body, err := renderBody(recommendResponse(req, rec))
 	return body, err == nil
 }
 
@@ -55,7 +55,7 @@ func (s *Server) fastPredict(req PredictRequest) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	body, err := marshalBody(predictResponse(req, cfg, res))
+	body, err := renderBody(predictResponse(req, cfg, res))
 	return body, err == nil
 }
 

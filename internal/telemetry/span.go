@@ -57,7 +57,14 @@ type Trace struct {
 	mu     sync.Mutex
 	nextID uint64
 	spans  []SpanRecord
+	// first backs spans for a request's usual span count, so recording
+	// them costs no allocation beyond the trace's own.
+	first [requestSpans]SpanRecord
 }
+
+// requestSpans is about how many spans one served request records: the
+// root, up to seven stages and the modelled solver's virtual spans.
+const requestSpans = 10
 
 // NewTrace returns an empty trace anchored at the current wall clock. An
 // empty id draws a fresh random trace ID.
@@ -66,6 +73,7 @@ func NewTrace(id string) *Trace {
 		id = NewTraceID()
 	}
 	t := &Trace{id: id, now: time.Now}
+	t.spans = t.first[:0]
 	t.anchor = t.now()
 	return t
 }
@@ -79,7 +87,9 @@ func NewTraceID() string {
 		// usable anyway with a constant sentinel ID.
 		return "00000000000000000000000000000001"
 	}
-	return hex.EncodeToString(b[:])
+	var id [32]byte
+	hex.Encode(id[:], b[:])
+	return string(id[:])
 }
 
 // ID returns the trace ID ("" for a nil trace).
@@ -100,6 +110,9 @@ type Span struct {
 	name   string
 	start  time.Time
 	attrs  []Attr
+	// first backs attrs for the few a span usually carries (a request's
+	// root carries four), so SetAttr does not grow a slice per span.
+	first [4]Attr
 }
 
 // StartSpan opens a named wall-clock span, optionally under a parent.
@@ -115,7 +128,9 @@ func (t *Trace) StartSpan(name string, parent *Span) *Span {
 	t.nextID++
 	id := t.nextID
 	t.mu.Unlock()
-	return &Span{tr: t, id: id, parent: pid, name: name, start: t.now()}
+	s := &Span{tr: t, id: id, parent: pid, name: name, start: t.now()}
+	s.attrs = s.first[:0]
+	return s
 }
 
 // ID returns the span's trace-local ID (0 for nil).
@@ -134,10 +149,11 @@ func (s *Span) SetAttr(key string, value any) {
 	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
 }
 
-// End closes the span and appends its record to the trace.
-func (s *Span) End() {
+// End closes the span, appends its record to the trace and returns the
+// duration it recorded, in microseconds (0 for a nil span).
+func (s *Span) End() (durUS float64) {
 	if s == nil || s.tr == nil {
-		return
+		return 0
 	}
 	end := s.tr.now()
 	rec := SpanRecord{
@@ -151,6 +167,7 @@ func (s *Span) End() {
 	s.tr.mu.Lock()
 	s.tr.spans = append(s.tr.spans, rec)
 	s.tr.mu.Unlock()
+	return rec.DurUS
 }
 
 // AddVirtualSpan appends a finished model-time span on a named track
@@ -206,25 +223,44 @@ func (t *Trace) Traceparent() string {
 	if t == nil {
 		return ""
 	}
-	return fmt.Sprintf("00-%s-%016x-01", t.id, 1)
+	return "00-" + t.id + "-0000000000000001-01"
 }
 
 // ParseTraceparent extracts the trace ID from a W3C traceparent header
-// (version-traceid-parentid-flags). It returns ok=false for anything
-// malformed, letting callers fall back to a generated ID.
+// (version-traceid-parentid-flags: 2, 32, 16 and 2 hex digits). It
+// returns ok=false for anything malformed — a field of the wrong length
+// or not hex, the invalid version ff, an all-zero trace-id or parent-id —
+// letting callers fall back to a generated ID. The trace-id is returned
+// in lowercase.
 func ParseTraceparent(h string) (traceID string, ok bool) {
-	parts := strings.Split(strings.TrimSpace(h), "-")
-	if len(parts) != 4 || len(parts[0]) != 2 || len(parts[1]) != 32 || len(parts[2]) != 16 || len(parts[3]) != 2 {
+	h = strings.TrimSpace(h)
+	if len(h) != 55 || h[2] != '-' || h[35] != '-' || h[52] != '-' {
 		return "", false
 	}
-	id := strings.ToLower(parts[1])
-	if _, err := hex.DecodeString(id); err != nil {
+	version, id, parent, flags := h[:2], h[3:35], h[36:52], h[53:]
+	if !isHex(version) || !isHex(id) || !isHex(parent) || !isHex(flags) {
 		return "", false
 	}
-	if id == strings.Repeat("0", 32) {
+	if strings.EqualFold(version, "ff") || allZero(id) || allZero(parent) {
 		return "", false
 	}
-	return id, true
+	return strings.ToLower(id), true
+}
+
+// isHex reports whether s is all hex digits, either case.
+func isHex(s string) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if !('0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F') {
+			return false
+		}
+	}
+	return true
+}
+
+// allZero reports whether s is all '0' digits.
+func allZero(s string) bool {
+	return strings.Trim(s, "0") == ""
 }
 
 // --- Perfetto export ---

@@ -90,8 +90,15 @@ func TestTraceparentRoundTrip(t *testing.T) {
 		"",
 		"00-short-0000000000000001-01",
 		"00-zzzz456789abcdef0123456789abcdef-0000000000000001-01",
-		"00-00000000000000000000000000000000-0000000000000001-01", // all-zero trace id
-		"00-0123456789abcdef0123456789abcdef-01",                  // missing field
+		"00-00000000000000000000000000000000-0000000000000001-01",  // all-zero trace id
+		"00-0123456789abcdef0123456789abcdef-01",                   // missing field
+		"zz-0123456789abcdef0123456789abcdef-zzzzzzzzzzzzzzzz-zz",  // version, parent-id and flags not hex
+		"zz-0123456789abcdef0123456789abcdef-0000000000000001-01",  // version not hex
+		"00-0123456789abcdef0123456789abcdef-000000000000000g-01",  // parent-id not hex
+		"00-0123456789abcdef0123456789abcdef-0000000000000001-0x",  // flags not hex
+		"ff-0123456789abcdef0123456789abcdef-0000000000000001-01",  // version ff is invalid
+		"00-0123456789abcdef0123456789abcdef-0000000000000000-01",  // all-zero parent-id
+		"00-0123456789abcdef0123456789abcdef-0000000000000001-01-", // trailing dash
 	} {
 		if _, ok := ParseTraceparent(bad); ok {
 			t.Errorf("ParseTraceparent(%q) accepted", bad)
