@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/rapl"
+	"repro/internal/telemetry"
 )
 
 // Span is one recorded interval of a rank's virtual timeline.
@@ -242,26 +243,6 @@ func (p *Proc) MarkInstant(name string) {
 	})
 }
 
-// chromeEvent is one entry of the Chrome/Perfetto trace-event format.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Dur  float64        `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Cat  string         `json:"cat,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-// chromeTrace is the top-level trace object: Perfetto and chrome://tracing
-// both require the {"traceEvents": [...]} envelope for object-format
-// traces.
-type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
-
 // WriteChromeTrace emits the recorded spans and RAPL counter tracks as a
 // Chrome trace-event JSON object (load it in ui.perfetto.dev or
 // chrome://tracing). Each cluster node is one process row (pid = node id,
@@ -274,29 +255,29 @@ func (w *World) WriteChromeTrace(out io.Writer) error {
 	if spans == nil {
 		return fmt.Errorf("mpi: tracing was not enabled")
 	}
-	events := make([]chromeEvent, 0, 2*len(spans))
+	events := make([]telemetry.ChromeEvent, 0, 2*len(spans))
 	// Process and thread naming metadata: one process per node, one thread
 	// per rank, sorted the way the cluster is laid out.
 	for node := range w.nodes {
-		events = append(events, chromeEvent{
+		events = append(events, telemetry.ChromeEvent{
 			Name: "process_name", Ph: "M", Pid: node,
 			Args: map[string]any{"name": fmt.Sprintf("node %d", node)},
-		}, chromeEvent{
+		}, telemetry.ChromeEvent{
 			Name: "process_sort_index", Ph: "M", Pid: node,
 			Args: map[string]any{"sort_index": node},
 		})
 	}
 	for rank := 0; rank < w.size; rank++ {
-		events = append(events, chromeEvent{
+		events = append(events, telemetry.ChromeEvent{
 			Name: "thread_name", Ph: "M", Pid: w.nodeOf(rank), Tid: rank,
 			Args: map[string]any{"name": fmt.Sprintf("rank %d", rank)},
-		}, chromeEvent{
+		}, telemetry.ChromeEvent{
 			Name: "thread_sort_index", Ph: "M", Pid: w.nodeOf(rank), Tid: rank,
 			Args: map[string]any{"sort_index": rank},
 		})
 	}
 	for _, s := range spans {
-		e := chromeEvent{
+		e := telemetry.ChromeEvent{
 			Name: s.DisplayName(),
 			Ph:   "X",
 			Ts:   s.Start * 1e6,
@@ -336,7 +317,7 @@ func (w *World) WriteChromeTrace(out io.Writer) error {
 		}
 		dt := cur.Time - prev.Time
 		for j, d := range rapl.Domains() {
-			events = append(events, chromeEvent{
+			events = append(events, telemetry.ChromeEvent{
 				Name: d.String() + " W",
 				Ph:   "C",
 				Ts:   prev.Time * 1e6,
@@ -345,8 +326,7 @@ func (w *World) WriteChromeTrace(out io.Writer) error {
 			})
 		}
 	}
-	enc := json.NewEncoder(out)
-	return enc.Encode(chromeTrace{TraceEvents: events, DisplayTimeUnit: "ms"})
+	return telemetry.WriteChromeEvents(out, events)
 }
 
 // ReadChromeTrace parses a trace written by WriteChromeTrace back into

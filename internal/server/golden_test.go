@@ -100,7 +100,7 @@ func serveGolden(t *testing.T, s *Server) []goldenResponse {
 		if rec.Code == http.StatusOK {
 			// A 200 either hit or stored its body: either way its entry is
 			// now the most recently used one.
-			out[i].key = s.cache.ll.Front().Value.(*cacheEntry).key
+			out[i].key = s.cache.ll.Front().Value.(*entry).key
 		}
 	}
 	return out

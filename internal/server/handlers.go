@@ -293,8 +293,8 @@ func (s *Server) computeRecommend(ctx context.Context, req RecommendRequest) ([]
 }
 
 // recommendResponse renders a recommendation as the response body. The
-// exact compute, the surrogate and cache warming all build bodies through
-// here, keeping them byte-identical in shape.
+// exact compute and the surrogate both build bodies through here, keeping
+// them byte-identical in shape.
 func recommendResponse(req RecommendRequest, rec core.Recommendation) RecommendResponse {
 	return RecommendResponse{
 		N:         req.N,
@@ -353,7 +353,13 @@ func (s *Server) computeSweep(ctx context.Context, req SweepRequest) ([]byte, er
 	if err != nil {
 		return nil, err
 	}
-	resp := sweepResponse(req, cells)
+	resp := SweepResponse{
+		Count:     len(cells),
+		Overlap:   req.Overlap,
+		BlockSize: req.BlockSize,
+		PowerCapW: req.PowerCapW,
+		Cells:     cells,
+	}
 	if rt := requestTraceFrom(ctx); rt != nil {
 		// Tile the cells sequentially per algorithm track: each track
 		// reads as that solver's total modelled time for the sweep.
@@ -363,18 +369,6 @@ func (s *Server) computeSweep(ctx context.Context, req SweepRequest) ([]byte, er
 		}
 	}
 	return renderStage(ctx, resp)
-}
-
-// sweepResponse renders evaluated cells as the response body — shared by
-// the compute and cache warming.
-func sweepResponse(req SweepRequest, cells []CellResult) SweepResponse {
-	return SweepResponse{
-		Count:     len(cells),
-		Overlap:   req.Overlap,
-		BlockSize: req.BlockSize,
-		PowerCapW: req.PowerCapW,
-		Cells:     cells,
-	}
 }
 
 // marshalStage wraps a compute's body rendering through marshalBody in a

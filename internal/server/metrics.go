@@ -12,8 +12,8 @@ import (
 var latencyBounds = []float64{0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10}
 
 // computeEndpoints are the endpoints that run model evaluations and
-// therefore carry cache/coalescer/compute series; /metrics and /healthz
-// only get latency and request counts.
+// therefore carry memo (cache, coalesced) and compute series; /metrics
+// and /healthz only get latency and request counts.
 var computeEndpoints = []string{"recommend", "predict", "sweep", "schedule"}
 
 // allEndpoints lists every instrumented route.
@@ -34,16 +34,16 @@ type metrics struct {
 // always take the exact grid).
 var surrogateEndpoints = []string{"recommend", "predict"}
 
-// endpointMetrics are one route's instruments; the cache/coalescer
-// counters are nil (no-op) for non-compute endpoints, and the surrogate
-// counters are nil for endpoints without a fast path. Together the
+// endpointMetrics are one route's instruments; the memo counters are
+// nil (no-op) for non-compute endpoints, and the surrogate counters are
+// nil for endpoints without a fast path. Together the
 // surrogate/compute/hits trio labels every response's provenance:
 // cache hit, surrogate fast path, or exact computation.
 type endpointMetrics struct {
 	latency   *telemetry.Histogram
 	hits      *telemetry.Counter // responses served from the result cache
 	misses    *telemetry.Counter // requests that had to go past the cache
-	coalesced *telemetry.Counter // followers that shared an in-flight compute
+	coalesced *telemetry.Counter // misses that shared the leader's compute, in flight or stored
 	compute   *telemetry.Counter // underlying model evaluations actually run
 	surrogate *telemetry.Counter // misses answered by the learned fast path
 	fallback  *telemetry.Counter // misses the surrogate refused (exact path took over)

@@ -29,8 +29,9 @@
 //     never a re-rendering. The workloads are deterministic pure
 //     functions of the canonicalized request, so hits are exact.
 //  2. N concurrent identical requests perform exactly one model
-//     evaluation: the coalescer elects a leader, followers share its
-//     result, and later arrivals hit the cache.
+//     evaluation: the cache and coalesce stages read one memo entry per
+//     key, so the first miss leads and every later arrival finds its
+//     flight or its stored body, never neither.
 //  3. Admission is bounded twice — concurrent computations by a
 //     semaphore, waiters by a queue cap — and excess load is shed
 //     immediately (429 Retry-After) rather than queued to time out.
@@ -148,8 +149,7 @@ func (c Config) withDefaults() Config {
 // safe for concurrent use.
 type Server struct {
 	cfg      Config
-	cache    *Cache
-	coal     *Coalescer
+	cache    *memo
 	lim      *Limiter
 	runner   *grid.Runner
 	m        *metrics
@@ -163,7 +163,7 @@ type Server struct {
 	storeHits     *telemetry.Counter
 	storeComputed *telemetry.Counter
 
-	// beforeCompute, when set, runs on the coalescer leader right before
+	// beforeCompute, when set, runs on the coalescing leader right before
 	// each computation, holding its admission slot: the one seam tests
 	// use to keep computations in flight. Nil outside tests.
 	beforeCompute func()
@@ -174,8 +174,7 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:    cfg,
-		cache:  NewCache(cfg.CacheEntries),
-		coal:   NewCoalescer(),
+		cache:  newMemo(cfg.CacheEntries),
 		lim:    NewLimiter(cfg.MaxInflight, cfg.MaxQueue),
 		runner: grid.New(cfg.SweepWorkers),
 		m:      newMetrics(cfg.Registry),
@@ -353,8 +352,10 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 // compute. The surrogate attempt answers in-envelope misses in O(µs)
 // with no admission slot (concurrent identical requests may each run it
 // — the bytes are deterministic, so the duplicated nanoseconds are
-// cheaper than a singleflight rendezvous). The compute runs at most once
-// across all concurrent identical requests.
+// cheaper than a singleflight rendezvous). The cache and coalesce stages
+// read one memo, so the compute runs at most once across all concurrent
+// identical requests; a miss whose body was stored by the time it
+// reaches coalesce is counted as coalesced.
 func serve[Req any](s *Server, rt *route[Req], w http.ResponseWriter, r *http.Request, q url.Values) {
 	ctx := r.Context()
 	tr := requestTraceFrom(ctx)
@@ -405,9 +406,9 @@ func serve[Req any](s *Server, rt *route[Req], w http.ResponseWriter, r *http.Re
 		em.fallback.Inc()
 	}
 	coalesce := tr.stage("coalesce")
-	body, shared, err := s.coal.Do(ctx, key, func() ([]byte, error) {
-		// This closure runs on the coalescer leader's goroutine only, so
-		// tr here is the leader's own trace.
+	body, shared, err := s.cache.Do(ctx, key, func() ([]byte, error) {
+		// This closure runs on the leader's goroutine only, so tr here is
+		// the leader's own trace. The memo stores the body it returns.
 		if s.draining.Load() {
 			return nil, ErrDraining
 		}
@@ -429,11 +430,7 @@ func serve[Req any](s *Server, rt *route[Req], w http.ResponseWriter, r *http.Re
 		}
 		b, err := rt.compute(s, ctx, req)
 		cs.End()
-		if err != nil {
-			return nil, err
-		}
-		s.cache.Put(key, b)
-		return b, nil
+		return b, err
 	})
 	coalesce.SetAttr("shared", shared)
 	coalesce.End()

@@ -265,10 +265,10 @@ func allZero(s string) bool {
 
 // --- Perfetto export ---
 
-// traceEvent is one entry of the Chrome trace-event format (kept local:
-// internal/mpi imports this package, so the envelope is duplicated
-// rather than shared).
-type traceEvent struct {
+// ChromeEvent is one entry of the Chrome/Perfetto trace-event format,
+// the one event type of both trace writers: request traces here and the
+// engine's rank timelines (mpi.World.WriteChromeTrace).
+type ChromeEvent struct {
 	Name string         `json:"name"`
 	Ph   string         `json:"ph"`
 	Ts   float64        `json:"ts"`
@@ -277,6 +277,16 @@ type traceEvent struct {
 	Tid  int            `json:"tid"`
 	Cat  string         `json:"cat,omitempty"`
 	Args map[string]any `json:"args,omitempty"`
+}
+
+// WriteChromeEvents encodes events as a trace-event JSON object:
+// Perfetto and chrome://tracing both require the {"traceEvents": [...]}
+// envelope for object-format traces.
+func WriteChromeEvents(out io.Writer, events []ChromeEvent) error {
+	return json.NewEncoder(out).Encode(struct {
+		TraceEvents     []ChromeEvent `json:"traceEvents"`
+		DisplayTimeUnit string        `json:"displayTimeUnit"`
+	}{events, "ms"})
 }
 
 // Pids of the two processes a request trace renders as.
@@ -296,13 +306,13 @@ func (t *Trace) WriteChromeTrace(out io.Writer) error {
 		return fmt.Errorf("telemetry: nil trace")
 	}
 	spans := t.Spans()
-	events := make([]traceEvent, 0, len(spans)+8)
+	events := make([]ChromeEvent, 0, len(spans)+8)
 	events = append(events,
-		traceEvent{Name: "process_name", Ph: "M", Pid: pidServing,
+		ChromeEvent{Name: "process_name", Ph: "M", Pid: pidServing,
 			Args: map[string]any{"name": "serving " + t.id}},
-		traceEvent{Name: "process_sort_index", Ph: "M", Pid: pidServing,
+		ChromeEvent{Name: "process_sort_index", Ph: "M", Pid: pidServing,
 			Args: map[string]any{"sort_index": pidServing}},
-		traceEvent{Name: "thread_name", Ph: "M", Pid: pidServing, Tid: 0,
+		ChromeEvent{Name: "thread_name", Ph: "M", Pid: pidServing, Tid: 0,
 			Args: map[string]any{"name": "request"}},
 	)
 	// Stable thread IDs for the virtual tracks, in first-sorted order.
@@ -315,7 +325,7 @@ func (t *Trace) WriteChromeTrace(out io.Writer) error {
 			tid := len(trackTid)
 			trackTid[s.Track] = tid
 			events = append(events,
-				traceEvent{Name: "thread_name", Ph: "M", Pid: pidModel, Tid: tid,
+				ChromeEvent{Name: "thread_name", Ph: "M", Pid: pidModel, Tid: tid,
 					Args: map[string]any{"name": s.Track}},
 			)
 		}
@@ -331,21 +341,21 @@ func (t *Trace) WriteChromeTrace(out io.Writer) error {
 		sort.Strings(names)
 		for i, name := range names {
 			events = append(events,
-				traceEvent{Name: "thread_sort_index", Ph: "M", Pid: pidModel, Tid: trackTid[name],
+				ChromeEvent{Name: "thread_sort_index", Ph: "M", Pid: pidModel, Tid: trackTid[name],
 					Args: map[string]any{"sort_index": i}},
 			)
 		}
 	}
 	if len(trackTid) > 0 {
 		events = append(events,
-			traceEvent{Name: "process_name", Ph: "M", Pid: pidModel,
+			ChromeEvent{Name: "process_name", Ph: "M", Pid: pidModel,
 				Args: map[string]any{"name": "modelled solver (virtual time)"}},
-			traceEvent{Name: "process_sort_index", Ph: "M", Pid: pidModel,
+			ChromeEvent{Name: "process_sort_index", Ph: "M", Pid: pidModel,
 				Args: map[string]any{"sort_index": pidModel}},
 		)
 	}
 	for _, s := range spans {
-		e := traceEvent{
+		e := ChromeEvent{
 			Name: s.Name,
 			Ph:   "X",
 			Ts:   s.StartUS,
@@ -367,9 +377,5 @@ func (t *Trace) WriteChromeTrace(out io.Writer) error {
 		}
 		events = append(events, e)
 	}
-	enc := json.NewEncoder(out)
-	return enc.Encode(struct {
-		TraceEvents     []traceEvent `json:"traceEvents"`
-		DisplayTimeUnit string       `json:"displayTimeUnit"`
-	}{events, "ms"})
+	return WriteChromeEvents(out, events)
 }
