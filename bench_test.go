@@ -1,11 +1,7 @@
-// Benchmark harness: one benchmark per table/figure of the paper's
-// evaluation (§5), plus the §4 monitoring-overhead study, the §2.1 message
-// accounting, the §6 power-capping extension, and solver micro-benchmarks.
-//
-// Each figure benchmark regenerates its artifact through the calibrated
-// analytic engine and reports the paper-relevant headline metrics via
-// b.ReportMetric; the full row-by-row series are printed by cmd/lsbench.
-// Run with:
+// Benchmark harness: the §4 monitoring-overhead study and solver, kernel,
+// engine and sparse micro-benchmarks. The paper's findings are claims
+// (internal/core/claims.go), evaluated in EXPERIMENTS.md; cmd/lsbench
+// prints every artifact row by row. Run with:
 //
 //	go test -bench=. -benchmem
 package repro_test
@@ -16,200 +12,16 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/grid"
 	"repro/internal/ime"
 	"repro/internal/kernel"
 	"repro/internal/mat"
 	"repro/internal/monitor"
 	"repro/internal/mpi"
 	"repro/internal/perfmodel"
-	"repro/internal/rapl"
 	"repro/internal/scalapack"
 	"repro/internal/slurm"
 	"repro/internal/sparse"
 )
-
-func newSweep(b *testing.B) *core.Sweep {
-	b.Helper()
-	s, err := core.SweepCells(core.SweepKeys(), perfmodel.Params{Overlap: true}).Collect(&core.Evaluator{Runner: grid.New(0)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return s
-}
-
-// BenchmarkTable1Configs regenerates Table 1 (the nine test
-// configurations) and reports the grid size.
-func BenchmarkTable1Configs(b *testing.B) {
-	var rows int
-	for i := 0; i < b.N; i++ {
-		t, err := core.Table1()
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows = len(t.Rows)
-	}
-	b.ReportMetric(float64(rows), "configs")
-}
-
-// BenchmarkFigure3FullVsHalfLoad regenerates Figure 3 and reports the
-// mean full-load energy saving against the one-socket half-load placement.
-func BenchmarkFigure3FullVsHalfLoad(b *testing.B) {
-	var saving float64
-	for i := 0; i < b.N; i++ {
-		s := newSweep(b)
-		t := s.Figure3()
-		if len(t.Rows) != 24 {
-			b.Fatalf("figure 3 has %d rows", len(t.Rows))
-		}
-		var sum float64
-		var cells int
-		for _, alg := range perfmodel.Algorithms() {
-			for _, n := range cluster.PaperMatrixDims() {
-				for _, ranks := range cluster.PaperRankCounts() {
-					full, err := s.Get(alg, n, ranks, cluster.FullLoad)
-					if err != nil {
-						b.Fatal(err)
-					}
-					half, err := s.Get(alg, n, ranks, cluster.HalfLoadOneSocket)
-					if err != nil {
-						b.Fatal(err)
-					}
-					sum += 1 - full.TotalJ/half.TotalJ
-					cells++
-				}
-			}
-		}
-		saving = sum / float64(cells)
-	}
-	b.ReportMetric(saving*100, "%full-load-saving")
-}
-
-// BenchmarkFigure4EnergyTimeFixedRanks regenerates Figure 4 and reports
-// the superlinear energy growth factor per matrix doubling at 144 ranks.
-func BenchmarkFigure4EnergyTimeFixedRanks(b *testing.B) {
-	var growth float64
-	for i := 0; i < b.N; i++ {
-		s := newSweep(b)
-		if rows := len(s.Figure4().Rows); rows != 12 {
-			b.Fatalf("figure 4 has %d rows", rows)
-		}
-		e1, err := s.Get(perfmodel.ScaLAPACK, 8640, 144, cluster.FullLoad)
-		if err != nil {
-			b.Fatal(err)
-		}
-		e2, err := s.Get(perfmodel.ScaLAPACK, 17280, 144, cluster.FullLoad)
-		if err != nil {
-			b.Fatal(err)
-		}
-		growth = e2.TotalJ / e1.TotalJ
-	}
-	b.ReportMetric(growth, "energy-growth-per-2x-n")
-}
-
-// BenchmarkFigure5EnergyTimeFixedMatrix regenerates Figure 5 and reports
-// how many of the twelve cells IMe wins on duration (the crossover).
-func BenchmarkFigure5EnergyTimeFixedMatrix(b *testing.B) {
-	var imeWins int
-	for i := 0; i < b.N; i++ {
-		s := newSweep(b)
-		if rows := len(s.Figure5().Rows); rows != 12 {
-			b.Fatalf("figure 5 has %d rows", rows)
-		}
-		imeWins = 0
-		for _, n := range cluster.PaperMatrixDims() {
-			for _, ranks := range cluster.PaperRankCounts() {
-				im, err := s.Get(perfmodel.IMe, n, ranks, cluster.FullLoad)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ge, err := s.Get(perfmodel.ScaLAPACK, n, ranks, cluster.FullLoad)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if im.DurationS < ge.DurationS {
-					imeWins++
-				}
-			}
-		}
-	}
-	b.ReportMetric(float64(imeWins), "IMe-faster-cells")
-}
-
-// BenchmarkFigure6EnergyPowerFixedRanks regenerates Figure 6 and reports
-// the mean IMe-vs-ScaLAPACK average-power gap (the paper quotes 12–18%).
-func BenchmarkFigure6EnergyPowerFixedRanks(b *testing.B) {
-	var gap float64
-	for i := 0; i < b.N; i++ {
-		s := newSweep(b)
-		if rows := len(s.Figure6().Rows); rows != 12 {
-			b.Fatalf("figure 6 has %d rows", rows)
-		}
-		var sum float64
-		var cells int
-		for _, n := range cluster.PaperMatrixDims() {
-			for _, ranks := range cluster.PaperRankCounts() {
-				im, err := s.Get(perfmodel.IMe, n, ranks, cluster.FullLoad)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ge, err := s.Get(perfmodel.ScaLAPACK, n, ranks, cluster.FullLoad)
-				if err != nil {
-					b.Fatal(err)
-				}
-				sum += im.AvgPowerW()/ge.AvgPowerW() - 1
-				cells++
-			}
-		}
-		gap = sum / float64(cells)
-	}
-	b.ReportMetric(gap*100, "%power-gap")
-}
-
-// BenchmarkFigure7EnergyPowerFixedMatrix regenerates Figure 7 and reports
-// the power proportionality factor from 144 to 1296 ranks (ideal 9×).
-func BenchmarkFigure7EnergyPowerFixedMatrix(b *testing.B) {
-	var factor float64
-	for i := 0; i < b.N; i++ {
-		s := newSweep(b)
-		if rows := len(s.Figure7().Rows); rows != 12 {
-			b.Fatalf("figure 7 has %d rows", rows)
-		}
-		lo, err := s.Get(perfmodel.ScaLAPACK, 34560, 144, cluster.FullLoad)
-		if err != nil {
-			b.Fatal(err)
-		}
-		hi, err := s.Get(perfmodel.ScaLAPACK, 34560, 1296, cluster.FullLoad)
-		if err != nil {
-			b.Fatal(err)
-		}
-		factor = hi.AvgPowerW() / lo.AvgPowerW()
-	}
-	b.ReportMetric(factor, "power-x-144-to-1296")
-}
-
-// BenchmarkSocketImbalance regenerates the §5.3 per-socket breakdown and
-// reports the idle/busy package-energy fraction of the one-socket
-// placement (the paper observed 40–50%).
-func BenchmarkSocketImbalance(b *testing.B) {
-	var frac float64
-	for i := 0; i < b.N; i++ {
-		s := newSweep(b)
-		t, err := s.SocketBreakdown(17280, 144)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(t.Rows) != 6 {
-			b.Fatalf("socket table has %d rows", len(t.Rows))
-		}
-		m, err := s.Get(perfmodel.IMe, 17280, 144, cluster.HalfLoadOneSocket)
-		if err != nil {
-			b.Fatal(err)
-		}
-		frac = m.EnergyJ[rapl.PKG1] / m.EnergyJ[rapl.PKG0]
-	}
-	b.ReportMetric(frac*100, "%idle-socket-energy")
-}
 
 // BenchmarkMonitoringOverhead measures the §4 synchronization-barrier
 // overhead: the same distributed IMe solve with and without the white-box
@@ -258,103 +70,6 @@ func BenchmarkMonitoringOverhead(b *testing.B) {
 		overhead = (mon/plain - 1) * 100
 	}
 	b.ReportMetric(overhead, "%overhead")
-}
-
-// BenchmarkMessageAccounting runs the §2.1 traffic validation: a real
-// distributed IMe solve whose counted messages must equal the closed form.
-func BenchmarkMessageAccounting(b *testing.B) {
-	sys := mat.NewRandomSystem(96, 6)
-	var msgs int64
-	for i := 0; i < b.N; i++ {
-		w, err := mpi.NewWorld(8, mpi.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := w.Run(func(p *mpi.Proc) error {
-			_, err := ime.SolveParallel(p, p.World(), sys, ime.ParallelOptions{})
-			return err
-		}); err != nil {
-			b.Fatal(err)
-		}
-		msgs, _ = w.Traffic()
-		if msgs != ime.ExpectedMessages(96, 8) {
-			b.Fatalf("counted %d messages, closed form %d", msgs, ime.ExpectedMessages(96, 8))
-		}
-	}
-	b.ReportMetric(float64(msgs), "messages")
-}
-
-// BenchmarkPowerCapSweep models the §6 power-capping extension and
-// reports the energy penalty of an 80 W cap on the 144-rank deployment.
-func BenchmarkPowerCapSweep(b *testing.B) {
-	cfg, err := cluster.NewConfig(144, cluster.FullLoad, cluster.MarconiA3())
-	if err != nil {
-		b.Fatal(err)
-	}
-	var penalty float64
-	for i := 0; i < b.N; i++ {
-		base, err := perfmodel.Run(perfmodel.ScaLAPACK, 17280, cfg, perfmodel.Params{Overlap: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, capW := range []float64{140, 120, 100, 80} {
-			r, err := perfmodel.Run(perfmodel.ScaLAPACK, 17280, cfg, perfmodel.Params{
-				Overlap: true, PowerCapW: capW,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if capW == 80 {
-				penalty = (r.TotalJ/base.TotalJ - 1) * 100
-			}
-		}
-	}
-	b.ReportMetric(penalty, "%energy-penalty-80W")
-}
-
-// BenchmarkOverlapAblation measures the DESIGN.md overlap ablation on the
-// exact engine and reports the communication-hiding speedup.
-func BenchmarkOverlapAblation(b *testing.B) {
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		tab, err := core.OverlapAblation([]core.AblationCase{{N: 96, Ranks: 8}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var parsed float64
-		if _, err := fmt.Sscanf(tab.Rows[0][4], "%g", &parsed); err != nil {
-			b.Fatal(err)
-		}
-		speedup = parsed
-	}
-	b.ReportMetric(speedup, "overlap-speedup")
-}
-
-// BenchmarkBlockSizeAblation measures the ScaLAPACK nb sweep on the exact
-// engine and reports the best-to-worst makespan ratio.
-func BenchmarkBlockSizeAblation(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		tab, err := core.BlockSizeAblation(96, 4, []int{4, 8, 16, 32})
-		if err != nil {
-			b.Fatal(err)
-		}
-		worst, best := 0.0, 1e300
-		for _, row := range tab.Rows {
-			var v float64
-			if _, err := fmt.Sscanf(row[1], "%g", &v); err != nil {
-				b.Fatal(err)
-			}
-			if v > worst {
-				worst = v
-			}
-			if v < best {
-				best = v
-			}
-		}
-		ratio = worst / best
-	}
-	b.ReportMetric(ratio, "nb-worst/best")
 }
 
 // --- solver micro-benchmarks (real arithmetic on the exact engine) ---

@@ -153,6 +153,8 @@ type faultsConfig struct {
 // recomputation.
 func run(w io.Writer, figure, format string, overlap bool, capW float64, nb int, outdir string, workers int, faults faultsConfig, st *store.Store) error {
 	runner := grid.New(workers)
+	// One set of model parameters prices every dense artifact.
+	prm := perfmodel.Params{Overlap: overlap, PowerCapW: capW, BlockSize: nb}
 	if outdir != "" {
 		if err := os.MkdirAll(outdir, 0o755); err != nil {
 			return err
@@ -211,7 +213,7 @@ func run(w io.Writer, figure, format string, overlap bool, capW float64, nb int,
 	var sweep *core.Sweep
 	if needSweep {
 		var err error
-		sweep, err = core.SweepCells(core.SweepKeys(), perfmodel.Params{Overlap: overlap, PowerCapW: capW, BlockSize: nb}).Collect(ev)
+		sweep, err = core.SweepCells(core.SweepKeys(), prm).Collect(ev)
 		if err != nil {
 			return err
 		}
@@ -227,7 +229,7 @@ func run(w io.Writer, figure, format string, overlap bool, capW float64, nb int,
 	var repetitions *report.Table
 	if wants("repetitions") {
 		var err error
-		repetitions, err = core.RepetitionStudy(perfmodel.Params{Overlap: overlap, PowerCapW: capW}).Collect(ev)
+		repetitions, err = core.RepetitionStudy(prm).Collect(ev)
 		if err != nil {
 			return err
 		}
@@ -263,11 +265,10 @@ func run(w io.Writer, figure, format string, overlap bool, capW float64, nb int,
 			return core.BlockSizeAblation(192, 16, []int{4, 8, 16, 32, 48})
 		},
 		"slurm": func() (*report.Table, error) {
-			return core.SlurmLeakStudy(perfmodel.ScaLAPACK, 17280, 144,
-				[]float64{0, 0.1, 0.25, 0.5}, perfmodel.Params{Overlap: overlap, PowerCapW: capW})
+			return core.SlurmLeakStudy(perfmodel.ScaLAPACK, 17280, 144, []float64{0, 0.1, 0.25, 0.5}, prm)
 		},
 		"breakdown": func() (*report.Table, error) {
-			return core.DurationBreakdown(perfmodel.Params{Overlap: overlap, PowerCapW: capW, BlockSize: nb})
+			return core.DurationBreakdown(prm)
 		},
 		"sparse": func() (*report.Table, error) {
 			// The sparse model has no cap semantics (memory-bound kernels

@@ -160,3 +160,21 @@ func TestErrorSurfaces(t *testing.T) {
 		t.Fatal("resilience artifact built without -faults")
 	}
 }
+
+// TestBlockSizeReachesEveryArtifact pins that -nb prices ScaLAPACK in
+// every artifact that models it: a non-default block size must move the
+// bytes.
+func TestBlockSizeReachesEveryArtifact(t *testing.T) {
+	for _, figure := range []string{"5", "slurm", "repetitions", "breakdown"} {
+		var def, nb16 bytes.Buffer
+		if err := run(&def, figure, "table", true, 0, 0, "", 1, faultsConfig{}, nil); err != nil {
+			t.Fatalf("run(%s): %v", figure, err)
+		}
+		if err := run(&nb16, figure, "table", true, 0, 16, "", 1, faultsConfig{}, nil); err != nil {
+			t.Fatalf("run(%s, -nb 16): %v", figure, err)
+		}
+		if bytes.Equal(def.Bytes(), nb16.Bytes()) {
+			t.Errorf("-figure %s -nb 16 prints the default block size's output", figure)
+		}
+	}
+}

@@ -8,9 +8,11 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/perfmodel"
+	"repro/internal/rapl"
 	"repro/internal/report"
 	"repro/internal/store"
 )
@@ -148,9 +150,68 @@ func writeArtifact(w io.Writer, header string, t *report.Table) error {
 // experimentsData fills the EXPERIMENTS.md template.
 type experimentsData struct {
 	Provenance      string
+	Claims          string
+	Cap             capEffect
 	ResilienceTable string
 	Figure5Markdown string
 	SparseTable     string
+}
+
+// capEffect is §6's power-cap paragraph: one paper-grid cell against the
+// same cell under the first cap the campaign sweeps.
+type capEffect struct {
+	Cell core.SweepKey
+	Caps []float64
+	// PackageW is the uncapped cell's average power per package.
+	PackageW float64
+	// PowerPct and EnergyPct are the cap's changes in per cent, Stretch
+	// its duration factor.
+	PowerPct, Stretch, EnergyPct float64
+}
+
+// powerCapEffect reads the §6 cell from the paper grid and the first
+// power-cap grid, both collected strictly.
+func powerCapEffect(paper, capped *core.Sweep) capEffect {
+	k := core.SweepKey{Algorithm: perfmodel.ScaLAPACK, N: 17280, Ranks: 144, Placement: cluster.FullLoad}
+	base, c := paper.Measurements[k], capped.Measurements[k]
+	packages := float64(base.Config.Nodes * base.Config.Spec.SocketsPerNode)
+	return capEffect{
+		Cell:      k,
+		Caps:      PowerCaps(),
+		PackageW:  (base.EnergyJ[rapl.PKG0] + base.EnergyJ[rapl.PKG1]) / base.DurationS / packages,
+		PowerPct:  100 * (c.AvgPowerW()/base.AvgPowerW() - 1),
+		Stretch:   c.DurationS / base.DurationS,
+		EnergyPct: 100 * (c.TotalJ/base.TotalJ - 1),
+	}
+}
+
+// claimsMarkdown renders every claim evaluated on the paper grid: the
+// table, then each claim's notes.
+func claimsMarkdown(paper *core.Sweep) (string, error) {
+	t := &report.Table{Headers: []string{"claim", "paper", "measured", "verdict"}}
+	var notes string
+	for _, c := range core.Claims() {
+		f, err := c.Evaluate(paper)
+		if err != nil {
+			return "", err
+		}
+		t.Add(fmt.Sprintf("`%s` (%s)", c.ID, c.Source), c.Paper, f.Measured, "**"+string(f.Verdict)+"**")
+		for _, note := range f.Notes {
+			notes += fmt.Sprintf("\n- `%s`: %s", c.ID, note)
+		}
+	}
+	if notes != "" {
+		notes = "\n" + notes
+	}
+	return markdown(t) + notes, nil
+}
+
+// markdown renders t as Markdown without the trailing newline. Writes to
+// a bytes.Buffer do not fail.
+func markdown(t *report.Table) string {
+	var b bytes.Buffer
+	_ = t.Markdown(&b)
+	return trimTrailingNewline(b.String())
 }
 
 // renderExperiments produces the regenerated EXPERIMENTS.md bytes from
@@ -169,23 +230,25 @@ func renderExperiments(st *store.Store) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var fig5 bytes.Buffer
-	if err := paper.Figure5().Markdown(&fig5); err != nil {
+	claims, err := claimsMarkdown(paper)
+	if err != nil {
+		return nil, err
+	}
+	capped, err := paperGrid(perfmodel.Params{Overlap: true, PowerCapW: PowerCaps()[0]}).Collect(ev)
+	if err != nil {
 		return nil, err
 	}
 	sp, err := sparseTable(ev)
 	if err != nil {
 		return nil, err
 	}
-	var sparseMd bytes.Buffer
-	if err := sp.Markdown(&sparseMd); err != nil {
-		return nil, err
-	}
 	data := experimentsData{
 		Provenance:      fmt.Sprintf("experiment store digest `%s` (%d records)", st.Digest(), st.Len()),
+		Claims:          claims,
+		Cap:             powerCapEffect(paper, capped),
 		ResilienceTable: trimTrailingNewline(resTable.String()),
-		Figure5Markdown: trimTrailingNewline(fig5.String()),
-		SparseTable:     trimTrailingNewline(sparseMd.String()),
+		Figure5Markdown: markdown(paper.Figure5()),
+		SparseTable:     markdown(sp),
 	}
 	var out bytes.Buffer
 	if err := experimentsTmpl.Execute(&out, data); err != nil {

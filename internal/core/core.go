@@ -11,7 +11,7 @@
 //     read through PAPI/RAPL). Feasible for small orders; used by tests,
 //     the monitored-references table and the overhead study.
 //   - RunAnalytic replays the solver's schedule through internal/perfmodel
-//     at paper scale; used by the figure benchmarks.
+//     at paper scale; used by the figures, the claims and the campaign.
 package core
 
 import (

@@ -168,8 +168,8 @@ func TestLargeScaleAnalyticMatchesExecution(t *testing.T) {
 	// Tolerances are wider than the 8-rank checks above: at two matrix
 	// rows per rank the cell is purely latency-bound, and the analytic
 	// broadcast-chain bound is conservative against the executed engine's
-	// pipelined trees (≈2.1× here) while staying well inside one order of
-	// magnitude.
+	// binomial store-and-forward trees (mpi Bcast; ≈2.1× here) while
+	// staying well inside one order of magnitude.
 	res, err := perfmodel.Run(perfmodel.IMe, n, cfg, perfmodel.Params{Overlap: false})
 	if err != nil {
 		t.Fatal(err)

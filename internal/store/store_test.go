@@ -19,7 +19,7 @@ type testResult struct {
 	Value float64 `json:"value"`
 }
 
-func mustRecord(t *testing.T, n int, v float64) Record {
+func mustRecord(t testing.TB, n int, v float64) Record {
 	t.Helper()
 	rec, err := NewRecord("test", testIdentity{Kind: "test", N: n}, testResult{Value: v})
 	if err != nil {
@@ -518,4 +518,57 @@ func TestConcurrentDistinctWriters(t *testing.T) {
 	if s.Len() != n {
 		t.Fatalf("Len=%d, want %d", s.Len(), n)
 	}
+}
+
+// FuzzOpenStore opens a store over arbitrary log bytes. Open must not
+// panic, must serve only records keyed by their identity's digest, and a
+// record appended after it must survive a reopen with everything Open
+// served.
+func FuzzOpenStore(f *testing.F) {
+	line, err := json.Marshal(mustRecord(f, 1, 1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte{})
+	f.Add(append(line, '\n'))
+	f.Add(line)
+	f.Add(append(append(line, '\n'), line[:len(line)/2]...))
+	f.Add(append(append([]byte("\r\n  \n{not json\n"), line...), "\r\n"...))
+	f.Add([]byte(`{"key":"00","kind":"x","identity":{},"result":1}` + "\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, logName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir)
+		if err != nil {
+			return
+		}
+		keys := s.Keys()
+		for _, key := range keys {
+			if got, ok, _ := s.Get(key); !ok || got.Key != key || Key(got.Identity) != key {
+				t.Fatalf("Open serves key %s for identity %q (found %v)", key, got.Identity, ok)
+			}
+		}
+		rec := mustRecord(t, len(data), 2)
+		added, err := s.Append(rec)
+		if err != nil {
+			t.Fatalf("Append after Open: %v", err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if s, err = Open(dir); err != nil {
+			t.Fatalf("reopen after Append: %v", err)
+		}
+		defer s.Close()
+		for _, key := range keys {
+			if _, ok, _ := s.Get(key); !ok {
+				t.Fatalf("key %s served before the Append is lost on reopen", key)
+			}
+		}
+		if got, ok, _ := s.Get(rec.Key); !ok || (added && !reflect.DeepEqual(got, rec)) {
+			t.Fatalf("appended record lost on reopen: got %+v (found %v), want %+v", got, ok, rec)
+		}
+	})
 }
