@@ -30,12 +30,12 @@ func TestOverlapAblationSpeedup(t *testing.T) {
 }
 
 func TestBlockSizeAblation(t *testing.T) {
-	tab, err := BlockSizeAblation(96, 4, []int{4, 8, 16})
+	tab, err := BlockSizeAblation(96, 4, []int{4, 8, 16, 32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 3 {
-		t.Fatalf("%d rows, want 3", len(tab.Rows))
+	if len(tab.Rows) != 4 {
+		t.Fatalf("%d rows, want 4", len(tab.Rows))
 	}
 	// Larger blocks mean fewer panels and fewer messages.
 	prev := int(^uint(0) >> 1)

@@ -63,7 +63,8 @@ func TestFigureTablesComplete(t *testing.T) {
 	if len(f4.Rows) != 3*4 {
 		t.Errorf("figure 4 has %d rows", len(f4.Rows))
 	}
-	if f5 := s.Figure5(); len(f5.Rows) != 4*3 {
+	f5 := s.Figure5()
+	if len(f5.Rows) != 4*3 {
 		t.Errorf("figure 5 has %d rows", len(f5.Rows))
 	}
 	f6 := s.Figure6()
@@ -73,6 +74,14 @@ func TestFigureTablesComplete(t *testing.T) {
 	f7 := s.Figure7()
 	if len(f7.Rows) != 4*3 {
 		t.Errorf("figure 7 has %d rows", len(f7.Rows))
+	}
+	// Figure 5's "faster" column must name both algorithms (the crossover).
+	faster := map[string]bool{}
+	for _, row := range f5.Rows {
+		faster[row[len(row)-1]] = true
+	}
+	if !faster["IMe"] || !faster["ScaLAPACK"] || len(faster) != 2 {
+		t.Fatalf("figure 5 lost its crossover: faster column names %v", faster)
 	}
 }
 

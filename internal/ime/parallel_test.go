@@ -113,7 +113,7 @@ func (e errFmt) Error() string { return string(e) }
 
 func TestParallelTrafficMatchesClosedForms(t *testing.T) {
 	for _, tc := range []struct{ n, ranks int }{
-		{12, 3}, {16, 4}, {20, 4}, {21, 5}, {30, 6},
+		{12, 3}, {16, 4}, {20, 4}, {21, 5}, {30, 6}, {96, 8},
 	} {
 		sys := mat.NewRandomSystem(tc.n, int64(tc.n))
 		_, w := runParallel(t, sys, tc.ranks, ParallelOptions{})

@@ -33,10 +33,11 @@ func TestPowerCapTradeoff(t *testing.T) {
 	base := runOrDie(t, ScaLAPACK, 17280, cfg, Params{Overlap: true})
 	capped := runOrDie(t, ScaLAPACK, 17280, cfg, Params{Overlap: true, PowerCapW: 110})
 	tighter := runOrDie(t, ScaLAPACK, 17280, cfg, Params{Overlap: true, PowerCapW: 90})
+	tightest := runOrDie(t, ScaLAPACK, 17280, cfg, Params{Overlap: true, PowerCapW: 80})
 	if capped.DurationS <= base.DurationS {
 		t.Fatal("capped run not slower")
 	}
-	if tighter.DurationS <= capped.DurationS {
+	if tighter.DurationS <= capped.DurationS || tightest.DurationS <= tighter.DurationS {
 		t.Fatal("tighter cap not slower")
 	}
 	if capped.AvgPowerW() >= base.AvgPowerW() {
