@@ -14,7 +14,7 @@ import (
 	"testing"
 )
 
-var updateServeGolden = flag.Bool("update", false, "rewrite testdata/serve_golden.txt from the current server")
+var updateServeGolden = flag.Bool("update", false, "rewrite testdata/serve_golden.txt and testdata/trace_shape_golden.json from the current server")
 
 // goldenRequest is one row of the serving golden: a request as a client
 // sends it.
