@@ -85,20 +85,20 @@ func TestRequestAllocationBudget(t *testing.T) {
 		path   *telemetry.Counter // counts every request of the class
 		target func(i int) string
 	}{
-		{"cache hit", 29, http.StatusOK, pred.hits, hitTarget},
-		{"surrogate recommend", 37, http.StatusOK, rec.surrogate, func(i int) string {
+		{"cache hit", 17, http.StatusOK, pred.hits, hitTarget},
+		{"surrogate recommend", 24, http.StatusOK, rec.surrogate, func(i int) string {
 			return fmt.Sprintf("/v1/recommend?n=%d&ranks=144&objective=min-time", 8000+i)
 		}},
-		{"surrogate predict", 36, http.StatusOK, pred.surrogate, func(i int) string {
+		{"surrogate predict", 23, http.StatusOK, pred.surrogate, func(i int) string {
 			return fmt.Sprintf("/v1/predict?alg=IMe&n=%d&ranks=576&placement=half-load-1-socket", 17000+i)
 		}},
-		{"exact capped recommend", 58, http.StatusOK, rec.compute, func(i int) string {
+		{"exact capped recommend", 29, http.StatusOK, rec.compute, func(i int) string {
 			return fmt.Sprintf("/v1/recommend?n=%d&ranks=144&objective=max-gflops-per-watt&cap_w=%.3f", 26000+i, 120+0.5*float64(i))
 		}},
-		{"sparse", 52, http.StatusOK, rec.compute, func(i int) string {
+		{"sparse", 35, http.StatusOK, rec.compute, func(i int) string {
 			return fmt.Sprintf("/v1/recommend?matrix=sparse&alg=CG&kind=banded&n=%d&ranks=144&band=64&cond=100", 70000+i)
 		}},
-		{"400 parse error", 37, http.StatusBadRequest, s.m.requests("recommend", http.StatusBadRequest), func(i int) string {
+		{"400 parse error", 26, http.StatusBadRequest, s.m.requests("recommend", http.StatusBadRequest), func(i int) string {
 			return fmt.Sprintf("/v1/recommend?n=%d&ranks=7", 8000+i)
 		}},
 	} {

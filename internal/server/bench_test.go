@@ -10,8 +10,9 @@ import (
 )
 
 // BenchmarkServe is the serving path's cost per request class through
-// Handler() in process, with the surrogate on and request tracing at its
-// default — the classes serve-mix mixes, measured one at a time:
+// Handler() in process, with the surrogate on — the classes serve-mix
+// mixes, measured one at a time, each with request tracing at its
+// default (<class>/traced) and off (<class>/untraced, TraceRing -1):
 //
 //	go test -run '^$' -bench Serve -benchmem ./internal/server
 //
@@ -19,7 +20,8 @@ import (
 // cache holds, so the LRU answers none of them; hit cycles over keys
 // served once before the timer starts. ns/op and allocs/op are the
 // per-class figures behind server.hit_us, server.surrogate_us,
-// server.exact_us and server.sparse_us.
+// server.exact_us and server.sparse_us; traced over untraced is what
+// request tracing costs each class.
 func BenchmarkServe(b *testing.B) {
 	sur, err := DefaultSurrogate()
 	if err != nil {
@@ -46,37 +48,42 @@ func BenchmarkServe(b *testing.B) {
 			return fmt.Sprintf("/v1/recommend?matrix=sparse&alg=CG&kind=banded&n=%d&ranks=144&band=64&cond=100", 70000+i)
 		}},
 	} {
-		b.Run(c.name, func(b *testing.B) {
-			s := New(Config{Surrogate: sur, CacheEntries: cacheEntries})
-			h := s.Handler()
-			reqs := make([]*http.Request, c.keys)
-			for i := range reqs {
-				reqs[i] = httptest.NewRequest(http.MethodGet, c.target(i), nil)
-			}
-			w := &allocWriter{header: make(http.Header, 2)}
-			serveOne := func(r *http.Request) {
-				w.body, w.status = w.body[:0], 0
-				h.ServeHTTP(w, r)
-				if w.status != http.StatusOK {
-					b.Fatalf("%s: status %d: %s", r.URL, w.status, w.body)
+		for _, tracing := range []struct {
+			name string
+			ring int
+		}{{"traced", 0}, {"untraced", -1}} {
+			b.Run(c.name+"/"+tracing.name, func(b *testing.B) {
+				s := New(Config{Surrogate: sur, CacheEntries: cacheEntries, TraceRing: tracing.ring})
+				h := s.Handler()
+				reqs := make([]*http.Request, c.keys)
+				for i := range reqs {
+					reqs[i] = httptest.NewRequest(http.MethodGet, c.target(i), nil)
 				}
-			}
-			if c.warm {
-				for _, r := range reqs {
-					serveOne(r)
+				w := &allocWriter{header: make(http.Header, 2)}
+				serveOne := func(r *http.Request) {
+					w.body, w.status = w.body[:0], 0
+					h.ServeHTTP(w, r)
+					if w.status != http.StatusOK {
+						b.Fatalf("%s: status %d: %s", r.URL, w.status, w.body)
+					}
 				}
-			}
-			path := c.path(s)
-			before := path.Value()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				serveOne(reqs[i%len(reqs)])
-			}
-			b.StopTimer()
-			if took := path.Value() - before; took != float64(b.N) {
-				b.Fatalf("%g of %d requests took the %s path", took, b.N, c.name)
-			}
-		})
+				if c.warm {
+					for _, r := range reqs {
+						serveOne(r)
+					}
+				}
+				path := c.path(s)
+				before := path.Value()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					serveOne(reqs[i%len(reqs)])
+				}
+				b.StopTimer()
+				if took := path.Value() - before; took != float64(b.N) {
+					b.Fatalf("%g of %d requests took the %s path", took, b.N, c.name)
+				}
+			})
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"strconv"
 	"sync"
 
@@ -128,10 +127,10 @@ func renderBody[T bodyAppender](v T) ([]byte, error) {
 	return body, nil
 }
 
-// renderStage wraps a compute's body rendering in a trace span.
-func renderStage[T bodyAppender](ctx context.Context, v T) ([]byte, error) {
-	sp := requestTraceFrom(ctx).stage("marshal")
+// renderStage is the marshal stage of a compute's body.
+func renderStage[T bodyAppender](rec *requestRecord, v T) ([]byte, error) {
+	t := rec.now()
 	b, err := renderBody(v)
-	sp.End()
+	rec.end(stageMarshal, t)
 	return b, err
 }

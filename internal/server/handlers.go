@@ -279,17 +279,17 @@ func cellResult(m core.Measurement) CellResult {
 // carries the phase-split timings that are not part of the stored cell
 // schema.
 
-func (s *Server) computeRecommend(ctx context.Context, req RecommendRequest) ([]byte, error) {
-	rec, computed, err := core.RecommendStored(req.N, req.Ranks, req.Placement, req.Objective, req.params(), s.cfg.Store)
+func (s *Server) computeRecommend(_ context.Context, req RecommendRequest, rec *requestRecord) ([]byte, error) {
+	r, computed, err := core.RecommendStored(req.N, req.Ranks, req.Placement, req.Objective, req.params(), s.cfg.Store)
 	if err != nil {
 		return nil, err
 	}
 	s.countStoreCells(computed, 2-computed)
-	resp := recommendResponse(req, rec)
-	rt := requestTraceFrom(ctx)
-	rt.attachSolver(0, resp.IMe, 0, 0)
-	rt.attachSolver(0, resp.ScaLAPACK, 0, 0)
-	return renderStage(ctx, resp)
+	resp := recommendResponse(req, r)
+	if rec != nil {
+		rec.cells = []CellResult{resp.IMe, resp.ScaLAPACK}
+	}
+	return renderStage(rec, resp)
 }
 
 // recommendResponse renders a recommendation as the response body. The
@@ -308,7 +308,7 @@ func recommendResponse(req RecommendRequest, rec core.Recommendation) RecommendR
 	}
 }
 
-func (s *Server) computePredict(ctx context.Context, req PredictRequest) ([]byte, error) {
+func (s *Server) computePredict(_ context.Context, req PredictRequest, rec *requestRecord) ([]byte, error) {
 	cfg, err := cluster.NewConfig(req.Ranks, req.Placement, cluster.MarconiA3())
 	if err != nil {
 		return nil, err
@@ -318,8 +318,10 @@ func (s *Server) computePredict(ctx context.Context, req PredictRequest) ([]byte
 		return nil, err
 	}
 	resp := predictResponse(req, cfg, res)
-	requestTraceFrom(ctx).attachSolver(0, resp.CellResult, resp.ComputeS, resp.ExposedCommS)
-	return renderStage(ctx, resp)
+	if rec != nil {
+		rec.cells, rec.computeS, rec.exposedS = []CellResult{resp.CellResult}, resp.ComputeS, resp.ExposedCommS
+	}
+	return renderStage(rec, resp)
 }
 
 // predictResponse renders one modelled cell — exact or from the
@@ -332,7 +334,7 @@ func predictResponse(req PredictRequest, cfg cluster.Config, res perfmodel.Resul
 	}
 }
 
-func (s *Server) computeSweep(ctx context.Context, req SweepRequest) ([]byte, error) {
+func (s *Server) computeSweep(ctx context.Context, req SweepRequest, rec *requestRecord) ([]byte, error) {
 	prm := req.params()
 	cells, err := grid.Map(s.runner, len(req.Cells), func(i int) (CellResult, error) {
 		if err := ctx.Err(); err != nil {
@@ -360,23 +362,17 @@ func (s *Server) computeSweep(ctx context.Context, req SweepRequest) ([]byte, er
 		PowerCapW: req.PowerCapW,
 		Cells:     cells,
 	}
-	if rt := requestTraceFrom(ctx); rt != nil {
-		// Tile the cells sequentially per algorithm track: each track
-		// reads as that solver's total modelled time for the sweep.
-		ends := make(map[string]float64)
-		for _, c := range resp.Cells {
-			ends[c.Algorithm] = rt.attachSolver(ends[c.Algorithm], c, 0, 0)
-		}
+	if rec != nil {
+		rec.cells = resp.Cells
 	}
-	return renderStage(ctx, resp)
+	return renderStage(rec, resp)
 }
 
-// marshalStage wraps a compute's body rendering through marshalBody in a
-// trace span, for the bodies no appender writes.
-func marshalStage(ctx context.Context, v any) ([]byte, error) {
-	sp := requestTraceFrom(ctx).stage("marshal")
+// marshalStage is the marshal stage of the bodies no appender writes.
+func marshalStage(rec *requestRecord, v any) ([]byte, error) {
+	t := rec.now()
 	b, err := marshalBody(v)
-	sp.End()
+	rec.end(stageMarshal, t)
 	return b, err
 }
 

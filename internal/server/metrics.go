@@ -111,6 +111,15 @@ func (m *metrics) requests(endpoint string, code int) *telemetry.Counter {
 	return c
 }
 
+// failures returns how many 5xx responses the endpoint has served.
+func (e *endpointMetrics) failures() uint64 {
+	var n uint64
+	for code := 500; code <= maxCode; code++ {
+		n += uint64(e.requests[code-minCode].Load().Value())
+	}
+	return n
+}
+
 func (m *metrics) registerRequests(endpoint string, code int) *telemetry.Counter {
 	return m.reg.Counter("server_requests_total", "HTTP requests by endpoint and status code.",
 		"endpoint", endpoint, "code", strconv.Itoa(code))

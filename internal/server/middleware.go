@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"net/http"
 	"strings"
@@ -14,8 +15,11 @@ import (
 // concerns: the per-request deadline (which the admission queue and
 // coalesced waits honour), the in-flight gauge, the latency histogram
 // (with a trace-ID exemplar when the request is traced), the (endpoint,
-// code) request counter, the SLO tracker, the request trace + digest
-// ring, and the structured access log.
+// code) request counter — which the SLO tracker reads — the request
+// record and digest ring, and the structured access log. The request's
+// two clock reads, at its start and its end, time all of them: the
+// histogram, its exemplar, the record's root span, its digest and the
+// access log report one latency.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 	traced := s.ring != nil && isComputeEndpoint(endpoint)
 	em := s.m.endpoint(endpoint)
@@ -27,44 +31,47 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 		defer cancel()
 
-		var rt *requestTrace
+		var sw *statusWriter
+		var traceID string
 		if traced {
-			// Honour an inbound traceparent (so load generators and
-			// upstream callers can name the trace they want to fetch),
-			// fall back to a fresh ID, and advertise the result.
-			id, _ := telemetry.ParseTraceparent(r.Header.Get("Traceparent"))
-			tr := telemetry.NewTrace(id)
-			rt = &requestTrace{trace: tr, root: tr.StartSpan(endpoint, nil)}
-			rt.root.SetAttr("method", r.Method)
-			rt.root.SetAttr("path", r.URL.Path)
-			w.Header().Set("Traceparent", tr.Traceparent())
-			ctx = withRequestTrace(ctx, rt)
+			tw := &tracedWriter{rec: requestRecord{id: requestTraceID(r), start: start,
+				endpoint: endpoint, method: r.Method, path: r.URL.Path}}
+			tw.sw = statusWriter{ResponseWriter: w, code: http.StatusOK, rec: &tw.rec}
+			sw = &tw.sw
+			// Advertise the trace; the exemplar's trace ID is the header's.
+			tw.traceparent[0] = telemetry.FormatTraceparent(tw.rec.id)
+			w.Header()["Traceparent"] = tw.traceparent[:] // a canonical key
+			traceID = tw.traceparent[0][3:35]
+		} else {
+			sw = &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		}
-
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		h(sw, r.WithContext(ctx))
 
-		durS := time.Since(start).Seconds()
-		em.latency.ObserveWithExemplar(durS, rt.traceID())
+		dur := time.Since(start)
+		durS := dur.Seconds()
+		em.latency.ObserveWithExemplar(durS, traceID)
 		s.m.requests(endpoint, sw.code).Inc()
-		s.slo.Record(endpoint, durS, sw.code)
-
-		if rt != nil {
-			rt.root.SetAttr("status", sw.code)
-			rt.root.SetAttr("source", rt.source)
-			durUS := rt.root.End()
-			s.ring.Add(RequestDigest{
-				ID:         rt.traceID(),
-				Endpoint:   endpoint,
-				Status:     sw.code,
-				Source:     rt.source,
-				DurationUS: durUS,
-				EnergyJ:    rt.energyJ,
-				Error:      sw.errorMessage(),
-			}, rt.trace, rt.root.ID())
+		s.slo.Tick(start.Add(dur))
+		if rec := sw.rec; rec != nil {
+			rec.dur, rec.status, rec.errMsg = dur, sw.code, sw.errorMessage()
+			s.ring.Add(rec)
 		}
-		s.logAccess(endpoint, sw, rt, durS)
+		s.logAccess(endpoint, sw, traceID, durS)
 	})
+}
+
+// requestTraceID honours an inbound traceparent, so load generators and
+// upstream callers can name the trace they want to fetch, and draws a
+// fresh ID otherwise. net/http has canonicalised the inbound keys, so the
+// lookup indexes the map instead of paying Header.Get's canonicalisation.
+func requestTraceID(r *http.Request) (id [16]byte) {
+	if h := r.Header["Traceparent"]; len(h) > 0 {
+		if s, ok := telemetry.ParseTraceparent(h[0]); ok {
+			hex.Decode(id[:], []byte(s))
+			return id
+		}
+	}
+	return telemetry.NewTraceID()
 }
 
 // isComputeEndpoint reports whether endpoint runs the serving pipeline
@@ -81,13 +88,13 @@ func isComputeEndpoint(endpoint string) bool {
 // logAccess emits one structured record per response: sampled Info for
 // successes (okLogSampleEvery), full-rate Warn for client errors, Error
 // for server errors. A nil configured logger drops everything.
-func (s *Server) logAccess(endpoint string, sw *statusWriter, rt *requestTrace, durS float64) {
+func (s *Server) logAccess(endpoint string, sw *statusWriter, traceID string, durS float64) {
 	if s.log == nil {
 		return
 	}
 	kv := []any{"endpoint", endpoint, "status", sw.code, "dur_s", durS}
-	if rt != nil {
-		kv = append(kv, "trace", rt.traceID(), "source", rt.source)
+	if sw.rec != nil {
+		kv = append(kv, "trace", traceID, "source", sourceNames[sw.rec.source])
 	}
 	switch {
 	case sw.code >= 500:
@@ -101,11 +108,21 @@ func (s *Server) logAccess(endpoint string, sw *statusWriter, rt *requestTrace, 
 
 // statusWriter captures the response code — and, for error responses,
 // the body's error message — for the request counter, the digest ring
-// and the access log.
+// and the access log. A traced request's record travels with it (see
+// recordOf).
 type statusWriter struct {
 	http.ResponseWriter
 	code    int
 	errBody []byte
+	rec     *requestRecord // nil when untraced
+}
+
+// tracedWriter is a traced request's writer, its record and its
+// Traceparent header value, allocated together.
+type tracedWriter struct {
+	sw          statusWriter
+	rec         requestRecord
+	traceparent [1]string
 }
 
 // errBodyCap bounds how much of an error body the digest retains.

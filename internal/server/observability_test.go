@@ -12,9 +12,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -189,6 +192,43 @@ func TestExemplarsReferenceRealTraces(t *testing.T) {
 	}
 }
 
+// TestExemplarIsTheDigestLatency: a traced request's exemplar in /metrics
+// and its digest in /debug/requests report one latency, timed by the same
+// two clock reads.
+func TestExemplarIsTheDigestLatency(t *testing.T) {
+	s := New(Config{})
+	h := s.Handler()
+	serve := func(target string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+		return rec
+	}
+	id, ok := telemetry.ParseTraceparent(serve("/v1/predict?alg=IMe&n=8640&ranks=144").Header().Get("Traceparent"))
+	if !ok {
+		t.Fatal("predict advertised no trace")
+	}
+	re := regexp.MustCompile(`server_request_seconds_bucket\{endpoint="predict",le="[^"]+"\} \d+ # \{trace_id="` + id + `"\} (\S+)`)
+	m := re.FindSubmatch(serve("/metrics").Body.Bytes())
+	if m == nil {
+		t.Fatalf("no exemplar for trace %s", id)
+	}
+	exemplarS, err := strconv.ParseFloat(string(m[1]), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap RingSnapshot
+	if err := json.Unmarshal(serve("/debug/requests").Body.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Recent) != 1 || snap.Recent[0].ID != id {
+		t.Fatalf("digests = %+v, want the one predict", snap.Recent)
+	}
+	digestUS := snap.Recent[0].DurationUS
+	if rel := math.Abs(exemplarS*1e6-digestUS) / digestUS; !(rel <= 1e-12) {
+		t.Fatalf("exemplar %gs and digest %gµs differ by %g relative", exemplarS, digestUS, rel)
+	}
+}
+
 func TestVersionEndpointMatchesBuildInfo(t *testing.T) {
 	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -250,6 +290,41 @@ func TestDebugSLOConsistentWithTraffic(t *testing.T) {
 			t.Fatalf("unexpected objective %q", o.Name)
 		}
 	}
+}
+
+// TestSLOBoundsAreBucketEdges: an objective's slow count is read from the
+// latency histogram's cumulative bucket at its bound, which counts exactly
+// the requests within the bound only when the bound is a bucket edge.
+func TestSLOBoundsAreBucketEdges(t *testing.T) {
+	for _, o := range DefaultSLOs() {
+		if !slices.Contains(latencyBounds, o.LatencyBoundS) {
+			t.Errorf("SLO %s: latency bound %gs is not an edge of latencyBounds %v", o.Name, o.LatencyBoundS, latencyBounds)
+		}
+	}
+}
+
+// TestSLOCountsReadFromInstruments: the SLO report counts what the latency
+// histogram and the 5xx request counters counted — slow requests by the
+// objective's bound, failures by status code.
+func TestSLOCountsReadFromInstruments(t *testing.T) {
+	s := New(Config{})
+	em := s.m.endpoint("predict")
+	for _, lat := range []float64{0.001, 0.005, 0.0051, 2} {
+		em.latency.Observe(lat)
+	}
+	s.m.requests("predict", 200).Add(3)
+	s.m.requests("predict", 503).Inc()
+	for _, o := range s.SLOReport().Objectives {
+		if o.Name != "predict" {
+			continue
+		}
+		// 2 of 4 over the 5ms bound (5ms itself is within), 1 of 4 a 5xx.
+		if o.Requests != 4 || o.LatencyCompliance != 0.5 || o.Availability != 0.75 {
+			t.Fatalf("predict SLO = %+v", o)
+		}
+		return
+	}
+	t.Fatal("no predict objective")
 }
 
 // TestTracingOffInvariant is the satellite invariant: with tracing and

@@ -1,18 +1,20 @@
 package server
 
 import (
+	"encoding/hex"
 	"sync"
 
 	"repro/internal/telemetry"
 )
 
-// The live-inspection ring: a bounded in-memory record of recent request
-// digests with their full traces, queryable at /debug/requests and
-// /debug/trace/{id}. Three views share the entries — the N most recent
-// requests, the K slowest, and the K most recent errors — so a digest
-// that matters (slow, failed) outlives the recency churn of a busy
-// server. Entries are reference-counted across the views; a trace is
-// fetchable by ID exactly as long as at least one view still holds it.
+// The live-inspection ring: a bounded in-memory record of recent
+// requests, queryable at /debug/requests and /debug/trace/{id}. Three
+// views keep request records by value in slots allocated up front — the
+// N most recent requests, the K slowest, and the K most recent errors —
+// so a request that matters (slow, failed) outlives the recency churn of
+// a busy server. A request is fetchable by ID as long as some view still
+// holds a copy of its record: a lookup scans every held record (at most
+// N+K+K, 352 by default) for the newest with that ID.
 
 // Bounds of the slowest/errored side views.
 const (
@@ -40,48 +42,15 @@ type RequestDigest struct {
 	Stages     []StageTiming `json:"stages,omitempty"`
 }
 
-// ringEntry is one retained request: its digest's scalar fields, its full
-// trace and the ID of the trace's root span, reference-counted across the
-// views that hold it. The digest's stages are derived from the trace when
-// a snapshot reads them, so serving a request never builds them.
-type ringEntry struct {
-	digest RequestDigest // Stages unset: see stages
-	trace  *telemetry.Trace
-	root   uint64
-	refs   int
-}
-
-// stages lists the wall-clock spans directly under the root, in the
-// trace's order (see telemetry.Trace.Spans).
-func (e *ringEntry) stages() []StageTiming {
-	if e.root == 0 {
-		return nil
-	}
-	var out []StageTiming
-	for _, span := range e.trace.Spans() {
-		if span.Track == "" && span.Parent == e.root {
-			out = append(out, StageTiming{Name: span.Name, DurUS: span.DurUS})
-		}
-	}
-	return out
-}
-
-// view returns the entry's full digest.
-func (e *ringEntry) view() RequestDigest {
-	d := e.digest
-	d.Stages = e.stages()
-	return d
-}
-
 // requestRing holds the three bounded views. Construct with
 // newRequestRing; methods are safe for concurrent use and nil-safe (a
 // nil ring drops everything, so one pointer gates the inspection plane).
 type requestRing struct {
 	mu      sync.Mutex
-	byID    map[string]*ringEntry
-	recent  fifo         // bounded by size
-	slowest []*ringEntry // descending by duration, bounded by ringSlowest
-	errored fifo         // bounded by ringErrored
+	seq     uint64 // records added so far
+	recent  fifo
+	slowest []requestRecord // descending by duration, bounded by ringSlowest
+	errored fifo
 }
 
 func newRequestRing(size int) *requestRing {
@@ -89,94 +58,64 @@ func newRequestRing(size int) *requestRing {
 		return nil
 	}
 	return &requestRing{
-		byID:    make(map[string]*ringEntry),
-		recent:  fifo{bound: size},
-		errored: fifo{bound: ringErrored},
+		recent:  fifo{buf: make([]requestRecord, size)},
+		slowest: make([]requestRecord, 0, ringSlowest),
+		errored: fifo{buf: make([]requestRecord, ringErrored)},
 	}
 }
 
-// fifo is a recency view: a circular buffer of at most bound entries, so
-// retaining one is O(1) however large the view.
+// fifo is a recency view: a circular buffer of records, so retaining one
+// is O(1) however large the view.
 type fifo struct {
-	buf   []*ringEntry
-	next  int // once full, the slot of the oldest entry: the next to go
-	bound int
+	buf  []requestRecord
+	n    int // slots filled: buf[:n] are the held records
+	next int // the slot the next record overwrites: the oldest once full
 }
 
-// push retains e and returns the entry it evicted, if any.
-func (f *fifo) push(e *ringEntry) (evicted *ringEntry) {
-	if len(f.buf) < f.bound {
-		f.buf = append(f.buf, e)
-		return nil
+func (f *fifo) push(rec *requestRecord) {
+	f.buf[f.next] = *rec
+	f.next = (f.next + 1) % len(f.buf)
+	if f.n < len(f.buf) {
+		f.n++
 	}
-	evicted, f.buf[f.next] = f.buf[f.next], e
-	f.next = (f.next + 1) % f.bound
-	return evicted
 }
 
-// newestFirst appends the views of the entries, newest first.
+// newestFirst appends the digests of the held records, newest first.
 func (f *fifo) newestFirst(dst []RequestDigest) []RequestDigest {
-	for k := len(f.buf) - 1; k >= 0; k-- {
-		dst = append(dst, f.buf[(f.next+k)%len(f.buf)].view())
+	for k := 1; k <= f.n; k++ {
+		dst = append(dst, f.buf[(f.next-k+len(f.buf))%len(f.buf)].digest())
 	}
 	return dst
 }
 
-// Add retains one finished request: the digest's scalar fields (its
-// Stages are ignored), its trace and the ID of the trace's root span,
-// under which the stages are found on read (0: the digest has none). The
-// slowest view orders by digest.DurationUS.
-func (r *requestRing) Add(digest RequestDigest, trace *telemetry.Trace, root uint64) {
-	if r == nil || digest.ID == "" {
+// Add retains a copy of one finished request's record, numbering it. The
+// slowest view orders by the record's duration.
+func (r *requestRing) Add(rec *requestRecord) {
+	if r == nil {
 		return
 	}
-	digest.Stages = nil
-	e := &ringEntry{digest: digest, trace: trace, root: root}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	// A replayed trace ID (client reused a traceparent) would alias the
-	// byID map; keep the newest.
-	if old, ok := r.byID[digest.ID]; ok {
-		old.digest.ID = "" // orphaned: unfindable, dropped as views churn
+	r.seq++
+	rec.seq = r.seq
+	r.recent.push(rec)
+	if rec.errMsg != "" || rec.status >= 500 {
+		r.errored.push(rec)
 	}
-	r.byID[digest.ID] = e
-
-	r.retain(e, &r.recent)
-	if digest.Error != "" || digest.Status >= 500 {
-		r.retain(e, &r.errored)
-	}
-	// Slowest view: insert in descending duration order, evict the tail.
+	// Slowest view: insert after the records at least as slow, dropping
+	// the fastest past the bound.
 	i := len(r.slowest)
-	for i > 0 && r.slowest[i-1].digest.DurationUS < digest.DurationUS {
+	for i > 0 && r.slowest[i-1].dur < rec.dur {
 		i--
 	}
-	if i < ringSlowest {
-		e.refs++
-		r.slowest = append(r.slowest, nil)
-		copy(r.slowest[i+1:], r.slowest[i:])
-		r.slowest[i] = e
-		if len(r.slowest) > ringSlowest {
-			r.release(r.slowest[len(r.slowest)-1])
-			r.slowest = r.slowest[:len(r.slowest)-1]
-		}
+	if i == ringSlowest {
+		return
 	}
-}
-
-// retain adds e to a recency view, evicting the oldest past its bound.
-func (r *requestRing) retain(e *ringEntry, view *fifo) {
-	e.refs++
-	if old := view.push(e); old != nil {
-		r.release(old)
+	if len(r.slowest) < ringSlowest {
+		r.slowest = append(r.slowest, requestRecord{})
 	}
-}
-
-// release drops one reference; the last reference removes the entry from
-// the ID index.
-func (r *requestRing) release(e *ringEntry) {
-	e.refs--
-	if e.refs <= 0 && e.digest.ID != "" && r.byID[e.digest.ID] == e {
-		delete(r.byID, e.digest.ID)
-	}
+	copy(r.slowest[i+1:], r.slowest[i:])
+	r.slowest[i] = *rec
 }
 
 // RingSnapshot is the JSON shape of /debug/requests.
@@ -186,7 +125,7 @@ type RingSnapshot struct {
 	Errored []RequestDigest `json:"errored"` // newest first
 }
 
-// Snapshot copies the three views, deriving each digest's stages.
+// Snapshot copies the three views as digests.
 func (r *requestRing) Snapshot() RingSnapshot {
 	snap := RingSnapshot{Recent: []RequestDigest{}, Slowest: []RequestDigest{}, Errored: []RequestDigest{}}
 	if r == nil {
@@ -195,33 +134,35 @@ func (r *requestRing) Snapshot() RingSnapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	snap.Recent = r.recent.newestFirst(snap.Recent)
-	for _, e := range r.slowest {
-		snap.Slowest = append(snap.Slowest, e.view())
+	for i := range r.slowest {
+		snap.Slowest = append(snap.Slowest, r.slowest[i].digest())
 	}
 	snap.Errored = r.errored.newestFirst(snap.Errored)
 	return snap
 }
 
-// Trace returns the retained trace for a request ID still in some view.
+// Trace returns the trace of the newest retained request with the given
+// ID, built from its record.
 func (r *requestRing) Trace(id string) (*telemetry.Trace, bool) {
-	if r == nil {
+	var want [16]byte
+	if r == nil || len(id) != hex.EncodedLen(len(want)) {
 		return nil, false
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.byID[id]
-	if !ok || e.trace == nil {
+	if _, err := hex.Decode(want[:], []byte(id)); err != nil {
 		return nil, false
 	}
-	return e.trace, true
-}
-
-// Len returns the number of distinct retained requests.
-func (r *requestRing) Len() int {
-	if r == nil {
-		return 0
-	}
+	var found requestRecord
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.byID)
+	for _, view := range [][]requestRecord{r.recent.buf[:r.recent.n], r.slowest, r.errored.buf[:r.errored.n]} {
+		for i := range view {
+			if view[i].id == want && view[i].seq > found.seq {
+				found = view[i]
+			}
+		}
+	}
+	r.mu.Unlock()
+	if found.seq == 0 {
+		return nil, false
+	}
+	return found.trace(), true
 }

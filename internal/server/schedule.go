@@ -104,11 +104,11 @@ func ParseScheduleRequest(r *http.Request) (ScheduleRequest, error) {
 // computeSchedule runs one fleet simulation on the server's worker pool.
 // The simulated fleet reuses the server's surrogate and experiment store
 // — the scheduler's placement policy IS the advisor, served batch-side.
-func (s *Server) computeSchedule(ctx context.Context, req ScheduleRequest) ([]byte, error) {
+func (s *Server) computeSchedule(ctx context.Context, req ScheduleRequest, rec *requestRecord) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	sp := requestTraceFrom(ctx).stage("simulate")
+	t := rec.now()
 	o, err := sched.Simulate(sched.Config{
 		Nodes:        req.Nodes,
 		PowerBudgetW: req.BudgetW,
@@ -119,15 +119,14 @@ func (s *Server) computeSchedule(ctx context.Context, req ScheduleRequest) ([]by
 		Surrogate:    s.cfg.Surrogate,
 		Store:        s.cfg.Store,
 	}, req.Workload)
+	rec.end(stageSimulate, t)
 	if err != nil {
-		sp.End()
 		return nil, err
 	}
 	s.countStoreCells(o.StoreComputed, o.StoreHits)
 	rep := o.Report
-	sp.SetAttr("jobs", len(rep.Jobs))
-	sp.SetAttr("makespan_s", rep.MakespanS)
-	sp.SetAttr("digest", rep.ScheduleDigest)
-	sp.End()
-	return marshalStage(ctx, rep)
+	if rec != nil {
+		rec.jobs, rec.makespanS, rec.scheduleDigest = len(rep.Jobs), rep.MakespanS, rep.ScheduleDigest
+	}
+	return marshalStage(rec, rep)
 }

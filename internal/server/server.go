@@ -96,8 +96,11 @@ type Config struct {
 	// a filled store answers its first requests without a model run.
 	Store *store.Store
 	// TraceRing sizes the live-inspection ring of traced requests served
-	// at /debug/requests (default 256 recent digests; negative disables
-	// request tracing entirely — spans, exemplars and the ring).
+	// at /debug/requests and /debug/trace/{id} (default 256 recent
+	// requests, plus the 32 slowest and 64 latest failed; each is one
+	// fixed-size record, its slots allocated up front). Negative disables
+	// request tracing entirely — records, traceparent headers, exemplars
+	// and the ring.
 	TraceRing int
 	// Logger receives structured access and lifecycle records (nil — the
 	// default — logs nothing; instruments and traces are unaffected).
@@ -112,7 +115,9 @@ const Version = "0.7.0"
 // slo_* metrics: point lookups answer from cache/surrogate/one analytic
 // evaluation and promise p99 ≤ 5ms; sweeps fan a grid out over the worker
 // pool and promise p99 ≤ 1s. All endpoints promise 99.9% non-5xx
-// responses.
+// responses. Each latency bound is an edge of latencyBounds, which is
+// what makes the slow count read from the latency histogram exact (see
+// sloCounts).
 func DefaultSLOs() []telemetry.SLO {
 	return []telemetry.SLO{
 		{Name: "recommend", LatencyBoundS: 0.005, LatencyTarget: 0.99, AvailabilityTarget: 0.999},
@@ -178,9 +183,9 @@ func New(cfg Config) *Server {
 		lim:    NewLimiter(cfg.MaxInflight, cfg.MaxQueue),
 		runner: grid.New(cfg.SweepWorkers),
 		m:      newMetrics(cfg.Registry),
-		slo:    telemetry.NewSLOTracker(DefaultSLOs(), telemetry.SLOTrackerOptions{}),
 		log:    cfg.Logger,
 	}
+	s.slo = telemetry.NewSLOTracker(DefaultSLOs(), s.sloCounts, telemetry.SLOTrackerOptions{})
 	if cfg.Logger != nil {
 		s.okLog = slog.New(sampledHandler{Handler: cfg.Logger.Handler(), every: okLogSampleEvery, seq: new(atomic.Uint64)})
 	}
@@ -245,6 +250,18 @@ func surrogateVersion(p *surrogate.Predictor) string {
 // Registry returns the registry backing /metrics.
 func (s *Server) Registry() *telemetry.Registry { return s.cfg.Registry }
 
+// sloCounts reads one objective's counts from the instruments every
+// request feeds: the endpoint's 5xx request counters, read first so that
+// Bad never counts a request Total does not yet, and its latency
+// histogram, whose cumulative bucket at the objective's bound holds the
+// requests within it.
+func (s *Server) sloCounts(o telemetry.SLO) telemetry.SLOCounts {
+	em := s.m.endpoint(o.Name)
+	bad := em.failures()
+	within, total := em.latency.CountWithin(o.LatencyBoundS)
+	return telemetry.SLOCounts{Total: total, Slow: total - within, Bad: bad}
+}
+
 // SLOReport returns the current SLO verdicts (the /debug/slo body).
 func (s *Server) SLOReport() telemetry.SLOReport { return s.slo.Report() }
 
@@ -284,7 +301,7 @@ type route[Req any] struct {
 	parseBody  func(*http.Request) (Req, error)
 	key        func(Req) string
 	fast       func(*Server, Req) ([]byte, bool)
-	compute    func(*Server, context.Context, Req) ([]byte, error)
+	compute    func(*Server, context.Context, Req, *requestRecord) ([]byte, error)
 }
 
 // The five compute routes.
@@ -356,11 +373,14 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 // read one memo, so the compute runs at most once across all concurrent
 // identical requests; a miss whose body was stored by the time it
 // reaches coalesce is counted as coalesced.
+//
+// A traced request's record gets one clock read per stage boundary; the
+// parse stage begins at the request's start, so it also carries the
+// deadline and trace-ID set-up.
 func serve[Req any](s *Server, rt *route[Req], w http.ResponseWriter, r *http.Request, q url.Values) {
 	ctx := r.Context()
-	tr := requestTraceFrom(ctx)
+	rec := recordOf(w)
 
-	sp := tr.stage("parse")
 	var req Req
 	var err error
 	if rt.parseQuery != nil {
@@ -371,8 +391,7 @@ func serve[Req any](s *Server, rt *route[Req], w http.ResponseWriter, r *http.Re
 	} else {
 		req, err = rt.parseBody(r)
 	}
-	sp.SetAttr("ok", err == nil)
-	sp.End()
+	t := rec.end(stageParse, 0)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -380,66 +399,59 @@ func serve[Req any](s *Server, rt *route[Req], w http.ResponseWriter, r *http.Re
 	key := rt.key(req)
 	em := s.m.endpoint(rt.endpoint)
 
-	sp = tr.stage("cache-lookup")
 	body, ok := s.cache.Get(key)
-	sp.SetAttr("hit", ok)
-	sp.End()
+	t = rec.end(stageCacheLookup, t)
 	if ok {
 		em.hits.Inc()
-		tr.setSource("cache")
+		rec.setSource(sourceCache)
 		writeBody(w, http.StatusOK, body)
 		return
 	}
 	em.misses.Inc()
 	if rt.fast != nil && s.cfg.Surrogate != nil {
-		sp := tr.stage("surrogate")
 		body, ok := rt.fast(s, req)
-		sp.SetAttr("in_envelope", ok)
-		sp.End()
+		t = rec.end(stageSurrogate, t)
 		if ok {
 			em.surrogate.Inc()
-			tr.setSource("surrogate")
+			rec.setSource(sourceSurrogate)
 			s.cache.Put(key, body)
 			writeBody(w, http.StatusOK, body)
 			return
 		}
 		em.fallback.Inc()
 	}
-	coalesce := tr.stage("coalesce")
 	body, shared, err := s.cache.Do(ctx, key, func() ([]byte, error) {
-		// This closure runs on the leader's goroutine only, so tr here is
-		// the leader's own trace. The memo stores the body it returns.
+		// This closure runs on the leader's goroutine only, so rec here is
+		// the leader's own record. The memo stores the body it returns.
 		if s.draining.Load() {
 			return nil, ErrDraining
 		}
-		admit := tr.stage("admission-queue")
+		queued := rec.now()
 		err := s.lim.Acquire(ctx)
-		admit.End()
+		admitted := rec.end(stageAdmission, queued)
 		if err != nil {
 			return nil, err
 		}
 		defer s.lim.Release()
 		em.compute.Inc()
-		tr.setSource("compute")
-		cs := tr.stage("compute")
-		if tr != nil {
-			tr.compute = cs
-		}
+		rec.setSource(sourceCompute)
 		if s.beforeCompute != nil {
 			s.beforeCompute()
 		}
-		b, err := rt.compute(s, ctx, req)
-		cs.End()
+		b, err := rt.compute(s, ctx, req, rec)
+		rec.end(stageCompute, admitted)
 		return b, err
 	})
-	coalesce.SetAttr("shared", shared)
-	coalesce.End()
+	rec.end(stageCoalesce, t)
+	if rec != nil {
+		rec.shared = shared
+	}
 	if shared {
 		em.coalesced.Inc()
-		tr.setSource("coalesced")
+		rec.setSource(sourceCoalesced)
 	}
 	if err != nil {
-		tr.setSource("error")
+		rec.setSource(sourceError)
 		s.writeComputeError(w, rt.endpoint, err)
 		return
 	}

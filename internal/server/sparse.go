@@ -175,13 +175,13 @@ func sparseRecommendResponse(req SparseRecommendRequest, rec core.SparseRecommen
 
 // computeSparse models both device cells through Config.Store (nil or
 // not), shared with lsbench and campaign runs.
-func (s *Server) computeSparse(ctx context.Context, req SparseRecommendRequest) ([]byte, error) {
-	rec, computed, err := core.RecommendSparseStored(req.Algorithm, req.spec(), req.Ranks, req.Placement, req.Objective, perfmodel.Params{}, s.cfg.Store)
+func (s *Server) computeSparse(_ context.Context, req SparseRecommendRequest, rec *requestRecord) ([]byte, error) {
+	r, computed, err := core.RecommendSparseStored(req.Algorithm, req.spec(), req.Ranks, req.Placement, req.Objective, perfmodel.Params{}, s.cfg.Store)
 	if err != nil {
 		return nil, err
 	}
 	s.countStoreCells(computed, 2-computed)
-	return renderStage(ctx, sparseRecommendResponse(req, rec))
+	return renderStage(rec, sparseRecommendResponse(req, r))
 }
 
 // ParseSparseRecommendRequest canonicalizes the query of

@@ -9,12 +9,13 @@ import (
 // Service-level objectives and multi-window burn rates.
 //
 // An SLO declares, per request class, how fast and how available the
-// service promises to be. The tracker counts every request against those
-// promises (cumulative atomics — wait-free on the serving path) and
-// keeps a bounded ring of periodic snapshots so it can answer the
-// question cumulative counters cannot: "how fast are we burning the
-// error budget *right now*, over the last 5 minutes / hour?" — the
-// multi-window burn-rate alerting discipline of the SRE workbook.
+// service promises to be. The tracker keeps no counts of its own: it
+// reads each objective's cumulative counts from its owner's instruments
+// (for the advisor, the latency histogram and the 5xx request counters)
+// and keeps a bounded ring of periodic snapshots of them, so it can
+// answer the question cumulative counters cannot: "how fast are we
+// burning the error budget *right now*, over the last 5 minutes / hour?"
+// — the multi-window burn-rate alerting discipline of the SRE workbook.
 //
 // A burn rate of 1 means the budget is being spent exactly at the
 // sustainable pace (it lasts precisely the SLO period); a rate of 14.4
@@ -55,27 +56,29 @@ const (
 	burnBreach = 14.4
 )
 
+// SLOCounts are one objective's cumulative request counts: all requests,
+// those slower than the latency bound, and those that failed with a 5xx.
+type SLOCounts struct {
+	Total, Slow, Bad uint64
+}
+
 // sloSnap is one ring entry: the cumulative counts at time t.
 type sloSnap struct {
-	t     time.Time
-	total uint64
-	slow  uint64
-	bad   uint64
+	t time.Time
+	SLOCounts
 }
 
-// sloState is one objective's live accounting.
+// sloState is one objective's snapshot ring.
 type sloState struct {
-	slo   SLO
-	total atomic.Uint64 // all requests
-	slow  atomic.Uint64 // latency > bound
-	bad   atomic.Uint64 // 5xx responses
-	ring  []sloSnap     // guarded by the tracker mutex
+	slo  SLO
+	ring []sloSnap // guarded by the tracker mutex
 }
 
-// SLOTracker counts requests against a set of objectives. Construct
-// with NewSLOTracker; Record is safe for concurrent use and nil-safe.
+// SLOTracker reports a set of objectives over counts read from a source.
+// Construct with NewSLOTracker; methods are safe for concurrent use and
+// nil-safe.
 type SLOTracker struct {
-	byName    map[string]*sloState // immutable after construction
+	counts    func(SLO) SLOCounts
 	order     []*sloState
 	windows   []SLOWindow
 	snapEvery time.Duration
@@ -93,8 +96,10 @@ type SLOTrackerOptions struct {
 	Now       func() time.Time
 }
 
-// NewSLOTracker returns a tracker for the given objectives.
-func NewSLOTracker(objectives []SLO, opts SLOTrackerOptions) *SLOTracker {
+// NewSLOTracker returns a tracker for the given objectives, reading their
+// cumulative counts from counts. The counts of each objective must never
+// decrease, and Slow and Bad never exceed Total.
+func NewSLOTracker(objectives []SLO, counts func(SLO) SLOCounts, opts SLOTrackerOptions) *SLOTracker {
 	if opts.SnapEvery <= 0 {
 		opts.SnapEvery = 5 * time.Second
 	}
@@ -102,7 +107,7 @@ func NewSLOTracker(objectives []SLO, opts SLOTrackerOptions) *SLOTracker {
 		opts.Now = time.Now
 	}
 	t := &SLOTracker{
-		byName:    make(map[string]*sloState, len(objectives)),
+		counts:    counts,
 		windows:   DefaultSLOWindows(),
 		snapEvery: opts.SnapEvery,
 		now:       opts.Now,
@@ -110,39 +115,19 @@ func NewSLOTracker(objectives []SLO, opts SLOTrackerOptions) *SLOTracker {
 	}
 	t.lastSnapNS.Store(t.start.UnixNano())
 	for _, o := range objectives {
-		st := &sloState{slo: o}
-		t.byName[o.Name] = st
-		t.order = append(t.order, st)
+		t.order = append(t.order, &sloState{slo: o})
 	}
 	return t
 }
 
-// Record counts one finished request against the named objective;
-// unknown names (request classes without an SLO) are ignored. The hot
-// path is three atomic adds; ring snapshots amortise behind a CAS-gated
-// cadence check.
-func (t *SLOTracker) Record(name string, latencyS float64, code int) {
+// Tick appends one ring entry per objective when the snapshot cadence has
+// elapsed by now; call it as requests finish, with the time each one
+// ended. Short of a due snapshot it costs one atomic load; the CAS elects
+// exactly one snapshotter.
+func (t *SLOTracker) Tick(now time.Time) {
 	if t == nil {
 		return
 	}
-	st, ok := t.byName[name]
-	if !ok {
-		return
-	}
-	st.total.Add(1)
-	if latencyS > st.slo.LatencyBoundS {
-		st.slow.Add(1)
-	}
-	if code >= 500 {
-		st.bad.Add(1)
-	}
-	t.maybeSnapshot()
-}
-
-// maybeSnapshot appends one ring entry per objective when the snapshot
-// cadence has elapsed. The CAS elects exactly one snapshotter.
-func (t *SLOTracker) maybeSnapshot() {
-	now := t.now()
 	last := t.lastSnapNS.Load()
 	if now.UnixNano()-last < int64(t.snapEvery) {
 		return
@@ -154,12 +139,7 @@ func (t *SLOTracker) maybeSnapshot() {
 	defer t.mu.Unlock()
 	horizon := now.Add(-t.maxWindow() - t.snapEvery)
 	for _, st := range t.order {
-		st.ring = append(st.ring, sloSnap{
-			t:     now,
-			total: st.total.Load(),
-			slow:  st.slow.Load(),
-			bad:   st.bad.Load(),
-		})
+		st.ring = append(st.ring, sloSnap{t: now, SLOCounts: t.counts(st.slo)})
 		// Prune entries older than any window can reach.
 		cut := 0
 		for cut < len(st.ring)-1 && st.ring[cut].t.Before(horizon) {
@@ -216,17 +196,17 @@ func (t *SLOTracker) Report() SLOReport {
 	defer t.mu.Unlock()
 	rep := SLOReport{Objectives: make([]SLOStatus, 0, len(t.order))}
 	for _, st := range t.order {
-		head := sloSnap{t: now, total: st.total.Load(), slow: st.slow.Load(), bad: st.bad.Load()}
+		head := sloSnap{t: now, SLOCounts: t.counts(st.slo)}
 		status := SLOStatus{
 			SLO:               st.slo,
-			Requests:          head.total,
+			Requests:          head.Total,
 			LatencyCompliance: 1,
 			Availability:      1,
 			Verdict:           "ok",
 		}
-		if head.total > 0 {
-			status.LatencyCompliance = 1 - float64(head.slow)/float64(head.total)
-			status.Availability = 1 - float64(head.bad)/float64(head.total)
+		if head.Total > 0 {
+			status.LatencyCompliance = 1 - float64(head.Slow)/float64(head.Total)
+			status.Availability = 1 - float64(head.Bad)/float64(head.Total)
 		}
 		worstBurn := 0.0
 		for _, w := range t.windows {
@@ -234,11 +214,11 @@ func (t *SLOTracker) Report() SLOReport {
 			wr := SLOWindowReport{
 				Window:   w.Name,
 				CoveredS: now.Sub(base.t).Seconds(),
-				Requests: head.total - base.total,
+				Requests: head.Total - base.Total,
 			}
 			if wr.Requests > 0 {
-				slowFrac := float64(head.slow-base.slow) / float64(wr.Requests)
-				badFrac := float64(head.bad-base.bad) / float64(wr.Requests)
+				slowFrac := float64(head.Slow-base.Slow) / float64(wr.Requests)
+				badFrac := float64(head.Bad-base.Bad) / float64(wr.Requests)
 				wr.LatencyBurn = burn(slowFrac, st.slo.LatencyTarget)
 				wr.AvailabilityBurn = burn(badFrac, st.slo.AvailabilityTarget)
 			}
@@ -250,7 +230,7 @@ func (t *SLOTracker) Report() SLOReport {
 			}
 			status.Windows = append(status.Windows, wr)
 		}
-		breached := head.total > 0 &&
+		breached := head.Total > 0 &&
 			(status.LatencyCompliance < st.slo.LatencyTarget || status.Availability < st.slo.AvailabilityTarget)
 		switch {
 		case breached || worstBurn >= burnBreach:

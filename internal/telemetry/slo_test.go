@@ -40,11 +40,61 @@ func testObjectives() []SLO {
 
 func approx(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
+// fakeCounts is a count source the tests drive request by request: it
+// counts each request against every objective it knows by name, as the
+// advisor's latency histogram and 5xx counters do.
+type fakeCounts struct {
+	mu     sync.Mutex
+	bounds map[string]float64
+	counts map[string]SLOCounts
+}
+
+func newFakeCounts(objectives []SLO) *fakeCounts {
+	f := &fakeCounts{bounds: map[string]float64{}, counts: map[string]SLOCounts{}}
+	for _, o := range objectives {
+		f.bounds[o.Name] = o.LatencyBoundS
+	}
+	return f
+}
+
+// record counts one finished request of the named class.
+func (f *fakeCounts) record(name string, latencyS float64, code int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	c := f.counts[name]
+	c.Total++
+	if latencyS > f.bounds[name] {
+		c.Slow++
+	}
+	if code >= 500 {
+		c.Bad++
+	}
+	f.counts[name] = c
+}
+
+func (f *fakeCounts) read(o SLO) SLOCounts {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.counts[o.Name]
+}
+
+// newTestTracker returns a tracker over a fresh fake source, and a
+// function that records one request and ticks the tracker, as a server
+// does when a request finishes.
+func newTestTracker(clk *fakeClock, snapEvery time.Duration) (*SLOTracker, func(name string, latencyS float64, code int)) {
+	src := newFakeCounts(testObjectives())
+	tr := NewSLOTracker(testObjectives(), src.read, SLOTrackerOptions{Now: clk.Now, SnapEvery: snapEvery})
+	return tr, func(name string, latencyS float64, code int) {
+		src.record(name, latencyS, code)
+		tr.Tick(clk.Now())
+	}
+}
+
 func TestSLOTrackerAllGood(t *testing.T) {
 	clk := newFakeClock()
-	tr := NewSLOTracker(testObjectives(), SLOTrackerOptions{Now: clk.Now, SnapEvery: time.Second})
+	tr, record := newTestTracker(clk, time.Second)
 	for i := 0; i < 100; i++ {
-		tr.Record("recommend", 0.001, 200)
+		record("recommend", 0.001, 200)
 		clk.Advance(100 * time.Millisecond)
 	}
 	rep := tr.Report()
@@ -67,7 +117,7 @@ func TestSLOTrackerAllGood(t *testing.T) {
 
 func TestSLOTrackerBurnMath(t *testing.T) {
 	clk := newFakeClock()
-	tr := NewSLOTracker(testObjectives(), SLOTrackerOptions{Now: clk.Now, SnapEvery: time.Second})
+	tr, record := newTestTracker(clk, time.Second)
 	// 1000 requests over ~100s: 2% slow (2x the 1% latency budget),
 	// 0.2% 5xx (2x the 0.1% availability budget).
 	for i := 0; i < 1000; i++ {
@@ -78,7 +128,7 @@ func TestSLOTrackerBurnMath(t *testing.T) {
 		if i%500 == 1 { // 2 of 1000 = 0.2% bad
 			code = 500
 		}
-		tr.Record("recommend", lat, code)
+		record("recommend", lat, code)
 		clk.Advance(100 * time.Millisecond)
 	}
 	o := tr.Report().Objectives[0]
@@ -110,15 +160,15 @@ func TestSLOTrackerBurnMath(t *testing.T) {
 // long windows still see the burst.
 func TestSLOTrackerWindowIsolation(t *testing.T) {
 	clk := newFakeClock()
-	tr := NewSLOTracker(testObjectives(), SLOTrackerOptions{Now: clk.Now, SnapEvery: time.Second})
+	tr, record := newTestTracker(clk, time.Second)
 	// Burst: 100 requests, all 5xx and slow, over 100s.
 	for i := 0; i < 100; i++ {
-		tr.Record("recommend", 1.0, 500)
+		record("recommend", 1.0, 500)
 		clk.Advance(time.Second)
 	}
 	// Recovery: 1h of clean traffic, one request per second.
 	for i := 0; i < 3600; i++ {
-		tr.Record("recommend", 0.001, 200)
+		record("recommend", 0.001, 200)
 		clk.Advance(time.Second)
 	}
 	o := tr.Report().Objectives[0]
@@ -148,13 +198,13 @@ func TestSLOTrackerWindowIsolation(t *testing.T) {
 
 func TestSLOTrackerUnknownNameAndNil(t *testing.T) {
 	clk := newFakeClock()
-	tr := NewSLOTracker(testObjectives(), SLOTrackerOptions{Now: clk.Now})
-	tr.Record("nope", 1, 500) // silently ignored
+	tr, record := newTestTracker(clk, 0)
+	record("nope", 1, 500) // no objective of that name: not counted
 	if got := tr.Report().Objectives[0].Requests; got != 0 {
 		t.Fatalf("unknown name recorded: %d", got)
 	}
 	var nilT *SLOTracker
-	nilT.Record("recommend", 1, 500)
+	nilT.Tick(clk.Now())
 	rep := nilT.Report()
 	if rep.Objectives == nil || len(rep.Objectives) != 0 {
 		t.Fatalf("nil tracker report = %+v", rep)
@@ -163,14 +213,14 @@ func TestSLOTrackerUnknownNameAndNil(t *testing.T) {
 
 func TestSLOTrackerConcurrentRecord(t *testing.T) {
 	clk := newFakeClock()
-	tr := NewSLOTracker(testObjectives(), SLOTrackerOptions{Now: clk.Now, SnapEvery: time.Millisecond})
+	tr, record := newTestTracker(clk, time.Millisecond)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				tr.Record("recommend", 0.001, 200)
+				record("recommend", 0.001, 200)
 				if i%10 == 0 {
 					clk.Advance(time.Millisecond)
 					tr.Report()

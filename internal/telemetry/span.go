@@ -1,30 +1,27 @@
 package telemetry
 
 import (
-	"crypto/rand"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"sort"
 	"strings"
-	"sync"
-	"time"
 )
 
-// Request-scoped tracing. Where the mpi tracer records a solver's
-// *virtual-time* schedule, this file records the *wall-clock* life of one
-// serving-layer request: a Trace is a bounded bag of spans assembled
-// under a W3C-style trace ID, cheap enough to build on every request and
-// exportable in the same Perfetto/Chrome format the engine traces use —
-// so "why was this request slow" and "what did the modelled solver cost"
-// are answered by one artifact.
+// Request-scoped traces. Where the mpi tracer records a solver's
+// *virtual-time* schedule, a Trace holds the *wall-clock* life of one
+// serving-layer request — or a fleet timeline — as a bag of finished
+// spans under a W3C-style trace ID, exportable in the same
+// Perfetto/Chrome format the engine traces use, so "why was this request
+// slow" and "what did the modelled solver cost" are answered by one
+// artifact.
 //
-// Concurrency: spans may be started, annotated and ended from any
-// goroutine; the trace serialises appends under one mutex (requests
-// record ~10 spans, so contention is nil). A nil *Trace and a nil *Span
-// are inert, mirroring the registry instruments: one pointer gates the
-// whole tracing plane.
+// A Trace is assembled after the fact from what its owner recorded (the
+// advisor's per-request record, the scheduler's attempt log), on one
+// goroutine: it carries no clock and no lock.
 
 // Attr is one span attribute (insertion-ordered key/value).
 type Attr struct {
@@ -47,141 +44,47 @@ type SpanRecord struct {
 }
 
 // Trace is one request's span collection, identified by a 32-hex-digit
-// W3C trace ID. Construct with NewTrace; methods are safe for concurrent
-// use and nil-safe.
+// W3C trace ID. Construct with NewTrace. A nil *Trace is inert.
 type Trace struct {
 	id     string
-	anchor time.Time
-	now    func() time.Time
-
-	mu     sync.Mutex
 	nextID uint64
 	spans  []SpanRecord
-	// first backs spans for a request's usual span count, so recording
-	// them costs no allocation beyond the trace's own.
-	first [requestSpans]SpanRecord
 }
 
-// requestSpans is about how many spans one served request records: the
-// root, up to seven stages and the modelled solver's virtual spans.
-const requestSpans = 10
-
-// NewTrace returns an empty trace anchored at the current wall clock. An
-// empty id draws a fresh random trace ID.
+// NewTrace returns an empty trace with the given ID.
 func NewTrace(id string) *Trace {
-	if id == "" {
-		id = NewTraceID()
-	}
-	t := &Trace{id: id, now: time.Now}
-	t.spans = t.first[:0]
-	t.anchor = t.now()
-	return t
+	return &Trace{id: id}
 }
 
-// NewTraceID returns a random 16-byte trace ID in lowercase hex — the
-// trace-id field of a W3C traceparent header.
-func NewTraceID() string {
-	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// crypto/rand never fails on supported platforms; keep the trace
-		// usable anyway with a constant sentinel ID.
-		return "00000000000000000000000000000001"
-	}
-	var id [32]byte
-	hex.Encode(id[:], b[:])
-	return string(id[:])
+// NewTraceID returns a random 16-byte W3C trace ID. The spec asks for
+// uniqueness, not unpredictability, so it is drawn from the runtime's
+// per-thread generator rather than the system's entropy source.
+func NewTraceID() (id [16]byte) {
+	binary.LittleEndian.PutUint64(id[:8], rand.Uint64())
+	binary.LittleEndian.PutUint64(id[8:], rand.Uint64())
+	return id
 }
 
-// ID returns the trace ID ("" for a nil trace).
-func (t *Trace) ID() string {
+// AddSpan appends a finished span, numbering it, and returns its ID so
+// later spans can name it as their parent. The ID field of s is ignored.
+func (t *Trace) AddSpan(s SpanRecord) uint64 {
 	if t == nil {
-		return ""
+		return 0
 	}
-	return t.id
-}
-
-// Span is an open wall-clock span. End it exactly once; SetAttr calls
-// must happen before End. A span belongs to the goroutine that started
-// it (the trace itself is what's shared).
-type Span struct {
-	tr     *Trace
-	id     uint64
-	parent uint64
-	name   string
-	start  time.Time
-	attrs  []Attr
-	// first backs attrs for the few a span usually carries (a request's
-	// root carries four), so SetAttr does not grow a slice per span.
-	first [4]Attr
-}
-
-// StartSpan opens a named wall-clock span, optionally under a parent.
-func (t *Trace) StartSpan(name string, parent *Span) *Span {
-	if t == nil {
-		return nil
-	}
-	var pid uint64
-	if parent != nil {
-		pid = parent.id
-	}
-	t.mu.Lock()
 	t.nextID++
-	id := t.nextID
-	t.mu.Unlock()
-	s := &Span{tr: t, id: id, parent: pid, name: name, start: t.now()}
-	s.attrs = s.first[:0]
-	return s
-}
-
-// ID returns the span's trace-local ID (0 for nil).
-func (s *Span) ID() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.id
-}
-
-// SetAttr attaches a key/value attribute to the span.
-func (s *Span) SetAttr(key string, value any) {
-	if s == nil {
-		return
-	}
-	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
-}
-
-// End closes the span, appends its record to the trace and returns the
-// duration it recorded, in microseconds (0 for a nil span).
-func (s *Span) End() (durUS float64) {
-	if s == nil || s.tr == nil {
-		return 0
-	}
-	end := s.tr.now()
-	rec := SpanRecord{
-		ID:      s.id,
-		Parent:  s.parent,
-		Name:    s.name,
-		StartUS: float64(s.start.Sub(s.tr.anchor)) / float64(time.Microsecond),
-		DurUS:   float64(end.Sub(s.start)) / float64(time.Microsecond),
-		Attrs:   s.attrs,
-	}
-	s.tr.mu.Lock()
-	s.tr.spans = append(s.tr.spans, rec)
-	s.tr.mu.Unlock()
-	return rec.DurUS
+	s.ID = t.nextID
+	t.spans = append(t.spans, s)
+	return s.ID
 }
 
 // AddVirtualSpan appends a finished model-time span on a named track
 // (virtual solver seconds, not wall time), parented under parent (0 =
 // root). It returns the new span's ID so virtual spans can nest.
 func (t *Trace) AddVirtualSpan(track, name string, parent uint64, startS, endS float64, attrs ...Attr) uint64 {
-	if t == nil || track == "" {
+	if track == "" {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.nextID++
-	t.spans = append(t.spans, SpanRecord{
-		ID:      t.nextID,
+	return t.AddSpan(SpanRecord{
 		Parent:  parent,
 		Name:    name,
 		Track:   track,
@@ -189,20 +92,16 @@ func (t *Trace) AddVirtualSpan(track, name string, parent uint64, startS, endS f
 		DurUS:   (endS - startS) * 1e6,
 		Attrs:   attrs,
 	})
-	return t.nextID
 }
 
-// Spans returns the recorded spans sorted by (track, start, -end): the
+// sorted returns the recorded spans sorted by (track, start, -end): the
 // wall-clock request track first, then the virtual tracks, each with
 // wrappers before the primitives they contain.
-func (t *Trace) Spans() []SpanRecord {
+func (t *Trace) sorted() []SpanRecord {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	out := make([]SpanRecord, len(t.spans))
-	copy(out, t.spans)
-	t.mu.Unlock()
+	out := append([]SpanRecord(nil), t.spans...)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Track != out[j].Track {
 			return out[i].Track < out[j].Track
@@ -217,13 +116,14 @@ func (t *Trace) Spans() []SpanRecord {
 
 // --- W3C traceparent ---
 
-// Traceparent renders the header advertising this trace: version 00, the
-// trace ID, the root span as parent-id, sampled flag set.
-func (t *Trace) Traceparent() string {
-	if t == nil {
-		return ""
-	}
-	return "00-" + t.id + "-0000000000000001-01"
+// FormatTraceparent renders the W3C traceparent header advertising a
+// trace: version 00, the trace ID, span 1 as parent-id, sampled flag set.
+func FormatTraceparent(id [16]byte) string {
+	var b [55]byte
+	copy(b[:], "00-")
+	hex.Encode(b[3:35], id[:])
+	copy(b[35:], "-0000000000000001-01")
+	return string(b[:])
 }
 
 // ParseTraceparent extracts the trace ID from a W3C traceparent header
@@ -305,7 +205,7 @@ func (t *Trace) WriteChromeTrace(out io.Writer) error {
 	if t == nil {
 		return fmt.Errorf("telemetry: nil trace")
 	}
-	spans := t.Spans()
+	spans := t.sorted()
 	events := make([]ChromeEvent, 0, len(spans)+8)
 	events = append(events,
 		ChromeEvent{Name: "process_name", Ph: "M", Pid: pidServing,

@@ -152,6 +152,25 @@ func (h *Histogram) Count() uint64 {
 	return h.count.Load()
 }
 
+// CountWithin returns how many observations fell in the buckets bounded
+// at or below bound, and how many there are in all, from one pass over
+// the buckets: within never exceeds total, even under concurrent
+// Observe calls. within is the number of observations ≤ bound exactly
+// when bound is one of the histogram's bounds.
+func (h *Histogram) CountWithin(bound float64) (within, total uint64) {
+	if h == nil {
+		return 0, 0
+	}
+	for i := range h.buckets {
+		n := h.buckets[i].Load()
+		total += n
+		if i < len(h.bounds) && h.bounds[i] <= bound {
+			within += n
+		}
+	}
+	return within, total
+}
+
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 {
 	if h == nil {

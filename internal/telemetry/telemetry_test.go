@@ -70,6 +70,14 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	if h.Count() != 5 || h.Sum() != 8 {
 		t.Fatalf("count/sum = %d/%g, want 5/8", h.Count(), h.Sum())
 	}
+	for _, c := range []struct {
+		bound  float64
+		within uint64
+	}{{0.5, 0}, {1, 2}, {2, 4}, {10, 4}} {
+		if within, total := h.CountWithin(c.bound); within != c.within || total != 5 {
+			t.Fatalf("CountWithin(%g) = %d, %d; want %d, 5", c.bound, within, total, c.within)
+		}
+	}
 }
 
 func TestCounterMonotone(t *testing.T) {
