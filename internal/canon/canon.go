@@ -82,6 +82,13 @@ func (o *Object) Value(name string, appendValue func(dst []byte) ([]byte, bool))
 	o.ok = o.ok && ok
 }
 
+// Raw appends a member whose value is canonical JSON already rendered —
+// a nested type's AppendCanonical output, kept for many objects.
+func (o *Object) Raw(name string, v []byte) {
+	o.key(name)
+	o.b = append(o.b, v...)
+}
+
 // AppendFloat appends f the way encoding/json formats a float64: the
 // shortest digits that round-trip, exponent form iff 0 < |f| < 1e-6 or
 // |f| ≥ 1e21, and a one-digit exponent not padded to two. NaN and ±Inf

@@ -82,7 +82,7 @@ func RecommendStored(n, ranks int, placement cluster.Placement, objective Object
 	e := Experiment{Algorithm: perfmodel.IMe, N: n, Ranks: ranks, Placement: placement}
 	g := e
 	g.Algorithm = perfmodel.ScaLAPACK
-	imeM, geM, computed, err := runBoth(st, AnalyticCell{e, prm}, AnalyticCell{g, prm})
+	imeM, geM, computed, err := runBoth(st, AnalyticCell{E: e, Params: prm}, AnalyticCell{E: g, Params: prm})
 	if err != nil {
 		return Recommendation{Objective: objective}, computed, err
 	}

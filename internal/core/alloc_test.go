@@ -29,13 +29,16 @@ func raceEnabled() bool {
 // TestCellAllocationBudget bounds what one evaluation through the runner
 // asks of the allocator. The campaign benchmark's allocation bound works
 // out to a third of an allocation per evaluation, so these are exact
-// budgets, not ceilings with slack. A warm lookup is eight: the key string,
-// the scanned name → joules map and the restored domain → joules map (two
-// each), the engine name, the machine spec the Config points at, and the
-// model half of the identity (AnalyticCellIdentity hands out a pointer).
-// The identity bytes themselves live in a recycled buffer and cost nothing
-// until a miss copies them, with the payload, into the record: a cold
-// cell is eleven, the model's three included. Through encoding/json a
+// budgets, not ceilings with slack. A warm lookup, dense or sparse, CPU or
+// accelerated, is two: the restored domain → joules map, its header and
+// its one group of slots. Nothing else on a hit allocates: the identity
+// bytes live in a recycled buffer, the model half they embed is a stack
+// value (or rendered once per cell set), the key is digested into a stack
+// buffer, the engine name is a constant, and the Config points at a
+// machine spec built once. A cold cell is nine: the miss's key string,
+// the record's one copy of identity and payload, its JSON line (marshalled,
+// then grown for the newline), the name → joules map the payload is
+// appended from (two), and the model's three. Through encoding/json a
 // lookup is 26.
 func TestCellAllocationBudget(t *testing.T) {
 	if raceEnabled() {
@@ -61,7 +64,7 @@ func TestCellAllocationBudget(t *testing.T) {
 	if _, _, err := RunAnalyticStored(dense, prm, st); err != nil {
 		t.Fatal(err)
 	}
-	budget("warm LookupAnalyticCell", 8, func() {
+	budget("warm LookupAnalyticCell", 2, func() {
 		if _, ok, err := LookupAnalyticCell(st, dense, prm); !ok || err != nil {
 			t.Fatalf("ok=%v err=%v", ok, err)
 		}
@@ -70,9 +73,9 @@ func TestCellAllocationBudget(t *testing.T) {
 	// A fresh noise seed per run makes every evaluation a miss.
 	cold := prm
 	cold.NodeVariability = 0.05
-	budget("cold analytic cell", 11, func() {
+	budget("cold analytic cell", 9, func() {
 		cold.NoiseSeed++
-		if _, computed, err := Run(st, AnalyticCell{dense, cold}, admit); !computed || err != nil {
+		if _, computed, err := Run(st, AnalyticCell{E: dense, Params: cold}, admit); !computed || err != nil {
 			t.Fatalf("computed=%v err=%v", computed, err)
 		}
 	})
@@ -90,14 +93,13 @@ func TestCellAllocationBudget(t *testing.T) {
 		}
 	})
 
-	// An accelerated cell builds the accelerated machine twice, spec and
-	// accelerator profile each time — for the profile its identity pins and
-	// for the Config it restores — where a CPU cell builds the plain spec
-	// once.
+	// An accelerated cell's identity pins the accelerator profile and its
+	// Config the accelerated machine: both are the one built at start-up,
+	// so it costs what a CPU cell does.
 	for _, c := range []struct {
 		dev  cluster.Device
 		warm float64
-	}{{cluster.DeviceCPU, 8}, {cluster.DeviceAccel, 11}} {
+	}{{cluster.DeviceCPU, 2}, {cluster.DeviceAccel, 2}} {
 		cell := SparseAnalyticCell{E: SparseExperiment{
 			Algorithm: sparse.CG, Kind: sparse.Banded, N: 16384, Ranks: SparseSweepRanks,
 			Placement: cluster.FullLoad, Device: c.dev, Band: 256, Cond: 1e2, Seed: SparseSweepSeed,

@@ -14,6 +14,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/perfmodel"
 	"repro/internal/power"
+	"repro/internal/rapl"
 	"repro/internal/store"
 )
 
@@ -233,9 +234,19 @@ func bitsEqual(a, b CellResult) bool {
 	return true
 }
 
+// scanned is scanCellResult with the energies keyed back by name, the
+// form bitsEqual compares.
+func scanned(payload []byte) (CellResult, bool) {
+	r, energy, ok := scanCellResult(payload)
+	r.EnergyJ = energyByName(energy)
+	return r, ok
+}
+
 // TestScanCellResultReadsWhatIsAppended: the scanner accepts everything
-// the appender emits — otherwise every warm read would quietly take the
-// fallback — and reads it back bit for bit.
+// the appender emits for the domains this module charges — otherwise
+// every warm read would quietly take the fallback — and reads it back bit
+// for bit. A name no domain has is declined, and decoding it is the
+// fallback's error.
 func TestScanCellResultReadsWhatIsAppended(t *testing.T) {
 	results := []CellResult{
 		{EnergyJ: map[string]float64{}},
@@ -243,16 +254,16 @@ func TestScanCellResultReadsWhatIsAppended(t *testing.T) {
 			"DRAM_ENERGY:PACKAGE0": 35.37635963971771, "DRAM_ENERGY:PACKAGE1": 35.37635963971771,
 			"PACKAGE_ENERGY:PACKAGE0": 362.1112441015353, "PACKAGE_ENERGY:PACKAGE1": 351.5202257024764,
 		}, TotalJ: 784.3841890834472, Engine: "analytic"},
-		{DurationS: 5e-324, EnergyJ: map[string]float64{"ACCEL_ENERGY:NODE": math.MaxFloat64, "x": math.Copysign(0, -1)},
+		{DurationS: 5e-324, EnergyJ: map[string]float64{"ACCEL_ENERGY:NODE": math.MaxFloat64, "PACKAGE_ENERGY:PACKAGE1": math.Copysign(0, -1)},
 			TotalJ: 1e21, Iters: 831, Residual: 3.8675859465793887e-16, Engine: "sparse-analytic"},
-		{DurationS: math.Copysign(0, -1), EnergyJ: map[string]float64{"a": 9.99e-7}, TotalJ: -1e-6, Iters: -4, Residual: 1 << 53},
+		{DurationS: math.Copysign(0, -1), EnergyJ: map[string]float64{"DRAM_ENERGY:PACKAGE1": 9.99e-7}, TotalJ: -1e-6, Iters: -4, Residual: 1 << 53},
 	}
 	for _, r := range results {
 		b, ok := r.AppendCanonical(nil)
 		if !ok {
 			t.Fatalf("%+v: not appended", r)
 		}
-		got, ok := scanCellResult(b)
+		got, ok := scanned(b)
 		if !ok || !bitsEqual(got, r) {
 			t.Errorf("scanCellResult(%s) = %+v ok=%v, want %+v", b, got, ok, r)
 		}
@@ -261,8 +272,20 @@ func TestScanCellResultReadsWhatIsAppended(t *testing.T) {
 		if !bytes.Contains(payload, []byte(`"energy_j"`)) {
 			continue // the resilience record: not a CellResult
 		}
-		if _, ok := scanCellResult(payload); !ok {
+		if _, _, ok := scanCellResult(payload); !ok {
 			t.Errorf("scanCellResult declined a stored payload: %s", payload)
+		}
+	}
+	for _, stray := range []map[string]float64{{"x": 1}, {"PACKAGE_ENERGY:PACKAGE0": 1, "a": 2}} {
+		b, ok := CellResult{EnergyJ: stray, Engine: "analytic"}.AppendCanonical(nil)
+		if !ok {
+			t.Fatalf("%v: not appended", stray)
+		}
+		if _, _, ok := scanCellResult(b); ok {
+			t.Errorf("scanCellResult accepted %s, which names no domain this module charges", b)
+		}
+		if _, _, err := decodeCellResult(b); err == nil || !strings.Contains(err.Error(), "no domain this module charges") {
+			t.Errorf("decodeCellResult(%s) err = %v, want the stray-name error", b, err)
 		}
 	}
 }
@@ -309,16 +332,29 @@ func FuzzScanCellResult(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		got, ok := scanCellResult(payload)
-		if !ok {
-			return
-		}
 		var want CellResult
-		if err := json.Unmarshal(payload, &want); err != nil {
-			t.Fatalf("scanner accepted %q as %+v; encoding/json rejects it: %v", payload, got, err)
+		var wantEnergy map[rapl.Domain]float64
+		err := json.Unmarshal(payload, &want)
+		if err == nil {
+			wantEnergy, err = energyByDomain(want.EnergyJ)
 		}
-		if !bitsEqual(got, want) {
-			t.Fatalf("scanner read %q as %+v; encoding/json reads %+v", payload, got, want)
+		want.EnergyJ = energyByName(wantEnergy)
+		if got, ok := scanned(payload); ok {
+			if err != nil {
+				t.Fatalf("scanner accepted %q as %+v; encoding/json and energyByDomain reject it: %v", payload, got, err)
+			}
+			if !bitsEqual(got, want) {
+				t.Fatalf("scanner read %q as %+v; encoding/json reads %+v", payload, got, want)
+			}
+		}
+		// Scanner and fallback together decode exactly what the oracle
+		// does, to the same joules by domain.
+		got, energy, derr := decodeCellResult(payload)
+		if (derr == nil) != (err == nil) {
+			t.Fatalf("decodeCellResult(%q) err = %v; encoding/json and energyByDomain: %v", payload, derr, err)
+		}
+		if got.EnergyJ = energyByName(energy); derr == nil && !bitsEqual(got, want) {
+			t.Fatalf("decodeCellResult read %q as %+v; encoding/json reads %+v", payload, got, want)
 		}
 	})
 }

@@ -56,56 +56,47 @@ var identityBufs = sync.Pool{New: func() any {
 	return &buf
 }}
 
-// appendIdentity appends a hand-codec identity: its own bytes, or
-// encoding/json's when it declines (store.AppendIdentity asks it once
-// more, then marshals). It is store.AppendIdentity with the concrete type
-// in hand, so the hot path does not box the identity into an interface.
-func appendIdentity[I store.Canonical](dst []byte, id I) ([]byte, error) {
-	if b, ok := id.AppendCanonical(dst); ok {
-		return b, nil
-	}
-	return store.AppendIdentity(dst, id)
-}
-
-// keyOf derives the cell's store key, leaving the identity bytes it
-// digested in *buf.
-func keyOf[M any, C Cell[M]](c C, buf *[]byte) (string, error) {
+// identityOf appends the cell's identity bytes to the recycled buffer.
+func identityOf[M any, C Cell[M]](c C, buf *[]byte) ([]byte, error) {
 	identity, err := c.identity((*buf)[:0])
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	*buf = identity
-	return store.Key(identity), nil
+	return identity, nil
 }
 
-// fetch is get → decode for a key the caller has already derived.
-func fetch[M any, C Cell[M]](st *store.Store, c C, key string) (m M, ok bool, err error) {
-	rec, ok, err := st.Get(key)
-	if err != nil || !ok {
-		return m, false, err
+// fetch looks the cell's identity bytes up and decodes a hit. A miss
+// returns the key the identity digests to, for the record the caller
+// appends.
+func fetch[M any, C Cell[M]](st *store.Store, c C, identity []byte) (m M, key string, ok bool, err error) {
+	rec, ok := st.Lookup(identity)
+	if !ok {
+		return m, rec.Key, false, nil
 	}
 	if rec.Kind != c.kind() {
-		return m, false, fmt.Errorf("core: record %.12s… has kind %q, want %q", rec.Key, rec.Kind, c.kind())
+		return m, "", false, fmt.Errorf("core: record %.12s… has kind %q, want %q", rec.Key, rec.Kind, c.kind())
 	}
 	if m, err = c.decode(rec.Result); err != nil {
-		return m, false, fmt.Errorf("core: decode %s result: %w", c.kind(), err)
+		return m, "", false, fmt.Errorf("core: decode %s result: %w", c.kind(), err)
 	}
-	return m, true, nil
+	return m, "", true, nil
 }
 
 // lookup serves the cell from the store without ever computing; ok is
-// false on a miss or a nil store. Cache warming builds on it.
+// false on a miss or a nil store.
 func lookup[M any, C Cell[M]](st *store.Store, c C) (m M, ok bool, err error) {
 	if st == nil {
 		return m, false, nil
 	}
 	buf := identityBufs.Get().(*[]byte)
 	defer identityBufs.Put(buf)
-	key, err := keyOf(c, buf)
+	identity, err := identityOf(c, buf)
 	if err != nil {
 		return m, false, err
 	}
-	return fetch(st, c, key)
+	m, _, ok, err = fetch(st, c, identity)
+	return m, ok, err
 }
 
 // Run evaluates the cell through the store: a stored result is decoded
@@ -123,11 +114,12 @@ func Run[M any, C Cell[M]](st *store.Store, c C, admit func() error) (m M, compu
 	if st != nil {
 		buf = identityBufs.Get().(*[]byte)
 		defer identityBufs.Put(buf)
-		if key, err = keyOf(c, buf); err != nil {
+		var identity []byte
+		if identity, err = identityOf(c, buf); err != nil {
 			return m, false, err
 		}
 		var ok bool
-		if m, ok, err = fetch(st, c, key); err != nil || ok {
+		if m, key, ok, err = fetch(st, c, identity); err != nil || ok {
 			return m, false, err
 		}
 	}
@@ -317,9 +309,11 @@ func (r CellResult) appendEnergy(dst []byte) ([]byte, bool) {
 }
 
 // scanCellResult reads back what AppendCanonical writes, members in any
-// order. ok is false for anything else — a member twice, an unknown one, a
-// null, whitespace — and the caller lets encoding/json decide.
-func scanCellResult(payload []byte) (r CellResult, ok bool) {
+// order, with energy_j keyed by domain: the map a measurement keeps, so
+// r.EnergyJ stays nil. ok is false for anything else — a member twice, an
+// unknown one, a name that is no domain of energyDomains or names one
+// twice, a null, whitespace — and the caller lets encoding/json decide.
+func scanCellResult(payload []byte) (r CellResult, energy map[rapl.Domain]float64, ok bool) {
 	s := canon.Scan(payload)
 	seen := 0
 	once := func(member int) {
@@ -336,14 +330,14 @@ func scanCellResult(payload []byte) (r CellResult, ok bool) {
 			r.DurationS = s.Float()
 		case "energy_j":
 			once(1 << 1)
-			r.EnergyJ = make(map[string]float64, len(energyDomains))
+			energy = make(map[rapl.Domain]float64, len(energyDomains))
 			s.Open()
 			for name, more := s.Member(); more; name, more = s.Member() {
-				domain := energyName(name)
-				if _, twice := r.EnergyJ[domain]; twice {
+				d, known := domainNamed(name)
+				if _, twice := energy[d]; twice || !known {
 					s.Fail()
 				}
-				r.EnergyJ[domain] = s.Float()
+				energy[d] = s.Float()
 			}
 		case "total_j":
 			once(1 << 2)
@@ -356,12 +350,12 @@ func scanCellResult(payload []byte) (r CellResult, ok bool) {
 			r.Residual = s.Float()
 		case "engine":
 			once(1 << 5)
-			r.Engine = string(s.String())
+			r.Engine = engineNamed(s.String())
 		default:
 			s.Fail()
 		}
 	}
-	return r, s.Done()
+	return r, energy, s.Done()
 }
 
 // appendCellResult and decodeCellResult are the payload codec of the
@@ -378,15 +372,15 @@ func appendCellResult(dst []byte, r CellResult) ([]byte, error) {
 }
 
 // decodeCellResult returns the payload's energies by domain beside it,
-// which is how every measurement carries them.
+// which is how every measurement carries them; read them from there, not
+// from the result's EnergyJ.
 func decodeCellResult(payload []byte) (CellResult, map[rapl.Domain]float64, error) {
-	r, ok := scanCellResult(payload)
-	if !ok {
-		var viaJSON CellResult
-		if err := json.Unmarshal(payload, &viaJSON); err != nil {
-			return CellResult{}, nil, err
-		}
-		r = viaJSON
+	if r, energy, ok := scanCellResult(payload); ok {
+		return r, energy, nil
+	}
+	var r CellResult
+	if err := json.Unmarshal(payload, &r); err != nil {
+		return CellResult{}, nil, err
 	}
 	energy, err := energyByDomain(r.EnergyJ)
 	return r, energy, err
@@ -396,11 +390,29 @@ func decodeCellResult(payload []byte) (CellResult, map[rapl.Domain]float64, erro
 // stored energy_j may carry: the four RAPL domains and the accelerator.
 var energyDomains = append(rapl.Domains(), rapl.Accel)
 
-// energyName returns a stored domain name as a string: the domain's own
-// constant when this module charges it, so a hit allocates no names.
-func energyName(name []byte) string {
+// domainNamed returns the domain of energyDomains a stored name names.
+func domainNamed(name []byte) (rapl.Domain, bool) {
 	for _, d := range energyDomains {
-		if known := d.String(); string(name) == known {
+		if string(name) == d.String() {
+			return d, true
+		}
+	}
+	return 0, false
+}
+
+// The engines a measurement names, one constant each, so that a decoded
+// payload takes its engine name without allocating a copy.
+const (
+	engineAnalytic       = "analytic"
+	engineMonitored      = "monitored"
+	engineSparseAnalytic = "sparse-analytic"
+)
+
+// engineNamed returns a stored engine name as a string: the engine's own
+// constant when it is one of this module's.
+func engineNamed(name []byte) string {
+	for _, known := range [...]string{engineAnalytic, engineMonitored, engineSparseAnalytic} {
+		if string(name) == known {
 			return known
 		}
 	}

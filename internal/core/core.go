@@ -122,10 +122,7 @@ func RunAnalytic(e Experiment, prm perfmodel.Params) (Measurement, error) {
 	if err != nil {
 		return Measurement{}, err
 	}
-	if e.BlockSize > 0 {
-		prm.BlockSize = e.BlockSize
-	}
-	res, err := perfmodel.Run(e.Algorithm, e.N, cfg, prm)
+	res, err := perfmodel.Run(e.Algorithm, e.N, cfg, analyticParams(e, prm))
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -135,7 +132,7 @@ func RunAnalytic(e Experiment, prm perfmodel.Params) (Measurement, error) {
 		DurationS:  res.DurationS,
 		TotalJ:     res.TotalJ,
 		EnergyJ:    res.EnergyJ,
-		Engine:     "analytic",
+		Engine:     engineAnalytic,
 	}, nil
 }
 
@@ -248,7 +245,7 @@ func RunMonitoredInstrumented(e Experiment, inst Instrumentation) (Measurement, 
 		TotalJ:     sum.TotalJ,
 		EnergyJ:    make(map[rapl.Domain]float64, 4),
 		Residual:   residual,
-		Engine:     "monitored",
+		Engine:     engineMonitored,
 	}
 	for _, d := range rapl.Domains() {
 		m.EnergyJ[d] = sum.ByEvent["powercap:::"+d.String()]

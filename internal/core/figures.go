@@ -57,8 +57,9 @@ func SweepKeys() []SweepKey {
 // SweepKeys() the full evaluation grid (72 cells) a figure reads, over
 // any other key list a grid off it. Collect builds the Sweep.
 func SweepCells(keys []SweepKey, prm perfmodel.Params) CellSet[*Sweep] {
+	model := renderModel(prm)
 	return gridCells(keys,
-		func(k SweepKey) AnalyticCell { return AnalyticCell{k.Experiment(), prm} },
+		func(k SweepKey) AnalyticCell { return AnalyticCell{E: k.Experiment(), Params: prm, model: model} },
 		func(ms map[SweepKey]Measurement) *Sweep { return &Sweep{Params: prm, Measurements: ms} })
 }
 

@@ -86,12 +86,17 @@ func repetitions[R any](cells []SweepKey, prm perfmodel.Params, reps int, variab
 			keys = append(keys, repetitionKey{cell, r})
 		}
 	}
+	params := make([]perfmodel.Params, reps)
+	models := make([][]byte, reps)
+	for r := range params {
+		params[r] = prm
+		params[r].NodeVariability = variability
+		params[r].NoiseSeed = int64(r + 1)
+		models[r] = renderModel(params[r])
+	}
 	return gridCells(keys,
 		func(k repetitionKey) AnalyticCell {
-			p := prm
-			p.NodeVariability = variability
-			p.NoiseSeed = int64(k.rep + 1)
-			return AnalyticCell{k.cell.Experiment(), p}
+			return AnalyticCell{E: k.cell.Experiment(), Params: params[k.rep], model: models[k.rep]}
 		},
 		func(ms map[repetitionKey]Measurement) R {
 			stats := make([]repStats, len(cells))

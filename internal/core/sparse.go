@@ -46,9 +46,9 @@ func (e SparseExperiment) resolveSparseConfig() (cluster.Config, error) {
 	if e.N <= 0 {
 		return cluster.Config{}, fmt.Errorf("core: order %d must be positive", e.N)
 	}
-	spec := cluster.MarconiA3()
+	spec := marconiA3
 	if e.Device == cluster.DeviceAccel {
-		spec = cluster.MarconiA3Accel()
+		spec = marconiA3Accel
 	}
 	return cluster.NewConfig(e.Ranks, e.Placement, spec)
 }
@@ -108,7 +108,7 @@ func RunSparseAnalytic(e SparseExperiment, prm perfmodel.Params) (SparseMeasurem
 		TotalJ:     res.TotalJ,
 		EnergyJ:    res.EnergyJ,
 		Iters:      res.Iters,
-		Engine:     "sparse-analytic",
+		Engine:     engineSparseAnalytic,
 	}, nil
 }
 
@@ -146,6 +146,12 @@ type SparseCellIdentity struct {
 // AppendCanonical appends the identity's canonical JSON: what
 // encoding/json emits for it, which canon_test.go holds it to.
 func (id SparseCellIdentity) AppendCanonical(dst []byte) ([]byte, bool) {
+	return id.appendCanonical(dst, nil)
+}
+
+// appendCanonical is AppendCanonical with the model half, when model is
+// non-nil, already rendered (renderModel): id.Model is then not read.
+func (id SparseCellIdentity) appendCanonical(dst, model []byte) ([]byte, bool) {
 	o := canon.Begin(dst)
 	o.Int("schema", int64(id.Schema))
 	o.String("kind", id.Kind)
@@ -164,7 +170,10 @@ func (id SparseCellIdentity) AppendCanonical(dst []byte) ([]byte, bool) {
 	}
 	o.Float("cond", id.Cond)
 	o.String("engine_version", id.EngineVersion)
-	if id.Model != nil {
+	switch {
+	case model != nil:
+		o.Raw("model", model)
+	case id.Model != nil:
 		o.Value("model", id.Model.AppendCanonical)
 	}
 	if id.Accel != nil {
@@ -176,11 +185,19 @@ func (id SparseCellIdentity) AppendCanonical(dst []byte) ([]byte, bool) {
 // SparseAnalyticCellIdentity returns the store identity of
 // RunSparseAnalytic(e, prm).
 func SparseAnalyticCellIdentity(e SparseExperiment, prm perfmodel.Params) SparseCellIdentity {
+	id := sparseIdentity(e)
 	model := prm.CanonicalIdentity()
+	id.Model = &model
+	return id
+}
+
+// sparseIdentity is SparseAnalyticCellIdentity without its model half.
+// An accelerated cell's identity points at the one shared profile.
+func sparseIdentity(e SparseExperiment) SparseCellIdentity {
 	id := SparseCellIdentity{
 		Schema:        store.SchemaVersion,
 		Kind:          SparseCellKind,
-		Engine:        "sparse-analytic",
+		Engine:        engineSparseAnalytic,
 		Algorithm:     e.Algorithm.String(),
 		Matrix:        e.Kind.String(),
 		N:             e.N,
@@ -191,10 +208,9 @@ func SparseAnalyticCellIdentity(e SparseExperiment, prm perfmodel.Params) Sparse
 		Density:       e.Density,
 		Cond:          e.Cond,
 		EngineVersion: sparse.ModelVersion,
-		Model:         &model,
 	}
 	if e.Device == cluster.DeviceAccel {
-		id.Accel = cluster.MarconiA3Accel().Accel
+		id.Accel = marconiA3Accel.Accel
 	}
 	return id
 }
@@ -207,12 +223,26 @@ func SparseAnalyticCellIdentity(e SparseExperiment, prm perfmodel.Params) Sparse
 type SparseAnalyticCell struct {
 	E      SparseExperiment
 	Params perfmodel.Params
+	// model, when non-nil, is renderModel(Params), rendered once by the
+	// cell set for all its cells; a cell built on its own renders its own.
+	model []byte
 }
 
 func (c SparseAnalyticCell) kind() string { return SparseCellKind }
 
+// identity appends SparseAnalyticCellIdentity's bytes, its model half
+// found as AnalyticCell.identity finds it.
 func (c SparseAnalyticCell) identity(dst []byte) ([]byte, error) {
-	return appendIdentity(dst, SparseAnalyticCellIdentity(c.E, c.Params))
+	id := sparseIdentity(c.E)
+	var model perfmodel.CanonicalIdentity
+	if c.model == nil {
+		model = c.Params.CanonicalIdentity()
+		id.Model = &model
+	}
+	if b, ok := id.appendCanonical(dst, c.model); ok {
+		return b, nil
+	}
+	return store.AppendIdentity(dst, SparseAnalyticCellIdentity(c.E, c.Params))
 }
 
 func (c SparseAnalyticCell) compute() (SparseMeasurement, error) {

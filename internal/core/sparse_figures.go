@@ -50,7 +50,7 @@ func RecommendSparseStored(alg sparse.Algorithm, mspec sparse.Spec, ranks int, p
 	}
 	acc := cpu
 	acc.Device = cluster.DeviceAccel
-	cpuM, accM, computed, err := runBoth(st, SparseAnalyticCell{cpu, prm}, SparseAnalyticCell{acc, prm})
+	cpuM, accM, computed, err := runBoth(st, SparseAnalyticCell{E: cpu, Params: prm}, SparseAnalyticCell{E: acc, Params: prm})
 	if err != nil {
 		return SparseRecommendation{Objective: objective}, computed, err
 	}
@@ -132,8 +132,11 @@ type SparseSweep struct {
 // SparseSweepCells is the sparse evaluation grid under prm as a cell set
 // — SweepCells for the sparse cells. Collect builds the SparseSweep.
 func SparseSweepCells(prm perfmodel.Params) CellSet[*SparseSweep] {
+	model := renderModel(prm)
 	return gridCells(SparseSweepKeys(),
-		func(k SparseSweepKey) SparseAnalyticCell { return SparseAnalyticCell{k.Experiment(), prm} },
+		func(k SparseSweepKey) SparseAnalyticCell {
+			return SparseAnalyticCell{E: k.Experiment(), Params: prm, model: model}
+		},
 		func(ms map[SparseSweepKey]SparseMeasurement) *SparseSweep {
 			return &SparseSweep{Params: prm, Measurements: ms}
 		})

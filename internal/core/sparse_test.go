@@ -34,7 +34,7 @@ func TestSparseAnalyticStoredExactRoundTrip(t *testing.T) {
 		e := sparseTestExperiment(dev)
 		prm := perfmodel.Params{}
 
-		cold, computed, err := Run(st, SparseAnalyticCell{e, prm}, nil)
+		cold, computed, err := Run(st, SparseAnalyticCell{E: e, Params: prm}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func TestSparseAnalyticStoredExactRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(cold, direct) {
 			t.Fatalf("%s: stored cold run diverged from plain RunSparseAnalytic:\n got %+v\nwant %+v", dev, cold, direct)
 		}
-		warm, computed, err := Run(st, SparseAnalyticCell{e, prm}, nil)
+		warm, computed, err := Run(st, SparseAnalyticCell{E: e, Params: prm}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestSparseDeviceSplitsIdentity(t *testing.T) {
 	st := openStore(t)
 	prm := perfmodel.Params{}
 	for _, dev := range cluster.Devices() {
-		if _, _, err := Run(st, SparseAnalyticCell{sparseTestExperiment(dev), prm}, nil); err != nil {
+		if _, _, err := Run(st, SparseAnalyticCell{E: sparseTestExperiment(dev), Params: prm}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

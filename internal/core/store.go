@@ -64,6 +64,12 @@ type CellIdentity struct {
 // AppendCanonical appends the identity's canonical JSON: what
 // encoding/json emits for it, which canon_test.go holds it to.
 func (id CellIdentity) AppendCanonical(dst []byte) ([]byte, bool) {
+	return id.appendCanonical(dst, nil)
+}
+
+// appendCanonical is AppendCanonical with the model half, when model is
+// non-nil, already rendered (renderModel): id.Model is then not read.
+func (id CellIdentity) appendCanonical(dst, model []byte) ([]byte, bool) {
 	o := canon.Begin(dst)
 	o.Int("schema", int64(id.Schema))
 	o.String("kind", id.Kind)
@@ -84,10 +90,24 @@ func (id CellIdentity) AppendCanonical(dst []byte) ([]byte, bool) {
 	if id.EngineVersion != "" {
 		o.String("engine_version", id.EngineVersion)
 	}
-	if id.Model != nil {
+	switch {
+	case model != nil:
+		o.Raw("model", model)
+	case id.Model != nil:
 		o.Value("model", id.Model.AppendCanonical)
 	}
 	return o.End()
+}
+
+// renderModel renders the model half of the identity of a cell under
+// prm, for a cell set to hand to every cell it builds under prm; nil when
+// the hand codec declines it, and each cell then renders its own.
+func renderModel(prm perfmodel.Params) []byte {
+	b, ok := prm.CanonicalIdentity().AppendCanonical(nil)
+	if !ok {
+		return nil
+	}
+	return b
 }
 
 // AnalyticCellIdentity returns the store identity of RunAnalytic(e, prm).
@@ -95,20 +115,32 @@ func (id CellIdentity) AppendCanonical(dst []byte) ([]byte, bool) {
 // BlockSize override is folded into the params before normalization, so
 // Experiment{BlockSize: 64} and Params{BlockSize: 64} are one key.
 func AnalyticCellIdentity(e Experiment, prm perfmodel.Params) CellIdentity {
-	if e.BlockSize > 0 {
-		prm.BlockSize = e.BlockSize
-	}
-	model := prm.CanonicalIdentity()
+	id := analyticIdentity(e)
+	model := analyticParams(e, prm).CanonicalIdentity()
+	id.Model = &model
+	return id
+}
+
+// analyticIdentity is AnalyticCellIdentity without its model half.
+func analyticIdentity(e Experiment) CellIdentity {
 	return CellIdentity{
 		Schema:    store.SchemaVersion,
 		Kind:      CellKind,
-		Engine:    "analytic",
+		Engine:    engineAnalytic,
 		Algorithm: e.Algorithm.String(),
 		N:         e.N,
 		Ranks:     e.Ranks,
 		Placement: e.Placement.String(),
-		Model:     &model,
 	}
+}
+
+// analyticParams folds the experiment's BlockSize override into prm, as
+// RunAnalytic does.
+func analyticParams(e Experiment, prm perfmodel.Params) perfmodel.Params {
+	if e.BlockSize > 0 {
+		prm.BlockSize = e.BlockSize
+	}
+	return prm
 }
 
 // MonitoredCellIdentity returns the store identity of RunMonitored(e).
@@ -116,7 +148,7 @@ func MonitoredCellIdentity(e Experiment) CellIdentity {
 	return CellIdentity{
 		Schema:        store.SchemaVersion,
 		Kind:          CellKind,
-		Engine:        "monitored",
+		Engine:        engineMonitored,
 		Algorithm:     e.Algorithm.String(),
 		N:             e.N,
 		Ranks:         e.Ranks,
@@ -146,7 +178,7 @@ func decodeMeasurement(e Experiment, payload []byte) (Measurement, error) {
 	if err != nil {
 		return Measurement{}, err
 	}
-	cfg, err := e.resolveConfig(cluster.MarconiA3())
+	cfg, err := e.resolveConfig(marconiA3)
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -161,17 +193,42 @@ func decodeMeasurement(e Experiment, payload []byte) (Measurement, error) {
 	}, nil
 }
 
+// The machines a restored measurement's Config points at, each built
+// once: a hit re-derives its Config without building a spec. Nothing
+// mutates a Config's spec; a caller that resizes the machine (sched's
+// fleet) copies it first.
+var (
+	marconiA3      = cluster.MarconiA3()
+	marconiA3Accel = cluster.MarconiA3Accel()
+)
+
 // AnalyticCell is RunAnalytic(E, Params) as a store cell.
 type AnalyticCell struct {
 	E      Experiment
 	Params perfmodel.Params
+	// model, when non-nil, is renderModel(Params): a cell set renders it
+	// once for all its cells, none of which overrides the block size. A
+	// cell built on its own leaves it nil and renders its own.
+	model []byte
 }
 
 func (c AnalyticCell) kind() string                  { return CellKind }
 func (c AnalyticCell) compute() (Measurement, error) { return RunAnalytic(c.E, c.Params) }
 
+// identity appends AnalyticCellIdentity's bytes. The model half is the
+// set's rendering, or else the cell's own from a value on the stack; what
+// the hand codec declines, encoding/json decides.
 func (c AnalyticCell) identity(dst []byte) ([]byte, error) {
-	return appendIdentity(dst, AnalyticCellIdentity(c.E, c.Params))
+	id := analyticIdentity(c.E)
+	var model perfmodel.CanonicalIdentity
+	if c.model == nil {
+		model = analyticParams(c.E, c.Params).CanonicalIdentity()
+		id.Model = &model
+	}
+	if b, ok := id.appendCanonical(dst, c.model); ok {
+		return b, nil
+	}
+	return store.AppendIdentity(dst, AnalyticCellIdentity(c.E, c.Params))
 }
 
 func (c AnalyticCell) encode(dst []byte, m Measurement) ([]byte, error) {
@@ -189,7 +246,7 @@ func (c MonitoredCell) kind() string                  { return CellKind }
 func (c MonitoredCell) compute() (Measurement, error) { return RunMonitored(Experiment(c)) }
 
 func (c MonitoredCell) identity(dst []byte) ([]byte, error) {
-	return appendIdentity(dst, MonitoredCellIdentity(Experiment(c)))
+	return store.AppendIdentity(dst, MonitoredCellIdentity(Experiment(c)))
 }
 
 func (c MonitoredCell) encode(dst []byte, m Measurement) ([]byte, error) {
@@ -203,7 +260,7 @@ func (c MonitoredCell) decode(payload []byte) (Measurement, error) {
 // LookupAnalyticCell serves RunAnalytic(e, prm) from the store without
 // ever computing; ok is false on a miss (or a nil store).
 func LookupAnalyticCell(st *store.Store, e Experiment, prm perfmodel.Params) (Measurement, bool, error) {
-	return lookup(st, AnalyticCell{e, prm})
+	return lookup(st, AnalyticCell{E: e, Params: prm})
 }
 
 // RunAnalyticStored is RunAnalytic with store-backed memoization: a hit
@@ -211,7 +268,7 @@ func LookupAnalyticCell(st *store.Store, e Experiment, prm perfmodel.Params) (Me
 // reports whether the model actually ran. A nil store degrades to plain
 // RunAnalytic.
 func RunAnalyticStored(e Experiment, prm perfmodel.Params, st *store.Store) (m Measurement, computed bool, err error) {
-	return Run(st, AnalyticCell{e, prm}, nil)
+	return Run(st, AnalyticCell{E: e, Params: prm}, nil)
 }
 
 // ResilienceIdentity is the canonical store identity of one RunResilient

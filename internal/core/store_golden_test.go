@@ -103,11 +103,11 @@ func TestStoreRecordBytesPinned(t *testing.T) {
 			return err
 		}},
 		{"sparse analytic, cpu", func(st *store.Store) error {
-			_, _, err := Run(st, SparseAnalyticCell{banded, perfmodel.Params{}}, nil)
+			_, _, err := Run(st, SparseAnalyticCell{E: banded}, nil)
 			return err
 		}},
 		{"sparse analytic, accel", func(st *store.Store) error {
-			_, _, err := Run(st, SparseAnalyticCell{random, perfmodel.Params{}}, nil)
+			_, _, err := Run(st, SparseAnalyticCell{E: random}, nil)
 			return err
 		}},
 	}

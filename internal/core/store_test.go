@@ -306,3 +306,40 @@ func TestStoredUnknownEnergyDomainIsAnError(t *testing.T) {
 		t.Errorf("sparse lookup: ok=%v err=%v, want an error naming both strays in order", ok, err)
 	}
 }
+
+// TestCellSetsKeyLikeLoneCells: a cell set renders the model half once
+// for all its cells; a cell built on its own renders its own. Both must
+// be one key, or a store a campaign filled would miss every advisor and
+// lsbench lookup of the same cell.
+func TestCellSetsKeyLikeLoneCells(t *testing.T) {
+	st := openStore(t)
+	capped := perfmodel.Params{Overlap: true, PowerCapW: 110}
+	sets := []interface{ Run(*Evaluator) error }{
+		SweepCells(SweepKeys(), capped), RepetitionStudy(capped), SparseSweepCells(perfmodel.Params{}),
+	}
+	for _, set := range sets {
+		if err := set.Run(&Evaluator{Store: st, Runner: grid.New(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hit := func(name string, ok bool, err error) {
+		t.Helper()
+		if !ok || err != nil {
+			t.Errorf("%s: a lone cell misses what its set stored (ok=%v err=%v)", name, ok, err)
+		}
+	}
+	for _, k := range SweepKeys() {
+		_, ok, err := LookupAnalyticCell(st, k.Experiment(), capped)
+		hit(k.String(), ok, err)
+		p := capped
+		p.NodeVariability, p.NoiseSeed = repetitionVariability, repetitionReps
+		if k.Ranks == 144 && k.Placement == cluster.FullLoad {
+			_, ok, err := LookupAnalyticCell(st, k.Experiment(), p)
+			hit(k.String()+" last repetition", ok, err)
+		}
+	}
+	for _, k := range SparseSweepKeys() {
+		_, ok, err := lookup(st, SparseAnalyticCell{E: k.Experiment()})
+		hit(k.String(), ok, err)
+	}
+}

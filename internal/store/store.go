@@ -23,7 +23,8 @@
 //     byte-identical anyway. Duplicates() exposes the redundancy.
 //   - Torn tails are tolerated: a process killed mid-append leaves at
 //     most one unparseable trailing line, which Open skips (and counts
-//     in Corrupt()); the cell is simply recomputed and re-appended.
+//     in Corrupt()); the cell is simply recomputed and re-appended. So is
+//     any other line Open cannot parse, one longer than maxLine included.
 //   - Open serves only what Append would accept: a line whose key is
 //     not the digest of its identity is skipped and counted in Corrupt().
 //
@@ -37,7 +38,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -50,6 +53,10 @@ const SchemaVersion = 1
 
 // logName is the single append-only log inside a store directory.
 const logName = "records.ndjson"
+
+// maxLine is the longest log line Open parses; a longer one is counted in
+// Corrupt() and skipped like any other line it cannot parse.
+const maxLine = 1 << 24
 
 // Record is one stored result. Identity holds the canonical JSON bytes
 // the Key digests; Result the engine's output. The store does not
@@ -98,18 +105,22 @@ func AppendIdentity(dst []byte, identity any) ([]byte, error) {
 // Key returns the content address of canonical identity bytes: their
 // SHA-256 as lower-case hex.
 func Key(canonical []byte) string {
-	sum := sha256.Sum256(canonical)
-	var key [2 * sha256.Size]byte
-	hex.Encode(key[:], sum[:])
+	key := hexKey(canonical)
 	return string(key[:])
 }
 
-// keyMatches reports whether key is Key(canonical), digesting into a
-// stack buffer so that a reopen checking every record allocates nothing.
-func keyMatches(key string, canonical []byte) bool {
+// hexKey is Key into a value the caller keeps on its stack, so that
+// comparing or looking up a key allocates nothing.
+func hexKey(canonical []byte) (key [2 * sha256.Size]byte) {
 	sum := sha256.Sum256(canonical)
-	var want [2 * sha256.Size]byte
-	hex.Encode(want[:], sum[:])
+	hex.Encode(key[:], sum[:])
+	return key
+}
+
+// keyMatches reports whether key is Key(canonical) without allocating:
+// a reopen checks every record with it.
+func keyMatches(key string, canonical []byte) bool {
+	want := hexKey(canonical)
 	return key == string(want[:])
 }
 
@@ -154,6 +165,8 @@ type Store struct {
 	order      []string // keys in append order (stable Keys/provenance)
 	duplicates int
 	corrupt    int
+	// digest memoizes Digest; an Append that adds a key clears it.
+	digest string
 }
 
 // Open opens (creating if needed) the store rooted at dir and indexes
@@ -210,24 +223,31 @@ func (s *Store) sealTornTail(path string) error {
 }
 
 // load indexes the existing log. Unparseable lines (a torn tail from a
-// killed writer) and records whose key is not the digest of their
-// identity (which Append refuses) are counted and skipped: the records
-// they would have held are recomputed by the next campaign run.
+// killed writer, a line longer than maxLine) and records whose key is
+// not the digest of their identity (which Append refuses) are counted
+// and skipped: the records they would have held are recomputed by the
+// next campaign run.
 func (s *Store) load(path string) error {
 	r, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("store: read log: %w", err)
 	}
 	defer r.Close()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
+	br := bufio.NewReaderSize(r, 1<<16)
+	var long []byte
+	for {
+		line, tooLong, err := readLine(br, &long)
+		if err != nil {
+			return fmt.Errorf("store: read log: %w", err)
+		}
+		if line == nil && !tooLong {
+			return nil
+		}
+		if !tooLong && len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
 		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil || !keyMatches(rec.Key, rec.Identity) {
+		if tooLong || json.Unmarshal(line, &rec) != nil || !keyMatches(rec.Key, rec.Identity) {
 			s.corrupt++
 			continue
 		}
@@ -238,10 +258,34 @@ func (s *Store) load(path string) error {
 		s.index[rec.Key] = rec
 		s.order = append(s.order, rec.Key)
 	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("store: scan log: %w", err)
+}
+
+// readLine returns the next line of the log, newline included, valid
+// until the next call; a nil line is the end of the log. A line that
+// fits the reader's buffer is returned in place; a longer one is
+// gathered in *long, unless it is longer than maxLine: then it is read to
+// its end but not kept, and tooLong reports it.
+func readLine(br *bufio.Reader, long *[]byte) (line []byte, tooLong bool, err error) {
+	line, err = br.ReadSlice('\n')
+	if errors.Is(err, bufio.ErrBufferFull) {
+		buf := append((*long)[:0], line...)
+		for errors.Is(err, bufio.ErrBufferFull) {
+			line, err = br.ReadSlice('\n')
+			if tooLong = tooLong || len(buf)+len(line) > maxLine; !tooLong {
+				buf = append(buf, line...)
+			}
+		}
+		*long, line = buf, buf
 	}
-	return nil
+	switch {
+	case errors.Is(err, io.EOF):
+		if len(line) == 0 && !tooLong {
+			return nil, false, nil
+		}
+	case err != nil:
+		return nil, false, err
+	}
+	return line, tooLong, nil
 }
 
 // Dir returns the store's root directory.
@@ -254,6 +298,21 @@ func (s *Store) Get(key string) (Record, bool, error) {
 	rec, ok := s.index[key]
 	s.mu.Unlock()
 	return rec, ok, nil
+}
+
+// Lookup is Get(Key(identity)) without the key string: the digest stays
+// on the stack, so a hit allocates nothing. A miss returns a record that
+// holds only its key, the one string the caller needs to append the
+// record it computes instead.
+func (s *Store) Lookup(identity []byte) (Record, bool) {
+	key := hexKey(identity)
+	s.mu.Lock()
+	rec, ok := s.index[string(key[:])]
+	s.mu.Unlock()
+	if !ok {
+		return Record{Key: string(key[:])}, false
+	}
+	return rec, true
 }
 
 // Append persists a record. It verifies the key is the digest of the
@@ -281,6 +340,7 @@ func (s *Store) Append(rec Record) (added bool, err error) {
 	}
 	s.index[rec.Key] = rec
 	s.order = append(s.order, rec.Key)
+	s.digest = ""
 	return true, nil
 }
 
@@ -318,16 +378,30 @@ func (s *Store) Keys() []string {
 }
 
 // Digest returns the content digest of the whole store: the SHA-256 of
-// the sorted key list. Two stores holding the same cells — regardless of
-// append order, duplicates or torn tails — share a digest, which is what
-// provenance headers pin artifacts to.
+// the sorted key list, one key per line. Two stores holding the same
+// cells — regardless of append order, duplicates or torn tails — share a
+// digest, which is what provenance headers pin artifacts to. It is
+// computed once per set of keys: any Append that adds one invalidates it.
 func (s *Store) Digest() string {
-	h := sha256.New()
-	for _, k := range s.Keys() {
-		h.Write([]byte(k))
-		h.Write([]byte{'\n'})
+	s.mu.Lock()
+	digest := s.digest
+	s.mu.Unlock()
+	if digest != "" {
+		return digest
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	keys := s.Keys()
+	list := make([]byte, 0, len(keys)*(2*sha256.Size+1))
+	for _, k := range keys {
+		list = append(append(list, k...), '\n')
+	}
+	sum := sha256.Sum256(list)
+	digest = hex.EncodeToString(sum[:])
+	s.mu.Lock()
+	if len(s.order) == len(keys) { // no key added since the snapshot
+		s.digest = digest
+	}
+	s.mu.Unlock()
+	return digest
 }
 
 // Close releases the log handle. The store must not be used afterwards.

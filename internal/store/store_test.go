@@ -1,11 +1,16 @@
 package store
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -399,6 +404,168 @@ func TestDigestOrderIndependent(t *testing.T) {
 	}
 }
 
+// TestDigestFollowsAppends: Digest is remembered between calls, so an
+// Append that adds a key must change it, one that adds none must not,
+// and a reopened store must agree with the one that wrote it. It is the
+// SHA-256 of the sorted keys, one per line.
+func TestDigestFollowsAppends(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	prev := s.Digest()
+	for i := 0; i < 3; i++ {
+		rec := mustRecord(t, i, float64(i))
+		if _, err := s.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, rec.Key)
+		d := s.Digest()
+		if d == prev {
+			t.Fatalf("digest unchanged by the Append of record %d", i)
+		}
+		if again, err := s.Append(rec); err != nil || again || s.Digest() != d {
+			t.Fatalf("a repeated Append (added=%v err=%v) moved the digest", again, err)
+		}
+		prev = d
+	}
+	sort.Strings(keys)
+	sum := sha256.Sum256([]byte(strings.Join(keys, "\n") + "\n"))
+	if want := hex.EncodeToString(sum[:]); prev != want {
+		t.Fatalf("digest %s, want the SHA-256 of the sorted key lines %s", prev, want)
+	}
+	s.Close()
+	reopened, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if got := reopened.Digest(); got != prev {
+		t.Fatalf("reopened store digests to %s, the store that wrote it to %s", got, prev)
+	}
+}
+
+// TestLookupIsGetOfTheKey: a lookup by identity bytes finds exactly what
+// Get finds under their key, and a miss hands back that key.
+func TestLookupIsGetOfTheKey(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rec := mustRecord(t, 1, 1)
+	if _, err := s.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.Lookup(rec.Identity); !ok || !reflect.DeepEqual(got, rec) {
+		t.Fatalf("Lookup = %+v (found %v), want %+v", got, ok, rec)
+	}
+	missing := mustRecord(t, 2, 2)
+	if got, ok := s.Lookup(missing.Identity); ok || !reflect.DeepEqual(got, Record{Key: missing.Key}) {
+		t.Fatalf("Lookup of a missing identity = %+v (found %v), want only its key %s", got, ok, missing.Key)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.Lookup(rec.Identity) }); n != 0 {
+		t.Fatalf("a Lookup hit allocates %.0f times, want 0", n)
+	}
+}
+
+// TestConcurrentLookupAppendDigest runs what a campaign's grid workers
+// share — hits, appends and the digest memo — side by side, for -race.
+func TestConcurrentLookupAppendDigest(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const n = 32
+	recs := make([]Record, n)
+	for i := range recs {
+		recs[i] = mustRecord(t, i, float64(i))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < n; i += 4 {
+				if _, err := s.Append(recs[i]); err != nil {
+					t.Error(err)
+				}
+				for _, r := range recs[:i+1] {
+					s.Lookup(r.Identity)
+				}
+				s.Digest()
+			}
+		}(w)
+	}
+	wg.Wait()
+	want, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer want.Close()
+	for _, r := range recs {
+		if _, err := want.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Digest() != want.Digest() {
+		t.Fatalf("digest after concurrent appends %s, a serial store of the same records %s", s.Digest(), want.Digest())
+	}
+}
+
+// TestOverLongLineSkipped: a line longer than Open reads is one corrupt
+// line, not a store that cannot be opened; the records around it load,
+// the last one a line longer than the read buffer itself.
+func TestOverLongLineSkipped(t *testing.T) {
+	dir := t.TempDir()
+	first := mustRecord(t, 1, 1)
+	last, err := NewRecord("test", testIdentity{Kind: "test", N: 2}, strings.Repeat("y", 200<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := func(rec Record) []byte {
+		b, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(b, '\n')
+	}
+	log := append(line(first), bytes.Repeat([]byte("x"), 17<<20)...)
+	log = append(append(log, '\n'), line(last)...)
+	if err := os.WriteFile(filepath.Join(dir, logName), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open over a 17 MiB line: %v", err)
+	}
+	defer s.Close()
+	if s.Len() != 2 || s.Corrupt() != 1 {
+		t.Fatalf("Len=%d Corrupt=%d, want 2/1", s.Len(), s.Corrupt())
+	}
+	for _, rec := range []Record{first, last} {
+		if got, ok, _ := s.Get(rec.Key); !ok || !reflect.DeepEqual(got, rec) {
+			t.Fatalf("record %.12s… around the long line not served (found %v)", rec.Key, ok)
+		}
+	}
+}
+
+// TestLogThatIsADirectory: a store whose log is a directory does not
+// open, and says so instead of panicking.
+func TestLogThatIsADirectory(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, logName), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := Open(dir); err == nil {
+		s.Close()
+		t.Fatal("Open succeeded over a log that is a directory")
+	}
+}
+
 // TestAppendOnly asserts the core invariant directly: appends never
 // shrink the log, and prior bytes are never rewritten.
 func TestAppendOnly(t *testing.T) {
@@ -546,8 +713,12 @@ func FuzzOpenStore(f *testing.F) {
 		}
 		keys := s.Keys()
 		for _, key := range keys {
-			if got, ok, _ := s.Get(key); !ok || got.Key != key || Key(got.Identity) != key {
+			got, ok, _ := s.Get(key)
+			if !ok || got.Key != key || Key(got.Identity) != key {
 				t.Fatalf("Open serves key %s for identity %q (found %v)", key, got.Identity, ok)
+			}
+			if byIdentity, ok := s.Lookup(got.Identity); !ok || !reflect.DeepEqual(byIdentity, got) {
+				t.Fatalf("Lookup(%q) = %+v (found %v), Get(Key(identity)) = %+v", got.Identity, byIdentity, ok, got)
 			}
 		}
 		rec := mustRecord(t, len(data), 2)
