@@ -11,8 +11,7 @@
 // client-chosen traceparent, so the slowest observations print with the
 // trace ID to fetch from /debug/trace/{id}. Results (throughput, latency
 // percentiles, status counts, the server's build identity and its SLO
-// verdicts) are printed and optionally written as JSON for
-// BENCH_advisord.json.
+// verdicts) are printed and optionally written as JSON.
 package main
 
 import (

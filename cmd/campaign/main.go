@@ -13,7 +13,6 @@
 //	campaign -store .store -run paper -summary s.json
 //	campaign -store .store -artifacts out/       # emit figure tables from the store
 //	campaign -store .store -experiments EXPERIMENTS.md
-//	campaign -store .store -bench BENCH_store.json
 //
 // Artifacts are emitted strictly from the store (a missing cell is an
 // error, not a recompute, and emission never writes to the store) with
@@ -41,12 +40,11 @@ func main() {
 	summaryPath := flag.String("summary", "", "write the run summary JSON here")
 	artifactsDir := flag.String("artifacts", "", "emit every paper artifact from the store into this directory")
 	experimentsPath := flag.String("experiments", "", "regenerate EXPERIMENTS.md from the store at this path")
-	benchPath := flag.String("bench", "", "run the paper campaign cold then warm against the store and write the comparison JSON here")
 	list := flag.Bool("list", false, "list declared campaigns and exit")
 	flag.Parse()
 
 	if err := mainErr(os.Stdout, *storeDir, *run, *workers, *maxCells,
-		*summaryPath, *artifactsDir, *experimentsPath, *benchPath, *list); err != nil {
+		*summaryPath, *artifactsDir, *experimentsPath, *list); err != nil {
 		fmt.Fprintf(os.Stderr, "campaign: %v\n", err)
 		if errors.Is(err, campaign.ErrInterrupted) {
 			os.Exit(3)
@@ -56,13 +54,13 @@ func main() {
 }
 
 func mainErr(w io.Writer, storeDir, run string, workers, maxCells int,
-	summaryPath, artifactsDir, experimentsPath, benchPath string, list bool) error {
+	summaryPath, artifactsDir, experimentsPath string, list bool) error {
 
 	if list {
 		return printList(w)
 	}
-	if run == "" && artifactsDir == "" && experimentsPath == "" && benchPath == "" {
-		return fmt.Errorf("nothing to do: pass -run, -artifacts, -experiments, -bench or -list")
+	if run == "" && artifactsDir == "" && experimentsPath == "" {
+		return fmt.Errorf("nothing to do: pass -run, -artifacts, -experiments or -list")
 	}
 
 	st, err := store.Open(storeDir)
@@ -72,10 +70,6 @@ func mainErr(w io.Writer, storeDir, run string, workers, maxCells int,
 	defer st.Close()
 	if n := st.Corrupt(); n > 0 {
 		fmt.Fprintf(w, "store: skipped %d torn or mis-keyed line(s); the affected cells will be recomputed\n", n)
-	}
-
-	if benchPath != "" {
-		return bench(w, st, workers, benchPath)
 	}
 
 	var runErr error
@@ -139,55 +133,6 @@ func printSummary(w io.Writer, sum campaign.Summary) {
 	if sum.Interrupted {
 		fmt.Fprintln(w, "interrupted by cell budget — re-run to resume with zero lost work")
 	}
-}
-
-// benchResult is the BENCH_store.json schema: the cold-vs-warm evidence
-// that the store never computes a cell twice.
-type benchResult struct {
-	Campaign     string  `json:"campaign"`
-	Workers      int     `json:"workers"`
-	ColdWallS    float64 `json:"cold_wall_s"`
-	ColdComputed int     `json:"cold_computed"`
-	WarmWallS    float64 `json:"warm_wall_s"`
-	WarmComputed int     `json:"warm_computed"`
-	WarmHits     int     `json:"warm_hits"`
-	Speedup      float64 `json:"speedup"`
-	StoreRecords int     `json:"store_records"`
-	StoreDigest  string  `json:"store_digest"`
-}
-
-// bench runs the paper campaign against the store twice — the first run
-// computes whatever is missing (cold when the store is fresh), the
-// second must compute nothing — and records the wall-clock ratio.
-func bench(w io.Writer, st *store.Store, workers int, path string) error {
-	c := campaign.Paper()
-	opt := campaign.RunOptions{Workers: workers}
-	cold, err := campaign.Run(c, st, opt)
-	if err != nil {
-		return err
-	}
-	warm, err := campaign.Run(c, st, opt)
-	if err != nil {
-		return err
-	}
-	if warm.ComputedTotal != 0 {
-		return fmt.Errorf("warm run computed %d cells, want 0 — store memoization broken", warm.ComputedTotal)
-	}
-	res := benchResult{
-		Campaign:     c.Name,
-		Workers:      opt.Workers,
-		ColdWallS:    cold.RunWallS,
-		ColdComputed: cold.ComputedTotal,
-		WarmWallS:    warm.RunWallS,
-		WarmComputed: warm.ComputedTotal,
-		WarmHits:     warm.HitsTotal,
-		Speedup:      cold.RunWallS / warm.RunWallS,
-		StoreRecords: warm.StoreRecords,
-		StoreDigest:  warm.StoreDigest,
-	}
-	fmt.Fprintf(w, "cold: %.3fs (%d computed)  warm: %.6fs (%d computed, %d hits)  speedup %.0f×\n",
-		res.ColdWallS, res.ColdComputed, res.WarmWallS, res.WarmComputed, res.WarmHits, res.Speedup)
-	return writeJSON(path, res)
 }
 
 func writeJSON(path string, v any) error {

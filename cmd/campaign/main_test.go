@@ -17,7 +17,7 @@ import (
 // stage breakdown, no store required.
 func TestList(t *testing.T) {
 	var buf bytes.Buffer
-	if err := mainErr(&buf, "", "", 1, 0, "", "", "", "", true); err != nil {
+	if err := mainErr(&buf, "", "", 1, 0, "", "", "", true); err != nil {
 		t.Fatalf("-list: %v", err)
 	}
 	out := buf.String()
@@ -30,7 +30,7 @@ func TestList(t *testing.T) {
 
 // TestNothingToDo pins the usage error when no action flag is given.
 func TestNothingToDo(t *testing.T) {
-	err := mainErr(io.Discard, t.TempDir(), "", 1, 0, "", "", "", "", false)
+	err := mainErr(io.Discard, t.TempDir(), "", 1, 0, "", "", "", false)
 	if err == nil || !strings.Contains(err.Error(), "nothing to do") {
 		t.Fatalf("no action: err = %v, want 'nothing to do'", err)
 	}
@@ -38,7 +38,7 @@ func TestNothingToDo(t *testing.T) {
 
 // TestUnknownCampaign pins the lookup error for a bad -run value.
 func TestUnknownCampaign(t *testing.T) {
-	err := mainErr(io.Discard, t.TempDir(), "nope", 1, 0, "", "", "", "", false)
+	err := mainErr(io.Discard, t.TempDir(), "nope", 1, 0, "", "", "", false)
 	if err == nil || !strings.Contains(err.Error(), "nope") {
 		t.Fatalf("unknown campaign: err = %v, want it to name 'nope'", err)
 	}
@@ -53,7 +53,7 @@ func TestRunScalingWritesSummary(t *testing.T) {
 	summary := filepath.Join(dir, "summary.json")
 
 	var buf bytes.Buffer
-	if err := mainErr(&buf, storeDir, "scaling", 2, 0, summary, "", "", "", false); err != nil {
+	if err := mainErr(&buf, storeDir, "scaling", 2, 0, summary, "", "", false); err != nil {
 		t.Fatalf("cold scaling run: %v", err)
 	}
 	var sum campaign.Summary
@@ -69,7 +69,7 @@ func TestRunScalingWritesSummary(t *testing.T) {
 	}
 
 	buf.Reset()
-	if err := mainErr(&buf, storeDir, "scaling", 2, 0, summary, "", "", "", false); err != nil {
+	if err := mainErr(&buf, storeDir, "scaling", 2, 0, summary, "", "", false); err != nil {
 		t.Fatalf("warm scaling run: %v", err)
 	}
 	b, err = os.ReadFile(summary)
@@ -87,7 +87,7 @@ func TestRunScalingWritesSummary(t *testing.T) {
 	// Budget interruption on a fresh store: the error is ErrInterrupted
 	// (the exit-3 path) and the summary still lands on disk.
 	budgetStore := filepath.Join(dir, "budget")
-	err = mainErr(io.Discard, budgetStore, "scaling", 1, 5, summary, "", "", "", false)
+	err = mainErr(io.Discard, budgetStore, "scaling", 1, 5, summary, "", "", false)
 	if !errors.Is(err, campaign.ErrInterrupted) {
 		t.Fatalf("budgeted run: err = %v, want ErrInterrupted", err)
 	}

@@ -2,7 +2,8 @@
 // cluster — the full §4 pipeline: per-node communicators, designated
 // monitoring ranks, PAPI powercap counters around the distributed solve —
 // and writes one human-readable energy file per processor, exactly as the
-// paper's framework does.
+// paper's framework does. The run is core.RunMonitoredInstrumented's
+// compute-phase run: the counters cover the solve, not the allocation.
 //
 // Usage:
 //
@@ -18,19 +19,16 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sync"
 
 	"repro/internal/cluster"
-	"repro/internal/ime"
-	"repro/internal/kernel"
-	"repro/internal/mat"
+	"repro/internal/core"
 	"repro/internal/monitor"
-	"repro/internal/mpi"
 	"repro/internal/perfmodel"
-	"repro/internal/scalapack"
 )
 
 func main() {
@@ -45,13 +43,13 @@ func main() {
 	metricsPath := flag.String("metrics", "", "write a Prometheus text exposition to this file")
 	flag.Parse()
 
-	if err := run(*algName, *n, *ranks, *placement, *seed, *nb, *outdir, *tracePath, *metricsPath); err != nil {
+	if err := run(os.Stdout, *algName, *n, *ranks, *placement, *seed, *nb, *outdir, *tracePath, *metricsPath); err != nil {
 		fmt.Fprintf(os.Stderr, "energymon: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(algName string, n, ranks int, placement string, seed int64, nb int, outdir, tracePath, metricsPath string) error {
+func run(stdout io.Writer, algName string, n, ranks int, placement string, seed int64, nb int, outdir, tracePath, metricsPath string) error {
 	var alg perfmodel.Algorithm
 	switch algName {
 	case "ime":
@@ -85,61 +83,28 @@ func run(algName string, n, ranks int, placement string, seed int64, nb int, out
 	default:
 		return fmt.Errorf("unknown placement %q", placement)
 	}
-	cfg, err := cluster.NewConfig(ranks, pl, spec)
-	if err != nil {
-		return err
-	}
-	if ranks > n {
-		return fmt.Errorf("%d ranks exceed order %d", ranks, n)
-	}
-	if err := os.MkdirAll(outdir, 0o755); err != nil {
-		return err
-	}
 
-	sys := mat.NewRandomSystem(n, seed)
-	w, err := mpi.NewWorld(ranks, mpi.Options{Config: &cfg})
-	if err != nil {
-		return err
-	}
+	// Every file is written after the run: a failed run leaves none behind.
+	var inst core.Instrumentation
+	var trace, metrics bytes.Buffer
 	if tracePath != "" {
-		w.EnableTracing()
+		inst.TraceW = &trace
 	}
 	if metricsPath != "" {
-		kernel.EnableMetrics(w.EnableMetrics())
+		inst.MetricsW = &metrics
 	}
-	var mu sync.Mutex
-	var reports []monitor.NodeReport
-	err = w.Run(func(p *mpi.Proc) error {
-		s, err := monitor.Setup(p, p.World())
-		if err != nil {
-			return err
-		}
-		if err := s.StartMonitoring(); err != nil {
-			return err
-		}
-		x, err := solve(p, alg, sys, nb)
-		if err != nil {
-			return err
-		}
-		rep, err := s.StopMonitoring()
-		if err != nil {
-			return err
-		}
-		all, err := monitor.CollectReports(p, p.World(), rep)
-		if err != nil {
-			return err
-		}
-		if p.Rank() == 0 {
-			mu.Lock()
-			reports = all
-			mu.Unlock()
-			if rr := mat.RelativeResidual(sys.A, x, sys.B); rr > 1e-9 {
-				return fmt.Errorf("solution residual %g too large", rr)
-			}
-		}
-		return nil
-	})
+	e := core.Experiment{
+		Algorithm: alg, N: n, Ranks: ranks, Placement: pl, Seed: seed,
+		Phase: core.PhaseCompute, BlockSize: nb,
+	}
+	m, reports, st, err := core.RunMonitoredInstrumented(e, inst)
 	if err != nil {
+		return err
+	}
+	if m.Residual > 1e-9 {
+		return fmt.Errorf("solution residual %g too large", m.Residual)
+	}
+	if err := os.MkdirAll(outdir, 0o755); err != nil {
 		return err
 	}
 
@@ -148,7 +113,7 @@ func run(algName string, n, ranks int, placement string, seed int64, nb int, out
 		if err != nil {
 			return err
 		}
-		fmt.Printf("node %d: %.3f J over %.6f s (%.1f W) → %s\n",
+		fmt.Fprintf(stdout, "node %d: %.3f J over %.6f s (%.1f W) → %s\n",
 			reports[i].Node, reports[i].TotalJoules(), reports[i].ElapsedS,
 			reports[i].AvgPowerW(), path)
 	}
@@ -157,61 +122,20 @@ func run(algName string, n, ranks int, placement string, seed int64, nb int, out
 	if err != nil {
 		return err
 	}
-	fmt.Printf("run: %s %s on %s — %.3f J, %.6f s, avg %.1f W across %d nodes → %s\n",
-		alg, fmt.Sprintf("n=%d", n), cfg.Label(), sum.TotalJ, sum.DurationS, sum.AvgPowerW(), sum.Nodes, path)
-
+	fmt.Fprintf(stdout, "run: %s %s on %s — %.3f J, %.6f s, avg %.1f W across %d nodes → %s\n",
+		alg, fmt.Sprintf("n=%d", n), m.Config.Label(), sum.TotalJ, sum.DurationS, sum.AvgPowerW(), sum.Nodes, path)
 	if tracePath != "" {
-		if err := writeTrace(w, tracePath); err != nil {
+		if err := os.WriteFile(tracePath, trace.Bytes(), 0o644); err != nil {
 			return err
 		}
-		st, err := mpi.AnalyzeSpans(w.Spans())
-		if err != nil {
-			return err
-		}
-		fmt.Printf("trace: %d spans → %s (critical path %.6f s of %.6f s makespan)\n",
-			len(w.Spans()), tracePath, st.CriticalS, st.Makespan)
+		fmt.Fprintf(stdout, "trace: %s (critical path %.6f s of %.6f s makespan)\n",
+			tracePath, st.CriticalS, st.Makespan)
 	}
 	if metricsPath != "" {
-		if err := writeMetrics(w, metricsPath); err != nil {
+		if err := os.WriteFile(metricsPath, metrics.Bytes(), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("metrics: %s\n", metricsPath)
+		fmt.Fprintf(stdout, "metrics: %s\n", metricsPath)
 	}
 	return nil
-}
-
-// writeTrace exports the recorded spans and RAPL counter tracks.
-func writeTrace(w *mpi.World, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := w.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeMetrics snapshots final energies and exports the registry.
-func writeMetrics(w *mpi.World, path string) error {
-	w.SnapshotEnergyMetrics()
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := w.MetricsRegistry().WritePrometheus(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func solve(p *mpi.Proc, alg perfmodel.Algorithm, sys *mat.System, nb int) ([]float64, error) {
-	switch alg {
-	case perfmodel.IMe:
-		return ime.SolveParallel(p, p.World(), sys, ime.ParallelOptions{ChargeCosts: true})
-	default:
-		return scalapack.Pdgesv(p, p.World(), sys, scalapack.ParallelOptions{BlockSize: nb, ChargeCosts: true})
-	}
 }

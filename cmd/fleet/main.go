@@ -1,14 +1,14 @@
 // Command fleet runs the energy-aware multi-tenant batch scheduler
 // (internal/sched) over a workload trace on a simulated Marconi A3
-// fleet, and writes the deterministic fleet report, the per-node
-// Perfetto timeline and the scheduler benchmark artifact.
+// fleet, and writes the deterministic fleet report and the per-node
+// Perfetto timeline.
 //
 // Usage:
 //
 //	fleet -synthetic 200 -seed 1 -nodes 1024 -budget-w 250000   # seeded trace
 //	fleet -workload trace.json -mtbf 3600 -policy energy-aware  # replay a file
 //	fleet -synthetic 48 -trace fleet.trace.json                 # Perfetto timeline
-//	fleet -synthetic 200 -nodes 1024 -bench BENCH_fleet.json    # vs FCFS baseline
+//	fleet -synthetic 200 -nodes 1024 -policy fcfs -out f.json   # FCFS baseline
 //
 // Determinism is the contract: the same seed and workload produce
 // byte-identical reports, accounting and timelines at every -j and
@@ -16,11 +16,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"repro/internal/sched"
@@ -43,12 +41,11 @@ func main() {
 		storeDir     = flag.String("store", "", "experiment store directory: memoize exact predictions across runs")
 		outPath      = flag.String("out", "", "write the fleet report here (default stdout)")
 		tracePath    = flag.String("trace", "", "write the per-node Perfetto timeline here")
-		benchPath    = flag.String("bench", "", "run energy-aware AND fcfs, write the comparison artifact here")
 	)
 	flag.Parse()
 
 	if err := run(*workloadPath, *synthetic, *seed, *nodes, *budgetW, *mtbf, *faultSeed,
-		*policyName, *workers, *useSurrogate, *storeDir, *outPath, *tracePath, *benchPath); err != nil {
+		*policyName, *workers, *useSurrogate, *storeDir, *outPath, *tracePath); err != nil {
 		fmt.Fprintln(os.Stderr, "fleet:", err)
 		os.Exit(1)
 	}
@@ -56,7 +53,7 @@ func main() {
 
 func run(workloadPath string, synthetic int, seed int64, nodes int, budgetW, mtbf float64,
 	faultSeed int64, policyName string, workers int, useSurrogate bool,
-	storeDir, outPath, tracePath, benchPath string) error {
+	storeDir, outPath, tracePath string) error {
 	var w sched.Workload
 	switch {
 	case workloadPath != "" && synthetic > 0:
@@ -104,10 +101,6 @@ func run(workloadPath string, synthetic int, seed int64, nodes int, budgetW, mtb
 		cfg.Store = st
 	}
 
-	if benchPath != "" {
-		return bench(cfg, w, benchPath)
-	}
-
 	t0 := time.Now()
 	o, err := sched.Simulate(cfg, w)
 	if err != nil {
@@ -146,103 +139,5 @@ func run(workloadPath string, synthetic int, seed int64, nodes int, budgetW, mtb
 	if storeDir != "" && o.StoreHits+o.StoreComputed > 0 {
 		fmt.Fprintf(os.Stderr, "fleet: store: %d predictions resumed, %d computed\n", o.StoreHits, o.StoreComputed)
 	}
-	return nil
-}
-
-// benchArtifact is the BENCH_fleet.json envelope: the energy-aware
-// scheduler against the energy-oblivious FCFS baseline on one workload.
-type benchArtifact struct {
-	Description string       `json:"description"`
-	GOOS        string       `json:"goos"`
-	GOARCH      string       `json:"goarch"`
-	GOMAXPROCS  int          `json:"gomaxprocs"`
-	Workload    benchWork    `json:"workload"`
-	EnergyAware benchRun     `json:"energy_aware"`
-	FCFS        benchRun     `json:"fcfs_baseline"`
-	Savings     benchSavings `json:"savings"`
-}
-
-type benchWork struct {
-	Seed         int64   `json:"seed"`
-	Jobs         int     `json:"jobs"`
-	Nodes        int     `json:"nodes"`
-	PowerBudgetW float64 `json:"power_budget_w"`
-	MTBFS        float64 `json:"mtbf_s"`
-}
-
-type benchRun struct {
-	WallMS         float64 `json:"wall_ms"`
-	JobsPerSec     float64 `json:"jobs_per_sec"`
-	MakespanS      float64 `json:"makespan_s"`
-	TotalEnergyJ   float64 `json:"total_energy_j"`
-	PeakPowerW     float64 `json:"peak_power_w"`
-	UtilizationPct float64 `json:"utilization_pct"`
-	MeanWaitS      float64 `json:"mean_wait_s"`
-	Backfills      int     `json:"backfills"`
-	ScheduleDigest string  `json:"schedule_digest"`
-}
-
-type benchSavings struct {
-	EnergyPct   float64 `json:"energy_pct"`
-	MakespanPct float64 `json:"makespan_pct"`
-}
-
-func bench(cfg sched.Config, w sched.Workload, path string) error {
-	runOne := func(policy sched.Policy) (benchRun, error) {
-		c := cfg
-		c.Policy = policy
-		t0 := time.Now()
-		o, err := sched.Simulate(c, w)
-		if err != nil {
-			return benchRun{}, err
-		}
-		wall := time.Since(t0)
-		r := o.Report
-		return benchRun{
-			WallMS:         float64(wall.Microseconds()) / 1e3,
-			JobsPerSec:     float64(len(r.Jobs)) / wall.Seconds(),
-			MakespanS:      r.MakespanS,
-			TotalEnergyJ:   r.TotalEnergyJ,
-			PeakPowerW:     r.PeakPowerW,
-			UtilizationPct: r.UtilizationPct,
-			MeanWaitS:      r.MeanWaitS,
-			Backfills:      r.Backfills,
-			ScheduleDigest: r.ScheduleDigest,
-		}, nil
-	}
-	aware, err := runOne(sched.EnergyAware)
-	if err != nil {
-		return err
-	}
-	base, err := runOne(sched.FCFSBaseline)
-	if err != nil {
-		return err
-	}
-	art := benchArtifact{
-		Description: "Energy-aware batch scheduler vs energy-oblivious FCFS baseline on one seeded synthetic workload (cmd/fleet -bench). Schedules and energies are deterministic (the digests pin them); wall times and jobs/sec are machine-dependent — regenerate on the target machine before comparing.",
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Workload: benchWork{
-			Seed: w.Seed, Jobs: len(w.Jobs), Nodes: cfg.Nodes,
-			PowerBudgetW: cfg.PowerBudgetW, MTBFS: cfg.MTBF,
-		},
-		EnergyAware: aware,
-		FCFS:        base,
-		Savings: benchSavings{
-			EnergyPct:   100 * (base.TotalEnergyJ - aware.TotalEnergyJ) / base.TotalEnergyJ,
-			MakespanPct: 100 * (base.MakespanS - aware.MakespanS) / base.MakespanS,
-		},
-	}
-	b, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "fleet: bench: energy-aware %.1f kJ vs fcfs %.1f kJ (%.1f%% saved), makespan %.1fs vs %.1fs, %.0f vs %.0f jobs/s -> %s\n",
-		aware.TotalEnergyJ/1e3, base.TotalEnergyJ/1e3, art.Savings.EnergyPct,
-		aware.MakespanS, base.MakespanS, aware.JobsPerSec, base.JobsPerSec, path)
 	return nil
 }

@@ -15,12 +15,8 @@
 // concurrently under one worker budget; emission stays in the canonical
 // order, making the output byte-identical to a serial run for every N.
 //
-// The observability flags additionally execute one monitored reference
-// experiment (IMe, n=96, 24 ranks, half-load-2-sockets) on the simulated
-// cluster with the telemetry layer on, stream its artifacts and print the
-// per-rank activity / critical-path analysis:
-//
-//	lsbench -figure table1 -trace t.json -metrics m.prom
+// A monitored run's trace and metrics come from cmd/energymon (-trace,
+// -metrics); cmd/tracestats analyses the trace.
 package main
 
 import (
@@ -32,7 +28,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/perfmodel"
@@ -47,8 +42,6 @@ func main() {
 	capW := flag.Float64("cap", 0, "RAPL package power cap in watts (0 = uncapped)")
 	nb := flag.Int("nb", 0, "ScaLAPACK block size (default 64)")
 	outdir := flag.String("out", "", "also store each artifact as a file under this directory")
-	tracePath := flag.String("trace", "", "run an instrumented reference experiment and write its Perfetto trace JSON here")
-	metricsPath := flag.String("metrics", "", "run an instrumented reference experiment and write its Prometheus exposition here")
 	workers := flag.Int("j", 1, "concurrent artifact builders (0 = GOMAXPROCS); output is identical for every value")
 	storeDir := flag.String("store", "", "experiment store directory: reuse stored cells and persist computed ones (output is identical with or without)")
 	faults := flag.Bool("faults", false, "additionally build the resilience artifact: both solvers under a seed-driven crash schedule")
@@ -70,71 +63,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lsbench: %v\n", err)
 		os.Exit(1)
 	}
-	if *tracePath != "" || *metricsPath != "" {
-		if err := runInstrumented(os.Stdout, *tracePath, *metricsPath); err != nil {
-			fmt.Fprintf(os.Stderr, "lsbench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-}
-
-// runInstrumented executes the reference monitored experiment with the
-// telemetry layer enabled and reports the trace analysis.
-func runInstrumented(w io.Writer, tracePath, metricsPath string) error {
-	var inst core.Instrumentation
-	var files []*os.File
-	open := func(path string) (*os.File, error) {
-		f, err := os.Create(path)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-		return f, nil
-	}
-	defer func() {
-		for _, f := range files {
-			f.Close()
-		}
-	}()
-	if tracePath != "" {
-		f, err := open(tracePath)
-		if err != nil {
-			return err
-		}
-		inst.TraceW = f
-	}
-	if metricsPath != "" {
-		f, err := open(metricsPath)
-		if err != nil {
-			return err
-		}
-		inst.MetricsW = f
-	}
-	e := core.Experiment{
-		Algorithm: perfmodel.IMe,
-		N:         96,
-		Ranks:     24,
-		Placement: cluster.HalfLoadTwoSockets,
-		Seed:      1,
-	}
-	m, st, err := core.RunMonitoredInstrumented(e, inst)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "reference run: %s n=%d ranks=%d — %.3f J, %.6f s\n",
-		e.Algorithm, e.N, e.Ranks, m.TotalJ, m.DurationS)
-	if st != nil {
-		if err := st.WriteReport(w); err != nil {
-			return err
-		}
-	}
-	for _, f := range files {
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	files = nil
-	return nil
 }
 
 // faultsConfig carries the resilience artifact's flags. The artifact is

@@ -1,5 +1,5 @@
 // Command tracestats analyses a trace recorded by the simulated MPI
-// runtime (energymon/lsbench -trace, or mpi.World.WriteChromeTrace): it
+// runtime (energymon -trace, or mpi.World.WriteChromeTrace): it
 // reports each rank's compute/communication/wait breakdown and the
 // critical path through the virtual-time DAG — the chain of compute spans
 // and matched send→recv pairs that bounds the makespan.

@@ -160,27 +160,28 @@ type Instrumentation struct {
 // generated from the experiment seed (standing in for the paper's input
 // files). Feasible for small N and rank counts.
 func RunMonitored(e Experiment) (Measurement, error) {
-	m, _, err := RunMonitoredInstrumented(e, Instrumentation{})
+	m, _, _, err := RunMonitoredInstrumented(e, Instrumentation{})
 	return m, err
 }
 
 // RunMonitoredInstrumented is RunMonitored with the telemetry layer
 // switched on: it additionally streams the requested artifacts and, when
 // tracing is enabled, returns the critical-path analysis of the recorded
-// spans. Collection is passive — simulated durations, energies and the
-// solution are identical to RunMonitored's.
-func RunMonitoredInstrumented(e Experiment, inst Instrumentation) (Measurement, *mpi.TraceStats, error) {
+// spans. It also returns the per-node reports the measurement sums, one
+// per node in node order. Collection is passive — simulated durations,
+// energies and the solution are identical to RunMonitored's.
+func RunMonitoredInstrumented(e Experiment, inst Instrumentation) (Measurement, []monitor.NodeReport, *mpi.TraceStats, error) {
 	cfg, err := e.resolveConfig(cluster.MarconiA3())
 	if err != nil {
-		return Measurement{}, nil, err
+		return Measurement{}, nil, nil, err
 	}
 	if e.Ranks > e.N {
-		return Measurement{}, nil, fmt.Errorf("core: %d ranks exceed order %d", e.Ranks, e.N)
+		return Measurement{}, nil, nil, fmt.Errorf("core: %d ranks exceed order %d", e.Ranks, e.N)
 	}
 	sys := mat.CachedSystem(e.N, e.Seed)
 	w, err := mpi.NewWorld(e.Ranks, mpi.Options{Config: &cfg})
 	if err != nil {
-		return Measurement{}, nil, err
+		return Measurement{}, nil, nil, err
 	}
 	if inst.TraceW != nil {
 		w.EnableTracing()
@@ -234,7 +235,7 @@ func RunMonitoredInstrumented(e Experiment, inst Instrumentation) (Measurement, 
 		return nil
 	})
 	if err != nil {
-		return Measurement{}, nil, err
+		return Measurement{}, nil, nil, err
 	}
 
 	sum := monitor.Summarize(reports)
@@ -254,20 +255,20 @@ func RunMonitoredInstrumented(e Experiment, inst Instrumentation) (Measurement, 
 	var ts *mpi.TraceStats
 	if inst.TraceW != nil {
 		if err := w.WriteChromeTrace(inst.TraceW); err != nil {
-			return Measurement{}, nil, fmt.Errorf("core: write trace: %w", err)
+			return Measurement{}, nil, nil, fmt.Errorf("core: write trace: %w", err)
 		}
 		ts, err = mpi.AnalyzeSpans(w.Spans())
 		if err != nil {
-			return Measurement{}, nil, fmt.Errorf("core: analyze trace: %w", err)
+			return Measurement{}, nil, nil, fmt.Errorf("core: analyze trace: %w", err)
 		}
 	}
 	if inst.MetricsW != nil {
 		w.SnapshotEnergyMetrics()
 		if err := w.MetricsRegistry().WritePrometheus(inst.MetricsW); err != nil {
-			return Measurement{}, nil, fmt.Errorf("core: write metrics: %w", err)
+			return Measurement{}, nil, nil, fmt.Errorf("core: write metrics: %w", err)
 		}
 	}
-	return m, ts, nil
+	return m, reports, ts, nil
 }
 
 // allocationShareBytes is the table memory one rank first-touches.

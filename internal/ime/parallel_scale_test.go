@@ -1,10 +1,13 @@
 package ime
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/mat"
+	"repro/internal/mpi"
 )
 
 // TestParallelLargeWorldSolve drives a 96-rank world end to end — the CI
@@ -40,5 +43,39 @@ func TestParallelLargeWorldSolve(t *testing.T) {
 		} else if msgs == 0 || vol == 0 {
 			t.Fatal("overlap run counted no traffic")
 		}
+	}
+}
+
+// BenchmarkWorldSolve measures a small fixed solve (one table row per
+// rank) through the full runtime at the paper's strong-scaling rank
+// counts: construction, rank goroutines, message matching, barrier merges
+// and energy accounting. The 1296-rank case is skipped under -short so
+// the CI smoke step stays fast.
+func BenchmarkWorldSolve(b *testing.B) {
+	for _, ranks := range []int{144, 576, 1296} {
+		b.Run(fmt.Sprintf("ranks=%d", ranks), func(b *testing.B) {
+			if testing.Short() && ranks > 576 {
+				b.Skip("skipping paper-scale solve under -short")
+			}
+			cfg, err := cluster.NewConfig(ranks, cluster.FullLoad, cluster.MarconiA3())
+			if err != nil {
+				b.Fatal(err)
+			}
+			sys := mat.NewRandomSystem(ranks, int64(ranks))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w, err := mpi.NewWorld(ranks, mpi.Options{Config: &cfg})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := w.Run(func(p *mpi.Proc) error {
+					_, err := SolveParallel(p, p.World(), sys, ParallelOptions{ChargeCosts: true})
+					return err
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

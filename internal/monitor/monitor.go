@@ -18,7 +18,7 @@
 //     file per processor (file_management), then PAPI is torn down.
 //
 // The synchronization barriers are the framework's deliberate accuracy/
-// overhead trade-off; BenchmarkMonitoringOverhead quantifies it.
+// overhead trade-off; the bench suite's monitor.overhead_ms quantifies it.
 package monitor
 
 import (

@@ -3,6 +3,8 @@ package mpi
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/cluster"
 )
 
 // benchmarkSendRecv drives a 2-rank ping stream through the runtime; the
@@ -65,6 +67,27 @@ func BenchmarkBufPoolRoundTrip(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				PutBuf(GetBuf(n))
+			}
+		})
+	}
+}
+
+// BenchmarkWorldSetup measures bare world construction at the paper's
+// strong-scaling rank counts (Table 1): mailbox and accounting state for a
+// full-load placement, no ranks started.
+func BenchmarkWorldSetup(b *testing.B) {
+	for _, ranks := range []int{144, 576, 1296} {
+		b.Run(fmt.Sprintf("ranks=%d", ranks), func(b *testing.B) {
+			cfg, err := cluster.NewConfig(ranks, cluster.FullLoad, cluster.MarconiA3())
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewWorld(ranks, Options{Config: &cfg}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

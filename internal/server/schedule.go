@@ -12,7 +12,7 @@ import (
 )
 
 // maxScheduleJobs bounds the jobs of one fleet-scheduling request: twice
-// the 240-job workload BENCH_fleet.json records, while keeping one
+// the 240-job workload the fleet CI step compares, while keeping one
 // simulation comfortably inside the sweep SLO's latency bound. The fleet
 // size has its own bound, sched.MaxNodes.
 const maxScheduleJobs = 512

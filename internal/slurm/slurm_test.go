@@ -288,3 +288,35 @@ func TestNodeSetGrantsStayDisjointAndOrdered(t *testing.T) {
 		jobs = append(jobs, a.JobID)
 	}
 }
+
+// BenchmarkSlurmSubmitRelease measures the fleet allocator at scale: one
+// submit + release of a 12-node job on a 4096-node machine that is kept
+// half busy (the fleet simulator's steady state). The bitmap free-set
+// makes each op O(nodes granted).
+func BenchmarkSlurmSubmitRelease(b *testing.B) {
+	machine := &cluster.MachineSpec{
+		Name: "fleet-4096", TotalNodes: 4096, SocketsPerNode: 2,
+		CoresPerSocket: 24, MemPerNodeGB: 192, ClockGHz: 2.1,
+	}
+	s, err := NewScheduler(machine)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := JobSpec{Ranks: 576, Placement: cluster.FullLoad} // 12 nodes
+	for s.FreeNodes() > machine.TotalNodes/2 {
+		if _, err := s.Submit(spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a, err := s.Submit(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Release(a.JobID); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
