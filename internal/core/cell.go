@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/canon"
 	"repro/internal/grid"
+	"repro/internal/perfmodel"
 	"repro/internal/rapl"
 	"repro/internal/store"
 )
@@ -166,12 +167,20 @@ func runBoth[M any, C Cell[M]](st *store.Store, a, b C) (ma, mb M, computed int,
 // budget; a strict emitter's refuses, so a miss is an error and nothing
 // is computed or appended. The evaluator counts the cells it computed and
 // the ones the store served; it is safe for concurrent use.
+//
+// The analytic cells it computes share one schedule-replay memo, so each
+// distinct schedule is replayed once per evaluator whatever its stages
+// vary around it (placement, power cap, repetition). The memo lives and
+// dies with the evaluator: a campaign run, an lsbench invocation or an
+// artifact emission each start cold, and a cell computed outside an
+// evaluator replays its schedule every time.
 type Evaluator struct {
 	Store  *store.Store
 	Runner *grid.Runner
 	Admit  func() error
 
 	computed, hits atomic.Int64
+	replays        perfmodel.Replays
 }
 
 // Counts returns how many cells the evaluator has computed and how many
@@ -217,24 +226,25 @@ func (s CellSet[R]) Run(ev *Evaluator) error {
 func (s CellSet[R]) Collect(ev *Evaluator) (R, error) { return s.eval(ev, true) }
 
 // gridCells is the set of one independent cell per key, evaluated on the
-// evaluator's workers; build turns the collected results, by key, into
+// evaluator's workers; cell builds a key's cell for the evaluator that
+// evaluates it, and build turns the collected results, by key, into
 // the set's result. A store hit restores exactly what the compute path
 // produces, so the map is identical for every (store, worker budget)
 // combination — which is what keeps figure artifacts byte-identical
 // across serial, parallel, cold and warm runs. Running the set collects
 // nothing: a stage only needs its cells to exist, and the map costs ~90
 // allocations per 72-cell grid on every warm campaign replay.
-func gridCells[K comparable, M any, C Cell[M], R any](keys []K, cell func(K) C, build func(map[K]M) R) CellSet[R] {
+func gridCells[K comparable, M any, C Cell[M], R any](keys []K, cell func(*Evaluator, K) C, build func(map[K]M) R) CellSet[R] {
 	return CellSet[R]{n: len(keys), eval: func(ev *Evaluator, keep bool) (r R, err error) {
 		if !keep {
 			_, err := grid.Map(ev.Runner, len(keys), func(i int) (struct{}, error) {
-				_, err := evaluate(ev, keys[i], cell(keys[i]))
+				_, err := evaluate(ev, keys[i], cell(ev, keys[i]))
 				return struct{}{}, err
 			})
 			return r, err
 		}
 		ms, err := grid.Map(ev.Runner, len(keys), func(i int) (M, error) {
-			return evaluate(ev, keys[i], cell(keys[i]))
+			return evaluate(ev, keys[i], cell(ev, keys[i]))
 		})
 		if err != nil {
 			return r, err

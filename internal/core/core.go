@@ -118,11 +118,17 @@ func (e Experiment) resolveConfig(spec *cluster.MachineSpec) (cluster.Config, er
 
 // RunAnalytic models the experiment at paper scale.
 func RunAnalytic(e Experiment, prm perfmodel.Params) (Measurement, error) {
+	return runAnalytic(e, prm, nil)
+}
+
+// runAnalytic is RunAnalytic through a replay memo; a nil memo replays
+// the schedule afresh.
+func runAnalytic(e Experiment, prm perfmodel.Params, replays *perfmodel.Replays) (Measurement, error) {
 	cfg, err := e.resolveConfig(cluster.MarconiA3())
 	if err != nil {
 		return Measurement{}, err
 	}
-	res, err := perfmodel.Run(e.Algorithm, e.N, cfg, analyticParams(e, prm))
+	res, err := replays.Run(e.Algorithm, e.N, cfg, analyticParams(e, prm))
 	if err != nil {
 		return Measurement{}, err
 	}

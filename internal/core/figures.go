@@ -59,7 +59,9 @@ func SweepKeys() []SweepKey {
 func SweepCells(keys []SweepKey, prm perfmodel.Params) CellSet[*Sweep] {
 	model := renderModel(prm)
 	return gridCells(keys,
-		func(k SweepKey) AnalyticCell { return AnalyticCell{E: k.Experiment(), Params: prm, model: model} },
+		func(ev *Evaluator, k SweepKey) AnalyticCell {
+			return AnalyticCell{E: k.Experiment(), Params: prm, model: model, replays: &ev.replays}
+		},
 		func(ms map[SweepKey]Measurement) *Sweep { return &Sweep{Params: prm, Measurements: ms} })
 }
 

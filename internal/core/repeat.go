@@ -13,7 +13,9 @@ import (
 // repetitions for each job ... to achieve realistic values for comparison"
 // (§5.1): each repetition is modelled under machine variability with its
 // own deterministic noise seed, which is part of the analytic identity, so
-// every repetition is a cell of its own.
+// every repetition is a cell of its own. The noise moves only the energy
+// integration, so an evaluator replays a cell's schedule once for all its
+// repetitions.
 const (
 	repetitionReps        = 10
 	repetitionVariability = 0.05
@@ -95,8 +97,8 @@ func repetitions[R any](cells []SweepKey, prm perfmodel.Params, reps int, variab
 		models[r] = renderModel(params[r])
 	}
 	return gridCells(keys,
-		func(k repetitionKey) AnalyticCell {
-			return AnalyticCell{E: k.cell.Experiment(), Params: params[k.rep], model: models[k.rep]}
+		func(ev *Evaluator, k repetitionKey) AnalyticCell {
+			return AnalyticCell{E: k.cell.Experiment(), Params: params[k.rep], model: models[k.rep], replays: &ev.replays}
 		},
 		func(ms map[repetitionKey]Measurement) R {
 			stats := make([]repStats, len(cells))

@@ -134,7 +134,7 @@ type SparseSweep struct {
 func SparseSweepCells(prm perfmodel.Params) CellSet[*SparseSweep] {
 	model := renderModel(prm)
 	return gridCells(SparseSweepKeys(),
-		func(k SparseSweepKey) SparseAnalyticCell {
+		func(_ *Evaluator, k SparseSweepKey) SparseAnalyticCell {
 			return SparseAnalyticCell{E: k.Experiment(), Params: prm, model: model}
 		},
 		func(ms map[SparseSweepKey]SparseMeasurement) *SparseSweep {

@@ -202,7 +202,11 @@ var (
 	marconiA3Accel = cluster.MarconiA3Accel()
 )
 
-// AnalyticCell is RunAnalytic(E, Params) as a store cell.
+// AnalyticCell is RunAnalytic(E, Params) as a store cell. A cell set
+// builds its cells with its evaluator's replay memo, so an evaluation
+// replays each distinct schedule once; a cell built on its own replays
+// its schedule every time it computes, as RunAnalytic does. Either way
+// it computes the same bits.
 type AnalyticCell struct {
 	E      Experiment
 	Params perfmodel.Params
@@ -210,10 +214,15 @@ type AnalyticCell struct {
 	// once for all its cells, none of which overrides the block size. A
 	// cell built on its own leaves it nil and renders its own.
 	model []byte
+	// replays is the evaluator's memo (Evaluator.replays), nil for a cell
+	// built on its own.
+	replays *perfmodel.Replays
 }
 
-func (c AnalyticCell) kind() string                  { return CellKind }
-func (c AnalyticCell) compute() (Measurement, error) { return RunAnalytic(c.E, c.Params) }
+func (c AnalyticCell) kind() string { return CellKind }
+func (c AnalyticCell) compute() (Measurement, error) {
+	return runAnalytic(c.E, c.Params, c.replays)
+}
 
 // identity appends AnalyticCellIdentity's bytes. The model half is the
 // set's rendering, or else the cell's own from a value on the stack; what

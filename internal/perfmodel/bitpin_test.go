@@ -26,22 +26,23 @@ type pinCase struct {
 	stretch        float64
 }
 
-func (c pinCase) params() Params {
-	return Params{Cost: mpi.DefaultCostModel(), Overlap: c.overlap, BlockSize: c.nb}
+func (c pinCase) schedule(alg Algorithm) schedule {
+	return schedule{alg: alg, n: c.n, ranks: c.ranks, intra: c.intra, capStretch: c.stretch,
+		overlap: c.overlap, nb: c.nb, cost: mpi.DefaultCostModel()}
 }
 
 // pinBits evaluates both replays at c. imeTime refuses ranks > n; its
 // pair is then zero.
 func pinBits(t *testing.T, c pinCase) (ime, ge [2]uint64) {
 	t.Helper()
-	tb, err := imeTime(c.n, c.ranks, c.params(), c.intra, c.stretch)
+	tb, err := imeTime(c.schedule(IMe))
 	if (err != nil) != (c.ranks > c.n) {
 		t.Fatalf("imeTime %+v: error %v, want one exactly when ranks > n", c, err)
 	}
 	if err == nil {
 		ime = [2]uint64{math.Float64bits(tb.compute), math.Float64bits(tb.exposedComm)}
 	}
-	tb, err = scalapackTime(c.n, c.ranks, c.params(), c.intra, c.stretch)
+	tb, err = scalapackTime(c.schedule(ScaLAPACK))
 	if err != nil {
 		t.Fatalf("scalapackTime %+v: %v", c, err)
 	}

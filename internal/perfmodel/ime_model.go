@@ -79,12 +79,13 @@ func (c collective) gather(totalBytes float64) float64 {
 // modified last-row entries — see ime.SolveParallel. With Overlap, only
 // the pivot-row broadcast stays on the critical path (pipelined against
 // the update); h and the gather are consumed by no rank's compute.
-func imeTime(n, ranks int, prm Params, intra bool, capStretch float64) (timeBreakdown, error) {
-	if ranks > n {
-		return timeBreakdown{}, fmt.Errorf("perfmodel: %d ranks exceed order %d", ranks, n)
+func imeTime(s schedule) (timeBreakdown, error) {
+	n := s.n
+	if s.ranks > n {
+		return timeBreakdown{}, fmt.Errorf("perfmodel: %d ranks exceed order %d", s.ranks, n)
 	}
-	world := resolveCollective(prm.Cost, ranks, intra, prm.Overlap)
-	lo, hi := ime.BlockRange(n, ranks, 0)
+	world := resolveCollective(s.cost, s.ranks, s.intra, s.overlap)
+	lo, hi := ime.BlockRange(n, s.ranks, 0)
 	maxRows := hi - lo
 	// Neither a broadcast of n entries (h, the initial column, the
 	// solution) nor the gather depends on the level.
@@ -95,10 +96,10 @@ func imeTime(n, ranks int, prm Params, intra bool, capStretch float64) (timeBrea
 	// Init: h and initial-column broadcasts.
 	t.exposedComm += 2 * nB
 	for l := n; l >= 1; l-- {
-		comp := ime.LevelFlops(n, l) * float64(maxRows) / float64(n) / ime.EffFlopsPerCore * capStretch
+		comp := ime.LevelFlops(n, l) * float64(maxRows) / float64(n) / ime.EffFlopsPerCore * s.capStretch
 		t.compute += comp
 		pivotB := world.bcast(float64(l+1) * mpi.Float64Bytes)
-		if prm.Overlap {
+		if s.overlap {
 			// Pipelined pivot broadcast: exposed only beyond the update.
 			if pivotB > comp {
 				t.exposedComm += pivotB - comp

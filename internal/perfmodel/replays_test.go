@@ -1,0 +1,186 @@
+package perfmodel_test
+
+// An evaluation replays each distinct schedule once (Replays), and a cell
+// whose replay came from the memo is the cell RunAnalytic computes, bit
+// for bit.
+
+import (
+	"encoding/json"
+	"math"
+	"sync"
+	"testing"
+
+	"repro/internal/campaign"
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/perfmodel"
+	"repro/internal/rapl"
+	"repro/internal/store"
+)
+
+// denseStages is the campaign without the stages whose cells are no dense
+// analytic cells: the engine references, the resilience sweep and the
+// sparse grid.
+func denseStages(c campaign.Campaign) campaign.Campaign {
+	var stages []campaign.Stage
+	for _, s := range c.Stages {
+		switch s.Name {
+		case "monitored-reference", "resilience", "sparse-grid":
+		default:
+			stages = append(stages, s)
+		}
+	}
+	c.Stages = stages
+	return c
+}
+
+// TestEvaluationReplaysEachScheduleOnce runs the dense analytic stages of
+// both campaigns, each through the one evaluator of a campaign run on
+// several workers, and holds every stored cell to RunAnalytic on the
+// cell's own experiment and params, which replays its schedule afresh.
+// The replay counts pin the sharing. Paper-grid and overlap-ablation
+// replay 24 schedules each: every placement is multi-node at these rank
+// counts and none stretches an uncapped run. Power-cap-110 adds 48 (two
+// cap stretches over the three placements); power-cap-130 adds 24, as
+// half-load-2-sockets stays unstretched under it and replays paper-grid's
+// schedules. The repetitions add none: they redraw only the variability
+// noise of paper-grid cells. A key that picked up an input the replay
+// does not read, such as NoiseSeed or the cap itself, would raise them.
+func TestEvaluationReplaysEachScheduleOnce(t *testing.T) {
+	for _, tc := range []struct {
+		c              campaign.Campaign
+		cells, replays int
+	}{
+		{denseStages(campaign.Paper()), 368, 120},
+		{campaign.Scaling(), 24, 24},
+	} {
+		st, err := store.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		before := perfmodel.Replayed()
+		sum, err := campaign.Run(tc.c, st, campaign.RunOptions{Workers: 4})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.c.Name, err)
+		}
+		replays := perfmodel.Replayed() - before
+		if sum.ComputedTotal != tc.cells || st.Len() != tc.cells {
+			t.Fatalf("%s: computed %d cells into %d records, want %d", tc.c.Name, sum.ComputedTotal, st.Len(), tc.cells)
+		}
+		if replays != int64(tc.replays) {
+			t.Errorf("%s: %d cells ran %d replays, want %d", tc.c.Name, tc.cells, replays, tc.replays)
+		}
+		for _, key := range st.Keys() {
+			rec, _, err := st.Get(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := storedAndFresh(t, rec)
+			if !sameBits(got, want) {
+				t.Errorf("%s: cell %s stored %+v, RunAnalytic gives %+v", tc.c.Name, rec.Identity, got, want)
+			}
+		}
+	}
+}
+
+// storedAndFresh decodes a stored analytic cell and recomputes it with
+// RunAnalytic from the experiment and params its identity names.
+func storedAndFresh(t *testing.T, rec store.Record) (stored, fresh core.Measurement) {
+	t.Helper()
+	var id core.CellIdentity
+	if err := json.Unmarshal(rec.Identity, &id); err != nil {
+		t.Fatal(err)
+	}
+	var res core.CellResult
+	if err := json.Unmarshal(rec.Result, &res); err != nil {
+		t.Fatal(err)
+	}
+	if id.Engine != "analytic" || id.Model == nil {
+		t.Fatalf("record %s is no analytic cell", rec.Identity)
+	}
+	alg, err := perfmodel.ParseAlgorithm(id.Algorithm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := cluster.ParsePlacement(id.Placement)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := core.Experiment{Algorithm: alg, N: id.N, Ranks: id.Ranks, Placement: pl}
+	if fresh, err = core.RunAnalytic(e, id.Model.Params); err != nil {
+		t.Fatal(err)
+	}
+	stored = core.Measurement{DurationS: res.DurationS, TotalJ: res.TotalJ, EnergyJ: map[rapl.Domain]float64{}}
+	for _, d := range rapl.Domains() {
+		if j, ok := res.EnergyJ[d.String()]; ok {
+			stored.EnergyJ[d] = j
+		}
+	}
+	if len(stored.EnergyJ) != len(res.EnergyJ) {
+		t.Fatalf("record %s stores energy of domains %v", rec.Identity, res.EnergyJ)
+	}
+	return stored, fresh
+}
+
+// sameBits compares the duration, every energy domain and the total by
+// their float64 bits.
+func sameBits(a, b core.Measurement) bool {
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	if !same(a.DurationS, b.DurationS) || !same(a.TotalJ, b.TotalJ) || len(a.EnergyJ) != len(b.EnergyJ) {
+		return false
+	}
+	for d, j := range a.EnergyJ {
+		if k, ok := b.EnergyJ[d]; !ok || !same(j, k) {
+			return false
+		}
+	}
+	return true
+}
+
+// measurement is the part of a model result sameBits compares.
+func measurement(r perfmodel.Result) core.Measurement {
+	return core.Measurement{DurationS: r.DurationS, TotalJ: r.TotalJ, EnergyJ: r.EnergyJ}
+}
+
+// TestReplaysShareOneReplayAcrossCallers starts callers of one memo on
+// one schedule at once, each under its own noise seed: the schedule is
+// replayed once, and every caller gets the Result an unmemoized Run gives
+// it.
+func TestReplaysShareOneReplayAcrossCallers(t *testing.T) {
+	cfg, err := cluster.NewConfig(576, cluster.HalfLoadTwoSockets, cluster.MarconiA3())
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := func(i int) perfmodel.Params {
+		return perfmodel.Params{Overlap: true, NodeVariability: 0.05, NoiseSeed: int64(i + 1)}
+	}
+	var memo perfmodel.Replays
+	got := make([]perfmodel.Result, 8)
+	errs := make([]error, len(got))
+	before := perfmodel.Replayed()
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = memo.Run(perfmodel.ScaLAPACK, 17280, cfg, params(i))
+		}()
+	}
+	wg.Wait()
+	if n := perfmodel.Replayed() - before; n != 1 {
+		t.Errorf("%d callers on one schedule ran %d replays, want 1", len(got), n)
+	}
+	for i, g := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		want, err := perfmodel.Run(perfmodel.ScaLAPACK, 17280, cfg, params(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(measurement(g), measurement(want)) {
+			t.Errorf("caller %d: memo gives %+v, Run gives %+v", i, g, want)
+		}
+	}
+}

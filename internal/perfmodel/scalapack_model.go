@@ -10,13 +10,12 @@ import (
 // per-column MAXLOC allreduce, row swap, pivot-row broadcast — is always
 // exposed; with Overlap the panel/update broadcasts and out-of-panel swaps
 // hide behind the trailing GEMM (pdgetrf lookahead).
-func scalapackTime(n, ranks int, prm Params, intra bool, capStretch float64) (timeBreakdown, error) {
-	grid, err := scalapack.NewGrid(ranks)
+func scalapackTime(s schedule) (timeBreakdown, error) {
+	grid, err := scalapack.NewGrid(s.ranks)
 	if err != nil {
 		return timeBreakdown{}, err
 	}
-	cost := prm.Cost
-	nb := prm.BlockSize
+	n, cost, nb, intra, capStretch := s.n, s.cost, s.nb, s.intra, s.capStretch
 	if nb > n {
 		nb = n
 	}
@@ -26,9 +25,9 @@ func scalapackTime(n, ranks int, prm Params, intra bool, capStretch float64) (ti
 	if grid.Pr > 1 {
 		crossRow = (pr - 1) / pr
 	}
-	col := resolveCollective(cost, grid.Pr, intra, prm.Overlap) // down a process column
-	row := resolveCollective(cost, grid.Pc, intra, prm.Overlap) // along a process row
-	world := resolveCollective(cost, ranks, intra, prm.Overlap)
+	col := resolveCollective(cost, grid.Pr, intra, s.overlap) // down a process column
+	row := resolveCollective(cost, grid.Pc, intra, s.overlap) // along a process row
+	world := resolveCollective(cost, s.ranks, intra, s.overlap)
 	// swapOne is the critical-path cost of one paired row exchange: both
 	// directions fly concurrently, so a partner pays its send overhead,
 	// one wire time and one receive overhead (plus the peer's send).
@@ -91,7 +90,7 @@ func scalapackTime(n, ranks int, prm Params, intra bool, capStretch float64) (ti
 		gemm := (2*float64(kw)*rowsTrail*colsTrail + 2*float64(kw)*rowsTrail) / rate
 		comp := (uComp + gemm) * capStretch
 		t.compute += comp
-		if prm.Overlap {
+		if s.overlap {
 			if hideable > comp {
 				t.exposedComm += hideable - comp
 			}
