@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/sched"
 	"repro/internal/store"
-	"repro/internal/surrogate"
 )
 
 func main() {
@@ -37,7 +36,6 @@ func main() {
 		faultSeed    = flag.Int64("fault-seed", 0, "fault-plane seed (with the workload fixed, varies only the crashes)")
 		policyName   = flag.String("policy", "energy-aware", "scheduling policy: energy-aware or fcfs")
 		workers      = flag.Int("j", 0, "prediction workers (0 = GOMAXPROCS); the schedule is identical for every value")
-		useSurrogate = flag.Bool("surrogate", true, "price in-envelope candidates with the learned surrogate")
 		storeDir     = flag.String("store", "", "experiment store directory: memoize exact predictions across runs")
 		outPath      = flag.String("out", "", "write the fleet report here (default stdout)")
 		tracePath    = flag.String("trace", "", "write the per-node Perfetto timeline here")
@@ -45,14 +43,14 @@ func main() {
 	flag.Parse()
 
 	if err := run(*workloadPath, *synthetic, *seed, *nodes, *budgetW, *mtbf, *faultSeed,
-		*policyName, *workers, *useSurrogate, *storeDir, *outPath, *tracePath); err != nil {
+		*policyName, *workers, *storeDir, *outPath, *tracePath); err != nil {
 		fmt.Fprintln(os.Stderr, "fleet:", err)
 		os.Exit(1)
 	}
 }
 
 func run(workloadPath string, synthetic int, seed int64, nodes int, budgetW, mtbf float64,
-	faultSeed int64, policyName string, workers int, useSurrogate bool,
+	faultSeed int64, policyName string, workers int,
 	storeDir, outPath, tracePath string) error {
 	var w sched.Workload
 	switch {
@@ -87,11 +85,6 @@ func run(workloadPath string, synthetic int, seed int64, nodes int, budgetW, mtb
 		Workers:      workers,
 		Trace:        tracePath != "",
 	}
-	if useSurrogate {
-		if cfg.Surrogate, err = surrogate.Default(); err != nil {
-			return err
-		}
-	}
 	if storeDir != "" {
 		st, err := store.Open(storeDir)
 		if err != nil {
@@ -115,8 +108,8 @@ func run(workloadPath string, synthetic int, seed int64, nodes int, budgetW, mtb
 		if err := os.WriteFile(outPath, body, 0o644); err != nil {
 			return err
 		}
-	} else {
-		os.Stdout.Write(body)
+	} else if _, err := os.Stdout.Write(body); err != nil {
+		return err
 	}
 	if tracePath != "" {
 		f, err := os.Create(tracePath)
@@ -137,7 +130,7 @@ func run(workloadPath string, synthetic int, seed int64, nodes int, budgetW, mtb
 		float64(len(rep.Jobs))/wall.Seconds(), rep.MakespanS, rep.TotalEnergyJ/1e3,
 		rep.PeakPowerW, rep.UtilizationPct, rep.ScheduleDigest[:16])
 	if storeDir != "" && o.StoreHits+o.StoreComputed > 0 {
-		fmt.Fprintf(os.Stderr, "fleet: store: %d predictions resumed, %d computed\n", o.StoreHits, o.StoreComputed)
+		fmt.Fprintf(os.Stderr, "fleet: %d store hits, %d computed\n", o.StoreHits, o.StoreComputed)
 	}
 	return nil
 }

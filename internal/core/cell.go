@@ -189,17 +189,35 @@ func (ev *Evaluator) Counts() (computed, hits int) {
 	return int(ev.computed.Load()), int(ev.hits.Load())
 }
 
-// evaluate runs one cell through the evaluator and counts it; a failure
-// names the cell by its key.
-func evaluate[K any, M any, C Cell[M]](ev *Evaluator, key K, c C) (M, error) {
+// Analytic evaluates RunAnalytic(e, prm) as one cell through the
+// evaluator: its store, Admit hook, counters and replay memo. It is how a
+// batch caller outside this package prices a set of cells of its own
+// (the fleet's candidate shapes, one sweep request); the error is Run's,
+// for the caller to name the cell in its own terms.
+func (ev *Evaluator) Analytic(e Experiment, prm perfmodel.Params) (Measurement, error) {
+	return count(ev, AnalyticCell{E: e, Params: prm, replays: &ev.replays})
+}
+
+// count runs one cell through the evaluator and counts it.
+func count[M any, C Cell[M]](ev *Evaluator, c C) (M, error) {
 	m, computed, err := Run(ev.Store, c, ev.Admit)
 	if err != nil {
-		return m, fmt.Errorf("core: cell %v: %w", key, err)
+		return m, err
 	}
 	if computed {
 		ev.computed.Add(1)
 	} else {
 		ev.hits.Add(1)
+	}
+	return m, nil
+}
+
+// evaluate is count for a cell of a set; a failure names the cell by its
+// key.
+func evaluate[K any, M any, C Cell[M]](ev *Evaluator, key K, c C) (M, error) {
+	m, err := count(ev, c)
+	if err != nil {
+		return m, fmt.Errorf("core: cell %v: %w", key, err)
 	}
 	return m, nil
 }

@@ -202,11 +202,11 @@ var (
 	marconiA3Accel = cluster.MarconiA3Accel()
 )
 
-// AnalyticCell is RunAnalytic(E, Params) as a store cell. A cell set
-// builds its cells with its evaluator's replay memo, so an evaluation
-// replays each distinct schedule once; a cell built on its own replays
-// its schedule every time it computes, as RunAnalytic does. Either way
-// it computes the same bits.
+// AnalyticCell is RunAnalytic(E, Params) as a store cell. A cell set, or
+// Evaluator.Analytic, builds its cells with the evaluator's replay memo,
+// so an evaluation replays each distinct schedule once; a cell built on
+// its own replays its schedule every time it computes, as RunAnalytic
+// does. Either way it computes the same bits.
 type AnalyticCell struct {
 	E      Experiment
 	Params perfmodel.Params

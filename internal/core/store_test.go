@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -25,39 +26,52 @@ func openStore(t *testing.T) *store.Store {
 // its root: a warm hit must reconstruct exactly the Measurement the
 // cold computation produced — every float64 bit included — because all
 // downstream artifacts (figure tables, advisor bodies) are formatted
-// from these numbers.
+// from these numbers. Evaluator.Analytic, the path batch callers price
+// through, returns what RunAnalyticStored returns on the same cells: the
+// same measurement, computed/hit split and error text, which the sweep
+// handler wraps once with its own cell name. The sequence repeats a cell
+// and puts two noise seeds on one schedule, so the store and the replay
+// memo both hit; without a store every cell computes.
 func TestAnalyticStoredExactRoundTrip(t *testing.T) {
-	st := openStore(t)
-	e := Experiment{Algorithm: perfmodel.ScaLAPACK, N: 8640, Ranks: 144, Placement: cluster.FullLoad}
-	prm := perfmodel.Params{Overlap: true}
-
-	cold, computed, err := RunAnalyticStored(e, prm, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !computed {
-		t.Fatal("first run on an empty store must compute")
-	}
-	direct, err := RunAnalytic(e, prm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cold, direct) {
-		t.Fatalf("stored cold run diverged from plain RunAnalytic:\n got %+v\nwant %+v", cold, direct)
-	}
-
-	warm, computed, err := RunAnalyticStored(e, prm, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if computed {
-		t.Fatal("second run must hit the store")
-	}
-	if !reflect.DeepEqual(warm, cold) {
-		t.Fatalf("warm reconstruction diverged from the cold computation:\n got %+v\nwant %+v", warm, cold)
-	}
-	if st.Len() != 1 {
-		t.Fatalf("store holds %d records, want 1", st.Len())
+	dense := Experiment{Algorithm: perfmodel.ScaLAPACK, N: 8640, Ranks: 144, Placement: cluster.FullLoad}
+	ime := Experiment{Algorithm: perfmodel.IMe, N: 8640, Ranks: 144, Placement: cluster.HalfLoadTwoSockets}
+	exact := perfmodel.Params{Overlap: true}
+	noisy := func(seed int64) perfmodel.Params { return perfmodel.Params{NodeVariability: 0.05, NoiseSeed: seed} }
+	cells := []struct {
+		e   Experiment
+		prm perfmodel.Params
+	}{{dense, exact}, {ime, exact}, {dense, noisy(1)}, {dense, noisy(2)}, {dense, exact},
+		{Experiment{Algorithm: perfmodel.IMe, Ranks: 144}, exact}, {ime, perfmodel.Params{PowerCapW: 110}}}
+	for _, tc := range []struct {
+		stored                  bool
+		computed, hits, records int
+	}{{false, 6, 0, 0}, {true, 5, 1, 5}} {
+		var evStore, runStore *store.Store
+		if tc.stored {
+			evStore, runStore = openStore(t), openStore(t)
+		}
+		ev, computed, hits := &Evaluator{Store: evStore}, 0, 0
+		for i, c := range cells {
+			got, gotErr := ev.Analytic(c.e, c.prm)
+			want, ran, wantErr := RunAnalyticStored(c.e, c.prm, runStore)
+			fresh, freshErr := RunAnalytic(c.e, c.prm)
+			if fmt.Sprint(gotErr, wantErr) != fmt.Sprint(wantErr, freshErr) || !reflect.DeepEqual(got, want) || !reflect.DeepEqual(want, fresh) {
+				t.Fatalf("store %v, cell %d: Analytic %+v, %v; RunAnalyticStored %+v, %v; RunAnalytic %+v, %v",
+					tc.stored, i, got, gotErr, want, wantErr, fresh, freshErr)
+			}
+			if wantErr == nil && ran {
+				computed++
+			} else if wantErr == nil {
+				hits++
+			}
+		}
+		if c, h := ev.Counts(); c != tc.computed || h != tc.hits || computed != tc.computed || hits != tc.hits {
+			t.Fatalf("store %v: Analytic %d computed, %d hits; RunAnalyticStored %d, %d; want %d, %d",
+				tc.stored, c, h, computed, hits, tc.computed, tc.hits)
+		}
+		if tc.stored && (evStore.Len() != tc.records || runStore.Len() != tc.records) {
+			t.Fatalf("stores hold %d and %d records, want %d", evStore.Len(), runStore.Len(), tc.records)
+		}
 	}
 }
 

@@ -7,6 +7,9 @@ package perfmodel_test
 import (
 	"encoding/json"
 	"math"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -15,6 +18,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/perfmodel"
 	"repro/internal/rapl"
+	"repro/internal/sched"
+	"repro/internal/server"
 	"repro/internal/store"
 )
 
@@ -36,23 +41,53 @@ func denseStages(c campaign.Campaign) campaign.Campaign {
 
 // TestEvaluationReplaysEachScheduleOnce runs the dense analytic stages of
 // both campaigns, each through the one evaluator of a campaign run on
-// several workers, and holds every stored cell to RunAnalytic on the
-// cell's own experiment and params, which replays its schedule afresh.
-// The replay counts pin the sharing. Paper-grid and overlap-ablation
-// replay 24 schedules each: every placement is multi-node at these rank
-// counts and none stretches an uncapped run. Power-cap-110 adds 48 (two
-// cap stretches over the three placements); power-cap-130 adds 24, as
-// half-load-2-sockets stays unstretched under it and replays paper-grid's
-// schedules. The repetitions add none: they redraw only the variability
-// noise of paper-grid cells. A key that picked up an input the replay
-// does not read, such as NoiseSeed or the cap itself, would raise them.
+// several workers, a fleet run and a paper-grid sweep request, and holds
+// every stored cell to RunAnalytic on the cell's own experiment and
+// params, which replays its schedule afresh. The replay counts pin the
+// sharing. Paper-grid and overlap-ablation replay 24 schedules each:
+// every placement is multi-node at these rank counts and none stretches
+// an uncapped run. Power-cap-110 adds 48 (two cap stretches over the
+// three placements); power-cap-130 adds 24, as half-load-2-sockets stays
+// unstretched under it and replays paper-grid's schedules. The
+// repetitions add none: they redraw only the variability noise of
+// paper-grid cells. The fleet prices 1440 candidate shapes of 240 jobs,
+// 72 distinct cells over 24 schedules; the sweep prices the 72 cells of
+// the paper grid. A key that picked up an input the replay does not
+// read, such as NoiseSeed or the cap itself, would raise them.
 func TestEvaluationReplaysEachScheduleOnce(t *testing.T) {
+	runCampaign := func(c campaign.Campaign) func(*testing.T, *store.Store) int {
+		return func(t *testing.T, st *store.Store) int {
+			sum, err := campaign.Run(c, st, campaign.RunOptions{Workers: 4})
+			if err != nil {
+				t.Fatalf("%s: %v", c.Name, err)
+			}
+			return sum.ComputedTotal + sum.HitsTotal
+		}
+	}
 	for _, tc := range []struct {
-		c              campaign.Campaign
-		cells, replays int
+		name                    string
+		run                     func(*testing.T, *store.Store) int // returns the evaluations made
+		evals, records, replays int
 	}{
-		{denseStages(campaign.Paper()), 368, 120},
-		{campaign.Scaling(), 24, 24},
+		{"paper", runCampaign(denseStages(campaign.Paper())), 368, 368, 120},
+		{"scaling", runCampaign(campaign.Scaling()), 24, 24, 24},
+		{"fleet", func(t *testing.T, st *store.Store) int {
+			o, err := sched.Simulate(sched.Config{Nodes: 48, Workers: 4, Store: st}, sched.Synthetic(1, 240))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return o.StoreHits + o.StoreComputed
+		}, 1440, 72, 24},
+		{"sweep", func(t *testing.T, st *store.Store) int {
+			h := server.New(server.Config{Store: st, SweepWorkers: 4}).Handler()
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(`{"grid":"paper"}`)))
+			var resp server.SweepResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &resp); w.Code != http.StatusOK || err != nil {
+				t.Fatalf("sweep: status %d, %v: %s", w.Code, err, w.Body)
+			}
+			return resp.Count
+		}, 72, 72, 24},
 	} {
 		st, err := store.Open(t.TempDir())
 		if err != nil {
@@ -60,16 +95,13 @@ func TestEvaluationReplaysEachScheduleOnce(t *testing.T) {
 		}
 		defer st.Close()
 		before := perfmodel.Replayed()
-		sum, err := campaign.Run(tc.c, st, campaign.RunOptions{Workers: 4})
-		if err != nil {
-			t.Fatalf("%s: %v", tc.c.Name, err)
-		}
+		evals := tc.run(t, st)
 		replays := perfmodel.Replayed() - before
-		if sum.ComputedTotal != tc.cells || st.Len() != tc.cells {
-			t.Fatalf("%s: computed %d cells into %d records, want %d", tc.c.Name, sum.ComputedTotal, st.Len(), tc.cells)
+		if evals != tc.evals || st.Len() != tc.records {
+			t.Fatalf("%s: %d evaluations into %d records, want %d into %d", tc.name, evals, st.Len(), tc.evals, tc.records)
 		}
 		if replays != int64(tc.replays) {
-			t.Errorf("%s: %d cells ran %d replays, want %d", tc.c.Name, tc.cells, replays, tc.replays)
+			t.Errorf("%s: %d evaluations ran %d replays, want %d", tc.name, tc.evals, replays, tc.replays)
 		}
 		for _, key := range st.Keys() {
 			rec, _, err := st.Get(key)
@@ -78,7 +110,7 @@ func TestEvaluationReplaysEachScheduleOnce(t *testing.T) {
 			}
 			got, want := storedAndFresh(t, rec)
 			if !sameBits(got, want) {
-				t.Errorf("%s: cell %s stored %+v, RunAnalytic gives %+v", tc.c.Name, rec.Identity, got, want)
+				t.Errorf("%s: cell %s stored %+v, RunAnalytic gives %+v", tc.name, rec.Identity, got, want)
 			}
 		}
 	}

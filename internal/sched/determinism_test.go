@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/store"
-	"repro/internal/surrogate"
 )
 
 var updateGoldens = flag.Bool("update-goldens", false, "rewrite testdata golden files")
@@ -181,34 +180,5 @@ func TestDeterminismAcrossStoreRestart(t *testing.T) {
 	}
 	if !bytes.Equal(marshalReport(t, bare.Report), marshalReport(t, first.Report)) {
 		t.Fatal("store changed the schedule")
-	}
-}
-
-// TestSurrogateDeterminism: the surrogate path is deterministic too —
-// same seed, same bytes across worker counts (the surrogate changes
-// WHICH shapes are picked vs the analytic chain, but never varies
-// run-to-run).
-func TestSurrogateDeterminism(t *testing.T) {
-	sur, err := surrogate.Default()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, w := goldenWorkload()
-	cfg.Surrogate = sur
-	cfg.Workers = 1
-	a, err := Simulate(cfg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Workers = 6
-	b, err := Simulate(cfg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(marshalReport(t, a.Report), marshalReport(t, b.Report)) {
-		t.Fatal("surrogate-priced fleet is worker-count dependent")
-	}
-	if !bytes.Equal(traceBytes(t, a), traceBytes(t, b)) {
-		t.Fatal("surrogate-priced timeline is worker-count dependent")
 	}
 }

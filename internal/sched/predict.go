@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -11,7 +10,6 @@ import (
 	"repro/internal/perfmodel"
 	"repro/internal/scalapack"
 	"repro/internal/store"
-	"repro/internal/surrogate"
 )
 
 // candidate is one feasible (algorithm, placement) shape for a job with
@@ -25,23 +23,20 @@ type candidate struct {
 	durationS float64
 	energyJ   float64
 	powerW    float64
-	engine    string // "surrogate" or "analytic"
 }
 
-// predictor resolves candidate predictions: surrogate when in-envelope,
-// else the exact analytic model, memoized through the experiment store
-// when there is one (restarted fleets resume prediction-for-free and
-// byte-identically; a nil store is plain compute).
+// predictor prices candidates with the exact analytic model through one
+// evaluator: memoized in the experiment store when there is one
+// (restarted fleets resume prediction for free and byte-identically; a
+// nil store is plain compute), and each distinct schedule replayed once
+// per fleet run, however many jobs share it.
 type predictor struct {
-	sur       *surrogate.Predictor
-	st        *store.Store
-	prm       perfmodel.Params
-	storeHits atomic.Int64
-	storeComp atomic.Int64
+	ev  *core.Evaluator
+	prm perfmodel.Params
 }
 
-func newPredictor(sur *surrogate.Predictor, st *store.Store) *predictor {
-	return &predictor{sur: sur, st: st, prm: perfmodel.Params{Overlap: true}.Normalized()}
+func newPredictor(st *store.Store) *predictor {
+	return &predictor{ev: &core.Evaluator{Store: st}, prm: perfmodel.Params{Overlap: true}.Normalized()}
 }
 
 // predict models one shape. ok=false means the shape is infeasible for
@@ -51,29 +46,13 @@ func (p *predictor) predict(alg perfmodel.Algorithm, n, ranks int, pl cluster.Pl
 	if err != nil {
 		return candidate{}, false
 	}
-	if p.sur != nil {
-		if res, ok := p.sur.Predict(alg, n, cfg, p.prm); ok {
-			return candidate{
-				alg: alg, pl: pl, n: n, nodes: cfg.Nodes,
-				durationS: res.DurationS, energyJ: res.TotalJ, powerW: res.AvgPowerW(),
-				engine: "surrogate",
-			}, true
-		}
-	}
-	e := core.Experiment{Algorithm: alg, N: n, Ranks: ranks, Placement: pl}
-	m, computed, err := core.RunAnalyticStored(e, p.prm, p.st)
+	m, err := p.ev.Analytic(core.Experiment{Algorithm: alg, N: n, Ranks: ranks, Placement: pl}, p.prm)
 	if err != nil {
 		return candidate{}, false
-	}
-	if computed {
-		p.storeComp.Add(1)
-	} else {
-		p.storeHits.Add(1)
 	}
 	return candidate{
 		alg: alg, pl: pl, n: n, nodes: cfg.Nodes,
 		durationS: m.DurationS, energyJ: m.TotalJ, powerW: m.AvgPowerW(),
-		engine: "analytic",
 	}, true
 }
 

@@ -10,7 +10,7 @@ import (
 )
 
 // SchemaVersion versions the fleet report envelope.
-const SchemaVersion = 1
+const SchemaVersion = 2
 
 // JobOutcome is one job's scheduling and accounting record.
 type JobOutcome struct {
@@ -24,7 +24,6 @@ type JobOutcome struct {
 	Placement string  `json:"placement"`
 	Nodes     int     `json:"nodes"`
 	FirstNode int     `json:"first_node"`
-	Engine    string  `json:"engine"` // prediction source: surrogate | analytic
 	Status    string  `json:"status"` // done | failed
 	Backfill  bool    `json:"backfilled"`
 	SubmitS   float64 `json:"submit_s"`
@@ -116,7 +115,7 @@ func (s *sim) outcome(w Workload) (*Outcome, error) {
 			ID: j.idx + 1, Name: j.spec.Name, Tenant: j.spec.Tenant,
 			Priority: j.spec.Priority, N: j.spec.N, Ranks: j.spec.Ranks,
 			Algorithm: j.cand.alg.String(), Placement: j.cand.pl.String(),
-			Nodes: j.cand.nodes, Engine: j.cand.engine, Status: status,
+			Nodes: j.cand.nodes, Status: status,
 			Backfill: j.backfill, SubmitS: j.spec.SubmitS,
 			StartS: j.startS, EndS: j.endS, WaitS: j.startS - j.spec.SubmitS,
 			DurationS: j.cand.durationS, AvgPowerW: j.cand.powerW,
@@ -185,10 +184,7 @@ func (s *sim) outcome(w Workload) (*Outcome, error) {
 	rep.ScheduleDigest = digest
 
 	o := &Outcome{Report: rep}
-	if s.pred != nil {
-		o.StoreHits = int(s.pred.storeHits.Load())
-		o.StoreComputed = int(s.pred.storeComp.Load())
-	}
+	o.StoreComputed, o.StoreHits = s.pred.ev.Counts()
 	if s.cfg.Trace {
 		o.Trace = s.buildTrace(digest)
 	}

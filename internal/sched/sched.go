@@ -11,9 +11,9 @@
 //     a reservation (the earliest instant enough nodes AND power free
 //     up), and later jobs may jump it only when they cannot delay it;
 //   - per-job placement policy via the advisor stack: each job's
-//     feasible (algorithm, placement) shapes are priced by the learned
-//     surrogate (in-envelope) or the exact analytic model, and the shape
-//     optimising the job's objective is chosen;
+//     feasible (algorithm, placement) shapes are priced by the exact
+//     analytic model, and the shape optimising the job's objective is
+//     chosen;
 //   - a cluster-wide power budget that admission-controls starts using
 //     the predicted average draw of running jobs, so the instantaneous
 //     fleet power never exceeds the budget;
@@ -42,7 +42,6 @@ import (
 	"repro/internal/grid"
 	"repro/internal/slurm"
 	"repro/internal/store"
-	"repro/internal/surrogate"
 	"repro/internal/telemetry"
 )
 
@@ -108,9 +107,7 @@ type Config struct {
 	// Workers is the candidate-prediction worker budget (default
 	// GOMAXPROCS). It affects wall time only, never the schedule.
 	Workers int
-	// Surrogate, when non-nil, prices in-envelope candidates in O(µs).
-	Surrogate *surrogate.Predictor
-	// Store, when non-nil, memoizes exact candidate predictions in the
+	// Store, when non-nil, memoizes candidate predictions in the
 	// experiment store: a restarted fleet resumes them for free and
 	// byte-identically.
 	Store *store.Store
@@ -123,8 +120,8 @@ type Outcome struct {
 	Report *Report
 	// Trace is the per-node fleet timeline (nil unless Config.Trace).
 	Trace *telemetry.Trace
-	// StoreHits/StoreComputed count the exact-model candidate predictions
-	// served from the experiment store vs computed (and, with a store,
+	// StoreHits/StoreComputed count the candidate predictions served
+	// from the experiment store vs computed (and, with a store,
 	// appended to it). They live outside the Report so a store-resuming
 	// rerun stays byte-identical.
 	StoreHits     int
@@ -241,7 +238,7 @@ func Simulate(cfg Config, w Workload) (*Outcome, error) {
 
 	// Price every job's candidate shapes on the worker pool. Results
 	// come back in index order regardless of -j.
-	pred := newPredictor(cfg.Surrogate, cfg.Store)
+	pred := newPredictor(cfg.Store)
 	cands, err := predictAll(grid.New(cfg.Workers), pred, parsed, cfg.Nodes, cfg.PowerBudgetW)
 	if err != nil {
 		return nil, err

@@ -8,7 +8,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/perfmodel"
-	"repro/internal/surrogate"
 )
 
 // fleet64 is the small-fleet config most tests schedule onto.
@@ -273,27 +272,6 @@ func TestTenantAccountingSumsToTotal(t *testing.T) {
 	}
 	if diff := sumJ - rep.TotalEnergyJ; diff > 1e-6 || diff < -1e-6 {
 		t.Fatalf("tenant energy %g != total %g", sumJ, rep.TotalEnergyJ)
-	}
-}
-
-// TestSurrogatePricesCandidates: with the surrogate attached, paper-grid
-// shapes are priced by it (engine=surrogate) and the schedule remains a
-// valid execution.
-func TestSurrogatePricesCandidates(t *testing.T) {
-	sur, err := surrogate.Default()
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := Synthetic(5, 20)
-	rep := simulate(t, Config{Nodes: 64, Surrogate: sur}, w)
-	surrogateJobs := 0
-	for _, j := range rep.Jobs {
-		if j.Engine == "surrogate" {
-			surrogateJobs++
-		}
-	}
-	if surrogateJobs == 0 {
-		t.Fatal("no job priced by the surrogate")
 	}
 }
 

@@ -336,22 +336,21 @@ func predictResponse(req PredictRequest, cfg cluster.Config, res perfmodel.Resul
 
 func (s *Server) computeSweep(ctx context.Context, req SweepRequest, rec *requestRecord) ([]byte, error) {
 	prm := req.params()
+	// One evaluator per request: its cells share one replay memo, which
+	// lives only as long as the request.
+	ev := &core.Evaluator{Store: s.cfg.Store}
 	cells, err := grid.Map(s.runner, len(req.Cells), func(i int) (CellResult, error) {
 		if err := ctx.Err(); err != nil {
 			return CellResult{}, err
 		}
 		c := req.Cells[i]
-		m, computed, err := core.RunAnalyticStored(c.Experiment(), prm, s.cfg.Store)
+		m, err := ev.Analytic(c.Experiment(), prm)
 		if err != nil {
 			return CellResult{}, fmt.Errorf("cell %s/%d/%d/%s: %w", c.Algorithm, c.N, c.Ranks, c.Placement, err)
 		}
-		if computed {
-			s.countStoreCells(1, 0)
-		} else {
-			s.countStoreCells(0, 1)
-		}
 		return cellResult(m), nil
 	})
+	s.countStoreCells(ev.Counts())
 	if err != nil {
 		return nil, err
 	}

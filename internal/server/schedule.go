@@ -102,8 +102,9 @@ func ParseScheduleRequest(r *http.Request) (ScheduleRequest, error) {
 }
 
 // computeSchedule runs one fleet simulation on the server's worker pool.
-// The simulated fleet reuses the server's surrogate and experiment store
-// — the scheduler's placement policy IS the advisor, served batch-side.
+// The simulated fleet prices its candidates through the server's
+// experiment store — the scheduler's placement policy IS the advisor,
+// served batch-side.
 func (s *Server) computeSchedule(ctx context.Context, req ScheduleRequest, rec *requestRecord) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -116,7 +117,6 @@ func (s *Server) computeSchedule(ctx context.Context, req ScheduleRequest, rec *
 		MTBF:         req.MTBF,
 		FaultSeed:    req.FaultSd,
 		Workers:      s.cfg.SweepWorkers,
-		Surrogate:    s.cfg.Surrogate,
 		Store:        s.cfg.Store,
 	}, req.Workload)
 	rec.end(stageSimulate, t)
