@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -118,11 +119,60 @@ func TestRecvFromCrashedRankFails(t *testing.T) {
 	}
 }
 
-// TestBarrierWithCrashedRankFails pins the barrier half: a dissemination
-// barrier with a dead member returns ErrRankFailed on every live rank
-// instead of blocking in its slot channels.
+// TestBarrierWithCrashedRankFails pins the barrier half: a barrier with a
+// member that died before arriving returns ErrRankFailed on every live
+// rank instead of blocking, names the victim, and charges each survivor's
+// wait out to exactly the victim's failure time plus the detection
+// timeout.
 func TestBarrierWithCrashedRankFails(t *testing.T) {
 	const size, victim, crashT = 8, 3, 0.25
+	w := crashWorld(t, size, victim, crashT)
+
+	var mu sync.Mutex
+	rankErr := make(map[int]error, size)
+	rankClock := make(map[int]float64, size)
+	err := failWatchdog(t, 60*time.Second, func() error {
+		return w.Run(func(p *Proc) error {
+			if p.Rank() == victim {
+				p.Compute(2*crashT, 0)
+				return fmt.Errorf("victim survived its crash time")
+			}
+			err := p.Barrier(p.World())
+			mu.Lock()
+			rankErr[p.Rank()] = err
+			rankClock[p.Rank()] = p.Clock()
+			mu.Unlock()
+			return err
+		})
+	})
+	if !errors.Is(err, ErrRankFailed) {
+		t.Fatalf("Run returned %v, want ErrRankFailed", err)
+	}
+	ft, dead := w.Failed(victim)
+	if !dead {
+		t.Fatalf("victim %d not on the failure board", victim)
+	}
+	names := fmt.Sprintf("world rank %d crashed", victim)
+	for r := 0; r < size; r++ {
+		if r == victim {
+			continue
+		}
+		if !errors.Is(rankErr[r], ErrRankFailed) {
+			t.Errorf("live rank %d got %v, want ErrRankFailed", r, rankErr[r])
+		} else if !strings.Contains(rankErr[r].Error(), names) {
+			t.Errorf("live rank %d got %q, want it to name the victim (%q)", r, rankErr[r], names)
+		}
+		if want := ft + w.detect; math.Float64bits(rankClock[r]) != math.Float64bits(want) {
+			t.Errorf("live rank %d left the failed barrier at %.17g, want failure time + detection timeout %.17g",
+				r, rankClock[r], want)
+		}
+	}
+}
+
+// TestFenceWithCrashedRankFails pins Fence's share of the failure rule: a
+// member that died before arriving fails the Fence for every survivor.
+func TestFenceWithCrashedRankFails(t *testing.T) {
+	const size, victim, crashT = 8, 6, 0.25
 	w := crashWorld(t, size, victim, crashT)
 
 	var mu sync.Mutex
@@ -133,7 +183,7 @@ func TestBarrierWithCrashedRankFails(t *testing.T) {
 				p.Compute(2*crashT, 0)
 				return fmt.Errorf("victim survived its crash time")
 			}
-			err := p.Barrier(p.World())
+			err := p.Fence(p.World())
 			mu.Lock()
 			rankErr[p.Rank()] = err
 			mu.Unlock()
@@ -144,11 +194,8 @@ func TestBarrierWithCrashedRankFails(t *testing.T) {
 		t.Fatalf("Run returned %v, want ErrRankFailed", err)
 	}
 	for r := 0; r < size; r++ {
-		if r == victim {
-			continue
-		}
-		if !errors.Is(rankErr[r], ErrRankFailed) {
-			t.Errorf("live rank %d got %v, want ErrRankFailed", r, rankErr[r])
+		if r != victim && !errors.Is(rankErr[r], ErrRankFailed) {
+			t.Errorf("live rank %d got %v from Fence, want ErrRankFailed", r, rankErr[r])
 		}
 	}
 }
