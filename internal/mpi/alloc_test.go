@@ -1,9 +1,12 @@
 package mpi
 
 import (
+	"math"
 	"runtime"
 	"runtime/debug"
 	"testing"
+
+	"repro/internal/cluster"
 )
 
 // Allocation budgets of the message path. The docs (mailbox.go, bufpool.go,
@@ -171,5 +174,50 @@ func TestBcastRecycleAllocsPerMessage(t *testing.T) {
 	if per := float64(allocs) / float64(msgs); per > maxAllocsPerMessage {
 		t.Errorf("bcast+recycle: %d allocations over %d messages = %.3f per message, budget %.2f",
 			allocs, msgs, per, maxAllocsPerMessage)
+	}
+}
+
+// TestBarrierAllocsPerGeneration bounds what a barrier generation costs
+// the host's allocator: a fresh 144-rank full-load world running ten world
+// barriers may allocate at most three objects per generation more than the
+// same world running none. Construction and Run's own allocations cancel
+// out. The runtime refills its cache of channel waiters now and then, so
+// GC is held off (it empties that cache), a warm-up run fills it, and the
+// least of five runs of each is compared.
+func TestBarrierAllocsPerGeneration(t *testing.T) {
+	skipUnderRace(t)
+	const ranks, barriers, perGen = 144, 10, 3
+	cfg, err := cluster.NewConfig(ranks, cluster.FullLoad, cluster.MarconiA3())
+	if err != nil {
+		t.Fatal(err)
+	}
+	world := func(n int) uint64 {
+		a0 := mallocs()
+		w, err := NewWorld(ranks, Options{Config: &cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Run(func(p *Proc) error {
+			for range n {
+				if err := p.Barrier(p.World()); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return mallocs() - a0
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	world(barriers)
+	none, some := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for range 5 {
+		none = min(none, world(0))
+		some = min(some, world(barriers))
+	}
+	if extra := float64(some) - float64(none); extra > perGen*barriers {
+		t.Errorf("%d barriers of %d ranks allocated %.0f objects beyond the world's own (%d vs %d), budget %d per generation",
+			barriers, ranks, extra, some, none, perGen)
 	}
 }

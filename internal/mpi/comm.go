@@ -54,52 +54,39 @@ func (c *Comm) worldRank(commRank int) (int, error) {
 	return c.ranks[commRank], nil
 }
 
-// commBarrier is a reusable dissemination barrier that also merges virtual
-// clocks: every participant leaves at max(arrival clocks) + barrier cost.
+// commBarrier is the rendezvous behind Barrier and Fence. It also merges
+// virtual clocks: every member learns the latest clock among the members
+// of its generation.
 //
-// The first engine funnelled every participant through one mutex/condvar,
-// which serialises all ranks of the world communicator at every barrier.
-// The dissemination scheme (Hensgen–Finkel–Manber) runs ceil(log2 n)
-// rounds; in round k, comm rank i passes its running clock maximum to rank
-// (i+2^k) mod n and merges the one arriving from (i−2^k) mod n. After the
-// last round every rank holds the exact global maximum — the same release
-// value the central barrier computed, bit for bit, with no shared hot
-// spot. Slot channels have capacity 1 and come in two generation-parity
-// sets: a rank can be at most one generation ahead of any rank it signals
-// (finishing generation g+1 transitively requires everyone to have
-// finished g), so same-parity reuse can never mix generations.
+// It is central: arrivals meet under one mutex, and the last member of a
+// generation releases the others by closing the generation's done
+// channel. The lock is held for a counter increment and a max, so it is
+// no hot spot, and a generation costs the host two objects. Virtual time
+// does not depend on this: CostModel.BarrierTime charges the ⌈log₂ p⌉
+// stages of the MPI barrier being modelled.
 type commBarrier struct {
-	once   sync.Once
-	rounds int
-	// slots[gen&1][round*size + receiver] carries one partial maximum.
-	slots [2][]chan float64
+	mu  sync.Mutex
+	cur *barrierGen // the generation arrivals join; nil until one arrives
 }
 
-func (b *commBarrier) init(size int) {
-	b.once.Do(func() {
-		b.rounds = TreeDepth(size)
-		for par := range b.slots {
-			slots := make([]chan float64, b.rounds*size)
-			for i := range slots {
-				slots[i] = make(chan float64, 1)
-			}
-			b.slots[par] = slots
-		}
-	})
+// barrierGen is one barrier generation of a communicator.
+type barrierGen struct {
+	arrived  int
+	maxClock float64
+	done     chan struct{} // closed by the last arrival
 }
 
 // Barrier synchronises all members of c (MPI_Barrier). The released clock
 // is the same for every rank; waiting is charged as busy polling.
 func (p *Proc) Barrier(c *Comm) error {
-	me, err := c.Rank(p)
-	if err != nil {
+	if _, err := c.Rank(p); err != nil {
 		return err
 	}
 	if m := p.w.metrics; m != nil {
 		m.barriers.Inc()
 	}
 	start := p.clock
-	maxClock, err := p.rendezvous(c, me)
+	maxClock, err := p.rendezvous(c)
 	if err != nil {
 		return err
 	}
@@ -109,101 +96,71 @@ func (p *Proc) Barrier(c *Comm) error {
 }
 
 // Fence is a host-side rendezvous of c's members that costs no virtual
-// time and charges nothing: no member returns before every member has
-// called it. It is not an MPI operation but the simulator's means of
-// ordering what virtual time alone does not order. A rank is released
-// from a Barrier before its peers have charged their wait up to the
-// release time, so whoever reads the node's energy counters right after
-// one fences the node first (every charge up to the release time has then
-// landed) and again after the read (no member has charged past it).
-// Like Barrier it reports a dead member instead of waiting for it.
+// time: no member returns before every member has called it, and every
+// member has landed its charge ledger on its node by then. It is not an
+// MPI operation but the simulator's means of ordering what virtual time
+// alone does not order. A rank is released from a Barrier before its
+// peers have charged their wait up to the release time, so whoever reads
+// the node's energy counters right after one fences the node first (every
+// charge up to the release time has then landed) and again after the read
+// (no member has charged past it). Like Barrier it reports a dead member
+// instead of waiting for it.
 func (p *Proc) Fence(c *Comm) error {
-	me, err := c.Rank(p)
-	if err != nil {
+	if _, err := c.Rank(p); err != nil {
 		return err
 	}
-	_, err = p.rendezvous(c, me)
+	_, err := p.rendezvous(c)
 	return err
 }
 
-// rendezvous runs the dissemination rounds of one barrier generation on
-// c, of which p is member me, and returns the latest clock among its
-// members.
-func (p *Proc) rendezvous(c *Comm, me int) (float64, error) {
-	size := len(c.ranks)
-	maxClock := p.clock
-	if size > 1 {
-		b := &c.bar
-		b.init(size)
-		slots := b.slots[p.nextBarGen(c)&1]
-		for k, step := 0, 1; k < b.rounds; k, step = k+1, step<<1 {
-			if err := p.slotSend(c, slots[k*size+(me+step)%size], maxClock); err != nil {
-				return 0, err
-			}
-			v, err := p.slotRecv(c, slots[k*size+me])
-			if err != nil {
-				return 0, err
-			}
-			if v > maxClock {
-				maxClock = v
-			}
-		}
+// rendezvous lands p's ledger, waits until every member of c has arrived
+// at the same generation, and returns the latest clock among them. A
+// member that died before arriving fails the generation for every
+// survivor; one that arrived and died later does not, because the
+// generation's release is checked before the failure board.
+func (p *Proc) rendezvous(c *Comm) (float64, error) {
+	p.flush()
+	if len(c.ranks) == 1 {
+		return p.clock, nil
 	}
-	return maxClock, nil
-}
-
-// slotSend delivers one dissemination-round value, giving up when a
-// communicator member is dead: a dead rank never drains its slots, so a
-// blocked barrier send could otherwise wait forever. The channel is always
-// probed before (and after) consulting the failure board, so a slot value
-// that is actually available wins over a concurrent failure — the outcome
-// depends only on whether the peer reached this round in program order,
-// not on goroutine scheduling.
-func (p *Proc) slotSend(c *Comm, ch chan float64, v float64) error {
+	b := &c.bar
+	b.mu.Lock()
+	g := b.cur
+	if g == nil {
+		g = &barrierGen{maxClock: p.clock, done: make(chan struct{})}
+		b.cur = g
+	}
+	g.arrived++
+	if p.clock > g.maxClock {
+		g.maxClock = p.clock
+	}
+	if g.arrived == len(c.ranks) {
+		b.cur = nil
+		b.mu.Unlock()
+		close(g.done)
+		return g.maxClock, nil
+	}
+	b.mu.Unlock()
 	for {
+		fw := p.w.fail.watch()
 		select {
-		case ch <- v:
-			return nil
+		case <-g.done:
+			return g.maxClock, nil
 		default:
 		}
-		fw := p.w.fail.watch()
 		if r, info, ok := p.w.fail.anyOf(c.index); ok {
-			select {
-			case ch <- v:
-				return nil
-			default:
+			// This generation can never complete; later arrivals start
+			// their own, which fails the same way.
+			b.mu.Lock()
+			if b.cur == g {
+				b.cur = nil
 			}
-			return p.commFailed(r, info)
-		}
-		select {
-		case ch <- v:
-			return nil
-		case <-fw:
-		}
-	}
-}
-
-// slotRecv is slotSend's receiving half: it takes the round's merged clock
-// or reports the (deterministically chosen) dead member.
-func (p *Proc) slotRecv(c *Comm, ch chan float64) (float64, error) {
-	for {
-		select {
-		case v := <-ch:
-			return v, nil
-		default:
-		}
-		fw := p.w.fail.watch()
-		if r, info, ok := p.w.fail.anyOf(c.index); ok {
-			select {
-			case v := <-ch:
-				return v, nil
-			default:
-			}
+			b.mu.Unlock()
 			return 0, p.commFailed(r, info)
 		}
 		select {
-		case v := <-ch:
-			return v, nil
+		case <-g.done:
+			return g.maxClock, nil
 		case <-fw:
 		}
 	}

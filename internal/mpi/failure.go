@@ -154,9 +154,10 @@ type crashPanic struct {
 	t    float64
 }
 
-// die marks this rank crashed at its current clock and unwinds. The
-// caller has already charged time and energy up to the crash.
+// die lands this rank's ledger, marks it crashed at its current clock and
+// unwinds. The caller has already charged time and energy up to the crash.
 func (p *Proc) die() {
+	p.flush()
 	p.w.markFailed(p.rank, p.clock, failCrashed)
 	if p.w.trace != nil {
 		p.MarkInstant("rank-crashed")
@@ -179,7 +180,7 @@ func (p *Proc) advanceToCrash(dt, bytes float64) {
 			frac = dtc / dt
 		}
 		p.clock = p.crashAt
-		p.w.chargeNode(p.rank, dtc, bytes*frac, p.clock)
+		p.charge(dtc, bytes*frac)
 	}
 	p.die()
 }

@@ -169,6 +169,52 @@ func TestBarrierWithCrashedRankFails(t *testing.T) {
 	}
 }
 
+// TestBarrierThenCrashDoesNotFailIt pins the other side of the barrier's
+// failure rule: a member that arrived and left a Barrier, then crashed,
+// does not fail that Barrier for anyone — whether a peer has already
+// returned from it or not depends only on goroutine scheduling, and the
+// outcome must not. Repeated so that the crash lands while peers are
+// still inside the barrier on some iterations.
+func TestBarrierThenCrashDoesNotFailIt(t *testing.T) {
+	const size, victim, crashT, work = 8, 5, 0.25, 0.1
+	for iter := 0; iter < 50; iter++ {
+		w := crashWorld(t, size, victim, crashT)
+		var mu sync.Mutex
+		rankErr := make(map[int]error, size)
+		rankClock := make(map[int]float64, size)
+		err := failWatchdog(t, 60*time.Second, func() error {
+			return w.Run(func(p *Proc) error {
+				p.Compute(work, 0)
+				err := p.Barrier(p.World())
+				mu.Lock()
+				rankErr[p.Rank()] = err
+				rankClock[p.Rank()] = p.Clock()
+				mu.Unlock()
+				if err != nil {
+					return err
+				}
+				if p.Rank() == victim {
+					p.Compute(2*crashT, 0)
+					return fmt.Errorf("victim survived its crash time")
+				}
+				return nil
+			})
+		})
+		if !errors.Is(err, ErrRankFailed) {
+			t.Fatalf("iteration %d: Run returned %v, want the victim's crash", iter, err)
+		}
+		release := work + w.cost.BarrierTime(size)
+		for r := 0; r < size; r++ {
+			if rankErr[r] != nil {
+				t.Fatalf("iteration %d: rank %d: barrier failed by a crash after it: %v", iter, r, rankErr[r])
+			}
+			if rankClock[r] != release {
+				t.Fatalf("iteration %d: rank %d left the barrier at %.17g, want %.17g", iter, r, rankClock[r], release)
+			}
+		}
+	}
+}
+
 // TestFenceWithCrashedRankFails pins Fence's share of the failure rule: a
 // member that died before arriving fails the Fence for every survivor.
 func TestFenceWithCrashedRankFails(t *testing.T) {

@@ -18,9 +18,6 @@ type Proc struct {
 	// members to issue collectives in the same order, which makes the
 	// local counters agree and serve as matching tags.
 	seq map[*Comm]int
-	// barGen counts Barrier generations per communicator; all members
-	// agree on it for the same reason they agree on seq.
-	barGen map[*Comm]uint64
 	// tx/rx cache the sparse streams this rank has touched, so steady-
 	// state messaging skips the destination shard's lock (mailbox.go).
 	tx map[int]*stream
@@ -36,6 +33,12 @@ type Proc struct {
 	// crashAt is the virtual time the fault plane kills this rank (+Inf
 	// when never); the first clock advance crossing it dies (failure.go).
 	crashAt float64
+	// The charge ledger: busy core-seconds and memory bytes this rank has
+	// spent since it last landed them on its node (flush). Charges land
+	// only where a node's counters can be read, so the message path takes
+	// no lock shared with the node's other ranks.
+	ledBusy, ledBytes float64
+	ledDirty          bool
 }
 
 // Rank returns the world rank.
@@ -57,6 +60,34 @@ func (p *Proc) Location() (node, socket int) { return p.w.location(p.rank) }
 // rank — what the monitoring rank of each node reads energy from.
 func (p *Proc) RaplNode() *rapl.Node { return p.w.Node(p.rank) }
 
+// charge adds busy core-seconds and memory bytes to the rank's ledger.
+// Under tracing it lands them at once, so the counter track samples the
+// node at every charge; 0 + x is exact, so the landed values are the
+// charge's own.
+func (p *Proc) charge(busy, bytes float64) {
+	p.ledBusy += busy
+	p.ledBytes += bytes
+	p.ledDirty = true
+	if p.w.trace != nil {
+		p.flush()
+	}
+}
+
+// flush lands the ledger on the rank's node and advances the node's clock
+// to the rank's. A node's counters hold a charge only once it has landed:
+// ranks flush on entry to Barrier and Fence, when their body returns and
+// when they die, and every counter read sits behind a Fence of the
+// node's communicator, so a read at virtual time T holds exactly the
+// charges made up to T.
+func (p *Proc) flush() {
+	if !p.ledDirty {
+		return
+	}
+	busy, bytes := p.ledBusy, p.ledBytes
+	p.ledBusy, p.ledBytes, p.ledDirty = 0, 0, false
+	p.w.chargeNode(p.rank, busy, bytes, p.clock)
+}
+
 // advanceBusy moves the virtual clock forward by dt seconds of busy CPU
 // time (compute, messaging overhead, or busy-wait — MPI implementations
 // poll), charging the node's package energy accordingly.
@@ -68,7 +99,7 @@ func (p *Proc) advanceBusy(dt, bytes float64) {
 		p.advanceToCrash(dt, bytes) // charges the partial advance, then unwinds
 	}
 	p.clock += dt
-	p.w.chargeNode(p.rank, dt, bytes, p.clock)
+	p.charge(dt, bytes)
 }
 
 // waitUntil models busy-waiting until virtual time t (no-op if t has
@@ -84,7 +115,7 @@ func (p *Proc) waitUntil(t float64) {
 		start := p.clock
 		dt := t - p.clock
 		p.clock = t
-		p.w.chargeNode(p.rank, dt, 0, p.clock)
+		p.charge(dt, 0)
 		p.record("wait", start, t)
 		if m := p.w.metrics; m != nil {
 			m.waitS[p.rank].Add(dt)
@@ -119,7 +150,7 @@ func (p *Proc) Compute(seconds, bytes float64) {
 	}
 	start := p.clock
 	p.clock += seconds
-	p.w.chargeNode(p.rank, seconds*act, bytes, p.clock)
+	p.charge(seconds*act, bytes)
 	p.record("compute", start, p.clock)
 	if m := p.w.metrics; m != nil {
 		m.computeS[p.rank].Add(seconds)
@@ -143,15 +174,4 @@ func (p *Proc) nextSeq(c *Comm) int {
 	s := p.seq[c]
 	p.seq[c] = s + 1
 	return s
-}
-
-// nextBarGen returns the generation of the next Barrier call on c. It is
-// counted apart from nextSeq so barriers don't perturb collective tags.
-func (p *Proc) nextBarGen(c *Comm) uint64 {
-	if p.barGen == nil {
-		p.barGen = make(map[*Comm]uint64)
-	}
-	g := p.barGen[c]
-	p.barGen[c] = g + 1
-	return g
 }

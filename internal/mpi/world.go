@@ -203,7 +203,8 @@ func (w *World) Traffic() (messages, volume int64) {
 }
 
 // chargeNode accounts busy core-seconds and memory traffic for a rank and
-// advances its node's RAPL clock to the rank's virtual time.
+// advances its node's RAPL clock to the rank's virtual time. Only
+// Proc.flush calls it, with what the rank's ledger holds.
 func (w *World) chargeNode(rank int, busySeconds, bytes, clock float64) {
 	node, socket := w.location(rank)
 	w.nodeMu[node].Lock()
@@ -238,7 +239,9 @@ func (w *World) chargeNode(rank int, busySeconds, bytes, clock float64) {
 // board, which unblocks peers waiting on it (they get ErrRankFailed
 // instead of deadlocking); fault-injected crashes unwind via crashPanic
 // and surface the same way. Of the collected errors a root cause (one not
-// merely reporting a dead peer) is preferred.
+// merely reporting a dead peer) is preferred. However a rank's body ends,
+// its charge ledger lands first, so once Run returns every node holds all
+// of its ranks' charges.
 func (w *World) Run(body func(p *Proc) error) error {
 	world := newWorldComm(w)
 	errs := make(chan error, w.size)
@@ -254,11 +257,14 @@ func (w *World) Run(body func(p *Proc) error) error {
 						errs <- fmt.Errorf("mpi: rank %d crashed at t=%.9gs: %w", cp.rank, cp.t, ErrRankFailed)
 						return
 					}
+					p.flush()
 					w.markFailed(rank, p.clock, failAborted)
 					errs <- fmt.Errorf("mpi: rank %d panicked: %v", rank, rec)
 				}
 			}()
-			if err := body(p); err != nil {
+			err := body(p)
+			p.flush()
+			if err != nil {
 				w.markFailed(rank, p.clock, failAborted)
 				errs <- fmt.Errorf("mpi: rank %d: %w", rank, err)
 			}
