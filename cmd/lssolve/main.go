@@ -11,6 +11,8 @@
 package main
 
 import (
+	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -122,20 +124,35 @@ func run(in, gen string, n int, seed int64, ranks int, alg string, nb int, out s
 	}
 
 	if out != "" && solution != nil {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		for i, v := range solution {
-			fmt.Fprintf(f, "%d %.17g\n", i, v)
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(out, func(b *bufio.Writer) error {
+			for i, v := range solution {
+				fmt.Fprintf(b, "%d %.17g\n", i, v)
+			}
+			return nil
+		}); err != nil {
 			return err
 		}
 		fmt.Printf("wrote solution to %s\n", out)
 	}
 	return nil
+}
+
+// writeFile creates path and fills it through a buffered writer; a
+// failure to write, flush or close the file is its error.
+func writeFile(path string, write func(*bufio.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	b := bufio.NewWriter(f)
+	err = write(b)
+	if err == nil {
+		err = b.Flush()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // tracePath, when set, receives a Chrome trace of the last solve.
@@ -148,19 +165,6 @@ func solveOne(alg string, sys *mat.System, ranks, nb int) ([]float64, float64, e
 	}
 	if tracePath != "" {
 		w.EnableTracing()
-		defer func() {
-			f, err := os.Create(tracePath)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "lssolve: trace: %v\n", err)
-				return
-			}
-			defer f.Close()
-			if err := w.WriteChromeTrace(f); err != nil {
-				fmt.Fprintf(os.Stderr, "lssolve: trace: %v\n", err)
-				return
-			}
-			fmt.Printf("wrote rank timeline trace to %s\n", tracePath)
-		}()
 	}
 	var mu sync.Mutex
 	var x []float64
@@ -185,6 +189,12 @@ func solveOne(alg string, sys *mat.System, ranks, nb int) ([]float64, float64, e
 		}
 		return nil
 	})
+	if tracePath != "" {
+		if terr := writeFile(tracePath, func(b *bufio.Writer) error { return w.WriteChromeTrace(b) }); terr != nil {
+			return nil, 0, errors.Join(err, fmt.Errorf("trace: %w", terr))
+		}
+		fmt.Printf("wrote rank timeline trace to %s\n", tracePath)
+	}
 	if err != nil {
 		return nil, 0, err
 	}

@@ -1,16 +1,30 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.txt from the current solvers")
+
+// TestMain runs the command itself instead of the tests when asMain is
+// set, so a test can observe its exit status.
+func TestMain(m *testing.M) {
+	if os.Getenv(asMain) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+const asMain = "LSSOLVE_TEST_AS_MAIN"
 
 // captureStdout runs fn with os.Stdout redirected and returns what it
 // printed.
@@ -89,5 +103,33 @@ func TestGolden(t *testing.T) {
 	}
 	if len(got) != len(wantLines) {
 		t.Fatalf("%d golden lines, computed %d", len(wantLines), len(got))
+	}
+}
+
+// TestFailedWriteExitsNonZero pins that an output file the command cannot
+// write fails the run: a full device under -out or -trace must exit 1 and
+// name the write error, not report the file as written.
+func TestFailedWriteExitsNonZero(t *testing.T) {
+	const full = "/dev/full"
+	if _, err := os.Stat(full); err != nil {
+		t.Skipf("%s: %v", full, err)
+	}
+	for _, flag := range []string{"-out", "-trace"} {
+		cmd := exec.Command(os.Args[0], "-n", "16", "-ranks", "2", "-alg", "ime", flag, full)
+		cmd.Env = append(os.Environ(), asMain+"=1")
+		var stdout, stderr strings.Builder
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%s %s: exit %v, want status 1; stderr %q", flag, full, err, stderr.String())
+			continue
+		}
+		if !strings.Contains(stderr.String(), "no space left on device") {
+			t.Errorf("%s %s: stderr %q does not name the write error", flag, full, stderr.String())
+		}
+		if strings.Contains(stdout.String(), "wrote ") {
+			t.Errorf("%s %s: stdout reports the file as written: %q", flag, full, stdout.String())
+		}
 	}
 }

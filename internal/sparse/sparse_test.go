@@ -124,8 +124,8 @@ func TestSpMVMatchesDense(t *testing.T) {
 
 func TestCSRValidateRejects(t *testing.T) {
 	bad := []*CSR{
-		{Rows: 1, Cols: 1, RowPtr: []int{0}},                                        // short RowPtr
-		{Rows: 1, Cols: 1, RowPtr: []int{0, 1}, Col: []int{1}, Val: []float64{1}},   // column out of range
+		{Rows: 1, Cols: 1, RowPtr: []int{0}},                                            // short RowPtr
+		{Rows: 1, Cols: 1, RowPtr: []int{0, 1}, Col: []int{1}, Val: []float64{1}},       // column out of range
 		{Rows: 1, Cols: 3, RowPtr: []int{0, 2}, Col: []int{1, 1}, Val: []float64{1, 2}}, // non-increasing
 		{Rows: 2, Cols: 2, RowPtr: []int{0, 1, 0}, Col: []int{0}, Val: []float64{1}},    // non-monotone
 	}
