@@ -12,10 +12,10 @@ import (
 
 // TestParallelLargeWorldSolve drives a 96-rank world end to end — the CI
 // race job runs it under -race to sweep the engine's concurrent machinery
-// (sparse stream creation, dissemination barriers, striped traffic
-// counters, node accounting) at a rank count past anything the unit tests
-// reach. Both solver variants run so the out-of-tag-order stash path is
-// exercised too.
+// (sparse stream creation, barrier rendezvous, striped traffic counters,
+// charge ledgers landing on shared nodes) at a rank count past anything
+// the unit tests reach. Both solver variants run so the out-of-tag-order
+// stash path is exercised too.
 func TestParallelLargeWorldSolve(t *testing.T) {
 	const n, ranks = 96, 96
 	sys := mat.CachedSystem(n, int64(n))

@@ -116,8 +116,7 @@ func (p *Proc) Fence(c *Comm) error {
 // rendezvous lands p's ledger, waits until every member of c has arrived
 // at the same generation, and returns the latest clock among them. A
 // member that died before arriving fails the generation for every
-// survivor; one that arrived and died later does not, because the
-// generation's release is checked before the failure board.
+// survivor; one that arrived and died later does not.
 func (p *Proc) rendezvous(c *Comm) (float64, error) {
 	p.flush()
 	if len(c.ranks) == 1 {
@@ -149,8 +148,16 @@ func (p *Proc) rendezvous(c *Comm) (float64, error) {
 		default:
 		}
 		if r, info, ok := p.w.fail.anyOf(c.index); ok {
-			// This generation can never complete; later arrivals start
-			// their own, which fails the same way.
+			// A member that arrived closed done before it could die, so
+			// done is probed again after the board: if still open, the
+			// dead member never arrived and this generation can never
+			// complete. Later arrivals start their own, which fails the
+			// same way.
+			select {
+			case <-g.done:
+				return g.maxClock, nil
+			default:
+			}
 			b.mu.Lock()
 			if b.cur == g {
 				b.cur = nil

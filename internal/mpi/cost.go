@@ -107,7 +107,10 @@ func (c CostModel) AllreduceTime(p int, bytes float64) float64 {
 	return 2 * c.BcastTime(p, bytes)
 }
 
-// BarrierTime estimates a dissemination barrier over p ranks.
+// BarrierTime estimates an MPI barrier over p ranks: ⌈log₂ p⌉ stages of
+// one small message each, as in the dissemination barrier MPI libraries
+// run. It is the virtual cost of the modelled barrier and does not depend
+// on how the host rendezvous behind Barrier is built (comm.go).
 func (c CostModel) BarrierTime(p int) float64 {
 	return float64(TreeDepth(p)) * (c.SendOverhead + c.Wire(false, 0) + c.RecvOverhead)
 }

@@ -16,15 +16,16 @@ import (
 //
 //   - the failureBoard: the world's registry of dead ranks. Marking a
 //     rank closes (and replaces) a broadcast channel so blocked channel
-//     waiters — the dissemination barrier — can re-check.
+//     waiters — the barrier rendezvous — can re-check.
 //   - stream poisoning: every (src→dst) message stream touching the dead
 //     rank is marked, waking blocked senders (whose puts become discards)
 //     and receivers (who drain what was sent before the failure, then
 //     fail).
 //   - the crash panic: a rank whose own virtual clock crosses its
 //     scheduled crash time charges time and energy up to the crash,
-//     marks the board, and unwinds via panic; World.Run converts the
-//     unwind into an ErrRankFailed error for that rank.
+//     lands its charge ledger, marks the board, and unwinds via panic;
+//     World.Run converts the unwind into an ErrRankFailed error for that
+//     rank.
 //
 // With no injector and no errors none of this is reachable, and every
 // output stays byte-identical.

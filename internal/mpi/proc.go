@@ -33,10 +33,8 @@ type Proc struct {
 	// crashAt is the virtual time the fault plane kills this rank (+Inf
 	// when never); the first clock advance crossing it dies (failure.go).
 	crashAt float64
-	// The charge ledger: busy core-seconds and memory bytes this rank has
-	// spent since it last landed them on its node (flush). Charges land
-	// only where a node's counters can be read, so the message path takes
-	// no lock shared with the node's other ranks.
+	// The charge ledger: busy core-seconds and memory bytes charged since
+	// the rank last landed them on its node (flush).
 	ledBusy, ledBytes float64
 	ledDirty          bool
 }
@@ -74,11 +72,11 @@ func (p *Proc) charge(busy, bytes float64) {
 }
 
 // flush lands the ledger on the rank's node and advances the node's clock
-// to the rank's. A node's counters hold a charge only once it has landed:
-// ranks flush on entry to Barrier and Fence, when their body returns and
-// when they die, and every counter read sits behind a Fence of the
-// node's communicator, so a read at virtual time T holds exactly the
-// charges made up to T.
+// to the rank's. Ranks flush on entry to Barrier and Fence, when their
+// body returns and when they die; every counter read sits behind a Fence
+// of the node's communicator, so a read at virtual time T holds exactly
+// the charges made up to T, and the message path takes no lock shared
+// with the node's other ranks.
 func (p *Proc) flush() {
 	if !p.ledDirty {
 		return

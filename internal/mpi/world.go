@@ -13,12 +13,15 @@
 //     used to validate the paper's M_IMeP / V_IMeP closed forms;
 //   - energy accounting: rank activity is charged to the simulated RAPL
 //     node hosting the rank (internal/rapl), which the PAPI layer reads.
+//     Each rank keeps its charges in a ledger and lands them on the node
+//     at synchronisation points (proc.go), where the counters are read.
 //
 // The engine is built to execute the paper's full deployments (Table 1,
 // up to 1296 ranks): message matching is sparse and lazy (mailbox.go),
-// barriers disseminate without a global serialization point (comm.go),
-// and the per-send counters are striped, so world setup is O(size) and
-// the hot paths contend only on genuinely shared state.
+// a barrier generation is one short critical section and one channel
+// (comm.go), the message path takes no lock shared with the node's other
+// ranks, and the per-send counters are striped, so world setup is
+// O(size) and the hot paths contend only on genuinely shared state.
 package mpi
 
 import (
