@@ -68,7 +68,10 @@ const masterRank = 0
 //  4. the slaves send the modified last-row entries (the multipliers) of
 //     their blocks to the master, which updates h.
 //
-// After the last level the master broadcasts h, which now equals x.
+// After the last level the master broadcasts h, which now equals x. With
+// opts.Overlap the same loop runs the overlapped variant (overlap.go):
+// step 1 is dropped, step 2's payload was shipped by its owner a level
+// early, and step 4's chunks ride buffered sends.
 func SolveParallel(p *mpi.Proc, c *mpi.Comm, sys *mat.System, opts ParallelOptions) ([]float64, error) {
 	me, err := c.Rank(p)
 	if err != nil {
@@ -96,12 +99,8 @@ func SolveParallel(p *mpi.Proc, c *mpi.Comm, sys *mat.System, opts ParallelOptio
 	if len(faultLevels) > 0 && !opts.Checksum {
 		return nil, fmt.Errorf("ime: a solver-level fault schedule requires checksum rows")
 	}
-
-	if opts.Overlap {
-		if len(faultLevels) > 0 {
-			return nil, fmt.Errorf("ime: fault injection requires the synchronous variant")
-		}
-		return solveOverlapped(p, c, sys, st, opts, me)
+	if len(faultLevels) > 0 && opts.Overlap {
+		return nil, fmt.Errorf("ime: fault injection requires the synchronous variant")
 	}
 
 	// Initialisation broadcasts (the 2(N−1) init messages of M_IMeP): the
@@ -132,6 +131,14 @@ func SolveParallel(p *mpi.Proc, c *mpi.Comm, sys *mat.System, opts ParallelOptio
 		mpi.PutBuf(initCol)
 	}
 
+	// Overlapped, level n's payload has no earlier level to hide behind:
+	// its owner normalises and ships it now.
+	if opts.Overlap && st.owns(n-1) {
+		if err := shipPivot(p, c, st, n); err != nil {
+			return nil, fmt.Errorf("ime: level %d: %w", n, err)
+		}
+	}
+
 	for l := n; l >= 1; l-- {
 		if ranks, ok := faultLevels[l]; ok {
 			rp := p.BeginPhase("checksum-recovery", l)
@@ -145,7 +152,7 @@ func SolveParallel(p *mpi.Proc, c *mpi.Comm, sys *mat.System, opts ParallelOptio
 		}
 		ph := p.BeginPhase("elimination-level", l)
 		lvlStart := p.Clock()
-		if err := solveLevel(p, c, st, l, opts.ChargeCosts); err != nil {
+		if err := solveLevel(p, c, st, l, opts); err != nil {
 			return nil, fmt.Errorf("ime: level %d: %w", l, err)
 		}
 		p.EndPhase(ph)
@@ -155,11 +162,7 @@ func SolveParallel(p *mpi.Proc, c *mpi.Comm, sys *mat.System, opts ParallelOptio
 		}
 	}
 
-	x, err := p.Bcast(c, masterRank, st.h)
-	if err != nil {
-		return nil, err
-	}
-	return x, nil
+	return p.Bcast(c, masterRank, st.h)
 }
 
 // parallelState is one rank's share of the reduction.
@@ -177,7 +180,7 @@ type parallelState struct {
 	// early, for the owner's own consumption at the next level.
 	pendingPivot []float64
 	// ms is the per-level multiplier scratch (len hi-lo), reused across
-	// levels instead of being reallocated; the collectives copy it before
+	// levels instead of being reallocated; Gather and Send copy it before
 	// it is overwritten again.
 	ms []float64
 	// pivScratch is the owner's reusable pivot-payload build buffer.
@@ -204,19 +207,10 @@ func (st *parallelState) attachMetrics(p *mpi.Proc) {
 	st.mRecoveries = reg.Counter("solver_recoveries_total", "checksum recoveries performed, master rank", "alg", "ime")
 }
 
-// msScratch returns the reusable multiplier buffer, allocating it on
-// first use (covers both the shared-input and scattered constructors).
-func (st *parallelState) msScratch() []float64 {
-	if st.ms == nil {
-		st.ms = make([]float64, st.hi-st.lo)
-	}
-	return st.ms
-}
-
 func newParallelState(sys *mat.System, me, ranks int, opts ParallelOptions) (*parallelState, error) {
 	n := sys.N()
 	lo, hi := BlockRange(n, ranks, me)
-	st := &parallelState{n: n, me: me, ranks: ranks, lo: lo, hi: hi}
+	st := &parallelState{n: n, me: me, ranks: ranks, lo: lo, hi: hi, ms: make([]float64, hi-lo)}
 	st.rows = make([][]float64, hi-lo)
 	for i := lo; i < hi; i++ {
 		d := sys.A.At(i, i)
@@ -257,7 +251,6 @@ func (st *parallelState) row(i int) []float64 { return st.rows[i-st.lo] }
 // is built only on that branch — at the paper's one or two rows per rank
 // the sweep never leaves the calling goroutine.
 func (st *parallelState) eliminateRows(l, done int, pr []float64) {
-	st.msScratch() // before the spans, which may run concurrently
 	rows := st.hi - st.lo
 	grain := 1 + (1<<15)/(2*l+1)
 	if kernel.RunsInline(rows, grain) {
@@ -286,38 +279,63 @@ func (st *parallelState) eliminateSpan(rlo, rhi, l, done int, pr []float64) {
 	}
 }
 
-// solveLevel runs one level of the distributed reduction.
-func solveLevel(p *mpi.Proc, c *mpi.Comm, st *parallelState, l int, charge bool) error {
-	n := st.n
-	// (1) master broadcasts h (the paper's per-level h share). The local
-	// copy lives in a stable buffer; the transport buffer goes back to
-	// the pool immediately.
-	h, err := p.Bcast(c, masterRank, st.h)
-	if err != nil {
-		return err
+// pivotPayload normalises the owner's pivot row of level l in place and
+// appends the payload (normalised row segment + pre-normalisation pivot)
+// to dst.
+func (st *parallelState) pivotPayload(dst []float64, l int) ([]float64, error) {
+	row := st.row(l - 1)
+	piv := row[l-1]
+	if math.Abs(piv) < pivotTolerance {
+		return nil, fmt.Errorf("%w: level %d pivot is %g", ErrSingular, l, piv)
 	}
-	if st.me != masterRank && len(h) == len(st.h) {
-		copy(st.h, h)
-	}
-	p.Recycle(h)
+	kernel.Scale(1/piv, row[:l])
+	return append(append(dst, row[:l]...), piv), nil
+}
 
-	// (2) pivot-row broadcast by its owner: normalised effective segment
-	// plus the pre-normalisation pivot value. The owner assembles it in a
-	// scratch buffer reused across levels.
-	owner := OwnerOf(n, st.ranks, l-1)
+// bcastPivot broadcasts level l's payload from its owner, who assembles it
+// in a scratch buffer reused across levels. Bcast returns a private pooled
+// copy on every rank, the root included, so the result never aliases
+// pivScratch.
+func bcastPivot(p *mpi.Proc, c *mpi.Comm, st *parallelState, owner, l int) ([]float64, error) {
 	var payload []float64
 	if st.me == owner {
-		row := st.row(l - 1)
-		piv := row[l-1]
-		if math.Abs(piv) < pivotTolerance {
-			return fmt.Errorf("%w: pivot %g", ErrSingular, piv)
+		var err error
+		if payload, err = st.pivotPayload(st.pivScratch[:0], l); err != nil {
+			return nil, err
 		}
-		kernel.Scale(1/piv, row[:l])
-		payload = append(st.pivScratch[:0], row[:l]...)
-		payload = append(payload, piv)
 		st.pivScratch = payload
 	}
-	payload, err = p.Bcast(c, owner, payload)
+	return p.Bcast(c, owner, payload)
+}
+
+// solveLevel runs one level of the distributed reduction; opts.Overlap
+// picks how the pivot row arrives and how the multipliers leave.
+func solveLevel(p *mpi.Proc, c *mpi.Comm, st *parallelState, l int, opts ParallelOptions) error {
+	n := st.n
+	if !opts.Overlap {
+		// (1) master broadcasts h (the paper's per-level h share). The
+		// local copy lives in a stable buffer; the transport buffer goes
+		// back to the pool immediately.
+		h, err := p.Bcast(c, masterRank, st.h)
+		if err != nil {
+			return err
+		}
+		if st.me != masterRank && len(h) == len(st.h) {
+			copy(st.h, h)
+		}
+		p.Recycle(h)
+	}
+
+	// (2) the pivot row: broadcast by its owner, or overlapped, the
+	// payload its owner shipped a level early.
+	owner := OwnerOf(n, st.ranks, l-1)
+	var payload []float64
+	var err error
+	if opts.Overlap {
+		payload, err = takePivot(p, c, st, owner, l)
+	} else {
+		payload, err = bcastPivot(p, c, st, owner, l)
+	}
 	if err != nil {
 		return err
 	}
@@ -329,47 +347,70 @@ func solveLevel(p *mpi.Proc, c *mpi.Comm, st *parallelState, l int, charge bool)
 	// (3) fundamental formula on the owned block; collect the modified
 	// last-row (multiplier) entries. Rows update independently, so they
 	// fan out across the worker pool with per-row arithmetic — and thus
-	// results — bit-identical to the sequential sweep. Only real
-	// wall-clock changes; the virtual-time charge below stays the
-	// published LevelFlops closed form.
-	st.eliminateRows(l, -1, pr)
-	ms := st.ms
+	// results — bit-identical to the sequential sweep, and the overlapped
+	// lookahead may update the next pivot row first. Only real wall-clock
+	// changes; the virtual-time charge below stays the published
+	// LevelFlops closed form.
+	done := -1
+	if nextPivot := l - 2; opts.Overlap && l > 1 && st.owns(nextPivot) { // 0-based row of level l−1
+		ii := nextPivot - st.lo
+		st.eliminateSpan(ii, ii+1, l, -1, pr)
+		if err := shipPivot(p, c, st, l-1); err != nil {
+			return err
+		}
+		done = nextPivot
+	}
+	st.eliminateRows(l, done, pr)
 	if st.cs != nil {
 		st.cs.step(l, pr, piv)
 	}
 	flops := LevelFlops(n, l) * float64(st.hi-st.lo) / float64(n)
 	st.mFlops.Add(flops)
-	if charge {
+	if opts.ChargeCosts {
 		p.ComputeFlops(flops, EffFlopsPerCore, flops*DramBytesPerFlop)
 	}
+	// pr is dead past this point, and every payload is exclusively owned
+	// here: a pooled transport copy, or the overlapped owner's stash.
+	p.Recycle(payload)
 
-	// (4) slaves send their multiplier chunks; the master updates h.
-	chunks, err := p.Gather(c, masterRank, ms)
-	if err != nil {
+	// (4) the slaves send their multiplier chunks — gathered, or
+	// overlapped by buffered sends the slave does not wait on — and the
+	// master folds them into h.
+	var chunks [][]float64
+	if opts.Overlap {
+		if st.me != masterRank {
+			return p.Send(c, masterRank, chunkTag(l), st.ms)
+		}
+	} else if chunks, err = p.Gather(c, masterRank, st.ms); err != nil || st.me != masterRank {
 		return err
 	}
-	if st.me == masterRank {
-		st.h[l-1] /= piv
-		hl := st.h[l-1]
-		for r := 0; r < st.ranks; r++ {
-			rlo, rhi := BlockRange(n, st.ranks, r)
-			chunk := chunks[r]
-			if len(chunk) != rhi-rlo {
-				return fmt.Errorf("rank %d sent %d multipliers, want %d", r, len(chunk), rhi-rlo)
-			}
-			for i := rlo; i < rhi; i++ {
-				if i == l-1 {
-					continue
-				}
-				st.h[i] -= chunk[i-rlo] * hl
+	st.h[l-1] /= piv
+	hl := st.h[l-1]
+	for r := 0; r < st.ranks; r++ {
+		var chunk []float64
+		switch {
+		case chunks != nil:
+			chunk = chunks[r]
+		case r == masterRank:
+			chunk = st.ms
+		default:
+			if chunk, err = p.Recv(c, r, chunkTag(l)); err != nil {
+				return err
 			}
 		}
-		for _, chunk := range chunks {
+		rlo, rhi := BlockRange(n, st.ranks, r)
+		if len(chunk) != rhi-rlo {
+			return fmt.Errorf("rank %d sent %d multipliers, want %d", r, len(chunk), rhi-rlo)
+		}
+		for i := rlo; i < rhi; i++ {
+			if i == l-1 {
+				continue
+			}
+			st.h[i] -= chunk[i-rlo] * hl
+		}
+		if chunks != nil || r != masterRank {
 			p.Recycle(chunk)
 		}
 	}
-	// Every rank holds a pooled transport buffer here — Bcast returns a
-	// private copy even at the root, so this never aliases pivScratch.
-	p.Recycle(payload)
 	return nil
 }

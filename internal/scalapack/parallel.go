@@ -474,26 +474,10 @@ func (st *pdState) swapRows(j, pv int, keep func(g int) bool) error {
 	for t, lj := range cols {
 		seg[t] = row[lj]
 	}
-	// Deterministic exchange order: the lower process row sends first.
 	const tagSwap = 101
-	if st.pr < other {
-		if err := st.p.SendNoCopy(st.colComm, other, tagSwap, seg); err != nil {
-			return err
-		}
-		got, err := st.p.Recv(st.colComm, other, tagSwap)
-		if err != nil {
-			return err
-		}
-		seg = got
-	} else {
-		got, err := st.p.Recv(st.colComm, other, tagSwap)
-		if err != nil {
-			return err
-		}
-		if err := st.p.SendNoCopy(st.colComm, other, tagSwap, seg); err != nil {
-			return err
-		}
-		seg = got
+	seg, err := st.exchange(other, tagSwap, seg)
+	if err != nil {
+		return err
 	}
 	if len(seg) != len(cols) {
 		return fmt.Errorf("scalapack: swap segment length %d, want %d", len(seg), len(cols))
@@ -530,28 +514,31 @@ func (st *pdState) swapB(j, pv int) error {
 	const tagSwapB = 102
 	out := mpi.GetBuf(1)
 	out[0] = st.b[li]
-	if st.pr < other {
-		if err := st.p.SendNoCopy(st.colComm, other, tagSwapB, out); err != nil {
-			return err
-		}
-		got, err := st.p.Recv(st.colComm, other, tagSwapB)
-		if err != nil {
-			return err
-		}
-		st.b[li] = got[0]
-		st.p.Recycle(got)
-	} else {
-		got, err := st.p.Recv(st.colComm, other, tagSwapB)
-		if err != nil {
-			return err
-		}
-		if err := st.p.SendNoCopy(st.colComm, other, tagSwapB, out); err != nil {
-			return err
-		}
-		st.b[li] = got[0]
-		st.p.Recycle(got)
+	got, err := st.exchange(other, tagSwapB, out)
+	if err != nil {
+		return err
 	}
+	st.b[li] = got[0]
+	st.p.Recycle(got)
 	return nil
+}
+
+// exchange trades out for process row other's buffer of the same tag on
+// the column communicator, the lower process row sending first so the
+// order is deterministic. out rides the zero-copy path (ownership passes
+// to the peer); the returned buffer is the caller's to recycle.
+func (st *pdState) exchange(other, tag int, out []float64) ([]float64, error) {
+	if st.pr < other {
+		if err := st.p.SendNoCopy(st.colComm, other, tag, out); err != nil {
+			return nil, err
+		}
+		return st.p.Recv(st.colComm, other, tag)
+	}
+	got, err := st.p.Recv(st.colComm, other, tag)
+	if err != nil {
+		return nil, err
+	}
+	return got, st.p.SendNoCopy(st.colComm, other, tag, out)
 }
 
 // broadcastPanel ships each process row's factored panel columns from pcK

@@ -5,6 +5,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"repro/internal/ime"
 	"repro/internal/mpi"
 )
 
@@ -96,7 +97,7 @@ func TestSetupAllocationsIndependentOfNNZ(t *testing.T) {
 	small := Spec{Kind: Banded, N: 1024, Band: 16, Cond: 1e4, Seed: 5}
 	large := Spec{Kind: Banded, N: 4096, Band: 64, Cond: 1e4, Seed: 5}
 	for _, spec := range []Spec{small, large, {Kind: Random, N: 1500, Density: 0.02, Cond: 60, Seed: 7}} {
-		lo, hi := BlockRange(spec.N, ranks, 3)
+		lo, hi := ime.BlockRange(spec.N, ranks, 3)
 		got := testing.AllocsPerRun(5, func() {
 			if _, err := spec.rowRuns(lo, hi); err != nil {
 				t.Fatal(err)

@@ -4,14 +4,16 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/ime"
 	"repro/internal/mat"
 	"repro/internal/mpi"
 )
 
 // Distributed CG / BiCGSTAB over the simulated-MPI substrate.
 //
-// Distribution is a contiguous row-block partition (BlockRange). Every
-// rank generates its own rows from the Spec, so there is no input
+// Distribution is the dense solvers' contiguous row-block partition
+// (ime.BlockRange): remainder rows on the leading ranks. Every rank
+// generates its own rows from the Spec, so there is no input
 // distribution step. The halo plan is negotiated once: a rank derives
 // which external vector entries its rows touch, and — because the
 // generated sparsity pattern is symmetric — the set of peers that need
@@ -26,37 +28,6 @@ import (
 // ChargeCosts the kernels charge virtual time and DRAM traffic at the
 // memory-bound rates in perf.go through the same RAPL accounting the
 // dense solvers use.
-
-// BlockRange returns the half-open row range [lo,hi) owned by rank r of
-// ranks under contiguous block distribution with remainder rows on the
-// leading ranks (same convention as the dense solvers).
-func BlockRange(n, ranks, r int) (lo, hi int) {
-	if ranks <= 0 || r < 0 || r >= ranks {
-		return 0, 0
-	}
-	base := n / ranks
-	rem := n % ranks
-	if r < rem {
-		lo = r * (base + 1)
-		return lo, lo + base + 1
-	}
-	lo = rem*(base+1) + (r-rem)*base
-	return lo, lo + base
-}
-
-// OwnerOf returns the rank owning row (0-based) under BlockRange.
-func OwnerOf(n, ranks, row int) int {
-	if ranks <= 0 || row < 0 || row >= n {
-		return -1
-	}
-	base := n / ranks
-	rem := n % ranks
-	cut := rem * (base + 1)
-	if row < cut {
-		return row / (base + 1)
-	}
-	return rem + (row-cut)/base
-}
 
 // Options configures a distributed solve.
 type Options struct {
@@ -155,7 +126,7 @@ type dist struct {
 // indexing and negotiates the halo plan.
 func newDist(p *mpi.Proc, spec Spec, charge bool) (*dist, error) {
 	size, rank := p.Size(), p.Rank()
-	lo, hi := BlockRange(spec.N, size, rank)
+	lo, hi := ime.BlockRange(spec.N, size, rank)
 	a, err := spec.rowRuns(lo, hi)
 	if err != nil {
 		return nil, err
@@ -198,8 +169,8 @@ func newDist(p *mpi.Proc, spec Spec, charge bool) (*dist, error) {
 			j = hi
 			continue
 		}
-		o := OwnerOf(spec.N, size, j)
-		_, end := BlockRange(spec.N, size, o)
+		o := ime.OwnerOf(spec.N, size, j)
+		_, end := ime.BlockRange(spec.N, size, o)
 		end = min(end, cmax)
 		from, to := pos[j-cmin], pos[end-cmin]
 		if to > from {
@@ -331,7 +302,7 @@ func (d *dist) finish(x []float64, iters int, rr, bb float64) (Solution, error) 
 	}
 	full := make([]float64, 0, d.spec.N)
 	for r, ch := range chunks {
-		lo, hi := BlockRange(d.spec.N, size, r)
+		lo, hi := ime.BlockRange(d.spec.N, size, r)
 		full = append(full, ch[:hi-lo]...)
 	}
 	res := 0.0

@@ -4,6 +4,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"repro/internal/ime"
 )
 
 func TestParseRoundTrips(t *testing.T) {
@@ -171,13 +173,13 @@ func TestBlockRangePartition(t *testing.T) {
 	for _, tc := range []struct{ n, ranks int }{{10, 3}, {96, 96}, {97, 8}, {5, 5}, {1000, 7}} {
 		prev := 0
 		for r := 0; r < tc.ranks; r++ {
-			lo, hi := BlockRange(tc.n, tc.ranks, r)
+			lo, hi := ime.BlockRange(tc.n, tc.ranks, r)
 			if lo != prev || hi < lo {
 				t.Fatalf("n=%d ranks=%d rank=%d: [%d,%d) after %d", tc.n, tc.ranks, r, lo, hi, prev)
 			}
 			for row := lo; row < hi; row++ {
-				if OwnerOf(tc.n, tc.ranks, row) != r {
-					t.Fatalf("n=%d ranks=%d: OwnerOf(%d) != %d", tc.n, tc.ranks, row, r)
+				if ime.OwnerOf(tc.n, tc.ranks, row) != r {
+					t.Fatalf("n=%d ranks=%d: ime.OwnerOf(%d) != %d", tc.n, tc.ranks, row, r)
 				}
 			}
 			prev = hi
