@@ -20,6 +20,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -69,7 +70,9 @@ func mainErr(w io.Writer, storeDir, run string, workers, maxCells int,
 	}
 	defer st.Close()
 	if n := st.Corrupt(); n > 0 {
-		fmt.Fprintf(w, "store: skipped %d torn or mis-keyed line(s); the affected cells will be recomputed\n", n)
+		if _, err := fmt.Fprintf(w, "store: skipped %d torn or mis-keyed line(s); the affected cells will be recomputed\n", n); err != nil {
+			return err
+		}
 	}
 
 	var runErr error
@@ -83,7 +86,9 @@ func mainErr(w io.Writer, storeDir, run string, workers, maxCells int,
 			return err
 		}
 		runErr = err
-		printSummary(w, sum)
+		if err := printSummary(w, sum); err != nil {
+			return err
+		}
 		if summaryPath != "" {
 			if err := writeJSON(summaryPath, sum); err != nil {
 				return err
@@ -95,18 +100,25 @@ func mainErr(w io.Writer, storeDir, run string, workers, maxCells int,
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "emitted %d artifacts to %s (%s)\n", len(names), artifactsDir, campaign.Provenance(st))
+		if _, err := fmt.Fprintf(w, "emitted %d artifacts to %s (%s)\n", len(names), artifactsDir, campaign.Provenance(st)); err != nil {
+			return err
+		}
 	}
 	if experimentsPath != "" {
 		if err := campaign.EmitExperiments(st, experimentsPath); err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "regenerated %s from the store\n", experimentsPath)
+		if _, err := fmt.Fprintf(w, "regenerated %s from the store\n", experimentsPath); err != nil {
+			return err
+		}
 	}
 	return runErr
 }
 
+// printList writes the registry listing to w in one write, so a failed
+// write is the error returned.
 func printList(w io.Writer) error {
+	var b bytes.Buffer
 	reg := campaign.Registry()
 	names := make([]string, 0, len(reg))
 	for name := range reg {
@@ -115,24 +127,30 @@ func printList(w io.Writer) error {
 	sort.Strings(names)
 	for _, name := range names {
 		c := reg[name]
-		fmt.Fprintf(w, "%-10s %4d cells  %s\n", c.Name, c.Cells(), c.Description)
+		fmt.Fprintf(&b, "%-10s %4d cells  %s\n", c.Name, c.Cells(), c.Description)
 		for _, s := range c.Stages {
-			fmt.Fprintf(w, "    %-20s %4d cells\n", s.Name, s.Cells)
+			fmt.Fprintf(&b, "    %-20s %4d cells\n", s.Name, s.Cells)
 		}
 	}
-	return nil
+	_, err := w.Write(b.Bytes())
+	return err
 }
 
-func printSummary(w io.Writer, sum campaign.Summary) {
+// printSummary writes the run summary to w in one write, so a failed
+// write is the error returned.
+func printSummary(w io.Writer, sum campaign.Summary) error {
+	var b bytes.Buffer
 	for _, s := range sum.Stages {
-		fmt.Fprintf(w, "stage %-20s computed %4d  hits %4d\n", s.Name, s.Computed, s.Hits)
+		fmt.Fprintf(&b, "stage %-20s computed %4d  hits %4d\n", s.Name, s.Computed, s.Hits)
 	}
-	fmt.Fprintf(w, "campaign %s: computed %d, hits %d of %d cells in %.3fs; store has %d records (digest %.12s…)\n",
+	fmt.Fprintf(&b, "campaign %s: computed %d, hits %d of %d cells in %.3fs; store has %d records (digest %.12s…)\n",
 		sum.Campaign, sum.ComputedTotal, sum.HitsTotal, sum.CellsTotal, sum.RunWallS,
 		sum.StoreRecords, sum.StoreDigest)
 	if sum.Interrupted {
-		fmt.Fprintln(w, "interrupted by cell budget — re-run to resume with zero lost work")
+		fmt.Fprintln(&b, "interrupted by cell budget — re-run to resume with zero lost work")
 	}
+	_, err := w.Write(b.Bytes())
+	return err
 }
 
 func writeJSON(path string, v any) error {

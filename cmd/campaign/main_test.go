@@ -28,6 +28,21 @@ func TestList(t *testing.T) {
 	}
 }
 
+// failWriter fails every write, as stdout on a full device does.
+type failWriter struct{}
+
+var errWrite = errors.New("no space left on device")
+
+func (failWriter) Write([]byte) (int, error) { return 0, errWrite }
+
+// TestListWriteFailureIsAnError pins that a listing the writer lost is
+// an error, so the command exits non-zero instead of 0.
+func TestListWriteFailureIsAnError(t *testing.T) {
+	if err := mainErr(failWriter{}, "", "", 1, 0, "", "", "", true); !errors.Is(err, errWrite) {
+		t.Fatalf("-list into a failing writer: err = %v, want %v", err, errWrite)
+	}
+}
+
 // TestNothingToDo pins the usage error when no action flag is given.
 func TestNothingToDo(t *testing.T) {
 	err := mainErr(io.Discard, t.TempDir(), "", 1, 0, "", "", "", false)

@@ -149,7 +149,7 @@ func run(w io.Writer, figure, format string, overlap bool, capW float64, nb int,
 	var sparseSweep *core.SparseSweep
 	if wants("sparse") && capW == 0 {
 		var err error
-		sparseSweep, err = core.SparseSweepCells(perfmodel.Params{}).Collect(ev)
+		sparseSweep, err = core.SparseSweepCells().Collect(ev)
 		if err != nil {
 			return err
 		}

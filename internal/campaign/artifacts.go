@@ -103,7 +103,7 @@ func Artifacts(st *store.Store) ([]struct {
 
 // sparseTable renders the sparse CPU-vs-accelerator grid.
 func sparseTable(ev *core.Evaluator) (*report.Table, error) {
-	sw, err := core.SparseSweepCells(sparseParams()).Collect(ev)
+	sw, err := core.SparseSweepCells().Collect(ev)
 	if err != nil {
 		return nil, err
 	}

@@ -71,13 +71,6 @@ func paperGrid(prm perfmodel.Params) core.CellSet[*core.Sweep] {
 	return core.SweepCells(core.SweepKeys(), prm)
 }
 
-// sparseParams are the sparse grid's model parameters: strictly the
-// defaults. The sparse model has no overlap, block-size or power-cap
-// semantics, and every consumer — this stage, `lsbench -figure sparse`,
-// advisord's matrix=sparse path — models at defaults so the cells share
-// one store identity.
-func sparseParams() perfmodel.Params { return perfmodel.Params{} }
-
 // Paper returns the full paper campaign: the evaluation grid and its
 // ablations, the §6 power-cap sweep, the §5.1 repetition study, the
 // exact-engine references, the fault-tolerance sweep, and the sparse
@@ -95,7 +88,7 @@ func Paper() Campaign {
 			stage("repetitions", core.RepetitionStudy(paperGridParams())),
 			stage("monitored-reference", core.MonitoredReferences()),
 			stage("resilience", core.ResilienceSweep(0, ResilienceSeed)),
-			stage("sparse-grid", core.SparseSweepCells(sparseParams())),
+			stage("sparse-grid", core.SparseSweepCells()),
 		},
 	}
 }

@@ -65,7 +65,7 @@ func fillDistinct(t *testing.T, v reflect.Value, next *int) {
 func canonicalTypes() []store.Canonical {
 	return []store.Canonical{
 		CellIdentity{}, SparseCellIdentity{}, CellResult{},
-		perfmodel.CanonicalIdentity{}, perfmodel.Params{},
+		perfmodel.CanonicalIdentity{},
 		mpi.CostModel{}, power.Calibration{}, cluster.AcceleratorSpec{},
 	}
 }
@@ -121,7 +121,7 @@ func TestCanonicalCorners(t *testing.T) {
 		id.Model = model(edit)
 		return id
 	}
-	sparseID := SparseAnalyticCellIdentity(SparseExperiment{N: 4096, Ranks: 144, Device: cluster.DeviceAccel, Band: 8, Cond: 100}, perfmodel.Params{})
+	sparseID := SparseAnalyticCellIdentity(SparseExperiment{N: 4096, Ranks: 144, Device: cluster.DeviceAccel, Band: 8, Cond: 100})
 	floats := []float64{0, negZero, 1e-6, 9.99e-7, 1e21, 9.99e20, 5e-324, math.MaxFloat64, 1 << 53, 1<<53 + 2, 1e15, -2.5e-7, 0.1}
 
 	type corner struct {
@@ -181,7 +181,7 @@ func TestCanonicalCorners(t *testing.T) {
 	refused := len(corners)
 	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		f := f
-		add(fmt.Sprintf("analytic, latency %g", f), analytic(func(p *perfmodel.Params) { p.Cost.LatencyInter = f }))
+		add(fmt.Sprintf("analytic, power cap %g", f), analytic(func(p *perfmodel.Params) { p.PowerCapW = f }))
 		s := sparseID
 		s.Cond = f
 		add(fmt.Sprintf("sparse, cond %g", f), s)

@@ -213,7 +213,7 @@ func RunMonitoredInstrumented(e Experiment, inst Instrumentation) (Measurement, 
 			}
 		}
 		// Matrix allocation: first touch of this rank's table share.
-		share := allocationShareBytes(e, p)
+		share := allocationShareBytes(e)
 		p.Compute(share/allocationBandwidth, share)
 		if e.Phase == PhaseCompute {
 			if err := s.StartMonitoring(); err != nil {
@@ -278,14 +278,13 @@ func RunMonitoredInstrumented(e Experiment, inst Instrumentation) (Measurement, 
 }
 
 // allocationShareBytes is the table memory one rank first-touches.
-func allocationShareBytes(e Experiment, p *mpi.Proc) float64 {
+func allocationShareBytes(e Experiment) float64 {
 	n := float64(e.N)
 	perRank := n * n * mpi.Float64Bytes / float64(e.Ranks)
 	if e.Algorithm == perfmodel.IMe {
 		// IMe's table is n×2n (the paper's 2n² term of m_o).
 		perRank *= 2
 	}
-	_ = p
 	return perRank
 }
 

@@ -200,7 +200,6 @@ func resilientSolve(e Experiment, cfg cluster.Config, sys *mat.System,
 		case perfmodel.IMe:
 			got, serr = ime.SolveParallel(p, p.World(), sys, ime.ParallelOptions{
 				ChargeCosts:    true,
-				Checksum:       true,
 				ChecksumSets:   imeSets,
 				InjectSchedule: imeSched,
 			})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/canon"
 	"repro/internal/cluster"
@@ -91,13 +92,14 @@ func (m SparseMeasurement) GFlopsPerWatt() float64 {
 }
 
 // RunSparseAnalytic models the sparse experiment at paper scale on its
-// device.
-func RunSparseAnalytic(e SparseExperiment, prm perfmodel.Params) (SparseMeasurement, error) {
+// device. The sparse model has no overlap, block-size or power-cap
+// semantics, so it runs at the default Params.
+func RunSparseAnalytic(e SparseExperiment) (SparseMeasurement, error) {
 	cfg, err := e.resolveSparseConfig()
 	if err != nil {
 		return SparseMeasurement{}, err
 	}
-	res, err := sparse.Model(e.Algorithm, e.Spec(), cfg, e.Device, prm)
+	res, err := sparse.Model(e.Algorithm, e.Spec(), cfg, e.Device, perfmodel.Params{})
 	if err != nil {
 		return SparseMeasurement{}, err
 	}
@@ -183,13 +185,17 @@ func (id SparseCellIdentity) appendCanonical(dst, model []byte) ([]byte, bool) {
 }
 
 // SparseAnalyticCellIdentity returns the store identity of
-// RunSparseAnalytic(e, prm).
-func SparseAnalyticCellIdentity(e SparseExperiment, prm perfmodel.Params) SparseCellIdentity {
+// RunSparseAnalytic(e).
+func SparseAnalyticCellIdentity(e SparseExperiment) SparseCellIdentity {
 	id := sparseIdentity(e)
-	model := prm.CanonicalIdentity()
+	model := perfmodel.Params{}.CanonicalIdentity()
 	id.Model = &model
 	return id
 }
+
+// sparseModel is the model half of every sparse cell's identity, the
+// default Params' CanonicalIdentity, rendered once per process.
+var sparseModel = sync.OnceValue(func() []byte { return renderModel(perfmodel.Params{}) })
 
 // sparseIdentity is SparseAnalyticCellIdentity without its model half.
 // An accelerated cell's identity points at the one shared profile.
@@ -215,38 +221,31 @@ func sparseIdentity(e SparseExperiment) SparseCellIdentity {
 	return id
 }
 
-// SparseAnalyticCell is RunSparseAnalytic(E, Params) as a store cell —
-// the dense pipeline's cell with a device axis, through the same runner
+// SparseAnalyticCell is RunSparseAnalytic(E) as a store cell — the
+// dense pipeline's cell with a device axis, through the same runner
 // (cell.go). The monitored sparse engine is not stored: it is the
 // reference the analytic model is cross-checked against, not a campaign
 // tier.
 type SparseAnalyticCell struct {
-	E      SparseExperiment
-	Params perfmodel.Params
-	// model, when non-nil, is renderModel(Params), rendered once by the
-	// cell set for all its cells; a cell built on its own renders its own.
-	model []byte
+	E SparseExperiment
 }
 
 func (c SparseAnalyticCell) kind() string { return SparseCellKind }
 
 // identity appends SparseAnalyticCellIdentity's bytes, its model half
-// found as AnalyticCell.identity finds it.
+// the process's one rendering; what the hand codec declines,
+// encoding/json decides.
 func (c SparseAnalyticCell) identity(dst []byte) ([]byte, error) {
-	id := sparseIdentity(c.E)
-	var model perfmodel.CanonicalIdentity
-	if c.model == nil {
-		model = c.Params.CanonicalIdentity()
-		id.Model = &model
+	if model := sparseModel(); model != nil {
+		if b, ok := sparseIdentity(c.E).appendCanonical(dst, model); ok {
+			return b, nil
+		}
 	}
-	if b, ok := id.appendCanonical(dst, c.model); ok {
-		return b, nil
-	}
-	return store.AppendIdentity(dst, SparseAnalyticCellIdentity(c.E, c.Params))
+	return store.AppendIdentity(dst, SparseAnalyticCellIdentity(c.E))
 }
 
 func (c SparseAnalyticCell) compute() (SparseMeasurement, error) {
-	return RunSparseAnalytic(c.E, c.Params)
+	return RunSparseAnalytic(c.E)
 }
 
 func (c SparseAnalyticCell) encode(dst []byte, m SparseMeasurement) ([]byte, error) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/perfmodel"
 	"repro/internal/report"
 	"repro/internal/sparse"
 	"repro/internal/store"
@@ -43,14 +42,14 @@ func RankSparse(cpuM, accelM SparseMeasurement, objective Objective) (SparseReco
 // RecommendSparseStored models the sparse shape on both devices, each a
 // store cell, and picks a winner under the objective; computed counts
 // the evaluations that ran (always 2 on a nil store).
-func RecommendSparseStored(alg sparse.Algorithm, mspec sparse.Spec, ranks int, placement cluster.Placement, objective Objective, prm perfmodel.Params, st *store.Store) (SparseRecommendation, int, error) {
+func RecommendSparseStored(alg sparse.Algorithm, mspec sparse.Spec, ranks int, placement cluster.Placement, objective Objective, st *store.Store) (SparseRecommendation, int, error) {
 	cpu := SparseExperiment{
 		Algorithm: alg, Kind: mspec.Kind, N: mspec.N, Ranks: ranks, Placement: placement, Device: cluster.DeviceCPU,
 		Band: mspec.Band, Density: mspec.Density, Cond: mspec.Cond, Seed: mspec.Seed,
 	}
 	acc := cpu
 	acc.Device = cluster.DeviceAccel
-	cpuM, accM, computed, err := runBoth(st, SparseAnalyticCell{E: cpu, Params: prm}, SparseAnalyticCell{E: acc, Params: prm})
+	cpuM, accM, computed, err := runBoth(st, SparseAnalyticCell{E: cpu}, SparseAnalyticCell{E: acc})
 	if err != nil {
 		return SparseRecommendation{Objective: objective}, computed, err
 	}
@@ -125,20 +124,18 @@ func SparseSweepKeys() []SparseSweepKey {
 
 // SparseSweep holds the full sparse evaluation grid.
 type SparseSweep struct {
-	Params       perfmodel.Params
 	Measurements map[SparseSweepKey]SparseMeasurement
 }
 
-// SparseSweepCells is the sparse evaluation grid under prm as a cell set
-// — SweepCells for the sparse cells. Collect builds the SparseSweep.
-func SparseSweepCells(prm perfmodel.Params) CellSet[*SparseSweep] {
-	model := renderModel(prm)
+// SparseSweepCells is the sparse evaluation grid as a cell set —
+// SweepCells for the sparse cells. Collect builds the SparseSweep.
+func SparseSweepCells() CellSet[*SparseSweep] {
 	return gridCells(SparseSweepKeys(),
 		func(_ *Evaluator, k SparseSweepKey) SparseAnalyticCell {
-			return SparseAnalyticCell{E: k.Experiment(), Params: prm, model: model}
+			return SparseAnalyticCell{E: k.Experiment()}
 		},
 		func(ms map[SparseSweepKey]SparseMeasurement) *SparseSweep {
-			return &SparseSweep{Params: prm, Measurements: ms}
+			return &SparseSweep{Measurements: ms}
 		})
 }
 

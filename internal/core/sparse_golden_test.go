@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/perfmodel"
 	"repro/internal/sparse"
 )
 
@@ -41,12 +40,11 @@ const sparseAdvisorGoldenPath = "testdata/sparse_advisor_golden.json"
 
 func computeSparseAdvisorGolden(t *testing.T) []sparseAdvisorGoldenRow {
 	t.Helper()
-	prm := perfmodel.Params{}
 	var rows []sparseAdvisorGoldenRow
 	for _, spec := range core.SparseSweepSpecs() {
 		for _, a := range sparse.Algorithms() {
 			for _, obj := range core.Objectives() {
-				rec, _, err := core.RecommendSparseStored(a, spec, core.SparseSweepRanks, cluster.FullLoad, obj, prm, nil)
+				rec, _, err := core.RecommendSparseStored(a, spec, core.SparseSweepRanks, cluster.FullLoad, obj, nil)
 				if err != nil {
 					t.Fatalf("RecommendSparse(%v, %s, %v): %v", a, spec.Label(), obj, err)
 				}

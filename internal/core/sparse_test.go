@@ -12,7 +12,6 @@ import (
 	"repro/internal/mat"
 	"repro/internal/monitor"
 	"repro/internal/mpi"
-	"repro/internal/perfmodel"
 	"repro/internal/rapl"
 	"repro/internal/sparse"
 )
@@ -32,23 +31,21 @@ func TestSparseAnalyticStoredExactRoundTrip(t *testing.T) {
 	for _, dev := range cluster.Devices() {
 		st := openStore(t)
 		e := sparseTestExperiment(dev)
-		prm := perfmodel.Params{}
-
-		cold, computed, err := Run(st, SparseAnalyticCell{E: e, Params: prm}, nil)
+		cold, computed, err := Run(st, SparseAnalyticCell{E: e}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !computed {
 			t.Fatal("first run on an empty store must compute")
 		}
-		direct, err := RunSparseAnalytic(e, prm)
+		direct, err := RunSparseAnalytic(e)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(cold, direct) {
 			t.Fatalf("%s: stored cold run diverged from plain RunSparseAnalytic:\n got %+v\nwant %+v", dev, cold, direct)
 		}
-		warm, computed, err := Run(st, SparseAnalyticCell{E: e, Params: prm}, nil)
+		warm, computed, err := Run(st, SparseAnalyticCell{E: e}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,9 +62,8 @@ func TestSparseAnalyticStoredExactRoundTrip(t *testing.T) {
 // cells — the advisor depends on both coexisting in one store.
 func TestSparseDeviceSplitsIdentity(t *testing.T) {
 	st := openStore(t)
-	prm := perfmodel.Params{}
 	for _, dev := range cluster.Devices() {
-		if _, _, err := Run(st, SparseAnalyticCell{E: sparseTestExperiment(dev), Params: prm}, nil); err != nil {
+		if _, _, err := Run(st, SparseAnalyticCell{E: sparseTestExperiment(dev)}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -80,7 +76,7 @@ func TestSparseDeviceSplitsIdentity(t *testing.T) {
 // contract at the measurement level: serial cold, parallel cold, and
 // parallel warm sweeps must agree exactly.
 func TestSparseSweepDeterministicAcrossWorkers(t *testing.T) {
-	sweep := SparseSweepCells(perfmodel.Params{})
+	sweep := SparseSweepCells()
 	storeless := &Evaluator{Runner: grid.New(1)}
 	serial, err := sweep.Collect(storeless)
 	if err != nil {
@@ -236,17 +232,16 @@ func TestSparseMonitoredRejectsAccel(t *testing.T) {
 // TestRankSparseObjectives exercises every objective through RankSparse
 // on one shape where the devices disagree by construction.
 func TestRankSparseObjectives(t *testing.T) {
-	prm := perfmodel.Params{}
 	big := sparse.Spec{Kind: sparse.Banded, N: 1048576, Band: 256, Cond: 1e4, Seed: SparseSweepSeed}
 	small := sparse.Spec{Kind: sparse.Banded, N: 16384, Band: 256, Cond: 1e2, Seed: SparseSweepSeed}
-	recBig, _, err := RecommendSparseStored(sparse.CG, big, SparseSweepRanks, cluster.FullLoad, MinEnergy, prm, nil)
+	recBig, _, err := RecommendSparseStored(sparse.CG, big, SparseSweepRanks, cluster.FullLoad, MinEnergy, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if recBig.Best != cluster.DeviceAccel {
 		t.Fatalf("big solve: best %s, want accel", recBig.Best)
 	}
-	recSmall, _, err := RecommendSparseStored(sparse.CG, small, SparseSweepRanks, cluster.FullLoad, MinEnergy, prm, nil)
+	recSmall, _, err := RecommendSparseStored(sparse.CG, small, SparseSweepRanks, cluster.FullLoad, MinEnergy, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +249,7 @@ func TestRankSparseObjectives(t *testing.T) {
 		t.Fatalf("small solve: best %s, want cpu", recSmall.Best)
 	}
 	for _, obj := range Objectives() {
-		rec, _, err := RecommendSparseStored(sparse.BiCGSTAB, big, SparseSweepRanks, cluster.FullLoad, obj, prm, nil)
+		rec, _, err := RecommendSparseStored(sparse.BiCGSTAB, big, SparseSweepRanks, cluster.FullLoad, obj, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,17 +262,16 @@ func TestRankSparseObjectives(t *testing.T) {
 // TestRecommendSparseStoredAgreesWithCompute pins that a store-served
 // sparse recommendation can never differ from a freshly computed one.
 func TestRecommendSparseStoredAgreesWithCompute(t *testing.T) {
-	prm := perfmodel.Params{}
 	spec := sparse.Spec{Kind: sparse.Random, N: 131072, Density: 1e-3, Cond: 1e4, Seed: SparseSweepSeed}
 	st := openStore(t)
-	cold, computed, err := RecommendSparseStored(sparse.CG, spec, SparseSweepRanks, cluster.FullLoad, MinTime, prm, st)
+	cold, computed, err := RecommendSparseStored(sparse.CG, spec, SparseSweepRanks, cluster.FullLoad, MinTime, st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if computed != 2 {
 		t.Fatalf("cold recommend computed %d cells, want 2", computed)
 	}
-	warm, computed, err := RecommendSparseStored(sparse.CG, spec, SparseSweepRanks, cluster.FullLoad, MinTime, prm, st)
+	warm, computed, err := RecommendSparseStored(sparse.CG, spec, SparseSweepRanks, cluster.FullLoad, MinTime, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +281,7 @@ func TestRecommendSparseStoredAgreesWithCompute(t *testing.T) {
 	if !reflect.DeepEqual(warm, cold) {
 		t.Fatal("warm recommendation diverged from cold")
 	}
-	direct, _, err := RecommendSparseStored(sparse.CG, spec, SparseSweepRanks, cluster.FullLoad, MinTime, prm, nil)
+	direct, _, err := RecommendSparseStored(sparse.CG, spec, SparseSweepRanks, cluster.FullLoad, MinTime, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

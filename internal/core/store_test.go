@@ -305,7 +305,7 @@ func TestStoredUnknownEnergyDomainIsAnError(t *testing.T) {
 	}
 	plant(CellKind, AnalyticCellIdentity(dense.E, dense.Params),
 		`{"duration_s":1,"energy_j":{"PACKAGE_ENERGY:PACKAGE0":2,"PP0_ENERGY:PACKAGE0":1},"total_j":3,"engine":"analytic"}`)
-	plant(SparseCellKind, SparseAnalyticCellIdentity(sparseCell.E, sparseCell.Params),
+	plant(SparseCellKind, SparseAnalyticCellIdentity(sparseCell.E),
 		`{"duration_s":1,"energy_j":{"PACKAGE_ENERGY:PACKAGE0":2,"DRAM_ENERGY:PACKGE1":1,"ACCEL_ENERGY":1},"total_j":4,"iters":7,"engine":"sparse-analytic"}`)
 
 	_, ok, err := lookup(st, dense)
@@ -329,7 +329,7 @@ func TestCellSetsKeyLikeLoneCells(t *testing.T) {
 	st := openStore(t)
 	capped := perfmodel.Params{Overlap: true, PowerCapW: 110}
 	sets := []interface{ Run(*Evaluator) error }{
-		SweepCells(SweepKeys(), capped), RepetitionStudy(capped), SparseSweepCells(perfmodel.Params{}),
+		SweepCells(SweepKeys(), capped), RepetitionStudy(capped), SparseSweepCells(),
 	}
 	for _, set := range sets {
 		if err := set.Run(&Evaluator{Store: st, Runner: grid.New(1)}); err != nil {

@@ -52,9 +52,6 @@ func weight(r, j int) float64 {
 
 // newChecksums builds the checksum rows from the (globally known) system.
 func newChecksums(sys *mat.System, st *parallelState, sets int) *checksumState {
-	if sets < 1 {
-		sets = 1
-	}
 	n, ranks := st.n, st.ranks
 	k := maxBlock(n, ranks)
 	cs := &checksumState{n: n, ranks: ranks, sets: sets, rows: make([][][]float64, sets)}

@@ -96,7 +96,6 @@ func TestMultiFaultRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := runParallelFT(t, sys, tc.ranks, ParallelOptions{
-			Checksum:       true,
 			ChecksumSets:   tc.sets,
 			InjectSchedule: faultAt(tc.level, tc.faults...),
 		})
@@ -118,19 +117,19 @@ func TestMultiFaultValidation(t *testing.T) {
 		opts ParallelOptions
 	}{
 		{"too many faults for sets", ParallelOptions{
-			Checksum: true, ChecksumSets: 1,
+			ChecksumSets:   1,
 			InjectSchedule: faultAt(10, 1, 2),
 		}},
 		{"duplicate fault rank", ParallelOptions{
-			Checksum: true, ChecksumSets: 2,
+			ChecksumSets:   2,
 			InjectSchedule: faultAt(10, 2, 2),
 		}},
 		{"master fault", ParallelOptions{
-			Checksum: true, ChecksumSets: 2,
+			ChecksumSets:   2,
 			InjectSchedule: faultAt(10, 0, 1),
 		}},
 		{"rank out of range", ParallelOptions{
-			Checksum: true, ChecksumSets: 2,
+			ChecksumSets:   2,
 			InjectSchedule: faultAt(10, 1, 9),
 		}},
 		{"fault without checksums", ParallelOptions{
@@ -159,7 +158,7 @@ func TestChecksumSetsSolveUnaffected(t *testing.T) {
 	// Extra checksum sets must not perturb the solution at all.
 	sys := mat.NewRandomSystem(30, 8)
 	plain := runParallelFT(t, sys, 5, ParallelOptions{})
-	multi := runParallelFT(t, sys, 5, ParallelOptions{Checksum: true, ChecksumSets: 3})
+	multi := runParallelFT(t, sys, 5, ParallelOptions{ChecksumSets: 3})
 	for i := range plain {
 		if plain[i] != multi[i] {
 			t.Fatalf("checksum sets perturbed x[%d]: %g != %g", i, multi[i], plain[i])

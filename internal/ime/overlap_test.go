@@ -73,7 +73,7 @@ func TestOverlappedWithChecksums(t *testing.T) {
 	// Checksums are maintained (no faults); solution unaffected.
 	sys := mat.NewRandomSystem(24, 12)
 	plain, _ := runParallel(t, sys, 4, ParallelOptions{Overlap: true})
-	cs, _ := runParallel(t, sys, 4, ParallelOptions{Overlap: true, Checksum: true, ChecksumSets: 2})
+	cs, _ := runParallel(t, sys, 4, ParallelOptions{Overlap: true, ChecksumSets: 2})
 	for i := range plain {
 		if cs[i] != plain[i] {
 			t.Fatalf("checksums perturbed overlapped solve at %d", i)
@@ -90,7 +90,7 @@ func TestOverlappedRejectsFaultInjection(t *testing.T) {
 	err = w.Run(func(p *mpi.Proc) error {
 		_, err := SolveParallel(p, p.World(), sys, ParallelOptions{
 			Overlap:        true,
-			Checksum:       true,
+			ChecksumSets:   1,
 			InjectSchedule: faultAt(6, 1),
 		})
 		if err == nil || !strings.Contains(err.Error(), "synchronous") {

@@ -21,17 +21,16 @@ type ParallelOptions struct {
 	// early with buffered sends, no per-level h broadcast. Not
 	// combinable with solver-level fault injection.
 	Overlap bool
-	// Checksum enables the fault-tolerance checksum rows (the extension
-	// the paper cites as IMe's advantage [7]); see ft.go.
-	Checksum bool
-	// ChecksumSets is the number of independent checksum sets, bounding
-	// how many simultaneous rank faults are recoverable (default 1).
+	// ChecksumSets is the number of independent sets of fault-tolerance
+	// checksum rows (the extension the paper cites as IMe's advantage
+	// [7]; see ft.go), bounding how many simultaneous rank faults are
+	// recoverable. 0 maintains no checksum rows.
 	ChecksumSets int
 	// InjectSchedule drives solver-level fault injection from a
 	// fault.Schedule: every event with Level > 0 wipes the table blocks of
 	// its Ranks right before that elimination level is processed, forcing
 	// recovery (engine-level Time events are the mpi injector's business
-	// and are ignored here). Requires Checksum.
+	// and are ignored here). Requires checksum rows.
 	InjectSchedule *fault.Schedule
 }
 
@@ -96,7 +95,7 @@ func SolveParallel(p *mpi.Proc, c *mpi.Comm, sys *mat.System, opts ParallelOptio
 	st.attachMetrics(p)
 
 	faultLevels := opts.faultLevels()
-	if len(faultLevels) > 0 && !opts.Checksum {
+	if len(faultLevels) > 0 && opts.ChecksumSets < 1 {
 		return nil, fmt.Errorf("ime: a solver-level fault schedule requires checksum rows")
 	}
 	if len(faultLevels) > 0 && opts.Overlap {
@@ -231,7 +230,7 @@ func newParallelState(sys *mat.System, me, ranks int, opts ParallelOptions) (*pa
 		// table initialisation, so the two paths agree exactly.
 		st.h[i] = sys.B[i] * (1 / d)
 	}
-	if opts.Checksum {
+	if opts.ChecksumSets > 0 {
 		st.cs = newChecksums(sys, st, opts.ChecksumSets)
 	}
 	return st, nil

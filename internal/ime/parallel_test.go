@@ -174,7 +174,7 @@ func TestChecksumSolveUnaffected(t *testing.T) {
 	// Checksum maintenance must not change the solution at all.
 	sys := mat.NewRandomSystem(24, 11)
 	plain, _ := runParallel(t, sys, 4, ParallelOptions{})
-	ft, _ := runParallel(t, sys, 4, ParallelOptions{Checksum: true})
+	ft, _ := runParallel(t, sys, 4, ParallelOptions{ChecksumSets: 1})
 	for i := range plain {
 		if plain[i] != ft[i] {
 			t.Fatalf("checksum run diverged at %d: %g != %g", i, ft[i], plain[i])
@@ -197,7 +197,7 @@ func TestFaultRecoveryMidSolve(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, _ := runParallel(t, sys, tc.ranks, ParallelOptions{
-			Checksum:       true,
+			ChecksumSets:   1,
 			InjectSchedule: faultAt(tc.level, tc.fault),
 		})
 		for i := range want {
@@ -219,7 +219,7 @@ func TestFaultRecoveryRejectsMaster(t *testing.T) {
 	}
 	err = w.Run(func(p *mpi.Proc) error {
 		_, err := SolveParallel(p, p.World(), sys, ParallelOptions{
-			Checksum:       true,
+			ChecksumSets:   1,
 			InjectSchedule: faultAt(6, 0),
 		})
 		if err == nil {

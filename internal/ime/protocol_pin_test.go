@@ -89,7 +89,7 @@ func TestProtocolPinned(t *testing.T) {
 		for _, overlap := range []bool{false, true} {
 			for _, sets := range []int{0, 2} {
 				c := shape
-				c.opts = ParallelOptions{ChargeCosts: true, Overlap: overlap, Checksum: sets > 0, ChecksumSets: sets}
+				c.opts = ParallelOptions{ChargeCosts: true, Overlap: overlap, ChecksumSets: sets}
 				x, w := c.run(t, false)
 				_, tw := c.run(t, true)
 				msgs, bytes := w.Traffic()

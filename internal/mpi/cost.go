@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"fmt"
 	"math/bits"
 
 	"repro/internal/canon"
@@ -63,17 +62,6 @@ func DefaultCostModel() CostModel {
 		SendOverhead:   2.5e-7,
 		RecvOverhead:   2.5e-7,
 	}
-}
-
-// Validate reports an error for non-physical parameters.
-func (c CostModel) Validate() error {
-	if c.LatencyIntra < 0 || c.LatencyInter < 0 || c.SendOverhead < 0 || c.RecvOverhead < 0 {
-		return fmt.Errorf("mpi: negative latency/overhead in cost model %+v", c)
-	}
-	if c.BandwidthIntra <= 0 || c.BandwidthInter <= 0 {
-		return fmt.Errorf("mpi: non-positive bandwidth in cost model %+v", c)
-	}
-	return nil
 }
 
 // Wire returns the in-flight time of a message of size bytes between two

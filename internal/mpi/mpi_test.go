@@ -35,17 +35,6 @@ func TestNewWorldValidation(t *testing.T) {
 	}
 }
 
-func TestCostModelValidate(t *testing.T) {
-	if err := DefaultCostModel().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	m := DefaultCostModel()
-	m.LatencyInter = -1
-	if err := m.Validate(); err == nil {
-		t.Error("negative latency accepted")
-	}
-}
-
 func TestTreeDepth(t *testing.T) {
 	cases := map[int]int{1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 9: 4, 1296: 11}
 	for p, want := range cases {

@@ -32,7 +32,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
-	"repro/internal/power"
 	"repro/internal/rapl"
 )
 
@@ -41,8 +40,6 @@ type Options struct {
 	// Config places ranks on nodes/sockets. When nil, all ranks share one
 	// synthetic node on socket 0 (convenient for algorithm-only tests).
 	Config *cluster.Config
-	// Calibration is the node power model; zero value means Skylake8160.
-	Calibration power.Calibration
 	// Fault is the crash plane: a deterministic schedule of hard rank
 	// crashes (internal/fault). Nil injects nothing and leaves every
 	// output byte-identical.
@@ -121,10 +118,6 @@ func NewWorld(size int, opts Options) (*World, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("mpi: world size %d must be positive", size)
 	}
-	cal := opts.Calibration
-	if cal == (power.Calibration{}) {
-		cal = power.Skylake8160()
-	}
 	if opts.Config != nil && opts.Config.Ranks != size {
 		return nil, fmt.Errorf("mpi: config has %d ranks, world has %d", opts.Config.Ranks, size)
 	}
@@ -145,11 +138,7 @@ func NewWorld(size int, opts Options) (*World, error) {
 	w.nodes = make([]*rapl.Node, nNodes)
 	w.nodeMu = make([]nodeLock, nNodes)
 	for i := range w.nodes {
-		n, err := rapl.NewNode(i, cal)
-		if err != nil {
-			return nil, err
-		}
-		w.nodes[i] = n
+		w.nodes[i] = rapl.NewNode(i)
 	}
 	w.loc = make([]rankLoc, size)
 	if w.cfg != nil {

@@ -11,10 +11,7 @@ import (
 
 func newLib(t *testing.T) (*Library, *rapl.Node) {
 	t.Helper()
-	node, err := rapl.NewNode(0, power.Skylake8160())
-	if err != nil {
-		t.Fatal(err)
-	}
+	node := rapl.NewNode(0)
 	lib, err := Init(Version, node)
 	if err != nil {
 		t.Fatal(err)
@@ -23,7 +20,7 @@ func newLib(t *testing.T) (*Library, *rapl.Node) {
 }
 
 func TestInitVersionCheck(t *testing.T) {
-	node, _ := rapl.NewNode(0, power.Skylake8160())
+	node := rapl.NewNode(0)
 	if _, err := Init(123, node); !errors.Is(err, ErrBadVersion) {
 		t.Fatalf("got %v, want version error", err)
 	}

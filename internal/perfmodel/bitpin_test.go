@@ -16,8 +16,6 @@ import (
 	"hash/fnv"
 	"math"
 	"testing"
-
-	"repro/internal/mpi"
 )
 
 type pinCase struct {
@@ -28,7 +26,7 @@ type pinCase struct {
 
 func (c pinCase) schedule(alg Algorithm) schedule {
 	return schedule{alg: alg, n: c.n, ranks: c.ranks, intra: c.intra, capStretch: c.stretch,
-		overlap: c.overlap, nb: c.nb, cost: mpi.DefaultCostModel()}
+		overlap: c.overlap, nb: c.nb}
 }
 
 // pinBits evaluates both replays at c. imeTime refuses ranks > n; its

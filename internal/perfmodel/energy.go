@@ -3,6 +3,7 @@ package perfmodel
 import (
 	"repro/internal/cluster"
 	"repro/internal/ime"
+	"repro/internal/power"
 	"repro/internal/rapl"
 	"repro/internal/scalapack"
 )
@@ -12,11 +13,8 @@ import (
 // factor, busy-polling MPI at nominal otherwise), so a socket's busy
 // core-seconds follow directly from the placement's active-core counts.
 // DRAM traffic is the algorithm's bytes-per-flop times the flops executed
-// on the socket. A power cap clamps package power at max(cap, idle) — the
-// cap stretched the duration via capStretch, so clamped power × longer
-// time is how capping trades time for power.
-func energyFor(alg Algorithm, n int, cfg cluster.Config, prm Params, duration, computeS float64, capStretch float64) map[rapl.Domain]float64 {
-	cal := prm.Calibration
+// on the socket.
+func energyFor(alg Algorithm, n int, cfg cluster.Config, prm Params, duration, computeS float64) map[rapl.Domain]float64 {
 	var activity, bytesPerFlop, totalFlops float64
 	switch alg {
 	case IMe:
@@ -28,13 +26,26 @@ func energyFor(alg Algorithm, n int, cfg cluster.Config, prm Params, duration, c
 		bytesPerFlop = scalapack.DramBytesPerFlop
 		totalFlops = scalapack.TotalFlops(n)
 	}
+	out := make(map[rapl.Domain]float64, 4)
+	SocketEnergy(out, cfg, duration, computeS, activity, totalFlops/float64(cfg.Ranks), bytesPerFlop, prm.PowerCapW)
+	return out
+}
+
+// SocketEnergy adds to out the package and DRAM energy of every node of
+// cfg over a run of duration seconds: its active cores compute for
+// computeS of it at the given activity factor and busy-poll at nominal
+// for the rest. Each rank moves rankWork·bytesPerWork DRAM bytes (flops
+// times bytes per flop, or bytes times 1). A power cap capW > 0 clamps
+// package power at max(capW, idle) — the cap stretched the duration
+// (Params.capStretch), so clamped power × longer time is how capping
+// trades time for power. The dense and the sparse analytic models both
+// integrate through it, so their joules share one formula.
+func SocketEnergy(out map[rapl.Domain]float64, cfg cluster.Config, duration, computeS, activity, rankWork, bytesPerWork, capW float64) {
+	cal := power.Skylake8160()
 	if computeS > duration {
 		computeS = duration
 	}
-	flopsPerRank := totalFlops / float64(cfg.Ranks)
 	pollS := duration - computeS
-
-	out := make(map[rapl.Domain]float64, 4)
 	pkgDomains := [2]rapl.Domain{rapl.PKG0, rapl.PKG1}
 	dramDomains := [2]rapl.Domain{rapl.DRAM0, rapl.DRAM1}
 	coresPerSocket := 24
@@ -46,9 +57,9 @@ func energyFor(alg Algorithm, n int, cfg cluster.Config, prm Params, duration, c
 		busy := float64(cores) * (computeS*activity + pollS)
 		pkgJ := cal.PkgEnergy(duration, busy, s) +
 			cal.UncorePower(cores, coresPerSocket)*duration
-		if prm.PowerCapW > 0 {
+		if capW > 0 {
 			floor := cal.PkgPower(0, s)
-			lim := prm.PowerCapW
+			lim := capW
 			if lim < floor {
 				lim = floor
 			}
@@ -58,10 +69,9 @@ func energyFor(alg Algorithm, n int, cfg cluster.Config, prm Params, duration, c
 		}
 		// DRAM: traffic of the ranks pinned to this socket. The idle
 		// socket still refreshes its DIMMs (idle DRAM power applies).
-		bytes := flopsPerRank * float64(cores) * bytesPerFlop
+		bytes := rankWork * float64(cores) * bytesPerWork
 		dramJ := cal.DramEnergy(duration, bytes)
 		out[pkgDomains[s]] += pkgJ * float64(cfg.Nodes)
 		out[dramDomains[s]] += dramJ * float64(cfg.Nodes)
 	}
-	return out
 }

@@ -84,7 +84,7 @@ func imeTime(s schedule) (timeBreakdown, error) {
 	if s.ranks > n {
 		return timeBreakdown{}, fmt.Errorf("perfmodel: %d ranks exceed order %d", s.ranks, n)
 	}
-	world := resolveCollective(s.cost, s.ranks, s.intra, s.overlap)
+	world := resolveCollective(mpi.DefaultCostModel(), s.ranks, s.intra, s.overlap)
 	lo, hi := ime.BlockRange(n, s.ranks, 0)
 	maxRows := hi - lo
 	// Neither a broadcast of n entries (h, the initial column, the

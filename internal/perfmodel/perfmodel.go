@@ -13,7 +13,7 @@
 //     update, and the h broadcast and last-row gather are off the critical
 //     path (no rank's compute consumes them). With Overlap enabled the
 //     exposed per-level cost is max(compute, pivot broadcast); the
-//     executable engine is synchronous, so cross-checks run Overlap=false.
+//     cross-checks compare the synchronous variant only (Overlap=false).
 //   - ScaLAPACK's partial pivoting serialises one MAXLOC allreduce, a row
 //     swap and a pivot-row broadcast per column — data-dependent work that
 //     no lookahead can hide. The panel/update broadcasts do overlap with
@@ -74,15 +74,13 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 	return 0, fmt.Errorf("perfmodel: unknown algorithm %q (want IMe or ScaLAPACK)", s)
 }
 
-// Params configures a model run.
+// Params configures a model run. The machine is not a parameter: every
+// run prices Marconi A3 with mpi.DefaultCostModel and power.Skylake8160,
+// the constants the executable engine runs on.
 type Params struct {
-	// Cost is the communication model (DefaultCostModel if zero).
-	Cost mpi.CostModel
-	// Calibration is the node power model (Skylake8160 if zero).
-	Calibration power.Calibration
 	// Overlap enables communication/computation overlap (see package
-	// comment). The figure benches enable it; cross-checks against the
-	// synchronous executable engine disable it.
+	// comment). The figure benches enable it; the cross-checks against
+	// the executable engine compare the synchronous variant only.
 	Overlap bool
 	// BlockSize is ScaLAPACK's nb (DefaultBlockSize if 0).
 	BlockSize int
@@ -122,7 +120,7 @@ func (prm Params) jitterFactors() (fTime, fPower float64) {
 }
 
 // Normalized returns the params with every defaulted field resolved to
-// its concrete value (cost model, calibration, block size). Two Params
+// its concrete value (the block size; −0 cap is no cap). Two Params
 // that normalize equal produce identical model outputs, which is what
 // lets request-driven callers use the normalized value as a cache
 // identity.
@@ -139,19 +137,20 @@ func (prm Params) Normalized() Params {
 const ModelVersion = "analytic/v1"
 
 // CanonicalIdentity is the persistent cache identity of a Params value:
-// the in-process Normalized identity extended with the version stamps of
-// every versioned model input. Within one process Normalized alone is a
-// sound cache key (the code cannot change under it); across processes and
-// code revisions it is not — the same normalized parameters mean
-// different results once a model formula, the cost-model semantics, the
-// power-model semantics, or a learned coefficient table changes. A
-// content-addressed store therefore keys on this struct's canonical JSON:
-// equal spellings of a request collapse to one key, and any version bump
-// yields a fresh key instead of a stale hit.
+// the in-process Normalized identity extended with the machine constants
+// and the version stamps of every versioned model input. Within one
+// process Normalized alone is a sound cache key (the code cannot change
+// under it); across processes and code revisions it is not — the same
+// normalized parameters mean different results once a model formula, a
+// machine constant, the cost-model semantics, the power-model semantics,
+// or a learned coefficient table changes. A content-addressed store
+// therefore keys on this struct's canonical JSON: equal spellings of a
+// request collapse to one key, and any version bump yields a fresh key
+// instead of a stale hit.
 type CanonicalIdentity struct {
-	// Params is the fully normalized parameter set, concrete constants
-	// included (a calibration retune changes the identity by itself).
-	Params Params `json:"params"`
+	// Params is the fully normalized parameter set after the machine's
+	// constants (a calibration retune changes the identity by itself).
+	Params keyParams `json:"params"`
 	// Model is ModelVersion: the analytic schedule-replay semantics.
 	Model string `json:"model"`
 	// Cost is mpi.CostModelVersion: the communication-model semantics.
@@ -160,11 +159,21 @@ type CanonicalIdentity struct {
 	Calibration string `json:"calibration"`
 }
 
+// keyParams is the params member of a CanonicalIdentity: the machine's
+// cost model and calibration, then Params' own fields. encoding/json
+// flattens the embedded Params, so the untagged Go field names read as
+// one object, as they have in every stored key since the first.
+type keyParams struct {
+	Cost        mpi.CostModel
+	Calibration power.Calibration
+	Params
+}
+
 // CanonicalIdentity returns the versioned identity of an exact analytic
 // evaluation under these params.
 func (prm Params) CanonicalIdentity() CanonicalIdentity {
 	return CanonicalIdentity{
-		Params:      prm.Normalized(),
+		Params:      keyParams{Cost: mpi.DefaultCostModel(), Calibration: power.Skylake8160(), Params: prm.Normalized()},
 		Model:       ModelVersion,
 		Cost:        mpi.CostModelVersion,
 		Calibration: power.CalibrationVersion,
@@ -185,26 +194,20 @@ func (id CanonicalIdentity) AppendCanonical(dst []byte) ([]byte, bool) {
 }
 
 // AppendCanonical appends the params' canonical JSON, untagged Go field
-// names and all: they have been part of every stored key since the first.
-func (prm Params) AppendCanonical(dst []byte) ([]byte, bool) {
+// names and all.
+func (kp keyParams) AppendCanonical(dst []byte) ([]byte, bool) {
 	o := canon.Begin(dst)
-	o.Value("Cost", prm.Cost.AppendCanonical)
-	o.Value("Calibration", prm.Calibration.AppendCanonical)
-	o.Bool("Overlap", prm.Overlap)
-	o.Int("BlockSize", int64(prm.BlockSize))
-	o.Float("PowerCapW", prm.PowerCapW)
-	o.Float("NodeVariability", prm.NodeVariability)
-	o.Int("NoiseSeed", prm.NoiseSeed)
+	o.Value("Cost", kp.Cost.AppendCanonical)
+	o.Value("Calibration", kp.Calibration.AppendCanonical)
+	o.Bool("Overlap", kp.Overlap)
+	o.Int("BlockSize", int64(kp.BlockSize))
+	o.Float("PowerCapW", kp.PowerCapW)
+	o.Float("NodeVariability", kp.NodeVariability)
+	o.Int("NoiseSeed", kp.NoiseSeed)
 	return o.End()
 }
 
 func (prm *Params) normalize() {
-	if prm.Cost == (mpi.CostModel{}) {
-		prm.Cost = mpi.DefaultCostModel()
-	}
-	if prm.Calibration == (power.Calibration{}) {
-		prm.Calibration = power.Skylake8160()
-	}
 	if prm.BlockSize <= 0 {
 		prm.BlockSize = scalapack.DefaultBlockSize
 	}
@@ -262,28 +265,20 @@ func (r *Replays) Run(alg Algorithm, n int, cfg cluster.Config, prm Params) (Res
 	if cfg.Ranks <= 0 {
 		return Result{}, fmt.Errorf("perfmodel: configuration has no ranks")
 	}
-	if err := prm.Cost.Validate(); err != nil {
-		return Result{}, err
-	}
-	if err := prm.Calibration.Validate(); err != nil {
-		return Result{}, err
-	}
 
-	capStretch := prm.capStretch(cfg)
 	t, err := r.replay(schedule{
 		alg:        alg,
 		n:          n,
 		ranks:      cfg.Ranks,
 		intra:      cfg.Nodes <= 1, // single-node jobs ride shared memory; multi-node jobs the fabric
-		capStretch: capStretch,
+		capStretch: prm.capStretch(cfg),
 		overlap:    prm.Overlap,
 		nb:         prm.BlockSize,
-		cost:       prm.Cost,
 	})
 	if err != nil {
 		return Result{}, err
 	}
-	return resultFromTimes(alg, n, cfg, prm, t, capStretch), nil
+	return resultFromTimes(alg, n, cfg, prm, t), nil
 }
 
 // ResultFromTimes assembles a full Result — energy integration, jitter,
@@ -294,7 +289,7 @@ func (r *Replays) Run(alg Algorithm, n int, cfg cluster.Config, prm Params) (Res
 // inherit the model's calibration exactly and only carry the time error.
 func ResultFromTimes(alg Algorithm, n int, cfg cluster.Config, prm Params, computeS, exposedCommS float64) Result {
 	prm.normalize()
-	return resultFromTimes(alg, n, cfg, prm, timeBreakdown{compute: computeS, exposedComm: exposedCommS}, prm.capStretch(cfg))
+	return resultFromTimes(alg, n, cfg, prm, timeBreakdown{compute: computeS, exposedComm: exposedCommS})
 }
 
 // capStretch is the factor by which PowerCapW stretches compute via RAPL
@@ -305,7 +300,7 @@ func (prm Params) capStretch(cfg cluster.Config) float64 {
 	if prm.PowerCapW > 0 {
 		for s := 0; s < 2; s++ {
 			if cores := cfg.ActiveCores(s); cores > 0 {
-				if sl := prm.Calibration.SlowdownUnderCap(prm.PowerCapW, cores, s); sl > stretch {
+				if sl := power.Skylake8160().SlowdownUnderCap(prm.PowerCapW, cores, s); sl > stretch {
 					stretch = sl
 				}
 			}
@@ -316,7 +311,7 @@ func (prm Params) capStretch(cfg cluster.Config) float64 {
 
 // resultFromTimes is the shared tail of Run and ResultFromTimes: machine
 // variability jitter, then energy integration over the jittered schedule.
-func resultFromTimes(alg Algorithm, n int, cfg cluster.Config, prm Params, t timeBreakdown, capStretch float64) Result {
+func resultFromTimes(alg Algorithm, n int, cfg cluster.Config, prm Params, t timeBreakdown) Result {
 	res := Result{
 		Algorithm:    alg,
 		N:            n,
@@ -332,7 +327,7 @@ func resultFromTimes(alg Algorithm, n int, cfg cluster.Config, prm Params, t tim
 	res.ComputeS *= fTime
 	res.ExposedCommS *= fTime
 
-	res.EnergyJ = energyFor(alg, n, cfg, prm, res.DurationS, res.ComputeS, capStretch)
+	res.EnergyJ = energyFor(alg, n, cfg, prm, res.DurationS, res.ComputeS)
 	for _, d := range rapl.Domains() {
 		res.EnergyJ[d] *= fPower
 		res.TotalJ += res.EnergyJ[d]
@@ -350,10 +345,10 @@ type timeBreakdown struct {
 // schedule is everything a schedule replay reads, and imeTime and
 // scalapackTime read nothing else; so it is also the replay's memo key,
 // and an input the replay starts to read is an input the key carries.
-// Placement, the power calibration and the cap reach a replay only
-// through intra and capStretch, and machine variability not at all; all
-// of them reach the energy integration (resultFromTimes), which every
-// cell runs, memoized or not.
+// Placement and the cap reach a replay only through intra and
+// capStretch, and machine variability not at all; all of them reach the
+// energy integration (resultFromTimes), which every cell runs, memoized
+// or not. The machine's constants are constants, so no key carries them.
 type schedule struct {
 	alg        Algorithm
 	n, ranks   int
@@ -361,7 +356,6 @@ type schedule struct {
 	capStretch float64 // Params.capStretch of the placement
 	overlap    bool
 	nb         int // ScaLAPACK's block size; IMe has none and ignores it
-	cost       mpi.CostModel
 }
 
 // replayed counts schedule replays, memoized or not; the tests read it

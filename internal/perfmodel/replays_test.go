@@ -140,7 +140,7 @@ func storedAndFresh(t *testing.T, rec store.Record) (stored, fresh core.Measurem
 		t.Fatal(err)
 	}
 	e := core.Experiment{Algorithm: alg, N: id.N, Ranks: id.Ranks, Placement: pl}
-	if fresh, err = core.RunAnalytic(e, id.Model.Params); err != nil {
+	if fresh, err = core.RunAnalytic(e, id.Model.Params.Params); err != nil {
 		t.Fatal(err)
 	}
 	stored = core.Measurement{DurationS: res.DurationS, TotalJ: res.TotalJ, EnergyJ: map[rapl.Domain]float64{}}

@@ -15,7 +15,7 @@ func scalapackTime(s schedule) (timeBreakdown, error) {
 	if err != nil {
 		return timeBreakdown{}, err
 	}
-	n, cost, nb, intra, capStretch := s.n, s.cost, s.nb, s.intra, s.capStretch
+	n, cost, nb, intra, capStretch := s.n, mpi.DefaultCostModel(), s.nb, s.intra, s.capStretch
 	if nb > n {
 		nb = n
 	}

@@ -19,11 +19,7 @@
 // are reproduced because they depend only on ratios of these terms.
 package power
 
-import (
-	"fmt"
-
-	"repro/internal/canon"
-)
+import "repro/internal/canon"
 
 // CalibrationVersion stamps the semantics of the additive power model —
 // the integration formulas above, not the constants (those travel inside
@@ -99,19 +95,6 @@ func Skylake8160() Calibration {
 		DramPerByte: 0.55e-9,
 		UncoreLoad:  3.0,
 	}
-}
-
-// Validate reports an error when the calibration is physically implausible.
-func (c Calibration) Validate() error {
-	switch {
-	case c.PkgIdle <= 0 || c.CoreActive <= 0 || c.TDP <= 0:
-		return fmt.Errorf("power: non-positive package constants: %+v", c)
-	case c.OSNoise < 0 || c.DramIdle < 0 || c.DramPerByte < 0 || c.UncoreLoad < 0:
-		return fmt.Errorf("power: negative auxiliary constants: %+v", c)
-	case c.PkgIdle >= c.TDP:
-		return fmt.Errorf("power: idle power %.1f W exceeds TDP %.1f W", c.PkgIdle, c.TDP)
-	}
-	return nil
 }
 
 // PkgPower returns the instantaneous power of a package hosting

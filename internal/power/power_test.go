@@ -6,23 +6,18 @@ import (
 	"testing/quick"
 )
 
+// TestSkylakeCalibrationValid holds the one calibration to physical
+// plausibility: positive package constants, no negative auxiliary term,
+// idle power below TDP.
 func TestSkylakeCalibrationValid(t *testing.T) {
-	if err := Skylake8160().Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestValidateRejectsImplausible(t *testing.T) {
-	cases := []Calibration{
-		{},                                     // all zero
-		{PkgIdle: -1, CoreActive: 1, TDP: 100}, // negative idle
-		{PkgIdle: 50, CoreActive: 1, TDP: 100, DramPerByte: -1},
-		{PkgIdle: 200, CoreActive: 1, TDP: 100}, // idle > TDP
-	}
-	for i, c := range cases {
-		if err := c.Validate(); err == nil {
-			t.Errorf("case %d: expected validation error", i)
-		}
+	c := Skylake8160()
+	switch {
+	case c.PkgIdle <= 0 || c.CoreActive <= 0 || c.TDP <= 0:
+		t.Errorf("non-positive package constants: %+v", c)
+	case c.OSNoise < 0 || c.DramIdle < 0 || c.DramPerByte < 0 || c.UncoreLoad < 0:
+		t.Errorf("negative auxiliary constants: %+v", c)
+	case c.PkgIdle >= c.TDP:
+		t.Errorf("idle power %.1f W exceeds TDP %.1f W", c.PkgIdle, c.TDP)
 	}
 }
 

@@ -126,15 +126,12 @@ type Node struct {
 	nodeID       int
 }
 
-// NewNode returns a node with zeroed counters.
-func NewNode(id int, cal power.Calibration) (*Node, error) {
-	if err := cal.Validate(); err != nil {
-		return nil, err
-	}
-	n := &Node{cal: cal, nodeID: id}
+// NewNode returns a Skylake8160 node with zeroed counters.
+func NewNode(id int) *Node {
+	n := &Node{cal: power.Skylake8160(), nodeID: id}
 	n.refresh(0)
 	n.refresh(1)
-	return n, nil
+	return n
 }
 
 // AccountBusy adds coreSeconds of rank activity to a socket. Negative

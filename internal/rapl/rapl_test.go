@@ -8,23 +8,8 @@ import (
 	"repro/internal/power"
 )
 
-func newTestNode(t *testing.T) *Node {
-	t.Helper()
-	n, err := NewNode(0, power.Skylake8160())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n
-}
-
-func TestNewNodeRejectsBadCalibration(t *testing.T) {
-	if _, err := NewNode(0, power.Calibration{}); err == nil {
-		t.Fatal("invalid calibration accepted")
-	}
-}
-
 func TestUnitRegister(t *testing.T) {
-	n := newTestNode(t)
+	n := NewNode(0)
 	v, err := n.ReadMSR(0, MSRRaplPowerUnit)
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +24,7 @@ func TestUnitRegister(t *testing.T) {
 }
 
 func TestIdleEnergyAccumulates(t *testing.T) {
-	n := newTestNode(t)
+	n := NewNode(0)
 	if err := n.SetTime(10); err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +40,7 @@ func TestIdleEnergyAccumulates(t *testing.T) {
 }
 
 func TestBusyAccountingRaisesEnergy(t *testing.T) {
-	n := newTestNode(t)
+	n := NewNode(0)
 	if err := n.AccountBusy(1, 24*5); err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +55,7 @@ func TestBusyAccountingRaisesEnergy(t *testing.T) {
 }
 
 func TestBytesAccountingRaisesDram(t *testing.T) {
-	n := newTestNode(t)
+	n := NewNode(0)
 	if err := n.AccountBytes(0, 1e9); err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +70,7 @@ func TestBytesAccountingRaisesDram(t *testing.T) {
 }
 
 func TestAccountingValidation(t *testing.T) {
-	n := newTestNode(t)
+	n := NewNode(0)
 	if err := n.AccountBusy(2, 1); err == nil {
 		t.Error("socket 2 accepted")
 	}
@@ -106,7 +91,7 @@ func TestAccountingValidation(t *testing.T) {
 func TestCounterGranularity(t *testing.T) {
 	// Two reads within the same ~1 ms update window must see the same
 	// snapshot even though exact energy advanced.
-	n := newTestNode(t)
+	n := NewNode(0)
 	if err := n.SetTime(1.0); err != nil { // force a refresh
 		t.Fatal(err)
 	}
@@ -142,7 +127,7 @@ func TestCounterGranularity(t *testing.T) {
 // read at that time returns, in whatever order they arrived.
 func TestReadSeesEveryChargeOfItsInstant(t *testing.T) {
 	read := func(order []float64) uint64 {
-		n := newTestNode(t)
+		n := NewNode(0)
 		for _, busy := range order {
 			if err := n.AccountBusy(0, busy); err != nil {
 				t.Fatal(err)
@@ -167,7 +152,7 @@ func TestReadSeesEveryChargeOfItsInstant(t *testing.T) {
 }
 
 func TestCounterMatchesExactEnergyWithinResolution(t *testing.T) {
-	n := newTestNode(t)
+	n := NewNode(0)
 	if err := n.AccountBusy(0, 48); err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +216,7 @@ func TestWrapHorizonPlausible(t *testing.T) {
 }
 
 func TestUnknownMSR(t *testing.T) {
-	n := newTestNode(t)
+	n := NewNode(0)
 	if _, err := n.ReadMSR(0, 0xDEAD); err == nil {
 		t.Fatal("unknown MSR read accepted")
 	}
@@ -250,7 +235,7 @@ func TestDomainStringsAndSockets(t *testing.T) {
 }
 
 func TestPP0BelowPackage(t *testing.T) {
-	n := newTestNode(t)
+	n := NewNode(0)
 	if err := n.AccountBusy(0, 100); err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"strconv"
 
 	"repro/internal/core"
-	"repro/internal/perfmodel"
 	"repro/internal/rapl"
 	"repro/internal/sparse"
 )
@@ -176,7 +175,7 @@ func sparseRecommendResponse(req SparseRecommendRequest, rec core.SparseRecommen
 // computeSparse models both device cells through Config.Store (nil or
 // not), shared with lsbench and campaign runs.
 func (s *Server) computeSparse(_ context.Context, req SparseRecommendRequest, rec *requestRecord) ([]byte, error) {
-	r, computed, err := core.RecommendSparseStored(req.Algorithm, req.spec(), req.Ranks, req.Placement, req.Objective, perfmodel.Params{}, s.cfg.Store)
+	r, computed, err := core.RecommendSparseStored(req.Algorithm, req.spec(), req.Ranks, req.Placement, req.Objective, s.cfg.Store)
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/perfmodel"
 	"repro/internal/sparse"
 )
 
@@ -74,7 +73,7 @@ func TestSparseRecommendMatchesCore(t *testing.T) {
 		t.Fatalf("decode body: %v", err)
 	}
 	spec := sparse.Spec{Kind: sparse.Banded, N: 131072, Band: 256, Cond: 1e4, Seed: core.SparseSweepSeed}
-	rec, _, err := core.RecommendSparseStored(sparse.CG, spec, 144, cluster.FullLoad, core.MinEnergy, perfmodel.Params{}, nil)
+	rec, _, err := core.RecommendSparseStored(sparse.CG, spec, 144, cluster.FullLoad, core.MinEnergy, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

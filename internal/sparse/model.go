@@ -61,8 +61,7 @@ func Model(alg Algorithm, spec Spec, cfg cluster.Config, device cluster.Device, 
 	if device == cluster.DeviceAccel && (cfg.Spec == nil || cfg.Spec.Accel == nil) {
 		return ModelResult{}, fmt.Errorf("sparse: device accel requires a machine with accelerators (got %s)", specName(cfg.Spec))
 	}
-	prm = prm.Normalized()
-	cost, cal := prm.Cost, prm.Calibration
+	cost := mpi.DefaultCostModel()
 	sh := shapeOf(alg)
 	iters := EstIters(alg, spec.Cond, spec.N)
 
@@ -110,39 +109,21 @@ func Model(alg Algorithm, spec Spec, cfg cluster.Config, device cluster.Device, 
 	exposedComm = float64(iters)*(float64(sh.spmvs)*haloTime+dotTime) + accelOverheadS
 	duration := computeS + exposedComm
 
-	// Energy mirrors perfmodel.energyFor: every active core is busy for
-	// the whole run (kernels at the sparse activity factor on CPU, MPI
-	// busy-poll at nominal; a host core driving an accelerator polls the
-	// device at nominal for the whole duration).
-	coresPerSocket := 24
-	if cfg.Spec != nil {
-		coresPerSocket = cfg.Spec.CoresPerSocket
-	}
+	// Energy integrates like the dense model's (perfmodel.SocketEnergy):
+	// every active core is busy for the whole run (kernels at the sparse
+	// activity factor on CPU, MPI busy-poll at nominal; a host core
+	// driving an accelerator polls the device at nominal for the whole
+	// duration). Host DRAM traffic is the kernels' streamed bytes on CPU,
+	// only the staged halo/transfer bytes when the kernels live on the
+	// device.
 	hostKernelS := computeS
+	rankBytes := float64(iters) * (float64(sh.spmvs)*spmvBytes + vecBytes)
 	if device == cluster.DeviceAccel {
 		hostKernelS = 0 // kernels run on the device; hosts poll
+		rankBytes = float64(iters) * float64(sh.spmvs) * haloBytes
 	}
-	pollS := duration - hostKernelS
 	out := make(map[rapl.Domain]float64, 5)
-	pkgDomains := [2]rapl.Domain{rapl.PKG0, rapl.PKG1}
-	dramDomains := [2]rapl.Domain{rapl.DRAM0, rapl.DRAM1}
-	for s := 0; s < 2; s++ {
-		cores := cfg.ActiveCores(s)
-		busy := float64(cores) * (hostKernelS*CoreActivity + pollS)
-		pkgJ := cal.PkgEnergy(duration, busy, s) +
-			cal.UncorePower(cores, coresPerSocket)*duration
-		// Host DRAM traffic: the kernels' streamed bytes on CPU, only the
-		// staged halo/transfer bytes when the kernels live on the device.
-		var bytes float64
-		if device == cluster.DeviceAccel {
-			bytes = float64(iters) * float64(sh.spmvs) * haloBytes * float64(cores)
-		} else {
-			bytes = float64(iters) * (float64(sh.spmvs)*spmvBytes + vecBytes) * float64(cores)
-		}
-		dramJ := cal.DramEnergy(duration, bytes)
-		out[pkgDomains[s]] += pkgJ * float64(cfg.Nodes)
-		out[dramDomains[s]] += dramJ * float64(cfg.Nodes)
-	}
+	perfmodel.SocketEnergy(out, cfg, duration, hostKernelS, CoreActivity, rankBytes, 1, 0)
 	if device == cluster.DeviceAccel {
 		perDev := accel.IdlePowerW*(duration-computeS) + accel.ActivePowerW*computeS
 		out[rapl.Accel] = float64(cfg.Nodes) * float64(accel.PerNode) * perDev

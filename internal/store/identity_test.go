@@ -1,6 +1,9 @@
 package store_test
 
 import (
+	"encoding/json"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/mpi"
@@ -26,15 +29,9 @@ func keyOf(t *testing.T, id perfmodel.CanonicalIdentity) string {
 // mixtures — maps to a single store key.
 func TestSpellingVariantsCollapseToOneKey(t *testing.T) {
 	variants := map[string]perfmodel.Params{
-		"zero":                 {},
-		"explicit block size":  {BlockSize: scalapack.DefaultBlockSize},
-		"explicit cost model":  {Cost: mpi.DefaultCostModel()},
-		"explicit calibration": {Calibration: power.Skylake8160()},
-		"all explicit": {
-			Cost:        mpi.DefaultCostModel(),
-			Calibration: power.Skylake8160(),
-			BlockSize:   scalapack.DefaultBlockSize,
-		},
+		"zero":                {},
+		"explicit block size": {BlockSize: scalapack.DefaultBlockSize},
+		"negative zero cap":   {PowerCapW: math.Copysign(0, -1)},
 	}
 	want := keyOf(t, perfmodel.Params{}.CanonicalIdentity())
 	for name, prm := range variants {
@@ -49,13 +46,11 @@ func TestSpellingVariantsCollapseToOneKey(t *testing.T) {
 func TestDistinctRequestsGetDistinctKeys(t *testing.T) {
 	base := keyOf(t, perfmodel.Params{}.CanonicalIdentity())
 	distinct := map[string]perfmodel.Params{
-		"overlap":        {Overlap: true},
-		"block size 32":  {BlockSize: 32},
-		"power cap":      {PowerCapW: 120},
-		"variability":    {NodeVariability: 0.05, NoiseSeed: 3},
-		"noise seed":     {NodeVariability: 0.05, NoiseSeed: 4},
-		"retuned cost":   {Cost: func() mpi.CostModel { c := mpi.DefaultCostModel(); c.LatencyInter *= 2; return c }()},
-		"retuned powers": {Calibration: func() power.Calibration { c := power.Skylake8160(); c.PkgIdle += 1; return c }()},
+		"overlap":       {Overlap: true},
+		"block size 32": {BlockSize: 32},
+		"power cap":     {PowerCapW: 120},
+		"variability":   {NodeVariability: 0.05, NoiseSeed: 3},
+		"noise seed":    {NodeVariability: 0.05, NoiseSeed: 4},
 	}
 	seen := map[string]string{"(default)": base}
 	for name, prm := range distinct {
@@ -101,9 +96,24 @@ func TestVersionBumpsYieldFreshKeys(t *testing.T) {
 
 // TestCurrentVersionStampsPinned pins the stamps' current values: any
 // code change that bumps them will fail here, forcing the author to
-// acknowledge that every previously stored record goes stale.
+// acknowledge that every previously stored record goes stale. It also
+// holds the identity to carrying the machine's constants, cost model and
+// calibration, so a retune of either moves every key by itself.
 func TestCurrentVersionStampsPinned(t *testing.T) {
 	id := perfmodel.Params{}.CanonicalIdentity()
+	_, b, err := store.KeyFor(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, constant := range map[string]any{"Cost": mpi.DefaultCostModel(), "Calibration": power.Skylake8160()} {
+		obj, err := json.Marshal(constant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := `"` + name + `":` + string(obj); !strings.Contains(string(b), want) {
+			t.Errorf("identity %s does not carry %s", b, want)
+		}
+	}
 	if id.Model != "analytic/v1" {
 		t.Errorf("ModelVersion = %q; bumping it invalidates all stored analytic results — intended?", id.Model)
 	}

@@ -48,9 +48,7 @@ import (
 	"sync"
 
 	"repro/internal/cluster"
-	"repro/internal/mpi"
 	"repro/internal/perfmodel"
-	"repro/internal/power"
 	"repro/internal/scalapack"
 )
 
@@ -187,13 +185,11 @@ func (p *Predictor) Version() string { return p.version }
 func (p *Predictor) Models() int { return len(p.models) }
 
 // eligibleParams reports whether prm matches the trained defaults: the
-// default cost model and calibration, the default block size, no power
-// cap and no machine-variability jitter. Overlap both ways is trained.
+// default block size, no power cap and no machine-variability jitter.
+// Overlap both ways is trained.
 func eligibleParams(prm perfmodel.Params) bool {
 	norm := prm.Normalized()
-	return norm.Cost == mpi.DefaultCostModel() &&
-		norm.Calibration == power.Skylake8160() &&
-		norm.BlockSize == scalapack.DefaultBlockSize &&
+	return norm.BlockSize == scalapack.DefaultBlockSize &&
 		norm.PowerCapW == 0 &&
 		norm.NodeVariability == 0
 }

@@ -16,7 +16,8 @@ import (
 )
 
 // reachExempt names the exports no non-test file has to name, with the
-// reason. A bare name exempts a method that a stdlib interface calls.
+// reason. A bare name exempts a method that a stdlib interface calls; a
+// qualified one must name a declaration that exists.
 var reachExempt = map[string]string{
 	"String": "fmt.Stringer", "Error": "error", "Unwrap": "errors.Unwrap",
 	"Len": "sort.Interface", "Less": "sort.Interface", "Swap": "sort.Interface",
@@ -88,7 +89,9 @@ func TestEveryExportIsReached(t *testing.T) {
 		t.Fatal(err)
 	}
 	var unreached []string
+	declared := map[string]bool{}
 	for id, key := range decls {
+		declared[key] = true
 		method := strings.Count(key, ".") == 2
 		if key != "" && !used[id.Name] && reachExempt[key] == "" && !(method && reachExempt[id.Name] != "") {
 			unreached = append(unreached, key+" "+fset.Position(id.Pos()).String())
@@ -99,15 +102,17 @@ func TestEveryExportIsReached(t *testing.T) {
 		t.Errorf("%d exported declarations are named by no non-test file; delete each or move it into a _test.go file:\n%s",
 			len(unreached), strings.Join(unreached, "\n"))
 	}
+	for key := range reachExempt {
+		if strings.Contains(key, ".") && !declared[key] {
+			t.Errorf("reachExempt names %s, which no file under internal/ declares; delete the exemption", key)
+		}
+	}
 }
 
 // setExempt names the exported fields no non-test code has to write, with
-// the reason.
+// the reason; each must name a field that exists.
 var setExempt = map[string]string{
 	"core.ResilienceOptions.Detect":         "the pinned resilience record carries detect_s",
-	"mpi.Options.Calibration":               "the monitor portability test's second machine",
-	"perfmodel.Params.Cost":                 "serialized into every stored key",
-	"perfmodel.Params.Calibration":          "serialized into every stored key",
 	"sparse.Options.Tol":                    "the non-convergence test goes through it",
 	"sparse.Options.MaxIter":                "the non-convergence and allocation tests go through it",
 	"telemetry.SLOTrackerOptions.Now":       "clock seam for tests",
@@ -168,7 +173,9 @@ func TestEveryFieldIsSet(t *testing.T) {
 		}
 	}
 	var unset []string
+	declared := map[string]bool{}
 	for fv, key := range fields {
+		declared[key] = true
 		if !written[fv] && setExempt[key] == "" {
 			unset = append(unset, key+" "+fset.Position(fv.Pos()).String())
 		}
@@ -177,6 +184,11 @@ func TestEveryFieldIsSet(t *testing.T) {
 	if len(unset) > 0 {
 		t.Errorf("%d exported fields are written by no non-test code; delete each with the code only it reaches:\n%s",
 			len(unset), strings.Join(unset, "\n"))
+	}
+	for key := range setExempt {
+		if !declared[key] {
+			t.Errorf("setExempt names %s, which is no exported field of an exported struct under internal/; delete the exemption", key)
+		}
 	}
 }
 
