@@ -113,29 +113,37 @@ func run(stdout io.Writer, algName string, n, ranks int, placement string, seed 
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "node %d: %.3f J over %.6f s (%.1f W) → %s\n",
+		if _, err := fmt.Fprintf(stdout, "node %d: %.3f J over %.6f s (%.1f W) → %s\n",
 			reports[i].Node, reports[i].TotalJoules(), reports[i].ElapsedS,
-			reports[i].AvgPowerW(), path)
+			reports[i].AvgPowerW(), path); err != nil {
+			return err
+		}
 	}
 	sum := monitor.Summarize(reports)
 	path, err := monitor.WriteRunSummary(outdir, sum)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "run: %s %s on %s — %.3f J, %.6f s, avg %.1f W across %d nodes → %s\n",
-		alg, fmt.Sprintf("n=%d", n), m.Config.Label(), sum.TotalJ, sum.DurationS, sum.AvgPowerW(), sum.Nodes, path)
+	if _, err := fmt.Fprintf(stdout, "run: %s %s on %s — %.3f J, %.6f s, avg %.1f W across %d nodes → %s\n",
+		alg, fmt.Sprintf("n=%d", n), m.Config.Label(), sum.TotalJ, sum.DurationS, sum.AvgPowerW(), sum.Nodes, path); err != nil {
+		return err
+	}
 	if tracePath != "" {
 		if err := os.WriteFile(tracePath, trace.Bytes(), 0o644); err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "trace: %s (critical path %.6f s of %.6f s makespan)\n",
-			tracePath, st.CriticalS, st.Makespan)
+		if _, err := fmt.Fprintf(stdout, "trace: %s (critical path %.6f s of %.6f s makespan)\n",
+			tracePath, st.CriticalS, st.Makespan); err != nil {
+			return err
+		}
 	}
 	if metricsPath != "" {
 		if err := os.WriteFile(metricsPath, metrics.Bytes(), 0o644); err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "metrics: %s\n", metricsPath)
+		if _, err := fmt.Fprintf(stdout, "metrics: %s\n", metricsPath); err != nil {
+			return err
+		}
 	}
 	return nil
 }

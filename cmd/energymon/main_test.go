@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -105,5 +106,33 @@ func TestGolden(t *testing.T) {
 	}
 	if got := b.String(); got != string(want) {
 		t.Errorf("output differs from %s (rerun with -update after a deliberate change)\n--- got\n%s--- want\n%s", path, got, want)
+	}
+}
+
+// failOn fails the first write that starts with prefix, as stdout on a
+// device that fills up partway through the report does; every other write
+// succeeds.
+type failOn struct{ prefix string }
+
+var errWrite = errors.New("no space left on device")
+
+func (f failOn) Write(p []byte) (int, error) {
+	if f.prefix == "" || bytes.HasPrefix(p, []byte(f.prefix)) {
+		return 0, errWrite
+	}
+	return len(p), nil
+}
+
+// TestReportWriteFailureIsAnError pins that every report line the writer
+// loses — a per-node line, the run summary, the trace and metrics lines —
+// is an error, so the command exits non-zero instead of 0.
+func TestReportWriteFailureIsAnError(t *testing.T) {
+	art := t.TempDir()
+	for _, prefix := range []string{"", "node ", "run: ", "trace: ", "metrics: "} {
+		err := run(failOn{prefix}, "ime", 48, 24, "half2", 1, 16, t.TempDir(),
+			filepath.Join(art, "trace.json"), filepath.Join(art, "metrics.prom"))
+		if !errors.Is(err, errWrite) {
+			t.Errorf("report into a writer failing on %q: err = %v, want %v", prefix, err, errWrite)
+		}
 	}
 }

@@ -71,41 +71,136 @@ func TestGemmStrided(t *testing.T) {
 	}
 }
 
+// sameBits reports whether got is want bit for bit, any NaN matching any
+// NaN (the payload of a NaN is not part of the contract).
+func sameBits(got, want float64) bool {
+	if math.IsNaN(want) {
+		return math.IsNaN(got)
+	}
+	return math.Float64bits(got) == math.Float64bits(want)
+}
+
+// specials are the operands on which a vector kernel could part from the
+// scalar loop: signed zeros, infinities, NaN, subnormals, and magnitudes
+// whose products (or sums) overflow.
+var specials = []float64{
+	0, math.Copysign(0, -1), 1, -1,
+	math.Inf(1), math.Inf(-1), math.NaN(),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 2.5e-310, -1e-308,
+	math.MaxFloat64, -math.MaxFloat64, 1e300, -3e200,
+}
+
+// mixedSlice fills n entries, about a third of them specials.
+func mixedSlice(rng *rand.Rand, n int) []float64 {
+	s := randSlice(rng, n)
+	for i := range s {
+		if rng.Intn(3) == 0 {
+			s[i] = specials[rng.Intn(len(specials))]
+		}
+	}
+	return s
+}
+
+// signedUnits fills n entries from {+0, −0, +1, −1}: sums of zero
+// products are where a kernel that starts or combines its accumulators
+// differently shows, in the sign of a zero.
+func signedUnits(rng *rand.Rand, n int) []float64 {
+	s := make([]float64, n)
+	for i := range s {
+		s[i] = specials[rng.Intn(4)]
+	}
+	return s
+}
+
 // TestGemmSinglePanelBitIdentical: for k ≤ kc the blocked kernel
-// accumulates in the same ascending-k order as the scalar reference and
-// applies alpha the same way, so full-tile results are bit-identical.
+// accumulates every C element in the same ascending-k order as the scalar
+// reference and applies alpha the same way, so every result — 4×4 tiles,
+// leftover rows and the narrow column strip alike — is bit-identical.
+// Leading dimensions wider than the logical width put each tile row at a
+// different offset; the padding around C must stay untouched.
 func TestGemmSinglePanelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	m, n, k := 16, 16, 64 // multiples of the tile: no tail paths
-	a := randSlice(rng, m*k)
-	b := randSlice(rng, k*n)
-	got := make([]float64, m*n)
-	want := make([]float64, m*n)
-	Gemm(m, n, k, -1, a, k, b, n, got, n)
-	GemmScalar(m, n, k, -1, a, k, b, n, want, n)
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("C[%d] = %x, scalar %x (not bit-identical)", i, got[i], want[i])
+	for _, k := range []int{1, 2, 3, kc - 1, kc} {
+		for _, sh := range []struct{ m, n int }{{16, 16}, {9, 11}} {
+			m, n := sh.m, sh.n
+			lda, ldb, ldc := k+3, n+5, n+7
+			for _, fill := range []func(*rand.Rand, int) []float64{randSlice, mixedSlice, signedUnits} {
+				a := fill(rng, m*lda)
+				b := fill(rng, k*ldb)
+				got := fill(rng, m*ldc)
+				want := append([]float64(nil), got...)
+				alpha := -1.0
+				if k%2 == 0 {
+					alpha = rng.NormFloat64()
+				}
+				Gemm(m, n, k, alpha, a, lda, b, ldb, got, ldc)
+				GemmScalar(m, n, k, alpha, a, lda, b, ldb, want, ldc)
+				for i := range got {
+					if !sameBits(got[i], want[i]) {
+						t.Fatalf("m=%d n=%d k=%d lda=%d ldb=%d ldc=%d: C[%d] = %x, scalar %x (not bit-identical)",
+							m, n, k, lda, ldb, ldc, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+					}
+				}
+			}
 		}
 	}
 }
 
+// TestAxpyBitIdentical holds Axpy to the plain loop y[i] += alpha·x[i] bit
+// for bit: every length up to 67 (each unrolled body and every tail), at
+// offsets 0–3 into the backing arrays (so unaligned for any vector width),
+// over signed zeros, infinities, NaN, subnormals and overflowing products.
+// Nothing outside y's window may change, and x is never written.
 func TestAxpyBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	for _, n := range []int{0, 1, 3, 4, 7, 129} {
-		x := randSlice(rng, n)
-		got := randSlice(rng, n)
-		want := append([]float64(nil), got...)
-		m := rng.NormFloat64()
-		Axpy(-m, x, got)
-		for i := range want {
-			want[i] -= m * x[i]
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d: y[%d] = %x, reference %x", n, i, got[i], want[i])
+	const pad = 5
+	for n := 0; n <= 67; n++ {
+		for off := 0; off <= 3; off++ {
+			for _, alpha := range []float64{0, math.Copysign(0, -1), 1, -1, 4 * rng.NormFloat64()} {
+				// x runs one past y now and then: Axpy covers min(len(x), len(y)).
+				extra := rng.Intn(2)
+				xbuf := mixedSlice(rng, off+n+extra+pad)
+				ybuf := mixedSlice(rng, off+n+pad)
+				x := xbuf[off : off+n+extra]
+				y := ybuf[3-off : 3-off+n]
+				xWas := append([]float64(nil), xbuf...)
+				want := append([]float64(nil), ybuf...)
+				for i := range y {
+					want[3-off+i] += alpha * x[i]
+				}
+				Axpy(alpha, x, y)
+				for i := range ybuf {
+					if !sameBits(ybuf[i], want[i]) {
+						t.Fatalf("n=%d off=%d alpha=%g: y buffer[%d] = %x, reference %x",
+							n, off, alpha, i, math.Float64bits(ybuf[i]), math.Float64bits(want[i]))
+					}
+				}
+				for i := range xbuf {
+					if !sameBits(xbuf[i], xWas[i]) {
+						t.Fatalf("n=%d off=%d: x buffer[%d] was written", n, off, i)
+					}
+				}
 			}
 		}
+	}
+}
+
+// TestKernelsAllocateNothing: Axpy and a Gemm small enough to run inline
+// touch only their operands. The engine's allocation budgets ride on the
+// solvers' hot loops allocating nothing per call.
+func TestKernelsAllocateNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	x, y := randSlice(rng, 100), randSlice(rng, 100)
+	if got := testing.AllocsPerRun(100, func() { Axpy(0.5, x, y) }); got != 0 {
+		t.Errorf("Axpy: %v allocations per call, want 0", got)
+	}
+	const m, n, k = 12, 10, 7
+	if !RunsInline(m, gemmGrain) {
+		t.Fatalf("a %d-row Gemm fans out; pick a smaller one", m)
+	}
+	a, b, c := randSlice(rng, m*k), randSlice(rng, k*n), randSlice(rng, m*n)
+	if got := testing.AllocsPerRun(100, func() { Gemm(m, n, k, -1, a, k, b, n, c, n) }); got != 0 {
+		t.Errorf("inline Gemm: %v allocations per call, want 0", got)
 	}
 }
 

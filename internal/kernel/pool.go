@@ -9,6 +9,16 @@
 // by the callers, so every figure and duration the reproduction reports is
 // unaffected by how fast the real hardware executes the arithmetic — see
 // DESIGN.md, "Real parallelism vs. virtual time".
+//
+// On amd64, Axpy and GEMM's 4×4 micro-kernel are SSE2 assembly
+// (kernel_amd64.s); every other GOARCH runs the Go loops in
+// kernel_generic.go. SSE2 rather than AVX2 because every amd64 CPU has
+// it: one amd64 path, no CPU dispatch. Never an FMA: each lane does one
+// multiply and then one add, the scalar loop's two roundings, so the
+// assembly computes the Go loops' bits on every amd64 CPU (ROADMAP item
+// 1). The same bit-identity tests hold both; the portable loops meet them
+// wherever the compiler does not fuse a multiply-add on its own (386
+// does not; arm64 does, ROADMAP item 1(b)).
 package kernel
 
 import (

@@ -574,6 +574,13 @@ func (st *pdState) broadcastPanel(k0, k1, pcK int) ([]float64, error) {
 // computeURow turns rows k0..k1 of my trailing columns into U12 via
 // forward substitution with unit-lower L11, and transforms the panel
 // segment of b the same way. Only prK ranks call it.
+//
+// The solve runs a row at a time over the trailing columns, a contiguous
+// suffix of every local row: panel row i accumulates
+// s = Σ_{t<i} L[i][t]·U[t] with one AXPY per t, in ascending t, into a
+// zeroed scratch, then subtracts s once. Per element these are the
+// operations of a column-at-a-time substitution, in its order, so U12 has
+// its bits (TestComputeURowBitIdentical holds the two to each other).
 func (st *pdState) computeURow(k0, k1 int, lpanel []float64) {
 	kw := k1 - k0
 	// Local row indices of the panel block rows (all owned by prK).
@@ -585,22 +592,24 @@ func (st *pdState) computeURow(k0, k1 int, lpanel []float64) {
 		}
 		lis[t] = li
 	}
-	var flops float64
-	for _, gj := range st.myCols {
-		if gj < k1 {
-			continue
-		}
-		lj, _ := st.localCol(gj)
+	ci := suffixFrom(st.myCols, k1)
+	nt := len(st.myCols) - ci
+	if nt > 0 {
+		s := mpi.GetBuf(nt)
 		for i := 1; i < kw; i++ {
-			var s float64
+			clear(s)
 			lrow := lpanel[lis[i]*kw : (lis[i]+1)*kw]
 			for t := 0; t < i; t++ {
-				s += lrow[t] * st.a.At(lis[t], lj)
+				kernel.Axpy(lrow[t], st.a.Row(lis[t])[ci:], s)
 			}
-			st.a.Set(lis[i], lj, st.a.At(lis[i], lj)-s)
+			row := st.a.Row(lis[i])[ci:]
+			for j, v := range s {
+				row[j] -= v
+			}
 		}
-		flops += float64(kw * kw)
+		mpi.PutBuf(s)
 	}
+	flops := float64(nt) * float64(kw*kw)
 	// b panel: same forward substitution on the replicated segment.
 	for i := 1; i < kw; i++ {
 		var s float64

@@ -3,6 +3,7 @@ package repro_test
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -304,7 +305,12 @@ func (m *moduleImporter) load(dir string) (*modulePackage, error) {
 	if mp := m.pkgs[dir]; mp != nil {
 		return mp, nil
 	}
-	pkgs, err := parser.ParseDir(m.fset, dir, func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }, 0)
+	// Only the files the compiler would build here: a kernel has one file
+	// per architecture, each declaring the same functions.
+	pkgs, err := parser.ParseDir(m.fset, dir, func(fi fs.FileInfo) bool {
+		match, err := build.Default.MatchFile(dir, fi.Name())
+		return err == nil && match && !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
 	if err != nil {
 		return nil, err
 	}
