@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/mpi"
@@ -32,13 +33,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: tracestats [-csv] [-parse-only] <trace.json>")
 		os.Exit(2)
 	}
-	if err := run(flag.Arg(0), *csv, *parseOnly); err != nil {
+	if err := run(os.Stdout, flag.Arg(0), *csv, *parseOnly); err != nil {
 		fmt.Fprintf(os.Stderr, "tracestats: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(path string, csv, parseOnly bool) error {
+// run analyses the trace at path and writes the chosen report to out; a
+// failed write is an error, so the command does not exit 0 on a full disk.
+func run(out io.Writer, path string, csv, parseOnly bool) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -52,15 +55,15 @@ func run(path string, csv, parseOnly bool) error {
 		if len(spans) == 0 {
 			return fmt.Errorf("%s: no duration spans", path)
 		}
-		fmt.Printf("%s: valid trace, %d spans\n", path, len(spans))
-		return nil
+		_, err := fmt.Fprintf(out, "%s: valid trace, %d spans\n", path, len(spans))
+		return err
 	}
 	st, err := mpi.AnalyzeSpans(spans)
 	if err != nil {
 		return err
 	}
 	if csv {
-		return st.WriteCSV(os.Stdout)
+		return st.WriteCSV(out)
 	}
-	return st.WriteReport(os.Stdout)
+	return st.WriteReport(out)
 }

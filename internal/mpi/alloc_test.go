@@ -1,9 +1,11 @@
 package mpi
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"testing"
 
 	"repro/internal/cluster"
@@ -12,7 +14,7 @@ import (
 // Allocation budgets of the message path. The docs (mailbox.go, bufpool.go,
 // DESIGN.md "Engine scalability") state what a message costs the host's
 // allocator in steady state; these tests are what keeps the statement true.
-// They measure a warmed path: pools filled, streams and sequence maps
+// They measure a warmed path: pools filled, streams and sequence counters
 // created, so that what remains is what every further message pays.
 
 // raceEnabled reports whether the test binary was built with -race. The
@@ -219,5 +221,79 @@ func TestBarrierAllocsPerGeneration(t *testing.T) {
 	if extra := float64(some) - float64(none); extra > perGen*barriers {
 		t.Errorf("%d barriers of %d ranks allocated %.0f objects beyond the world's own (%d vs %d), budget %d per generation",
 			barriers, ranks, extra, some, none, perGen)
+	}
+}
+
+// TestSenderAndReceiverShareTheStream pins the stream table's one promise:
+// whichever endpoint touches a pair first creates the stream, and the
+// other finds that same stream in the destination's row. Rank 0 sends to
+// rank 1 before rank 1 has looked; rank 2 receives from rank 1 before
+// rank 1 sends.
+func TestSenderAndReceiverShareTheStream(t *testing.T) {
+	w := newTestWorld(t, 3)
+	sent := make(chan *stream, 1)
+	err := w.Run(func(p *Proc) error {
+		c := p.World()
+		switch p.Rank() {
+		case 0:
+			if err := p.Send(c, 1, 5, []float64{1}); err != nil {
+				return err
+			}
+			sent <- w.streams(1)[0].Load()
+		case 1:
+			s := <-sent
+			if s == nil || s.count != 1 {
+				return fmt.Errorf("sender's stream %p not in rank 1's row holding its message", s)
+			}
+			got, err := p.Recv(c, 0, 5)
+			if err != nil {
+				return err
+			}
+			p.Recycle(got)
+			if s.count != 0 || w.streams(1)[0].Load() != s {
+				return fmt.Errorf("rank 1 did not read the stream rank 0 created")
+			}
+			// Rank 2's receive created the 1 → 2 stream; wait for it.
+			var r *stream
+			for r == nil {
+				runtime.Gosched()
+				if row := w.streams(2); row != nil {
+					r = row[1].Load()
+				}
+			}
+			if err := p.Send(c, 2, 6, []float64{2}); err != nil {
+				return err
+			}
+			if w.streams(2)[1].Load() != r {
+				return fmt.Errorf("rank 1 sent on a stream other than the one rank 2 created")
+			}
+		case 2:
+			got, err := p.Recv(c, 1, 6)
+			if err != nil {
+				return err
+			}
+			p.Recycle(got)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Racing first touches of one pair all get the same stream.
+	w = newTestWorld(t, 4)
+	var wg sync.WaitGroup
+	got := make([]*stream, 8)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = w.stream(3, 1)
+		}()
+	}
+	wg.Wait()
+	for i, s := range got {
+		if s != got[0] {
+			t.Fatalf("racing creation %d got stream %p, creation 0 got %p", i, s, got[0])
+		}
 	}
 }

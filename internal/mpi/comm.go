@@ -13,8 +13,8 @@ import (
 type Comm struct {
 	w     *World
 	id    int
-	ranks []int       // world ranks in comm-rank order
-	index map[int]int // world rank → comm rank
+	ranks []int   // world ranks in comm-rank order
+	index []int32 // world rank → comm rank, -1 for non-members
 	bar   commBarrier
 }
 
@@ -27,9 +27,12 @@ func newWorldComm(w *World) *Comm {
 }
 
 func newComm(w *World, id int, ranks []int) *Comm {
-	c := &Comm{w: w, id: id, ranks: ranks, index: make(map[int]int, len(ranks))}
+	c := &Comm{w: w, id: id, ranks: ranks, index: make([]int32, w.size)}
+	for r := range c.index {
+		c.index[r] = -1
+	}
 	for i, r := range ranks {
-		c.index[r] = i
+		c.index[r] = int32(i)
 	}
 	return c
 }
@@ -39,11 +42,11 @@ func (c *Comm) Size() int { return len(c.ranks) }
 
 // Rank returns p's rank within c, or an error when p is not a member.
 func (c *Comm) Rank(p *Proc) (int, error) {
-	r, ok := c.index[p.rank]
-	if !ok {
+	r := c.index[p.rank]
+	if r < 0 {
 		return 0, fmt.Errorf("mpi: world rank %d is not in communicator %d", p.rank, c.id)
 	}
-	return r, nil
+	return int(r), nil
 }
 
 // worldRank translates a comm rank to a world rank.

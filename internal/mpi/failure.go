@@ -104,12 +104,12 @@ func (b *failureBoard) watch() <-chan struct{} {
 // anyOf returns the failed member of the communicator index with the
 // earliest failure time (ties to the lowest rank), so concurrent failures
 // yield the same answer regardless of map iteration order.
-func (b *failureBoard) anyOf(index map[int]int) (int, failInfo, bool) {
+func (b *failureBoard) anyOf(index []int32) (int, failInfo, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	best, bestInfo, found := -1, failInfo{}, false
 	for r, info := range b.failed {
-		if _, ok := index[r]; !ok {
+		if index[r] < 0 {
 			continue
 		}
 		if !found || info.t < bestInfo.t || (info.t == bestInfo.t && r < best) {
@@ -125,26 +125,28 @@ func (w *World) markFailed(rank int, t float64, kind failKind) {
 	if !w.fail.mark(rank, t, kind) {
 		return
 	}
-	// rank as destination: senders blocked on backpressure resume and
-	// their future puts discard.
-	sh := &w.mail[rank]
-	sh.mu.Lock()
-	for _, s := range sh.streams {
-		s.markDstDead()
-	}
-	sh.mu.Unlock()
-	// rank as source: receivers drain what was already sent, then fail.
+	// Each row is walked under its shard's creation mutex: a stream
+	// created before the walk is marked here, one created after it sees
+	// the board and is born poisoned (mailbox.go).
 	for d := range w.mail {
-		if d == rank {
-			continue
+		sh := &w.mail[d]
+		sh.mu.Lock()
+		if row := w.streams(d); row != nil {
+			if d == rank {
+				// rank as destination: senders blocked on backpressure
+				// resume and their future puts discard.
+				for i := range row {
+					if s := row[i].Load(); s != nil {
+						s.markDstDead()
+					}
+				}
+			} else if s := row[rank].Load(); s != nil {
+				// rank as source: receivers drain what was already sent,
+				// then fail.
+				s.markSrcDead()
+			}
 		}
-		dsh := &w.mail[d]
-		dsh.mu.Lock()
-		s := dsh.streams[rank]
-		dsh.mu.Unlock()
-		if s != nil {
-			s.markSrcDead()
-		}
+		sh.mu.Unlock()
 	}
 }
 

@@ -389,3 +389,61 @@ func TestInactiveInjectorIsFreeOfSideEffects(t *testing.T) {
 			c1, c2, e1, e2, m1, v1, m2, v2)
 	}
 }
+
+// TestStreamBornPoisoned pins lazy creation against the failure board: a
+// stream first touched after one of its endpoints died is created already
+// marked, so a receive from the dead rank fails instead of blocking and
+// sends to it discard instead of filling the queue and blocking. First
+// directly on the table, then through a world whose rank 2 aborts before
+// any stream to or from it exists.
+func TestStreamBornPoisoned(t *testing.T) {
+	const dead = 2
+	w := newTestWorld(t, 3)
+	w.markFailed(dead, 0.5, failCrashed)
+	if s := w.stream(0, dead); !s.srcDead || s.dstDead {
+		t.Errorf("stream %d → 0 created after the crash: srcDead %v dstDead %v, want true false", dead, s.srcDead, s.dstDead)
+	}
+	if s := w.stream(dead, 1); s.srcDead || !s.dstDead {
+		t.Errorf("stream 1 → %d created after the crash: srcDead %v dstDead %v, want false true", dead, s.srcDead, s.dstDead)
+	}
+
+	w = newTestWorld(t, 3)
+	var recvErr error
+	err := failWatchdog(t, 60*time.Second, func() error {
+		return w.Run(func(p *Proc) error {
+			c := p.World()
+			if p.Rank() == dead {
+				return errors.New("aborted before communicating")
+			}
+			for {
+				next := w.fail.watch()
+				if _, ok := w.Failed(dead); ok {
+					break
+				}
+				<-next
+			}
+			if p.Rank() == 0 {
+				_, recvErr = p.Recv(c, dead, 1)
+				return nil
+			}
+			for i := range 2 * mailboxDepth {
+				if err := p.Send(c, dead, 1, []float64{float64(i)}); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	})
+	if err == nil || errors.Is(err, ErrRankFailed) {
+		t.Fatalf("Run returned %v, want the dead rank's own abort", err)
+	}
+	if !errors.Is(recvErr, ErrRankFailed) {
+		t.Errorf("receive from a rank dead before the stream existed: %v, want ErrRankFailed", recvErr)
+	}
+	if s := w.stream(0, dead); !s.srcDead || s.dstDead {
+		t.Errorf("stream %d → 0: srcDead %v dstDead %v, want true false", dead, s.srcDead, s.dstDead)
+	}
+	if s := w.stream(dead, 1); s.srcDead || !s.dstDead || s.count != 0 {
+		t.Errorf("stream 1 → %d: srcDead %v dstDead %v with %d queued, want false true 0", dead, s.srcDead, s.dstDead, s.count)
+	}
+}

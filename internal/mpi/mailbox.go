@@ -1,8 +1,12 @@
 package mpi
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+	"unsafe"
+)
 
-// Sparse message matching.
+// Message matching: one stream table per world.
 //
 // The first engine preallocated a dense size² matrix of depth-64 channels
 // at world construction — ~1.7 million channels (gigabytes of buffer
@@ -10,20 +14,28 @@ import "sync"
 // solver never touches: IMe and ScaLAPACK communicate along broadcast
 // trees, rows, and columns, so the active pair set is O(size·log size).
 // Following the skeletonised-MPI simulators (SST/macro, SimGrid/SMPI),
-// matching state is now lazy and sparse:
+// streams are created lazily, and only the table that finds them is
+// dense:
 //
-//   - each destination rank owns one mailShard: a small lock plus a map of
-//     per-source streams, created on first use (lock-per-destination-
-//     shard). World construction is O(size).
 //   - a stream is the FIFO queue of one (src → dst) ordered message
 //     sequence: an intrusive singly-linked list of pooled nodes guarded by
-//     its own mutex, so two unrelated pairs never contend.
-//   - Procs cache the streams they touch, so steady-state messaging takes
-//     only the stream's own lock — the shard lock is hit once per pair.
+//     its own mutex, so two unrelated pairs never contend. Streams to one
+//     destination are carved from a slab of streamSlab.
+//   - each destination rank owns one mailShard: its row of the world's
+//     stream table, a slice of atomic pointers indexed by source world
+//     rank, allocated with the first stream to that rank. Sender and
+//     receiver find the stream with one atomic load and no lock, so a
+//     rank caches nothing and a lookup allocates nothing. World
+//     construction is O(size); a world whose every rank has received
+//     holds 8·size² bytes of rows (13.4 MB at 1296 ranks).
+//   - creation takes the shard's mutex, which also orders it against the
+//     failure walk (failure.go): a stream is either marked by the walk or
+//     born poisoned.
 //
 // Tag matching (the unexpected-message stash with lookahead) stays at the
-// receiver exactly as before; a stream preserves FIFO-per-(src,tag) by
-// preserving FIFO per source outright.
+// receiver: its stash lives in the incoming stream, which only the
+// receiver reads. A stream preserves FIFO-per-(src,tag) by preserving FIFO
+// per source outright.
 
 // mailboxDepth bounds eager buffering per rank pair; senders block beyond
 // it (standard buffered-send backpressure), exactly like the depth the
@@ -42,31 +54,29 @@ type msgNode struct {
 // send → match → receive → Recycle round trip allocate nothing on the
 // host: TestPingPongAllocsPerMessage and TestBcastRecycleAllocsPerMessage
 // hold the path to 0.05 allocations per message (measured: under 0.005).
-// A pair's first message still allocates its stream, and a GC cycle
-// empties both pools.
+// A destination's first stream allocates its row and a slab, and a GC
+// cycle empties both pools.
 var msgNodePool = sync.Pool{New: func() any { return new(msgNode) }}
 
 // stream carries the ordered messages of one (src → dst) pair. The dead
 // flags are set when the fault plane kills an endpoint (failure.go):
 // srcDead means no more messages will ever arrive (the receiver drains
 // the queue, then take reports failure); dstDead means nobody will ever
-// read again (puts discard instead of blocking on backpressure).
+// read again (puts discard instead of blocking on backpressure). stash is
+// the receiver's own: only the destination rank's goroutine touches it.
 type stream struct {
-	mu      sync.Mutex
-	sendOK  sync.Cond // space available (count < mailboxDepth)
-	recvOK  sync.Cond // message available
+	mu sync.Mutex
+	// moved is signalled when a message is put or taken: one rank sends on
+	// a stream and one receives, and the sender waits only on a full
+	// queue and the receiver only on an empty one, so at most one of them
+	// waits at any time and one condition serves both.
+	moved   sync.Cond
 	head    *msgNode
 	tail    *msgNode
 	count   int
 	srcDead bool
 	dstDead bool
-}
-
-func newStream() *stream {
-	s := &stream{}
-	s.sendOK.L = &s.mu
-	s.recvOK.L = &s.mu
-	return s
+	stash   stashList
 }
 
 // put enqueues msg, blocking while the stream is mailboxDepth deep. A
@@ -78,7 +88,7 @@ func (s *stream) put(msg message) {
 	n.next = nil
 	s.mu.Lock()
 	for s.count >= mailboxDepth && !s.dstDead {
-		s.sendOK.Wait()
+		s.moved.Wait()
 	}
 	if s.dstDead {
 		s.mu.Unlock()
@@ -95,7 +105,7 @@ func (s *stream) put(msg message) {
 	s.tail = n
 	s.count++
 	s.mu.Unlock()
-	s.recvOK.Signal()
+	s.moved.Signal()
 }
 
 // take dequeues the oldest message, blocking until one is available. The
@@ -105,7 +115,7 @@ func (s *stream) put(msg message) {
 func (s *stream) take() (message, bool) {
 	s.mu.Lock()
 	for s.count == 0 && !s.srcDead {
-		s.recvOK.Wait()
+		s.moved.Wait()
 	}
 	if s.count == 0 {
 		s.mu.Unlock()
@@ -118,7 +128,7 @@ func (s *stream) take() (message, bool) {
 	}
 	s.count--
 	s.mu.Unlock()
-	s.sendOK.Signal()
+	s.moved.Signal()
 	msg := n.msg
 	*n = msgNode{}
 	msgNodePool.Put(n)
@@ -130,7 +140,7 @@ func (s *stream) markSrcDead() {
 	s.mu.Lock()
 	s.srcDead = true
 	s.mu.Unlock()
-	s.recvOK.Broadcast()
+	s.moved.Broadcast()
 }
 
 // markDstDead wakes blocked senders; their puts turn into discards.
@@ -138,66 +148,71 @@ func (s *stream) markDstDead() {
 	s.mu.Lock()
 	s.dstDead = true
 	s.mu.Unlock()
-	s.sendOK.Broadcast()
+	s.moved.Broadcast()
 }
 
-// mailShard is one destination rank's matcher: the lazily populated set of
-// incoming streams, keyed by source world rank.
+// mailShard is one destination rank's row of the stream table, indexed by
+// source world rank, and the slab its streams are carved from.
 type mailShard struct {
-	mu      sync.Mutex
-	streams map[int]*stream
+	// row points at element 0 of a world-size row, so that publishing the
+	// row is one atomic store and allocating it one allocation.
+	row atomic.Pointer[atomic.Pointer[stream]]
+	// mu serialises stream creation (and the failure walk, failure.go)
+	// and guards slab.
+	mu   sync.Mutex
+	slab []stream
 }
 
-// stream returns the (src → dst) stream, creating it on first use. A
-// stream created after an endpoint already died is born poisoned, so the
-// failure board and lazy creation can never race a peer into a deadlock.
+// streamSlab is the number of streams carved from one allocation: a
+// broadcast tree over p ranks feeds each rank from at most ⌈log₂ p⌉
+// parents, so one slab covers most destinations.
+const streamSlab = 8
+
+// streams returns the row of dst's incoming streams, nil before the first
+// one is created.
+func (w *World) streams(dst int) []atomic.Pointer[stream] {
+	p := w.mail[dst].row.Load()
+	if p == nil {
+		return nil
+	}
+	return unsafe.Slice(p, w.size)
+}
+
+// stream returns the (src → dst) stream, creating it on first use.
 func (w *World) stream(dst, src int) *stream {
+	if row := w.streams(dst); row != nil {
+		if s := row[src].Load(); s != nil {
+			return s
+		}
+	}
+	return w.newStream(dst, src)
+}
+
+// newStream creates the (src → dst) stream unless a racing endpoint just
+// did. A stream created after an endpoint already died is born poisoned;
+// markFailed walks the rows under the same mutex, so the failure board and
+// lazy creation can never race a peer into a deadlock.
+func (w *World) newStream(dst, src int) *stream {
 	sh := &w.mail[dst]
 	sh.mu.Lock()
-	s := sh.streams[src]
-	created := s == nil
-	if created {
-		if sh.streams == nil {
-			sh.streams = make(map[int]*stream, 8)
-		}
-		s = newStream()
-		sh.streams[src] = s
+	defer sh.mu.Unlock()
+	row := w.streams(dst)
+	if row == nil {
+		row = make([]atomic.Pointer[stream], w.size)
+		sh.row.Store(&row[0])
 	}
-	sh.mu.Unlock()
-	if created {
-		if _, dead := w.fail.get(src); dead {
-			s.markSrcDead()
-		}
-		if _, dead := w.fail.get(dst); dead {
-			s.markDstDead()
-		}
-	}
-	return s
-}
-
-// txStream returns this rank's cached outgoing stream to world rank dst.
-func (p *Proc) txStream(dst int) *stream {
-	if s := p.tx[dst]; s != nil {
+	if s := row[src].Load(); s != nil {
 		return s
 	}
-	s := p.w.stream(dst, p.rank)
-	if p.tx == nil {
-		p.tx = make(map[int]*stream, 8)
+	if len(sh.slab) == 0 {
+		sh.slab = make([]stream, streamSlab)
 	}
-	p.tx[dst] = s
-	return s
-}
-
-// rxStream returns this rank's cached incoming stream from world rank src.
-func (p *Proc) rxStream(src int) *stream {
-	if s := p.rx[src]; s != nil {
-		return s
-	}
-	s := p.w.stream(p.rank, src)
-	if p.rx == nil {
-		p.rx = make(map[int]*stream, 8)
-	}
-	p.rx[src] = s
+	s := &sh.slab[0]
+	sh.slab = sh.slab[1:]
+	s.moved.L = &s.mu
+	_, s.srcDead = w.fail.get(src)
+	_, s.dstDead = w.fail.get(dst)
+	row[src].Store(s)
 	return s
 }
 

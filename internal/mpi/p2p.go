@@ -53,7 +53,7 @@ func (p *Proc) sendOwned(c *Comm, dst, tag int, data []float64) error {
 		m.messages.Inc()
 		m.bytes.Add(bytes)
 	}
-	p.txStream(wdst).put(message{tag: tag, data: data, arriveAt: arrive})
+	p.w.stream(wdst, p.rank).put(message{tag: tag, data: data, arriveAt: arrive})
 	return nil
 }
 
@@ -84,19 +84,11 @@ func (p *Proc) recv(c *Comm, src, tag int) ([]float64, error) {
 	}
 	// A previously stashed message with this tag matches first (it was
 	// sent earlier than anything still queued in the stream).
-	if sl := p.stash[wsrc]; sl != nil {
-		if msg, ok := sl.claim(tag); ok {
-			p.waitUntil(msg.arriveAt)
-			rs := p.clock
-			p.advanceBusy(p.w.cost.RecvOverhead, 0)
-			p.recordMsg("recv", rs, p.clock, wsrc, tag, len(msg.data))
-			if m := p.w.metrics; m != nil {
-				m.recvs.Inc()
-			}
-			return msg.data, nil
-		}
+	in := p.w.stream(p.rank, wsrc)
+	sl := &in.stash
+	if msg, ok := sl.claim(tag); ok {
+		return p.delivered(msg, wsrc, tag), nil
 	}
-	in := p.rxStream(wsrc)
 	for {
 		msg, ok := in.take()
 		if !ok {
@@ -105,22 +97,7 @@ func (p *Proc) recv(c *Comm, src, tag int) ([]float64, error) {
 			return nil, p.peerFailed(wsrc)
 		}
 		if msg.tag == tag {
-			p.waitUntil(msg.arriveAt)
-			rs := p.clock
-			p.advanceBusy(p.w.cost.RecvOverhead, 0)
-			p.recordMsg("recv", rs, p.clock, wsrc, tag, len(msg.data))
-			if m := p.w.metrics; m != nil {
-				m.recvs.Inc()
-			}
-			return msg.data, nil
-		}
-		sl := p.stash[wsrc]
-		if sl == nil {
-			if p.stash == nil {
-				p.stash = make(map[int]*stashList)
-			}
-			sl = &stashList{}
-			p.stash[wsrc] = sl
+			return p.delivered(msg, wsrc, tag), nil
 		}
 		if sl.count >= stashLimit {
 			return nil, fmt.Errorf("mpi: rank %d: %d unexpected messages from world rank %d while waiting for tag %d (first stashed tag %d)",
@@ -128,4 +105,17 @@ func (p *Proc) recv(c *Comm, src, tag int) ([]float64, error) {
 		}
 		sl.push(msg)
 	}
+}
+
+// delivered charges the receipt of a matched message from world rank src
+// and hands over its payload.
+func (p *Proc) delivered(msg message, src, tag int) []float64 {
+	p.waitUntil(msg.arriveAt)
+	rs := p.clock
+	p.advanceBusy(p.w.cost.RecvOverhead, 0)
+	p.recordMsg("recv", rs, p.clock, src, tag, len(msg.data))
+	if m := p.w.metrics; m != nil {
+		m.recvs.Inc()
+	}
+	return msg.data
 }

@@ -14,17 +14,13 @@ type Proc struct {
 	rank  int
 	clock float64
 	world *Comm
-	// seq numbers collective calls per communicator; MPI requires all
-	// members to issue collectives in the same order, which makes the
-	// local counters agree and serve as matching tags.
-	seq map[*Comm]int
-	// tx/rx cache the sparse streams this rank has touched, so steady-
-	// state messaging skips the destination shard's lock (mailbox.go).
-	tx map[int]*stream
-	rx map[int]*stream
-	// stash buffers messages received out of tag order, per sending
-	// world rank (MPI unexpected-message queue).
-	stash map[int]*stashList
+	// seq numbers collective calls per communicator, indexed by Comm.id;
+	// MPI requires all members to issue collectives in the same order,
+	// which makes the local counters agree and serve as matching tags.
+	// A rank keeps no stream state: it finds its streams in the world's
+	// table (mailbox.go), and messages it received out of tag order wait
+	// in the incoming stream's stash.
+	seq []int
 	// activity scales the dynamic core power charged while computing
 	// (1.0 = nominal). Solvers set it to their algorithm's activity factor
 	// so IMe's saturated streaming pipelines draw more power per busy
@@ -166,10 +162,10 @@ func (p *Proc) ComputeFlops(flops, rate, bytes float64) {
 
 // nextSeq returns the sequence number of the next collective on c.
 func (p *Proc) nextSeq(c *Comm) int {
-	if p.seq == nil {
-		p.seq = make(map[*Comm]int)
+	if c.id >= len(p.seq) {
+		p.seq = append(p.seq, make([]int, c.id+1-len(p.seq))...)
 	}
-	s := p.seq[c]
-	p.seq[c] = s + 1
+	s := p.seq[c.id]
+	p.seq[c.id]++
 	return s
 }

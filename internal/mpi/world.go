@@ -17,7 +17,8 @@
 //     at synchronisation points (proc.go), where the counters are read.
 //
 // The engine is built to execute the paper's full deployments (Table 1,
-// up to 1296 ranks): message matching is sparse and lazy (mailbox.go),
+// up to 1296 ranks): streams are created lazily and found through one
+// dense table of atomic pointers, without a lock or a map (mailbox.go),
 // a barrier generation is one short critical section and one channel
 // (comm.go), the message path takes no lock shared with the node's other
 // ranks, and the per-send counters are striped, so world setup is
@@ -83,8 +84,8 @@ type World struct {
 	// nodeMu serialises accounting into each shared rapl.Node, including
 	// its monotone clock.
 	nodeMu []nodeLock
-	// mail[dst] is the destination rank's sparse matcher; per-(src,dst)
-	// streams are created lazily on first use (mailbox.go).
+	// mail[dst] is the destination rank's row of the stream table;
+	// per-(src,dst) streams are created lazily on first use (mailbox.go).
 	mail []mailShard
 
 	traffic [trafficStripes]trafficStripe

@@ -214,7 +214,7 @@ func (p *Predictor) Predict(alg perfmodel.Algorithm, n int, cfg cluster.Config, 
 		return perfmodel.Result{}, false
 	}
 	x := math.Log(float64(n))
-	computeS := math.Exp(m.compute.eval(x)) * feature(alg, n, cfg.Ranks)
-	commS := math.Exp(m.comm.eval(x)) * commFeature(alg, n, cfg.Ranks, norm.Overlap)
+	computeS := exp(m.compute.eval(x)) * feature(alg, n, cfg.Ranks)
+	commS := exp(m.comm.eval(x)) * commFeature(alg, n, cfg.Ranks, norm.Overlap)
 	return perfmodel.ResultFromTimes(alg, n, cfg, norm, computeS, commS), true
 }
