@@ -18,6 +18,16 @@ func Axpy(alpha float64, x, y []float64) {
 	axpySSE2(alpha, x, y)
 }
 
+// MulAdd computes y[i] += a[i]·b[i] element-wise over min(len(y),
+// len(a), len(b)) entries: one multiply, then one add, so the result is
+// bit-identical to the plain loop regardless of vector width — this is
+// one diagonal of the sparse solver's banded SpMV. y must not overlap a
+// or b.
+func MulAdd(y, a, b []float64) {
+	n := min(len(y), len(a), len(b))
+	mulAddSSE2(y[:n], a[:n], b[:n])
+}
+
 // micro4x4 accumulates the 4×4 tile C[i:i+4, j:j+4] += alpha·A[i:i+4, k0:k1]·B[k0:k1, j:j+4]
 // in eight two-lane accumulators. The rows the assembly reads of A and B
 // and writes of C are evenly spaced, so checking the first and the last
@@ -41,6 +51,11 @@ func micro4x4(k0, k1 int, alpha float64, a []float64, lda, i int, b []float64, l
 //
 //go:noescape
 func axpySSE2(alpha float64, x, y []float64)
+
+// mulAddSSE2 is MulAdd over len(y) = len(a) = len(b) elements.
+//
+//go:noescape
+func mulAddSSE2(y, a, b []float64)
 
 // micro4x4SSE2 is micro4x4 over kn ≥ 0 steps of k, with a, b and c
 // starting at the tile's first element of A, B and C.

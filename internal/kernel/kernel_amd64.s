@@ -72,6 +72,79 @@ single:
 done:
 	RET
 
+// func mulAddSSE2(y, a, b []float64)
+TEXT ·mulAddSSE2(SB), NOSPLIT, $0-72
+	MOVQ y_base+0(FP), DI
+	MOVQ y_len+8(FP), CX
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), DX
+	MOVQ CX, BX
+	SHRQ $3, BX                  // BX = blocks of eight
+	JZ   pairs
+
+eight:
+	MOVUPD (SI), X0
+	MOVUPD 16(SI), X1
+	MOVUPD 32(SI), X2
+	MOVUPD 48(SI), X3
+	MOVUPD (DX), X4
+	MOVUPD 16(DX), X5
+	MOVUPD 32(DX), X6
+	MOVUPD 48(DX), X7
+	MULPD  X4, X0
+	MULPD  X5, X1
+	MULPD  X6, X2
+	MULPD  X7, X3
+	MOVUPD (DI), X8
+	MOVUPD 16(DI), X9
+	MOVUPD 32(DI), X10
+	MOVUPD 48(DI), X11
+	ADDPD  X0, X8
+	ADDPD  X1, X9
+	ADDPD  X2, X10
+	ADDPD  X3, X11
+	MOVUPD X8, (DI)
+	MOVUPD X9, 16(DI)
+	MOVUPD X10, 32(DI)
+	MOVUPD X11, 48(DI)
+	ADDQ   $64, SI
+	ADDQ   $64, DX
+	ADDQ   $64, DI
+	DECQ   BX
+	JNZ    eight
+
+pairs:
+	ANDQ $7, CX                  // CX = elements left, 0–7
+	CMPQ CX, $2
+	JLT  single
+
+pair:
+	MOVUPD (SI), X0
+	MOVUPD (DX), X4
+	MULPD  X4, X0
+	MOVUPD (DI), X8
+	ADDPD  X0, X8
+	MOVUPD X8, (DI)
+	ADDQ   $16, SI
+	ADDQ   $16, DX
+	ADDQ   $16, DI
+	SUBQ   $2, CX
+	CMPQ   CX, $2
+	JGE    pair
+
+single:
+	TESTQ CX, CX
+	JZ    done
+	MOVSD (SI), X0
+	MOVSD (DX), X4
+	MULSD X4, X0
+	MOVSD (DI), X8
+	ADDSD X0, X8
+	MOVSD X8, (DI)
+
+done:
+	RET
+
 // func micro4x4SSE2(kn int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int)
 //
 // Accumulators: X0,X1 = row 0's {c00,c01},{c02,c03}; X2,X3 row 1; X4,X5

@@ -28,6 +28,19 @@ func Axpy(alpha float64, x, y []float64) {
 	}
 }
 
+// MulAdd computes y[i] += a[i]·b[i] element-wise over min(len(y),
+// len(a), len(b)) entries: one multiply, rounded on its own by the
+// explicit conversion (which forbids a fused multiply-add), then one add —
+// one diagonal of the sparse solver's banded SpMV. y must not overlap a
+// or b.
+func MulAdd(y, a, b []float64) {
+	n := min(len(y), len(a), len(b))
+	y, a, b = y[:n], a[:n], b[:n]
+	for i := range y {
+		y[i] += float64(a[i] * b[i])
+	}
+}
+
 // micro4x4 accumulates the 4×4 tile C[i:i+4, j:j+4] += alpha·A[i:i+4, k0:k1]·B[k0:k1, j:j+4]
 // in sixteen register accumulators.
 func micro4x4(k0, k1 int, alpha float64, a []float64, lda, i int, b []float64, ldb, j int, c []float64, ldc int) {

@@ -185,14 +185,63 @@ func TestAxpyBitIdentical(t *testing.T) {
 	}
 }
 
-// TestKernelsAllocateNothing: Axpy and a Gemm small enough to run inline
-// touch only their operands. The engine's allocation budgets ride on the
-// solvers' hot loops allocating nothing per call.
+// TestMulAddBitIdentical holds MulAdd to the plain loop y[i] += a[i]·b[i]
+// bit for bit, in the style of TestAxpyBitIdentical: every length up to
+// 67, at offsets 0–3 into the backing arrays, over signed zeros,
+// infinities, NaN, subnormals and overflowing products. Either operand
+// may run one past y (MulAdd covers the shortest of the three). Nothing
+// outside y's window may change, and a and b are never written.
+func TestMulAddBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	const pad = 5
+	for n := 0; n <= 67; n++ {
+		for off := 0; off <= 3; off++ {
+			for _, fill := range []func(*rand.Rand, int) []float64{mixedSlice, signedUnits} {
+				abuf := fill(rng, off+n+1+pad)
+				bbuf := fill(rng, 2*off+n+1+pad)
+				ybuf := fill(rng, off+n+pad)
+				a := abuf[off : off+n+rng.Intn(2)]
+				b := bbuf[2*off : 2*off+n+rng.Intn(2)]
+				y := ybuf[3-off : 3-off+n]
+				aWas, bWas := append([]float64(nil), abuf...), append([]float64(nil), bbuf...)
+				want := append([]float64(nil), ybuf...)
+				for i := range y {
+					want[3-off+i] += a[i] * b[i]
+				}
+				MulAdd(y, a, b)
+				for i := range ybuf {
+					if !sameBits(ybuf[i], want[i]) {
+						t.Fatalf("n=%d off=%d: y buffer[%d] = %x, reference %x",
+							n, off, i, math.Float64bits(ybuf[i]), math.Float64bits(want[i]))
+					}
+				}
+				for i := range abuf {
+					if !sameBits(abuf[i], aWas[i]) {
+						t.Fatalf("n=%d off=%d: a buffer[%d] was written", n, off, i)
+					}
+				}
+				for i := range bbuf {
+					if !sameBits(bbuf[i], bWas[i]) {
+						t.Fatalf("n=%d off=%d: b buffer[%d] was written", n, off, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestKernelsAllocateNothing: Axpy, MulAdd and a Gemm small enough to run
+// inline touch only their operands. The engine's allocation budgets ride
+// on the solvers' hot loops allocating nothing per call.
 func TestKernelsAllocateNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	x, y := randSlice(rng, 100), randSlice(rng, 100)
 	if got := testing.AllocsPerRun(100, func() { Axpy(0.5, x, y) }); got != 0 {
 		t.Errorf("Axpy: %v allocations per call, want 0", got)
+	}
+	z := randSlice(rng, 100)
+	if got := testing.AllocsPerRun(100, func() { MulAdd(z, x, y) }); got != 0 {
+		t.Errorf("MulAdd: %v allocations per call, want 0", got)
 	}
 	const m, n, k = 12, 10, 7
 	if !RunsInline(m, gemmGrain) {

@@ -1,6 +1,7 @@
 // Package kernel provides the cache-blocked, multicore float64 compute
 // kernels the solvers' hot loops run on: a tiled rank-k update / GEMM,
-// fused row-AXPY, scaled copy, dot products and a matrix-vector product,
+// fused row-AXPY, the elementwise multiply-add of the sparse solver's
+// banded SpMV, scaled copy, dot products and a matrix-vector product,
 // plus a process-wide worker pool sized by GOMAXPROCS that fans heavy
 // updates out across real cores.
 //
@@ -10,7 +11,7 @@
 // unaffected by how fast the real hardware executes the arithmetic — see
 // DESIGN.md, "Real parallelism vs. virtual time".
 //
-// On amd64, Axpy and GEMM's 4×4 micro-kernel are SSE2 assembly
+// On amd64, Axpy, MulAdd and GEMM's 4×4 micro-kernel are SSE2 assembly
 // (kernel_amd64.s); every other GOARCH runs the Go loops in
 // kernel_generic.go. SSE2 rather than AVX2 because every amd64 CPU has
 // it: one amd64 path, no CPU dispatch. Never an FMA: each lane does one
@@ -18,7 +19,9 @@
 // assembly computes the Go loops' bits on every amd64 CPU (ROADMAP item
 // 1). The same bit-identity tests hold both; the portable loops meet them
 // wherever the compiler does not fuse a multiply-add on its own (386
-// does not; arm64 does, ROADMAP item 1(b)).
+// does not; arm64 does, ROADMAP item 1(b)). MulAdd's portable loop rounds
+// each product explicitly, float64(a·b), which the Go spec says forbids
+// fusion, so it meets them on arm64 too.
 package kernel
 
 import (

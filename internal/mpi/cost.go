@@ -86,7 +86,7 @@ func TreeDepth(p int) int {
 // assuming worst-case (inter-node) hops — the analytic engine's collective
 // model.
 func (c CostModel) BcastTime(p int, bytes float64) float64 {
-	return float64(TreeDepth(p)) * (c.SendOverhead + c.Wire(false, bytes) + c.RecvOverhead)
+	return float64(float64(TreeDepth(p)) * (c.SendOverhead + c.Wire(false, bytes) + c.RecvOverhead))
 }
 
 // AllreduceTime estimates a small-payload allreduce (reduce+broadcast

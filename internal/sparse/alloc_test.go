@@ -106,6 +106,17 @@ func TestSetupAllocationsIndependentOfNNZ(t *testing.T) {
 		if got > 7 {
 			t.Errorf("%s: generating rows [%d,%d) allocates %v times, want at most 7", spec.Label(), lo, hi, got)
 		}
+		if spec.Kind != Banded {
+			continue
+		}
+		got = testing.AllocsPerRun(5, func() {
+			if _, err := spec.bandBlock(lo, hi); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > 5 {
+			t.Errorf("%s: generating the band form of rows [%d,%d) allocates %v times, want at most 5", spec.Label(), lo, hi, got)
+		}
 	}
 	cappedSolve(t, CG, large, ranks, 1)
 	a0, _ := cappedSolve(t, CG, small, ranks, 1)

@@ -17,10 +17,11 @@ var (
 
 const benchRanks = 8
 
-// BenchmarkSpMV times one SpMV of the run kernel beside the
-// per-entry-index oracle it replaced in the solver, on the same matrix:
-// the full banded operator (streams from L3), one rank's 512-row block of
-// it (cache resident, as in the solve) and the full unstructured one.
+// BenchmarkSpMV times one SpMV of the solver's kernel for each kind beside
+// the per-entry-index oracle on the same rows: the band kernel on the full
+// banded operator (streams from L3) and on one rank's 512-row block of it
+// (cache resident, as in the solve), and the run kernel on the full
+// unstructured one.
 func BenchmarkSpMV(b *testing.B) {
 	for _, tc := range []struct {
 		name   string
@@ -35,10 +36,23 @@ func BenchmarkSpMV(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		m, x, dst := runsOf(a), tc.spec.RHS(), make([]float64, a.Rows)
-		b.Run(tc.name+"/runs", func(b *testing.B) {
+		x, dst := tc.spec.RHS(), make([]float64, a.Rows)
+		var kernel func()
+		name := "band"
+		if tc.spec.Kind == Banded {
+			m, err := tc.spec.bandBlock(tc.lo, tc.hi)
+			if err != nil {
+				b.Fatal(err)
+			}
+			xext := x[m.e0 : m.e0+m.cols()]
+			kernel = func() { m.mulVecInto(dst, xext) }
+		} else {
+			m := runsOf(a)
+			kernel, name = func() { m.mulVecInto(dst, x) }, "runs"
+		}
+		b.Run(tc.name+"/"+name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				m.mulVecInto(dst, x)
+				kernel()
 			}
 		})
 		b.Run(tc.name+"/oracle", func(b *testing.B) {
@@ -86,16 +100,18 @@ func BenchmarkSolveOp(b *testing.B) {
 }
 
 // BenchmarkOpSplit says where the host time of one banded op goes: each
-// part runs alone on an 8-rank world as often as the op runs it (two block
-// generations; one SpMV and one halo exchange per CG iteration and two per
-// BiCGSTAB iteration; the dot allreduces of both solvers), and part-ms/op
-// is the wall time from the barrier before the first call to the barrier
-// after the last. "spmv" alone keeps each rank's block in its core's L2;
-// "halo+spmv" alternates the two as an iteration does, so the ranks take
-// turns on the cores and every block streams from L3 again — that, not
-// the sum of "halo" and "spmv", is what an iteration pays. What the parts
-// leave of BenchmarkSolveOp/banded is the vector updates, world start-up
-// and the final allgather.
+// part runs alone on an 8-rank world as often as the op runs it (two
+// generations of every rank's band block and halo plan; one SpMV and one
+// halo exchange per CG iteration and two per BiCGSTAB iteration; the dot
+// allreduces of both solvers), and part-ms/op is the wall time from the
+// barrier before the first call to the barrier after the last. "spmv"
+// alone keeps each rank's block (0.3 MB of upper diagonals) in its core's
+// L2; "halo+spmv" alternates the two as an iteration does, so the ranks
+// take turns on the cores and every block streams from L3 again — that,
+// not the sum of "halo" and "spmv", is what an iteration pays, and why
+// storing half the band pays. What the parts leave of
+// BenchmarkSolveOp/banded is the vector updates, world start-up and the
+// final allgather.
 func BenchmarkOpSplit(b *testing.B) {
 	iters := solveOp(b, benchBanded)
 	cg, bi := iters[0], iters[1]

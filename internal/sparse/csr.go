@@ -69,7 +69,7 @@ func (a *CSR) MulVecInto(dst, x []float64) {
 	for i := 0; i < a.Rows; i++ {
 		var s float64
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			s += a.Val[k] * x[a.Col[k]]
+			s += float64(a.Val[k] * x[a.Col[k]])
 		}
 		dst[i] = s
 	}
@@ -95,7 +95,7 @@ type run struct{ start, n int32 }
 // follow each other in val in the same order, so no entry carries a
 // column index. A banded row is one run; a row with scattered entries
 // degenerates to runs of one. It is what the generator emits and what the
-// distributed solver multiplies with.
+// distributed solver multiplies Random blocks with.
 type runMatrix struct {
 	rows, cols int
 	rowRun     []int32
@@ -119,48 +119,27 @@ func (m *runMatrix) csr() *CSR {
 
 // mulVecInto computes dst = A·x like CSR.MulVecInto, bit for bit: every
 // row is summed from zero in ascending column order into one accumulator.
-// Two neighbouring rows that are each a single run of the same length are
-// summed side by side, which leaves each row's order alone and keeps two
-// floating-point add chains in flight instead of one.
 func (m *runMatrix) mulVecInto(dst, x []float64) {
 	if len(dst) != m.rows || len(x) != m.cols {
 		panic(fmt.Sprintf("sparse: mulVecInto shapes dst=%d x=%d for %dx%d matrix", len(dst), len(x), m.rows, m.cols))
 	}
 	runs, val := m.runs, m.val
 	k := 0 // val[k] is the first value of row i
-	for i := 0; i < m.rows; {
-		r0, r1 := m.rowRun[i], m.rowRun[i+1]
-		if r1-r0 == 1 && i+1 < m.rows && m.rowRun[i+2]-r1 == 1 && runs[r0].n == runs[r1].n {
-			a, b := runs[r0], runs[r1]
-			n := int(a.n)
-			va, vb := val[k:][:n], val[k+n:][:n]
-			xa, xb := x[a.start:][:n], x[b.start:][:n]
-			var s0, s1 float64
-			for j := range va {
-				s0 += va[j] * xa[j]
-				s1 += vb[j] * xb[j]
-			}
-			dst[i], dst[i+1] = s0, s1
-			k += 2 * n
-			i += 2
-			continue
-		}
+	for i := range dst {
 		var s float64
-		for ; r0 < r1; r0++ {
-			r := runs[r0]
+		for _, r := range runs[m.rowRun[i]:m.rowRun[i+1]] {
 			if r.n == 1 {
-				s += val[k] * x[r.start]
+				s += float64(val[k] * x[r.start])
 				k++
 				continue
 			}
 			v := val[k:][:r.n]
 			xs := x[r.start:][:r.n]
 			for j := range v {
-				s += v[j] * xs[j]
+				s += float64(v[j] * xs[j])
 			}
 			k += len(v)
 		}
 		dst[i] = s
-		i++
 	}
 }

@@ -87,8 +87,10 @@ func (s Spec) pairHash(salt uint64, i, j int) uint64 {
 	return splitmix64(h ^ uint64(j)<<1)
 }
 
-// unit maps a hash to [0,1).
-func unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
+// unit maps a hash to [0,1). The compiler turns the division into a
+// multiply by 2⁻⁵³; the outer conversion keeps that multiply out of a
+// fused multiply-add with the caller's sum.
+func unit(h uint64) float64 { return float64(float64(h>>11) / (1 << 53)) }
 
 // SBound is a deterministic bound on the off-diagonal absolute row sum
 // used to place the diagonal shift. For Banded it is exact (each |entry|
@@ -97,7 +99,7 @@ func unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
 func (s Spec) SBound() float64 {
 	switch s.Kind {
 	case Random:
-		return 1.5*s.Density*float64(s.N-1) + 2
+		return float64(1.5*s.Density*float64(s.N-1)) + 2
 	default:
 		return 2 * float64(s.Band)
 	}
@@ -125,7 +127,13 @@ type rowGen struct {
 }
 
 // newRowGen prepares the generator for rows [lo,hi).
-func (s Spec) newRowGen(lo, hi int) *rowGen {
+func (s Spec) newRowGen(lo, hi int) (*rowGen, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	if lo < 0 || hi < lo || hi > s.N {
+		return nil, fmt.Errorf("sparse: row block [%d,%d) outside [0,%d]", lo, hi, s.N)
+	}
 	g := &rowGen{s: s, shift: s.Shift()}
 	if s.Kind == Banded {
 		g.base = max(lo-s.Band, 0)
@@ -142,7 +150,7 @@ func (s Spec) newRowGen(lo, hi int) *rowGen {
 	if s.Kind == Random {
 		g.pres = table(saltPresence)
 	}
-	return g
+	return g, nil
 }
 
 // nnzBound sizes the value slice of rows [lo,hi): the exact count for
@@ -151,13 +159,19 @@ func (s Spec) newRowGen(lo, hi int) *rowGen {
 func (s Spec) nnzBound(lo, hi int) int {
 	if s.Kind == Random {
 		pairs := float64(hi-lo) * float64(s.N-1)
-		return hi - lo + int(pairs*s.Density+6*math.Sqrt(pairs*s.Density*(1-s.Density))) + 1
+		return hi - lo + int(float64(pairs*s.Density)+float64(6*math.Sqrt(pairs*s.Density*(1-s.Density)))) + 1
 	}
 	nnz := 0
 	for i := lo; i < hi; i++ {
 		nnz += min(i+s.Band, s.N-1) - max(i-s.Band, 0) + 1
 	}
 	return nnz
+}
+
+// offdiag is the value of the off-diagonal pair A[a][b] = A[b][a], a < b,
+// given as a and b2 = b<<1, the form pairHash mixes b in.
+func (g *rowGen) offdiag(a int, b2 uint64) float64 {
+	return -(0.1 + float64(0.9*unit(splitmix64(g.val[a-g.base]^b2))))
 }
 
 // appendRow appends row i, in ascending column order, as runs of global
@@ -176,15 +190,15 @@ func (g *rowGen) appendRow(i int, runs []run, vals []float64) ([]run, []float64)
 		if j == i {
 			diagAt = len(vals) // patched below
 		} else {
-			a, b := j, uint64(i)<<1
+			a, b2 := j, uint64(i)<<1
 			if i < j {
-				a, b = i, uint64(j)<<1
+				a, b2 = i, uint64(j)<<1
 			}
-			if s.Kind == Random && unit(splitmix64(g.pres[a-g.base]^b)) >= s.Density {
+			if s.Kind == Random && unit(splitmix64(g.pres[a-g.base]^b2)) >= s.Density {
 				open = false
 				continue
 			}
-			v = -(0.1 + 0.9*unit(splitmix64(g.val[a-g.base]^b)))
+			v = g.offdiag(a, b2)
 			rowSum += math.Abs(v)
 		}
 		if open {
@@ -201,16 +215,13 @@ func (g *rowGen) appendRow(i int, runs []run, vals []float64) ([]run, []float64)
 
 // rowRuns generates rows [lo,hi) in run form with global column indices.
 func (s Spec) rowRuns(lo, hi int) (*runMatrix, error) {
-	if err := s.Validate(); err != nil {
+	g, err := s.newRowGen(lo, hi)
+	if err != nil {
 		return nil, err
-	}
-	if lo < 0 || hi < lo || hi > s.N {
-		return nil, fmt.Errorf("sparse: row block [%d,%d) outside [0,%d]", lo, hi, s.N)
 	}
 	if s.N > math.MaxInt32 {
 		return nil, fmt.Errorf("sparse: order %d exceeds the generator's 32-bit column range", s.N)
 	}
-	g := s.newRowGen(lo, hi)
 	bound := s.nnzBound(lo, hi)
 	m := &runMatrix{rows: hi - lo, cols: s.N, rowRun: make([]int32, hi-lo+1), val: make([]float64, 0, bound)}
 	if s.Kind == Banded {
@@ -243,7 +254,7 @@ func (s Spec) Matrix() (*CSR, error) { return s.RowBlock(0, s.N) }
 func (s Spec) RHSRange(lo, hi int) []float64 {
 	b := make([]float64, hi-lo)
 	for i := lo; i < hi; i++ {
-		b[i-lo] = 2*unit(s.pairHash(saltRHS, i, i)) - 1
+		b[i-lo] = float64(2*unit(s.pairHash(saltRHS, i, i))) - 1
 	}
 	return b
 }
@@ -258,9 +269,9 @@ func (s Spec) EstNNZ() float64 {
 	n := float64(s.N)
 	switch s.Kind {
 	case Random:
-		return n + n*(n-1)*s.Density
+		return n + float64(n*(n-1)*s.Density)
 	default:
 		b := float64(s.Band)
-		return n + 2*b*n - b*(b+1)
+		return n + float64(2*b*n) - float64(b*(b+1))
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/ime"
 	"repro/internal/mpi"
 )
 
@@ -81,6 +82,51 @@ func TestRowBlockMatchesPerEntryOracle(t *testing.T) {
 	}
 }
 
+// bandAt reads entry (i, j) of a band block, i in [lo,hi), through its
+// symmetric storage.
+func bandAt(m *bandMatrix, i, j int) float64 {
+	switch {
+	case i == j:
+		return m.diag[i-m.lo]
+	case j < i:
+		i, j = j, i
+	}
+	return m.up[(j-i-1)*(m.hi-m.e0)+i-m.e0]
+}
+
+// TestBandBlockMatchesPerEntryOracle holds every entry the band form
+// stores for a block's rows — the upper pairs hashed once, the diagonal
+// summed from the lower entries read back — to the per-entry oracle, bit
+// for bit, for blocks clipped at either matrix edge and a band wider
+// than the block.
+func TestBandBlockMatchesPerEntryOracle(t *testing.T) {
+	for _, spec := range []Spec{
+		testSpecs()[0],
+		{Kind: Banded, N: 20, Band: 15, Cond: 30, Seed: -4},
+		{Kind: Banded, N: 97, Band: 1, Cond: 30, Seed: 2},
+	} {
+		for _, cut := range [][2]int{{0, spec.N}, {0, 7}, {7, 19}, {spec.N - 3, spec.N}, {5, 5}, {9, 10}} {
+			m, err := spec.bandBlock(cut[0], cut[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := refRowBlock(spec, cut[0], cut[1])
+			for r := 0; r < want.Rows; r++ {
+				for k := want.RowPtr[r]; k < want.RowPtr[r+1]; k++ {
+					i, j := cut[0]+r, want.Col[k]
+					if got := bandAt(m, i, j); math.Float64bits(got) != math.Float64bits(want.Val[k]) {
+						t.Fatalf("%s [%d,%d): A[%d][%d] = %x, oracle %x", spec.Label(), cut[0], cut[1], i, j,
+							math.Float64bits(got), math.Float64bits(want.Val[k]))
+					}
+				}
+			}
+		}
+	}
+	if _, err := testSpecs()[1].bandBlock(0, 5); err == nil {
+		t.Fatal("bandBlock accepted a Random spec")
+	}
+}
+
 // runsOf converts a CSR to run form.
 func runsOf(a *CSR) *runMatrix {
 	m := &runMatrix{rows: a.Rows, cols: a.Cols, rowRun: make([]int32, a.Rows+1), val: a.Val}
@@ -97,15 +143,17 @@ func runsOf(a *CSR) *runMatrix {
 	return m
 }
 
+// wide maps a hash to a value of either sign spread over sixty binades,
+// so any change in a row's summation order or accumulator count shows in
+// the low bits of a sum of such values.
+func wide(h uint64) float64 {
+	return math.Ldexp(2*unit(h)-1, int(h%61)-30)
+}
+
 // patternCSR builds a matrix from a row-major presence bitmap (bit k of
 // the bitmap is entry (k/cols, k%cols); bits past the last whole row are
-// dropped) and an input vector for it. Magnitudes span sixty
-// binades and both signs, so any change in a row's summation order or
-// accumulator count shows in the low bits of the result.
+// dropped) and a wide input vector for it, with wide values too.
 func patternCSR(cols int, bitmap []byte) (*CSR, []float64) {
-	wide := func(h uint64) float64 {
-		return math.Ldexp(2*unit(h)-1, int(h%61)-30)
-	}
 	rows := len(bitmap) * 8 / cols
 	a := &CSR{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1)}
 	for i := 0; i < rows; i++ {
@@ -202,6 +250,55 @@ func FuzzRunSpMV(f *testing.F) {
 		}
 		a, x := patternCSR(int(cols)+1, bitmap)
 		checkRunSpMV(t, a, x)
+	})
+}
+
+// FuzzBandSpMV holds the solver's band SpMV on one rank's block to the
+// oracle on the full matrix, bit for bit, for any order, half-band, rank
+// count and rank: the block's own diagonals and those read back from the
+// band rows above it must meet every row in ascending column order, from
+// +0, clipped at both matrix edges. The input spreads over sixty binades
+// and one entry in eight is a signed zero or a signed subnormal.
+func FuzzBandSpMV(f *testing.F) {
+	f.Add(uint16(20), uint16(15), uint8(3), uint8(1), int64(1))
+	f.Add(uint16(97), uint16(5), uint8(8), uint8(7), int64(2))
+	f.Add(uint16(64), uint16(20), uint8(7), uint8(3), int64(3))
+	f.Add(uint16(2), uint16(1), uint8(2), uint8(0), int64(4))
+	f.Add(uint16(300), uint16(64), uint8(4), uint8(2), int64(20230612))
+	edge := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -2.5e-310}
+	f.Fuzz(func(t *testing.T, n, band uint16, ranks, rank uint8, seed int64) {
+		spec := Spec{Kind: Banded, N: int(n)%400 + 2, Cond: 30, Seed: seed}
+		spec.Band = int(band)%(spec.N-1) + 1
+		size := int(ranks)%min(spec.N, 16) + 1
+		lo, hi := ime.BlockRange(spec.N, size, int(rank)%size)
+		full, err := spec.Matrix()
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := make([]float64, spec.N)
+		for j := range x {
+			h := splitmix64(uint64(seed) ^ uint64(j)<<20)
+			if x[j] = wide(h); h%8 == 0 {
+				x[j] = edge[h>>3%4]
+			}
+		}
+		want := make([]float64, spec.N)
+		refMulVecInto(full, want, x)
+		m, err := spec.bandBlock(lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]float64, hi-lo)
+		for r := range got {
+			got[r] = math.NaN() // mulVecInto overwrites dst
+		}
+		m.mulVecInto(got, x[m.e0:m.e0+m.cols()])
+		for r := range got {
+			if math.Float64bits(got[r]) != math.Float64bits(want[lo+r]) {
+				t.Fatalf("%s rows [%d,%d): row %d = %x (%g), oracle %x (%g)", spec.Label(), lo, hi, lo+r,
+					math.Float64bits(got[r]), got[r], math.Float64bits(want[lo+r]), want[lo+r])
+			}
+		}
 	})
 }
 

@@ -68,7 +68,7 @@ func Model(alg Algorithm, spec Spec, cfg cluster.Config, device cluster.Device, 
 	rowsPerRank := float64(spec.N) / float64(cfg.Ranks)
 	nnzPerRank := spec.EstNNZ() / float64(cfg.Ranks)
 	spmvBytes := nnzPerRank * DramBytesPerNNZ
-	vecBytes := sh.vecBytes * rowsPerRank
+	vecBytes := float64(sh.vecBytes * rowsPerRank)
 
 	// Halo shape: neighbour count and exchanged doubles per rank per
 	// sweep. Banded blocks touch at most the adjacent blocks' Band rows
@@ -90,8 +90,8 @@ func Model(alg Algorithm, spec Spec, cfg cluster.Config, device cluster.Device, 
 	}
 	haloBytes := haloElems * mpi.Float64Bytes
 	intra := cfg.Nodes <= 1
-	haloTime := peers*(cost.SendOverhead+cost.RecvOverhead) + cost.Wire(intra, haloBytes)
-	dotTime := float64(sh.dots) * cost.AllreduceTime(cfg.Ranks, mpi.Float64Bytes)
+	haloTime := float64(peers*(cost.SendOverhead+cost.RecvOverhead)) + cost.Wire(intra, haloBytes)
+	dotTime := float64(float64(sh.dots) * cost.AllreduceTime(cfg.Ranks, mpi.Float64Bytes))
 
 	accel := cfg.Spec.Accel
 	var computeS, exposedComm, accelOverheadS float64
@@ -100,13 +100,13 @@ func Model(alg Algorithm, spec Spec, cfg cluster.Config, device cluster.Device, 
 		// memory bandwidth; every sweep ships the halo over the host link
 		// and each allreduce syncs a scalar across it.
 		perRankBW := float64(accel.PerNode) * accel.MemBandwidthBps / float64(cfg.RanksPerNode)
-		computeS = float64(iters) * (float64(sh.spmvs)*spmvBytes + vecBytes) / perRankBW
-		accelOverheadS = float64(iters) * (float64(sh.spmvs)*(accel.TransferLatS+haloBytes/accel.TransferBps) +
-			float64(sh.dots)*2*accel.TransferLatS)
+		computeS = float64(iters) * (float64(float64(sh.spmvs)*spmvBytes) + vecBytes) / perRankBW
+		accelOverheadS = float64(iters) * (float64(float64(sh.spmvs)*(accel.TransferLatS+haloBytes/accel.TransferBps)) +
+			float64(float64(sh.dots)*2*accel.TransferLatS))
 	} else {
-		computeS = float64(iters) * (float64(sh.spmvs)*spmvBytes + vecBytes) / HostStreamBps
+		computeS = float64(iters) * (float64(float64(sh.spmvs)*spmvBytes) + vecBytes) / HostStreamBps
 	}
-	exposedComm = float64(iters)*(float64(sh.spmvs)*haloTime+dotTime) + accelOverheadS
+	exposedComm = float64(float64(iters)*(float64(float64(sh.spmvs)*haloTime)+dotTime)) + accelOverheadS
 	duration := computeS + exposedComm
 
 	// Energy integrates like the dense model's (perfmodel.SocketEnergy):
@@ -117,7 +117,7 @@ func Model(alg Algorithm, spec Spec, cfg cluster.Config, device cluster.Device, 
 	// only the staged halo/transfer bytes when the kernels live on the
 	// device.
 	hostKernelS := computeS
-	rankBytes := float64(iters) * (float64(sh.spmvs)*spmvBytes + vecBytes)
+	rankBytes := float64(iters) * (float64(float64(sh.spmvs)*spmvBytes) + vecBytes)
 	if device == cluster.DeviceAccel {
 		hostKernelS = 0 // kernels run on the device; hosts poll
 		rankBytes = float64(iters) * float64(sh.spmvs) * haloBytes
@@ -125,7 +125,7 @@ func Model(alg Algorithm, spec Spec, cfg cluster.Config, device cluster.Device, 
 	out := make(map[rapl.Domain]float64, 5)
 	perfmodel.SocketEnergy(out, cfg, duration, hostKernelS, CoreActivity, rankBytes, 1, 0)
 	if device == cluster.DeviceAccel {
-		perDev := accel.IdlePowerW*(duration-computeS) + accel.ActivePowerW*computeS
+		perDev := float64(accel.IdlePowerW*(duration-computeS)) + float64(accel.ActivePowerW*computeS)
 		out[rapl.Accel] = float64(cfg.Nodes) * float64(accel.PerNode) * perDev
 	}
 	// Sum in fixed domain order so TotalJ is bit-reproducible.

@@ -75,6 +75,6 @@ func EstIters(alg Algorithm, cond float64, n int) int {
 // stored entry per SpMV plus one flop per streamed vector double.
 func WorkFlops(alg Algorithm, spec Spec, iters int) float64 {
 	sh := shapeOf(alg)
-	perIter := float64(sh.spmvs)*2*spec.EstNNZ() + sh.vecBytes/8*float64(spec.N)
+	perIter := float64(float64(sh.spmvs)*2*spec.EstNNZ()) + float64(sh.vecBytes/8*float64(spec.N))
 	return float64(iters) * perIter
 }

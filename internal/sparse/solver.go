@@ -14,15 +14,19 @@ import (
 // Distribution is the dense solvers' contiguous row-block partition
 // (ime.BlockRange): remainder rows on the leading ranks. Every rank
 // generates its own rows from the Spec, so there is no input
-// distribution step. The halo plan is negotiated once: a rank derives
-// which external vector entries its rows touch, and — because the
-// generated sparsity pattern is symmetric — the set of peers that need
-// entries *from* it is exactly the set it needs entries from, so the
-// plan is one index-list exchange with no discovery round. Per
-// iteration the exchange is all-sends-then-all-recvs, one message per
-// (src,dst) pair, which the mailbox's buffered streams absorb without
-// deadlock; a crashed peer surfaces as mpi.ErrRankFailed from the
-// Send/Recv itself.
+// distribution step. A Banded block is kept by symmetry as its upper
+// diagonals, half the values of its rows, and multiplied one diagonal at
+// a time (bandMatrix, band.go); a Random block as runs of consecutive
+// columns (runMatrix, csr.go). Both sum every row from +0 in ascending
+// column order, which is what keeps CSR.MulVecInto's bits. The halo plan
+// is negotiated once: a rank derives which external vector entries its
+// rows touch, and — because the generated sparsity pattern is symmetric
+// — the set of peers that need entries *from* it is exactly the set it
+// needs entries from, so the plan is one index-list exchange with no
+// discovery round. Per iteration the exchange is
+// all-sends-then-all-recvs, one message per (src,dst) pair, which the
+// mailbox's buffered streams absorb without deadlock; a crashed peer
+// surfaces as mpi.ErrRankFailed from the Send/Recv itself.
 //
 // Phases (spmv, halo, dot, axpy) are recorded on the tracer; with
 // ChargeCosts the kernels charge virtual time and DRAM traffic at the
@@ -100,6 +104,13 @@ type haloPeer struct {
 	sendBuf        []float64
 }
 
+// blockMatrix is a rank's row block in the form its SpMV runs on:
+// bandMatrix for the Banded kind, runMatrix for Random. Both compute
+// CSR.MulVecInto's bits over the extended vector.
+type blockMatrix interface {
+	mulVecInto(dst, x []float64)
+}
+
 // dist is the per-rank state of a distributed solve.
 type dist struct {
 	p      *mpi.Proc
@@ -107,9 +118,11 @@ type dist struct {
 	spec   Spec
 	lo, hi int
 	rows   int
-	// a holds this rank's rows with columns remapped to the extended
-	// local vector.
-	a     *runMatrix
+	// a holds this rank's rows over the extended local vector; nnz is
+	// their logical entry count, which the SpMV charge is priced on
+	// whatever the storage.
+	a     blockMatrix
+	nnz   int
 	peers []haloPeer
 	// xext is the extended SpMV input: every column the rows touch, in
 	// ascending global order, so a run of global columns stays a run. The
@@ -122,41 +135,61 @@ type dist struct {
 	dotBuf [3]float64
 }
 
-// newDist generates the rank's row block, remaps it to extended-vector
-// indexing and negotiates the halo plan.
+// newDist generates the rank's row block over extended-vector indexing
+// and negotiates the halo plan.
 func newDist(p *mpi.Proc, spec Spec, charge bool) (*dist, error) {
 	size, rank := p.Size(), p.Rank()
 	lo, hi := ime.BlockRange(spec.N, size, rank)
-	a, err := spec.rowRuns(lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	d := &dist{p: p, c: p.World(), spec: spec, lo: lo, hi: hi, rows: hi - lo, a: a, charge: charge}
+	d := &dist{p: p, c: p.World(), spec: spec, lo: lo, hi: hi, rows: hi - lo, charge: charge}
 
-	// pos[j-cmin] is the number of touched columns below global column
-	// j, which for a touched column is its extended-vector position:
-	// mark what the runs touch, then take the running count.
-	cmin, cmax := lo, hi
-	for _, r := range a.runs {
-		cmin, cmax = min(cmin, int(r.start)), max(cmax, int(r.start+r.n))
-	}
-	pos := make([]int32, cmax-cmin+1)
-	for _, r := range a.runs {
-		for j := r.start; j < r.start+r.n; j++ {
-			pos[int(j)-cmin] = 1
+	// The block touches columns [cmin,cmax). at(j) is the number of
+	// touched columns below global column j, which for a touched column
+	// is its extended-vector position. A band touches every column of its
+	// span; scattered rows are numbered by pos: mark what the runs touch,
+	// then take the running count.
+	var cmin, cmax int
+	var pos []int32
+	if spec.Kind == Banded {
+		m, err := spec.bandBlock(lo, hi)
+		if err != nil {
+			return nil, err
 		}
+		d.a, d.nnz = m, spec.nnzBound(lo, hi)
+		cmin, cmax = m.e0, m.e0+m.cols()
+	} else {
+		a, err := spec.rowRuns(lo, hi)
+		if err != nil {
+			return nil, err
+		}
+		cmin, cmax = lo, hi
+		for _, r := range a.runs {
+			cmin, cmax = min(cmin, int(r.start)), max(cmax, int(r.start+r.n))
+		}
+		pos = make([]int32, cmax-cmin+1)
+		for _, r := range a.runs {
+			for j := r.start; j < r.start+r.n; j++ {
+				pos[int(j)-cmin] = 1
+			}
+		}
+		count := int32(0)
+		for k, touched := range pos {
+			pos[k] = count
+			count += touched
+		}
+		for k := range a.runs {
+			a.runs[k].start = pos[int(a.runs[k].start)-cmin]
+		}
+		a.cols = int(count)
+		d.a, d.nnz = a, len(a.val)
 	}
-	count := int32(0)
-	for k, touched := range pos {
-		pos[k] = count
-		count += touched
+	at := func(j int) int {
+		if pos == nil {
+			return j - cmin
+		}
+		return int(pos[j-cmin])
 	}
-	for k := range a.runs {
-		a.runs[k].start = pos[int(a.runs[k].start)-cmin]
-	}
-	a.cols = int(count)
-	d.xext = make([]float64, a.cols)
-	d.own = int(pos[lo-cmin])
+	d.xext = make([]float64, at(cmax))
+	d.own = at(lo)
 
 	// One-time plan exchange: tell each peer which of its rows we need
 	// (as float64-encoded indices), receive the symmetric request.
@@ -172,18 +205,18 @@ func newDist(p *mpi.Proc, spec Spec, charge bool) (*dist, error) {
 		o := ime.OwnerOf(spec.N, size, j)
 		_, end := ime.BlockRange(spec.N, size, o)
 		end = min(end, cmax)
-		from, to := pos[j-cmin], pos[end-cmin]
+		from, to := at(j), at(end)
 		if to > from {
 			need := make([]float64, 0, to-from)
 			for ; j < end; j++ {
-				if pos[j+1-cmin] > pos[j-cmin] {
+				if at(j+1) > at(j) {
 					need = append(need, float64(j))
 				}
 			}
 			if err := p.SendNoCopy(d.c, o, tagHaloIdx, need); err != nil {
 				return nil, err
 			}
-			d.peers = append(d.peers, haloPeer{rank: o, recvLo: int(from), recvHi: int(to)})
+			d.peers = append(d.peers, haloPeer{rank: o, recvLo: from, recvHi: to})
 		}
 		j = end
 	}
@@ -247,7 +280,7 @@ func (d *dist) exchange(iter int, v []float64) error {
 func (d *dist) spmv(iter int, dst []float64) {
 	ph := d.p.BeginPhase("spmv", iter)
 	d.a.mulVecInto(dst, d.xext)
-	d.chargeBytes(float64(len(d.a.val)) * DramBytesPerNNZ)
+	d.chargeBytes(float64(d.nnz) * DramBytesPerNNZ)
 	d.p.EndPhase(ph)
 }
 
@@ -351,7 +384,7 @@ func (d *dist) cg(opt Options) (Solution, error) {
 		rr = rrNew[0]
 		ph = d.p.BeginPhase("axpy", it)
 		for i := range pv {
-			pv[i] = r[i] + beta*pv[i]
+			pv[i] = r[i] + float64(beta*pv[i])
 		}
 		d.endAxpy(ph, 24)
 		iters = it
@@ -396,7 +429,7 @@ func (d *dist) bicgstab(opt Options) (Solution, error) {
 			beta := (rhoNew[0] / rho) * (alpha / omega)
 			ph := d.p.BeginPhase("axpy", it)
 			for i := range pv {
-				pv[i] = r[i] + beta*(pv[i]-omega*v[i])
+				pv[i] = r[i] + float64(beta*(pv[i]-float64(omega*v[i])))
 			}
 			d.endAxpy(ph, 32)
 		}
@@ -415,7 +448,7 @@ func (d *dist) bicgstab(opt Options) (Solution, error) {
 		alpha = rho / rv[0]
 		ph := d.p.BeginPhase("axpy", it)
 		for i := range s {
-			s[i] = r[i] - alpha*v[i]
+			s[i] = r[i] - float64(alpha*v[i])
 		}
 		d.endAxpy(ph, 24)
 		if err := d.exchange(it, s); err != nil {
@@ -439,13 +472,13 @@ func (d *dist) bicgstab(opt Options) (Solution, error) {
 		omega = ts / tt
 		ph = d.p.BeginPhase("axpy", it)
 		for i := range x {
-			x[i] += alpha*pv[i] + omega*s[i]
+			x[i] += float64(alpha*pv[i]) + float64(omega*s[i])
 		}
 		for i := range r {
-			r[i] = s[i] - omega*t[i]
+			r[i] = s[i] - float64(omega*t[i])
 		}
 		d.endAxpy(ph, 56)
-		rr = ss - 2*omega*ts + omega*omega*tt
+		rr = ss - float64(2*omega*ts) + float64(omega*omega*tt)
 		if rr < 0 {
 			rr = 0 // cancellation guard: the true norm is non-negative
 		}
