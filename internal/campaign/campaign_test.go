@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,6 +14,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/grid"
 	"repro/internal/store"
 )
 
@@ -170,6 +173,98 @@ func TestTornTailRecompute(t *testing.T) {
 	}
 	if sum.StoreRecords != c.Cells() {
 		t.Fatalf("store holds %d records after recovery, want %d", sum.StoreRecords, c.Cells())
+	}
+}
+
+// TestUndecodablePayloadFailsEveryWarmReplay: a stored cell whose payload
+// does not decode fails every warm run that reaches it, the first one and
+// the next one over the same open store, and is neither recomputed nor
+// appended again. A run keeps no result, so a hit skips the decode only
+// once the payload has decoded; a failure must never be remembered as one.
+func TestUndecodablePayloadFailsEveryWarmReplay(t *testing.T) {
+	dir := t.TempDir()
+	c := Scaling()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(c, st, RunOptions{Workers: 2}); err != nil {
+		t.Fatalf("cold run: %v", err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Rewrite the first record's result to name an energy domain no engine
+	// charges; its key still digests its identity.
+	log := filepath.Join(dir, "records.ndjson")
+	b, err := os.ReadFile(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, rest, _ := bytes.Cut(b, []byte("\n"))
+	var rec store.Record
+	if err := json.Unmarshal(first, &rec); err != nil {
+		t.Fatal(err)
+	}
+	rec.Result = json.RawMessage(`{"duration_s":1,"energy_j":{"PP0_ENERGY:PACKAGE0":1},"total_j":1,"engine":"analytic"}`)
+	if first, err = json.Marshal(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(log, append(append(first, '\n'), rest...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st = openStore(t, dir)
+	for replay := 1; replay <= 2; replay++ {
+		sum, err := Run(c, st, RunOptions{Workers: 2})
+		if err == nil || !strings.Contains(err.Error(), "PP0_ENERGY:PACKAGE0") {
+			t.Fatalf("warm replay %d: err = %v, want the undecodable payload named", replay, err)
+		}
+		if sum.ComputedTotal != 0 || st.Len() != c.Cells() {
+			t.Fatalf("warm replay %d computed %d cells into %d records, want 0 into %d", replay, sum.ComputedTotal, st.Len(), c.Cells())
+		}
+	}
+}
+
+// TestCollectAfterRunOnlyReplays: run-only replays, which stop decoding a
+// hit once it has decoded, leave Collect on the same open store with the
+// measurements a storeless evaluation computes, bit for bit.
+func TestCollectAfterRunOnlyReplays(t *testing.T) {
+	set := paperGrid(paperGridParams())
+	want, err := set.Collect(&core.Evaluator{Runner: grid.New(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := &core.Evaluator{Store: openStore(t, t.TempDir()), Runner: grid.New(2)}
+	for run := 0; run < 3; run++ { // cold, then a replay that decodes, then one that does not
+		if err := set.Run(ev); err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+	}
+	got, err := set.Collect(ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if computed, hits := ev.Counts(); computed != set.Len() || hits != 3*set.Len() {
+		t.Fatalf("evaluator computed %d cells and served %d, want %d and %d", computed, hits, set.Len(), 3*set.Len())
+	}
+	if len(got.Measurements) != len(want.Measurements) {
+		t.Fatalf("collected %d cells, want %d", len(got.Measurements), len(want.Measurements))
+	}
+	bits := math.Float64bits
+	for k, w := range want.Measurements {
+		g := got.Measurements[k]
+		same := g.Experiment == w.Experiment && reflect.DeepEqual(g.Config, w.Config) && g.Engine == w.Engine &&
+			bits(g.DurationS) == bits(w.DurationS) && bits(g.TotalJ) == bits(w.TotalJ) &&
+			bits(g.Residual) == bits(w.Residual) && len(g.EnergyJ) == len(w.EnergyJ)
+		for d, j := range w.EnergyJ {
+			gj, ok := g.EnergyJ[d]
+			same = same && ok && bits(gj) == bits(j)
+		}
+		if !same {
+			t.Errorf("cell %v: collected %+v, computed %+v", k, g, w)
+		}
 	}
 }
 

@@ -67,19 +67,28 @@ func identityOf[M any, C Cell[M]](c C, buf *[]byte) ([]byte, error) {
 	return identity, nil
 }
 
-// fetch looks the cell's identity bytes up and decodes a hit. A miss
-// returns the key the identity digests to, for the record the caller
-// appends.
-func fetch[M any, C Cell[M]](st *store.Store, c C, identity []byte) (m M, key string, ok bool, err error) {
-	rec, ok := st.Lookup(identity)
+// fetch looks the cell's identity bytes up and decodes a hit, except one
+// the caller does not keep whose payload has already decoded in this open
+// store: records are immutable, so the store remembers that verdict
+// (MarkVerified) and such a hit returns the zero M. A failed decode marks
+// nothing, so it fails again on every hit. A miss returns the key the
+// identity digests to, for the record the caller appends.
+func fetch[M any, C Cell[M]](st *store.Store, c C, identity []byte, keep bool) (m M, key string, ok bool, err error) {
+	rec, ok, verified := st.Lookup(identity)
 	if !ok {
 		return m, rec.Key, false, nil
 	}
 	if rec.Kind != c.kind() {
 		return m, "", false, fmt.Errorf("core: record %.12s… has kind %q, want %q", rec.Key, rec.Kind, c.kind())
 	}
+	if verified && !keep {
+		return m, "", true, nil
+	}
 	if m, err = c.decode(rec.Result); err != nil {
 		return m, "", false, fmt.Errorf("core: decode %s result: %w", c.kind(), err)
+	}
+	if !verified {
+		st.MarkVerified(rec.Key)
 	}
 	return m, "", true, nil
 }
@@ -96,7 +105,7 @@ func lookup[M any, C Cell[M]](st *store.Store, c C) (m M, ok bool, err error) {
 	if err != nil {
 		return m, false, err
 	}
-	m, _, ok, err = fetch(st, c, identity)
+	m, _, ok, err = fetch(st, c, identity, true)
 	return m, ok, err
 }
 
@@ -106,10 +115,12 @@ func lookup[M any, C Cell[M]](st *store.Store, c C) (m M, ok bool, err error) {
 // encoded once per evaluation. admit, when non-nil, is asked after the
 // miss and before the compute (the campaign's cell budget, or the strict
 // emitter's refusal); its error ends the evaluation with nothing computed
-// or appended. A nil store is plain compute
+// or appended. keep false says the caller discards the result: a hit
+// whose payload has decoded before in this open store then returns the
+// zero M (fetch). A nil store is plain compute
 // — the identity is never built — and that is the only no-store path
 // there is.
-func Run[M any, C Cell[M]](st *store.Store, c C, admit func() error) (m M, computed bool, err error) {
+func Run[M any, C Cell[M]](st *store.Store, c C, admit func() error, keep bool) (m M, computed bool, err error) {
 	var key string
 	var buf *[]byte
 	if st != nil {
@@ -120,7 +131,7 @@ func Run[M any, C Cell[M]](st *store.Store, c C, admit func() error) (m M, compu
 			return m, false, err
 		}
 		var ok bool
-		if m, key, ok, err = fetch(st, c, identity); err != nil || ok {
+		if m, key, ok, err = fetch(st, c, identity, keep); err != nil || ok {
 			return m, false, err
 		}
 	}
@@ -146,14 +157,14 @@ func Run[M any, C Cell[M]](st *store.Store, c C, admit func() error) (m M, compu
 // runBoth evaluates the two cells an advisor verdict ranks; computed
 // counts the evaluations that ran (0, 1 or 2).
 func runBoth[M any, C Cell[M]](st *store.Store, a, b C) (ma, mb M, computed int, err error) {
-	ma, ran, err := Run(st, a, nil)
+	ma, ran, err := Run(st, a, nil, true)
 	if err != nil {
 		return ma, mb, computed, err
 	}
 	if ran {
 		computed++
 	}
-	mb, ran, err = Run(st, b, nil)
+	mb, ran, err = Run(st, b, nil, true)
 	if ran && err == nil {
 		computed++
 	}
@@ -195,12 +206,12 @@ func (ev *Evaluator) Counts() (computed, hits int) {
 // (the fleet's candidate shapes, one sweep request); the error is Run's,
 // for the caller to name the cell in its own terms.
 func (ev *Evaluator) Analytic(e Experiment, prm perfmodel.Params) (Measurement, error) {
-	return count(ev, AnalyticCell{E: e, Params: prm, replays: &ev.replays})
+	return count(ev, AnalyticCell{E: e, Params: prm, replays: &ev.replays}, true)
 }
 
-// count runs one cell through the evaluator and counts it.
-func count[M any, C Cell[M]](ev *Evaluator, c C) (M, error) {
-	m, computed, err := Run(ev.Store, c, ev.Admit)
+// count runs one cell through the evaluator and counts it; keep is Run's.
+func count[M any, C Cell[M]](ev *Evaluator, c C, keep bool) (M, error) {
+	m, computed, err := Run(ev.Store, c, ev.Admit, keep)
 	if err != nil {
 		return m, err
 	}
@@ -214,8 +225,8 @@ func count[M any, C Cell[M]](ev *Evaluator, c C) (M, error) {
 
 // evaluate is count for a cell of a set; a failure names the cell by its
 // key.
-func evaluate[K any, M any, C Cell[M]](ev *Evaluator, key K, c C) (M, error) {
-	m, err := count(ev, c)
+func evaluate[K any, M any, C Cell[M]](ev *Evaluator, key K, c C, keep bool) (M, error) {
+	m, err := count(ev, c, keep)
 	if err != nil {
 		return m, fmt.Errorf("core: cell %v: %w", key, err)
 	}
@@ -251,18 +262,19 @@ func (s CellSet[R]) Collect(ev *Evaluator) (R, error) { return s.eval(ev, true) 
 // combination — which is what keeps figure artifacts byte-identical
 // across serial, parallel, cold and warm runs. Running the set collects
 // nothing: a stage only needs its cells to exist, and the map costs ~90
-// allocations per 72-cell grid on every warm campaign replay.
+// allocations per 72-cell grid on every warm campaign replay; so its hits
+// are not kept, and not decoded again once they have decoded (fetch).
 func gridCells[K comparable, M any, C Cell[M], R any](keys []K, cell func(*Evaluator, K) C, build func(map[K]M) R) CellSet[R] {
 	return CellSet[R]{n: len(keys), eval: func(ev *Evaluator, keep bool) (r R, err error) {
 		if !keep {
 			_, err := grid.Map(ev.Runner, len(keys), func(i int) (struct{}, error) {
-				_, err := evaluate(ev, keys[i], cell(ev, keys[i]))
+				_, err := evaluate(ev, keys[i], cell(ev, keys[i]), false)
 				return struct{}{}, err
 			})
 			return r, err
 		}
 		ms, err := grid.Map(ev.Runner, len(keys), func(i int) (M, error) {
-			return evaluate(ev, keys[i], cell(ev, keys[i]))
+			return evaluate(ev, keys[i], cell(ev, keys[i]), true)
 		})
 		if err != nil {
 			return r, err

@@ -277,7 +277,7 @@ func LookupAnalyticCell(st *store.Store, e Experiment, prm perfmodel.Params) (Me
 // reports whether the model actually ran. A nil store degrades to plain
 // RunAnalytic.
 func RunAnalyticStored(e Experiment, prm perfmodel.Params, st *store.Store) (m Measurement, computed bool, err error) {
-	return Run(st, AnalyticCell{E: e, Params: prm}, nil)
+	return Run(st, AnalyticCell{E: e, Params: prm}, nil, true)
 }
 
 // ResilienceIdentity is the canonical store identity of one RunResilient

@@ -47,7 +47,8 @@ func TestEmptyAndInvalidWorkloads(t *testing.T) {
 // allocator sizes itself for it; MaxNodes itself schedules.
 func TestFleetSizeBound(t *testing.T) {
 	w := Synthetic(1, 1)
-	for _, nodes := range []int{MaxNodes + 1, 400_000_000_000, math.MaxInt} {
+	// 400e9 is clipped to MaxInt where int is 32 bits.
+	for _, nodes := range []int{MaxNodes + 1, int(min(400_000_000_000, int64(math.MaxInt))), math.MaxInt} {
 		if _, err := Simulate(Config{Nodes: nodes}, w); err == nil || !strings.Contains(err.Error(), "65536") {
 			t.Errorf("nodes=%d: err = %v, want a refusal naming the limit", nodes, err)
 		}

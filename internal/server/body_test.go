@@ -144,7 +144,8 @@ func FuzzRenderBody(f *testing.F) {
 	f.Add("IMe", 8640, 1.5, -0.0, 1e21)
 	f.Add("full-load", 0, 9.99e-7, 1e-6, 5e-324)
 	f.Add(`a"b`, -1, math.MaxFloat64, 9.99e20, float64(1<<53))
-	f.Add("<&>", 1<<40, math.NaN(), math.Inf(-1), 0.1)
+	// 1<<40, clipped to MaxInt where int is 32 bits.
+	f.Add("<&>", int(min(1<<40, int64(math.MaxInt))), math.NaN(), math.Inf(-1), 0.1)
 	f.Fuzz(func(t *testing.T, s string, n int, a, b, c float64) {
 		cell := CellResult{Algorithm: s, N: n, Ranks: -n, Placement: "full-load",
 			DurationS: a, TotalJ: b, PkgJ: c, DramJ: -a, AvgPowerW: b * c, GFlopsPerWatt: a / 3}

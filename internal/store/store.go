@@ -156,17 +156,26 @@ type Store struct {
 	mu  sync.Mutex
 	dir string
 	f   *os.File
-	// index maps key → parsed record (first occurrence wins). Records are
-	// decoded once — at load or append — so lookups are a map read; this
-	// is what makes a warm campaign run (hundreds of Gets, zero computes)
-	// two orders of magnitude faster than a cold one. Callers must treat
-	// the returned Identity/Result bytes as read-only.
-	index      map[string]Record
+	// index maps key → record (first occurrence wins). The envelope of a
+	// record is read once, at load or append, so a lookup is a map read;
+	// its payload is the caller's to decode, and the entry remembers once
+	// the caller has (MarkVerified). That is what makes a warm campaign
+	// run (hundreds of lookups, zero computes) two orders of magnitude
+	// faster than a cold one. Callers must treat the returned
+	// Identity/Result bytes as read-only.
+	index      map[string]entry
 	order      []string // keys in append order (stable Keys/provenance)
 	duplicates int
 	corrupt    int
 	// digest memoizes Digest; an Append that adds a key clears it.
 	digest string
+}
+
+// entry is one indexed record and whether its payload has decoded under
+// its kind since the store was opened.
+type entry struct {
+	rec      Record
+	verified bool
 }
 
 // Open opens (creating if needed) the store rooted at dir and indexes
@@ -180,7 +189,7 @@ func Open(dir string) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: open log: %w", err)
 	}
-	s := &Store{dir: dir, f: f, index: make(map[string]Record)}
+	s := &Store{dir: dir, f: f, index: make(map[string]entry)}
 	if err := s.load(path); err != nil {
 		f.Close()
 		return nil, err
@@ -235,6 +244,7 @@ func (s *Store) load(path string) error {
 	defer r.Close()
 	br := bufio.NewReaderSize(r, 1<<16)
 	var long []byte
+	kinds := make(map[string]string)
 	for {
 		line, tooLong, err := readLine(br, &long)
 		if err != nil {
@@ -246,8 +256,12 @@ func (s *Store) load(path string) error {
 		if !tooLong && len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		var rec Record
-		if tooLong || json.Unmarshal(line, &rec) != nil || !keyMatches(rec.Key, rec.Identity) {
+		if tooLong {
+			s.corrupt++
+			continue
+		}
+		rec, ok := readRecord(line, kinds)
+		if !ok || !keyMatches(rec.Key, rec.Identity) {
 			s.corrupt++
 			continue
 		}
@@ -255,9 +269,94 @@ func (s *Store) load(path string) error {
 			s.duplicates++
 			continue
 		}
-		s.index[rec.Key] = rec
+		s.index[rec.Key] = entry{rec: rec}
 		s.order = append(s.order, rec.Key)
 	}
+}
+
+// readRecord decodes one log line: by scanRecord when the line is
+// canonical, by encoding/json otherwise, so that which lines load, and
+// to what, is encoding/json's call. kinds interns the kind names.
+func readRecord(line []byte, kinds map[string]string) (Record, bool) {
+	if rec, ok := scanRecord(line, kinds); ok {
+		return rec, true
+	}
+	var rec Record
+	return rec, json.Unmarshal(line, &rec) == nil
+}
+
+// The separators of a canonical record line, the one Append writes:
+// {"key":"…","kind":"…","identity":{…},"result":{…}}.
+const (
+	lineKey      = `{"key":"`
+	lineKind     = `","kind":"`
+	lineIdentity = `","identity":`
+	lineResult   = `,"result":`
+)
+
+// scanRecord reads a canonical record line — the four members in that
+// order, no whitespace, key and kind printable ASCII with nothing to
+// unescape, identity and result JSON objects — into a record that holds
+// one copy of the identity and result bytes, its kind interned in kinds.
+// ok is false for any other line: the scanner accepts only lines that
+// json.Unmarshal reads to the same record (FuzzScanRecord).
+func scanRecord(line []byte, kinds map[string]string) (rec Record, ok bool) {
+	line = bytes.TrimSuffix(line, []byte{'\n'})
+	rest, ok := bytes.CutPrefix(line, []byte(lineKey))
+	if !ok {
+		return rec, false
+	}
+	key, rest, ok := cutPlain(rest, lineKind)
+	if !ok {
+		return rec, false
+	}
+	kind, body, ok := cutPlain(rest, lineIdentity)
+	if !ok {
+		return rec, false
+	}
+	// The result is what follows the last ,"result":. A result that holds
+	// that text itself leaves an invalid identity, and so the line to
+	// encoding/json.
+	body, ok = bytes.CutSuffix(body, []byte{'}'})
+	split := bytes.LastIndex(body, []byte(lineResult))
+	if !ok || split < 0 {
+		return rec, false
+	}
+	identity, result := body[:split], body[split+len(lineResult):]
+	if !isObject(identity) || !isObject(result) {
+		return rec, false
+	}
+	if rec.Kind, ok = kinds[string(kind)]; !ok {
+		rec.Kind = string(kind)
+		kinds[rec.Kind] = rec.Kind
+	}
+	owned := bytes.Clone(body)
+	rec.Key = string(key)
+	rec.Identity = owned[:split:split]
+	rec.Result = owned[split+len(lineResult):]
+	return rec, true
+}
+
+// cutPlain cuts b around the first quote, which must start sep: the
+// string before it is plain — printable ASCII, no backslash — so its
+// bytes are what JSON decodes it to.
+func cutPlain(b []byte, sep string) (plain, after []byte, ok bool) {
+	i := bytes.IndexByte(b, '"')
+	if i < 0 || !bytes.HasPrefix(b[i:], []byte(sep)) {
+		return nil, nil, false
+	}
+	for _, c := range b[:i] {
+		if c < 0x20 || c > 0x7e || c == '\\' {
+			return nil, nil, false
+		}
+	}
+	return b[:i], b[i+len(sep):], true
+}
+
+// isObject reports whether b is one JSON object with no whitespace
+// around it.
+func isObject(b []byte) bool {
+	return len(b) >= 2 && b[0] == '{' && b[len(b)-1] == '}' && json.Valid(b)
 }
 
 // readLine returns the next line of the log, newline included, valid
@@ -295,24 +394,38 @@ func (s *Store) Dir() string { return s.dir }
 // Identity/Result bytes are shared with the index — read-only.
 func (s *Store) Get(key string) (Record, bool, error) {
 	s.mu.Lock()
-	rec, ok := s.index[key]
+	e, ok := s.index[key]
 	s.mu.Unlock()
-	return rec, ok, nil
+	return e.rec, ok, nil
 }
 
 // Lookup is Get(Key(identity)) without the key string: the digest stays
-// on the stack, so a hit allocates nothing. A miss returns a record that
-// holds only its key, the one string the caller needs to append the
-// record it computes instead.
-func (s *Store) Lookup(identity []byte) (Record, bool) {
+// on the stack, so a hit allocates nothing. verified reports whether
+// MarkVerified was called on the record since the store was opened. A
+// miss returns a record that holds only its key, the one string the
+// caller needs to append the record it computes instead.
+func (s *Store) Lookup(identity []byte) (rec Record, ok, verified bool) {
 	key := hexKey(identity)
 	s.mu.Lock()
-	rec, ok := s.index[string(key[:])]
+	e, ok := s.index[string(key[:])]
 	s.mu.Unlock()
 	if !ok {
-		return Record{Key: string(key[:])}, false
+		return Record{Key: string(key[:])}, false, false
 	}
-	return rec, true
+	return e.rec, true, e.verified
+}
+
+// MarkVerified records that the payload of the record under key has
+// decoded under its kind, for Lookup to report. Records are immutable,
+// so the verdict holds for as long as the store is open; it is not
+// persisted, and a record no caller has decoded is never verified.
+func (s *Store) MarkVerified(key string) {
+	s.mu.Lock()
+	if e, ok := s.index[key]; ok {
+		e.verified = true
+		s.index[key] = e
+	}
+	s.mu.Unlock()
 }
 
 // Append persists a record. It verifies the key is the digest of the
@@ -338,7 +451,7 @@ func (s *Store) Append(rec Record) (added bool, err error) {
 	if _, err := s.f.Write(line); err != nil {
 		return false, fmt.Errorf("store: append: %w", err)
 	}
-	s.index[rec.Key] = rec
+	s.index[rec.Key] = entry{rec: rec}
 	s.order = append(s.order, rec.Key)
 	s.digest = ""
 	return true, nil

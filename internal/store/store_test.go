@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -448,26 +449,40 @@ func TestDigestFollowsAppends(t *testing.T) {
 }
 
 // TestLookupIsGetOfTheKey: a lookup by identity bytes finds exactly what
-// Get finds under their key, and a miss hands back that key.
+// Get finds under their key, and a miss hands back that key. A record is
+// verified once MarkVerified names it, and only until the store closes.
 func TestLookupIsGetOfTheKey(t *testing.T) {
-	s, err := Open(t.TempDir())
+	dir := t.TempDir()
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	rec := mustRecord(t, 1, 1)
 	if _, err := s.Append(rec); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := s.Lookup(rec.Identity); !ok || !reflect.DeepEqual(got, rec) {
-		t.Fatalf("Lookup = %+v (found %v), want %+v", got, ok, rec)
+	if got, ok, verified := s.Lookup(rec.Identity); !ok || verified || !reflect.DeepEqual(got, rec) {
+		t.Fatalf("Lookup = %+v (found %v, verified %v), want %+v unverified", got, ok, verified, rec)
 	}
 	missing := mustRecord(t, 2, 2)
-	if got, ok := s.Lookup(missing.Identity); ok || !reflect.DeepEqual(got, Record{Key: missing.Key}) {
-		t.Fatalf("Lookup of a missing identity = %+v (found %v), want only its key %s", got, ok, missing.Key)
+	s.MarkVerified(missing.Key)
+	if got, ok, verified := s.Lookup(missing.Identity); ok || verified || !reflect.DeepEqual(got, Record{Key: missing.Key}) {
+		t.Fatalf("Lookup of a missing identity = %+v (found %v, verified %v), want only its key %s", got, ok, verified, missing.Key)
+	}
+	s.MarkVerified(rec.Key)
+	if got, ok, verified := s.Lookup(rec.Identity); !ok || !verified || !reflect.DeepEqual(got, rec) {
+		t.Fatalf("Lookup after MarkVerified = %+v (found %v, verified %v), want %+v verified", got, ok, verified, rec)
 	}
 	if n := testing.AllocsPerRun(100, func() { s.Lookup(rec.Identity) }); n != 0 {
 		t.Fatalf("a Lookup hit allocates %.0f times, want 0", n)
+	}
+	s.Close()
+	if s, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, ok, verified := s.Lookup(rec.Identity); !ok || verified {
+		t.Fatalf("reopened store: found %v, verified %v; want found and unverified", ok, verified)
 	}
 }
 
@@ -687,6 +702,95 @@ func TestConcurrentDistinctWriters(t *testing.T) {
 	}
 }
 
+// raceEnabled reports whether the test binary was built with -race, whose
+// runtime makes sync.Pool drop entries: json.Valid's pooled scanner then
+// allocates by design and allocation budgets do not apply.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" && s.Value == "true" {
+			return true
+		}
+	}
+	return false
+}
+
+// TestOpenAllocationBudget bounds a reopen of a canonical log, what every
+// warm campaign pays once: per record, the copy of its identity and
+// result, its key string and a share of the index's growth. The kind name
+// is interned, and the scanner reads the envelope without reflection.
+func TestOpenAllocationBudget(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("sync.Pool drops entries under -race: allocation budgets do not apply")
+	}
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 500
+	for i := 0; i < n; i++ {
+		if _, err := s.Append(mustRecord(t, i, float64(i)/7)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	perRecord := testing.AllocsPerRun(5, func() {
+		s, err := Open(dir)
+		if err != nil || s.Len() != n || s.Corrupt() != 0 {
+			t.Fatalf("reopen: %d records, %d corrupt, err %v", s.Len(), s.Corrupt(), err)
+		}
+		s.Close()
+	}) / n
+	t.Logf("Open of %d records: %.2f allocations per record", n, perRecord)
+	if perRecord > 3 {
+		t.Errorf("Open costs %.2f allocations per record, budget 3", perRecord)
+	}
+}
+
+// FuzzScanRecord holds the record-line scanner to encoding/json, its
+// oracle: a line the scanner accepts is one json.Unmarshal accepts and
+// decodes to the same record, byte for byte, and readRecord — scanner,
+// then encoding/json — reads every line exactly as json.Unmarshal does.
+func FuzzScanRecord(f *testing.F) {
+	line, err := json.Marshal(mustRecord(f, 1, 1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(line)
+	f.Add(append(line, '\n'))
+	f.Add(append(line, "\r\n"...))
+	f.Add(line[:len(line)-1])
+	f.Add(bytes.Replace(line, []byte(`":`), []byte(`": `), 1))
+	f.Add(bytes.Replace(line, []byte(`"key"`), []byte(`"Key"`), 1))
+	f.Add(bytes.Replace(line, []byte(`"test"`), []byte(`"t\u0065st"`), 1))
+	f.Add(bytes.Replace(line, []byte(`"test"`), []byte("\"t\xffst\""), 1))
+	f.Add([]byte(`{"key":"k","kind":"x","identity":{"a":{},"result":{}},"result":{"b":1}}`))
+	f.Add([]byte(`{"key":"k","kind":"x","identity":{"a":1},"result":{"b":{},"result":{}}}`))
+	f.Add([]byte(`{"key":"k","kind":"x","identity":{"a":1},"result":{"b":1},"result":{"c":2}}`))
+	f.Add([]byte(`{"key":"k","kind":"x","identity":null,"result":1}`))
+	f.Add([]byte(`{"key":"k","kind":"x","identity":{ },"result":{"s":"}"}}`))
+	f.Add([]byte(`{"key":"k","kind":"x","identity": {"a":1},"result":{"b":1}}`))
+	f.Add([]byte(`{"key":"k","kind":"x","identity":{"a":1}` + "\t" + `,"result":{"b":1}}`))
+	f.Fuzz(func(t *testing.T, line []byte) {
+		var want Record
+		jsonErr := json.Unmarshal(line, &want)
+		same := func(got Record) bool {
+			return got.Key == want.Key && got.Kind == want.Kind &&
+				bytes.Equal(got.Identity, want.Identity) && bytes.Equal(got.Result, want.Result)
+		}
+		if got, ok := scanRecord(line, make(map[string]string)); ok && (jsonErr != nil || !same(got)) {
+			t.Fatalf("scanner reads %q to %+v; encoding/json to %+v (err %v)", line, got, want, jsonErr)
+		}
+		if got, ok := readRecord(line, make(map[string]string)); ok != (jsonErr == nil) || (ok && !same(got)) {
+			t.Fatalf("readRecord(%q) = %+v (ok %v); encoding/json reads %+v (err %v)", line, got, ok, want, jsonErr)
+		}
+	})
+}
+
 // FuzzOpenStore opens a store over arbitrary log bytes. Open must not
 // panic, must serve only records keyed by their identity's digest, and a
 // record appended after it must survive a reopen with everything Open
@@ -717,7 +821,7 @@ func FuzzOpenStore(f *testing.F) {
 			if !ok || got.Key != key || Key(got.Identity) != key {
 				t.Fatalf("Open serves key %s for identity %q (found %v)", key, got.Identity, ok)
 			}
-			if byIdentity, ok := s.Lookup(got.Identity); !ok || !reflect.DeepEqual(byIdentity, got) {
+			if byIdentity, ok, _ := s.Lookup(got.Identity); !ok || !reflect.DeepEqual(byIdentity, got) {
 				t.Fatalf("Lookup(%q) = %+v (found %v), Get(Key(identity)) = %+v", got.Identity, byIdentity, ok, got)
 			}
 		}
