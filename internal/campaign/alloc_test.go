@@ -23,9 +23,9 @@ func raceEnabled() bool {
 // TestWarmPaperRunAllocationBudget bounds a warm replay of the paper
 // campaign's analytic stages, what the campaign benchmark repeats sixteen
 // times per op: per cell, a share of the grid's per-stage bookkeeping. A
-// stage keeps no result, so a hit whose payload has decoded once in the
-// open store is not decoded again; the identity, its key and the store
-// digest cost a hit nothing.
+// stage keeps no result, so a hit checks its payload without restoring
+// the energy map; the identity, its key and the store digest cost a hit
+// nothing.
 func TestWarmPaperRunAllocationBudget(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("sync.Pool drops entries under -race: allocation budgets do not apply")

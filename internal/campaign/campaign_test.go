@@ -179,8 +179,8 @@ func TestTornTailRecompute(t *testing.T) {
 // TestUndecodablePayloadFailsEveryWarmReplay: a stored cell whose payload
 // does not decode fails every warm run that reaches it, the first one and
 // the next one over the same open store, and is neither recomputed nor
-// appended again. A run keeps no result, so a hit skips the decode only
-// once the payload has decoded; a failure must never be remembered as one.
+// appended again. A run keeps no result, so its hits are checked rather
+// than decoded; the check must fail where the decode would, every time.
 func TestUndecodablePayloadFailsEveryWarmReplay(t *testing.T) {
 	dir := t.TempDir()
 	c := Scaling()
@@ -227,9 +227,9 @@ func TestUndecodablePayloadFailsEveryWarmReplay(t *testing.T) {
 	}
 }
 
-// TestCollectAfterRunOnlyReplays: run-only replays, which stop decoding a
-// hit once it has decoded, leave Collect on the same open store with the
-// measurements a storeless evaluation computes, bit for bit.
+// TestCollectAfterRunOnlyReplays: run-only replays, which check their
+// hits rather than decode them, leave Collect on the same open store with
+// the measurements a storeless evaluation computes, bit for bit.
 func TestCollectAfterRunOnlyReplays(t *testing.T) {
 	set := paperGrid(paperGridParams())
 	want, err := set.Collect(&core.Evaluator{Runner: grid.New(2)})
@@ -237,7 +237,7 @@ func TestCollectAfterRunOnlyReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := &core.Evaluator{Store: openStore(t, t.TempDir()), Runner: grid.New(2)}
-	for run := 0; run < 3; run++ { // cold, then a replay that decodes, then one that does not
+	for run := 0; run < 3; run++ { // cold, then two warm replays
 		if err := set.Run(ev); err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}

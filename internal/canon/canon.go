@@ -14,6 +14,7 @@
 package canon
 
 import (
+	"bytes"
 	"math"
 	"strconv"
 )
@@ -265,6 +266,20 @@ func (s *Scanner) Float() float64 {
 		return 0
 	}
 	return f
+}
+
+// SkipFloat reads a number value as Float does, failing exactly where it
+// fails, without converting it where it need not: ParseFloat fails only
+// on overflow, which a literal with no exponent and at most 308 bytes —
+// less than 10³⁰⁸ — cannot reach.
+func (s *Scanner) SkipFloat() {
+	lit, _ := s.number()
+	if s.failed || len(lit) <= 308 && bytes.IndexByte(lit, 'e') < 0 && bytes.IndexByte(lit, 'E') < 0 {
+		return
+	}
+	if _, err := strconv.ParseFloat(string(lit), 64); err != nil {
+		s.failed = true
+	}
 }
 
 // Int reads a number value as an int; one written with a fraction or an

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -121,12 +122,15 @@ func TestObjectMatchesEncodingJSON(t *testing.T) {
 
 // TestScannerNumbers: a literal is read iff it is in JSON's number grammar
 // (and an Int iff it is an integer literal), to the value encoding/json
-// reads.
+// reads; SkipFloat accepts exactly the literals Float reads.
 func TestScannerNumbers(t *testing.T) {
 	for _, lit := range []string{
 		"0", "-0", "1", "-1", "10", "0.5", "-0.5", "1e5", "1E5", "1e+5", "1e-5", "1.5e-7", "0.0000022",
 		"8000000000", "5e-324", "1.7976931348623157e+308", "9007199254740993", "123456789012345680000",
 		"+1", "01", "1.", ".5", "1e", "1e+", "-", "0x1p-2", "1_0", "Inf", "NaN", "1e999", "--1", "1.5.5", "",
+		"1e308", "-9.99e307", "99e307", "1.7976931348623158e308", "1.7976931348623159e308", "-1.8e+308",
+		"0.0000001e309", "0e99999", "1e-400", "-1e-99999", "1e0308", "1e00309", "1.5e-",
+		strings.Repeat("9", 308), strings.Repeat("9", 309), "-" + strings.Repeat("9", 308) + ".5",
 	} {
 		var want float64
 		wantOK := json.Unmarshal([]byte(lit), &want) == nil
@@ -134,6 +138,10 @@ func TestScannerNumbers(t *testing.T) {
 		got := s.Float()
 		if ok := s.Done(); ok != wantOK || ok && math.Float64bits(got) != math.Float64bits(want) {
 			t.Errorf("Float(%q) = %v ok=%v, encoding/json reads %v ok=%v", lit, got, ok, want, wantOK)
+		}
+		s = Scan([]byte(lit))
+		if s.SkipFloat(); s.Done() != wantOK {
+			t.Errorf("SkipFloat(%q) ok=%v, encoding/json reads ok=%v", lit, s.Done(), wantOK)
 		}
 		var wantInt int
 		wantOK = json.Unmarshal([]byte(lit), &wantInt) == nil

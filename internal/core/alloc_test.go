@@ -75,7 +75,7 @@ func TestCellAllocationBudget(t *testing.T) {
 	cold.NodeVariability = 0.05
 	budget("cold analytic cell", 9, func() {
 		cold.NoiseSeed++
-		if _, computed, err := Run(st, AnalyticCell{E: dense, Params: cold}, admit, true); !computed || err != nil {
+		if _, computed, err := Run(st, AnalyticCell{E: dense, Params: cold}, admit); !computed || err != nil {
 			t.Fatalf("computed=%v err=%v", computed, err)
 		}
 	})
@@ -104,7 +104,7 @@ func TestCellAllocationBudget(t *testing.T) {
 			Algorithm: sparse.CG, Kind: sparse.Banded, N: 16384, Ranks: SparseSweepRanks,
 			Placement: cluster.FullLoad, Device: c.dev, Band: 256, Cond: 1e2, Seed: SparseSweepSeed,
 		}}
-		if _, _, err := Run(st, cell, nil, true); err != nil {
+		if _, _, err := Run(st, cell, nil); err != nil {
 			t.Fatal(err)
 		}
 		budget("warm sparse lookup, "+c.dev.String(), c.warm, func() {

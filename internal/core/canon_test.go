@@ -237,7 +237,7 @@ func bitsEqual(a, b CellResult) bool {
 // scanned is scanCellResult with the energies keyed back by name, the
 // form bitsEqual compares.
 func scanned(payload []byte) (CellResult, bool) {
-	r, energy, ok := scanCellResult(payload)
+	r, energy, ok := scanCellResult(payload, true)
 	r.EnergyJ = energyByName(energy)
 	return r, ok
 }
@@ -272,8 +272,11 @@ func TestScanCellResultReadsWhatIsAppended(t *testing.T) {
 		if !bytes.Contains(payload, []byte(`"energy_j"`)) {
 			continue // the resilience record: not a CellResult
 		}
-		if _, _, ok := scanCellResult(payload); !ok {
+		if _, _, ok := scanCellResult(payload, true); !ok {
 			t.Errorf("scanCellResult declined a stored payload: %s", payload)
+		}
+		if err := checkCellResult(payload); err != nil {
+			t.Errorf("checkCellResult(%s) = %v", payload, err)
 		}
 	}
 	for _, stray := range []map[string]float64{{"x": 1}, {"PACKAGE_ENERGY:PACKAGE0": 1, "a": 2}} {
@@ -281,11 +284,15 @@ func TestScanCellResultReadsWhatIsAppended(t *testing.T) {
 		if !ok {
 			t.Fatalf("%v: not appended", stray)
 		}
-		if _, _, ok := scanCellResult(b); ok {
+		if _, _, ok := scanCellResult(b, true); ok {
 			t.Errorf("scanCellResult accepted %s, which names no domain this module charges", b)
 		}
-		if _, _, err := decodeCellResult(b); err == nil || !strings.Contains(err.Error(), "no domain this module charges") {
+		_, _, err := decodeCellResult(b)
+		if err == nil || !strings.Contains(err.Error(), "no domain this module charges") {
 			t.Errorf("decodeCellResult(%s) err = %v, want the stray-name error", b, err)
+		}
+		if cerr := checkCellResult(b); cerr == nil || err == nil || cerr.Error() != err.Error() {
+			t.Errorf("checkCellResult(%s) = %v, want decodeCellResult's %v", b, cerr, err)
 		}
 	}
 }
@@ -348,10 +355,18 @@ func FuzzScanCellResult(f *testing.F) {
 			}
 		}
 		// Scanner and fallback together decode exactly what the oracle
-		// does, to the same joules by domain.
+		// does, to the same joules by domain; a check, which restores no
+		// energies, fails exactly when the decode does.
 		got, energy, derr := decodeCellResult(payload)
 		if (derr == nil) != (err == nil) {
 			t.Fatalf("decodeCellResult(%q) err = %v; encoding/json and energyByDomain: %v", payload, derr, err)
+		}
+		_, _, scannedOK := scanCellResult(payload, true)
+		if _, _, ok := scanCellResult(payload, false); ok != scannedOK {
+			t.Fatalf("scanCellResult(%q) ok = %v without restoring energies, %v with", payload, ok, scannedOK)
+		}
+		if cerr := checkCellResult(payload); (cerr == nil) != (derr == nil) {
+			t.Fatalf("checkCellResult(%q) = %v; decodeCellResult: %v", payload, cerr, derr)
 		}
 		if got.EnergyJ = energyByName(energy); derr == nil && !bitsEqual(got, want) {
 			t.Fatalf("decodeCellResult read %q as %+v; encoding/json reads %+v", payload, got, want)

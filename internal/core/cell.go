@@ -47,6 +47,10 @@ type Cell[M any] interface {
 	// bit, so a decoded result formats to the same bytes as a computed one.
 	encode(dst []byte, m M) ([]byte, error)
 	decode(payload []byte) (M, error)
+	// check fails exactly when decode does, and builds no M: it is how a
+	// hit nobody keeps is served (unkept), so a warm campaign stage
+	// allocates nothing per cell.
+	check(payload []byte) error
 }
 
 // identityBufs recycles the buffers identities are appended into. The
@@ -67,28 +71,19 @@ func identityOf[M any, C Cell[M]](c C, buf *[]byte) ([]byte, error) {
 	return identity, nil
 }
 
-// fetch looks the cell's identity bytes up and decodes a hit, except one
-// the caller does not keep whose payload has already decoded in this open
-// store: records are immutable, so the store remembers that verdict
-// (MarkVerified) and such a hit returns the zero M. A failed decode marks
-// nothing, so it fails again on every hit. A miss returns the key the
-// identity digests to, for the record the caller appends.
-func fetch[M any, C Cell[M]](st *store.Store, c C, identity []byte, keep bool) (m M, key string, ok bool, err error) {
-	rec, ok, verified := st.Lookup(identity)
+// fetch looks the cell's identity bytes up and decodes a hit. A miss
+// returns the key the identity digests to, for the record the caller
+// appends.
+func fetch[M any, C Cell[M]](st *store.Store, c C, identity []byte) (m M, key string, ok bool, err error) {
+	rec, ok := st.Lookup(identity)
 	if !ok {
 		return m, rec.Key, false, nil
 	}
 	if rec.Kind != c.kind() {
 		return m, "", false, fmt.Errorf("core: record %.12s… has kind %q, want %q", rec.Key, rec.Kind, c.kind())
 	}
-	if verified && !keep {
-		return m, "", true, nil
-	}
 	if m, err = c.decode(rec.Result); err != nil {
 		return m, "", false, fmt.Errorf("core: decode %s result: %w", c.kind(), err)
-	}
-	if !verified {
-		st.MarkVerified(rec.Key)
 	}
 	return m, "", true, nil
 }
@@ -105,7 +100,7 @@ func lookup[M any, C Cell[M]](st *store.Store, c C) (m M, ok bool, err error) {
 	if err != nil {
 		return m, false, err
 	}
-	m, _, ok, err = fetch(st, c, identity, true)
+	m, _, ok, err = fetch(st, c, identity)
 	return m, ok, err
 }
 
@@ -115,12 +110,10 @@ func lookup[M any, C Cell[M]](st *store.Store, c C) (m M, ok bool, err error) {
 // encoded once per evaluation. admit, when non-nil, is asked after the
 // miss and before the compute (the campaign's cell budget, or the strict
 // emitter's refusal); its error ends the evaluation with nothing computed
-// or appended. keep false says the caller discards the result: a hit
-// whose payload has decoded before in this open store then returns the
-// zero M (fetch). A nil store is plain compute
+// or appended. A nil store is plain compute
 // — the identity is never built — and that is the only no-store path
 // there is.
-func Run[M any, C Cell[M]](st *store.Store, c C, admit func() error, keep bool) (m M, computed bool, err error) {
+func Run[M any, C Cell[M]](st *store.Store, c C, admit func() error) (m M, computed bool, err error) {
 	var key string
 	var buf *[]byte
 	if st != nil {
@@ -131,7 +124,7 @@ func Run[M any, C Cell[M]](st *store.Store, c C, admit func() error, keep bool) 
 			return m, false, err
 		}
 		var ok bool
-		if m, key, ok, err = fetch(st, c, identity, keep); err != nil || ok {
+		if m, key, ok, err = fetch(st, c, identity); err != nil || ok {
 			return m, false, err
 		}
 	}
@@ -157,14 +150,14 @@ func Run[M any, C Cell[M]](st *store.Store, c C, admit func() error, keep bool) 
 // runBoth evaluates the two cells an advisor verdict ranks; computed
 // counts the evaluations that ran (0, 1 or 2).
 func runBoth[M any, C Cell[M]](st *store.Store, a, b C) (ma, mb M, computed int, err error) {
-	ma, ran, err := Run(st, a, nil, true)
+	ma, ran, err := Run(st, a, nil)
 	if err != nil {
 		return ma, mb, computed, err
 	}
 	if ran {
 		computed++
 	}
-	mb, ran, err = Run(st, b, nil, true)
+	mb, ran, err = Run(st, b, nil)
 	if ran && err == nil {
 		computed++
 	}
@@ -206,12 +199,12 @@ func (ev *Evaluator) Counts() (computed, hits int) {
 // (the fleet's candidate shapes, one sweep request); the error is Run's,
 // for the caller to name the cell in its own terms.
 func (ev *Evaluator) Analytic(e Experiment, prm perfmodel.Params) (Measurement, error) {
-	return count(ev, AnalyticCell{E: e, Params: prm, replays: &ev.replays}, true)
+	return count(ev, AnalyticCell{E: e, Params: prm, replays: &ev.replays})
 }
 
-// count runs one cell through the evaluator and counts it; keep is Run's.
-func count[M any, C Cell[M]](ev *Evaluator, c C, keep bool) (M, error) {
-	m, computed, err := Run(ev.Store, c, ev.Admit, keep)
+// count runs one cell through the evaluator and counts it.
+func count[M any, C Cell[M]](ev *Evaluator, c C) (M, error) {
+	m, computed, err := Run(ev.Store, c, ev.Admit)
 	if err != nil {
 		return m, err
 	}
@@ -225,13 +218,25 @@ func count[M any, C Cell[M]](ev *Evaluator, c C, keep bool) (M, error) {
 
 // evaluate is count for a cell of a set; a failure names the cell by its
 // key.
-func evaluate[K any, M any, C Cell[M]](ev *Evaluator, key K, c C, keep bool) (M, error) {
-	m, err := count(ev, c, keep)
+func evaluate[K any, M any, C Cell[M]](ev *Evaluator, key K, c C) (M, error) {
+	m, err := count(ev, c)
 	if err != nil {
 		return m, fmt.Errorf("core: cell %v: %w", key, err)
 	}
 	return m, nil
 }
+
+// unkept is a cell whose result the caller discards (CellSet.Run): a hit
+// is checked, not decoded — a stored payload that does not decode fails
+// it all the same — and a miss computes and appends as the cell does.
+type unkept[M any, C Cell[M]] struct{ c C }
+
+func (u unkept[M, C]) kind() string                           { return u.c.kind() }
+func (u unkept[M, C]) identity(dst []byte) ([]byte, error)    { return u.c.identity(dst) }
+func (u unkept[M, C]) compute() (M, error)                    { return u.c.compute() }
+func (u unkept[M, C]) encode(dst []byte, m M) ([]byte, error) { return u.c.encode(dst, m) }
+func (u unkept[M, C]) decode(payload []byte) (m M, err error) { return m, u.c.check(payload) }
+func (u unkept[M, C]) check(payload []byte) error             { return u.c.check(payload) }
 
 // CellSet is one set of cells, defined once in this package. A campaign
 // stage runs it and keeps nothing; an artifact collects it into R. Both
@@ -261,20 +266,20 @@ func (s CellSet[R]) Collect(ev *Evaluator) (R, error) { return s.eval(ev, true) 
 // produces, so the map is identical for every (store, worker budget)
 // combination — which is what keeps figure artifacts byte-identical
 // across serial, parallel, cold and warm runs. Running the set collects
-// nothing: a stage only needs its cells to exist, and the map costs ~90
-// allocations per 72-cell grid on every warm campaign replay; so its hits
-// are not kept, and not decoded again once they have decoded (fetch).
+// nothing: a stage only needs its cells to exist, so its hits are checked
+// rather than decoded (unkept), and the map, ~90 allocations per 72-cell
+// grid, is not built.
 func gridCells[K comparable, M any, C Cell[M], R any](keys []K, cell func(*Evaluator, K) C, build func(map[K]M) R) CellSet[R] {
 	return CellSet[R]{n: len(keys), eval: func(ev *Evaluator, keep bool) (r R, err error) {
 		if !keep {
 			_, err := grid.Map(ev.Runner, len(keys), func(i int) (struct{}, error) {
-				_, err := evaluate(ev, keys[i], cell(ev, keys[i]), false)
+				_, err := evaluate(ev, keys[i], unkept[M, C]{cell(ev, keys[i])})
 				return struct{}{}, err
 			})
 			return r, err
 		}
 		ms, err := grid.Map(ev.Runner, len(keys), func(i int) (M, error) {
-			return evaluate(ev, keys[i], cell(ev, keys[i]), true)
+			return evaluate(ev, keys[i], cell(ev, keys[i]))
 		})
 		if err != nil {
 			return r, err
@@ -353,7 +358,10 @@ func (r CellResult) appendEnergy(dst []byte) ([]byte, bool) {
 // r.EnergyJ stays nil. ok is false for anything else — a member twice, an
 // unknown one, a name that is no domain of energyDomains or names one
 // twice, a null, whitespace — and the caller lets encoding/json decide.
-func scanCellResult(payload []byte) (r CellResult, energy map[rapl.Domain]float64, ok bool) {
+// restore false reads the same bytes to the same ok and restores nothing:
+// it builds no map, and converts a number only where the conversion could
+// fail (canon's SkipFloat).
+func scanCellResult(payload []byte, restore bool) (r CellResult, energy map[rapl.Domain]float64, ok bool) {
 	s := canon.Scan(payload)
 	seen := 0
 	once := func(member int) {
@@ -362,32 +370,45 @@ func scanCellResult(payload []byte) (r CellResult, energy map[rapl.Domain]float6
 		}
 		seen |= member
 	}
+	float := func() float64 {
+		if restore {
+			return s.Float()
+		}
+		s.SkipFloat()
+		return 0
+	}
 	s.Open()
 	for name, more := s.Member(); more; name, more = s.Member() {
 		switch string(name) {
 		case "duration_s":
 			once(1 << 0)
-			r.DurationS = s.Float()
+			r.DurationS = float()
 		case "energy_j":
 			once(1 << 1)
-			energy = make(map[rapl.Domain]float64, len(energyDomains))
+			if restore {
+				energy = make(map[rapl.Domain]float64, len(energyDomains))
+			}
+			named := 0
 			s.Open()
 			for name, more := s.Member(); more; name, more = s.Member() {
 				d, known := domainNamed(name)
-				if _, twice := energy[d]; twice || !known {
+				if !known || named&(1<<d) != 0 {
 					s.Fail()
 				}
-				energy[d] = s.Float()
+				named |= 1 << d
+				if j := float(); restore {
+					energy[d] = j
+				}
 			}
 		case "total_j":
 			once(1 << 2)
-			r.TotalJ = s.Float()
+			r.TotalJ = float()
 		case "iters":
 			once(1 << 3)
 			r.Iters = s.Int()
 		case "residual":
 			once(1 << 4)
-			r.Residual = s.Float()
+			r.Residual = float()
 		case "engine":
 			once(1 << 5)
 			r.Engine = engineNamed(s.String())
@@ -415,7 +436,7 @@ func appendCellResult(dst []byte, r CellResult) ([]byte, error) {
 // which is how every measurement carries them; read them from there, not
 // from the result's EnergyJ.
 func decodeCellResult(payload []byte) (CellResult, map[rapl.Domain]float64, error) {
-	if r, energy, ok := scanCellResult(payload); ok {
+	if r, energy, ok := scanCellResult(payload, true); ok {
 		return r, energy, nil
 	}
 	var r CellResult
@@ -424,6 +445,16 @@ func decodeCellResult(payload []byte) (CellResult, map[rapl.Domain]float64, erro
 	}
 	energy, err := energyByDomain(r.EnergyJ)
 	return r, energy, err
+}
+
+// checkCellResult is decodeCellResult's error alone: a canonical payload
+// is scanned without restoring anything.
+func checkCellResult(payload []byte) error {
+	if _, _, ok := scanCellResult(payload, false); ok {
+		return nil
+	}
+	_, _, err := decodeCellResult(payload)
+	return err
 }
 
 // energyDomains are the domains this module charges, the only names a

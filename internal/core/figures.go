@@ -86,7 +86,7 @@ func MonitoredReferences() CellSet[*report.Table] {
 		}
 		for _, e := range refs {
 			key := fmt.Sprintf("monitored %v/%d/%d/%v/%v", e.Algorithm, e.N, e.Ranks, e.Placement, e.Phase)
-			m, err := evaluate(ev, key, MonitoredCell(e), true)
+			m, err := evaluate(ev, key, MonitoredCell(e))
 			if err != nil {
 				return nil, err
 			}

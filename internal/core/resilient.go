@@ -411,7 +411,7 @@ func resilienceStudy(ev *Evaluator, e Experiment, mtbfs []float64, ro Resilience
 		run := func(alg perfmodel.Algorithm) (ResilientMeasurement, error) {
 			ea := e
 			ea.Algorithm = alg
-			return evaluate(ev, resilienceKey{alg, mtbf}, resilienceCell{ea, o}, true)
+			return evaluate(ev, resilienceKey{alg, mtbf}, resilienceCell{ea, o})
 		}
 		pts[i].MTBF = mtbf
 		var err error
@@ -464,7 +464,7 @@ func ResilienceSweep(mtbf float64, seed int64) CellSet[[]ResiliencePoint] {
 			if probes > 0 {
 				es, o := e, ro
 				es.Algorithm, o.MTBF = perfmodel.ScaLAPACK, neverMTBF
-				probe, err := evaluate(ev, resilienceKey{es.Algorithm, o.MTBF}, resilienceCell{es, o}, true)
+				probe, err := evaluate(ev, resilienceKey{es.Algorithm, o.MTBF}, resilienceCell{es, o})
 				if err != nil {
 					return nil, err
 				}

@@ -279,3 +279,11 @@ func (c SparseAnalyticCell) decode(payload []byte) (SparseMeasurement, error) {
 		Engine:     res.Engine,
 	}, nil
 }
+
+func (c SparseAnalyticCell) check(payload []byte) error {
+	if err := checkCellResult(payload); err != nil {
+		return err
+	}
+	_, err := c.E.resolveSparseConfig()
+	return err
+}

@@ -31,7 +31,7 @@ func TestSparseAnalyticStoredExactRoundTrip(t *testing.T) {
 	for _, dev := range cluster.Devices() {
 		st := openStore(t)
 		e := sparseTestExperiment(dev)
-		cold, computed, err := Run(st, SparseAnalyticCell{E: e}, nil, true)
+		cold, computed, err := Run(st, SparseAnalyticCell{E: e}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +45,7 @@ func TestSparseAnalyticStoredExactRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(cold, direct) {
 			t.Fatalf("%s: stored cold run diverged from plain RunSparseAnalytic:\n got %+v\nwant %+v", dev, cold, direct)
 		}
-		warm, computed, err := Run(st, SparseAnalyticCell{E: e}, nil, true)
+		warm, computed, err := Run(st, SparseAnalyticCell{E: e}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func TestSparseAnalyticStoredExactRoundTrip(t *testing.T) {
 func TestSparseDeviceSplitsIdentity(t *testing.T) {
 	st := openStore(t)
 	for _, dev := range cluster.Devices() {
-		if _, _, err := Run(st, SparseAnalyticCell{E: sparseTestExperiment(dev)}, nil, true); err != nil {
+		if _, _, err := Run(st, SparseAnalyticCell{E: sparseTestExperiment(dev)}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

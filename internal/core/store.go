@@ -193,6 +193,16 @@ func decodeMeasurement(e Experiment, payload []byte) (Measurement, error) {
 	}, nil
 }
 
+// checkMeasurement fails exactly when decodeMeasurement does, building
+// nothing.
+func checkMeasurement(e Experiment, payload []byte) error {
+	if err := checkCellResult(payload); err != nil {
+		return err
+	}
+	_, err := e.resolveConfig(marconiA3)
+	return err
+}
+
 // The machines a restored measurement's Config points at, each built
 // once: a hit re-derives its Config without building a spec. Nothing
 // mutates a Config's spec; a caller that resizes the machine (sched's
@@ -248,6 +258,8 @@ func (c AnalyticCell) decode(payload []byte) (Measurement, error) {
 	return decodeMeasurement(c.E, payload)
 }
 
+func (c AnalyticCell) check(payload []byte) error { return checkMeasurement(c.E, payload) }
+
 // MonitoredCell is RunMonitored(e) as a store cell.
 type MonitoredCell Experiment
 
@@ -266,6 +278,8 @@ func (c MonitoredCell) decode(payload []byte) (Measurement, error) {
 	return decodeMeasurement(Experiment(c), payload)
 }
 
+func (c MonitoredCell) check(payload []byte) error { return checkMeasurement(Experiment(c), payload) }
+
 // LookupAnalyticCell serves RunAnalytic(e, prm) from the store without
 // ever computing; ok is false on a miss (or a nil store).
 func LookupAnalyticCell(st *store.Store, e Experiment, prm perfmodel.Params) (Measurement, bool, error) {
@@ -277,7 +291,7 @@ func LookupAnalyticCell(st *store.Store, e Experiment, prm perfmodel.Params) (Me
 // reports whether the model actually ran. A nil store degrades to plain
 // RunAnalytic.
 func RunAnalyticStored(e Experiment, prm perfmodel.Params, st *store.Store) (m Measurement, computed bool, err error) {
-	return Run(st, AnalyticCell{E: e, Params: prm}, nil, true)
+	return Run(st, AnalyticCell{E: e, Params: prm}, nil)
 }
 
 // ResilienceIdentity is the canonical store identity of one RunResilient
@@ -357,4 +371,9 @@ func (c resilienceCell) decode(payload []byte) (ResilientMeasurement, error) {
 	}
 	rm.Experiment, rm.MTBF = c.e, c.ro.MTBF
 	return rm, nil
+}
+
+func (c resilienceCell) check(payload []byte) error {
+	_, err := c.decode(payload)
+	return err
 }

@@ -83,11 +83,11 @@ func TestStoreRecordBytesPinned(t *testing.T) {
 			return err
 		}},
 		{"monitored, general phase", func(st *store.Store) error {
-			_, _, err := Run(st, MonitoredCell(monitored), nil, true)
+			_, _, err := Run(st, MonitoredCell(monitored), nil)
 			return err
 		}},
 		{"monitored, compute phase", func(st *store.Store) error {
-			_, _, err := Run(st, MonitoredCell(compute), nil, true)
+			_, _, err := Run(st, MonitoredCell(compute), nil)
 			return err
 		}},
 		{"resilience", func(st *store.Store) error {
@@ -99,15 +99,15 @@ func TestStoreRecordBytesPinned(t *testing.T) {
 				DurationS: 0.0008770237679988496, TotalJ: 0.20162687785865402,
 				Crashes: 3, Restarts: 3, CheckpointWrites: 134,
 				RecoveryJ: 0.06826890010053496, Residual: 2.1531529348767081e-16,
-			}}, nil, true)
+			}}, nil)
 			return err
 		}},
 		{"sparse analytic, cpu", func(st *store.Store) error {
-			_, _, err := Run(st, SparseAnalyticCell{E: banded}, nil, true)
+			_, _, err := Run(st, SparseAnalyticCell{E: banded}, nil)
 			return err
 		}},
 		{"sparse analytic, accel", func(st *store.Store) error {
-			_, _, err := Run(st, SparseAnalyticCell{E: random}, nil, true)
+			_, _, err := Run(st, SparseAnalyticCell{E: random}, nil)
 			return err
 		}},
 	}

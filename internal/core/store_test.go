@@ -148,7 +148,7 @@ func TestMonitoredStoredRoundTrip(t *testing.T) {
 	e := Experiment{Algorithm: perfmodel.IMe, N: 96, Ranks: 24,
 		Placement: cluster.HalfLoadOneSocket, Seed: 3, BlockSize: 8}
 
-	cold, computed, err := Run(st, MonitoredCell(e), nil, true)
+	cold, computed, err := Run(st, MonitoredCell(e), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestMonitoredStoredRoundTrip(t *testing.T) {
 	if cold.Residual <= 0 {
 		t.Fatalf("monitored run has residual %g, want positive", cold.Residual)
 	}
-	warm, computed, err := Run(st, MonitoredCell(e), nil, true)
+	warm, computed, err := Run(st, MonitoredCell(e), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestMonitoredStoredRoundTrip(t *testing.T) {
 	// Seed and phase are part of the monitored identity.
 	e2 := e
 	e2.Seed = 4
-	if _, computed, err = Run(st, MonitoredCell(e2), nil, true); err != nil {
+	if _, computed, err = Run(st, MonitoredCell(e2), nil); err != nil {
 		t.Fatal(err)
 	} else if !computed {
 		t.Fatal("different input seed must be a different monitored experiment")
@@ -226,7 +226,7 @@ func TestResilientStoredRoundTrip(t *testing.T) {
 	}
 	ro := ResilienceOptions{MTBF: probe.BaselineDurationS / 4, Seed: 5, Storage: testStorage()}
 
-	cold, computed, err := Run(st, resilienceCell{e, ro}, nil, true)
+	cold, computed, err := Run(st, resilienceCell{e, ro}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestResilientStoredRoundTrip(t *testing.T) {
 	if cold.Crashes == 0 {
 		t.Fatalf("MTBF %g drew no crashes; the round trip would not cover the faulted fields", ro.MTBF)
 	}
-	warm, computed, err := Run(st, resilienceCell{e, ro}, nil, true)
+	warm, computed, err := Run(st, resilienceCell{e, ro}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestResilientStoredRoundTrip(t *testing.T) {
 	// A different fault seed is a different experiment.
 	ro2 := ro
 	ro2.Seed = 6
-	if _, computed, err = Run(st, resilienceCell{e, ro2}, nil, true); err != nil {
+	if _, computed, err = Run(st, resilienceCell{e, ro2}, nil); err != nil {
 		t.Fatal(err)
 	} else if !computed {
 		t.Fatal("different fault seed must be a different resilience experiment")
@@ -288,7 +288,8 @@ func TestRepeatedAnalyticStoredMatches(t *testing.T) {
 // not restore with those joules quietly missing while total_j still counts
 // them. The lookup fails and names the stray, on the dense and the sparse
 // path, and a run over the same key fails too instead of recomputing
-// around a record it cannot replace.
+// around a record it cannot replace — also one that keeps no result and
+// so only checks the payload (unkept).
 func TestStoredUnknownEnergyDomainIsAnError(t *testing.T) {
 	st := openStore(t)
 	dense := AnalyticCell{E: Experiment{Algorithm: perfmodel.IMe, N: 8640, Ranks: 144, Placement: cluster.FullLoad}}
@@ -312,12 +313,18 @@ func TestStoredUnknownEnergyDomainIsAnError(t *testing.T) {
 	if ok || err == nil || !strings.Contains(err.Error(), `"PP0_ENERGY:PACKAGE0"`) {
 		t.Errorf("dense lookup: ok=%v err=%v, want an error naming PP0_ENERGY:PACKAGE0", ok, err)
 	}
-	if _, computed, err := Run(st, dense, nil, true); computed || err == nil {
+	if _, computed, err := Run(st, dense, nil); computed || err == nil {
 		t.Errorf("dense run over the same key: computed=%v err=%v, want the lookup's error", computed, err)
+	}
+	if _, computed, uerr := Run(st, unkept[Measurement, AnalyticCell]{dense}, nil); computed || uerr == nil || uerr.Error() != err.Error() {
+		t.Errorf("unkept dense run: computed=%v err=%v, want the lookup's error %v", computed, uerr, err)
 	}
 	_, ok, err = lookup(st, sparseCell)
 	if ok || err == nil || !strings.Contains(err.Error(), `["ACCEL_ENERGY" "DRAM_ENERGY:PACKGE1"]`) {
 		t.Errorf("sparse lookup: ok=%v err=%v, want an error naming both strays in order", ok, err)
+	}
+	if _, computed, uerr := Run(st, unkept[SparseMeasurement, SparseAnalyticCell]{sparseCell}, nil); computed || uerr == nil || uerr.Error() != err.Error() {
+		t.Errorf("unkept sparse run: computed=%v err=%v, want the lookup's error %v", computed, uerr, err)
 	}
 }
 

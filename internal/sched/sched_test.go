@@ -47,8 +47,9 @@ func TestEmptyAndInvalidWorkloads(t *testing.T) {
 // allocator sizes itself for it; MaxNodes itself schedules.
 func TestFleetSizeBound(t *testing.T) {
 	w := Synthetic(1, 1)
-	// 400e9 is clipped to MaxInt where int is 32 bits.
-	for _, nodes := range []int{MaxNodes + 1, int(min(400_000_000_000, int64(math.MaxInt))), math.MaxInt} {
+	// Just past the limit, far past it (an int on every word size), and
+	// the largest int.
+	for _, nodes := range []int{MaxNodes + 1, 1 << 30, math.MaxInt} {
 		if _, err := Simulate(Config{Nodes: nodes}, w); err == nil || !strings.Contains(err.Error(), "65536") {
 			t.Errorf("nodes=%d: err = %v, want a refusal naming the limit", nodes, err)
 		}

@@ -156,26 +156,18 @@ type Store struct {
 	mu  sync.Mutex
 	dir string
 	f   *os.File
-	// index maps key → record (first occurrence wins). The envelope of a
-	// record is read once, at load or append, so a lookup is a map read;
-	// its payload is the caller's to decode, and the entry remembers once
-	// the caller has (MarkVerified). That is what makes a warm campaign
-	// run (hundreds of lookups, zero computes) two orders of magnitude
-	// faster than a cold one. Callers must treat the returned
-	// Identity/Result bytes as read-only.
-	index      map[string]entry
+	// index maps key → record (first occurrence wins). A record's
+	// envelope is read once, at load or append, so a lookup is a map read;
+	// its result payload stays bytes, for the caller to decode or check.
+	// That is what makes a warm campaign run (hundreds of lookups, zero
+	// computes) two orders of magnitude faster than a cold one. Callers
+	// must treat the returned Identity/Result bytes as read-only.
+	index      map[string]Record
 	order      []string // keys in append order (stable Keys/provenance)
 	duplicates int
 	corrupt    int
 	// digest memoizes Digest; an Append that adds a key clears it.
 	digest string
-}
-
-// entry is one indexed record and whether its payload has decoded under
-// its kind since the store was opened.
-type entry struct {
-	rec      Record
-	verified bool
 }
 
 // Open opens (creating if needed) the store rooted at dir and indexes
@@ -189,7 +181,7 @@ func Open(dir string) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: open log: %w", err)
 	}
-	s := &Store{dir: dir, f: f, index: make(map[string]entry)}
+	s := &Store{dir: dir, f: f, index: make(map[string]Record)}
 	if err := s.load(path); err != nil {
 		f.Close()
 		return nil, err
@@ -269,7 +261,7 @@ func (s *Store) load(path string) error {
 			s.duplicates++
 			continue
 		}
-		s.index[rec.Key] = entry{rec: rec}
+		s.index[rec.Key] = rec
 		s.order = append(s.order, rec.Key)
 	}
 }
@@ -394,38 +386,24 @@ func (s *Store) Dir() string { return s.dir }
 // Identity/Result bytes are shared with the index — read-only.
 func (s *Store) Get(key string) (Record, bool, error) {
 	s.mu.Lock()
-	e, ok := s.index[key]
+	rec, ok := s.index[key]
 	s.mu.Unlock()
-	return e.rec, ok, nil
+	return rec, ok, nil
 }
 
 // Lookup is Get(Key(identity)) without the key string: the digest stays
-// on the stack, so a hit allocates nothing. verified reports whether
-// MarkVerified was called on the record since the store was opened. A
-// miss returns a record that holds only its key, the one string the
-// caller needs to append the record it computes instead.
-func (s *Store) Lookup(identity []byte) (rec Record, ok, verified bool) {
+// on the stack, so a hit allocates nothing. A miss returns a record that
+// holds only its key, the one string the caller needs to append the
+// record it computes instead.
+func (s *Store) Lookup(identity []byte) (Record, bool) {
 	key := hexKey(identity)
 	s.mu.Lock()
-	e, ok := s.index[string(key[:])]
+	rec, ok := s.index[string(key[:])]
 	s.mu.Unlock()
 	if !ok {
-		return Record{Key: string(key[:])}, false, false
+		return Record{Key: string(key[:])}, false
 	}
-	return e.rec, true, e.verified
-}
-
-// MarkVerified records that the payload of the record under key has
-// decoded under its kind, for Lookup to report. Records are immutable,
-// so the verdict holds for as long as the store is open; it is not
-// persisted, and a record no caller has decoded is never verified.
-func (s *Store) MarkVerified(key string) {
-	s.mu.Lock()
-	if e, ok := s.index[key]; ok {
-		e.verified = true
-		s.index[key] = e
-	}
-	s.mu.Unlock()
+	return rec, true
 }
 
 // Append persists a record. It verifies the key is the digest of the
@@ -451,7 +429,7 @@ func (s *Store) Append(rec Record) (added bool, err error) {
 	if _, err := s.f.Write(line); err != nil {
 		return false, fmt.Errorf("store: append: %w", err)
 	}
-	s.index[rec.Key] = entry{rec: rec}
+	s.index[rec.Key] = rec
 	s.order = append(s.order, rec.Key)
 	s.digest = ""
 	return true, nil

@@ -449,40 +449,26 @@ func TestDigestFollowsAppends(t *testing.T) {
 }
 
 // TestLookupIsGetOfTheKey: a lookup by identity bytes finds exactly what
-// Get finds under their key, and a miss hands back that key. A record is
-// verified once MarkVerified names it, and only until the store closes.
+// Get finds under their key, and a miss hands back that key.
 func TestLookupIsGetOfTheKey(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
+	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	rec := mustRecord(t, 1, 1)
 	if _, err := s.Append(rec); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok, verified := s.Lookup(rec.Identity); !ok || verified || !reflect.DeepEqual(got, rec) {
-		t.Fatalf("Lookup = %+v (found %v, verified %v), want %+v unverified", got, ok, verified, rec)
+	if got, ok := s.Lookup(rec.Identity); !ok || !reflect.DeepEqual(got, rec) {
+		t.Fatalf("Lookup = %+v (found %v), want %+v", got, ok, rec)
 	}
 	missing := mustRecord(t, 2, 2)
-	s.MarkVerified(missing.Key)
-	if got, ok, verified := s.Lookup(missing.Identity); ok || verified || !reflect.DeepEqual(got, Record{Key: missing.Key}) {
-		t.Fatalf("Lookup of a missing identity = %+v (found %v, verified %v), want only its key %s", got, ok, verified, missing.Key)
-	}
-	s.MarkVerified(rec.Key)
-	if got, ok, verified := s.Lookup(rec.Identity); !ok || !verified || !reflect.DeepEqual(got, rec) {
-		t.Fatalf("Lookup after MarkVerified = %+v (found %v, verified %v), want %+v verified", got, ok, verified, rec)
+	if got, ok := s.Lookup(missing.Identity); ok || !reflect.DeepEqual(got, Record{Key: missing.Key}) {
+		t.Fatalf("Lookup of a missing identity = %+v (found %v), want only its key %s", got, ok, missing.Key)
 	}
 	if n := testing.AllocsPerRun(100, func() { s.Lookup(rec.Identity) }); n != 0 {
 		t.Fatalf("a Lookup hit allocates %.0f times, want 0", n)
-	}
-	s.Close()
-	if s, err = Open(dir); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, ok, verified := s.Lookup(rec.Identity); !ok || verified {
-		t.Fatalf("reopened store: found %v, verified %v; want found and unverified", ok, verified)
 	}
 }
 
@@ -740,8 +726,11 @@ func TestOpenAllocationBudget(t *testing.T) {
 	s.Close()
 	perRecord := testing.AllocsPerRun(5, func() {
 		s, err := Open(dir)
-		if err != nil || s.Len() != n || s.Corrupt() != 0 {
-			t.Fatalf("reopen: %d records, %d corrupt, err %v", s.Len(), s.Corrupt(), err)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Len() != n || s.Corrupt() != 0 {
+			t.Fatalf("reopen: %d records, %d corrupt, want %d and 0", s.Len(), s.Corrupt(), n)
 		}
 		s.Close()
 	}) / n
@@ -821,7 +810,7 @@ func FuzzOpenStore(f *testing.F) {
 			if !ok || got.Key != key || Key(got.Identity) != key {
 				t.Fatalf("Open serves key %s for identity %q (found %v)", key, got.Identity, ok)
 			}
-			if byIdentity, ok, _ := s.Lookup(got.Identity); !ok || !reflect.DeepEqual(byIdentity, got) {
+			if byIdentity, ok := s.Lookup(got.Identity); !ok || !reflect.DeepEqual(byIdentity, got) {
 				t.Fatalf("Lookup(%q) = %+v (found %v), Get(Key(identity)) = %+v", got.Identity, byIdentity, ok, got)
 			}
 		}
