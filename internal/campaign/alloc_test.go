@@ -24,8 +24,7 @@ func raceEnabled() bool {
 // campaign's analytic stages, what the campaign benchmark repeats sixteen
 // times per op: per cell, a share of the grid's per-stage bookkeeping. A
 // stage keeps no result, so a hit checks its payload without restoring
-// the energy map; the identity, its key and the store digest cost a hit
-// nothing.
+// it; the identity, its key and the store digest cost a hit nothing.
 func TestWarmPaperRunAllocationBudget(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("sync.Pool drops entries under -race: allocation budgets do not apply")

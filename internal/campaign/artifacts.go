@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/perfmodel"
-	"repro/internal/rapl"
 	"repro/internal/report"
 	"repro/internal/store"
 )
@@ -178,7 +177,7 @@ func powerCapEffect(paper, capped *core.Sweep) capEffect {
 	return capEffect{
 		Cell:      k,
 		Caps:      PowerCaps(),
-		PackageW:  (base.EnergyJ[rapl.PKG0] + base.EnergyJ[rapl.PKG1]) / base.DurationS / packages,
+		PackageW:  base.EnergyJ.Pkg() / base.DurationS / packages,
 		PowerPct:  100 * (c.AvgPowerW()/base.AvgPowerW() - 1),
 		Stretch:   c.DurationS / base.DurationS,
 		EnergyPct: 100 * (c.TotalJ/base.TotalJ - 1),

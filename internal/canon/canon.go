@@ -115,24 +115,14 @@ func AppendFloat(dst []byte, f float64) (_ []byte, ok bool) {
 // HTML-escaped <, > and &, a control byte, anything outside ASCII — is left
 // to encoding/json: ok is false.
 func AppendString(dst []byte, s string) (_ []byte, ok bool) {
-	if !Plain(s) {
-		return dst, false
+	for i := 0; i < len(s); i++ {
+		if !plain[s[i]] {
+			return dst, false
+		}
 	}
 	dst = append(dst, '"')
 	dst = append(dst, s...)
 	return append(dst, '"'), true
-}
-
-// Plain reports whether every byte of s stands for itself inside a JSON
-// string. Member names that are data (map keys) are checked with it; the
-// names Object's methods take are literals and are not.
-func Plain(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if !plain[s[i]] {
-			return false
-		}
-	}
-	return true
 }
 
 // plain marks the bytes that stand for themselves inside a JSON string on

@@ -60,11 +60,12 @@ func fillDistinct(t *testing.T, v reflect.Value, next *int) {
 	}
 }
 
-// canonicalTypes is one zero value of every type with a hand-written
-// appender.
+// canonicalTypes is one zero value of every store identity type with a
+// hand-written appender. CellResult, whose energy_j is an array and not
+// what encoding/json makes of it, has its own tests below.
 func canonicalTypes() []store.Canonical {
 	return []store.Canonical{
-		CellIdentity{}, SparseCellIdentity{}, CellResult{},
+		CellIdentity{}, SparseCellIdentity{},
 		perfmodel.CanonicalIdentity{},
 		mpi.CostModel{}, power.Calibration{}, cluster.AcceleratorSpec{},
 	}
@@ -102,7 +103,6 @@ func TestCanonicalMatchesEncodingJSONFieldByField(t *testing.T) {
 type (
 	plainCellIdentity       CellIdentity
 	plainSparseCellIdentity SparseCellIdentity
-	plainCellResult         CellResult
 )
 
 // TestCanonicalCorners walks the values where the rules have edges. For
@@ -139,8 +139,6 @@ func TestCanonicalCorners(t *testing.T) {
 			c.plain = plainCellIdentity(id)
 		case SparseCellIdentity:
 			c.plain = plainSparseCellIdentity(id)
-		case CellResult:
-			c.plain = plainCellResult(id)
 		}
 		corners = append(corners, c)
 	}
@@ -156,21 +154,13 @@ func TestCanonicalCorners(t *testing.T) {
 		s := sparseID
 		s.Density, s.Cond = f, f // omitempty and not: -0 is omitted from one, written in the other
 		add(fmt.Sprintf("sparse, density and cond %g", f), s)
-		add(fmt.Sprintf("result, residual and total %g", f), CellResult{DurationS: f, EnergyJ: map[string]float64{"B": f, "A": -f}, TotalJ: f, Residual: f, Engine: "analytic"})
 	}
-	add("result, empty energy map", CellResult{EnergyJ: map[string]float64{}})
-	add("result, iterations", CellResult{EnergyJ: map[string]float64{"ACCEL_ENERGY:NODE": 1}, Iters: 119, Engine: "sparse-analytic"})
-	add("result, negative iterations", CellResult{EnergyJ: map[string]float64{}, Iters: -1})
 
 	declined := len(corners)
-	add("result, nil energy map", CellResult{Engine: "analytic"})
-	add("result, nine energy domains", CellResult{EnergyJ: map[string]float64{"a": 1, "b": 2, "c": 3, "d": 4, "e": 5, "f": 6, "g": 7, "h": 8, "i": 9}})
 	for _, s := range []string{"a<b", `a"b`, `a\b`, "a\x01b", "é", "a\u2028b"} {
 		id := MonitoredCellIdentity(Experiment{N: 96, Ranks: 24})
 		id.Phase = s
 		add(fmt.Sprintf("identity, string %q", s), id)
-		add(fmt.Sprintf("result, engine %q", s), CellResult{EnergyJ: map[string]float64{}, Engine: s})
-		add(fmt.Sprintf("result, domain %q", s), CellResult{EnergyJ: map[string]float64{s: 1}})
 		m := analytic(func(*perfmodel.Params) {})
 		m.Model.Cost = s
 		add(fmt.Sprintf("model version %q", s), m)
@@ -185,8 +175,6 @@ func TestCanonicalCorners(t *testing.T) {
 		s := sparseID
 		s.Cond = f
 		add(fmt.Sprintf("sparse, cond %g", f), s)
-		add(fmt.Sprintf("result, duration %g", f), CellResult{DurationS: f, EnergyJ: map[string]float64{}})
-		add(fmt.Sprintf("result, domain energy %g", f), CellResult{EnergyJ: map[string]float64{"A": f}})
 	}
 	for i := refused; i < len(corners); i++ {
 		corners[i].refused = true
@@ -218,52 +206,161 @@ func TestCanonicalCorners(t *testing.T) {
 	}
 }
 
-// bitsEqual is reflect.DeepEqual for CellResults with floats compared by
-// bit pattern, so -0 and 0 differ.
+// plainResult is a payload as encoding/json alone reads and writes it:
+// CellResult's members and tags, with energy_j the map of domain names a
+// payload spells out. It is the oracle of CellResult's codec.
+type plainResult struct {
+	DurationS float64            `json:"duration_s"`
+	EnergyJ   map[string]float64 `json:"energy_j"`
+	TotalJ    float64            `json:"total_j"`
+	Iters     int                `json:"iters,omitempty"`
+	Residual  float64            `json:"residual,omitempty"`
+	Engine    string             `json:"engine"`
+}
+
+// chargedDomains are the domains a payload may name: the four RAPL
+// domains and the accelerator.
+var chargedDomains = []rapl.Domain{rapl.PKG0, rapl.PKG1, rapl.DRAM0, rapl.DRAM1, rapl.Accel}
+
+// resultOf is the CellResult a plain payload stands for, its energies
+// placed by name; a name no charged domain has is an error.
+func resultOf(p plainResult) (CellResult, error) {
+	r := CellResult{DurationS: p.DurationS, TotalJ: p.TotalJ, Iters: p.Iters, Residual: p.Residual, Engine: p.Engine}
+	placed := 0
+	for _, d := range chargedDomains {
+		if j, ok := p.EnergyJ[d.String()]; ok {
+			r.EnergyJ[d] = j
+			placed++
+		}
+	}
+	if placed != len(p.EnergyJ) {
+		return CellResult{}, fmt.Errorf("energy_j %v names no charged domain", p.EnergyJ)
+	}
+	return r, nil
+}
+
+// mustResultOf is resultOf for a payload the test wrote.
+func mustResultOf(t *testing.T, p plainResult) CellResult {
+	t.Helper()
+	r, err := resultOf(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// rapl4 is the energy_j of a cell that charges the four RAPL domains.
+func rapl4(pkg0, pkg1, dram0, dram1 float64) map[string]float64 {
+	return map[string]float64{
+		rapl.PKG0.String(): pkg0, rapl.PKG1.String(): pkg1,
+		rapl.DRAM0.String(): dram0, rapl.DRAM1.String(): dram1,
+	}
+}
+
+// withAccel is energy_j with the accelerator's joules added.
+func withAccel(energy map[string]float64, accelJ float64) map[string]float64 {
+	energy[rapl.Accel.String()] = accelJ
+	return energy
+}
+
+// TestCellResultMatchesEncodingJSON is CellResult's drift guard and
+// corner table against plainResult: the same members and tags, and for
+// every payload an engine writes — the four RAPL domains, the
+// accelerator when it charged any — the appended bytes are json.Marshal's
+// of the map. What JSON cannot hold is declined, and has no payload.
+func TestCellResultMatchesEncodingJSON(t *testing.T) {
+	hand, plain := reflect.TypeOf(CellResult{}), reflect.TypeOf(plainResult{})
+	if hand.NumField() != plain.NumField() {
+		t.Fatalf("CellResult has %d fields, plainResult %d", hand.NumField(), plain.NumField())
+	}
+	for i := 0; i < hand.NumField(); i++ {
+		if h, p := hand.Field(i), plain.Field(i); h.Name != p.Name || h.Tag != p.Tag {
+			t.Errorf("field %d: CellResult has %s `%s`, plainResult %s `%s`", i, h.Name, h.Tag, p.Name, p.Tag)
+		}
+	}
+
+	negZero := math.Copysign(0, -1)
+	var payloads []plainResult
+	for _, f := range []float64{0, negZero, 1e-6, 9.99e-7, 1e21, 9.99e20, 5e-324, math.MaxFloat64, 1 << 53, 1<<53 + 2, 1e15, -2.5e-7, 0.1} {
+		payloads = append(payloads,
+			plainResult{DurationS: f, EnergyJ: rapl4(f, -f, f, 0), TotalJ: f, Residual: f, Engine: "analytic"},
+			plainResult{DurationS: 1.5, EnergyJ: rapl4(1, 2, 3, f), TotalJ: f, Engine: "monitored"})
+		if f != 0 {
+			payloads = append(payloads, plainResult{EnergyJ: withAccel(rapl4(1, 2, 3, 4), f), Iters: 119, Engine: "sparse-analytic"})
+		}
+	}
+	payloads = append(payloads,
+		plainResult{EnergyJ: rapl4(0, 0, 0, 0)},
+		plainResult{DurationS: 11, EnergyJ: rapl4(1, 2, 3, 4), TotalJ: 12, Iters: 13, Residual: 14, Engine: "sparse-analytic"},
+		plainResult{EnergyJ: rapl4(1, 2, 3, 4), Iters: -1})
+	for _, p := range payloads {
+		want, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := mustResultOf(t, p).AppendCanonical([]byte("prefix"))
+		if !ok || string(got) != "prefix"+string(want) {
+			t.Errorf("%+v: appended\n %s (ok=%v)\nencoding/json writes\n %s", p, bytes.TrimPrefix(got, []byte("prefix")), ok, want)
+		}
+	}
+
+	var declined []plainResult
+	for _, s := range []string{"a<b", `a"b`, `a\b`, "a\x01b", "é", "a\u2028b"} {
+		declined = append(declined, plainResult{EnergyJ: rapl4(1, 2, 3, 4), Engine: s})
+	}
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		declined = append(declined,
+			plainResult{DurationS: f, EnergyJ: rapl4(1, 2, 3, 4)},
+			plainResult{EnergyJ: rapl4(1, 2, f, 4)},
+			plainResult{EnergyJ: withAccel(rapl4(1, 2, 3, 4), f)})
+	}
+	for _, p := range declined {
+		r := mustResultOf(t, p)
+		if b, ok := r.AppendCanonical(nil); ok {
+			t.Errorf("%+v: appended %s, want declined", p, b)
+		}
+		if b, err := appendCellResult(nil, r); err == nil {
+			t.Errorf("%+v: payload %s, want an error", p, b)
+		}
+	}
+}
+
+// bitsEqual is == for CellResults with floats compared by bit pattern, so
+// -0 and 0 differ.
 func bitsEqual(a, b CellResult) bool {
 	bits := math.Float64bits
 	if bits(a.DurationS) != bits(b.DurationS) || bits(a.TotalJ) != bits(b.TotalJ) || bits(a.Residual) != bits(b.Residual) ||
-		a.Iters != b.Iters || a.Engine != b.Engine || (a.EnergyJ == nil) != (b.EnergyJ == nil) || len(a.EnergyJ) != len(b.EnergyJ) {
+		a.Iters != b.Iters || a.Engine != b.Engine {
 		return false
 	}
-	for k, v := range a.EnergyJ {
-		if w, ok := b.EnergyJ[k]; !ok || bits(v) != bits(w) {
+	for d := range a.EnergyJ {
+		if bits(a.EnergyJ[d]) != bits(b.EnergyJ[d]) {
 			return false
 		}
 	}
 	return true
 }
 
-// scanned is scanCellResult with the energies keyed back by name, the
-// form bitsEqual compares.
-func scanned(payload []byte) (CellResult, bool) {
-	r, energy, ok := scanCellResult(payload, true)
-	r.EnergyJ = energyByName(energy)
-	return r, ok
-}
-
 // TestScanCellResultReadsWhatIsAppended: the scanner accepts everything
-// the appender emits for the domains this module charges — otherwise
-// every warm read would quietly take the fallback — and reads it back bit
-// for bit. A name no domain has is declined, and decoding it is the
-// fallback's error.
+// the appender emits — otherwise every warm read would quietly take the
+// fallback — and reads it back bit for bit. A name no domain has is
+// declined, and decoding it is the fallback's error.
 func TestScanCellResultReadsWhatIsAppended(t *testing.T) {
-	results := []CellResult{
-		{EnergyJ: map[string]float64{}},
-		{DurationS: 0.7845198814117673, EnergyJ: map[string]float64{
-			"DRAM_ENERGY:PACKAGE0": 35.37635963971771, "DRAM_ENERGY:PACKAGE1": 35.37635963971771,
-			"PACKAGE_ENERGY:PACKAGE0": 362.1112441015353, "PACKAGE_ENERGY:PACKAGE1": 351.5202257024764,
-		}, TotalJ: 784.3841890834472, Engine: "analytic"},
-		{DurationS: 5e-324, EnergyJ: map[string]float64{"ACCEL_ENERGY:NODE": math.MaxFloat64, "PACKAGE_ENERGY:PACKAGE1": math.Copysign(0, -1)},
+	results := []plainResult{
+		{EnergyJ: rapl4(0, 0, 0, 0)},
+		{DurationS: 0.7845198814117673, EnergyJ: rapl4(362.1112441015353, 351.5202257024764, 35.37635963971771, 35.37635963971771),
+			TotalJ: 784.3841890834472, Engine: "analytic"},
+		{DurationS: 5e-324, EnergyJ: withAccel(rapl4(1, math.Copysign(0, -1), 0, 0), math.MaxFloat64),
 			TotalJ: 1e21, Iters: 831, Residual: 3.8675859465793887e-16, Engine: "sparse-analytic"},
-		{DurationS: math.Copysign(0, -1), EnergyJ: map[string]float64{"DRAM_ENERGY:PACKAGE1": 9.99e-7}, TotalJ: -1e-6, Iters: -4, Residual: 1 << 53},
+		{DurationS: math.Copysign(0, -1), EnergyJ: rapl4(0, 0, 0, 9.99e-7), TotalJ: -1e-6, Iters: -4, Residual: 1 << 53},
 	}
-	for _, r := range results {
+	for _, p := range results {
+		r := mustResultOf(t, p)
 		b, ok := r.AppendCanonical(nil)
 		if !ok {
 			t.Fatalf("%+v: not appended", r)
 		}
-		got, ok := scanned(b)
+		got, ok := scanCellResult(b, true)
 		if !ok || !bitsEqual(got, r) {
 			t.Errorf("scanCellResult(%s) = %+v ok=%v, want %+v", b, got, ok, r)
 		}
@@ -272,7 +369,7 @@ func TestScanCellResultReadsWhatIsAppended(t *testing.T) {
 		if !bytes.Contains(payload, []byte(`"energy_j"`)) {
 			continue // the resilience record: not a CellResult
 		}
-		if _, _, ok := scanCellResult(payload, true); !ok {
+		if _, ok := scanCellResult(payload, true); !ok {
 			t.Errorf("scanCellResult declined a stored payload: %s", payload)
 		}
 		if err := checkCellResult(payload); err != nil {
@@ -280,14 +377,14 @@ func TestScanCellResultReadsWhatIsAppended(t *testing.T) {
 		}
 	}
 	for _, stray := range []map[string]float64{{"x": 1}, {"PACKAGE_ENERGY:PACKAGE0": 1, "a": 2}} {
-		b, ok := CellResult{EnergyJ: stray, Engine: "analytic"}.AppendCanonical(nil)
-		if !ok {
-			t.Fatalf("%v: not appended", stray)
+		b, err := json.Marshal(plainResult{EnergyJ: stray, Engine: "analytic"})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, _, ok := scanCellResult(b, true); ok {
+		if _, ok := scanCellResult(b, true); ok {
 			t.Errorf("scanCellResult accepted %s, which names no domain this module charges", b)
 		}
-		_, _, err := decodeCellResult(b)
+		_, err = decodeCellResult(b)
 		if err == nil || !strings.Contains(err.Error(), "no domain this module charges") {
 			t.Errorf("decodeCellResult(%s) err = %v, want the stray-name error", b, err)
 		}
@@ -329,6 +426,8 @@ func FuzzScanCellResult(f *testing.F) {
 		`{"duration_s":1,"duration_s":2,"energy_j":{},"total_j":3,"engine":"e"}`,
 		`{"energy_j":{"A":1,"A":2},"duration_s":1,"total_j":3,"engine":"e"}`,
 		`{"energy_j":{"A":1},"energy_j":{"B":2},"total_j":3,"engine":"e"}`,
+		`{"energy_j":{"A":1},"energy_j":null,"total_j":3,"engine":"e"}`,
+		`{"energy_j":{"PACKAGE_ENERGY:PACKAGE0":1},"energy_j":{"DRAM_ENERGY:PACKAGE1":2},"total_j":3,"engine":"e"}`,
 		`{"engine":"e","total_j":3,"energy_j":{"B":2,"A":1},"duration_s":1}`,
 		`{"duration_s":1,"energy_j":{},"total_j":3,"iters":1.0,"engine":"e"}`,
 		`{"duration_s":+1}`, `{"duration_s":01}`, `{"duration_s":1.}`, `{"duration_s":0x1p-2}`, `{"duration_s":1_0}`,
@@ -339,16 +438,15 @@ func FuzzScanCellResult(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
+		var plain plainResult
 		var want CellResult
-		var wantEnergy map[rapl.Domain]float64
-		err := json.Unmarshal(payload, &want)
+		err := json.Unmarshal(payload, &plain)
 		if err == nil {
-			wantEnergy, err = energyByDomain(want.EnergyJ)
+			want, err = resultOf(plain)
 		}
-		want.EnergyJ = energyByName(wantEnergy)
-		if got, ok := scanned(payload); ok {
+		if got, ok := scanCellResult(payload, true); ok {
 			if err != nil {
-				t.Fatalf("scanner accepted %q as %+v; encoding/json and energyByDomain reject it: %v", payload, got, err)
+				t.Fatalf("scanner accepted %q as %+v; encoding/json over the names rejects it: %v", payload, got, err)
 			}
 			if !bitsEqual(got, want) {
 				t.Fatalf("scanner read %q as %+v; encoding/json reads %+v", payload, got, want)
@@ -357,18 +455,18 @@ func FuzzScanCellResult(f *testing.F) {
 		// Scanner and fallback together decode exactly what the oracle
 		// does, to the same joules by domain; a check, which restores no
 		// energies, fails exactly when the decode does.
-		got, energy, derr := decodeCellResult(payload)
+		got, derr := decodeCellResult(payload)
 		if (derr == nil) != (err == nil) {
-			t.Fatalf("decodeCellResult(%q) err = %v; encoding/json and energyByDomain: %v", payload, derr, err)
+			t.Fatalf("decodeCellResult(%q) err = %v; encoding/json over the names: %v", payload, derr, err)
 		}
-		_, _, scannedOK := scanCellResult(payload, true)
-		if _, _, ok := scanCellResult(payload, false); ok != scannedOK {
+		_, scannedOK := scanCellResult(payload, true)
+		if _, ok := scanCellResult(payload, false); ok != scannedOK {
 			t.Fatalf("scanCellResult(%q) ok = %v without restoring energies, %v with", payload, ok, scannedOK)
 		}
 		if cerr := checkCellResult(payload); (cerr == nil) != (derr == nil) {
 			t.Fatalf("checkCellResult(%q) = %v; decodeCellResult: %v", payload, cerr, derr)
 		}
-		if got.EnergyJ = energyByName(energy); derr == nil && !bitsEqual(got, want) {
+		if derr == nil && !bitsEqual(got, want) {
 			t.Fatalf("decodeCellResult read %q as %+v; encoding/json reads %+v", payload, got, want)
 		}
 	})

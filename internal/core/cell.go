@@ -293,12 +293,11 @@ func gridCells[K comparable, M any, C Cell[M], R any](keys []K, cell func(*Evalu
 }
 
 // CellResult is the persisted payload of one dense or sparse measurement.
-// EnergyJ is keyed by RAPL domain name (JSON object keys sort
-// deterministically).
+// Its energy_j is an object keyed by domain name (appendEnergy).
 type CellResult struct {
-	DurationS float64            `json:"duration_s"`
-	EnergyJ   map[string]float64 `json:"energy_j"`
-	TotalJ    float64            `json:"total_j"`
+	DurationS float64     `json:"duration_s"`
+	EnergyJ   rapl.Energy `json:"energy_j"`
+	TotalJ    float64     `json:"total_j"`
 	// Iters is the solver iteration count of a sparse cell, never below
 	// one; dense cells have none and omit it.
 	Iters    int     `json:"iters,omitempty"`
@@ -307,12 +306,10 @@ type CellResult struct {
 }
 
 // AppendCanonical appends the payload's canonical JSON: what encoding/json
-// emits for it, which canon_test.go holds it to. A nil EnergyJ (JSON null)
-// and more domains than any engine charges are left to encoding/json.
+// emits for the same members with energy_j a map of names, which
+// canon_test.go holds it to. A NaN or an infinity, which JSON cannot
+// hold, and an engine name JSON would escape are declined.
 func (r CellResult) AppendCanonical(dst []byte) ([]byte, bool) {
-	if r.EnergyJ == nil {
-		return dst, false
-	}
 	o := canon.Begin(dst)
 	o.Float("duration_s", r.DurationS)
 	o.Value("energy_j", r.appendEnergy)
@@ -327,41 +324,29 @@ func (r CellResult) AppendCanonical(dst []byte) ([]byte, bool) {
 	return o.End()
 }
 
-// appendEnergy appends EnergyJ with its names sorted bytewise, the order
-// encoding/json gives a map's keys.
+// appendEnergy appends EnergyJ keyed by domain name, in the bytewise name
+// order encoding/json gives a map's keys: the accelerator only when it
+// charged anything (only accelerated sparse cells do), then DRAM0, DRAM1,
+// PKG0 and PKG1, which every cell charges.
 func (r CellResult) appendEnergy(dst []byte) ([]byte, bool) {
-	var names [8]string
-	if len(r.EnergyJ) > len(names) {
-		return dst, false
-	}
-	n := 0
-	for name := range r.EnergyJ {
-		if !canon.Plain(name) {
-			return dst, false
-		}
-		i := n
-		for ; i > 0 && names[i-1] > name; i-- {
-			names[i] = names[i-1]
-		}
-		names[i] = name
-		n++
-	}
 	o := canon.Begin(dst)
-	for _, name := range names[:n] {
-		o.Float(name, r.EnergyJ[name])
+	if j := r.EnergyJ[rapl.Accel]; j != 0 {
+		o.Float(rapl.Accel.String(), j)
+	}
+	for _, d := range [...]rapl.Domain{rapl.DRAM0, rapl.DRAM1, rapl.PKG0, rapl.PKG1} {
+		o.Float(d.String(), r.EnergyJ[d])
 	}
 	return o.End()
 }
 
 // scanCellResult reads back what AppendCanonical writes, members in any
-// order, with energy_j keyed by domain: the map a measurement keeps, so
-// r.EnergyJ stays nil. ok is false for anything else — a member twice, an
-// unknown one, a name that is no domain of energyDomains or names one
-// twice, a null, whitespace — and the caller lets encoding/json decide.
-// restore false reads the same bytes to the same ok and restores nothing:
-// it builds no map, and converts a number only where the conversion could
-// fail (canon's SkipFloat).
-func scanCellResult(payload []byte, restore bool) (r CellResult, energy map[rapl.Domain]float64, ok bool) {
+// order, with energy_j read into r.EnergyJ by domain. ok is false for
+// anything else — a member twice, an unknown one, a name that is no domain
+// of energyDomains or names one twice, a null, whitespace — and the
+// caller lets encoding/json decide. restore false reads the same bytes to
+// the same ok and restores nothing: it converts a number only where the
+// conversion could fail (canon's SkipFloat).
+func scanCellResult(payload []byte, restore bool) (r CellResult, ok bool) {
 	s := canon.Scan(payload)
 	seen := 0
 	once := func(member int) {
@@ -385,9 +370,6 @@ func scanCellResult(payload []byte, restore bool) (r CellResult, energy map[rapl
 			r.DurationS = float()
 		case "energy_j":
 			once(1 << 1)
-			if restore {
-				energy = make(map[rapl.Domain]float64, len(energyDomains))
-			}
 			named := 0
 			s.Open()
 			for name, more := s.Member(); more; name, more = s.Member() {
@@ -396,9 +378,7 @@ func scanCellResult(payload []byte, restore bool) (r CellResult, energy map[rapl
 					s.Fail()
 				}
 				named |= 1 << d
-				if j := float(); restore {
-					energy[d] = j
-				}
+				r.EnergyJ[d] = float()
 			}
 		case "total_j":
 			once(1 << 2)
@@ -416,44 +396,52 @@ func scanCellResult(payload []byte, restore bool) (r CellResult, energy map[rapl
 			s.Fail()
 		}
 	}
-	return r, energy, s.Done()
+	return r, s.Done()
 }
 
 // appendCellResult and decodeCellResult are the payload codec of the
 // dense, monitored and sparse cells: the hand-written pair above, and
-// encoding/json for whatever that declines. Store files are outside
-// input, so which payloads decode, and to what, stays encoding/json's
-// call: the scanner only ever takes bytes it reads to the same value.
+// encoding/json for whatever the scanner declines. Store files are
+// outside input, so which payloads decode, and to what, stays
+// encoding/json's call: the scanner only ever takes bytes it reads to the
+// same value. What the appender declines has no payload: every engine
+// name is plain, so that is a NaN or an infinity, which encoding/json
+// refuses too.
 func appendCellResult(dst []byte, r CellResult) ([]byte, error) {
-	if b, ok := r.AppendCanonical(dst); ok {
-		return b, nil
+	b, ok := r.AppendCanonical(dst)
+	if !ok {
+		return dst, fmt.Errorf("core: result %+v has no JSON form", r)
 	}
-	b, err := json.Marshal(r)
-	return append(dst, b...), err
+	return b, nil
 }
 
-// decodeCellResult returns the payload's energies by domain beside it,
-// which is how every measurement carries them; read them from there, not
-// from the result's EnergyJ.
-func decodeCellResult(payload []byte) (CellResult, map[rapl.Domain]float64, error) {
-	if r, energy, ok := scanCellResult(payload, true); ok {
-		return r, energy, nil
+// decodeCellResult reads a payload. The fallback reads energy_j as the
+// map of names encoding/json makes of it — a member given twice merges
+// into one map, a null empties it — and only then into the domains, so
+// it accepts what encoding/json over the map does.
+func decodeCellResult(payload []byte) (CellResult, error) {
+	if r, ok := scanCellResult(payload, true); ok {
+		return r, nil
 	}
-	var r CellResult
-	if err := json.Unmarshal(payload, &r); err != nil {
-		return CellResult{}, nil, err
+	var v struct {
+		CellResult
+		EnergyJ map[string]float64 `json:"energy_j"` // hides CellResult's
 	}
-	energy, err := energyByDomain(r.EnergyJ)
-	return r, energy, err
+	if err := json.Unmarshal(payload, &v); err != nil {
+		return CellResult{}, err
+	}
+	var err error
+	v.CellResult.EnergyJ, err = energyNamed(v.EnergyJ)
+	return v.CellResult, err
 }
 
 // checkCellResult is decodeCellResult's error alone: a canonical payload
 // is scanned without restoring anything.
 func checkCellResult(payload []byte) error {
-	if _, _, ok := scanCellResult(payload, false); ok {
+	if _, ok := scanCellResult(payload, false); ok {
 		return nil
 	}
-	_, _, err := decodeCellResult(payload)
+	_, err := decodeCellResult(payload)
 	return err
 }
 
@@ -490,27 +478,20 @@ func engineNamed(name []byte) string {
 	return string(name)
 }
 
-// energyByName keys a measurement's energies by domain name for storage.
-func energyByName(byDomain map[rapl.Domain]float64) map[string]float64 {
-	byName := make(map[string]float64, len(byDomain))
-	for d, j := range byDomain {
-		byName[d.String()] = j
-	}
-	return byName
-}
-
-// energyByDomain inverts energyByName. A name that is no domain of
-// energyDomains is an error, not a joule count quietly dropped: total_j
+// energyNamed reads joules keyed by domain name. A name that is no domain
+// of energyDomains is an error, not a joule count quietly dropped: total_j
 // would still include it and the per-domain figures would not add up.
-func energyByDomain(byName map[string]float64) (map[rapl.Domain]float64, error) {
-	byDomain := make(map[rapl.Domain]float64, len(byName))
+func energyNamed(byName map[string]float64) (rapl.Energy, error) {
+	var e rapl.Energy
+	known := 0
 	for _, d := range energyDomains {
 		if j, ok := byName[d.String()]; ok {
-			byDomain[d] = j
+			e[d] = j
+			known++
 		}
 	}
-	if len(byDomain) == len(byName) {
-		return byDomain, nil
+	if known == len(byName) {
+		return e, nil
 	}
 	var strays []string
 	for name := range byName {
@@ -519,5 +500,5 @@ func energyByDomain(byName map[string]float64) (map[rapl.Domain]float64, error) 
 		}
 	}
 	slices.Sort(strays)
-	return nil, fmt.Errorf("core: stored energy_j names %q, no domain this module charges", strays)
+	return rapl.Energy{}, fmt.Errorf("core: stored energy_j names %q, no domain this module charges", strays)
 }

@@ -130,9 +130,9 @@ func (s span) rng(verb string, k float64) string { return fmt.Sprintf(verb+"–"
 func (s span) pct() string { return s.rng("%.1f", 100) + " %" }
 
 // dramGap is IMe's extra DRAM power over ScaLAPACK's, both DRAM domains
-// summed as perfmodel.Result.DramJ does.
+// summed.
 func dramGap(ime, ge Measurement) float64 {
-	dram := func(m Measurement) float64 { return (m.EnergyJ[rapl.DRAM0] + m.EnergyJ[rapl.DRAM1]) / m.DurationS }
+	dram := func(m Measurement) float64 { return m.EnergyJ.Dram() / m.DurationS }
 	return dram(ime)/dram(ge) - 1
 }
 

@@ -71,7 +71,7 @@ type Measurement struct {
 	Config     cluster.Config
 	DurationS  float64
 	TotalJ     float64
-	EnergyJ    map[rapl.Domain]float64
+	EnergyJ    rapl.Energy
 	// Residual is the relative residual of the computed solution
 	// (monitored engine only; 0 for analytic runs).
 	Residual float64
@@ -250,7 +250,6 @@ func RunMonitoredInstrumented(e Experiment, inst Instrumentation) (Measurement, 
 		Config:     cfg,
 		DurationS:  sum.DurationS,
 		TotalJ:     sum.TotalJ,
-		EnergyJ:    make(map[rapl.Domain]float64, 4),
 		Residual:   residual,
 		Engine:     engineMonitored,
 	}

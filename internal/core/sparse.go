@@ -60,7 +60,7 @@ type SparseMeasurement struct {
 	Config     cluster.Config
 	DurationS  float64
 	TotalJ     float64
-	EnergyJ    map[rapl.Domain]float64
+	EnergyJ    rapl.Energy
 	// Iters is the solver iteration count (modelled or executed).
 	Iters int
 	// Residual is the true relative residual of the computed solution
@@ -251,7 +251,7 @@ func (c SparseAnalyticCell) compute() (SparseMeasurement, error) {
 func (c SparseAnalyticCell) encode(dst []byte, m SparseMeasurement) ([]byte, error) {
 	return appendCellResult(dst, CellResult{
 		DurationS: m.DurationS,
-		EnergyJ:   energyByName(m.EnergyJ),
+		EnergyJ:   m.EnergyJ,
 		TotalJ:    m.TotalJ,
 		Iters:     m.Iters,
 		Residual:  m.Residual,
@@ -260,7 +260,7 @@ func (c SparseAnalyticCell) encode(dst []byte, m SparseMeasurement) ([]byte, err
 }
 
 func (c SparseAnalyticCell) decode(payload []byte) (SparseMeasurement, error) {
-	res, energy, err := decodeCellResult(payload)
+	res, err := decodeCellResult(payload)
 	if err != nil {
 		return SparseMeasurement{}, err
 	}
@@ -273,7 +273,7 @@ func (c SparseAnalyticCell) decode(payload []byte) (SparseMeasurement, error) {
 		Config:     cfg,
 		DurationS:  res.DurationS,
 		TotalJ:     res.TotalJ,
-		EnergyJ:    energy,
+		EnergyJ:    res.EnergyJ,
 		Iters:      res.Iters,
 		Residual:   res.Residual,
 		Engine:     res.Engine,

@@ -182,7 +182,6 @@ func runSparseMonitored(e SparseExperiment) (SparseMeasurement, error) {
 		Config:     cfg,
 		DurationS:  sum.DurationS,
 		TotalJ:     sum.TotalJ,
-		EnergyJ:    make(map[rapl.Domain]float64, 4),
 		Iters:      iters,
 		Residual:   residual,
 		Engine:     "sparse-monitored",

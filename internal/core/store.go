@@ -164,7 +164,7 @@ func MonitoredCellIdentity(e Experiment) CellIdentity {
 func encodeMeasurement(dst []byte, m Measurement) ([]byte, error) {
 	return appendCellResult(dst, CellResult{
 		DurationS: m.DurationS,
-		EnergyJ:   energyByName(m.EnergyJ),
+		EnergyJ:   m.EnergyJ,
 		TotalJ:    m.TotalJ,
 		Residual:  m.Residual,
 		Engine:    m.Engine,
@@ -174,7 +174,7 @@ func encodeMeasurement(dst []byte, m Measurement) ([]byte, error) {
 // decodeMeasurement rebuilds the Measurement a stored cell recorded,
 // re-deriving the cluster Config from the experiment.
 func decodeMeasurement(e Experiment, payload []byte) (Measurement, error) {
-	res, energy, err := decodeCellResult(payload)
+	res, err := decodeCellResult(payload)
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -187,7 +187,7 @@ func decodeMeasurement(e Experiment, payload []byte) (Measurement, error) {
 		Config:     cfg,
 		DurationS:  res.DurationS,
 		TotalJ:     res.TotalJ,
-		EnergyJ:    energy,
+		EnergyJ:    res.EnergyJ,
 		Residual:   res.Residual,
 		Engine:     res.Engine,
 	}, nil

@@ -14,7 +14,7 @@ import (
 // core-seconds follow directly from the placement's active-core counts.
 // DRAM traffic is the algorithm's bytes-per-flop times the flops executed
 // on the socket.
-func energyFor(alg Algorithm, n int, cfg cluster.Config, prm Params, duration, computeS float64) map[rapl.Domain]float64 {
+func energyFor(alg Algorithm, n int, cfg cluster.Config, prm Params, duration, computeS float64) rapl.Energy {
 	var activity, bytesPerFlop, totalFlops float64
 	switch alg {
 	case IMe:
@@ -26,8 +26,8 @@ func energyFor(alg Algorithm, n int, cfg cluster.Config, prm Params, duration, c
 		bytesPerFlop = scalapack.DramBytesPerFlop
 		totalFlops = scalapack.TotalFlops(n)
 	}
-	out := make(map[rapl.Domain]float64, 4)
-	SocketEnergy(out, cfg, duration, computeS, activity, totalFlops/float64(cfg.Ranks), bytesPerFlop, prm.PowerCapW)
+	var out rapl.Energy
+	SocketEnergy(&out, cfg, duration, computeS, activity, totalFlops/float64(cfg.Ranks), bytesPerFlop, prm.PowerCapW)
 	return out
 }
 
@@ -40,14 +40,12 @@ func energyFor(alg Algorithm, n int, cfg cluster.Config, prm Params, duration, c
 // (Params.capStretch), so clamped power × longer time is how capping
 // trades time for power. The dense and the sparse analytic models both
 // integrate through it, so their joules share one formula.
-func SocketEnergy(out map[rapl.Domain]float64, cfg cluster.Config, duration, computeS, activity, rankWork, bytesPerWork, capW float64) {
+func SocketEnergy(out *rapl.Energy, cfg cluster.Config, duration, computeS, activity, rankWork, bytesPerWork, capW float64) {
 	cal := power.Skylake8160()
 	if computeS > duration {
 		computeS = duration
 	}
 	pollS := duration - computeS
-	pkgDomains := [2]rapl.Domain{rapl.PKG0, rapl.PKG1}
-	dramDomains := [2]rapl.Domain{rapl.DRAM0, rapl.DRAM1}
 	coresPerSocket := 24
 	if cfg.Spec != nil {
 		coresPerSocket = cfg.Spec.CoresPerSocket
@@ -71,7 +69,7 @@ func SocketEnergy(out map[rapl.Domain]float64, cfg cluster.Config, duration, com
 		// socket still refreshes its DIMMs (idle DRAM power applies).
 		bytes := rankWork * float64(cores) * bytesPerWork
 		dramJ := cal.DramEnergy(duration, bytes)
-		out[pkgDomains[s]] += pkgJ * float64(cfg.Nodes)
-		out[dramDomains[s]] += dramJ * float64(cfg.Nodes)
+		out[rapl.PKG0+rapl.Domain(s)] += pkgJ * float64(cfg.Nodes)
+		out[rapl.DRAM0+rapl.Domain(s)] += dramJ * float64(cfg.Nodes)
 	}
 }

@@ -229,8 +229,8 @@ type Result struct {
 	ExposedCommS float64
 
 	// Energy per RAPL domain summed over all nodes, in joules.
-	EnergyJ map[rapl.Domain]float64
-	// TotalJ sums the four monitored domains.
+	EnergyJ rapl.Energy
+	// TotalJ sums the four monitored domains (EnergyJ.Total()).
 	TotalJ float64
 }
 
@@ -241,12 +241,6 @@ func (r Result) AvgPowerW() float64 {
 	}
 	return r.TotalJ / r.DurationS
 }
-
-// PkgJ returns the package-domain energy.
-func (r Result) PkgJ() float64 { return r.EnergyJ[rapl.PKG0] + r.EnergyJ[rapl.PKG1] }
-
-// DramJ returns the DRAM-domain energy.
-func (r Result) DramJ() float64 { return r.EnergyJ[rapl.DRAM0] + r.EnergyJ[rapl.DRAM1] }
 
 // Run models one (algorithm, order, configuration) execution: Replays.Run
 // without a memo, replaying the schedule every time.
@@ -330,8 +324,8 @@ func resultFromTimes(alg Algorithm, n int, cfg cluster.Config, prm Params, t tim
 	res.EnergyJ = energyFor(alg, n, cfg, prm, res.DurationS, res.ComputeS)
 	for _, d := range rapl.Domains() {
 		res.EnergyJ[d] *= fPower
-		res.TotalJ += res.EnergyJ[d]
 	}
+	res.TotalJ = res.EnergyJ.Total()
 	return res
 }
 

@@ -124,7 +124,11 @@ func storedAndFresh(t *testing.T, rec store.Record) (stored, fresh core.Measurem
 	if err := json.Unmarshal(rec.Identity, &id); err != nil {
 		t.Fatal(err)
 	}
-	var res core.CellResult
+	var res struct {
+		DurationS float64            `json:"duration_s"`
+		EnergyJ   map[string]float64 `json:"energy_j"`
+		TotalJ    float64            `json:"total_j"`
+	}
 	if err := json.Unmarshal(rec.Result, &res); err != nil {
 		t.Fatal(err)
 	}
@@ -143,13 +147,12 @@ func storedAndFresh(t *testing.T, rec store.Record) (stored, fresh core.Measurem
 	if fresh, err = core.RunAnalytic(e, id.Model.Params.Params); err != nil {
 		t.Fatal(err)
 	}
-	stored = core.Measurement{DurationS: res.DurationS, TotalJ: res.TotalJ, EnergyJ: map[rapl.Domain]float64{}}
+	stored = core.Measurement{DurationS: res.DurationS, TotalJ: res.TotalJ}
 	for _, d := range rapl.Domains() {
-		if j, ok := res.EnergyJ[d.String()]; ok {
-			stored.EnergyJ[d] = j
-		}
+		stored.EnergyJ[d] = res.EnergyJ[d.String()]
+		delete(res.EnergyJ, d.String())
 	}
-	if len(stored.EnergyJ) != len(res.EnergyJ) {
+	if len(res.EnergyJ) != 0 {
 		t.Fatalf("record %s stores energy of domains %v", rec.Identity, res.EnergyJ)
 	}
 	return stored, fresh
@@ -159,11 +162,11 @@ func storedAndFresh(t *testing.T, rec store.Record) (stored, fresh core.Measurem
 // their float64 bits.
 func sameBits(a, b core.Measurement) bool {
 	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
-	if !same(a.DurationS, b.DurationS) || !same(a.TotalJ, b.TotalJ) || len(a.EnergyJ) != len(b.EnergyJ) {
+	if !same(a.DurationS, b.DurationS) || !same(a.TotalJ, b.TotalJ) {
 		return false
 	}
-	for d, j := range a.EnergyJ {
-		if k, ok := b.EnergyJ[d]; !ok || !same(j, k) {
+	for d := range a.EnergyJ {
+		if !same(a.EnergyJ[d], b.EnergyJ[d]) {
 			return false
 		}
 	}

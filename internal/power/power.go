@@ -101,7 +101,7 @@ func Skylake8160() Calibration {
 // activeCores busy cores. socket selects whether the OS-noise term applies
 // (socket 0 hosts the OS).
 func (c Calibration) PkgPower(activeCores int, socket int) float64 {
-	p := c.PkgIdle + float64(activeCores)*c.CoreActive
+	p := c.PkgIdle + float64(float64(activeCores)*c.CoreActive)
 	if socket == 0 {
 		p += c.OSNoise
 	}
@@ -111,9 +111,9 @@ func (c Calibration) PkgPower(activeCores int, socket int) float64 {
 // PkgEnergy integrates package energy over an interval of elapsed seconds
 // during which the socket's ranks accumulated busyCoreSeconds of activity.
 func (c Calibration) PkgEnergy(elapsed, busyCoreSeconds float64, socket int) float64 {
-	e := c.PkgIdle*elapsed + c.CoreActive*busyCoreSeconds
+	e := float64(c.PkgIdle*elapsed) + float64(c.CoreActive*busyCoreSeconds)
 	if socket == 0 {
-		e += c.OSNoise * elapsed
+		e += float64(c.OSNoise * elapsed)
 	}
 	return e
 }
@@ -121,7 +121,7 @@ func (c Calibration) PkgEnergy(elapsed, busyCoreSeconds float64, socket int) flo
 // DramEnergy integrates DRAM-domain energy over elapsed seconds during
 // which bytes of traffic hit the domain.
 func (c Calibration) DramEnergy(elapsed float64, bytes float64) float64 {
-	return c.DramIdle*elapsed + c.DramPerByte*bytes
+	return float64(c.DramIdle*elapsed) + float64(c.DramPerByte*bytes)
 }
 
 // UncorePower returns the occupancy-dependent mesh/LLC power of a socket

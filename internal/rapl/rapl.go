@@ -66,6 +66,26 @@ const (
 // Domains lists the externally meaningful domains in display order.
 func Domains() []Domain { return []Domain{PKG0, PKG1, DRAM0, DRAM1} }
 
+// Energy is joules per domain, indexed by Domain: the one form every
+// modelled, monitored and stored measurement carries its energies in.
+type Energy [numDomains]float64
+
+// Pkg returns the package energy, PKG0 + PKG1.
+func (e Energy) Pkg() float64 { return e[PKG0] + e[PKG1] }
+
+// Dram returns the DRAM energy, DRAM0 + DRAM1.
+func (e Energy) Dram() float64 { return e[DRAM0] + e[DRAM1] }
+
+// Total sums Domains() in order, then Accel: the charged domains, so the
+// sum's bits follow from the order alone.
+func (e Energy) Total() float64 {
+	var total float64
+	for _, d := range [...]Domain{PKG0, PKG1, DRAM0, DRAM1, Accel} {
+		total += e[d]
+	}
+	return total
+}
+
 // String implements fmt.Stringer using the paper's naming.
 func (d Domain) String() string {
 	switch d {
@@ -182,7 +202,7 @@ func (n *Node) SetTime(t float64) error {
 func (n *Node) updatePeriod(socket int) float64 {
 	h := uint64(n.nodeID)*2654435761 + uint64(socket)*40503 + 12345
 	h ^= h >> 33
-	jitter := (float64(h%2001)/1000 - 1) * 0.1 // in [-0.1, +0.1]
+	jitter := float64((float64(h%2001)/1000 - 1) * 0.1) // in [-0.1, +0.1]
 	return counterUpdatePeriod * (1 + jitter)
 }
 
@@ -212,7 +232,7 @@ func (n *Node) energyJoules(d Domain) float64 {
 	case PP00, PP01:
 		// PP0 (cores only) excludes the uncore share of idle power; model
 		// it as the dynamic core energy plus a quarter of the idle term.
-		return n.cal.CoreActive*st.busyCoreSeconds + 0.25*n.cal.PkgIdle*n.now
+		return float64(n.cal.CoreActive*st.busyCoreSeconds) + float64(0.25*n.cal.PkgIdle*n.now)
 	default:
 		return 0
 	}

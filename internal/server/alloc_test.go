@@ -86,16 +86,16 @@ func TestRequestAllocationBudget(t *testing.T) {
 		target func(i int) string
 	}{
 		{"cache hit", 17, http.StatusOK, pred.hits, hitTarget},
-		{"surrogate recommend", 24, http.StatusOK, rec.surrogate, func(i int) string {
+		{"surrogate recommend", 20, http.StatusOK, rec.surrogate, func(i int) string {
 			return fmt.Sprintf("/v1/recommend?n=%d&ranks=144&objective=min-time", 8000+i)
 		}},
-		{"surrogate predict", 23, http.StatusOK, pred.surrogate, func(i int) string {
+		{"surrogate predict", 21, http.StatusOK, pred.surrogate, func(i int) string {
 			return fmt.Sprintf("/v1/predict?alg=IMe&n=%d&ranks=576&placement=half-load-1-socket", 17000+i)
 		}},
-		{"exact capped recommend", 29, http.StatusOK, rec.compute, func(i int) string {
+		{"exact capped recommend", 25, http.StatusOK, rec.compute, func(i int) string {
 			return fmt.Sprintf("/v1/recommend?n=%d&ranks=144&objective=max-gflops-per-watt&cap_w=%.3f", 26000+i, 120+0.5*float64(i))
 		}},
-		{"sparse", 35, http.StatusOK, rec.compute, func(i int) string {
+		{"sparse", 25, http.StatusOK, rec.compute, func(i int) string {
 			return fmt.Sprintf("/v1/recommend?matrix=sparse&alg=CG&kind=banded&n=%d&ranks=144&band=64&cond=100", 70000+i)
 		}},
 		{"400 parse error", 26, http.StatusBadRequest, s.m.requests("recommend", http.StatusBadRequest), func(i int) string {

@@ -16,7 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/perfmodel"
-	"repro/internal/rapl"
 )
 
 // maxOrder bounds accepted matrix orders: far past the paper grid
@@ -260,8 +259,8 @@ func cellResult(m core.Measurement) CellResult {
 		Placement:     m.Experiment.Placement.String(),
 		DurationS:     m.DurationS,
 		TotalJ:        m.TotalJ,
-		PkgJ:          m.EnergyJ[rapl.PKG0] + m.EnergyJ[rapl.PKG1],
-		DramJ:         m.EnergyJ[rapl.DRAM0] + m.EnergyJ[rapl.DRAM1],
+		PkgJ:          m.EnergyJ.Pkg(),
+		DramJ:         m.EnergyJ.Dram(),
 		AvgPowerW:     m.AvgPowerW(),
 		GFlopsPerWatt: m.GFlopsPerWatt(),
 	}

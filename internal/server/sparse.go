@@ -141,8 +141,8 @@ func sparseCellResult(m core.SparseMeasurement) SparseCellResult {
 		Device:        m.Experiment.Device.String(),
 		DurationS:     m.DurationS,
 		TotalJ:        m.TotalJ,
-		PkgJ:          m.EnergyJ[rapl.PKG0] + m.EnergyJ[rapl.PKG1],
-		DramJ:         m.EnergyJ[rapl.DRAM0] + m.EnergyJ[rapl.DRAM1],
+		PkgJ:          m.EnergyJ.Pkg(),
+		DramJ:         m.EnergyJ.Dram(),
 		AccelJ:        m.EnergyJ[rapl.Accel],
 		Iters:         m.Iters,
 		AvgPowerW:     m.AvgPowerW(),

@@ -33,10 +33,10 @@ type ModelResult struct {
 	ExposedCommS float64
 	// Iters is the modelled iteration count.
 	Iters int
-	// EnergyJ maps each RAPL domain to joules over the whole machine
-	// share; accelerated runs add the rapl.Accel domain.
-	EnergyJ map[rapl.Domain]float64
-	// TotalJ sums EnergyJ.
+	// EnergyJ is joules per RAPL domain over the whole machine share;
+	// accelerated runs charge the rapl.Accel domain too.
+	EnergyJ rapl.Energy
+	// TotalJ sums EnergyJ (EnergyJ.Total()).
 	TotalJ float64
 	// Flops is the arithmetic work (for efficiency objectives).
 	Flops float64
@@ -122,24 +122,19 @@ func Model(alg Algorithm, spec Spec, cfg cluster.Config, device cluster.Device, 
 		hostKernelS = 0 // kernels run on the device; hosts poll
 		rankBytes = float64(iters) * float64(sh.spmvs) * haloBytes
 	}
-	out := make(map[rapl.Domain]float64, 5)
-	perfmodel.SocketEnergy(out, cfg, duration, hostKernelS, CoreActivity, rankBytes, 1, 0)
+	var energy rapl.Energy
+	perfmodel.SocketEnergy(&energy, cfg, duration, hostKernelS, CoreActivity, rankBytes, 1, 0)
 	if device == cluster.DeviceAccel {
 		perDev := float64(accel.IdlePowerW*(duration-computeS)) + float64(accel.ActivePowerW*computeS)
-		out[rapl.Accel] = float64(cfg.Nodes) * float64(accel.PerNode) * perDev
-	}
-	// Sum in fixed domain order so TotalJ is bit-reproducible.
-	var total float64
-	for _, dom := range append(rapl.Domains(), rapl.Accel) {
-		total += out[dom]
+		energy[rapl.Accel] = float64(cfg.Nodes) * float64(accel.PerNode) * perDev
 	}
 	return ModelResult{
 		DurationS:    duration,
 		ComputeS:     computeS,
 		ExposedCommS: exposedComm,
 		Iters:        iters,
-		EnergyJ:      out,
-		TotalJ:       total,
+		EnergyJ:      energy,
+		TotalJ:       energy.Total(),
 		Flops:        WorkFlops(alg, spec, iters),
 	}, nil
 }

@@ -41,11 +41,8 @@ func TestModelEnergyDomains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := cpu.EnergyJ[rapl.Accel]; ok {
+	if cpu.EnergyJ[rapl.Accel] != 0 {
 		t.Fatal("CPU run charged the accelerator domain")
-	}
-	if len(cpu.EnergyJ) != 4 {
-		t.Fatalf("CPU run has %d energy domains, want 4", len(cpu.EnergyJ))
 	}
 	acc, err := Model(CG, spec, cfg, cluster.DeviceAccel, perfmodel.Params{})
 	if err != nil {
@@ -54,13 +51,13 @@ func TestModelEnergyDomains(t *testing.T) {
 	if acc.EnergyJ[rapl.Accel] <= 0 {
 		t.Fatal("accelerated run did not charge the accelerator domain")
 	}
-	if len(acc.EnergyJ) != 5 {
-		t.Fatalf("accelerated run has %d energy domains, want 5", len(acc.EnergyJ))
-	}
 	for _, m := range []ModelResult{cpu, acc} {
 		var sum float64
 		for _, dom := range append(rapl.Domains(), rapl.Accel) {
 			sum += m.EnergyJ[dom]
+		}
+		if m.EnergyJ[rapl.PP00] != 0 || m.EnergyJ[rapl.PP01] != 0 || m.EnergyJ.Pkg() <= 0 || m.EnergyJ.Dram() <= 0 {
+			t.Fatalf("charged domains %v, want the four RAPL domains (and the accelerator)", m.EnergyJ)
 		}
 		if m.TotalJ != sum {
 			t.Fatalf("TotalJ %g != domain sum %g", m.TotalJ, sum)
