@@ -284,6 +284,79 @@ func (s *Scanner) Int() int {
 	return int(n)
 }
 
+// maxDepth is how deeply Skip nests arrays and objects: encoding/json's
+// own limit, so that nothing it rejects as too deep is accepted here.
+const maxDepth = 10000
+
+// Skip reads one value of any kind — object, array, string, number, true,
+// false or null — in the subset the scanner reads, and returns it; the
+// result aliases the input.
+func (s *Scanner) Skip() []byte {
+	start := s.i
+	s.skip(0)
+	if s.failed {
+		return nil
+	}
+	return s.b[start:s.i]
+}
+
+// skip reads one value nested depth arrays and objects deep.
+func (s *Scanner) skip(depth int) {
+	if s.failed || s.i == len(s.b) {
+		s.failed = true
+		return
+	}
+	switch c := s.b[s.i]; {
+	case c == '{' || c == '[':
+		if depth == maxDepth {
+			s.failed = true
+			return
+		}
+		s.i++
+		end := byte('}')
+		if c == '[' {
+			end = ']'
+		}
+		if s.eat(end) {
+			return
+		}
+		for !s.failed {
+			if c == '{' {
+				s.String()
+				s.expect(':')
+			}
+			s.skip(depth + 1)
+			if !s.eat(',') {
+				s.expect(end)
+				return
+			}
+		}
+	case c == '"':
+		s.String()
+	case c == '-' || c >= '0' && c <= '9':
+		s.number()
+	default:
+		for _, lit := range []string{"true", "false", "null"} {
+			if bytes.HasPrefix(s.b[s.i:], []byte(lit)) {
+				s.i += len(lit)
+				return
+			}
+		}
+		s.failed = true
+	}
+}
+
+// Valid reports whether b is one JSON value that encoding/json compacts,
+// HTML escaping on, to b itself: what json.Marshal writes for a
+// json.RawMessage holding b. It holds for the subset the scanner reads —
+// no whitespace, strings of plain bytes only — and for nothing else, so
+// b need not be compacted or escaped before it is written as it is.
+func Valid(b []byte) bool {
+	s := Scan(b)
+	s.Skip()
+	return s.Done()
+}
+
 // Fail makes the scan fail: the caller met a member it does not know, or
 // one it has already read.
 func (s *Scanner) Fail() { s.failed = true }

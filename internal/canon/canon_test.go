@@ -1,6 +1,7 @@
 package canon
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -208,4 +209,59 @@ func TestScannerObjects(t *testing.T) {
 			t.Errorf("scan %q was accepted as %q, want it declined", in, got)
 		}
 	}
+}
+
+// compacted reports whether encoding/json accepts b and compacts it, HTML
+// escaping on — as json.Marshal does a json.RawMessage — to b itself.
+func compacted(b []byte) bool {
+	if !json.Valid(b) {
+		return false
+	}
+	var buf bytes.Buffer
+	if err := json.Compact(&buf, b); err != nil {
+		return false
+	}
+	var esc bytes.Buffer
+	json.HTMLEscape(&esc, buf.Bytes())
+	return bytes.Equal(esc.Bytes(), b)
+}
+
+// validSeeds are values Valid accepts, then ones it declines: whitespace,
+// escapes, bytes encoding/json would escape or that are not ASCII,
+// malformed numbers and literals, trailing bytes and nesting deeper than
+// encoding/json reads.
+var validSeeds = []string{
+	`{}`, `[]`, `""`, `0`, `-0.5e+7`, `1E400`, `true`, `false`, `null`, `"a b~{}[]:,'"`,
+	`{"a":[1,{"b":null}],"c":"d","e":[],"f":{}}`, `[[[]],[{}],true,false,null,-1]`,
+	strings.Repeat("[", 10000) + strings.Repeat("]", 10000),
+	``, ` {}`, `{} `, `{"a": 1}`, "[1,\n2]", `"<"`, `"a\"b"`, `">"`, `"&"`, "\"\xe2\x80\xa8\"", `"é"`, "\"\x7f\"",
+	`{"a":1,}`, `[1,]`, `[,1]`, `{"a"}`, `{a:1}`, `{"a":1}}`, `01`, `1.`, `.5`, `+1`, `-`, `1e`, `tru`, `nul`, `True`, `[1]x`,
+	`{"a":1`, `[`, `"`, strings.Repeat("[", 10001) + strings.Repeat("]", 10001),
+}
+
+// TestValidMatchesCompact: Valid accepts a value only when encoding/json
+// compacts it to itself, and accepts every value of the scanner's subset.
+func TestValidMatchesCompact(t *testing.T) {
+	for i, in := range validSeeds {
+		got, want := Valid([]byte(in)), compacted([]byte(in))
+		if got && !want {
+			t.Errorf("Valid(%.40q) holds; encoding/json would rewrite it or refuse it", in)
+		}
+		if accept := i < 13; got != accept {
+			t.Errorf("Valid(%.40q) = %v, want %v", in, got, accept)
+		}
+	}
+}
+
+// FuzzValid holds Valid to its promise: whenever it holds, json.Valid
+// does too and compacting with HTML escaping leaves the bytes unchanged.
+func FuzzValid(f *testing.F) {
+	for _, in := range validSeeds {
+		f.Add([]byte(in))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if Valid(b) && !compacted(b) {
+			t.Fatalf("Valid(%q) holds; encoding/json would rewrite it or refuse it", b)
+		}
+	})
 }

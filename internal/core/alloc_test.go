@@ -31,13 +31,12 @@ func raceEnabled() bool {
 // out to a third of an allocation per evaluation, so these are exact
 // budgets, not ceilings with slack. A warm lookup, dense or sparse, CPU or
 // accelerated, is zero: the energies are scanned into the measurement's
-// array, the identity bytes live in a recycled buffer, the model half
-// they embed is a stack value (or rendered once per cell set), the key is
-// digested into a stack buffer, the engine name is a constant, and the
-// Config points at a machine spec built once. A cold cell is five: the
-// miss's key string, the record's one copy of identity and payload, its
-// JSON line (marshalled, then grown for the newline), and the machine
-// spec runAnalytic resolves the Config against. Through encoding/json a
+// array, the identity bytes live in a recycled buffer and are probed in
+// the store's identity index with no digest, the model half they embed
+// is a stack value (or rendered once per cell set), the engine name is a
+// constant, and the Config points at a machine spec built once. A
+// cold cell is two: the miss's key string and the record's log line,
+// which the stored identity and payload slice. Through encoding/json a
 // lookup is 26.
 func TestCellAllocationBudget(t *testing.T) {
 	if raceEnabled() {
@@ -72,21 +71,22 @@ func TestCellAllocationBudget(t *testing.T) {
 	// A fresh noise seed per run makes every evaluation a miss.
 	cold := prm
 	cold.NodeVariability = 0.05
-	budget("cold analytic cell", 5, func() {
+	budget("cold analytic cell", 2, func() {
 		cold.NoiseSeed++
 		if _, computed, err := Run(st, AnalyticCell{E: dense, Params: cold}, admit); !computed || err != nil {
 			t.Fatalf("computed=%v err=%v", computed, err)
 		}
 	})
-	// No store is plain compute — the machine spec alone, two for the two
-	// cells of a recommendation — because the identity is never built: the
-	// serving benchmark runs storeless.
-	budget("storeless analytic cell", 1, func() {
+	// No store is plain compute, which allocates nothing, for one cell or
+	// the two of a recommendation: the identity is never built, and the
+	// Config points at the shared machine spec. The serving benchmark runs
+	// storeless.
+	budget("storeless analytic cell", 0, func() {
 		if _, _, err := RunAnalyticStored(dense, prm, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
-	budget("storeless Recommend", 2, func() {
+	budget("storeless Recommend", 0, func() {
 		if _, err := Recommend(dense.N, dense.Ranks, dense.Placement, MinEnergy, prm); err != nil {
 			t.Fatal(err)
 		}

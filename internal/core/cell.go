@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"slices"
@@ -54,8 +53,9 @@ type Cell[M any] interface {
 }
 
 // identityBufs recycles the buffers identities are appended into. The
-// bytes of an identity do not outlive a hit — they are digested into the
-// key and dropped — so only a miss that appends a record copies them out.
+// bytes of an identity outlive neither a hit, which probes the store's
+// index with them, nor a miss: the store copies them, and the payload
+// encoded after them, into the line it appends.
 var identityBufs = sync.Pool{New: func() any {
 	buf := make([]byte, 0, 1024) // a cell identity is 350–900 bytes
 	return &buf
@@ -136,14 +136,13 @@ func Run[M any, C Cell[M]](st *store.Store, c C, admit func() error) (m M, compu
 	if m, err = c.compute(); err != nil || st == nil {
 		return m, true, err
 	}
-	// The record keeps its bytes for the life of the store: identity and
-	// payload leave the recycled buffer in one copy.
+	// Identity and payload go to the store in the recycled buffer: the
+	// store keeps only the line it writes, never the caller's bytes.
 	n := len(*buf)
 	if *buf, err = c.encode(*buf, m); err != nil {
 		return m, true, fmt.Errorf("core: encode %s result: %w", c.kind(), err)
 	}
-	owned := bytes.Clone(*buf)
-	_, err = st.Append(store.Record{Key: key, Kind: c.kind(), Identity: owned[:n:n], Result: owned[n:]})
+	_, err = st.Append(store.Record{Key: key, Kind: c.kind(), Identity: (*buf)[:n:n], Result: (*buf)[n:]})
 	return m, true, err
 }
 

@@ -124,7 +124,7 @@ func RunAnalytic(e Experiment, prm perfmodel.Params) (Measurement, error) {
 // runAnalytic is RunAnalytic through a replay memo; a nil memo replays
 // the schedule afresh.
 func runAnalytic(e Experiment, prm perfmodel.Params, replays *perfmodel.Replays) (Measurement, error) {
-	cfg, err := e.resolveConfig(cluster.MarconiA3())
+	cfg, err := e.resolveConfig(marconiA3)
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -177,7 +177,7 @@ func RunMonitored(e Experiment) (Measurement, error) {
 // per node in node order. Collection is passive — simulated durations,
 // energies and the solution are identical to RunMonitored's.
 func RunMonitoredInstrumented(e Experiment, inst Instrumentation) (Measurement, []monitor.NodeReport, *mpi.TraceStats, error) {
-	cfg, err := e.resolveConfig(cluster.MarconiA3())
+	cfg, err := e.resolveConfig(marconiA3)
 	if err != nil {
 		return Measurement{}, nil, nil, err
 	}

@@ -92,7 +92,7 @@ func TestRequestAllocationBudget(t *testing.T) {
 		{"surrogate predict", 21, http.StatusOK, pred.surrogate, func(i int) string {
 			return fmt.Sprintf("/v1/predict?alg=IMe&n=%d&ranks=576&placement=half-load-1-socket", 17000+i)
 		}},
-		{"exact capped recommend", 25, http.StatusOK, rec.compute, func(i int) string {
+		{"exact capped recommend", 23, http.StatusOK, rec.compute, func(i int) string {
 			return fmt.Sprintf("/v1/recommend?n=%d&ranks=144&objective=max-gflops-per-watt&cap_w=%.3f", 26000+i, 120+0.5*float64(i))
 		}},
 		{"sparse", 25, http.StatusOK, rec.compute, func(i int) string {

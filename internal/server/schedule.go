@@ -42,10 +42,13 @@ func (r ScheduleRequest) cacheKey() string {
 	return b.String()
 }
 
-// scheduleWire is the JSON wire form of POST /v1/schedule.
+// scheduleWire is the JSON wire form of POST /v1/schedule. Its counts are
+// int64 on every word size, so that a count past sched.MaxNodes or
+// maxScheduleJobs gets the error that names the bound, where int is 32
+// bits too, and is converted only once it is known to fit.
 type scheduleWire struct {
 	Seed         int64           `json:"seed"`
-	Nodes        int             `json:"nodes"`
+	Nodes        int64           `json:"nodes"`
 	PowerBudgetW float64         `json:"power_budget_w"`
 	MTBFS        float64         `json:"mtbf_s"`
 	FaultSeed    int64           `json:"fault_seed"`
@@ -53,7 +56,7 @@ type scheduleWire struct {
 	Jobs         []sched.JobSpec `json:"jobs"`
 	// SyntheticJobs generates that many jobs from the seed instead of an
 	// explicit list (mutually exclusive with jobs).
-	SyntheticJobs int `json:"synthetic_jobs"`
+	SyntheticJobs int64 `json:"synthetic_jobs"`
 }
 
 // ParseScheduleRequest decodes and canonicalizes POST /v1/schedule.
@@ -73,7 +76,7 @@ func ParseScheduleRequest(r *http.Request) (ScheduleRequest, error) {
 	case len(wire.Jobs) > maxScheduleJobs:
 		return req, fmt.Errorf("jobs: %d exceeds the per-request limit %d", len(wire.Jobs), maxScheduleJobs)
 	case wire.SyntheticJobs > 0:
-		req.Workload = sched.Synthetic(wire.Seed, wire.SyntheticJobs)
+		req.Workload = sched.Synthetic(wire.Seed, int(wire.SyntheticJobs))
 	case len(wire.Jobs) == 0:
 		return req, errors.New(`request names no work: set "jobs" or "synthetic_jobs"`)
 	default:
@@ -82,7 +85,7 @@ func ParseScheduleRequest(r *http.Request) (ScheduleRequest, error) {
 	if wire.Nodes < 0 || wire.Nodes > sched.MaxNodes {
 		return req, fmt.Errorf("nodes: must be in 0..%d, got %d", sched.MaxNodes, wire.Nodes)
 	}
-	req.Nodes = wire.Nodes
+	req.Nodes = int(wire.Nodes)
 	if wire.PowerBudgetW < 0 {
 		return req, fmt.Errorf("power_budget_w: must be non-negative, got %g", wire.PowerBudgetW)
 	}

@@ -43,8 +43,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
+	"unsafe"
+
+	"repro/internal/canon"
 )
 
 // SchemaVersion is the record envelope schema; identities embed it so a
@@ -152,18 +156,31 @@ func NewRecord(kind string, identity any, result any) (Record, error) {
 // use; concurrent appends from *other processes* on the same directory
 // are also safe (O_APPEND line writes) and deduplicated first-wins at
 // the next Open.
+//
+// A record's envelope is read once, at load or append, into records;
+// its result payload stays bytes, for the caller to decode or check.
+// Every record there is keyed by the digest of its identity — load and
+// Append refuse any other — so identity bytes name a record exactly as
+// its key does, and the store indexes both. A hit (Lookup) is one probe
+// of the identity index, with no digest; only a miss digests the
+// identity, for the key the caller appends under. That is what makes a
+// warm campaign run (hundreds of lookups, zero computes) two orders of
+// magnitude faster than a cold one.
+//
+// The store owns the bytes it indexes: a loaded record's key, identity
+// and result slice one copy of its line, an appended record's identity
+// and result the line Append wrote. Nothing writes to them again, which
+// is what lets the identity index's keys alias them instead of copying.
+// Callers must treat the returned Identity/Result bytes as read-only.
 type Store struct {
 	mu  sync.Mutex
 	dir string
 	f   *os.File
-	// index maps key → record (first occurrence wins). A record's
-	// envelope is read once, at load or append, so a lookup is a map read;
-	// its result payload stays bytes, for the caller to decode or check.
-	// That is what makes a warm campaign run (hundreds of lookups, zero
-	// computes) two orders of magnitude faster than a cold one. Callers
-	// must treat the returned Identity/Result bytes as read-only.
-	index      map[string]Record
-	order      []string // keys in append order (stable Keys/provenance)
+	// records holds the first occurrence of each key, in append order
+	// (stable Keys/provenance); byKey and byIdentity index into it.
+	records    []Record
+	byKey      map[string]int32
+	byIdentity map[string]int32
 	duplicates int
 	corrupt    int
 	// digest memoizes Digest; an Append that adds a key clears it.
@@ -181,7 +198,7 @@ func Open(dir string) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: open log: %w", err)
 	}
-	s := &Store{dir: dir, f: f, index: make(map[string]Record)}
+	s := &Store{dir: dir, f: f, byKey: make(map[string]int32), byIdentity: make(map[string]int32)}
 	if err := s.load(path); err != nil {
 		f.Close()
 		return nil, err
@@ -257,13 +274,21 @@ func (s *Store) load(path string) error {
 			s.corrupt++
 			continue
 		}
-		if _, ok := s.index[rec.Key]; ok {
+		if _, ok := s.byKey[rec.Key]; ok {
 			s.duplicates++
 			continue
 		}
-		s.index[rec.Key] = rec
-		s.order = append(s.order, rec.Key)
+		s.add(rec)
 	}
+}
+
+// add indexes a record the store owns the bytes of, under its key and
+// under its identity bytes, without copying either.
+func (s *Store) add(rec Record) {
+	i := int32(len(s.records))
+	s.records = append(s.records, rec)
+	s.byKey[rec.Key] = i
+	s.byIdentity[unsafe.String(unsafe.SliceData(rec.Identity), len(rec.Identity))] = i
 }
 
 // readRecord decodes one log line: by scanRecord when the line is
@@ -278,7 +303,7 @@ func readRecord(line []byte, kinds map[string]string) (Record, bool) {
 }
 
 // The separators of a canonical record line, the one Append writes:
-// {"key":"…","kind":"…","identity":{…},"result":{…}}.
+// {"key":"…","kind":"…","identity":…,"result":…}.
 const (
 	lineKey      = `{"key":"`
 	lineKind     = `","kind":"`
@@ -288,10 +313,11 @@ const (
 
 // scanRecord reads a canonical record line — the four members in that
 // order, no whitespace, key and kind printable ASCII with nothing to
-// unescape, identity and result JSON objects — into a record that holds
-// one copy of the identity and result bytes, its kind interned in kinds.
-// ok is false for any other line: the scanner accepts only lines that
-// json.Unmarshal reads to the same record (FuzzScanRecord).
+// unescape, identity and result canonical JSON (canon.Valid) — into a
+// record whose key, identity and result slice one copy of the line, its
+// kind interned in kinds. ok is false for any other line: the scanner
+// accepts only lines that json.Unmarshal reads to the same record
+// (FuzzScanRecord).
 func scanRecord(line []byte, kinds map[string]string) (rec Record, ok bool) {
 	line = bytes.TrimSuffix(line, []byte{'\n'})
 	rest, ok := bytes.CutPrefix(line, []byte(lineKey))
@@ -306,26 +332,27 @@ func scanRecord(line []byte, kinds map[string]string) (rec Record, ok bool) {
 	if !ok {
 		return rec, false
 	}
-	// The result is what follows the last ,"result":. A result that holds
-	// that text itself leaves an invalid identity, and so the line to
-	// encoding/json.
-	body, ok = bytes.CutSuffix(body, []byte{'}'})
-	split := bytes.LastIndex(body, []byte(lineResult))
-	if !ok || split < 0 {
+	sc := canon.Scan(body)
+	identity := sc.Skip()
+	rest, ok = bytes.CutPrefix(body[len(identity):], []byte(lineResult))
+	if identity == nil || !ok {
 		return rec, false
 	}
-	identity, result := body[:split], body[split+len(lineResult):]
-	if !isObject(identity) || !isObject(result) {
+	sc = canon.Scan(rest)
+	result := sc.Skip()
+	if result == nil || string(rest[len(result):]) != "}" {
 		return rec, false
 	}
 	if rec.Kind, ok = kinds[string(kind)]; !ok {
 		rec.Kind = string(kind)
 		kinds[rec.Kind] = rec.Kind
 	}
-	owned := bytes.Clone(body)
-	rec.Key = string(key)
-	rec.Identity = owned[:split:split]
-	rec.Result = owned[split+len(lineResult):]
+	owned := bytes.Clone(line[len(lineKey):])
+	id := len(owned) - len(body)
+	res := id + len(identity) + len(lineResult)
+	rec.Key = unsafe.String(unsafe.SliceData(owned), len(key))
+	rec.Identity = owned[id : id+len(identity) : id+len(identity)]
+	rec.Result = owned[res : res+len(result) : res+len(result)]
 	return rec, true
 }
 
@@ -343,12 +370,6 @@ func cutPlain(b []byte, sep string) (plain, after []byte, ok bool) {
 		}
 	}
 	return b[:i], b[i+len(sep):], true
-}
-
-// isObject reports whether b is one JSON object with no whitespace
-// around it.
-func isObject(b []byte) bool {
-	return len(b) >= 2 && b[0] == '{' && b[len(b)-1] == '}' && json.Valid(b)
 }
 
 // readLine returns the next line of the log, newline included, valid
@@ -383,25 +404,31 @@ func readLine(br *bufio.Reader, long *[]byte) (line []byte, tooLong bool, err er
 func (s *Store) Dir() string { return s.dir }
 
 // Get returns the record for key, if present. The record's raw
-// Identity/Result bytes are shared with the index — read-only.
+// Identity/Result bytes are the store's — read-only.
 func (s *Store) Get(key string) (Record, bool, error) {
 	s.mu.Lock()
-	rec, ok := s.index[key]
-	s.mu.Unlock()
-	return rec, ok, nil
+	defer s.mu.Unlock()
+	i, ok := s.byKey[key]
+	if !ok {
+		return Record{}, false, nil
+	}
+	return s.records[i], true, nil
 }
 
-// Lookup is Get(Key(identity)) without the key string: the digest stays
-// on the stack, so a hit allocates nothing. A miss returns a record that
-// holds only its key, the one string the caller needs to append the
-// record it computes instead.
+// Lookup is Get(Key(identity)) without the digest: a hit is one probe of
+// the identity index and allocates nothing. A miss digests the identity
+// and returns a record that holds only its key, the one string the
+// caller needs to append the record it computes instead.
 func (s *Store) Lookup(identity []byte) (Record, bool) {
-	key := hexKey(identity)
 	s.mu.Lock()
-	rec, ok := s.index[string(key[:])]
+	i, ok := s.byIdentity[string(identity)]
+	var rec Record
+	if ok {
+		rec = s.records[i]
+	}
 	s.mu.Unlock()
 	if !ok {
-		return Record{Key: string(key[:])}, false
+		return Record{Key: Key(identity)}, false
 	}
 	return rec, true
 }
@@ -411,35 +438,80 @@ func (s *Store) Lookup(identity []byte) (Record, bool) {
 // deduplicates against the in-process index, and writes one line with a
 // single O_APPEND write. added is false when the key was already stored
 // — the existing record wins and the new one is discarded, which is the
-// append-only analogue of "never overwrite a prior run".
+// append-only analogue of "never overwrite a prior run". The store keeps
+// none of the caller's bytes: the record it indexes slices the line it
+// wrote, so the caller may reuse its buffers as soon as Append returns.
 func (s *Store) Append(rec Record) (added bool, err error) {
 	if !keyMatches(rec.Key, rec.Identity) {
 		return false, fmt.Errorf("store: record key %.12s… is not the digest of its identity (%.12s…)", rec.Key, Key(rec.Identity))
 	}
-	line, err := json.Marshal(rec)
+	line, owned, err := recordLine(rec)
 	if err != nil {
-		return false, fmt.Errorf("store: marshal record: %w", err)
+		return false, err
 	}
-	line = append(line, '\n')
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.index[rec.Key]; ok {
+	if _, ok := s.byKey[rec.Key]; ok {
 		return false, nil
 	}
 	if _, err := s.f.Write(line); err != nil {
 		return false, fmt.Errorf("store: append: %w", err)
 	}
-	s.index[rec.Key] = rec
-	s.order = append(s.order, rec.Key)
+	s.add(owned)
 	s.digest = ""
 	return true, nil
+}
+
+// recordLine renders rec's log line, newline included, and the record the
+// store indexes for it. When key, kind, identity and result are all
+// canonical the line is built by hand (appendLine) and the record slices
+// it: one allocation. Otherwise json.Marshal writes the line, compacting
+// and escaping what it must, and the record holds its own copy of the
+// caller's identity and result — the bytes its key was checked against.
+func recordLine(rec Record) (line []byte, owned Record, err error) {
+	owned = rec
+	n := len(rec.Identity)
+	line, ok := appendLine(make([]byte, 0, lineEnvelope+len(rec.Key)+len(rec.Kind)+n+len(rec.Result)), rec)
+	if ok {
+		end := len(line) - 1 // the closing brace
+		res := end - len(rec.Result)
+		id := res - len(lineResult) - n
+		owned.Identity, owned.Result = line[id:id+n:id+n], line[res:end:end]
+		return append(line, '\n'), owned, nil
+	}
+	if line, err = json.Marshal(rec); err != nil {
+		return nil, owned, fmt.Errorf("store: marshal record: %w", err)
+	}
+	copied := slices.Concat(rec.Identity, rec.Result)
+	owned.Identity, owned.Result = copied[:n:n], copied[n:]
+	return append(line, '\n'), owned, nil
+}
+
+// lineEnvelope is the length of a canonical line less its key, kind,
+// identity and result: the four separators, the closing brace and the
+// newline.
+const lineEnvelope = len(lineKey) + len(lineKind) + len(lineIdentity) + len(lineResult) + len("}\n")
+
+// appendLine appends rec's log line, less its newline, to dst when every
+// member of it is canonical: then the bytes are exactly json.Marshal's
+// (FuzzAppendLine). ok is false otherwise, and dst holds a part line.
+func appendLine(dst []byte, rec Record) (_ []byte, ok bool) {
+	if !canon.Valid(rec.Identity) || !canon.Valid(rec.Result) {
+		return dst, false
+	}
+	o := canon.Begin(dst)
+	o.String("key", rec.Key)
+	o.String("kind", rec.Kind)
+	o.Raw("identity", rec.Identity)
+	o.Raw("result", rec.Result)
+	return o.End()
 }
 
 // Len returns the number of distinct keys stored.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.index)
+	return len(s.records)
 }
 
 // Duplicates returns how many on-disk lines repeated an already-indexed
@@ -461,18 +533,22 @@ func (s *Store) Corrupt() int {
 // Keys returns every stored key in sorted order.
 func (s *Store) Keys() []string {
 	s.mu.Lock()
-	keys := make([]string, len(s.order))
-	copy(keys, s.order)
+	keys := make([]string, len(s.records))
+	for i, rec := range s.records {
+		keys[i] = rec.Key
+	}
 	s.mu.Unlock()
 	sort.Strings(keys)
 	return keys
 }
 
-// Digest returns the content digest of the whole store: the SHA-256 of
-// the sorted key list, one key per line. Two stores holding the same
-// cells — regardless of append order, duplicates or torn tails — share a
-// digest, which is what provenance headers pin artifacts to. It is
-// computed once per set of keys: any Append that adds one invalidates it.
+// Digest returns the digest of the store's key set: the SHA-256 of the
+// sorted key list, one key per line. Two stores holding the same cells —
+// regardless of append order, duplicates or torn tails — share a digest,
+// which is what provenance headers pin artifacts to. It covers keys only,
+// that is identities: two stores whose results for the same identities
+// differ in any byte share it too. It is computed once per set of keys:
+// any Append that adds one invalidates it.
 func (s *Store) Digest() string {
 	s.mu.Lock()
 	digest := s.digest
@@ -488,7 +564,7 @@ func (s *Store) Digest() string {
 	sum := sha256.Sum256(list)
 	digest = hex.EncodeToString(sum[:])
 	s.mu.Lock()
-	if len(s.order) == len(keys) { // no key added since the snapshot
+	if len(s.records) == len(keys) { // no key added since the snapshot
 		s.digest = digest
 	}
 	s.mu.Unlock()
