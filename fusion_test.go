@@ -15,7 +15,10 @@ import (
 // on the architecture: every product that feeds a sum is rounded on its
 // own (an explicit float64(…) conversion, which the Go spec says forbids
 // fusion), so arm64 computes the bits amd64 does.
-var noFusePackages = []string{"internal/power", "internal/rapl", "internal/sparse"}
+var noFusePackages = []string{
+	"internal/power", "internal/rapl", "internal/sparse",
+	"internal/mat", "internal/fault", "internal/papi", "internal/mpi",
+}
 
 // fusedOp matches arm64's fused multiply-add instructions in the
 // compiler's assembly listing.

@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/ime"
-	"repro/internal/kernel"
 	"repro/internal/mat"
 	"repro/internal/monitor"
 	"repro/internal/mpi"
@@ -193,10 +192,7 @@ func RunMonitoredInstrumented(e Experiment, inst Instrumentation) (Measurement, 
 		w.EnableTracing()
 	}
 	if inst.MetricsW != nil {
-		kernel.EnableMetrics(w.EnableMetrics())
-		// The pool instruments are process-global; detach them so later
-		// runs don't keep feeding this run's registry.
-		defer kernel.EnableMetrics(nil)
+		w.EnableMetrics()
 	}
 
 	var mu sync.Mutex

@@ -69,8 +69,8 @@ func SweepCells(keys []SweepKey, prm perfmodel.Params) CellSet[*Sweep] {
 // observability reference cell under both monitored phases, and one
 // full-load node per solver at the largest order the monitored engine
 // covers in reasonable time. Its cells run one at a time: each spins up a
-// full simulated world, and the process-global kernel pool is not meant
-// to be shared by concurrent worlds. Collect renders them as a table.
+// full simulated world whose ranks already keep the host's cores busy.
+// Collect renders them as a table.
 func MonitoredReferences() CellSet[*report.Table] {
 	refs := []Experiment{
 		{Algorithm: perfmodel.IMe, N: 96, Ranks: 24, Placement: cluster.HalfLoadTwoSockets, Seed: 1, Phase: PhaseGeneral},

@@ -92,7 +92,7 @@ func MTBFSchedule(seed int64, mtbf, horizon float64, size, maxCrashes int, prote
 		if u <= 0 {
 			u = math.SmallestNonzeroFloat64
 		}
-		t += -mtbf * math.Log(u)
+		t += float64(-mtbf * math.Log(u))
 		if t > horizon {
 			break
 		}

@@ -109,3 +109,27 @@ func TestColdWorldAllocationBudget(t *testing.T) {
 		t.Errorf("n=%d on %d ranks, cold world: %d allocations, budget %d", n, ranks, a, budget)
 	}
 }
+
+// TestDenseShapeAllocationBudget bounds a whole charged IMe solve at the
+// kernel-dense shape (n = 640 over 4 ranks, 160 rows each), where each
+// level's row sweep is long. Every sweep runs on its rank's goroutine, so
+// the count is the same at any core count; a sweep split across cores
+// would add thousands. It measured 1 346; the budget leaves 10 % over
+// that.
+func TestDenseShapeAllocationBudget(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("sync.Pool drops entries under -race: allocation budgets do not apply")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const n, ranks, budget = 640, 4, 1480
+	solveAllocs(t, n, ranks) // warm the pools
+	a, _ := solveAllocs(t, n, ranks)
+	for range 2 {
+		b, _ := solveAllocs(t, n, ranks)
+		a = min(a, b)
+	}
+	t.Logf("n=%d on %d ranks: %d allocations", n, ranks, a)
+	if a > budget {
+		t.Errorf("n=%d on %d ranks: %d allocations, budget %d", n, ranks, a, budget)
+	}
+}

@@ -243,24 +243,10 @@ func (st *parallelState) owns(i int) bool { return i >= st.lo && i < st.hi }
 func (st *parallelState) row(i int) []float64 { return st.rows[i-st.lo] }
 
 // eliminateRows applies level l's fundamental formula with pivot row pr to
-// the owned block and leaves the multipliers in st.ms (0 for the pivot row
-// itself). done is a global row the caller has already updated this level
-// (the overlapped variant's lookahead), or -1. Rows update independently,
-// so large blocks fan out across the worker pool; the closure that costs
-// is built only on that branch — at the paper's one or two rows per rank
-// the sweep never leaves the calling goroutine.
-func (st *parallelState) eliminateRows(l, done int, pr []float64) {
-	rows := st.hi - st.lo
-	grain := 1 + (1<<15)/(2*l+1)
-	if kernel.RunsInline(rows, grain) {
-		st.eliminateSpan(0, rows, l, done, pr)
-		return
-	}
-	kernel.ParallelFor(rows, grain, func(rlo, rhi int) { st.eliminateSpan(rlo, rhi, l, done, pr) })
-}
-
-// eliminateSpan is eliminateRows over the block-local rows [rlo,rhi).
-func (st *parallelState) eliminateSpan(rlo, rhi, l, done int, pr []float64) {
+// the block-local rows [rlo,rhi) and leaves their multipliers in st.ms (0
+// for the pivot row itself). done is a global row the caller has already
+// updated this level (the overlapped variant's lookahead), or -1.
+func (st *parallelState) eliminateRows(rlo, rhi, l, done int, pr []float64) {
 	ms := st.ms
 	for ii := rlo; ii < rhi; ii++ {
 		switch st.lo + ii {
@@ -344,22 +330,21 @@ func solveLevel(p *mpi.Proc, c *mpi.Comm, st *parallelState, l int, opts Paralle
 	pr, piv := payload[:l], payload[l]
 
 	// (3) fundamental formula on the owned block; collect the modified
-	// last-row (multiplier) entries. Rows update independently, so they
-	// fan out across the worker pool with per-row arithmetic — and thus
-	// results — bit-identical to the sequential sweep, and the overlapped
-	// lookahead may update the next pivot row first. Only real wall-clock
-	// changes; the virtual-time charge below stays the published
+	// last-row (multiplier) entries. Rows update independently, with
+	// per-row arithmetic — and thus results — bit-identical to the
+	// sequential sweep, so the overlapped lookahead may update the next
+	// pivot row first. The virtual-time charge below stays the published
 	// LevelFlops closed form.
 	done := -1
 	if nextPivot := l - 2; opts.Overlap && l > 1 && st.owns(nextPivot) { // 0-based row of level l−1
 		ii := nextPivot - st.lo
-		st.eliminateSpan(ii, ii+1, l, -1, pr)
+		st.eliminateRows(ii, ii+1, l, -1, pr)
 		if err := shipPivot(p, c, st, l-1); err != nil {
 			return err
 		}
 		done = nextPivot
 	}
-	st.eliminateRows(l, done, pr)
+	st.eliminateRows(0, st.hi-st.lo, l, done, pr)
 	if st.cs != nil {
 		st.cs.step(l, pr, piv)
 	}

@@ -9,9 +9,9 @@ import (
 )
 
 // TestConcurrentWorldsSolveParallel runs several simulated worlds at once:
-// their ranks all share the process-wide kernel worker pool and the mpi
-// payload buffer pool, so under -race this pins the cross-world safety of
-// both (and that recycled buffers never leak between concurrent solves).
+// their ranks all share the mpi payload buffer pool, so under -race this
+// pins its cross-world safety (and that recycled buffers never leak
+// between concurrent solves).
 func TestConcurrentWorldsSolveParallel(t *testing.T) {
 	const worlds = 4
 	var wg sync.WaitGroup

@@ -1,3 +1,29 @@
+// Package kernel provides the cache-blocked float64 compute kernels the
+// solvers' hot loops run on: a tiled rank-k update / GEMM, fused row-AXPY,
+// the elementwise multiply-add of the sparse solver's banded SpMV, scaled
+// copy, dot products and a matrix-vector product. Every kernel runs on
+// the goroutine that calls it. The simulated MPI ranks are the
+// parallelism: each rank is a goroutine, so ranks that run kernels at the
+// same moment share the host's cores as co-scheduled processes on a node
+// would, and the package keeps no state of its own.
+//
+// The kernels change *wall-clock* time only. Simulated virtual time and
+// energy are charged analytically (ime.LevelFlops, scalapack flop counts)
+// by the callers, so every figure and duration the reproduction reports is
+// unaffected by how fast the real hardware executes the arithmetic — see
+// DESIGN.md, "Real parallelism vs. virtual time".
+//
+// On amd64, Axpy, MulAdd and GEMM's 4×4 micro-kernel are SSE2 assembly
+// (kernel_amd64.s); every other GOARCH runs the Go loops in
+// kernel_generic.go. SSE2 rather than AVX2 because every amd64 CPU has
+// it: one amd64 path, no CPU dispatch. Never an FMA: each lane does one
+// multiply and then one add, the scalar loop's two roundings, so the
+// assembly computes the Go loops' bits on every amd64 CPU (ROADMAP item
+// 1). The same bit-identity tests hold both; the portable loops meet them
+// wherever the compiler does not fuse a multiply-add on its own (386
+// does not; arm64 does, ROADMAP item 1(b)). MulAdd's portable loop rounds
+// each product explicitly, float64(a·b), which the Go spec says forbids
+// fusion, so it meets them on arm64 too.
 package kernel
 
 // Blocking parameters. The micro-kernel computes a 4×4 register tile; the
@@ -11,43 +37,22 @@ const (
 	mc = 128 // row block height kept hot per k panel
 )
 
-// gemmGrain is the minimum number of C rows per worker span; below it the
-// fan-out overhead outweighs the arithmetic.
-const gemmGrain = 16
-
 // Gemm computes C += alpha·A·B with row-major strided operands: A is m×k
-// with leading dimension lda, B is k×n with ldb, C is m×n with ldc. Rows
-// fan out across the process-wide worker pool; each C element is written
-// by exactly one worker, so the call is race-free. Within one k panel the
-// products are accumulated in ascending k order.
+// with leading dimension lda, B is k×n with ldb, C is m×n with ldc. Within
+// one k panel the products are accumulated in ascending k order.
 func Gemm(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	if m <= 0 || n <= 0 || k <= 0 || alpha == 0 {
 		return
 	}
-	grain := gemmGrain
-	if n < nr { // narrow updates parallelise poorly
-		grain = 4 * gemmGrain
-	}
-	if RunsInline(m, grain) {
-		gemmSpan(0, m, n, k, alpha, a, lda, b, ldb, c, ldc)
-		return
-	}
-	ParallelFor(m, grain, func(lo, hi int) {
-		gemmSpan(lo, hi, n, k, alpha, a, lda, b, ldb, c, ldc)
-	})
-}
-
-// gemmSpan runs the blocked update for C rows [rlo,rhi).
-func gemmSpan(rlo, rhi, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	for k0 := 0; k0 < k; k0 += kc {
 		k1 := k0 + kc
 		if k1 > k {
 			k1 = k
 		}
-		for i0 := rlo; i0 < rhi; i0 += mc {
+		for i0 := 0; i0 < m; i0 += mc {
 			i1 := i0 + mc
-			if i1 > rhi {
-				i1 = rhi
+			if i1 > m {
+				i1 = m
 			}
 			for j0 := 0; j0 < n; j0 += nr {
 				if j0+nr <= n {
@@ -118,16 +123,14 @@ func GemmScalar(m, n, k int, alpha float64, a []float64, lda int, b []float64, l
 	}
 }
 
-// MatVec computes y = A·x for row-major A (m×n, leading dimension lda),
-// fanning rows across the pool. Each row's dot is accumulated in strictly
-// ascending order, so every y[i] is bit-identical to the scalar loop —
-// callers rely on that reproducibility.
+// MatVec computes y = A·x for row-major A (m×n, leading dimension lda).
+// Each row's dot is accumulated in strictly ascending order, so every y[i]
+// is bit-identical to the scalar loop — callers rely on that
+// reproducibility.
 func MatVec(m, n int, a []float64, lda int, x, y []float64) {
-	ParallelFor(m, 64, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			y[i] = DotSerial(a[i*lda:i*lda+n], x)
-		}
-	})
+	for i := 0; i < m; i++ {
+		y[i] = DotSerial(a[i*lda:i*lda+n], x)
+	}
 }
 
 // Dot returns Σ x[i]·y[i] with four partial accumulators (unrolled; the
@@ -158,7 +161,7 @@ func Dot(x, y []float64) float64 {
 func DotSerial(x, y []float64) float64 {
 	var s float64
 	for i := range x {
-		s += x[i] * y[i]
+		s += float64(x[i] * y[i])
 	}
 	return s
 }

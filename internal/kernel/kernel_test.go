@@ -3,10 +3,7 @@ package kernel
 import (
 	"math"
 	"math/rand"
-	"sync/atomic"
 	"testing"
-
-	"repro/internal/telemetry"
 )
 
 func randSlice(rng *rand.Rand, n int) []float64 {
@@ -17,7 +14,7 @@ func randSlice(rng *rand.Rand, n int) []float64 {
 	return s
 }
 
-// TestGemmMatchesScalar checks the blocked multicore GEMM against the
+// TestGemmMatchesScalar checks the blocked GEMM against the
 // naive triple-loop reference within 1e-12 relative error, across shapes
 // that exercise every tail path (odd m, odd n, k crossing the kc panel
 // boundary, strided C).
@@ -230,9 +227,10 @@ func TestMulAddBitIdentical(t *testing.T) {
 	}
 }
 
-// TestKernelsAllocateNothing: Axpy, MulAdd and a Gemm small enough to run
-// inline touch only their operands. The engine's allocation budgets ride
-// on the solvers' hot loops allocating nothing per call.
+// TestKernelsAllocateNothing: Axpy, MulAdd and Gemm touch only their
+// operands, from a small Gemm up to one the size of a kernel-dense
+// trailing update. The engine's allocation budgets ride on the solvers'
+// hot loops allocating nothing per call.
 func TestKernelsAllocateNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	x, y := randSlice(rng, 100), randSlice(rng, 100)
@@ -243,13 +241,15 @@ func TestKernelsAllocateNothing(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() { MulAdd(z, x, y) }); got != 0 {
 		t.Errorf("MulAdd: %v allocations per call, want 0", got)
 	}
-	const m, n, k = 12, 10, 7
-	if !RunsInline(m, gemmGrain) {
-		t.Fatalf("a %d-row Gemm fans out; pick a smaller one", m)
-	}
-	a, b, c := randSlice(rng, m*k), randSlice(rng, k*n), randSlice(rng, m*n)
-	if got := testing.AllocsPerRun(100, func() { Gemm(m, n, k, -1, a, k, b, n, c, n) }); got != 0 {
-		t.Errorf("inline Gemm: %v allocations per call, want 0", got)
+	for _, sh := range []struct{ m, n, k int }{{12, 10, 7}, {256, 256, 64}} {
+		m, n, k := sh.m, sh.n, sh.k
+		a, b, c := randSlice(rng, m*k), randSlice(rng, k*n), randSlice(rng, m*n)
+		// One call at the test's GOMAXPROCS first: AllocsPerRun runs at
+		// GOMAXPROCS 1, where work split across cores would not show.
+		Gemm(m, n, k, -1, a, k, b, n, c, n)
+		if got := testing.AllocsPerRun(20, func() { Gemm(m, n, k, -1, a, k, b, n, c, n) }); got != 0 {
+			t.Errorf("%d×%d×%d Gemm: %v allocations per call, want 0", m, n, k, got)
+		}
 	}
 }
 
@@ -294,29 +294,8 @@ func TestMatVecMatchesReference(t *testing.T) {
 	}
 }
 
-// TestParallelForCoversRangeExactlyOnce drives the pool from several
-// goroutines at once; every index must be visited exactly once per call.
-func TestParallelForCoversRangeExactlyOnce(t *testing.T) {
-	for _, n := range []int{0, 1, 5, 64, 1000, 4097} {
-		counts := make([]int32, n)
-		ParallelFor(n, 3, func(lo, hi int) {
-			if lo < 0 || hi > n || lo > hi {
-				t.Errorf("bad span [%d,%d) for n=%d", lo, hi, n)
-			}
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&counts[i], 1)
-			}
-		})
-		for i, c := range counts {
-			if c != 1 {
-				t.Fatalf("n=%d: index %d visited %d times", n, i, c)
-			}
-		}
-	}
-}
-
-// TestGemmConcurrentCallers runs many GEMMs through the shared pool
-// concurrently (as simulated MPI ranks do) and checks each result — this
+// TestGemmConcurrentCallers runs many GEMMs on shared read-only operands
+// concurrently, as simulated MPI ranks do, and checks each result — this
 // is the kernel-level race test backing the -race CI job.
 func TestGemmConcurrentCallers(t *testing.T) {
 	const callers = 8
@@ -350,48 +329,3 @@ func TestGemmConcurrentCallers(t *testing.T) {
 type errIndex int
 
 func (e errIndex) Error() string { return "concurrent GEMM diverged" }
-
-// TestRunsInlineAgreesWithParallelFor pins the predicate hot call sites
-// use to skip building a closure: it must answer exactly what ParallelFor
-// would do, and a call site that takes the inline branch on its word must
-// leave the same trace in the pool's telemetry as ParallelFor itself.
-func TestRunsInlineAgreesWithParallelFor(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	EnableMetrics(reg)
-	defer EnableMetrics(nil)
-	calls := reg.Counter("kernel_parallel_for_total", "")
-	inline := reg.Counter("kernel_parallel_for_inline_total", "")
-
-	for _, tc := range []struct{ n, grain int }{
-		{0, 4}, {1, 1}, {2, 1}, {7, 4}, {8, 4}, {100, 16}, {100, 0}, {31, 16}, {32, 16},
-	} {
-		c0, i0 := calls.Value(), inline.Value()
-		predicted := RunsInline(tc.n, tc.grain)
-		counted := 0.0
-		if predicted && tc.n > 0 {
-			counted = 1
-		}
-		if calls.Value()-c0 != counted || inline.Value()-i0 != counted {
-			t.Errorf("RunsInline(%d,%d)=%v counted %v calls / %v inline, want %v of each",
-				tc.n, tc.grain, predicted, calls.Value()-c0, inline.Value()-i0, counted)
-		}
-		var spans int32
-		c0, i0 = calls.Value(), inline.Value()
-		ParallelFor(tc.n, tc.grain, func(lo, hi int) { atomic.AddInt32(&spans, 1) })
-		if tc.n > 0 && predicted != (spans == 1) {
-			t.Errorf("RunsInline(%d,%d)=%v but ParallelFor ran %d spans", tc.n, tc.grain, predicted, spans)
-		}
-		if tc.n > 0 && (calls.Value()-c0 != 1 || inline.Value()-i0 != counted) {
-			t.Errorf("ParallelFor(%d,%d) counted %v calls / %v inline, want 1 / %v",
-				tc.n, tc.grain, calls.Value()-c0, inline.Value()-i0, counted)
-		}
-	}
-
-	// Gemm's small-range shortcut is still a counted ParallelFor call.
-	c0, i0 := calls.Value(), inline.Value()
-	a, b, c := make([]float64, 4), make([]float64, 4), make([]float64, 4)
-	Gemm(2, 2, 2, 1, a, 2, b, 2, c, 2)
-	if calls.Value()-c0 != 1 || inline.Value()-i0 != 1 {
-		t.Errorf("2×2 Gemm counted %v calls / %v inline, want 1 / 1", calls.Value()-c0, inline.Value()-i0)
-	}
-}

@@ -147,8 +147,8 @@ func (m *Dense) SwapRows(i, k int) {
 	}
 }
 
-// MulVec returns A·x for x of length Cols. Rows fan out across the
-// process-wide kernel pool with an unrolled dot product.
+// MulVec returns A·x for x of length Cols, each row's dot accumulated in
+// ascending order (kernel.MatVec).
 func (m *Dense) MulVec(x []float64) []float64 {
 	if len(x) != m.cols {
 		panic(fmt.Sprintf("mat: MulVec length %d != cols %d", len(x), m.cols))

@@ -42,6 +42,8 @@ func (s *System) Validate() error {
 func NewDiagonallyDominant(n int, seed int64) *Dense {
 	rng := rand.New(rand.NewSource(seed))
 	m := New(n, n)
+	// rng.Float64 ends in a product; float64(…) keeps arm64 from fusing it
+	// into the sums below (fusion_test.go).
 	for i := 0; i < n; i++ {
 		row := m.Row(i)
 		var off float64
@@ -49,7 +51,7 @@ func NewDiagonallyDominant(n int, seed int64) *Dense {
 			if j == i {
 				continue
 			}
-			v := rng.Float64()*2 - 1 // in (-1, 1)
+			v := float64(float64(rng.Float64())*2) - 1 // in (-1, 1)
 			row[j] = v
 			if v < 0 {
 				off -= v
@@ -58,7 +60,7 @@ func NewDiagonallyDominant(n int, seed int64) *Dense {
 			}
 		}
 		// Strictly dominant: |a_ii| > Σ|a_ij| with margin.
-		row[i] = off + 1 + rng.Float64()
+		row[i] = off + 1 + float64(rng.Float64())
 	}
 	return m
 }
@@ -70,7 +72,7 @@ func NewRandomSystem(n int, seed int64) *System {
 	rng := rand.New(rand.NewSource(seed ^ 0x5deece66d))
 	x := make([]float64, n)
 	for i := range x {
-		x[i] = rng.Float64()*10 - 5
+		x[i] = float64(rng.Float64()*10) - 5
 	}
 	return &System{A: a, B: a.MulVec(x), X: x}
 }

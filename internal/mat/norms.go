@@ -33,7 +33,7 @@ func Residual(a *Dense, x, b []float64) float64 {
 // the standard backward-error-style check for a computed solution. It
 // returns 0 for an empty system.
 func RelativeResidual(a *Dense, x, b []float64) float64 {
-	den := InfOpNorm(a)*InfNorm(x) + InfNorm(b)
+	den := float64(InfOpNorm(a)*InfNorm(x)) + InfNorm(b)
 	if den == 0 {
 		return 0
 	}

@@ -12,7 +12,7 @@ func Dot(x, y []float64) float64 {
 	}
 	var s float64
 	for i, v := range x {
-		s += v * y[i]
+		s += float64(v * y[i])
 	}
 	return s
 }
@@ -23,7 +23,7 @@ func Axpy(a float64, x, y []float64) {
 		panic(fmt.Sprintf("mat: Axpy length mismatch %d != %d", len(x), len(y)))
 	}
 	for i, v := range x {
-		y[i] += a * v
+		y[i] += float64(a * v)
 	}
 }
 

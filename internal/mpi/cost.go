@@ -98,9 +98,10 @@ func (c CostModel) AllreduceTime(p int, bytes float64) float64 {
 // BarrierTime estimates an MPI barrier over p ranks: ⌈log₂ p⌉ stages of
 // one small message each, as in the dissemination barrier MPI libraries
 // run. It is the virtual cost of the modelled barrier and does not depend
-// on how the host rendezvous behind Barrier is built (comm.go).
+// on how the host rendezvous behind Barrier is built (comm.go). The
+// product is rounded on its own, so a caller's sum cannot fuse with it.
 func (c CostModel) BarrierTime(p int) float64 {
-	return float64(TreeDepth(p)) * (c.SendOverhead + c.Wire(false, 0) + c.RecvOverhead)
+	return float64(float64(TreeDepth(p)) * (c.SendOverhead + c.Wire(false, 0) + c.RecvOverhead))
 }
 
 // Float64Bytes is the wire size of one float64 element.

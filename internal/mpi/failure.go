@@ -183,7 +183,7 @@ func (p *Proc) advanceToCrash(dt, bytes float64) {
 			frac = dtc / dt
 		}
 		p.clock = p.crashAt
-		p.charge(dtc, bytes*frac)
+		p.charge(dtc, float64(bytes*frac))
 	}
 	p.die()
 }

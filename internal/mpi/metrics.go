@@ -54,8 +54,8 @@ func collectiveName(op int) string {
 }
 
 // EnableMetrics switches on metrics collection for the world and returns
-// the registry the instrumentation feeds (solvers and the kernel pool can
-// register their own series on it). Call before Run; idempotent.
+// the registry the instrumentation feeds (solvers can register their own
+// series on it). Call before Run; idempotent.
 // Collection is passive — virtual time, energy and numerics are unchanged.
 func (w *World) EnableMetrics() *telemetry.Registry {
 	if w.metrics != nil {

@@ -46,7 +46,7 @@ func (p *Proc) sendOwned(c *Comm, dst, tag int, data []float64) error {
 	sendStart := p.clock
 	p.advanceBusy(p.w.cost.SendOverhead, 0)
 	p.recordMsg("send", sendStart, p.clock, wdst, tag, len(data))
-	bytes := float64(len(data)) * Float64Bytes
+	bytes := float64(len(data) * Float64Bytes)
 	arrive := p.clock + p.w.cost.Wire(p.w.sameNode(p.rank, wdst), bytes)
 	p.w.countTraffic(p.rank, len(data))
 	if m := p.w.metrics; m != nil {

@@ -144,7 +144,7 @@ func (p *Proc) Compute(seconds, bytes float64) {
 	}
 	start := p.clock
 	p.clock += seconds
-	p.charge(seconds*act, bytes)
+	p.charge(float64(seconds*act), bytes)
 	p.record("compute", start, p.clock)
 	if m := p.w.metrics; m != nil {
 		m.computeS[p.rank].Add(seconds)

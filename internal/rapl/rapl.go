@@ -274,7 +274,8 @@ func (n *Node) ReadMSR(socket int, addr uint32) (uint64, error) {
 
 // CounterDelta computes the energy in joules between two raw 32-bit
 // counter readings, handling wrap-around exactly once (the monitoring
-// layer reads far more often than the ~100 s wrap horizon at TDP).
+// layer reads far more often than the ~100 s wrap horizon at TDP). The
+// product is rounded on its own, so a caller's sum cannot fuse with it.
 func CounterDelta(before, after uint32) float64 {
-	return float64(after-before) * EnergyUnit // uint32 arithmetic wraps naturally
+	return float64(float64(after-before) * EnergyUnit) // uint32 arithmetic wraps naturally
 }

@@ -393,16 +393,11 @@ func (st *pdState) factorColumn(j, k0, k1 int) (int, error) {
 	// gi > j form a suffix of the ascending myRows, and the panel columns
 	// j+1..k1 are consecutive local columns (one block-cyclic block), so
 	// each row's update is a single fused AXPY — bit-identical to the
-	// scalar loop — fanned across the worker pool. The flop charge is the
-	// per-row constant times the row count, exactly what the scalar loop
-	// summed.
+	// scalar loop. The flop charge is the per-row constant times the row
+	// count, exactly what the scalar loop summed.
 	s := suffixFrom(st.myRows, j+1)
 	nrows := len(st.myRows) - s
-	if grain := 1 + (1<<14)/(2*(k1-j)); kernel.RunsInline(nrows, grain) {
-		st.eliminateBelow(s, s+nrows, lj, pivRow)
-	} else {
-		kernel.ParallelFor(nrows, grain, func(lo, hi int) { st.eliminateBelow(s+lo, s+hi, lj, pivRow) })
-	}
+	st.eliminateBelow(s, s+nrows, lj, pivRow)
 	st.chargeFlops(float64(nrows) * float64(2*(k1-j-1)+1))
 	st.p.Recycle(pivRow)
 	return piv, nil

@@ -10,9 +10,8 @@ import (
 )
 
 // TestConcurrentWorldsPdgesv solves in several worlds at once. The
-// blocked trailing-update GEMM fans out on the process-wide worker pool
-// and the transport buffers cycle through the shared mpi pool, so under
-// -race this pins both against cross-world interference.
+// transport buffers cycle through the shared mpi pool, so under -race
+// this pins it against cross-world interference.
 func TestConcurrentWorldsPdgesv(t *testing.T) {
 	const worlds = 4
 	var wg sync.WaitGroup

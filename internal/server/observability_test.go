@@ -310,7 +310,7 @@ func TestSLOCountsReadFromInstruments(t *testing.T) {
 	s := New(Config{})
 	em := s.m.endpoint("predict")
 	for _, lat := range []float64{0.001, 0.005, 0.0051, 2} {
-		em.latency.Observe(lat)
+		em.latency.ObserveWithExemplar(lat, "")
 	}
 	s.m.requests("predict", 200).Add(3)
 	s.m.requests("predict", 503).Inc()

@@ -441,6 +441,9 @@ func (s *Store) Lookup(identity []byte) (Record, bool) {
 // append-only analogue of "never overwrite a prior run". The store keeps
 // none of the caller's bytes: the record it indexes slices the line it
 // wrote, so the caller may reuse its buffers as soon as Append returns.
+// An identity json.Marshal would rewrite (whitespace, a raw <, > or &) is
+// refused with nothing written: its line would hold other bytes than the
+// ones its key digests, and a reopened store could never serve it.
 func (s *Store) Append(rec Record) (added bool, err error) {
 	if !keyMatches(rec.Key, rec.Identity) {
 		return false, fmt.Errorf("store: record key %.12s… is not the digest of its identity (%.12s…)", rec.Key, Key(rec.Identity))
@@ -467,7 +470,8 @@ func (s *Store) Append(rec Record) (added bool, err error) {
 // canonical the line is built by hand (appendLine) and the record slices
 // it: one allocation. Otherwise json.Marshal writes the line, compacting
 // and escaping what it must, and the record holds its own copy of the
-// caller's identity and result — the bytes its key was checked against.
+// caller's identity and result — the bytes its key was checked against,
+// which must be the identity bytes the line holds.
 func recordLine(rec Record) (line []byte, owned Record, err error) {
 	owned = rec
 	n := len(rec.Identity)
@@ -481,6 +485,9 @@ func recordLine(rec Record) (line []byte, owned Record, err error) {
 	}
 	if line, err = json.Marshal(rec); err != nil {
 		return nil, owned, fmt.Errorf("store: marshal record: %w", err)
+	}
+	if id, _ := json.Marshal(rec.Identity); !bytes.Equal(id, rec.Identity) {
+		return nil, owned, fmt.Errorf("store: identity %.40q is not canonical JSON (json.Marshal writes %.40q)", rec.Identity, id)
 	}
 	copied := slices.Concat(rec.Identity, rec.Result)
 	owned.Identity, owned.Result = copied[:n:n], copied[n:]

@@ -136,6 +136,38 @@ func TestAppendRejectsMismatchedKey(t *testing.T) {
 	}
 }
 
+// TestAppendRejectsNonCanonicalIdentity: an identity json.Marshal would
+// rewrite is refused, since the line written would hold other bytes than
+// the ones its key digests and a reopen would count it corrupt. Nothing
+// is written and nothing indexed.
+func TestAppendRejectsNonCanonicalIdentity(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, identity := range []string{`{"a": 1}`, `{"a":"<"}`} {
+		rec := Record{Key: Key([]byte(identity)), Kind: "test", Identity: []byte(identity), Result: []byte(`{}`)}
+		if added, err := s.Append(rec); added || err == nil {
+			t.Errorf("Append(identity %s): added=%v err=%v, want an error", identity, added, err)
+		}
+		if _, ok := s.Lookup([]byte(identity)); ok || s.Len() != 0 {
+			t.Errorf("identity %s indexed after a refused Append (Len %d)", identity, s.Len())
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if reopened.Len() != 0 || reopened.Corrupt() != 0 {
+		t.Fatalf("reopen: %d records, %d corrupt, want 0 and 0", reopened.Len(), reopened.Corrupt())
+	}
+}
+
 // TestRacingWritersAppendOnce is the satellite concurrency contract: many
 // goroutines racing to append the same key leave exactly one record, with
 // no data race (run under -race in CI).

@@ -12,7 +12,7 @@ func TestHistogramExemplars(t *testing.T) {
 	h := r.Histogram("req_s", "request latency", []float64{0.01, 0.1})
 	h.ObserveWithExemplar(0.005, "aaaa")
 	h.ObserveWithExemplar(0.05, "bbbb")
-	h.Observe(0.05) // untagged: must not displace the exemplar
+	h.ObserveWithExemplar(0.05, "") // untagged: must not displace the exemplar
 	h.ObserveWithExemplar(5, "cccc")
 	ex := h.Exemplars()
 	if len(ex) != 3 {

@@ -2,11 +2,11 @@
 // lock-cheap registry of counters, gauges and fixed-bucket histograms with
 // Prometheus-text and JSON exposition.
 //
-// The simulated MPI runtime, the compute-kernel pool, both solvers and the
-// RAPL accounting all feed instruments from this package, which is what
-// turns the aggregate energy figures of the paper's framework into
-// attributable ones ("which loop, which message, which socket" — the
-// phase-level attribution Simsek et al. and EfiMon argue for).
+// The simulated MPI runtime, both solvers and the RAPL accounting all
+// feed instruments from this package, which is what turns the aggregate
+// energy figures of the paper's framework into attributable ones ("which
+// loop, which message, which socket" — the phase-level attribution Simsek
+// et al. and EfiMon argue for).
 //
 // Design constraints, in order:
 //
@@ -103,18 +103,6 @@ type Exemplar struct {
 	TraceID string
 }
 
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	if h == nil || math.IsNaN(v) {
-		return
-	}
-	// First bound ≥ v is the owning bucket; beyond all bounds → +Inf.
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	addFloat(&h.sumBits, v)
-}
-
 // ObserveWithExemplar records one sample and, when traceID is non-empty,
 // stores it as the owning bucket's exemplar (lock-free pointer swap; the
 // newest observation per bucket is kept).
@@ -122,6 +110,7 @@ func (h *Histogram) ObserveWithExemplar(v float64, traceID string) {
 	if h == nil || math.IsNaN(v) {
 		return
 	}
+	// First bound ≥ v is the owning bucket; beyond all bounds → +Inf.
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.buckets[i].Add(1)
 	h.count.Add(1)

@@ -30,7 +30,7 @@ func TestConcurrentIncrements(t *testing.T) {
 				c.Inc()
 				g.Add(1)
 				g.Add(-1)
-				h.Observe(0.005)
+				h.ObserveWithExemplar(0.005, "")
 			}
 		}()
 	}
@@ -55,7 +55,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("t_sizes", "sizes", []float64{1, 2})
 	for _, v := range []float64{0.5, 1, 1.5, 2, 3} {
-		h.Observe(v)
+		h.ObserveWithExemplar(v, "")
 	}
 	want := []uint64{2, 2, 1} // ≤1: {0.5, 1}; ≤2: {1.5, 2}; +Inf: {3}
 	got := h.BucketCounts()
@@ -98,7 +98,7 @@ func TestNilSafety(t *testing.T) {
 	h := r.Histogram("x_h", "", []float64{1})
 	c.Inc()
 	g.Set(3)
-	h.Observe(1)
+	h.ObserveWithExemplar(1, "")
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
 		t.Fatal("nil instruments must be inert")
 	}
@@ -130,9 +130,9 @@ func goldenRegistry() *Registry {
 	r.Counter("mpi_wait_seconds_total", "busy-wait seconds", "rank", "1").Add(1.5)
 	r.Gauge("kernel_pool_workers", "worker pool size").Set(8)
 	h := r.Histogram("ime_level_seconds", "per-level duration", []float64{0.0001, 0.001, 0.01})
-	h.Observe(0.00005)
-	h.Observe(0.0005)
-	h.Observe(0.5)
+	h.ObserveWithExemplar(0.00005, "")
+	h.ObserveWithExemplar(0.0005, "")
+	h.ObserveWithExemplar(0.5, "")
 	r.Counter("rapl_energy_joules_total", "energy by domain",
 		"node", "0", "domain", "PACKAGE_ENERGY:PACKAGE0").Add(12.5)
 	return r
