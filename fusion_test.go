@@ -18,6 +18,7 @@ import (
 var noFusePackages = []string{
 	"internal/power", "internal/rapl", "internal/sparse",
 	"internal/mat", "internal/fault", "internal/papi", "internal/mpi",
+	"internal/sched", "internal/ckpt",
 }
 
 // fusedOp matches arm64's fused multiply-add instructions in the

@@ -54,7 +54,7 @@ type AcceleratorSpec struct {
 	// accelerator in bytes/s.
 	MemBandwidthBps float64
 	// PeakGFlops is the vendor peak of one accelerator (documentation and
-	// sanity checks only, like MachineSpec.PeakNodeGFlops).
+	// sanity checks only).
 	PeakGFlops float64
 	// ActivePowerW is one accelerator's power at full memory-bandwidth
 	// utilisation; IdlePowerW is its floor while the job holds it.

@@ -21,12 +21,6 @@ type MachineSpec struct {
 	TotalNodes     int
 	SocketsPerNode int
 	CoresPerSocket int
-	MemPerNodeGB   int
-	ClockGHz       float64
-	// PeakNodeGFlops is the vendor peak for one node (used only for
-	// documentation and sanity checks; effective rates live in the power
-	// and performance models).
-	PeakNodeGFlops float64
 	// Accel, when non-nil, equips every node with accelerators (see
 	// accel.go). The dense solvers and the paper grid ignore it.
 	Accel *AcceleratorSpec
@@ -44,9 +38,6 @@ func MarconiA3() *MachineSpec {
 		TotalNodes:     3188,
 		SocketsPerNode: 2,
 		CoresPerSocket: 24,
-		MemPerNodeGB:   192,
-		ClockGHz:       2.10,
-		PeakNodeGFlops: 3200,
 	}
 }
 
@@ -115,7 +106,6 @@ type Config struct {
 type Location struct {
 	Node   int // node index, 0-based
 	Socket int // socket within the node
-	Core   int // core within the socket
 }
 
 // NewConfig resolves a rank count and placement against a machine.
@@ -157,7 +147,7 @@ func NewConfig(ranks int, p Placement, spec *MachineSpec) (Config, error) {
 	return cfg, nil
 }
 
-// RankLocation maps an MPI world rank to its node, socket and core under
+// RankLocation maps an MPI world rank to its node and socket under
 // Slurm-style block placement: ranks fill node 0 first, and within a node
 // fill socket 0's allotment before socket 1's.
 func (c *Config) RankLocation(rank int) (Location, error) {
@@ -167,9 +157,9 @@ func (c *Config) RankLocation(rank int) (Location, error) {
 	node := rank / c.RanksPerNode
 	local := rank % c.RanksPerNode
 	if local < c.RanksSocket0 {
-		return Location{Node: node, Socket: 0, Core: local}, nil
+		return Location{Node: node, Socket: 0}, nil
 	}
-	return Location{Node: node, Socket: 1, Core: local - c.RanksSocket0}, nil
+	return Location{Node: node, Socket: 1}, nil
 }
 
 // ActiveCores returns how many ranks run on the given socket of any node

@@ -10,7 +10,7 @@ func TestMarconiA3Spec(t *testing.T) {
 	if s.CoresPerNode() != 48 {
 		t.Fatalf("cores per node = %d, want 48", s.CoresPerNode())
 	}
-	if s.TotalNodes != 3188 || s.ClockGHz != 2.10 {
+	if s.TotalNodes != 3188 || s.CoresPerSocket != 24 {
 		t.Fatal("Marconi A3 spec drifted from the paper")
 	}
 }
@@ -73,24 +73,23 @@ func TestRankLocationBlockPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		rank               int
-		node, socket, core int
+		rank         int
+		node, socket int
 	}{
-		{0, 0, 0, 0},
-		{23, 0, 0, 23},
-		{24, 0, 1, 0},
-		{47, 0, 1, 23},
-		{48, 1, 0, 0},
-		{143, 2, 1, 23},
+		{0, 0, 0},
+		{23, 0, 0},
+		{24, 0, 1},
+		{47, 0, 1},
+		{48, 1, 0},
+		{143, 2, 1},
 	}
 	for _, c := range cases {
 		loc, err := cfg.RankLocation(c.rank)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if loc.Node != c.node || loc.Socket != c.socket || loc.Core != c.core {
-			t.Errorf("rank %d → %+v, want node %d socket %d core %d",
-				c.rank, loc, c.node, c.socket, c.core)
+		if loc.Node != c.node || loc.Socket != c.socket {
+			t.Errorf("rank %d → %+v, want node %d socket %d", c.rank, loc, c.node, c.socket)
 		}
 	}
 	if _, err := cfg.RankLocation(144); err == nil {
@@ -135,8 +134,9 @@ func TestRankLocationHalfLoadLayouts(t *testing.T) {
 	}
 }
 
-// TestRankLocationBijection checks every rank maps to a distinct
-// (node, socket, core) triple and back, for random valid configs.
+// TestRankLocationBijection checks, for random valid configs, that the
+// ranks of every (node, socket) pair are as many as the socket's active
+// cores: a rank per core, and no core of the placement left empty.
 func TestRankLocationBijection(t *testing.T) {
 	spec := MarconiA3()
 	f := func(nodesSeed uint8, pIdx uint8) bool {
@@ -150,21 +150,20 @@ func TestRankLocationBijection(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		seen := make(map[Location]bool, cfg.Ranks)
+		ranks := map[Location]int{}
 		for r := 0; r < cfg.Ranks; r++ {
 			loc, err := cfg.RankLocation(r)
-			if err != nil || seen[loc] {
+			if err != nil || loc.Node != r/cfg.RanksPerNode {
 				return false
 			}
-			seen[loc] = true
-			if loc.Node != r/cfg.RanksPerNode {
-				return false
-			}
-			if loc.Core < 0 || loc.Core >= spec.CoresPerSocket {
+			ranks[loc]++
+		}
+		for loc, n := range ranks {
+			if n != cfg.ActiveCores(loc.Socket) {
 				return false
 			}
 		}
-		return true
+		return len(ranks) == nodes*cfg.SocketsUsed
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

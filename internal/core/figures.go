@@ -34,7 +34,6 @@ func (k SweepKey) String() string {
 // Sweep holds the full evaluation grid: every matrix dimension × rank
 // count × placement × algorithm of §5.1, modelled analytically.
 type Sweep struct {
-	Params       perfmodel.Params
 	Measurements map[SweepKey]Measurement
 }
 
@@ -62,7 +61,7 @@ func SweepCells(keys []SweepKey, prm perfmodel.Params) CellSet[*Sweep] {
 		func(ev *Evaluator, k SweepKey) AnalyticCell {
 			return AnalyticCell{E: k.Experiment(), Params: prm, model: model, replays: &ev.replays}
 		},
-		func(ms map[SweepKey]Measurement) *Sweep { return &Sweep{Params: prm, Measurements: ms} })
+		func(ms map[SweepKey]Measurement) *Sweep { return &Sweep{Measurements: ms} })
 }
 
 // MonitoredReferences is the exact-engine reference set: the
@@ -303,7 +302,6 @@ func SlurmLeakStudy(alg perfmodel.Algorithm, n, ranks int, leaks []float64, prm 
 	}
 	for _, leak := range leaks {
 		alloc, err := sched.Submit(slurm.JobSpec{
-			Name:               "leak-study",
 			Ranks:              ranks,
 			Placement:          cluster.HalfLoadOneSocket,
 			LeakySocketPinning: leak,

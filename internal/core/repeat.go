@@ -24,7 +24,6 @@ const (
 // repStats summarises the repetitions of one grid cell.
 type repStats struct {
 	Cell SweepKey
-	Reps int
 
 	MeanDurationS, MinDurationS, MaxDurationS float64
 	MeanJ, MinJ, MaxJ                         float64
@@ -103,7 +102,7 @@ func repetitions[R any](cells []SweepKey, prm perfmodel.Params, reps int, variab
 		func(ms map[repetitionKey]Measurement) R {
 			stats := make([]repStats, len(cells))
 			for i, cell := range cells {
-				st := repStats{Cell: cell, Reps: reps, MinDurationS: math.Inf(1), MinJ: math.Inf(1)}
+				st := repStats{Cell: cell, MinDurationS: math.Inf(1), MinJ: math.Inf(1)}
 				for r := 0; r < reps; r++ {
 					m := ms[repetitionKey{cell, r}]
 					st.MeanDurationS += m.DurationS / float64(reps)

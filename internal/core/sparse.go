@@ -57,7 +57,6 @@ func (e SparseExperiment) resolveSparseConfig() (cluster.Config, error) {
 // SparseMeasurement is the outcome of one sparse experiment.
 type SparseMeasurement struct {
 	Experiment SparseExperiment
-	Config     cluster.Config
 	DurationS  float64
 	TotalJ     float64
 	EnergyJ    rapl.Energy
@@ -105,7 +104,6 @@ func RunSparseAnalytic(e SparseExperiment) (SparseMeasurement, error) {
 	}
 	return SparseMeasurement{
 		Experiment: e,
-		Config:     cfg,
 		DurationS:  res.DurationS,
 		TotalJ:     res.TotalJ,
 		EnergyJ:    res.EnergyJ,
@@ -264,13 +262,11 @@ func (c SparseAnalyticCell) decode(payload []byte) (SparseMeasurement, error) {
 	if err != nil {
 		return SparseMeasurement{}, err
 	}
-	cfg, err := c.E.resolveSparseConfig()
-	if err != nil {
+	if _, err := c.E.resolveSparseConfig(); err != nil {
 		return SparseMeasurement{}, err
 	}
 	return SparseMeasurement{
 		Experiment: c.E,
-		Config:     cfg,
 		DurationS:  res.DurationS,
 		TotalJ:     res.TotalJ,
 		EnergyJ:    res.EnergyJ,

@@ -161,7 +161,8 @@ func runSparseMonitored(e SparseExperiment) (SparseMeasurement, error) {
 				return err
 			}
 			b := spec.RHS()
-			r := a.MulVec(sol.X)
+			r := make([]float64, a.Rows)
+			a.MulVecInto(r, sol.X)
 			for i := range r {
 				r[i] -= b[i]
 			}
@@ -179,7 +180,6 @@ func runSparseMonitored(e SparseExperiment) (SparseMeasurement, error) {
 	sum := monitor.Summarize(reports)
 	m := SparseMeasurement{
 		Experiment: e,
-		Config:     cfg,
 		DurationS:  sum.DurationS,
 		TotalJ:     sum.TotalJ,
 		Iters:      iters,

@@ -19,7 +19,7 @@ import (
 )
 
 // Runner is a shared worker budget. The zero value is not usable; call
-// New. A single Runner may be shared by many concurrent Map/Do calls —
+// New. A single Runner may be shared by many concurrent Map calls —
 // the budget then caps their combined parallelism.
 type Runner struct {
 	sem chan struct{}
@@ -89,13 +89,4 @@ func Map[T any](r *Runner, n int, fn func(i int) (T, error)) ([]T, error) {
 		return nil, firstErr
 	}
 	return out, nil
-}
-
-// Do runs the tasks concurrently under the runner's budget and waits for
-// all of them; the first error is returned.
-func Do(r *Runner, tasks ...func() error) error {
-	_, err := Map(r, len(tasks), func(i int) (struct{}, error) {
-		return struct{}{}, tasks[i]()
-	})
-	return err
 }

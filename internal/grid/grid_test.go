@@ -82,38 +82,15 @@ func TestMapSharedRunner(t *testing.T) {
 		defer inFlight.Add(-1)
 		return i, nil
 	}
-	err := Do(New(2),
-		func() error { _, err := Map(r, 50, cell); return err },
-		func() error { _, err := Map(r, 50, cell); return err },
-	)
+	_, err := Map(New(2), 2, func(int) (struct{}, error) {
+		_, err := Map(r, 50, cell)
+		return struct{}{}, err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p := peak.Load(); p > workers {
 		t.Fatalf("peak concurrency %d exceeds shared budget %d", p, workers)
-	}
-}
-
-func TestDo(t *testing.T) {
-	r := New(0) // GOMAXPROCS default
-	if r.Workers() < 1 {
-		t.Fatalf("default budget %d", r.Workers())
-	}
-	var sum atomic.Int64
-	var tasks []func() error
-	for i := 1; i <= 10; i++ {
-		i := i
-		tasks = append(tasks, func() error { sum.Add(int64(i)); return nil })
-	}
-	if err := Do(r, tasks...); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 55 {
-		t.Fatalf("sum = %d, want 55", sum.Load())
-	}
-	wantErr := fmt.Errorf("task failed")
-	if err := Do(r, func() error { return wantErr }); !errors.Is(err, wantErr) {
-		t.Fatalf("err = %v", err)
 	}
 }
 

@@ -90,12 +90,6 @@ func NewTable(sys *mat.System) (*Table, error) {
 	return &Table{n: n, g: g, h: h, level: n}, nil
 }
 
-// N returns the system order.
-func (t *Table) N() int { return t.n }
-
-// Level returns the number of pivots still to process.
-func (t *Table) Level() int { return t.level }
-
 // PivotRow returns the effective (length-l) pivot row of level l plus the
 // pre-normalisation pivot value — the payload the parallel version
 // broadcasts. It must be called before Step(l) executes the level.

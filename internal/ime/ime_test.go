@@ -24,7 +24,10 @@ func TestSolveSequentialSmallKnown(t *testing.T) {
 
 func TestSolveSequentialIdentity(t *testing.T) {
 	n := 5
-	sys := &mat.System{A: mat.Identity(n), B: []float64{1, 2, 3, 4, 5}}
+	sys := &mat.System{A: mat.New(n, n), B: []float64{1, 2, 3, 4, 5}}
+	for i := 0; i < n; i++ {
+		sys.A.Set(i, i, 1)
+	}
 	x, err := SolveSequential(sys)
 	if err != nil {
 		t.Fatal(err)
@@ -96,8 +99,8 @@ func TestTableLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.N() != 6 || tab.Level() != 6 {
-		t.Fatalf("fresh table N=%d level=%d", tab.N(), tab.Level())
+	if tab.n != 6 || tab.level != 6 {
+		t.Fatalf("fresh table N=%d level=%d", tab.n, tab.level)
 	}
 	if _, err := tab.Solution(); err == nil {
 		t.Fatal("Solution before reduction accepted")
@@ -112,8 +115,8 @@ func TestTableLifecycle(t *testing.T) {
 		if err := tab.Step(); err != nil {
 			t.Fatal(err)
 		}
-		if tab.Level() != i-1 {
-			t.Fatalf("level = %d after step, want %d", tab.Level(), i-1)
+		if tab.level != i-1 {
+			t.Fatalf("level = %d after step, want %d", tab.level, i-1)
 		}
 	}
 	if err := tab.Step(); err == nil {

@@ -133,29 +133,6 @@ func MatVec(m, n int, a []float64, lda int, x, y []float64) {
 	}
 }
 
-// Dot returns Σ x[i]·y[i] with four partial accumulators (unrolled; the
-// accumulation order differs from a plain ascending loop, so use DotSerial
-// where bit-reproducibility against a scalar reference is required).
-func Dot(x, y []float64) float64 {
-	if len(x) > len(y) {
-		x = x[:len(y)]
-	}
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= len(x); i += 4 {
-		xr := x[i : i+4 : i+4]
-		yr := y[i : i+4 : i+4]
-		s0 += xr[0] * yr[0]
-		s1 += xr[1] * yr[1]
-		s2 += xr[2] * yr[2]
-		s3 += xr[3] * yr[3]
-	}
-	for ; i < len(x); i++ {
-		s0 += x[i] * y[i]
-	}
-	return (s0 + s1) + (s2 + s3)
-}
-
 // DotSerial returns Σ x[i]·y[i] in strictly ascending order — the scalar
 // reference accumulation.
 func DotSerial(x, y []float64) float64 {

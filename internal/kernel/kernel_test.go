@@ -268,17 +268,6 @@ func TestScaledCopyBitIdentical(t *testing.T) {
 	}
 }
 
-func TestDotMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for _, n := range []int{0, 1, 4, 7, 1024} {
-		x, y := randSlice(rng, n), randSlice(rng, n)
-		want := DotSerial(x, y)
-		if got := Dot(x, y); math.Abs(got-want) > 1e-12*(1+math.Abs(want)) {
-			t.Fatalf("n=%d: dot %g, serial %g", n, got, want)
-		}
-	}
-}
-
 func TestMatVecMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m, n := 37, 53

@@ -44,15 +44,6 @@ func NewFromData(r, c int, data []float64) (*Dense, error) {
 	return &Dense{rows: r, cols: c, stride: c, data: data}, nil
 }
 
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Dense {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Dense) Rows() int { return m.rows }
 
@@ -85,32 +76,9 @@ func (m *Dense) Row(i int) []float64 {
 	return m.data[i*m.stride : i*m.stride+m.cols]
 }
 
-// Col returns a copy of column j.
-func (m *Dense) Col(j int) []float64 {
-	return m.CopyColInto(make([]float64, m.rows), j)
-}
-
-// CopyColInto copies column j into dst (len must equal Rows) and returns
-// dst. Hot loops use it to read columns without allocating; the walk is a
-// single strided pointer advance rather than a multiply per row.
-func (m *Dense) CopyColInto(dst []float64, j int) []float64 {
-	if j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("mat: col %d out of bounds %d×%d", j, m.rows, m.cols))
-	}
-	if len(dst) != m.rows {
-		panic(fmt.Sprintf("mat: CopyColInto length %d != rows %d", len(dst), m.rows))
-	}
-	idx := j
-	for i := range dst {
-		dst[i] = m.data[idx]
-		idx += m.stride
-	}
-	return dst
-}
-
 // Raw returns the backing slice starting at element (0,0) together with
 // the row stride, for strided-kernel consumers (internal/kernel). The
-// slice aliases the matrix; it works for views as well as owned storage.
+// slice aliases the matrix.
 func (m *Dense) Raw() (data []float64, stride int) { return m.data, m.stride }
 
 // Clone returns a deep, contiguous copy of m.
@@ -120,20 +88,6 @@ func (m *Dense) Clone() *Dense {
 		copy(out.Row(i), m.Row(i))
 	}
 	return out
-}
-
-// Slice returns a view of the rectangle [r0,r1)×[c0,c1) sharing storage
-// with m.
-func (m *Dense) Slice(r0, r1, c0, c1 int) *Dense {
-	if r0 < 0 || r1 > m.rows || c0 < 0 || c1 > m.cols || r0 > r1 || c0 > c1 {
-		panic(fmt.Sprintf("mat: bad slice [%d:%d,%d:%d] of %d×%d", r0, r1, c0, c1, m.rows, m.cols))
-	}
-	return &Dense{
-		rows:   r1 - r0,
-		cols:   c1 - c0,
-		stride: m.stride,
-		data:   m.data[r0*m.stride+c0 : (r1-1)*m.stride+c1],
-	}
 }
 
 // SwapRows exchanges rows i and k in place.

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -66,7 +67,7 @@ func TestOutOfBoundsPanics(t *testing.T) {
 		func() { m.At(0, -1) },
 		func() { m.Set(-1, 0, 1) },
 		func() { m.Row(5) },
-		func() { m.Col(-1) },
+		func() { m.CopyColInto(make([]float64, 2), -1) },
 	} {
 		func() {
 			defer func() {
@@ -92,10 +93,10 @@ func TestCol(t *testing.T) {
 	for i, v := range []float64{1, 2, 3} {
 		m.Set(i, 1, v)
 	}
-	got := m.Col(1)
+	got := m.CopyColInto(make([]float64, 3), 1)
 	for i, want := range []float64{1, 2, 3} {
 		if got[i] != want {
-			t.Fatalf("Col(1)[%d] = %v, want %v", i, got[i], want)
+			t.Fatalf("column 1 [%d] = %v, want %v", i, got[i], want)
 		}
 	}
 }
@@ -222,4 +223,27 @@ func TestCopyColIntoStridedView(t *testing.T) {
 			t.Fatalf("col[%d] = %v, want %v", i, got[i], want)
 		}
 	}
+}
+
+// Slice returns a view of the rectangle [r0,r1)×[c0,c1) sharing storage
+// with m; its stride exceeds its column count unless c0 = 0 and c1 = Cols.
+func (m *Dense) Slice(r0, r1, c0, c1 int) *Dense {
+	return &Dense{rows: r1 - r0, cols: c1 - c0, stride: m.stride, data: m.data[r0*m.stride+c0 : (r1-1)*m.stride+c1]}
+}
+
+// CopyColInto copies column j into dst (len must equal Rows) and returns
+// dst, one strided pointer advance per row.
+func (m *Dense) CopyColInto(dst []float64, j int) []float64 {
+	if j < 0 || j >= m.cols {
+		panic(fmt.Sprintf("mat: col %d out of bounds %d×%d", j, m.rows, m.cols))
+	}
+	if len(dst) != m.rows {
+		panic(fmt.Sprintf("mat: CopyColInto length %d != rows %d", len(dst), m.rows))
+	}
+	idx := j
+	for i := range dst {
+		dst[i] = m.data[idx]
+		idx += m.stride
+	}
+	return dst
 }

@@ -51,15 +51,3 @@ func InfNorm(x []float64) float64 {
 	}
 	return m
 }
-
-// Sub returns x - y as a new vector.
-func Sub(x, y []float64) []float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("mat: Sub length mismatch %d != %d", len(x), len(y)))
-	}
-	out := make([]float64, len(x))
-	for i := range x {
-		out[i] = x[i] - y[i]
-	}
-	return out
-}

@@ -39,7 +39,6 @@ type Session struct {
 	// highest rank in NodeComm).
 	IsMonitor bool
 
-	lib     *papi.Library
 	events  *papi.EventSet
 	names   []string
 	started bool
@@ -98,7 +97,6 @@ func (s *Session) StartMonitoring() error {
 		if err := es.Start(); err != nil { // PAPI_start_AND_time
 			return fmt.Errorf("monitor: PAPI_start_AND_time: %w", err)
 		}
-		s.lib = lib
 		s.events = es
 	}
 	if err := s.p.Fence(s.NodeComm); err != nil {
@@ -171,7 +169,6 @@ func (s *Session) StopMonitoring() (*NodeReport, error) {
 			return nil, err
 		}
 		s.events = nil
-		s.lib = nil
 	}
 	if err := s.p.Fence(s.NodeComm); err != nil {
 		return nil, err

@@ -20,9 +20,6 @@ func TestPortabilityAlternateMachine(t *testing.T) {
 		TotalNodes:     512,
 		SocketsPerNode: 2,
 		CoresPerSocket: 16,
-		MemPerNodeGB:   128,
-		ClockGHz:       2.60,
-		PeakNodeGFlops: 1331,
 	}
 	cfg, err := cluster.NewConfig(64, cluster.FullLoad, spec)
 	if err != nil {

@@ -183,9 +183,13 @@ func TestBcastRecycleAllocsPerMessage(t *testing.T) {
 // the host's allocator: a fresh 144-rank full-load world running ten world
 // barriers may allocate at most three objects per generation more than the
 // same world running none. Construction and Run's own allocations cancel
-// out. The runtime refills its cache of channel waiters now and then, so
-// GC is held off (it empties that cache), a warm-up run fills it, and the
-// least of five runs of each is compared.
+// out. A blocked select takes its channel waiters from the runtime's
+// per-P caches and allocates fresh ones when the cache of the P it runs on
+// is dry, which a rank woken on another P than it slept on can make it:
+// a few dozen objects in some windows, more of them on a loaded host. So
+// GC is held off (it empties those caches), fillWaiterCache fills them
+// beyond what a world can strand on the other Ps, a warm-up run follows, and the least of
+// five runs of each is compared.
 func TestBarrierAllocsPerGeneration(t *testing.T) {
 	skipUnderRace(t)
 	const ranks, barriers, perGen = 144, 10, 3
@@ -212,6 +216,7 @@ func TestBarrierAllocsPerGeneration(t *testing.T) {
 		return mallocs() - a0
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	fillWaiterCache(512 * runtime.GOMAXPROCS(0))
 	world(barriers)
 	none, some := uint64(math.MaxUint64), uint64(math.MaxUint64)
 	for range 5 {
@@ -296,4 +301,27 @@ func TestSenderAndReceiverShareTheStream(t *testing.T) {
 			t.Fatalf("racing creation %d got stream %p, creation 0 got %p", i, s, got[0])
 		}
 	}
+}
+
+// fillWaiterCache parks n goroutines in a two-channel select at once and
+// wakes them, so that the runtime allocates 2n channel waiters (sudogs)
+// and keeps them cached until the next GC.
+func fillWaiterCache(n int) {
+	release, never := make(chan struct{}), make(chan struct{})
+	var parked, done sync.WaitGroup
+	parked.Add(n)
+	done.Add(n)
+	for range n {
+		go func() {
+			defer done.Done()
+			parked.Done()
+			select {
+			case <-release:
+			case <-never:
+			}
+		}()
+	}
+	parked.Wait()
+	close(release)
+	done.Wait()
 }

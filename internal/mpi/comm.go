@@ -11,7 +11,6 @@ import (
 // value is shared by all member goroutines (its barrier state synchronises
 // them); per-rank views are expressed by passing the Proc to operations.
 type Comm struct {
-	w     *World
 	id    int
 	ranks []int   // world ranks in comm-rank order
 	index []int32 // world rank → comm rank, -1 for non-members
@@ -27,7 +26,7 @@ func newWorldComm(w *World) *Comm {
 }
 
 func newComm(w *World, id int, ranks []int) *Comm {
-	c := &Comm{w: w, id: id, ranks: ranks, index: make([]int32, w.size)}
+	c := &Comm{id: id, ranks: ranks, index: make([]int32, w.size)}
 	for r := range c.index {
 		c.index[r] = -1
 	}

@@ -447,3 +447,10 @@ func TestStreamBornPoisoned(t *testing.T) {
 		t.Errorf("stream 1 → %d: srcDead %v dstDead %v with %d queued, want false true 0", dead, s.srcDead, s.dstDead, s.count)
 	}
 }
+
+// Failed reports whether a rank is dead (crashed or aborted) and the
+// virtual time it died.
+func (w *World) Failed(rank int) (t float64, dead bool) {
+	info, ok := w.fail.get(rank)
+	return info.t, ok
+}

@@ -77,7 +77,7 @@ func TestTracingLandsTheSameCharges(t *testing.T) {
 func TestFenceLandsEveryCharge(t *testing.T) {
 	w := ledgerWorld(t)
 	nodes := len(w.Nodes())
-	clocks := make([]float64, w.Size())
+	clocks := make([]float64, w.size)
 	read := make([]struct {
 		now    float64
 		joules [4]float64

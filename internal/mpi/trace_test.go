@@ -21,9 +21,6 @@ func testSpec(totalNodes int) *cluster.MachineSpec {
 		TotalNodes:     totalNodes,
 		SocketsPerNode: 2,
 		CoresPerSocket: 2,
-		MemPerNodeGB:   8,
-		ClockGHz:       2.0,
-		PeakNodeGFlops: 100,
 	}
 }
 

@@ -155,9 +155,6 @@ func NewWorld(size int, opts Options) (*World, error) {
 	return w, nil
 }
 
-// Size returns the world size.
-func (w *World) Size() int { return w.size }
-
 // Nodes exposes the simulated RAPL nodes (one per cluster node) for the
 // monitoring layer and for post-run energy inspection.
 func (w *World) Nodes() []*rapl.Node { return w.nodes }
@@ -272,13 +269,6 @@ func (w *World) Run(body func(p *Proc) error) error {
 		}
 	}
 	return first
-}
-
-// Failed reports whether a rank is dead (crashed or aborted) and the
-// virtual time it died.
-func (w *World) Failed(rank int) (t float64, dead bool) {
-	info, ok := w.fail.get(rank)
-	return info.t, ok
 }
 
 // TotalEnergyJ sums the exact model energy of every monitored RAPL domain

@@ -37,24 +37,14 @@ const MicrojoulesPerJoule = 1e6
 // EventCode identifies one addable event, as returned by EventNameToCode.
 type EventCode int
 
-// EventInfo describes one available event of a component.
-type EventInfo struct {
-	Code      EventCode
-	Name      string
-	Units     string
-	Component string
-	Domain    rapl.Domain
-}
-
 // Library is one initialised PAPI instance bound to the RAPL of one node.
 // Real PAPI is process-global; one simulated node maps to one process in
 // the paper's deployment, so the monitoring rank of each node owns one
 // Library.
 type Library struct {
-	node        *rapl.Node
-	events      []EventInfo
-	byName      map[string]EventCode
-	threadsInit bool
+	node   *rapl.Node
+	events []rapl.Domain // by EventCode
+	byName map[string]EventCode
 }
 
 // Init initialises the library against a node's RAPL, checking the caller
@@ -66,29 +56,12 @@ func Init(version int, node *rapl.Node) (*Library, error) {
 	if node == nil {
 		return nil, errors.New("papi: nil RAPL node")
 	}
-	lib := &Library{node: node, byName: make(map[string]EventCode)}
-	add := func(component string, d rapl.Domain) {
-		code := EventCode(len(lib.events))
-		name := component + ":::" + d.String()
-		lib.events = append(lib.events, EventInfo{
-			Code:      code,
-			Name:      name,
-			Units:     "uJ",
-			Component: component,
-			Domain:    d,
-		})
-		lib.byName[name] = code
-	}
 	// The powercap component: package and DRAM domains. As in the paper
 	// (§4), "the monitored events will belong only to powercap event set
 	// offered by PAPI"; most RAPL events of interest are included there.
-	for _, d := range []rapl.Domain{rapl.PKG0, rapl.PKG1, rapl.DRAM0, rapl.DRAM1} {
-		add("powercap", d)
-	}
-	// The rapl component additionally exposes the PP0 (core) sub-domains,
-	// as real PAPI does when the direct-MSR backend is available.
-	for _, d := range []rapl.Domain{rapl.PKG0, rapl.PKG1, rapl.DRAM0, rapl.DRAM1, rapl.PP00, rapl.PP01} {
-		add("rapl", d)
+	lib := &Library{node: node, events: rapl.Domains(), byName: make(map[string]EventCode)}
+	for code, d := range lib.events {
+		lib.byName["powercap:::"+d.String()] = EventCode(code)
 	}
 	return lib, nil
 }
@@ -99,7 +72,6 @@ func (l *Library) ThreadInit() error {
 	if l == nil {
 		return ErrNotInitialized
 	}
-	l.threadsInit = true
 	return nil
 }
 
@@ -116,7 +88,7 @@ func (l *Library) EventNameToCode(name string) (EventCode, error) {
 // EventSet is a created-but-not-necessarily-running set of events.
 type EventSet struct {
 	lib       *Library
-	events    []EventInfo
+	events    []rapl.Domain
 	running   bool
 	destroyed bool
 	startRaw  []uint32
@@ -178,8 +150,8 @@ func (es *EventSet) Start() error {
 	}
 	es.startRaw = make([]uint32, len(es.events))
 	es.accumulated = make([]float64, len(es.events))
-	for i, e := range es.events {
-		raw, err := es.readRaw(e)
+	for i, d := range es.events {
+		raw, err := es.readRaw(d)
 		if err != nil {
 			return err
 		}
@@ -202,8 +174,8 @@ func (es *EventSet) Read() ([]int64, error) {
 		return nil, ErrNotRunning
 	}
 	out := make([]int64, len(es.events))
-	for i, e := range es.events {
-		raw, err := es.readRaw(e)
+	for i, d := range es.events {
+		raw, err := es.readRaw(d)
 		if err != nil {
 			return nil, err
 		}
@@ -264,19 +236,17 @@ func (es *EventSet) usable() error {
 // readRaw reads the raw counter behind an event through the MSR path, so
 // the counter's update granularity applies exactly as it would to a real
 // powercap component read.
-func (es *EventSet) readRaw(e EventInfo) (uint32, error) {
+func (es *EventSet) readRaw(d rapl.Domain) (uint32, error) {
 	var addr uint32
-	switch e.Domain {
+	switch d {
 	case rapl.PKG0, rapl.PKG1:
 		addr = rapl.MSRPkgEnergyStatus
 	case rapl.DRAM0, rapl.DRAM1:
 		addr = rapl.MSRDramEnergyStatus
-	case rapl.PP00, rapl.PP01:
-		addr = rapl.MSRPP0EnergyStatus
 	default:
-		return 0, fmt.Errorf("%w: domain %v", ErrNoEvent, e.Domain)
+		return 0, fmt.Errorf("%w: domain %v", ErrNoEvent, d)
 	}
-	v, err := es.lib.node.ReadMSR(e.Domain.Socket(), addr)
+	v, err := es.lib.node.ReadMSR(d.Socket(), addr)
 	if err != nil {
 		return 0, err
 	}

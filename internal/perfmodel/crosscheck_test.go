@@ -135,27 +135,22 @@ func TestLargeScaleAnalyticMatchesExecution(t *testing.T) {
 			return w, nil
 		}
 	}
-	var imeW, geW *mpi.World
-	r := grid.New(0)
-	err = grid.Do(r,
-		func() (err error) {
-			imeW, err = runCell(func(p *mpi.Proc) error {
+	worlds, err := grid.Map(grid.New(0), 2, func(i int) (*mpi.World, error) {
+		if i == 0 {
+			return runCell(func(p *mpi.Proc) error {
 				_, err := ime.SolveParallel(p, p.World(), sys, ime.ParallelOptions{ChargeCosts: true})
 				return err
 			})()
+		}
+		return runCell(func(p *mpi.Proc) error {
+			_, err := scalapack.Pdgesv(p, p.World(), sys, scalapack.ParallelOptions{BlockSize: nb, ChargeCosts: true})
 			return err
-		},
-		func() (err error) {
-			geW, err = runCell(func(p *mpi.Proc) error {
-				_, err := scalapack.Pdgesv(p, p.World(), sys, scalapack.ParallelOptions{BlockSize: nb, ChargeCosts: true})
-				return err
-			})()
-			return err
-		},
-	)
+		})()
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	imeW, geW := worlds[0], worlds[1]
 	clusterEnergy := func(w *mpi.World) float64 {
 		var total float64
 		for _, node := range w.Nodes() {

@@ -218,10 +218,6 @@ func (prm *Params) normalize() {
 
 // Result is one modelled execution.
 type Result struct {
-	Algorithm Algorithm
-	N         int
-	Config    cluster.Config
-
 	// DurationS is the modelled makespan; ComputeS and ExposedCommS are
 	// its breakdown (per the critical-path rank).
 	DurationS    float64
@@ -232,14 +228,6 @@ type Result struct {
 	EnergyJ rapl.Energy
 	// TotalJ sums the four monitored domains (EnergyJ.Total()).
 	TotalJ float64
-}
-
-// AvgPowerW is the whole-job average power.
-func (r Result) AvgPowerW() float64 {
-	if r.DurationS <= 0 {
-		return 0
-	}
-	return r.TotalJ / r.DurationS
 }
 
 // Run models one (algorithm, order, configuration) execution: Replays.Run
@@ -307,9 +295,6 @@ func (prm Params) capStretch(cfg cluster.Config) float64 {
 // variability jitter, then energy integration over the jittered schedule.
 func resultFromTimes(alg Algorithm, n int, cfg cluster.Config, prm Params, t timeBreakdown) Result {
 	res := Result{
-		Algorithm:    alg,
-		N:            n,
-		Config:       cfg,
 		DurationS:    t.compute + t.exposedComm,
 		ComputeS:     t.compute,
 		ExposedCommS: t.exposedComm,

@@ -127,3 +127,11 @@ func TestRunAllocationBudget(t *testing.T) {
 		}
 	}
 }
+
+// AvgPowerW is the whole-job average power.
+func (r Result) AvgPowerW() float64 {
+	if r.DurationS <= 0 {
+		return 0
+	}
+	return r.TotalJ / r.DurationS
+}

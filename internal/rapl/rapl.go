@@ -29,7 +29,6 @@ const (
 	MSRRaplPowerUnit    = 0x606
 	MSRPkgEnergyStatus  = 0x611
 	MSRDramEnergyStatus = 0x619
-	MSRPP0EnergyStatus  = 0x639
 )
 
 // ESU is the simulated energy-status-unit exponent: raw counter units are
@@ -46,19 +45,17 @@ const counterUpdatePeriod = 1e-3
 type Domain int
 
 // The four domains the paper monitors (§4: "CPU packages 0 and 1, as well
-// as DRAM 0 and 1"), plus the PP0 (core) sub-domains.
+// as DRAM 0 and 1").
 const (
 	PKG0 Domain = iota
 	PKG1
 	DRAM0
 	DRAM1
-	PP00
-	PP01
 	// Accel is the node-level accelerator energy domain (NVML-style, one
 	// aggregate counter for the node's accelerators). It is analytic-only:
-	// like the PP0 sub-domains it is excluded from Domains(), so dense
-	// measurements and their stored bytes never see it; the sparse model
-	// (internal/sparse) charges it directly.
+	// it is excluded from Domains(), so dense measurements and their
+	// stored bytes never see it; the sparse model (internal/sparse)
+	// charges it directly.
 	Accel
 	numDomains
 )
@@ -97,10 +94,6 @@ func (d Domain) String() string {
 		return "DRAM_ENERGY:PACKAGE0"
 	case DRAM1:
 		return "DRAM_ENERGY:PACKAGE1"
-	case PP00:
-		return "PP0_ENERGY:PACKAGE0"
-	case PP01:
-		return "PP0_ENERGY:PACKAGE1"
 	case Accel:
 		return "ACCEL_ENERGY:NODE"
 	default:
@@ -113,7 +106,7 @@ func (d Domain) String() string {
 // complex side); it never appears in the per-socket MSR surface.
 func (d Domain) Socket() int {
 	switch d {
-	case PKG0, DRAM0, PP00, Accel:
+	case PKG0, DRAM0, Accel:
 		return 0
 	default:
 		return 1
@@ -210,10 +203,7 @@ func (n *Node) updatePeriod(socket int) float64 {
 func (n *Node) refresh(socket int) {
 	n.snapshotTime[socket] = n.now
 	n.dirty[socket] = false
-	for _, d := range []Domain{PKG0, PKG1, DRAM0, DRAM1, PP00, PP01} {
-		if d.Socket() != socket {
-			continue
-		}
+	for _, d := range [...]Domain{PKG0 + Domain(socket), DRAM0 + Domain(socket)} {
 		j := n.energyJoules(d)
 		n.snapshot[d] = uint32(uint64(j/EnergyUnit) & 0xFFFFFFFF)
 	}
@@ -229,10 +219,6 @@ func (n *Node) energyJoules(d Domain) float64 {
 		return n.cal.PkgEnergy(n.now, st.busyCoreSeconds, s)
 	case DRAM0, DRAM1:
 		return n.cal.DramEnergy(n.now, st.bytes)
-	case PP00, PP01:
-		// PP0 (cores only) excludes the uncore share of idle power; model
-		// it as the dynamic core energy plus a quarter of the idle term.
-		return float64(n.cal.CoreActive*st.busyCoreSeconds) + float64(0.25*n.cal.PkgIdle*n.now)
 	default:
 		return 0
 	}
@@ -265,8 +251,6 @@ func (n *Node) ReadMSR(socket int, addr uint32) (uint64, error) {
 		return uint64(n.snapshot[PKG0+Domain(socket)]), nil
 	case MSRDramEnergyStatus:
 		return uint64(n.snapshot[DRAM0+Domain(socket)]), nil
-	case MSRPP0EnergyStatus:
-		return uint64(n.snapshot[PP00+Domain(socket)]), nil
 	default:
 		return 0, fmt.Errorf("rapl: unsupported MSR %#x", addr)
 	}

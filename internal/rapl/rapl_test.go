@@ -226,23 +226,10 @@ func TestDomainStringsAndSockets(t *testing.T) {
 	if PKG0.String() != "PACKAGE_ENERGY:PACKAGE0" || DRAM1.String() != "DRAM_ENERGY:PACKAGE1" {
 		t.Fatal("domain names drifted from the powercap naming")
 	}
-	if PKG0.Socket() != 0 || DRAM1.Socket() != 1 || PP00.Socket() != 0 {
+	if PKG0.Socket() != 0 || DRAM1.Socket() != 1 || Accel.Socket() != 0 {
 		t.Fatal("domain→socket mapping wrong")
 	}
 	if len(Domains()) != 4 {
 		t.Fatal("Domains() must list the four monitored domains")
-	}
-}
-
-func TestPP0BelowPackage(t *testing.T) {
-	n := NewNode(0)
-	if err := n.AccountBusy(0, 100); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.SetTime(10); err != nil {
-		t.Fatal(err)
-	}
-	if n.ExactEnergy(PP00) >= n.ExactEnergy(PKG0) {
-		t.Fatal("PP0 (cores) must be below full package energy")
 	}
 }

@@ -43,7 +43,7 @@ func (s PanelSnapshot) Bytes() float64 {
 		elems += s.A.Rows() * s.A.Cols()
 	}
 	elems += len(s.B)
-	return float64(elems)*mpi.Float64Bytes + float64(len(s.Pivots))*16
+	return float64(float64(elems)*mpi.Float64Bytes) + float64(float64(len(s.Pivots))*16)
 }
 
 // CheckpointPlan wires periodic checkpointing into Pdgesv. The zero/nil

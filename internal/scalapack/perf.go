@@ -25,5 +25,5 @@ const (
 // of linear equations"), plus the 2n² triangular solves.
 func TotalFlops(n int) float64 {
 	nf := float64(n)
-	return 2.0/3.0*nf*nf*nf + 2*nf*nf
+	return float64(2.0/3.0*nf*nf*nf) + float64(2*nf*nf)
 }

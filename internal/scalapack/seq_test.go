@@ -88,9 +88,9 @@ func TestDgetrfReconstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := sys.N()
-	l := mat.Identity(n)
-	u := mat.New(n, n)
+	l, u := mat.New(n, n), mat.New(n, n)
 	for i := 0; i < n; i++ {
+		l.Set(i, i, 1)
 		for j := 0; j < n; j++ {
 			if j < i {
 				l.Set(i, j, lu.At(i, j))
@@ -150,7 +150,7 @@ func TestDgesvAgreesWithGeneratingSolution(t *testing.T) {
 }
 
 func TestDgetrsValidation(t *testing.T) {
-	lu := mat.Identity(3)
+	lu := mat.New(3, 3)
 	if _, err := Dgetrs(lu, []int{0}, []float64{1, 2, 3}); err == nil {
 		t.Fatal("short ipiv accepted")
 	}

@@ -151,7 +151,7 @@ func (s *sim) outcome(w Workload) (*Outcome, error) {
 	// Per-attempt node-seconds, charged per tenant in attempt order.
 	for _, a := range s.attempts {
 		j := s.jobs[a.jobIdx]
-		tenants[j.spec.Tenant].NodeSeconds += float64(len(a.nodes)) * (a.endS - a.startS)
+		tenants[j.spec.Tenant].NodeSeconds += float64(float64(len(a.nodes)) * (a.endS - a.startS))
 	}
 	names := make([]string, 0, len(tenants))
 	for name := range tenants {

@@ -142,7 +142,6 @@ type jobState struct {
 	attempts int
 	crashes  int
 	started  bool
-	done     bool
 	failed   bool
 	curCrash bool
 	curEndS  float64 // scheduled end of the current attempt
@@ -298,9 +297,9 @@ func Simulate(cfg Config, w Workload) (*Outcome, error) {
 func (s *sim) advanceTo(t float64) {
 	dt := t - s.prevT
 	if dt > 0 {
-		s.nodeSeconds += float64(s.busyNodes) * dt
+		s.nodeSeconds += float64(float64(s.busyNodes) * dt)
 		if s.cfg.PowerBudgetW > 0 && len(s.queue) > 0 {
-			s.strandedJs += (s.cfg.PowerBudgetW - s.powerSum()) * dt
+			s.strandedJs += float64((s.cfg.PowerBudgetW - s.powerSum()) * dt)
 		}
 	}
 	s.prevT = t
@@ -475,7 +474,7 @@ func firstCrash(inj *fault.Injector) float64 {
 
 // start grants nodes and schedules the attempt's end (or crash).
 func (s *sim) start(j *jobState, t float64, backfilled bool) error {
-	alloc, err := s.fleet.Submit(slurm.JobSpec{Name: j.spec.Name, Ranks: j.spec.Ranks, Placement: j.cand.pl})
+	alloc, err := s.fleet.Submit(slurm.JobSpec{Ranks: j.spec.Ranks, Placement: j.cand.pl})
 	if err != nil {
 		return fmt.Errorf("sched: job %s: %w", j.spec.Name, err)
 	}
@@ -524,7 +523,7 @@ func (s *sim) stop(j *jobState, t float64) error {
 	}
 	delete(s.running, j.idx)
 	s.busyNodes -= j.cand.nodes
-	j.energyJ += j.cand.powerW * (t - j.attStart)
+	j.energyJ += float64(j.cand.powerW * (t - j.attStart))
 	j.alloc = nil
 	return nil
 }
@@ -535,7 +534,6 @@ func (s *sim) complete(j *jobState, t float64) error {
 		return err
 	}
 	j.endS = t
-	j.done = true
 	return nil
 }
 
@@ -546,7 +544,7 @@ func (s *sim) complete(j *jobState, t float64) error {
 // to the failure (the PR-5 charging rule).
 func (s *sim) crash(j *jobState, t float64) error {
 	elapsed := t - j.attStart
-	wasted := j.cand.powerW * elapsed
+	wasted := float64(j.cand.powerW * elapsed)
 	if err := s.stop(j, t); err != nil {
 		return err
 	}

@@ -128,8 +128,11 @@ func (s *splitmix64) next() uint64 {
 	return z ^ z>>31
 }
 
+// u01 returns a uniform draw in [0, 1). The compiler turns the division
+// into a product, so it is rounded on its own: a caller's 1-u01() cannot
+// fuse with it.
 func (s *splitmix64) u01() float64 {
-	return float64(s.next()>>11) / (1 << 53)
+	return float64(float64(s.next()>>11) / (1 << 53))
 }
 
 func (s *splitmix64) intn(n int) int {
@@ -156,7 +159,7 @@ func Synthetic(seed int64, jobs int) Workload {
 	t := 0.0
 	for i := 0; i < jobs; i++ {
 		// Exponential inter-arrival (Poisson process).
-		t += -math.Log(1-rng.u01()) * meanInterarrivalS
+		t += float64(-math.Log(1-rng.u01()) * meanInterarrivalS)
 		spec := JobSpec{
 			Name:      fmt.Sprintf("job-%03d", i+1),
 			Tenant:    syntheticTenants[rng.intn(len(syntheticTenants))],

@@ -58,10 +58,10 @@ func asyncGet(url string) chan result {
 func waitQueued(t *testing.T, s *Server, depth int) {
 	t.Helper()
 	deadline := time.After(2 * time.Second)
-	for s.lim.Queued() != depth {
+	for int(s.lim.queued.Load()) != depth {
 		select {
 		case <-deadline:
-			t.Fatalf("queue depth never reached %d (at %d)", depth, s.lim.Queued())
+			t.Fatalf("queue depth never reached %d (at %d)", depth, int(s.lim.queued.Load()))
 		default:
 			time.Sleep(time.Millisecond)
 		}

@@ -75,6 +75,3 @@ func (l *Limiter) Release() {
 	<-l.slots
 	l.inflightGauge.Add(-1)
 }
-
-// Queued returns the number of waiters.
-func (l *Limiter) Queued() int { return int(l.queued.Load()) }

@@ -39,7 +39,7 @@ func TestLimiterQueueFull(t *testing.T) {
 		waited <- l.Acquire(context.Background())
 	}()
 	deadline := time.After(2 * time.Second)
-	for l.Queued() != 1 {
+	for l.queued.Load() != 1 {
 		select {
 		case <-deadline:
 			t.Fatal("waiter never queued")
@@ -68,7 +68,7 @@ func TestLimiterQueuedWaiterHonoursDeadline(t *testing.T) {
 	if err := l.Acquire(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("queued acquire: %v, want deadline exceeded", err)
 	}
-	if got := l.Queued(); got != 0 {
+	if got := l.queued.Load(); got != 0 {
 		t.Fatalf("queue depth after timeout = %d, want 0", got)
 	}
 	l.Release()

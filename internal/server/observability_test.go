@@ -314,7 +314,7 @@ func TestSLOCountsReadFromInstruments(t *testing.T) {
 	}
 	s.m.requests("predict", 200).Add(3)
 	s.m.requests("predict", 503).Inc()
-	for _, o := range s.SLOReport().Objectives {
+	for _, o := range s.slo.Report().Objectives {
 		if o.Name != "predict" {
 			continue
 		}
@@ -437,9 +437,9 @@ func TestEarlyReturnMetricDeltas(t *testing.T) {
 			}
 			// Give released background requests a beat to finish counting.
 			deadline := time.Now().Add(2 * time.Second)
-			for len(s.lim.slots) != 0 || s.lim.Queued() != 0 {
+			for len(s.lim.slots) != 0 || s.lim.queued.Load() != 0 {
 				if time.Now().After(deadline) {
-					t.Fatalf("limiter did not settle: inflight=%d queued=%d", len(s.lim.slots), s.lim.Queued())
+					t.Fatalf("limiter did not settle: inflight=%d queued=%d", len(s.lim.slots), s.lim.queued.Load())
 				}
 				time.Sleep(time.Millisecond)
 			}

@@ -262,9 +262,6 @@ func (s *Server) sloCounts(o telemetry.SLO) telemetry.SLOCounts {
 	return telemetry.SLOCounts{Total: total, Slow: total - within, Bad: bad}
 }
 
-// SLOReport returns the current SLO verdicts (the /debug/slo body).
-func (s *Server) SLOReport() telemetry.SLOReport { return s.slo.Report() }
-
 // Drain puts the server into shutdown mode: /healthz flips to 503, new
 // computations are refused with 503 Retry-After, and in-flight requests
 // (and cache hits, which cost nothing) keep completing. Pair with

@@ -28,8 +28,6 @@ import (
 
 // JobSpec mirrors the sbatch directives the paper's jobs use.
 type JobSpec struct {
-	// Name labels the job in accounting output.
-	Name string
 	// Ranks is the total task count (--ntasks).
 	Ranks int
 	// Placement encodes the ranks-per-node/socket directives
@@ -45,7 +43,6 @@ type JobSpec struct {
 // configuration, possibly perturbed by leaky pinning.
 type Allocation struct {
 	JobID  int
-	Spec   JobSpec
 	Config cluster.Config
 	// Nodes are the machine node IDs assigned to this job.
 	Nodes []int
@@ -161,7 +158,7 @@ func (s *Scheduler) Submit(spec JobSpec) (*Allocation, error) {
 	// Grant the lowest-numbered idle nodes (block allocation, like the
 	// paper's contiguous deployments).
 	granted := s.free.take(cfg.Nodes)
-	alloc := &Allocation{JobID: s.nextJob, Spec: spec, Config: cfg, Nodes: granted}
+	alloc := &Allocation{JobID: s.nextJob, Config: cfg, Nodes: granted}
 	s.nextJob++
 	s.running[alloc.JobID] = alloc
 	return alloc, nil

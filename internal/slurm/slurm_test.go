@@ -19,7 +19,7 @@ func newSched(t *testing.T) *Scheduler {
 
 func TestSubmitGrantsContiguousNodes(t *testing.T) {
 	s := newSched(t)
-	alloc, err := s.Submit(JobSpec{Name: "ime", Ranks: 144, Placement: cluster.FullLoad})
+	alloc, err := s.Submit(JobSpec{Ranks: 144, Placement: cluster.FullLoad})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,6 @@ func TestReleaseRecyclesNodes(t *testing.T) {
 func TestMachineExhaustion(t *testing.T) {
 	small := &cluster.MachineSpec{
 		Name: "tiny", TotalNodes: 4, SocketsPerNode: 2, CoresPerSocket: 24,
-		MemPerNodeGB: 192, ClockGHz: 2.1,
 	}
 	s, err := NewScheduler(small)
 	if err != nil {
@@ -246,7 +245,6 @@ func TestConcurrentSubmitRelease(t *testing.T) {
 func TestNodeSetGrantsStayDisjointAndOrdered(t *testing.T) {
 	small := &cluster.MachineSpec{
 		Name: "tiny", TotalNodes: 130, SocketsPerNode: 2, CoresPerSocket: 24,
-		MemPerNodeGB: 192, ClockGHz: 2.1,
 	}
 	s, err := NewScheduler(small)
 	if err != nil {
@@ -296,7 +294,7 @@ func TestNodeSetGrantsStayDisjointAndOrdered(t *testing.T) {
 func BenchmarkSlurmSubmitRelease(b *testing.B) {
 	machine := &cluster.MachineSpec{
 		Name: "fleet-4096", TotalNodes: 4096, SocketsPerNode: 2,
-		CoresPerSocket: 24, MemPerNodeGB: 192, ClockGHz: 2.1,
+		CoresPerSocket: 24,
 	}
 	s, err := NewScheduler(machine)
 	if err != nil {

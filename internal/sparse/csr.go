@@ -1,10 +1,6 @@
 package sparse
 
-import (
-	"fmt"
-
-	"repro/internal/mat"
-)
+import "fmt"
 
 // CSR is a compressed-sparse-row matrix. A full matrix has Rows == Cols;
 // a distributed row block (Spec.RowBlock) stores only its rows, with
@@ -23,43 +19,6 @@ type CSR struct {
 // NNZ returns the stored entry count.
 func (a *CSR) NNZ() int { return len(a.Val) }
 
-// Validate checks the structural invariants.
-func (a *CSR) Validate() error {
-	if a.Rows < 0 || a.Cols < 0 {
-		return fmt.Errorf("sparse: negative shape %dx%d", a.Rows, a.Cols)
-	}
-	if len(a.RowPtr) != a.Rows+1 {
-		return fmt.Errorf("sparse: RowPtr has %d entries, want %d", len(a.RowPtr), a.Rows+1)
-	}
-	if len(a.Col) != len(a.Val) {
-		return fmt.Errorf("sparse: %d columns vs %d values", len(a.Col), len(a.Val))
-	}
-	if a.RowPtr[0] != 0 || a.RowPtr[a.Rows] != len(a.Val) {
-		return fmt.Errorf("sparse: RowPtr bounds [%d,%d], want [0,%d]", a.RowPtr[0], a.RowPtr[a.Rows], len(a.Val))
-	}
-	for i := 0; i < a.Rows; i++ {
-		if a.RowPtr[i] > a.RowPtr[i+1] {
-			return fmt.Errorf("sparse: RowPtr not monotone at row %d", i)
-		}
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if a.Col[k] < 0 || a.Col[k] >= a.Cols {
-				return fmt.Errorf("sparse: row %d column %d out of range [0,%d)", i, a.Col[k], a.Cols)
-			}
-			if k > a.RowPtr[i] && a.Col[k] <= a.Col[k-1] {
-				return fmt.Errorf("sparse: row %d columns not strictly increasing", i)
-			}
-		}
-	}
-	return nil
-}
-
-// MulVec returns A·x for a vector of length Cols.
-func (a *CSR) MulVec(x []float64) []float64 {
-	y := make([]float64, a.Rows)
-	a.MulVecInto(y, x)
-	return y
-}
-
 // MulVecInto computes dst = A·x without allocating; dst must have length
 // Rows and x length Cols.
 func (a *CSR) MulVecInto(dst, x []float64) {
@@ -73,18 +32,6 @@ func (a *CSR) MulVecInto(dst, x []float64) {
 		}
 		dst[i] = s
 	}
-}
-
-// Dense materialises the matrix — the seam to the dense reference solves
-// the numerics tests cross-check against.
-func (a *CSR) Dense() *mat.Dense {
-	d := mat.New(a.Rows, a.Cols)
-	for i := 0; i < a.Rows; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			d.Set(i, a.Col[k], a.Val[k])
-		}
-	}
-	return d
 }
 
 // run is a maximal stretch of consecutive columns within one row.

@@ -27,10 +27,6 @@ const ModelVersion = "sparse-analytic/v1"
 type ModelResult struct {
 	// DurationS is the end-to-end virtual time.
 	DurationS float64
-	// ComputeS is the kernel time (SpMV + vector updates) per rank.
-	ComputeS float64
-	// ExposedCommS is the halo + allreduce time on the critical path.
-	ExposedCommS float64
 	// Iters is the modelled iteration count.
 	Iters int
 	// EnergyJ is joules per RAPL domain over the whole machine share;
@@ -38,8 +34,6 @@ type ModelResult struct {
 	EnergyJ rapl.Energy
 	// TotalJ sums EnergyJ (EnergyJ.Total()).
 	TotalJ float64
-	// Flops is the arithmetic work (for efficiency objectives).
-	Flops float64
 }
 
 // Model predicts a distributed sparse solve on the given configuration
@@ -129,13 +123,10 @@ func Model(alg Algorithm, spec Spec, cfg cluster.Config, device cluster.Device, 
 		energy[rapl.Accel] = float64(cfg.Nodes) * float64(accel.PerNode) * perDev
 	}
 	return ModelResult{
-		DurationS:    duration,
-		ComputeS:     computeS,
-		ExposedCommS: exposedComm,
-		Iters:        iters,
-		EnergyJ:      energy,
-		TotalJ:       energy.Total(),
-		Flops:        WorkFlops(alg, spec, iters),
+		DurationS: duration,
+		Iters:     iters,
+		EnergyJ:   energy,
+		TotalJ:    energy.Total(),
 	}, nil
 }
 

@@ -25,8 +25,11 @@
 //     most one unparseable trailing line, which Open skips (and counts
 //     in Corrupt()); the cell is simply recomputed and re-appended. So is
 //     any other line Open cannot parse, one longer than maxLine included.
-//   - Open serves only what Append would accept: a line whose key is
-//     not the digest of its identity is skipped and counted in Corrupt().
+//   - One line format: Append writes only canonical lines (appendLine)
+//     and refuses a record that has none, and Open reads only canonical
+//     lines (scanRecord), so it serves only what Append would accept. A
+//     line in any other form, or whose key is not the digest of its
+//     identity, is skipped and counted in Corrupt().
 //
 // The convention follows the asterisk repo's investigation pipeline:
 // results are append-only JSON — never overwrite a prior run.
@@ -43,7 +46,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"sync"
 	"unsafe"
@@ -173,9 +175,8 @@ func NewRecord(kind string, identity any, result any) (Record, error) {
 // is what lets the identity index's keys alias them instead of copying.
 // Callers must treat the returned Identity/Result bytes as read-only.
 type Store struct {
-	mu  sync.Mutex
-	dir string
-	f   *os.File
+	mu sync.Mutex
+	f  *os.File
 	// records holds the first occurrence of each key, in append order
 	// (stable Keys/provenance); byKey and byIdentity index into it.
 	records    []Record
@@ -198,7 +199,7 @@ func Open(dir string) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: open log: %w", err)
 	}
-	s := &Store{dir: dir, f: f, byKey: make(map[string]int32), byIdentity: make(map[string]int32)}
+	s := &Store{f: f, byKey: make(map[string]int32), byIdentity: make(map[string]int32)}
 	if err := s.load(path); err != nil {
 		f.Close()
 		return nil, err
@@ -269,7 +270,7 @@ func (s *Store) load(path string) error {
 			s.corrupt++
 			continue
 		}
-		rec, ok := readRecord(line, kinds)
+		rec, ok := scanRecord(line, kinds)
 		if !ok || !keyMatches(rec.Key, rec.Identity) {
 			s.corrupt++
 			continue
@@ -289,17 +290,6 @@ func (s *Store) add(rec Record) {
 	s.records = append(s.records, rec)
 	s.byKey[rec.Key] = i
 	s.byIdentity[unsafe.String(unsafe.SliceData(rec.Identity), len(rec.Identity))] = i
-}
-
-// readRecord decodes one log line: by scanRecord when the line is
-// canonical, by encoding/json otherwise, so that which lines load, and
-// to what, is encoding/json's call. kinds interns the kind names.
-func readRecord(line []byte, kinds map[string]string) (Record, bool) {
-	if rec, ok := scanRecord(line, kinds); ok {
-		return rec, true
-	}
-	var rec Record
-	return rec, json.Unmarshal(line, &rec) == nil
 }
 
 // The separators of a canonical record line, the one Append writes:
@@ -357,19 +347,24 @@ func scanRecord(line []byte, kinds map[string]string) (rec Record, ok bool) {
 }
 
 // cutPlain cuts b around the first quote, which must start sep: the
-// string before it is plain — printable ASCII, no backslash — so its
-// bytes are what JSON decodes it to.
-func cutPlain(b []byte, sep string) (plain, after []byte, ok bool) {
+// string before it is plain.
+func cutPlain(b []byte, sep string) (before, after []byte, ok bool) {
 	i := bytes.IndexByte(b, '"')
-	if i < 0 || !bytes.HasPrefix(b[i:], []byte(sep)) {
+	if i < 0 || !bytes.HasPrefix(b[i:], []byte(sep)) || !plain(b[:i]) {
 		return nil, nil, false
 	}
-	for _, c := range b[:i] {
-		if c < 0x20 || c > 0x7e || c == '\\' {
-			return nil, nil, false
+	return b[:i], b[i+len(sep):], true
+}
+
+// plain reports whether s is printable ASCII with no quote or backslash:
+// a string whose JSON encoding is its bytes between quotes.
+func plain[S string | []byte](s S) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' {
+			return false
 		}
 	}
-	return b[:i], b[i+len(sep):], true
+	return true
 }
 
 // readLine returns the next line of the log, newline included, valid
@@ -399,9 +394,6 @@ func readLine(br *bufio.Reader, long *[]byte) (line []byte, tooLong bool, err er
 	}
 	return line, tooLong, nil
 }
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Get returns the record for key, if present. The record's raw
 // Identity/Result bytes are the store's — read-only.
@@ -441,9 +433,10 @@ func (s *Store) Lookup(identity []byte) (Record, bool) {
 // append-only analogue of "never overwrite a prior run". The store keeps
 // none of the caller's bytes: the record it indexes slices the line it
 // wrote, so the caller may reuse its buffers as soon as Append returns.
-// An identity json.Marshal would rewrite (whitespace, a raw <, > or &) is
-// refused with nothing written: its line would hold other bytes than the
-// ones its key digests, and a reopened store could never serve it.
+// A record with no canonical line (appendLine) is refused with nothing
+// written: an identity json.Marshal would rewrite (whitespace, a raw <,
+// > or &) could never be served under the key that digests it, and a
+// reopened store reads no other line.
 func (s *Store) Append(rec Record) (added bool, err error) {
 	if !keyMatches(rec.Key, rec.Identity) {
 		return false, fmt.Errorf("store: record key %.12s… is not the digest of its identity (%.12s…)", rec.Key, Key(rec.Identity))
@@ -465,32 +458,21 @@ func (s *Store) Append(rec Record) (added bool, err error) {
 	return true, nil
 }
 
-// recordLine renders rec's log line, newline included, and the record the
-// store indexes for it. When key, kind, identity and result are all
-// canonical the line is built by hand (appendLine) and the record slices
-// it: one allocation. Otherwise json.Marshal writes the line, compacting
-// and escaping what it must, and the record holds its own copy of the
-// caller's identity and result — the bytes its key was checked against,
-// which must be the identity bytes the line holds.
+// recordLine renders rec's canonical log line (appendLine), newline
+// included, and the record the store indexes for it, which slices the
+// line: one allocation. A record with a member that is not canonical has
+// no such line, and is an error.
 func recordLine(rec Record) (line []byte, owned Record, err error) {
 	owned = rec
 	n := len(rec.Identity)
 	line, ok := appendLine(make([]byte, 0, lineEnvelope+len(rec.Key)+len(rec.Kind)+n+len(rec.Result)), rec)
-	if ok {
-		end := len(line) - 1 // the closing brace
-		res := end - len(rec.Result)
-		id := res - len(lineResult) - n
-		owned.Identity, owned.Result = line[id:id+n:id+n], line[res:end:end]
-		return append(line, '\n'), owned, nil
+	if !ok {
+		return nil, owned, fmt.Errorf("store: record of kind %.40q is not canonical JSON (identity %.40q, result %.40q)", rec.Kind, rec.Identity, rec.Result)
 	}
-	if line, err = json.Marshal(rec); err != nil {
-		return nil, owned, fmt.Errorf("store: marshal record: %w", err)
-	}
-	if id, _ := json.Marshal(rec.Identity); !bytes.Equal(id, rec.Identity) {
-		return nil, owned, fmt.Errorf("store: identity %.40q is not canonical JSON (json.Marshal writes %.40q)", rec.Identity, id)
-	}
-	copied := slices.Concat(rec.Identity, rec.Result)
-	owned.Identity, owned.Result = copied[:n:n], copied[n:]
+	end := len(line) - 1 // the closing brace
+	res := end - len(rec.Result)
+	id := res - len(lineResult) - n
+	owned.Identity, owned.Result = line[id:id+n:id+n], line[res:end:end]
 	return append(line, '\n'), owned, nil
 }
 
@@ -500,10 +482,12 @@ func recordLine(rec Record) (line []byte, owned Record, err error) {
 const lineEnvelope = len(lineKey) + len(lineKind) + len(lineIdentity) + len(lineResult) + len("}\n")
 
 // appendLine appends rec's log line, less its newline, to dst when every
-// member of it is canonical: then the bytes are exactly json.Marshal's
-// (FuzzAppendLine). ok is false otherwise, and dst holds a part line.
+// member of it is canonical — key and kind plain, identity and result
+// canon.Valid: then the bytes are exactly json.Marshal's, and scanRecord
+// reads them back to rec (FuzzAppendLine). ok is false otherwise, and dst
+// holds a part line.
 func appendLine(dst []byte, rec Record) (_ []byte, ok bool) {
-	if !canon.Valid(rec.Identity) || !canon.Valid(rec.Result) {
+	if !plain(rec.Key) || !plain(rec.Kind) || !canon.Valid(rec.Identity) || !canon.Valid(rec.Result) {
 		return dst, false
 	}
 	o := canon.Begin(dst)

@@ -351,6 +351,45 @@ func TestLoadRejectsMismatchedKey(t *testing.T) {
 	}
 }
 
+// TestOneLineFormat: Open reads only the line Append writes. A line
+// keyed by the digest of an identity that is not canonical JSON is
+// skipped and counted, though encoding/json reads it; and Append refuses
+// a record with a member that is not canonical rather than write a
+// rewritten copy of it, so nothing is written or indexed.
+func TestOneLineFormat(t *testing.T) {
+	dir := t.TempDir()
+	identity := `{"a": 1}`
+	line := fmt.Sprintf(`{"key":%q,"kind":"test","identity":%s,"result":{}}`+"\n", Key([]byte(identity)), identity)
+	if err := json.Unmarshal([]byte(line), new(Record)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, logName), []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Lookup([]byte(identity)); ok || s.Len() != 0 || s.Corrupt() != 1 {
+		t.Fatalf("served a line in another form: hit %v, Len %d, Corrupt %d, want false/0/1", ok, s.Len(), s.Corrupt())
+	}
+	spaced := mustRecord(t, 1, 1)
+	spaced.Result = []byte(`{ }`)
+	accented := mustRecord(t, 2, 1)
+	accented.Kind = "tést"
+	for _, rec := range []Record{spaced, accented} {
+		if added, err := s.Append(rec); added || err == nil {
+			t.Errorf("Append(kind %q, result %s): added=%v err=%v, want an error", rec.Kind, rec.Result, added, err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, logName)); err != nil || string(got) != line {
+		t.Fatalf("log after refused appends = %q (err %v), want it unchanged", got, err)
+	}
+}
+
 // TestTruncatedAtEveryOffset cuts a store at every byte: Open must keep
 // exactly the complete lines before the cut, count a cut mid-line as one
 // corrupt line, and a record appended afterwards must survive the next open.
@@ -813,8 +852,7 @@ func TestAppendAllocationBudget(t *testing.T) {
 // TestAppendOwnsItsBytes: the store keeps none of the caller's bytes. A
 // caller that overwrites its buffer after Append — as core.Run recycles
 // its identity buffer — leaves the stored record, its lookup by identity
-// and its line on disk as they were, for a line built by hand and for one
-// json.Marshal writes.
+// and its line on disk as they were.
 func TestAppendOwnsItsBytes(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -822,7 +860,7 @@ func TestAppendOwnsItsBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	for _, result := range []string{`{"value":1}`, `{"s":"a\u003cb"}`} {
+	for _, result := range []string{`{"value":1}`, `{"s":["a",-0.5e7,null,true]}`} {
 		identity := fmt.Sprintf(`{"result":%s}`, result)
 		buf := []byte(identity + result)
 		rec := Record{Key: Key([]byte(identity)), Kind: "test", Identity: buf[:len(identity)], Result: buf[len(identity):]}
@@ -855,8 +893,9 @@ func TestAppendOwnsItsBytes(t *testing.T) {
 
 // FuzzScanRecord holds the record-line scanner to encoding/json, its
 // oracle: a line the scanner accepts is one json.Unmarshal accepts and
-// decodes to the same record, byte for byte, and readRecord — scanner,
-// then encoding/json — reads every line exactly as json.Unmarshal does.
+// decodes to the same record, byte for byte; and the line json.Marshal
+// writes for any record whose members are canonical (appendLine's
+// condition) is one the scanner accepts.
 func FuzzScanRecord(f *testing.F) {
 	line, err := json.Marshal(mustRecord(f, 1, 1))
 	if err != nil {
@@ -887,16 +926,20 @@ func FuzzScanRecord(f *testing.F) {
 		if got, ok := scanRecord(line, make(map[string]string)); ok && (jsonErr != nil || !same(got)) {
 			t.Fatalf("scanner reads %q to %+v; encoding/json to %+v (err %v)", line, got, want, jsonErr)
 		}
-		if got, ok := readRecord(line, make(map[string]string)); ok != (jsonErr == nil) || (ok && !same(got)) {
-			t.Fatalf("readRecord(%q) = %+v (ok %v); encoding/json reads %+v (err %v)", line, got, ok, want, jsonErr)
+		if _, canonical := appendLine(nil, want); jsonErr == nil && canonical {
+			marshaled, err := json.Marshal(want)
+			if got, ok := scanRecord(marshaled, make(map[string]string)); err != nil || !ok || !same(got) {
+				t.Fatalf("scanner reads json.Marshal's line %q of canonical members to %+v (ok %v, err %v)", marshaled, got, ok, err)
+			}
 		}
 	})
 }
 
 // FuzzAppendLine holds the hand-built log line to json.Marshal, its
 // oracle: whenever appendLine writes a line, it is the record's
-// json.Marshal byte for byte, and the record Append indexes slices the
-// identity and result out of it unchanged.
+// json.Marshal byte for byte, the scanner reads it back to the record,
+// and the record Append indexes slices the identity and result out of it
+// unchanged. When it writes none, recordLine refuses the record.
 func FuzzAppendLine(f *testing.F) {
 	rec := mustRecord(f, 1, 1)
 	f.Add(rec.Key, rec.Kind, []byte(rec.Identity), []byte(rec.Result))
@@ -913,11 +956,18 @@ func FuzzAppendLine(f *testing.F) {
 		rec := Record{Key: key, Kind: kind, Identity: identity, Result: result}
 		got, ok := appendLine(nil, rec)
 		if !ok {
+			if line, _, err := recordLine(rec); err == nil {
+				t.Fatalf("recordLine(%+v) wrote %q with no canonical line", rec, line)
+			}
 			return
 		}
 		want, err := json.Marshal(rec)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("appendLine(%+v) = %q; json.Marshal writes %q (err %v)", rec, got, want, err)
+		}
+		if back, ok := scanRecord(got, make(map[string]string)); !ok || back.Key != key || back.Kind != kind ||
+			!bytes.Equal(back.Identity, identity) || !bytes.Equal(back.Result, result) {
+			t.Fatalf("scanRecord(%q) = %+v (ok %v), want %+v", got, back, ok, rec)
 		}
 		line, owned, err := recordLine(rec)
 		if err != nil || string(line) != string(want)+"\n" || !bytes.Equal(owned.Identity, identity) || !bytes.Equal(owned.Result, result) {

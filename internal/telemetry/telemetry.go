@@ -234,9 +234,6 @@ type entry struct {
 	h      *Histogram
 }
 
-// key is the unique series identity.
-func (e *entry) key() string { return e.base + "{" + e.labels + "}" }
-
 // Registry holds named instruments. Creation takes a mutex; updates on the
 // returned instruments never do. The zero value is not usable — call
 // NewRegistry. A nil *Registry is safe: every constructor returns nil,

@@ -16,9 +16,10 @@ import (
 	"testing"
 )
 
-// reachExempt names the exports no non-test file has to name, with the
-// reason. A bare name exempts a method that a stdlib interface calls; a
-// qualified one must name a declaration that exists.
+// reachExempt names the declarations no non-test code has to reach, with
+// the reason. A bare name exempts an exported method that a stdlib
+// interface calls from inside the standard library; a qualified one must
+// name a declaration that exists.
 var reachExempt = map[string]string{
 	"String": "fmt.Stringer", "Error": "error", "Unwrap": "errors.Unwrap",
 	"Len": "sort.Interface", "Less": "sort.Interface", "Swap": "sort.Interface",
@@ -27,80 +28,103 @@ var reachExempt = map[string]string{
 	"Read": "io.Reader", "Write": "io.Writer", "Close": "io.Closer",
 	"mat.NewFromData":        "the constructor over caller-owned storage, counterpart of New",
 	"store.Store.Duplicates": "recovery accounting the store's truncation tests assert",
+	"mpi.World.Nodes":        "post-run energy inspection, read by tests in six packages",
 	"surrogate.Train":        "regenerates surrogate/testdata/coeffs.json under -update-surrogate",
 	"ime.SolveSequential":    "the sequential IMe reference the parallel solver and the monitor Example check against",
 	"scalapack.Dgesv":        "the sequential LAPACK reference the parallel solver and the monitor Example check against",
 }
 
-// TestEveryExportIsReached fails on an exported top-level declaration
-// under internal/ that no non-test .go file of the module names: code only
-// its own tests reach. Any identifier spelling the name counts as a use,
-// whatever it resolves to, so the check can miss dead code but never flags
-// live code.
+// TestEveryExportIsReached fails on a declaration under internal/ that no
+// non-test .go file of the module reaches: an exported top-level
+// declaration, or a method of any name, that only its own tests use. Names
+// resolve with go/types: a use is an identifier or selector that denotes
+// the declaration itself, generic instances included. A method is also
+// reached when a method of an interface it implements is used; for a
+// generic interface, such as a type parameter's constraint, when its type
+// is some instantiation's type argument.
 func TestEveryExportIsReached(t *testing.T) {
-	fset := token.NewFileSet()
-	used := map[string]bool{}
-	decls := map[*ast.Ident]string{} // declaring identifier → pkg.[Recv.]Name, "" if unchecked
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err == nil && d.IsDir() && path != "." && (d.Name()[0] == '.' || d.Name() == "testdata") {
-			return filepath.SkipDir
-		}
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return err
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		internal := strings.HasPrefix(filepath.ToSlash(path), "internal/")
-		for _, dl := range f.Decls {
-			recv, ids := "", []*ast.Ident{}
-			if fd, ok := dl.(*ast.FuncDecl); ok {
-				ids = append(ids, fd.Name)
-				if fd.Recv != nil { // the receiver's type name, without * or type parameters
-					recv = strings.FieldsFunc(types.ExprString(fd.Recv.List[0].Type), func(r rune) bool { return r == '*' || r == '[' })[0] + "."
-				}
-			} else {
-				for _, s := range dl.(*ast.GenDecl).Specs {
-					switch s := s.(type) {
-					case *ast.TypeSpec:
-						ids = append(ids, s.Name)
-					case *ast.ValueSpec:
-						ids = append(ids, s.Names...)
-					}
-				}
+	fset, pkgs := loadModule(t)
+	used := map[types.Object]bool{}
+	var viaInterface []*types.Func // used interface methods
+	typeArgs := map[*types.TypeName]bool{}
+	use := func(obj types.Object) {
+		obj = origin(obj)
+		if f, ok := obj.(*types.Func); ok && !used[f] {
+			if recv := f.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				viaInterface = append(viaInterface, f)
 			}
-			for _, id := range ids {
-				decls[id] = ""
-				if internal && id.IsExported() {
-					decls[id] = f.Name.Name + "." + recv + id.Name
+		}
+		used[obj] = true
+	}
+	for _, mp := range pkgs {
+		for _, obj := range mp.info.Uses {
+			use(obj)
+		}
+		for _, sel := range mp.info.Selections {
+			use(sel.Obj())
+		}
+		for _, inst := range mp.info.Instances {
+			for i := 0; i < inst.TypeArgs.Len(); i++ {
+				if tn := typeName(inst.TypeArgs.At(i)); tn != nil {
+					typeArgs[tn] = true
 				}
 			}
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if _, declaring := decls[id]; ok && !declaring {
-				used[id.Name] = true
+	}
+	// implemented reports whether m, a method of the named type tn, is
+	// reached through a used interface method.
+	implemented := func(tn *types.TypeName, m *types.Func) bool {
+		for _, im := range viaInterface {
+			if im.Name() != m.Name() {
+				continue
 			}
-			return true
-		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+			iface := im.Type().(*types.Signature).Recv().Type()
+			if n, ok := iface.(*types.Named); ok && n.Origin().TypeParams().Len() > 0 {
+				if typeArgs[tn] {
+					return true
+				}
+				continue
+			}
+			it := iface.Underlying().(*types.Interface)
+			if types.Implements(tn.Type(), it) || types.Implements(types.NewPointer(tn.Type()), it) {
+				return true
+			}
+		}
+		return false
 	}
 	var unreached []string
 	declared := map[string]bool{}
-	for id, key := range decls {
+	check := func(key string, obj types.Object, reached bool) {
 		declared[key] = true
-		method := strings.Count(key, ".") == 2
-		if key != "" && !used[id.Name] && reachExempt[key] == "" && !(method && reachExempt[id.Name] != "") {
-			unreached = append(unreached, key+" "+fset.Position(id.Pos()).String())
+		if !reached && !used[obj] && reachExempt[key] == "" {
+			unreached = append(unreached, key+" "+fset.Position(obj.Pos()).String())
+		}
+	}
+	for _, mp := range pkgs {
+		if !strings.HasPrefix(mp.dir, "internal/") {
+			continue
+		}
+		scope := mp.pkg.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			if obj.Exported() {
+				check(mp.pkg.Name()+"."+name, obj, false)
+			}
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named := tn.Type().(*types.Named)
+			for i := 0; i < named.NumMethods(); i++ {
+				m := named.Method(i)
+				stdlib := m.Exported() && reachExempt[m.Name()] != ""
+				check(mp.pkg.Name()+"."+name+"."+m.Name(), m, stdlib || implemented(tn, m))
+			}
 		}
 	}
 	sort.Strings(unreached)
 	if len(unreached) > 0 {
-		t.Errorf("%d exported declarations are named by no non-test file; delete each or move it into a _test.go file:\n%s",
+		t.Errorf("%d declarations are reached by no non-test file; delete each or move it into a _test.go file:\n%s",
 			len(unreached), strings.Join(unreached, "\n"))
 	}
 	for key := range reachExempt {
@@ -108,6 +132,30 @@ func TestEveryExportIsReached(t *testing.T) {
 			t.Errorf("reachExempt names %s, which no file under internal/ declares; delete the exemption", key)
 		}
 	}
+}
+
+// origin maps an instantiated generic function, method or field to its
+// declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// typeName returns the declaration of the named type t is or points to,
+// or nil.
+func typeName(t types.Type) *types.TypeName {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Origin().Obj()
+	}
+	return nil
 }
 
 // setExempt names the exported fields no non-test code has to write, with
@@ -127,32 +175,14 @@ var setExempt = map[string]string{
 // inside `if x.F == zero` (or <=) only fills in a default and does not
 // count. A field with a json tag counts as written, since decoding sets it.
 func TestEveryFieldIsSet(t *testing.T) {
-	fset := token.NewFileSet()
-	imp := &moduleImporter{fset: fset, std: importer.Default(), pkgs: map[string]*modulePackage{}}
-	dirs := map[string]bool{}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err == nil && d.IsDir() && path != "." && (d.Name()[0] == '.' || d.Name() == "testdata") {
-			return filepath.SkipDir
-		}
-		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
-			dirs[filepath.ToSlash(filepath.Dir(path))] = true
-		}
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fset, pkgs := loadModule(t)
 	written := map[*types.Var]bool{}
 	fields := map[*types.Var]string{} // exported field → pkg.Type.Field
-	for dir := range dirs {
-		mp, err := imp.load(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, mp := range pkgs {
 		for _, f := range mp.files {
 			markWrites(f, mp.info, written)
 		}
-		if !strings.HasPrefix(dir, "internal/") {
+		if !strings.HasPrefix(mp.dir, "internal/") {
 			continue
 		}
 		scope := mp.pkg.Scope()
@@ -191,6 +221,104 @@ func TestEveryFieldIsSet(t *testing.T) {
 			t.Errorf("setExempt names %s, which is no exported field of an exported struct under internal/; delete the exemption", key)
 		}
 	}
+}
+
+// readExempt names the fields no non-test code has to read by name, with
+// the reason; each must name a field, or a struct type whose fields it
+// exempts, that exists. A json-tagged field is read by encoding, and a
+// field of a struct some map is keyed by is read by every lookup, so
+// neither needs an entry.
+var readExempt = map[string]string{
+	"campaign.experimentsData": "text/template data of EXPERIMENTS.md",
+	"campaign.capEffect":       "text/template data of EXPERIMENTS.md",
+	"mat.sysKey":               "the key of the sync.Map of cached systems",
+	"sparse.Solution.X":        "the solution vector, the answer the solver exists to return",
+}
+
+// TestEveryFieldIsRead fails on a field of a struct type declared at the
+// top level of a package under internal/ that no non-test code of the
+// module reads: a value written and never used. A read is any selector
+// that is not the left side of a plain =, so x.F += 1, x.F++, &x.F and
+// x.F.G = v all read F.
+func TestEveryFieldIsRead(t *testing.T) {
+	fset, pkgs := loadModule(t)
+	read := map[*types.Var]bool{}
+	keyed := map[*types.Struct]bool{} // structs some map is keyed by
+	for _, mp := range pkgs {
+		for _, f := range mp.files {
+			markReads(f, mp.info, read)
+		}
+		for _, tv := range mp.info.Types {
+			if m, ok := tv.Type.(*types.Map); ok {
+				if st, ok := m.Key().Underlying().(*types.Struct); ok {
+					keyed[st] = true
+				}
+			}
+		}
+	}
+	var unread []string
+	declared := map[string]bool{}
+	for _, mp := range pkgs {
+		if !strings.HasPrefix(mp.dir, "internal/") {
+			continue
+		}
+		scope := mp.pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok || keyed[st] {
+				continue
+			}
+			typ := mp.pkg.Name() + "." + name
+			declared[typ] = true
+			for i := 0; i < st.NumFields(); i++ {
+				fv := st.Field(i)
+				if _, tagged := reflect.StructTag(st.Tag(i)).Lookup("json"); fv.Embedded() || tagged || fv.Name() == "_" {
+					continue
+				}
+				key := typ + "." + fv.Name()
+				declared[key] = true
+				if !read[fv] && readExempt[key] == "" && readExempt[typ] == "" {
+					unread = append(unread, key+" "+fset.Position(fv.Pos()).String())
+				}
+			}
+		}
+	}
+	sort.Strings(unread)
+	if len(unread) > 0 {
+		t.Errorf("%d fields are read by no non-test code; delete each with the writes and computations only it reaches:\n%s",
+			len(unread), strings.Join(unread, "\n"))
+	}
+	for key := range readExempt {
+		if !declared[key] {
+			t.Errorf("readExempt names %s, which is no checked field or struct under internal/; delete the exemption", key)
+		}
+	}
+}
+
+// markReads adds to read every field f selects other than on the left of
+// a plain assignment.
+func markReads(f *ast.File, info *types.Info, read map[*types.Var]bool) {
+	stored := map[ast.Expr]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if as, ok := n.(*ast.AssignStmt); ok && as.Tok == token.ASSIGN {
+			for _, l := range as.Lhs {
+				stored[ast.Unparen(l)] = true
+			}
+		}
+		return true
+	})
+	ast.Inspect(f, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok && !stored[sel] {
+			if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+				read[s.Obj().(*types.Var).Origin()] = true
+			}
+		}
+		return true
+	})
 }
 
 // markWrites adds to written every field f writes, except assignments that
@@ -276,6 +404,35 @@ func markWrites(f *ast.File, info *types.Info, written map[*types.Var]bool) {
 	})
 }
 
+// loadModule type-checks every package of the module from its non-test
+// source, in directory order.
+func loadModule(t *testing.T) (*token.FileSet, []*modulePackage) {
+	fset := token.NewFileSet()
+	imp := &moduleImporter{fset: fset, std: importer.Default(), pkgs: map[string]*modulePackage{}}
+	var pkgs []*modulePackage
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if path != "." && (d.Name()[0] == '.' || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		files, err := filepath.Glob(filepath.Join(path, "*.go"))
+		for _, f := range files {
+			if !strings.HasSuffix(f, "_test.go") {
+				mp, err := imp.load(filepath.ToSlash(path))
+				pkgs = append(pkgs, mp)
+				return err
+			}
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fset, pkgs
+}
+
 // moduleImporter type-checks the module's packages from their non-test
 // source and imports the standard library from export data.
 type moduleImporter struct {
@@ -285,6 +442,7 @@ type moduleImporter struct {
 }
 
 type modulePackage struct {
+	dir   string // relative to the module root
 	pkg   *types.Package
 	files []*ast.File
 	info  *types.Info
@@ -317,10 +475,11 @@ func (m *moduleImporter) load(dir string) (*modulePackage, error) {
 	if len(pkgs) != 1 {
 		return nil, fmt.Errorf("%s: %d packages", dir, len(pkgs))
 	}
-	mp := &modulePackage{info: &types.Info{
+	mp := &modulePackage{dir: dir, info: &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Instances:  map[*ast.Ident]types.Instance{},
 	}}
 	for _, p := range pkgs {
 		for _, f := range p.Files {
